@@ -22,8 +22,8 @@ inline std::size_t env_size(const char* name, std::size_t fallback) {
 }
 
 // Reads a 0/1 flag from the environment; returns fallback when unset or not
-// "0"/"1". Used to A/B solver paths without a rebuild (e.g. TAPO_LP_FT=0
-// ./bench_solver_perf runs the revised benches on the legacy eta file).
+// "0"/"1". Used to A/B solver paths without a rebuild (e.g. TAPO_NO_WARM=1
+// ./bench_recovery_latency re-plans without the pre-fault warm seed).
 inline bool env_flag(const char* name, bool fallback) {
   const char* value = std::getenv(name);
   if (!value) return fallback;
@@ -32,7 +32,7 @@ inline bool env_flag(const char* name, bool fallback) {
   return fallback;
 }
 
-// Reads a revised-engine pricing rule ("dantzig" | "devex" | "partial_devex")
+// Reads a revised-engine pricing rule ("dantzig" | "partial_devex")
 // from the environment; returns fallback when unset, warns and returns
 // fallback on an unknown name. The no-rebuild pricing A/B knob
 // (e.g. TAPO_LP_PRICING=dantzig ./bench_solver_perf).

@@ -8,6 +8,7 @@
 #include <chrono>
 #include <cstdio>
 #include <iostream>
+#include <string>
 #include <vector>
 
 #include "bench_common.h"
@@ -36,20 +37,24 @@ int main() {
   const std::size_t runs = bench::env_size("TAPO_RUNS", 5);
   // TAPO_LP_ENGINE=dense and TAPO_NO_WARM=1 reproduce the pre-warm-start
   // baseline (dense tableau, cold re-plans) for A/B latency comparisons
-  // against the default revised + warm-seeded configuration.
-  const char* engine_env = std::getenv("TAPO_LP_ENGINE");
-  const bool use_dense =
-      engine_env != nullptr && std::string(engine_env) == "dense";
-  const bool no_warm = std::getenv("TAPO_NO_WARM") != nullptr;
-  // TAPO_NO_SESSION=1 disables the persistent per-chain LP sessions inside
-  // the re-plan sweep (falls back to the rebuild-per-point warm chains).
-  const bool no_session = std::getenv("TAPO_NO_SESSION") != nullptr;
+  // against the default revised + warm-seeded configuration. An unknown
+  // engine name warns and keeps the revised default.
+  bool use_dense = false;
+  if (const char* engine = std::getenv("TAPO_LP_ENGINE")) {
+    const std::string name(engine);
+    if (name == "dense") {
+      use_dense = true;
+    } else if (name != "revised") {
+      std::fprintf(stderr, "TAPO_LP_ENGINE: unknown engine '%s', keeping "
+                           "revised\n", engine);
+    }
+  }
+  const bool no_warm = bench::env_flag("TAPO_NO_WARM", false);
   util::telemetry::Registry* const reg = bench::telemetry_sink();
   std::printf("=== Extension: recovery latency and retained reward per fault "
-              "(%zu nodes, %zu scenarios, %s engine, warm seeds %s, LP "
-              "sessions %s) ===\n\n",
+              "(%zu nodes, %zu scenarios, %s engine, warm seeds %s) ===\n\n",
               nodes, runs, use_dense ? "dense" : "revised",
-              no_warm ? "off" : "on", no_session ? "off" : "on");
+              no_warm ? "off" : "on");
 
   struct FaultCase {
     const char* label;
@@ -111,9 +116,9 @@ int main() {
       options.telemetry = reg;
       options.assign.stage1.telemetry = lp_reg;
       if (use_dense) options.assign.stage1.lp.engine = solver::LpEngine::Dense;
-      if (no_session) options.assign.stage1.lp_session = false;
-      // Pricing-rule A/B for re-plan latency (TAPO_LP_PRICING=dantzig|devex|
-      // partial_devex); the revised engine defaults to Dantzig.
+      // Pricing-rule A/B for re-plan latency
+      // (TAPO_LP_PRICING=dantzig|partial_devex); the revised engine defaults
+      // to partial_devex.
       options.assign.stage1.lp.pricing = bench::env_lp_pricing(
           "TAPO_LP_PRICING", options.assign.stage1.lp.pricing);
       sim::FaultEvent event = fault_case.event;

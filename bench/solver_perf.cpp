@@ -185,14 +185,14 @@ BENCHMARK(BM_Stage1UniformSweep)
 
 // Stage-1 sweep with a fixed thread count, varying the LP engine and the
 // warm-start chaining — the headline comparison for the revised engine:
-// dense tableau vs revised cold (chaining off) vs revised with warm-started
-// chains. All three select the bit-identical plan; only iterations and wall
-// clock differ. Counters report LP effort per sweep (iterations per solve,
-// warm-start hit rate, per-solve iteration histogram); with
-// TAPO_TELEMETRY_OUT set, the same lp.* counters land in the telemetry JSON.
+// dense tableau vs revised cold (chaining off) vs revised with warm chains,
+// each chain on one persistent LP session. All three select the
+// bit-identical plan; only iterations and wall clock differ. Counters report
+// LP effort per sweep (iterations per solve, warm-start hit rate, per-solve
+// iteration histogram); with TAPO_TELEMETRY_OUT set, the same lp.* counters
+// land in the telemetry JSON.
 void run_stage1_engine_sweep(benchmark::State& state, solver::LpEngine engine,
                              std::size_t warm_chain, bool full_grid = true,
-                             bool lp_session = false,
                              std::optional<solver::LpPricing> pricing =
                                  std::nullopt) {
   scenario::ScenarioConfig config;
@@ -228,7 +228,7 @@ void run_stage1_engine_sweep(benchmark::State& state, solver::LpEngine engine,
       "lp.phase.build", "lp.phase.standardize", "lp.phase.factorize",
       "lp.phase.price", "lp.phase.ftran",       "lp.phase.update"};
   static const char* const kSession[] = {
-      "lp.session.patches",          "lp.session.ft_updates",
+      "lp.session.patches",          "lp.session.column_updates",
       "lp.session.refactorizations", "lp.session.fallbacks",
       "lp.session.resident_resumes", "lp.session.ft_budget_exhausted"};
   // Forrest–Tomlin factor-update health (docs/OBSERVABILITY.md): in-place
@@ -260,18 +260,14 @@ void run_stage1_engine_sweep(benchmark::State& state, solver::LpEngine engine,
   options.full_grid = full_grid;
   options.threads = 1;
   options.lp.engine = engine;
-  // TAPO_LP_FT=0 re-runs the revised benches on the legacy product-form eta
-  // file (the FT-vs-eta A/B without a rebuild); unset or 1 is the FT default.
-  options.lp.ft_updates = bench::env_flag("TAPO_LP_FT", true);
   // Default benches run the production rule (the LpOptions default),
-  // overridable by TAPO_LP_PRICING; the pinned *Devex/*Partial A/B rows
-  // ignore the env so their names always mean what they say.
+  // overridable by TAPO_LP_PRICING; the pinned *Dantzig A/B row ignores the
+  // env so its name always means what it says.
   options.lp.pricing =
       pricing.has_value()
           ? *pricing
           : bench::env_lp_pricing("TAPO_LP_PRICING", options.lp.pricing);
   options.grid.warm_chain = warm_chain;
-  options.lp_session = lp_session;
   options.telemetry = reg;
   double objective = 0.0;
   for (auto _ : state) {
@@ -295,7 +291,7 @@ void run_stage1_engine_sweep(benchmark::State& state, solver::LpEngine engine,
     state.counters[std::string("phase_") + (kPhases[i] + 9) + "_ms"] =
         1e3 * seconds / iterations;
   }
-  if (lp_session) {
+  if (engine == solver::LpEngine::Revised && warm_chain > 1) {
     for (int i = 0; i < 6; ++i) {
       state.counters[kSession[i] + 3] = static_cast<double>(
           reg->counter_value(kSession[i]) - session0[i]) / iterations;
@@ -356,8 +352,8 @@ void apply_c2f_sizes(benchmark::internal::Benchmark* b) {
 // dual ratio scans of patch-and-resume repair. Partial Devex pricing does
 // win the coarse-to-fine rows, by a margin that grows with scale, which
 // is why it is the default (docs/SOLVER.md §6b/§8 keep the measured
-// numbers). The pinned *Dantzig / *Devex rows below are the pricing A/B
-// against the partial-Devex default.
+// numbers). The pinned *Dantzig row below is the pricing A/B against the
+// partial-Devex default.
 void BM_Stage1SweepDense(benchmark::State& state) {
   run_stage1_engine_sweep(state, solver::LpEngine::Dense, 1);
 }
@@ -368,46 +364,29 @@ void BM_Stage1SweepRevisedCold(benchmark::State& state) {
 }
 BENCHMARK(BM_Stage1SweepRevisedCold)->Apply(apply_full_grid_sizes);
 
-void BM_Stage1SweepRevisedWarm(benchmark::State& state) {
-  run_stage1_engine_sweep(state, solver::LpEngine::Revised,
-                          solver::GridSearchOptions{}.warm_chain);
-}
-BENCHMARK(BM_Stage1SweepRevisedWarm)->Apply(apply_full_grid_sizes);
-
 // Persistent-session sweep (solver/session.h): one resident LP per warm
 // chain, patched between grid points and maintained with in-place
 // Forrest–Tomlin column-replacement updates instead of per-point rebuild +
-// import refactorization. Same pivot counts as RevisedWarm — the difference
-// is pure fixed cost, visible in the phase_*_ms counters.
+// import refactorization.
 void BM_Stage1SweepRevisedSession(benchmark::State& state) {
   run_stage1_engine_sweep(state, solver::LpEngine::Revised,
-                          solver::GridSearchOptions{}.warm_chain,
-                          /*full_grid=*/true, /*lp_session=*/true);
+                          solver::GridSearchOptions{}.warm_chain);
 }
 BENCHMARK(BM_Stage1SweepRevisedSession)->Apply(apply_full_grid_sizes);
 
 // Pricing-rule A/B on the session sweep: identical configuration to
 // BM_Stage1SweepRevisedSession (which runs the partial-Devex default) with
-// the rule pinned, immune to TAPO_LP_PRICING. All three rows publish the
+// Dantzig pinned, immune to TAPO_LP_PRICING. Both rows publish the
 // bit-identical plan; they differ in iteration counts (lp_iters_per_solve)
 // and in where the phase_*_ms time goes. check_perf_regression.py gates
-// the pinned rows at a loose per-prefix threshold so a pricing-path
+// the pinned row at a loose per-prefix threshold so a pricing-path
 // regression cannot rot silently.
 void BM_Stage1SweepRevisedSessionDantzig(benchmark::State& state) {
   run_stage1_engine_sweep(state, solver::LpEngine::Revised,
                           solver::GridSearchOptions{}.warm_chain,
-                          /*full_grid=*/true, /*lp_session=*/true,
-                          solver::LpPricing::Dantzig);
+                          /*full_grid=*/true, solver::LpPricing::Dantzig);
 }
 BENCHMARK(BM_Stage1SweepRevisedSessionDantzig)->Apply(apply_full_grid_sizes);
-
-void BM_Stage1SweepRevisedSessionDevex(benchmark::State& state) {
-  run_stage1_engine_sweep(state, solver::LpEngine::Revised,
-                          solver::GridSearchOptions{}.warm_chain,
-                          /*full_grid=*/true, /*lp_session=*/true,
-                          solver::LpPricing::Devex);
-}
-BENCHMARK(BM_Stage1SweepRevisedSessionDevex)->Apply(apply_full_grid_sizes);
 
 // Same comparison on the coarse-to-fine search (the paper's production
 // path): refinement rounds evaluate tightly clustered setpoints, so warm
@@ -420,17 +399,10 @@ void BM_Stage1CoarseToFineDense(benchmark::State& state) {
 }
 BENCHMARK(BM_Stage1CoarseToFineDense)->Apply(apply_c2f_sizes);
 
-void BM_Stage1CoarseToFineRevisedWarm(benchmark::State& state) {
-  run_stage1_engine_sweep(state, solver::LpEngine::Revised,
-                          solver::GridSearchOptions{}.warm_chain,
-                          /*full_grid=*/false);
-}
-BENCHMARK(BM_Stage1CoarseToFineRevisedWarm)->Apply(apply_c2f_sizes);
-
 void BM_Stage1CoarseToFineRevisedSession(benchmark::State& state) {
   run_stage1_engine_sweep(state, solver::LpEngine::Revised,
                           solver::GridSearchOptions{}.warm_chain,
-                          /*full_grid=*/false, /*lp_session=*/true);
+                          /*full_grid=*/false);
 }
 BENCHMARK(BM_Stage1CoarseToFineRevisedSession)->Apply(apply_c2f_sizes);
 

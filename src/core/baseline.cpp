@@ -173,8 +173,8 @@ Assignment BaselineAssigner::assign(const BaselineOptions& options) const {
   const std::size_t nn = dc_.num_nodes();
   const std::size_t t = dc_.num_task_types();
 
-  // Chained warm starts, as in the Stage-1 sweep: consecutive grid points of
-  // one chain re-solve from the previous optimum's basis. The sweep here is
+  // Chained warm starts: consecutive grid points of one chain re-solve from
+  // the previous optimum's basis. The sweep here is
   // serial (grid.threads defaults to 1 for the baseline), but the chain
   // partition keeps results identical for any thread count regardless.
   struct ChainState {

@@ -168,7 +168,7 @@ PowerMinResult minimize_power_for_reward(const dc::DataCenter& dc,
     }
     // Chain heads seed from the previous attempt's winning basis (or the
     // caller's warm_seed on the first attempt); within a chain each LP
-    // warm-starts from its predecessor.
+    // resumes from its predecessor.
     const solver::LpBasis* seed = nullptr;
     if (!attempt_seed.empty()) {
       seed = &attempt_seed;
@@ -176,17 +176,14 @@ PowerMinResult minimize_power_for_reward(const dc::DataCenter& dc,
                !options.stage1.warm_seed->empty()) {
       seed = options.stage1.warm_seed;
     }
-    struct ChainState {
-      solver::LpBasis basis;
-    };
     // Same persistent-session sweep as Stage 1: one resident MinimizePower
     // LP per warm chain, patched in place between grid points (the reward
     // floor is fixed within an attempt, so only the thermal RHS and the
-    // CoP coefficients move).
-    const bool use_session = options.stage1.lp_session &&
-                             options.stage1.lp.engine ==
-                                 solver::LpEngine::Revised &&
-                             options.stage1.grid.warm_chain > 1;
+    // CoP coefficients move). The dense engine and chaining off build one
+    // LP per point.
+    const bool use_session =
+        options.stage1.lp.engine == solver::LpEngine::Revised &&
+        options.stage1.grid.warm_chain > 1;
     struct SessionChainState {
       std::unique_ptr<Stage1LpEvaluator> eval;
     };
@@ -222,19 +219,14 @@ PowerMinResult minimize_power_for_reward(const dc::DataCenter& dc,
       }
       return -(outcome.compute_power_kw + outcome.crac_power_kw);
     };
-    const solver::GridChainObjective classic_objective =
+    const solver::GridChainObjective per_point_objective =
         [&](const std::vector<double>& crac_out,
-            std::shared_ptr<void>& chain_state) -> std::optional<double> {
+            std::shared_ptr<void>&) -> std::optional<double> {
       lp_solves.fetch_add(1, std::memory_order_relaxed);
       const util::telemetry::ScopedTimer lp_timer(reg, "powermin.lp");
       solver::LpOptions lp_opt = options.stage1.lp;
       lp_opt.telemetry = reg;
-      auto* state = static_cast<ChainState*>(chain_state.get());
-      if (state != nullptr && !state->basis.empty()) {
-        lp_opt.warm_start = &state->basis;
-      } else {
-        lp_opt.warm_start = seed;
-      }
+      lp_opt.warm_start = seed;
       const StageOutcome outcome =
           solve_power_at(dc, model, crac_out, options.stage1.psi, floor, lp_opt);
       if (!outcome.feasible) {
@@ -244,15 +236,10 @@ PowerMinResult minimize_power_for_reward(const dc::DataCenter& dc,
         }
         return std::nullopt;
       }
-      if (state == nullptr) {
-        chain_state = std::make_shared<ChainState>();
-        state = static_cast<ChainState*>(chain_state.get());
-      }
-      state->basis = outcome.basis;
       return -outcome.power_kw;
     };
     const solver::GridChainObjective& objective =
-        use_session ? session_objective : classic_objective;
+        use_session ? session_objective : per_point_objective;
     // solve_power_at builds the LP from per-call state only, so the sweep
     // honours the Stage-1 threads knob (each round's chains run as one
     // parallel batch).

@@ -189,8 +189,8 @@ RecoveryOutcome RecoveryController::recover(const Assignment& previous) const {
     // fault perturbs bounds/RHS (failed nodes, derated CRACs, a new Pconst)
     // but leaves most of the LP intact, so dual-simplex warm starts from the
     // old optimum converge in a handful of iterations. The sweep itself
-    // runs on persistent per-chain LP sessions (Stage1Options::lp_session,
-    // on by default), so beyond the seeded chain heads each grid point is a
+    // runs on persistent per-chain LP sessions (revised engine, warm
+    // chains), so beyond the seeded chain heads each grid point is a
     // patch-and-resume, not a rebuild (docs/SOLVER.md §7). The sweep's final
     // re-solve at the selected point always runs the dense oracle cold
     // (stage1.cpp), so the published plan does not depend on the seed.

@@ -182,15 +182,16 @@ Stage1Result Stage1Solver::solve(const Stage1Options& options) const {
                      options.tcrac_max_c);
   }
 
-  // solve_at builds the LP from per-call state only, so the sweep may invoke
-  // it from several threads at once; the counters are the sole shared writes
-  // (the telemetry registry is itself thread-safe). Each chain of
-  // consecutive grid points carries the previous optimum's basis so the
-  // revised engine re-solves neighbors in a few pivots; the chain head
-  // starts from options.warm_seed when the caller has one.
-  struct ChainState {
-    solver::LpBasis basis;
-  };
+  // The sweep may evaluate chains from several threads at once; the counters
+  // are the sole shared writes (the telemetry registry is itself
+  // thread-safe). On the revised engine with warm chains, each chain holds
+  // one persistent LP session: built at the chain head (seeded from the
+  // cross-round incumbent) and patched in place for every later point of
+  // the chain, so neighbors re-solve in a few pivots. Sessions are
+  // per-chain — a chain runs serially on one thread and the partition is
+  // thread-count-invariant — so results are bit-identical across thread
+  // counts. The dense engine and chaining off build one LP per point.
+  //
   // Cross-round seed: chain heads otherwise start cold, and a sweep has many
   // short rounds (coarse pass, refinement rounds, coordinate passes). After
   // every round the incumbent's basis is recomputed once in the serial
@@ -198,19 +199,10 @@ Stage1Result Stage1Solver::solve(const Stage1Options& options) const {
   // written only between rounds and read only during them, so there is no
   // race, and it is a pure function of the (thread-count-invariant) running
   // best point — bit-identity across thread counts is preserved.
-  const bool cross_round_seed =
-      options.lp.engine == solver::LpEngine::Revised &&
-      options.grid.warm_chain > 1;
+  const bool use_session = options.lp.engine == solver::LpEngine::Revised &&
+                           options.grid.warm_chain > 1;
   auto round_seed = std::make_shared<solver::LpBasis>(
       options.warm_seed != nullptr ? *options.warm_seed : solver::LpBasis{});
-  // Persistent-session sweep: one resident LP per warm chain, built at the
-  // chain head (seeded from the cross-round incumbent) and patched in place
-  // for every later point of the chain. Falls back to the classic
-  // build-per-point path when disabled or not applicable (dense engine,
-  // chaining off). Sessions are per-chain — a chain runs serially on one
-  // thread and the partition is thread-count-invariant — so this preserves
-  // the bit-identity guarantees of the classic path.
-  const bool use_session = options.lp_session && cross_round_seed;
   std::atomic<std::size_t> lp_solves{0};
   std::atomic<std::size_t> infeasible{0};
   std::atomic<std::size_t> iter_limited{0};
@@ -250,47 +242,26 @@ Stage1Result Stage1Solver::solve(const Stage1Options& options) const {
     if (!outcome.feasible) return std::nullopt;
     return outcome.objective;
   };
-  const solver::GridChainObjective classic_objective =
+  // One LP per point (dense engine, or chaining off), warm-started from the
+  // caller's seed when there is one.
+  const solver::GridChainObjective per_point_objective =
       [&, round_seed](const std::vector<double>& crac_out,
-                      std::shared_ptr<void>& chain_state)
-      -> std::optional<double> {
+                      std::shared_ptr<void>&) -> std::optional<double> {
     lp_solves.fetch_add(1, std::memory_order_relaxed);
     const util::telemetry::ScopedTimer lp_timer(reg, "stage1.lp");
     solver::LpOptions lp_opt = options.lp;
     lp_opt.telemetry = reg;
-    auto* state = static_cast<ChainState*>(chain_state.get());
-    if (state != nullptr && !state->basis.empty()) {
-      lp_opt.warm_start = &state->basis;
-    } else if (!round_seed->empty()) {
-      lp_opt.warm_start = round_seed.get();
-    } else {
-      lp_opt.warm_start = nullptr;
-    }
+    lp_opt.warm_start = round_seed->empty() ? nullptr : round_seed.get();
     const LpOutcome outcome = solve_at(crac_out, options.psi, lp_opt);
-    if (!outcome.feasible) {
-      infeasible.fetch_add(1, std::memory_order_relaxed);
-      if (outcome.status == solver::LpStatus::IterLimit) {
-        iter_limited.fetch_add(1, std::memory_order_relaxed);
-      }
-      if (outcome.basis.empty()) return std::nullopt;
-      // An infeasibility certificate basis still re-seeds the chain: the
-      // neighboring points are usually infeasible for the same reason, and
-      // a warm dual solve re-proves that in a few pivots instead of losing
-      // the seed and paying a cold phase 1 at the next feasible point.
-    }
-    if (state == nullptr) {
-      chain_state = std::make_shared<ChainState>();
-      state = static_cast<ChainState*>(chain_state.get());
-    }
-    state->basis = outcome.basis;
+    account(outcome);
     if (!outcome.feasible) return std::nullopt;
     return outcome.objective;
   };
   const solver::GridChainObjective& objective =
-      use_session ? session_objective : classic_objective;
+      use_session ? session_objective : per_point_objective;
 
   solver::GridSearchOptions grid = stage1_grid_options(options);
-  if (reg || cross_round_seed) {
+  if (reg || use_session) {
     grid.on_round = [&, reg, round_seed](
                         std::size_t round,
                         const solver::GridSearchResult& running) {
@@ -301,7 +272,7 @@ Stage1Result Stage1Solver::solve(const Stage1Options& options) const {
                       static_cast<double>(round), running.best_value);
         }
       }
-      if (!cross_round_seed || !running.found) return;
+      if (!use_session || !running.found) return;
       // Refresh the cross-round seed from the incumbent (one warm re-solve,
       // serial, between rounds). The next round's chain heads then start a
       // few pivots from the running best instead of from scratch.

@@ -50,20 +50,16 @@ struct Stage1Options {
   // LP engine and numerics for every solve in the sweep (the final re-solve
   // at the selected setpoints always runs the Dense oracle, so the published
   // plan is engine-independent). The telemetry pointer inside is ignored;
-  // `telemetry` below is used for the lp.* metrics too.
+  // `telemetry` below is used for the lp.* metrics too. On the revised
+  // engine with grid.warm_chain > 1, each warm chain runs on one persistent
+  // LP session (solver/session.h + core/stage1_lp.h): the chain builds its
+  // LP once and re-points it at successive grid points through the
+  // structure-preserving patch API, keeping the basis and LU factors
+  // resident. Otherwise every point builds and solves its own LP.
   solver::LpOptions lp;
-  // Persistent per-chain LP sessions (solver/session.h + core/stage1_lp.h):
-  // each warm chain builds its LP once and re-points it at successive grid
-  // points through the structure-preserving patch API, keeping the basis
-  // and LU factors resident instead of rebuilding per point. Only engaged
-  // on the revised engine with grid.warm_chain > 1; the dense engine and
-  // the final Dense polish are unaffected either way. Results stay
-  // bit-identical across thread counts (sessions are per-chain, and the
-  // chain partition is a pure function of the point sequence).
-  bool lp_session = true;
   // Optional warm-start basis for the sweep's chain heads and the first
   // solve of every chain (non-owning; must outlive solve()). Within a chain
-  // each LP warm-starts from its predecessor's optimal basis regardless.
+  // each LP resumes from its predecessor's basis regardless.
   // Recovery passes the pre-fault plan's basis here so a re-plan converges
   // in a handful of dual pivots per grid point.
   const solver::LpBasis* warm_seed = nullptr;

@@ -66,8 +66,9 @@ using GridObjective =
 
 // Chained objective for warm-started evaluation: chain_state is carried
 // between the consecutive points of one chain (null at each chain head) and
-// is owned by the objective — typically it holds the previous point's
-// optimal LP basis, so neighboring CRAC setpoints re-solve in a few pivots.
+// is owned by the objective — typically a persistent LP session or the
+// previous point's optimal basis, so neighboring CRAC setpoints re-solve in
+// a few pivots.
 // The driver guarantees a chain runs serially on one thread; distinct chains
 // may run concurrently, each with its own state.
 using GridChainObjective = std::function<std::optional<double>(

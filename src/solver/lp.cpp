@@ -23,7 +23,6 @@ const char* to_string(LpStatus status) {
 const char* to_string(LpPricing pricing) {
   switch (pricing) {
     case LpPricing::Dantzig: return "dantzig";
-    case LpPricing::Devex: return "devex";
     case LpPricing::PartialDevex: return "partial_devex";
   }
   return "?";
@@ -33,7 +32,6 @@ bool parse_lp_pricing(const char* name, LpPricing* out) {
   if (name == nullptr || out == nullptr) return false;
   const std::string_view s(name);
   if (s == "dantzig") *out = LpPricing::Dantzig;
-  else if (s == "devex") *out = LpPricing::Devex;
   else if (s == "partial_devex") *out = LpPricing::PartialDevex;
   else return false;
   return true;

@@ -12,11 +12,12 @@
 //
 // Two engines share this interface (LpOptions::engine):
 //   * Revised (default): revised simplex over an LU-factorized basis with
-//     product-form eta updates and periodic refactorization, sparse column
-//     access, and warm starts from an exported LpBasis (a dual-simplex phase
-//     absorbs RHS/bound changes). This is what makes the CRAC setpoint sweep
-//     and the recovery re-plans cheap: neighboring grid points differ mostly
-//     in the RHS, so the previous optimal basis is a few pivots from optimal.
+//     in-place Forrest–Tomlin updates and budgeted refactorization, sparse
+//     column access, and warm starts from an exported LpBasis (a
+//     dual-simplex phase absorbs RHS/bound changes). This is what makes the
+//     CRAC setpoint sweep and the recovery re-plans cheap: neighboring grid
+//     points differ mostly in the RHS, so the previous optimal basis is a
+//     few pivots from optimal.
 //   * Dense: the original dense-tableau implementation, kept as a
 //     differential-testing oracle and as the engine for the final re-solve
 //     at a selected grid point (engine-independent published plans).
@@ -59,26 +60,22 @@ enum class LpEngine { Revised, Dense };
 // Pricing rule of the revised engine (docs/SOLVER.md §8). The dense oracle
 // always prices with Dantzig. Pricing changes only the pivot path — never
 // the optimality certificate or the canonically extracted solution of a
-// given final basis — so any rule may be A/B'd freely (TAPO_LP_PRICING in
-// the bench binaries).
-//   * Dantzig: most-negative reduced cost, full scan. The pre-PR-10 rule,
-//     bit-exact on the historical pivot paths — it anchors the
-//     differential suites and stays the fastest measured rule on the
-//     patch-heavy full-grid sweeps, where the rule-independent dual
-//     repair scans dominate pricing time (SOLVER.md §6b).
-//   * Devex: approximate reference-framework weights; candidates score
-//     d^2 / weight, which favors directions of steep actual improvement.
-//     Still a full scan per iteration.
-//   * PartialDevex (default): Devex scores over a candidate list holding
-//     the best-scoring ~2*sqrt(#classes) column classes of the last full
-//     scan. Slacks are always priced; a dry list triggers a full scan that
-//     both selects the entering column and rebuilds the list, so the
-//     optimality certificate is identical to a full scan's. Measured
-//     fastest on the production coarse-to-fine path, by a margin that
-//     grows with scale (≈5% at 500 nodes to 10% at 1500 — SOLVER.md §6b):
-//     refinement chains keep its pivot quality at parity with a full scan
-//     while the class count it skips grows with the node count.
-enum class LpPricing { Dantzig, Devex, PartialDevex };
+// given final basis — so either rule may be A/B'd freely (TAPO_LP_PRICING
+// in the bench binaries).
+//   * Dantzig: most-negative reduced cost, full scan. Bit-exact on the
+//     historical pivot paths — it anchors the differential suites and stays
+//     the fastest measured rule on the patch-heavy full-grid sweeps, where
+//     the rule-independent dual repair scans dominate pricing time
+//     (SOLVER.md §6b).
+//   * PartialDevex (default): Devex reference-weight scores (d^2 / weight)
+//     over a candidate list holding the best-scoring ~2*sqrt(#classes)
+//     column classes of the last full scan. Slacks are always priced; a dry
+//     list triggers a full scan that both selects the entering column and
+//     rebuilds the list, so the optimality certificate is identical to a
+//     full scan's. Measured fastest on the production coarse-to-fine path,
+//     by a margin that grows with scale (≈5% at 500 nodes to 10% at 1500 —
+//     SOLVER.md §6b).
+enum class LpPricing { Dantzig, PartialDevex };
 
 // Human-readable pricing name ("dantzig", ...); parse_lp_pricing inverts it
 // (returns false on an unknown name, leaving `out` untouched).
@@ -184,25 +181,13 @@ struct LpOptions {
   // Revised engine: entering-variable pricing rule (see LpPricing). Partial
   // Devex is the default — measured fastest on the coarse-to-fine sweeps
   // the production pipeline runs, 5-10% over Dantzig growing with scale
-  // (SOLVER.md §6b); Dantzig (fastest on patch-heavy full-grid sweeps, and
-  // the bit-exact pre-PR-10 pivot path) and full-scan Devex are selectable
-  // for A/B runs. Any rule yields the same published plans (canonical
-  // extraction + the dense final re-solve).
+  // (SOLVER.md §6b); Dantzig is selectable for A/B runs. Either rule
+  // yields the same published plans (canonical extraction + the dense
+  // final re-solve).
   LpPricing pricing = LpPricing::PartialDevex;
-  // Revised engine: refactorize the basis LU from scratch after this many
-  // product-form eta updates. Smaller = tighter numerics, more O(m^3) work.
-  // Applies only when ft_updates is false (the eta path is kept for
-  // differential testing); the Forrest–Tomlin path is budgeted by
-  // ft_max_updates / ft_fill_factor instead.
-  std::size_t refactor_interval = 64;
-  // Revised engine: update the LU factors in place per basis change
-  // (Forrest–Tomlin) instead of appending product-form eta columns. The
-  // default; set false to run the legacy eta file (differential testing).
-  // Published plans are engine- and path-independent either way (canonical
-  // extraction, docs/SOLVER.md §5).
-  bool ft_updates = true;
-  // Forrest–Tomlin: refactorize after this many in-place column
-  // replacements. Must be >= 1.
+  // Revised engine, Forrest–Tomlin factor updates (docs/SOLVER.md §6a):
+  // refactorize after this many in-place column replacements. Smaller =
+  // tighter numerics, more O(m^3) work. Must be >= 1.
   std::size_t ft_max_updates = 96;
   // Forrest–Tomlin: refactorize once update fill-in grows the stored factor
   // entries beyond this multiple of the post-refactorization baseline.

@@ -109,8 +109,8 @@ class LuFactorization {
 //
 // The updatable structures materialize lazily on the first replace_column():
 // until then ftran/btran delegate to the wrapped LuFactorization's fused
-// solves, so a zero-update FtFactorization is bitwise identical to the
-// product-form engine at a fresh factorization. Not thread-safe (mutable
+// solves, so a zero-update FtFactorization is bitwise identical to a fresh
+// LuFactorization. Not thread-safe (mutable
 // scratch), matching LuFactorization.
 class FtFactorization {
  public:

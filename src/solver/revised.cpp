@@ -1,4 +1,4 @@
-// Revised simplex over an LU-factorized basis with product-form updates.
+// Revised simplex over an LU-factorized basis with Forrest–Tomlin updates.
 //
 // The engine works on the standardized system
 //   A' z = b',  0 <= z_j <= ub_j,
@@ -11,18 +11,14 @@
 // exported from one LP warm-start a perturbed one: the slack of row r is
 // the same logical variable in both, whatever the sign of b'_r.
 //
-// The basis inverse is an LU factorization maintained, by default, with
-// in-place Forrest–Tomlin column replacements (FtFactorization, solver/lu.h):
-// each basis change mutates U and records one row eta per eliminated entry,
-// so FTRAN/BTRAN stay two sparse triangular solves plus scalar eta
+// The basis inverse is an LU factorization maintained with in-place
+// Forrest–Tomlin column replacements (FtFactorization, solver/lu.h): each
+// basis change mutates U and records one row eta per eliminated entry, so
+// FTRAN/BTRAN stay two sparse triangular solves plus scalar eta
 // applications regardless of how dense the replaced columns were. A
 // stability monitor (emerging-diagonal test) and a fill/update budget
 // (LpOptions::ft_max_updates, ft_fill_factor) demote the update chain to a
-// from-scratch refactorization. Setting LpOptions::ft_updates = false runs
-// the legacy product-form eta file (a snapshot LU composed with dense eta
-// columns, rebuilt every refactor_interval updates), kept for differential
-// testing — both paths land on identical published plans via canonical
-// extraction.
+// from-scratch refactorization.
 //
 // Warm starts: an imported LpBasis is validated (slot count, exactly m
 // basic variables, factorizable basis matrix); on acceptance phase 1 is
@@ -34,7 +30,7 @@
 // than a cold one — only cheaper.
 //
 // Optimal bases are extracted canonically: the basic set is sorted
-// ascending and refactorized fresh (empty eta file) before x, the duals
+// ascending and refactorized fresh (no pending updates) before x, the duals
 // and the exported basis are computed. Extraction therefore depends only
 // on the final (basis set, nonbasic statuses), not on the pivot path, so a
 // warm re-solve landing on the same basis is bit-identical to a cold one.
@@ -42,7 +38,7 @@
 // Persistent sessions (solver/session.h) reuse this same class across
 // solves: setup() standardizes once, patch_*() edit the standardized arrays
 // in place, and solve_persistent() resumes the previous solve's basis and
-// factors, repairing them with product-form column-replacement updates
+// factors, repairing them with Forrest–Tomlin column replacements
 // instead of refactorizing — see the notes on apply_pending_updates below
 // and docs/SOLVER.md §7.
 #include "solver/revised.h"
@@ -69,7 +65,6 @@ void RevisedCore::standardize() {
                  "LpOptions::ft_fill_factor must be >= 1.0");
   TAPO_CHECK_MSG(opt_.ft_pivot_tolerance > 0.0 && opt_.ft_pivot_tolerance < 1.0,
                  "LpOptions::ft_pivot_tolerance must be in (0, 1)");
-  use_ft_ = opt_.ft_updates;
   m_ = p_.num_constraints();
   n_struct_ = p_.num_vars();
   slack0_ = n_struct_;
@@ -369,18 +364,11 @@ bool RevisedCore::refactorize() {
   for (std::size_t r = 0; r < m_; ++r) {
     for_col(basis_[r], [&](std::size_t row, double v) { bm(row, r) = v; });
   }
-  if (use_ft_) {
-    ft_.emplace(bm);
-    if (!ft_->ok()) {
-      ft_.reset();
-      return false;
-    }
-  } else {
-    LuFactorization f(bm);
-    if (!f.ok()) return false;
-    lu_ = std::move(f);
+  ft_.emplace(bm);
+  if (!ft_->ok()) {
+    ft_.reset();
+    return false;
   }
-  etas_.clear();
   spike_valid_ = false;
   if (session_mode_) {
     // A from-scratch rebuild reads the patched CSC directly, so any queued
@@ -394,39 +382,15 @@ bool RevisedCore::refactorize() {
 }
 
 void RevisedCore::ftran(std::vector<double>& v, bool entering) const {
-  if (use_ft_) {
-    if (entering) {
-      ft_->ftran(v, &spike_);
-      spike_valid_ = true;
-    } else {
-      ft_->ftran(v);
-    }
-    return;
-  }
-  lu_->solve_in_place(v);
-  for (const Eta& e : etas_) {
-    const double t = v[e.row] / e.col[e.row];
-    if (t != 0.0) {
-      for (std::size_t i = 0; i < m_; ++i) v[i] -= e.col[i] * t;
-    }
-    v[e.row] = t;
+  if (entering) {
+    ft_->ftran(v, &spike_);
+    spike_valid_ = true;
+  } else {
+    ft_->ftran(v);
   }
 }
 
-void RevisedCore::btran(std::vector<double>& v) const {
-  if (use_ft_) {
-    ft_->btran(v);
-    return;
-  }
-  for (auto it = etas_.rbegin(); it != etas_.rend(); ++it) {
-    const Eta& e = *it;
-    double s = 0.0;
-    for (std::size_t i = 0; i < m_; ++i) s += e.col[i] * v[i];
-    s -= e.col[e.row] * v[e.row];
-    v[e.row] = (v[e.row] - s) / e.col[e.row];
-  }
-  lu_->solve_transposed_in_place(v);
-}
+void RevisedCore::btran(std::vector<double>& v) const { ft_->btran(v); }
 
 void RevisedCore::price_y(const std::vector<double>& cost) {
   y_.assign(m_, 0.0);
@@ -458,28 +422,21 @@ double RevisedCore::primal_infeasibility() const {
 }
 
 bool RevisedCore::push_update_and_maybe_refactor(std::size_t pivot_row) {
-  if (use_ft_) {
-    TAPO_CHECK_MSG(spike_valid_, "FT update without a captured entering spike");
-    spike_valid_ = false;
-    const FtFactorization::Update res =
-        ft_->replace_column(pivot_row, spike_, opt_.ft_pivot_tolerance);
-    if (res == FtFactorization::Update::kUnstable) {
-      // The rejected update left the factors unusable; rebuild from basis_
-      // (which pivot() already updated, so the rebuild is the new basis).
-      if (reg_) reg_->count("lp.ft.stability_rejects");
-      if (session_mode_) ++session_.stability_refactorizations;
-      return refactorize();
-    }
-    if (reg_) reg_->count("lp.ft.updates");
-    const bool fill = ft_->fill_exceeded(opt_.ft_fill_factor);
-    if (fill || ft_->updates() >= opt_.ft_max_updates) {
-      if (fill && reg_) reg_->count("lp.ft.fill_refactorizations");
-      if (!refactorize()) return false;
-    }
-    return true;
+  TAPO_CHECK_MSG(spike_valid_, "FT update without a captured entering spike");
+  spike_valid_ = false;
+  const FtFactorization::Update res =
+      ft_->replace_column(pivot_row, spike_, opt_.ft_pivot_tolerance);
+  if (res == FtFactorization::Update::kUnstable) {
+    // The rejected update left the factors unusable; rebuild from basis_
+    // (which pivot() already updated, so the rebuild is the new basis).
+    if (reg_) reg_->count("lp.ft.stability_rejects");
+    if (session_mode_) ++session_.stability_refactorizations;
+    return refactorize();
   }
-  etas_.push_back(Eta{pivot_row, w_});
-  if (etas_.size() >= std::max<std::size_t>(1, opt_.refactor_interval)) {
+  if (reg_) reg_->count("lp.ft.updates");
+  const bool fill = ft_->fill_exceeded(opt_.ft_fill_factor);
+  if (fill || ft_->updates() >= opt_.ft_max_updates) {
+    if (fill && reg_) reg_->count("lp.ft.fill_refactorizations");
     if (!refactorize()) return false;
   }
   return true;
@@ -488,7 +445,7 @@ bool RevisedCore::push_update_and_maybe_refactor(std::size_t pivot_row) {
 bool RevisedCore::pivot(std::size_t enter, int dir, std::size_t pivot_row,
                         double delta, bool leaving_at_upper) {
   // w_ holds B^{-1} a_enter. Mirrors SimplexSolver::apply_pivot, with the
-  // tableau elimination replaced by an eta-file append.
+  // tableau elimination replaced by a factor update.
   for (std::size_t r = 0; r < m_; ++r) {
     if (r == pivot_row) continue;
     xb_[r] -= dir * delta * w_[r];
@@ -504,7 +461,7 @@ bool RevisedCore::pivot(std::size_t enter, int dir, std::size_t pivot_row,
 bool RevisedCore::price_entering(const std::vector<double>& cost, bool bland,
                                  std::size_t& enter, int& dir) {
   const double tol = opt_.tolerance;
-  const bool devex = opt_.pricing != LpPricing::Dantzig;
+  const bool devex = opt_.pricing == LpPricing::PartialDevex;
   bool found = false;
   // Dantzig keeps the historical "gain > best with best seeded at tol"
   // comparison so its pivot paths match the pre-pricing engine exactly;
@@ -534,10 +491,11 @@ bool RevisedCore::price_entering(const std::vector<double>& cost, bool bland,
     }
   };
 
-  if (bland || opt_.pricing != LpPricing::PartialDevex || units_.empty()) {
-    // Full ascending scan. Under Bland the first eligible index wins —
-    // windowing is bypassed entirely so the anti-cycling argument (strictly
-    // lowest eligible index) is untouched by the pricing rule.
+  if (bland || !devex || units_.empty()) {
+    // Full ascending scan: Bland, Dantzig, or an LP without structural
+    // columns. Under Bland the first eligible index wins — windowing is
+    // bypassed entirely so the anti-cycling argument (strictly lowest
+    // eligible index) is untouched by the pricing rule.
     for (std::size_t v = 0; v < n_total_; ++v) {
       if (status_[v] == VarStatus::Basic) continue;
       if (ub_[v] <= 0.0 && status_[v] == VarStatus::AtLower) continue;
@@ -564,7 +522,7 @@ bool RevisedCore::price_entering(const std::vector<double>& cost, bool bland,
   // iteration. Only when the list (plus the slack sweep) is dry does a full
   // scan run — it selects the global best AND harvests the next list. A dry
   // full scan is a complete scan, so the optimality certificate is
-  // identical to the full-scan rules'.
+  // identical to Dantzig's.
   const auto eligible_gain = [&](std::size_t v, double d) -> bool {
     if (status_[v] == VarStatus::Basic) return false;
     if (ub_[v] <= 0.0 && status_[v] == VarStatus::AtLower) return false;
@@ -623,17 +581,8 @@ bool RevisedCore::price_entering(const std::vector<double>& cost, bool bland,
     for (std::size_t k = unit_start_[u]; k < unit_start_[u + 1]; ++k) {
       const std::size_t v = unit_cols_[k];
       const double d = cost[v] - dot;
-      if (status_[v] == VarStatus::Basic) continue;
-      if (ub_[v] <= 0.0 && status_[v] == VarStatus::AtLower) continue;
-      double gain;
-      if (status_[v] == VarStatus::AtLower && d > tol) {
-        gain = d;
-      } else if (status_[v] == VarStatus::AtUpper && d < -tol) {
-        gain = -d;
-      } else {
-        continue;
-      }
-      const double score = devex ? d * d / devex_w_[v] : gain;
+      if (!eligible_gain(v, d)) continue;
+      const double score = d * d / devex_w_[v];
       if (!unit_found || score > unit_best) {
         unit_best = score;
         unit_found = true;
@@ -747,7 +696,7 @@ RevisedCore::Step RevisedCore::primal_iterate(bool phase1,
       continue;
     }
     const std::size_t leaving = basis_[static_cast<std::size_t>(pivot_row)];
-    if (opt_.pricing != LpPricing::Dantzig) {
+    if (opt_.pricing == LpPricing::PartialDevex) {
       // Approximate Devex update from the pivot element of the entering
       // FTRAN column: the leaving variable re-enters the nonbasic pool with
       // the entering column's weight projected through the pivot. Overflow
@@ -845,7 +794,7 @@ RevisedCore::Step RevisedCore::dual_iterate() {
   } flusher{this};
   const std::size_t bland_after = 10 * (m_ + n_total_) + 500;
   std::size_t local_iter = 0;
-  const bool dual_devex = opt_.pricing != LpPricing::Dantzig;
+  const bool dual_devex = opt_.pricing == LpPricing::PartialDevex;
 
   struct Cand {
     std::size_t v;
@@ -862,8 +811,8 @@ RevisedCore::Step RevisedCore::dual_iterate() {
     Clock::time_point mark;
     if (timed) mark = Clock::now();
     // Leaving row. Dantzig: the largest bound violation among basic
-    // variables. Devex: the largest violation^2 / row weight — the exact
-    // dual Devex rule, whose weights are maintained in O(m) per pivot from
+    // variables. PartialDevex: the largest violation^2 / row weight — the
+    // exact dual Devex rule, whose weights are maintained in O(m) per pivot from
     // the entering FTRAN column below. Eligibility (what counts as a
     // violation at all) is the same threshold under both rules, and the
     // dual-ratio candidate scan stays a FULL scan under every rule — the
@@ -1178,14 +1127,13 @@ LpSolution RevisedCore::extract(LpStatus status) {
   if (status == LpStatus::Optimal) {
     // Canonicalize: ascending basis order and a fresh factorization (no
     // pending updates) make the extracted numbers a function of the basis
-    // alone. When the basis is already sorted and the factors are fresh (a
-    // warm solve that pivoted fewer times than the update budget from an
-    // imported basis, which try_warm builds in ascending order), the
-    // resident factorization IS the canonical one — refactorizing again
-    // would reproduce it bit for bit. A zero-update FT factorization
-    // qualifies: its solves delegate to the wrapped fresh LU.
-    const bool factors_fresh = use_ft_ ? ft_->updates() == 0 : etas_.empty();
-    if (factors_fresh && std::is_sorted(basis_.begin(), basis_.end())) {
+    // alone. When the basis is already sorted and the factors carry no
+    // updates (e.g. a warm solve that did not pivot from an imported basis,
+    // which try_warm builds in ascending order), the resident
+    // factorization IS the canonical one — refactorizing again would
+    // reproduce it bit for bit, since a zero-update FT factorization's
+    // solves delegate to the wrapped fresh LU.
+    if (ft_->updates() == 0 && std::is_sorted(basis_.begin(), basis_.end())) {
       compute_xb();
     } else {
       std::sort(basis_.begin(), basis_.end());
@@ -1274,7 +1222,7 @@ void RevisedCore::patch_coefficient(std::size_t r, std::size_t v,
   }
   b_dirty_ = true;
   // A basic column's change invalidates the resident factorization; queue a
-  // product-form column-replacement update (applied at the next solve).
+  // Forrest–Tomlin column replacement (applied at the next solve).
   if (resident_ok_ && status_.size() > v && status_[v] == VarStatus::Basic &&
       !col_dirty_[v]) {
     col_dirty_[v] = 1;
@@ -1317,12 +1265,9 @@ bool RevisedCore::apply_pending_updates() {
   // When the patch set rivals the refactorization budget, one rebuild from
   // the already-patched CSC is cheaper (and tighter numerically) than a
   // long chain of sequential column replacements.
-  const std::size_t interval =
-      use_ft_ ? opt_.ft_max_updates
-              : std::max<std::size_t>(1, opt_.refactor_interval);
-  const std::size_t pending = use_ft_ ? ft_->updates() : etas_.size();
-  const std::size_t budget = std::min<std::size_t>(interval, m_ / 4 + 1);
-  if (dirty_cols_.size() + pending >= budget) {
+  const std::size_t budget =
+      std::min<std::size_t>(opt_.ft_max_updates, m_ / 4 + 1);
+  if (dirty_cols_.size() + ft_->updates() >= budget) {
     // Surfaced, not silent: long resident chains (partial pricing makes
     // them longer) that keep outrunning the update budget show up as a
     // counter the soak anomaly pass can watch, instead of hiding inside
@@ -1332,11 +1277,10 @@ bool RevisedCore::apply_pending_updates() {
   }
   // Sequential column replacement: for a basic column v in basis row r whose
   // values changed, w = B^{-1} a_new through the *current* factors gives the
-  // replacement — an in-place Forrest–Tomlin update (use_ft_, consuming the
-  // spike captured by the entering ftran) or a product-form eta {r, w}. A
-  // small pivot w_r means the new column is near-dependent on the rest of
-  // the basis through these factors — the stability monitor demotes that to
-  // a refactorization.
+  // replacement — an in-place Forrest–Tomlin update consuming the spike
+  // captured by the entering ftran. A small pivot w_r means the new column
+  // is near-dependent on the rest of the basis through these factors — the
+  // stability monitor demotes that to a refactorization.
   // Iterate by index: refactorize() inside the loop would clear the queue.
   std::vector<std::size_t> queue;
   queue.swap(dirty_cols_);
@@ -1357,28 +1301,19 @@ bool RevisedCore::apply_pending_updates() {
       if (reg_) reg_->count("lp.session.stability_refactorizations");
       return refactorize();
     }
-    if (use_ft_) {
-      spike_valid_ = false;
-      const FtFactorization::Update res =
-          ft_->replace_column(r, spike_, opt_.ft_pivot_tolerance);
-      if (res == FtFactorization::Update::kUnstable) {
-        ++session_.stability_refactorizations;
-        if (reg_) reg_->count("lp.ft.stability_rejects");
-        if (reg_) reg_->count("lp.session.stability_refactorizations");
-        return refactorize();
-      }
-      if (reg_) reg_->count("lp.ft.updates");
-      ++session_.ft_updates;
-      if (ft_->updates() >= opt_.ft_max_updates ||
-          ft_->fill_exceeded(opt_.ft_fill_factor)) {
-        if (!refactorize()) return false;
-        break;  // remaining queue entries were absorbed by the rebuild
-      }
-      continue;
+    spike_valid_ = false;
+    const FtFactorization::Update res =
+        ft_->replace_column(r, spike_, opt_.ft_pivot_tolerance);
+    if (res == FtFactorization::Update::kUnstable) {
+      ++session_.stability_refactorizations;
+      if (reg_) reg_->count("lp.ft.stability_rejects");
+      if (reg_) reg_->count("lp.session.stability_refactorizations");
+      return refactorize();
     }
-    etas_.push_back(Eta{r, w_});
-    ++session_.ft_updates;
-    if (etas_.size() >= std::max<std::size_t>(1, opt_.refactor_interval)) {
+    if (reg_) reg_->count("lp.ft.updates");
+    ++session_.column_updates;
+    if (ft_->updates() >= opt_.ft_max_updates ||
+        ft_->fill_exceeded(opt_.ft_fill_factor)) {
       if (!refactorize()) return false;
       break;  // remaining queue entries were absorbed by the rebuild
     }
@@ -1441,7 +1376,7 @@ LpSolution RevisedCore::solve_persistent(const LpBasis* seed) {
     }
   } else if (resident_ok_) {
     // Resident resume: no rebuild, no standardization, no import
-    // refactorization. Queued column updates are applied as product-form
+    // refactorization. Queued column updates are applied as Forrest–Tomlin
     // replacements; the residual monitor guards the recomputed xb.
     if (apply_pending_updates()) {
       compute_xb();

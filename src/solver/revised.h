@@ -8,8 +8,8 @@
 
 namespace tapo::solver::internal {
 
-// Revised simplex over an LU-factorized basis with product-form updates.
-// Honors LpOptions::warm_start / refactor_interval; counts the engine-side
+// Revised simplex over an LU-factorized basis with Forrest–Tomlin updates.
+// Honors LpOptions::warm_start and the ft_* budgets; counts the engine-side
 // lp.* metrics (refactorizations, fallbacks, dual iterations) when
 // options.telemetry is set. Statuses and tolerances match the dense engine.
 LpSolution solve_lp_revised(const LpProblem& problem, const LpOptions& options);

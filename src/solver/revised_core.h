@@ -10,9 +10,8 @@
 //     patch_*() calls followed by solve_persistent(). Patches edit the
 //     resident standardized arrays in place (CSC values, shifted RHS,
 //     bounds, costs); a patched column that is currently basic is queued for
-//     a column-replacement update of the resident factorization (an in-place
-//     Forrest–Tomlin update by default, a product-form eta when
-//     LpOptions::ft_updates is off) instead of a refactorization. A stability
+//     an in-place Forrest–Tomlin column replacement of the resident
+//     factorization instead of a refactorization. A stability
 //     monitor (spike-pivot and residual checks) demotes updates to a
 //     refactorization and, failing that, to the cold path, so a session
 //     solve is never less correct than a fresh one (docs/SOLVER.md §7).
@@ -39,7 +38,7 @@ class RevisedCore {
 
   // Counters a session accumulates across its lifetime; never reset.
   struct SessionCounters {
-    std::uint64_t ft_updates = 0;        // product-form column replacements
+    std::uint64_t column_updates = 0;  // FT replacements of patched columns
     std::uint64_t refactorizations = 0;  // LU rebuilds (any reason)
     std::uint64_t stability_refactorizations = 0;  // monitor-triggered ones
     std::uint64_t fallbacks = 0;      // resident/seed state abandoned for cold
@@ -79,15 +78,6 @@ class RevisedCore {
   enum class Step { Done, Unbounded, Numerical };
   enum class Outcome { Optimal, Infeasible, Unbounded, IterLimit, Restart };
 
-  // One product-form update: the basis change that made column `col`
-  // (= B_prev^{-1} a_enter) basic in row `row`. Kept dense: entering columns
-  // mix the (dense) thermal rows through B^{-1}, so a sparse representation
-  // was measured to cost more in indirection than it saves in flops.
-  struct Eta {
-    std::size_t row = 0;
-    std::vector<double> col;
-  };
-
   // ---- setup ----
   void standardize();
   void build_col_classes();
@@ -99,7 +89,7 @@ class RevisedCore {
   bool refactorize();
   // FTRAN: v <- B^{-1} v. `entering` marks v as an entering/replacement
   // column whose update the next push_update_and_maybe_refactor() will
-  // apply: in FT mode the partially solved spike is captured for it.
+  // apply: the partially solved spike is captured for it.
   void ftran(std::vector<double>& v, bool entering = false) const;
   void btran(std::vector<double>& v) const;
 
@@ -172,7 +162,7 @@ class RevisedCore {
   double primal_infeasibility() const;
 
   // ---- pricing (docs/SOLVER.md §8) ----
-  // Entering-variable selection for one primal iteration: Dantzig, Devex or
+  // Entering-variable selection for one primal iteration: Dantzig or
   // candidate-list partial Devex per opt_.pricing; `bland` forces the full
   // lowest-index anti-cycling scan under every rule. Returns false when no
   // eligible candidate exists anywhere — for the partial rule that verdict
@@ -195,9 +185,9 @@ class RevisedCore {
 
   // ---- pivoting ----
   // Applies the basis update for the column that just became basic in
-  // `pivot_row`: an in-place FT column replacement (use_ft_, consuming the
-  // spike the last entering ftran captured) or a product-form eta append.
-  // Either path refactorizes when its budget or stability monitor says so.
+  // `pivot_row`: an in-place FT column replacement consuming the spike the
+  // last entering ftran captured. Refactorizes when the update budget, the
+  // fill monitor or the stability monitor says so.
   bool push_update_and_maybe_refactor(std::size_t pivot_row);
   bool pivot(std::size_t enter, int dir, std::size_t pivot_row, double delta,
              bool leaving_at_upper);
@@ -217,7 +207,7 @@ class RevisedCore {
 
   // ---- persistent-session internals ----
   // Applies queued column-replacement updates to the resident factorization;
-  // refactorizes on a spike pivot or a full eta file. False = numerical
+  // refactorizes on a spike pivot or an exhausted update budget. False = numerical
   // failure (caller falls back to cold).
   bool apply_pending_updates();
   // Residual stability check of the resident solution xb against the
@@ -280,7 +270,7 @@ class RevisedCore {
   // rebuilt by a full scan. The list is refreshed when it runs dry, shrinks
   // below half capacity, or serves more than price_window_ pivots — stale
   // best-of-list picks degrade pivot quality well before the list empties
-  // (measured: dry-only refreshes cost +53% iterations vs full Devex).
+  // (measured: dry-only refreshes cost +53% iterations vs a full scan).
   std::size_t pivots_since_rebuild_ = 0;
   bool units_dirty_ = false;
 
@@ -316,20 +306,13 @@ class RevisedCore {
   std::vector<VarStatus> status_;   // per variable
   std::vector<double> xb_;          // basic variable values, aligned to basis_
 
-  // Basis inverse, one of two representations (use_ft_, from
-  // LpOptions::ft_updates):
-  //   * FT mode: ft_ holds the factors and absorbs basis changes as in-place
-  //     Forrest–Tomlin column replacements; etas_ stays empty. spike_ holds
-  //     the partially solved entering column the last ftran(v, true)
-  //     captured — the replacement column the next update consumes.
-  //   * eta mode (legacy, kept for differential testing): lu_ is a snapshot
-  //     factorization composed with the product-form eta file etas_.
-  bool use_ft_ = true;
+  // Basis inverse: ft_ holds the factors and absorbs basis changes as
+  // in-place Forrest–Tomlin column replacements. spike_ holds the partially
+  // solved entering column the last ftran(v, true) captured — the
+  // replacement column the next update consumes.
   std::optional<FtFactorization> ft_;
   mutable std::vector<double> spike_;
   mutable bool spike_valid_ = false;
-  std::optional<LuFactorization> lu_;
-  std::vector<Eta> etas_;
 
   std::size_t iterations_ = 0;
   std::size_t max_iterations_ = 0;

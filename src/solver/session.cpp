@@ -74,7 +74,7 @@ LpSolution LpSession::solve(const LpBasis* seed) {
   im.stats.patches += im.pending_patches;
   const internal::RevisedCore::SessionCounters& after =
       im.core.session_counters();
-  im.stats.ft_updates = after.ft_updates;
+  im.stats.column_updates = after.column_updates;
   im.stats.refactorizations = after.refactorizations;
   im.stats.stability_refactorizations = after.stability_refactorizations;
   im.stats.fallbacks = after.fallbacks;
@@ -89,7 +89,8 @@ LpSolution LpSession::solve(const LpBasis* seed) {
     const auto delta = [&](std::uint64_t b, std::uint64_t a, const char* key) {
       if (a > b) reg->count(key, a - b);
     };
-    delta(before.ft_updates, after.ft_updates, "lp.session.ft_updates");
+    delta(before.column_updates, after.column_updates,
+          "lp.session.column_updates");
     delta(before.refactorizations, after.refactorizations,
           "lp.session.refactorizations");
     delta(before.fallbacks, after.fallbacks, "lp.session.fallbacks");

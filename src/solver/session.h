@@ -10,9 +10,9 @@
 // LU factors across solves, and callers mutate the resident problem through
 // the structure-preserving patch API instead of rebuilding it.
 //
-// Between solves the factorization is maintained, not rebuilt: pivots extend
-// the product-form eta file as usual, and a patched column that is currently
-// basic gets a Forrest–Tomlin-style column-replacement update at the next
+// Between solves the factorization is maintained, not rebuilt: pivots update
+// the Forrest–Tomlin factors in place as usual, and a patched column that is
+// currently basic gets a Forrest–Tomlin column replacement at the next
 // solve. A stability monitor (spike-pivot check on each replacement,
 // residual check on the resumed solution) demotes updates to a
 // refactorization, and any failure beyond that falls back to the engine's
@@ -38,7 +38,7 @@ class LpSession {
   struct Stats {
     std::uint64_t solves = 0;
     std::uint64_t patches = 0;            // patch_* calls accepted
-    std::uint64_t ft_updates = 0;         // product-form column replacements
+    std::uint64_t column_updates = 0;     // FT replacements of patched columns
     std::uint64_t refactorizations = 0;   // LU rebuilds (any reason)
     std::uint64_t stability_refactorizations = 0;  // monitor-triggered
     std::uint64_t fallbacks = 0;          // warm/resident state abandoned

@@ -176,13 +176,11 @@ TEST(Stage1, EngineAndThreadCountDoNotChangeThePlan) {
   const Stage1Result reference = solver.solve();
   ASSERT_TRUE(reference.feasible);
 
-  std::vector<Stage1Options> variants(6);
+  std::vector<Stage1Options> variants(4);
   variants[0].lp.engine = solver::LpEngine::Dense;
   variants[1].threads = 1;
   variants[2].threads = 4;
-  variants[3].grid.warm_chain = 1;   // chaining disabled
-  variants[4].lp_session = false;    // per-point rebuild instead of sessions
-  variants[5].lp.ft_updates = false; // legacy eta file instead of FT updates
+  variants[3].grid.warm_chain = 1;  // chaining (and sessions) disabled
   for (std::size_t i = 0; i < variants.size(); ++i) {
     const Stage1Result got = solver.solve(variants[i]);
     ASSERT_TRUE(got.feasible) << "variant " << i;
@@ -195,36 +193,40 @@ TEST(Stage1, EngineAndThreadCountDoNotChangeThePlan) {
 }
 
 TEST(Stage1, SessionSweepIsBitIdenticalAcrossThreadCounts) {
-  // The persistent-session sweep (the default) holds one resident LP per
-  // warm chain. Chains are a pure function of the point sequence, so the
-  // published plan must stay bit-identical for any worker count, and must
-  // match the session-free rebuild-per-point sweep.
+  // The revised engine runs each warm chain (warm_chain > 1) on one
+  // persistent LP session. Chains are a pure function of the point
+  // sequence, so the published plan must stay bit-identical for any worker
+  // count, on either engine, and match the chaining-off sweep that builds
+  // one LP per point.
   const auto scenario = test::make_small_scenario(45, 12, 2);
   const thermal::HeatFlowModel model(scenario.dc);
   const Stage1Solver solver(scenario.dc, model);
 
-  Stage1Options no_session;
-  no_session.lp_session = false;
-  const Stage1Result reference = solver.solve(no_session);
+  Stage1Options per_point;
+  per_point.grid.warm_chain = 1;
+  const Stage1Result reference = solver.solve(per_point);
   ASSERT_TRUE(reference.feasible);
 
-  // Both factor-maintenance paths (in-place Forrest–Tomlin and the legacy
-  // eta file) must publish the reference plan at every thread count.
-  for (const bool ft : {true, false}) {
-    for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
-                                      std::size_t{8}}) {
-      SCOPED_TRACE(testing::Message() << "ft=" << ft << " threads=" << threads);
-      Stage1Options with_session;
-      with_session.lp_session = true;
-      with_session.threads = threads;
-      with_session.lp.ft_updates = ft;
-      const Stage1Result got = solver.solve(with_session);
-      ASSERT_TRUE(got.feasible);
-      EXPECT_EQ(got.objective, reference.objective);
-      EXPECT_EQ(got.crac_out_c, reference.crac_out_c);
-      EXPECT_EQ(got.node_core_power_kw, reference.node_core_power_kw);
-      EXPECT_EQ(got.compute_power_kw, reference.compute_power_kw);
-      EXPECT_EQ(got.crac_power_kw, reference.crac_power_kw);
+  for (const solver::LpEngine engine :
+       {solver::LpEngine::Revised, solver::LpEngine::Dense}) {
+    for (const std::size_t warm_chain : {std::size_t{1}, std::size_t{8}}) {
+      for (const std::size_t threads :
+           {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
+        SCOPED_TRACE(testing::Message()
+                     << "dense=" << (engine == solver::LpEngine::Dense)
+                     << " warm_chain=" << warm_chain << " threads=" << threads);
+        Stage1Options options;
+        options.lp.engine = engine;
+        options.grid.warm_chain = warm_chain;
+        options.threads = threads;
+        const Stage1Result got = solver.solve(options);
+        ASSERT_TRUE(got.feasible);
+        EXPECT_EQ(got.objective, reference.objective);
+        EXPECT_EQ(got.crac_out_c, reference.crac_out_c);
+        EXPECT_EQ(got.node_core_power_kw, reference.node_core_power_kw);
+        EXPECT_EQ(got.compute_power_kw, reference.compute_power_kw);
+        EXPECT_EQ(got.crac_power_kw, reference.crac_power_kw);
+      }
     }
   }
 }
@@ -232,8 +234,8 @@ TEST(Stage1, SessionSweepIsBitIdenticalAcrossThreadCounts) {
 TEST(Stage1, PricingRuleDoesNotChangeThePlan) {
   // The pricing rule only reorders the sweep's pivots; selection is by
   // objective and the final re-solve at the winner runs the Dense oracle
-  // cold, so the published plan must stay bit-identical across all three
-  // rules — with and without sessions, at every worker count.
+  // cold, so the published plan must stay bit-identical across both rules
+  // — with and without warm chains (sessions), at every worker count.
   const auto scenario = test::make_small_scenario(46, 11, 2);
   const thermal::HeatFlowModel model(scenario.dc);
   const Stage1Solver solver(scenario.dc, model);
@@ -244,16 +246,16 @@ TEST(Stage1, PricingRuleDoesNotChangeThePlan) {
   ASSERT_TRUE(reference.feasible);
 
   for (const solver::LpPricing pricing :
-       {solver::LpPricing::Devex, solver::LpPricing::PartialDevex}) {
-    for (const bool session : {true, false}) {
+       {solver::LpPricing::Dantzig, solver::LpPricing::PartialDevex}) {
+    for (const std::size_t warm_chain : {std::size_t{1}, std::size_t{8}}) {
       for (const std::size_t threads :
            {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
         SCOPED_TRACE(testing::Message()
                      << "pricing=" << solver::to_string(pricing)
-                     << " session=" << session << " threads=" << threads);
+                     << " warm_chain=" << warm_chain << " threads=" << threads);
         Stage1Options options;
         options.lp.pricing = pricing;
-        options.lp_session = session;
+        options.grid.warm_chain = warm_chain;
         options.threads = threads;
         const Stage1Result got = solver.solve(options);
         ASSERT_TRUE(got.feasible);

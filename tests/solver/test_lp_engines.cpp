@@ -10,6 +10,7 @@
 
 #include <cmath>
 #include <cstddef>
+#include <iterator>
 #include <string>
 #include <utility>
 #include <vector>
@@ -92,8 +93,9 @@ LpSolution solve_with_pricing(const LpProblem& problem, LpPricing pricing,
   return solve_lp(problem, opt);
 }
 
-constexpr LpPricing kAllPricing[] = {LpPricing::Dantzig, LpPricing::Devex,
+constexpr LpPricing kAllPricing[] = {LpPricing::Dantzig,
                                      LpPricing::PartialDevex};
+constexpr int kNumPricing = static_cast<int>(std::size(kAllPricing));
 
 TEST(LpEngines, DifferentialRandomInstances) {
   util::Rng rng(0x1f2e3d4c5b6a7980ULL);
@@ -192,33 +194,38 @@ TEST(LpEngines, CrossEngineWarmStartFromDenseBasis) {
   EXPECT_GT(accepted, 10u);
 }
 
-TEST(LpEngines, RefactorIntervalDoesNotDriftFromOracle) {
+TEST(LpEngines, FtUpdateBudgetDoesNotDriftFromOracle) {
+  // From a refactorization after every Forrest–Tomlin update to a budget no
+  // solve exhausts, the update cadence must not move the answer away from
+  // the dense oracle.
   util::Rng rng(0x7777aaaa3333bbbbULL);
-  for (const std::size_t interval : {std::size_t{1}, std::size_t{4},
-                                     std::size_t{1024}}) {
-    util::Rng local = rng.fork(interval);
+  for (const std::size_t budget : {std::size_t{1}, std::size_t{4},
+                                   std::size_t{1024}}) {
+    util::Rng local = rng.fork(budget);
     for (int trial = 0; trial < 25; ++trial) {
       const RandomLp lp = make_random_lp(local, 12, 8);
       const LpSolution dense = solve_with(lp.problem, LpEngine::Dense);
       LpOptions opt;
       opt.engine = LpEngine::Revised;
-      opt.refactor_interval = interval;
+      opt.ft_max_updates = budget;
       const LpSolution revised = solve_lp(lp.problem, opt);
       ASSERT_EQ(dense.status, revised.status)
-          << "interval " << interval << " trial " << trial;
+          << "budget " << budget << " trial " << trial;
       if (!dense.optimal()) continue;
       EXPECT_NEAR(dense.objective, revised.objective, 1e-7)
-          << "interval " << interval << " trial " << trial;
+          << "budget " << budget << " trial " << trial;
+      EXPECT_LT(lp.problem.max_violation(revised.x), 1e-6)
+          << "budget " << budget << " trial " << trial;
     }
   }
 }
 
 TEST(LpEngines, FtAndEtaFilePathsAgreeWithTheOracle) {
-  // The revised engine's two factor-maintenance paths — in-place
-  // Forrest–Tomlin updates (the default) and the legacy product-form eta
-  // file (ft_updates = false, kept for differential testing) — must both
-  // match the dense oracle on status and objective, and a tightened FT
-  // update budget (forcing frequent refactorizations) must not drift.
+  // The name predates the removal of the product-form eta file; Forrest–
+  // Tomlin is now the revised engine's only factor-maintenance path. Over
+  // random shapes, the default update budget and a tight one (forcing
+  // frequent refactorizations) must both match the dense oracle on status
+  // and objective and return feasible points.
   util::Rng rng(0x6a09e667f3bcc908ULL);
   std::size_t optimal_count = 0;
   for (int trial = 0; trial < 80; ++trial) {
@@ -229,27 +236,20 @@ TEST(LpEngines, FtAndEtaFilePathsAgreeWithTheOracle) {
 
     LpOptions ft_opt;
     ft_opt.engine = LpEngine::Revised;
-    ft_opt.ft_updates = true;
     const LpSolution ft = solve_lp(lp.problem, ft_opt);
-
-    LpOptions eta_opt;
-    eta_opt.engine = LpEngine::Revised;
-    eta_opt.ft_updates = false;
-    const LpSolution eta = solve_lp(lp.problem, eta_opt);
 
     LpOptions tight_opt = ft_opt;
     tight_opt.ft_max_updates = 2;
     const LpSolution tight = solve_lp(lp.problem, tight_opt);
 
     ASSERT_EQ(dense.status, ft.status) << "trial " << trial;
-    ASSERT_EQ(dense.status, eta.status) << "trial " << trial;
     ASSERT_EQ(dense.status, tight.status) << "trial " << trial;
     if (!dense.optimal()) continue;
     ++optimal_count;
     EXPECT_NEAR(dense.objective, ft.objective, 1e-7) << "trial " << trial;
-    EXPECT_NEAR(dense.objective, eta.objective, 1e-7) << "trial " << trial;
     EXPECT_NEAR(dense.objective, tight.objective, 1e-7) << "trial " << trial;
     EXPECT_LT(lp.problem.max_violation(ft.x), 1e-6) << "trial " << trial;
+    EXPECT_LT(lp.problem.max_violation(tight.x), 1e-6) << "trial " << trial;
   }
   EXPECT_GT(optimal_count, 30u);
 }
@@ -305,7 +305,7 @@ TEST(LpEngines, BealeCyclingInstanceTerminates) {
 }
 
 // Pricing-rule differential: every rule is a different route to the same
-// optimum. Across a random corpus all three rules must agree with the dense
+// optimum. Across a random corpus both rules must agree with the dense
 // oracle on status and objective, and every returned point must actually be
 // feasible. Iteration counts are logged (not asserted — rule quality is
 // measured in bench/solver_perf.cpp, where Devex's whole point is that they
@@ -313,13 +313,13 @@ TEST(LpEngines, BealeCyclingInstanceTerminates) {
 TEST(LpEngines, PricingRulesDifferentialRandomInstances) {
   util::Rng rng(0x7788aa99bbcc0011ULL);
   std::size_t optimal_count = 0;
-  std::size_t iters[3] = {0, 0, 0};
+  std::size_t iters[kNumPricing] = {};
   for (int trial = 0; trial < 120; ++trial) {
     const std::size_t n_vars = static_cast<std::size_t>(rng.uniform_int(2, 14));
     const std::size_t n_rows = static_cast<std::size_t>(rng.uniform_int(1, 10));
     const RandomLp lp = make_random_lp(rng, n_vars, n_rows);
     const LpSolution dense = solve_with(lp.problem, LpEngine::Dense);
-    for (int p = 0; p < 3; ++p) {
+    for (int p = 0; p < kNumPricing; ++p) {
       const LpSolution sol = solve_with_pricing(lp.problem, kAllPricing[p]);
       ASSERT_EQ(dense.status, sol.status)
           << "trial " << trial << " pricing " << to_string(kAllPricing[p]);
@@ -333,7 +333,7 @@ TEST(LpEngines, PricingRulesDifferentialRandomInstances) {
     if (dense.status == LpStatus::Optimal) ++optimal_count;
   }
   EXPECT_GT(optimal_count, 50u);
-  for (int p = 0; p < 3; ++p) {
+  for (int p = 0; p < kNumPricing; ++p) {
     ::testing::Test::RecordProperty(
         std::string("total_iterations_") + to_string(kAllPricing[p]),
         static_cast<int>(iters[p]));
@@ -366,17 +366,22 @@ TEST(LpEngines, PricingRulesAgreeOnWarmStartedResolves) {
   EXPECT_GT(compared, 15u);
 }
 
-// parse_lp_pricing inverts to_string and rejects junk without clobbering out.
+// parse_lp_pricing inverts to_string and rejects junk — including the
+// retired full-scan "devex" rule — without clobbering out.
 TEST(LpEngines, PricingNameRoundTrip) {
   for (const LpPricing pricing : kAllPricing) {
     LpPricing parsed = LpPricing::Dantzig;
     EXPECT_TRUE(parse_lp_pricing(to_string(pricing), &parsed));
     EXPECT_EQ(pricing, parsed);
   }
-  LpPricing out = LpPricing::Devex;
-  EXPECT_FALSE(parse_lp_pricing("steepest_edge", &out));
-  EXPECT_EQ(out, LpPricing::Devex);
+  for (const char* junk : {"devex", "steepest_edge"}) {
+    LpPricing out = LpPricing::PartialDevex;
+    EXPECT_FALSE(parse_lp_pricing(junk, &out)) << junk;
+    EXPECT_EQ(out, LpPricing::PartialDevex) << junk;
+  }
+  LpPricing out = LpPricing::Dantzig;
   EXPECT_FALSE(parse_lp_pricing(nullptr, &out));
+  EXPECT_EQ(out, LpPricing::Dantzig);
 }
 
 TEST(LpEngines, IterLimitIsReportedNotLooped) {
