@@ -479,13 +479,20 @@ void BM_ThreeStageAssign(benchmark::State& state) {
 }
 BENCHMARK(BM_ThreeStageAssign)->Arg(20)->Arg(50)->Arg(150)->Unit(benchmark::kMillisecond);
 
+// The Eq.-21 baseline with its default sweep (one resident LP session per
+// warm chain); lp_solves is the sweep's grid evaluations per assignment.
 void BM_BaselineAssign(benchmark::State& state) {
   const auto scenario = make_scenario(static_cast<std::size_t>(state.range(0)));
   const thermal::HeatFlowModel model(scenario.dc);
   const core::BaselineAssigner assigner(scenario.dc, model);
+  std::size_t lp_solves = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(assigner.assign());
+    const core::Assignment a = assigner.assign();
+    lp_solves += a.lp_solves;
+    benchmark::DoNotOptimize(a);
   }
+  state.counters["lp_solves"] = benchmark::Counter(
+      static_cast<double>(lp_solves) / static_cast<double>(state.iterations()));
 }
 BENCHMARK(BM_BaselineAssign)->Arg(20)->Arg(50)->Arg(150)->Unit(benchmark::kMillisecond);
 

@@ -69,8 +69,9 @@ DEFAULT_GATED_PREFIXES = (
     "BM_Stage1SweepRevised=0.35",
     "BM_Stage1CoarseToFineRevised=0.35",
 )
-# Reported (not gated) for the CI log.
-DEFAULT_REPORTED_PREFIXES = ()
+# Reported (not gated) for the CI log: the Eq.-21 baseline's whole
+# assignment, whose CRAC sweep runs on resident LP sessions like Stage 1's.
+DEFAULT_REPORTED_PREFIXES = ("BM_BaselineAssign/",)
 # Same-run speedup floors: (slow bench, fast bench, min ratio). The solver
 # crossover gate — the revised session must keep beating the dense tableau
 # on the production-scale (1500-node, 30-CRAC) coarse-to-fine search. The

@@ -1,12 +1,16 @@
 #include "core/baseline.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <memory>
+#include <optional>
 
+#include "core/baseline_lp.h"
 #include "dc/crac.h"
 #include "solver/lp.h"
 #include "util/check.h"
+#include "util/telemetry.h"
 
 namespace tapo::core {
 
@@ -36,8 +40,7 @@ BaselineAssigner::LpOutcome BaselineAssigner::solve_at(
   for (std::size_t i = 0; i < t; ++i) {
     for (std::size_t j = 0; j < nn; ++j) {
       const std::size_t type = dc_.nodes[j].type;
-      if (!dc_.ecs.can_meet_deadline(i, type, 0,
-                                     dc_.task_types[i].relative_deadline)) {
+      if (!baseline_frac_allowed(dc_, i, j)) {
         frac_var[i][j] = kNoVar;
         continue;
       }
@@ -86,14 +89,14 @@ BaselineAssigner::LpOutcome BaselineAssigner::solve_at(
   }
 
   // Thermal redlines (constraint 4): affine in node powers; node power is
-  // affine in the fractions.
+  // affine in the fractions. Failed nodes draw no base power.
   const auto add_thermal_row = [&](const double* coeff_row, double base_rhs) {
     std::vector<std::pair<std::size_t, double>> terms;
     double rhs = base_rhs;
     for (std::size_t j = 0; j < nn; ++j) {
       const double w = coeff_row[j];
       if (w == 0.0) continue;
-      rhs -= w * dc_.node_type(j).base_power_kw();
+      rhs -= w * dc_.node_base_power_kw(j);
       const double per_frac = w * power_per_frac[j];
       for (std::size_t i = 0; i < t; ++i) {
         if (frac_var[i][j] != kNoVar) terms.emplace_back(frac_var[i][j], per_frac);
@@ -126,7 +129,7 @@ BaselineAssigner::LpOutcome BaselineAssigner::solve_at(
     for (std::size_t j = 0; j < nn; ++j) {
       const double w = k * lr.crac_in_coeff(c, j);
       if (w == 0.0) continue;
-      rhs -= w * dc_.node_type(j).base_power_kw();
+      rhs -= w * dc_.node_base_power_kw(j);
       const double per_frac = w * power_per_frac[j];
       for (std::size_t i = 0; i < t; ++i) {
         if (frac_var[i][j] != kNoVar) terms.emplace_back(frac_var[i][j], per_frac);
@@ -172,49 +175,101 @@ Assignment BaselineAssigner::assign(const BaselineOptions& options) const {
   const std::size_t nc = dc_.num_cracs();
   const std::size_t nn = dc_.num_nodes();
   const std::size_t t = dc_.num_task_types();
+  util::telemetry::Registry* const reg = options.lp.telemetry;
 
-  // Chained warm starts: consecutive grid points of one chain re-solve from
-  // the previous optimum's basis. The sweep here is
-  // serial (grid.threads defaults to 1 for the baseline), but the chain
-  // partition keeps results identical for any thread count regardless.
-  struct ChainState {
-    solver::LpBasis basis;
+  // Stage 1's sweep rule: on the revised engine with warm chains, each
+  // chain holds one persistent BaselineLpEvaluator, built at the chain head
+  // and patched in place for every later point of the chain. Chain heads
+  // are seeded across rounds: after each round the serial on_round hook
+  // re-solves the running incumbent on one more resident evaluator and
+  // publishes its basis as the next round's head seed. Sessions are
+  // per-chain, the chain partition is thread-count-invariant and the seed
+  // is a function of the incumbent sequence alone, so the selected
+  // setpoints are bit-identical across thread counts. The dense engine and
+  // chaining off solve solve_at's LP cold at every point. The counters are
+  // the sole shared writes (the registry is thread-safe).
+  const bool use_session = options.lp.engine == solver::LpEngine::Revised &&
+                           options.grid.warm_chain > 1;
+  struct SessionChainState {
+    std::unique_ptr<BaselineLpEvaluator> eval;
   };
+  solver::LpBasis round_seed;
+  std::vector<double> seed_point;
+  std::unique_ptr<BaselineLpEvaluator> incumbent;
   std::atomic<std::size_t> lp_solves{0};
   std::atomic<std::size_t> iter_limited{0};
-  const auto objective =
+  const auto value = [&](const LpOutcome& outcome) -> std::optional<double> {
+    if (outcome.feasible) return outcome.objective;
+    if (outcome.status == solver::LpStatus::IterLimit) {
+      iter_limited.fetch_add(1, std::memory_order_relaxed);
+    }
+    return std::nullopt;
+  };
+  const solver::GridChainObjective session_objective =
       [&](const std::vector<double>& crac_out,
           std::shared_ptr<void>& chain_state) -> std::optional<double> {
     lp_solves.fetch_add(1, std::memory_order_relaxed);
-    solver::LpOptions lp_opt = options.lp;
-    auto* state = static_cast<ChainState*>(chain_state.get());
-    lp_opt.warm_start =
-        (state != nullptr && !state->basis.empty()) ? &state->basis : nullptr;
-    const LpOutcome outcome = solve_at(crac_out, lp_opt);
-    if (!outcome.feasible) {
-      if (outcome.status == solver::LpStatus::IterLimit) {
-        iter_limited.fetch_add(1, std::memory_order_relaxed);
-      }
-      return std::nullopt;
-    }
+    const util::telemetry::ScopedTimer lp_timer(reg, "baseline.lp");
+    auto* state = static_cast<SessionChainState*>(chain_state.get());
+    const solver::LpBasis* seed = nullptr;
     if (state == nullptr) {
-      chain_state = std::make_shared<ChainState>();
-      state = static_cast<ChainState*>(chain_state.get());
+      chain_state = std::make_shared<SessionChainState>();
+      state = static_cast<SessionChainState*>(chain_state.get());
+      state->eval = std::make_unique<BaselineLpEvaluator>(dc_, model_, crac_out,
+                                                          options.lp);
+      seed = round_seed.empty() ? nullptr : &round_seed;
+    } else {
+      state->eval->move_to(crac_out);
     }
-    state->basis = outcome.basis;
-    return outcome.objective;
+    return value(state->eval->solve(seed));
   };
-  const std::vector<double> lo(nc, options.tcrac_min_c);
+  solver::LpOptions point_lp = options.lp;
+  point_lp.warm_start = nullptr;
+  const solver::GridChainObjective per_point_objective =
+      [&](const std::vector<double>& crac_out,
+          std::shared_ptr<void>&) -> std::optional<double> {
+    lp_solves.fetch_add(1, std::memory_order_relaxed);
+    const util::telemetry::ScopedTimer lp_timer(reg, "baseline.lp");
+    return value(solve_at(crac_out, point_lp));
+  };
+  const solver::GridChainObjective& objective =
+      use_session ? session_objective : per_point_objective;
+
+  // Per-CRAC lower bounds honor derated units, as in Stage 1.
+  std::vector<double> lo(nc);
   const std::vector<double> hi(nc, options.tcrac_max_c);
+  for (std::size_t c = 0; c < nc; ++c) {
+    lo[c] = std::min(dc_.crac_min_outlet(c, options.tcrac_min_c),
+                     options.tcrac_max_c);
+  }
+  solver::GridSearchOptions grid = options.grid;
+  grid.on_round = [&](std::size_t round,
+                      const solver::GridSearchResult& running) {
+    if (options.grid.on_round) options.grid.on_round(round, running);
+    if (reg) reg->count("baseline.sweep_rounds");
+    if (!use_session || !running.found || running.best_point == seed_point) {
+      return;
+    }
+    const util::telemetry::ScopedTimer lp_timer(reg, "baseline.lp");
+    if (incumbent == nullptr) {
+      incumbent = std::make_unique<BaselineLpEvaluator>(
+          dc_, model_, running.best_point, options.lp);
+    } else {
+      incumbent->move_to(running.best_point);
+    }
+    const LpOutcome best = incumbent->solve();
+    if (!best.basis.empty()) round_seed = best.basis;
+    seed_point = running.best_point;
+  };
   const solver::GridSearchResult search =
       options.full_grid
-          ? solver::grid_search_maximize(lo, hi, objective, options.grid)
-          : solver::uniform_then_coordinate_maximize(lo, hi, objective,
-                                                     options.grid);
+          ? solver::grid_search_maximize(lo, hi, objective, grid)
+          : solver::uniform_then_coordinate_maximize(lo, hi, objective, grid);
 
   Assignment assignment;
   assignment.technique = "baseline-P0-or-off";
   assignment.lp_solves = lp_solves.load(std::memory_order_relaxed);
+  if (reg) reg->count("baseline.lp_solves", assignment.lp_solves);
   if (!search.found) {
     assignment.status =
         iter_limited.load(std::memory_order_relaxed) > 0

@@ -14,6 +14,17 @@
 // the per-node compute power must scale with the number of cores actually
 // used, so we take PCN_j = B_j + pi_{NTj,0} * |cores_j| * sum_i FRAC(i,j)
 // (see DESIGN.md, paper-typo list).
+//
+// On a degraded data center failed nodes get no fractions and draw no base
+// power, and the setpoint search starts each CRAC at its raised minimum
+// outlet, as Stage 1 does.
+//
+// The sweep follows Stage 1's engine rule: on the revised engine with warm
+// chains (the default) each chain solves one resident BaselineLpEvaluator
+// (core/baseline_lp.h) — the same LP written over per-node power columns,
+// patched from point to point; otherwise every point solves solve_at's LP.
+// Either way the published plan is solve_at's Dense cold re-solve at the
+// selected setpoints. See docs/SOLVER.md §4 and §7.
 #pragma once
 
 #include <vector>
@@ -31,9 +42,10 @@ struct BaselineOptions {
   double tcrac_max_c = 25.0;
   solver::GridSearchOptions grid;
   bool full_grid = false;
-  // LP engine and numerics for the sweep's solves; the final re-solve at the
-  // selected setpoints always runs the Dense oracle (engine-independent
-  // published plans, mirroring Stage 1).
+  // LP engine, numerics and telemetry sink for the sweep's solves (the
+  // baseline.* and lp.* metrics); warm_start is ignored. The final re-solve
+  // at the selected setpoints always runs the Dense oracle
+  // (engine-independent published plans, mirroring Stage 1).
   solver::LpOptions lp;
 };
 

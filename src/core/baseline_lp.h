@@ -1,0 +1,79 @@
+// Persistent baseline LP evaluator: the Eq.-21 LP over per-node power
+// columns, resident in one LpSession and re-pointed at successive CRAC
+// setpoints through the patch API (the baseline counterpart of
+// core/stage1_lp.h).
+//
+// BaselineAssigner::solve_at writes node j's power as pi_{j,0} |cores_j|
+// sum_i FRAC(i,j), so every one of node j's T fraction columns carries its
+// own copy of the node's dense thermal column, and each grid point rebuilds,
+// standardizes and refactorizes that LP. This evaluator adds one column per
+// node, its core power p_j in [0, ppf_j] with ppf_j = pi_{j,0} |cores_j|,
+// and ties the fractions to it with one row per node,
+//
+//   sum_i ppf_j FRAC(i,j) - p_j <= 0,
+//
+// which replaces the node budget sum_i FRAC(i,j) <= 1 (the bound
+// p_j <= ppf_j does that job). The redline, CRAC power and budget rows sit
+// on p_j alone (core/thermal_rows.h), so the FRAC columns fall to two
+// entries each (arrival row + tie row). The thermal coefficients are
+// nonnegative, so lowering any p_j onto ppf_j sum_i FRAC(i,j) keeps every
+// row satisfied: the feasible set's projection onto the fractions, and
+// hence the optimum, are those of solve_at. Nodes with no deadline-feasible
+// fraction, and failed nodes, get no p_j.
+//
+// A move to new setpoints is the Stage-1 patch set: the RHS of every
+// redline and CRAC power row plus -1/k_c per CRAC. The sweep's published
+// plan is still solve_at's Dense cold re-solve at the winning point.
+#pragma once
+
+#include <cstddef>
+#include <memory>
+#include <vector>
+
+#include "core/baseline.h"
+#include "core/thermal_rows.h"
+#include "dc/datacenter.h"
+#include "solver/session.h"
+#include "thermal/heatflow.h"
+
+namespace tapo::core {
+
+// Whether FRAC(i, j) is a variable of the Eq.-21 LP (both solve_at's and the
+// evaluator's): node j is live and its P-state-0 cores meet task type i's
+// deadline. Otherwise FRAC(i, j) is pinned to 0.
+bool baseline_frac_allowed(const dc::DataCenter& dc, std::size_t i,
+                           std::size_t j);
+
+class BaselineLpEvaluator {
+ public:
+  // Builds the LP at crac_out0 and standardizes it into a resident
+  // LpSession. lp_options supplies numerics and the telemetry sink; the
+  // engine/warm_start fields are ignored (sessions are always the revised
+  // engine with per-solve seeds).
+  BaselineLpEvaluator(const dc::DataCenter& dc,
+                      const thermal::HeatFlowModel& model,
+                      const std::vector<double>& crac_out0,
+                      const solver::LpOptions& lp_options);
+
+  // Re-points the resident LP at new setpoints.
+  void move_to(const std::vector<double>& crac_out);
+
+  // Solves the resident LP, resuming the previous solve's state in place
+  // (or warm-starting from a non-null seed). The outcome mirrors
+  // BaselineAssigner::solve_at: objective and fractions on Optimal; the
+  // basis is this LP's, not exchangeable with solve_at's.
+  BaselineAssigner::LpOutcome solve(const solver::LpBasis* seed = nullptr);
+
+  solver::LpSession::Stats session_stats() const { return session_->stats(); }
+
+ private:
+  const dc::DataCenter& dc_;
+  // frac_var_[i][j]; kNoVar where FRAC(i,j) is pinned to 0.
+  std::vector<std::vector<std::size_t>> frac_var_;
+  // Row layout: arrival rates, one tie row per powered node, then the
+  // thermal block (redlines, CRAC power rows, budget).
+  ResidentThermalRows thermal_rows_;
+  std::unique_ptr<solver::LpSession> session_;
+};
+
+}  // namespace tapo::core

@@ -3,40 +3,17 @@
 #include <utility>
 
 #include "core/reward.h"
-#include "dc/crac.h"
 #include "solver/piecewise.h"
 #include "util/check.h"
 
 namespace tapo::core {
-
-double Stage1LpEvaluator::inv_k(const dc::CracSpec& crac, double tout) {
-  // k_c = rho*Cp*F_c / CoP(tout_c); the resident row carries -1/k_c on the
-  // CRAC power variable so the thermal coefficients stay fixed.
-  return crac.cop(tout) /
-         (dc::kAirDensity * dc::kAirSpecificHeat * crac.flow_m3s);
-}
-
-double Stage1LpEvaluator::node_row_rhs(std::size_t r, double node_in0) const {
-  return (dc_.redline_node_c - node_in0) - node_rhs_base_[r];
-}
-
-double Stage1LpEvaluator::crac_row_rhs(std::size_t c, double crac_in0) const {
-  return (dc_.redline_crac_c - crac_in0) - crac_rhs_base_[c];
-}
-
-double Stage1LpEvaluator::power_row_rhs(std::size_t c, double crac_in0,
-                                        double tout) const {
-  // The classic builders' row, divided through by k_c:
-  //   sum_j w_cj p_j - q_c / k_c <= -(crac_in0_c - tout_c) - sum_j w_cj base_j
-  return -(crac_in0 - tout) - power_rhs_base_[c];
-}
 
 Stage1LpEvaluator::Stage1LpEvaluator(const dc::DataCenter& dc,
                                      const thermal::HeatFlowModel& model,
                                      Mode mode, double psi, double reward_floor,
                                      const std::vector<double>& crac_out0,
                                      const solver::LpOptions& lp_options)
-    : dc_(dc), model_(model), mode_(mode) {
+    : dc_(dc), mode_(mode), thermal_rows_(dc, model) {
   const std::size_t nn = dc_.num_nodes();
   const std::size_t nc = dc_.num_cracs();
   TAPO_CHECK(crac_out0.size() == nc);
@@ -47,10 +24,6 @@ Stage1LpEvaluator::Stage1LpEvaluator(const dc::DataCenter& dc,
     arr_by_type.push_back(concave_aggregate_reward_rate(dc_, t, psi)
                               .scale_copies(dc_.node_types[t].cores_per_node()));
   }
-
-  const thermal::HeatFlowModel::AffineOffsets off = model_.offsets(crac_out0);
-  const solver::Matrix& node_coeff = model_.node_in_coeff();
-  const solver::Matrix& crac_coeff = model_.crac_in_coeff();
 
   solver::LpProblem lp;
   // Same variable layout as Stage1Solver::solve_at / solve_power_at, so an
@@ -76,104 +49,20 @@ Stage1LpEvaluator::Stage1LpEvaluator(const dc::DataCenter& dc,
         0.0, solver::kLpInfinity, mode_ == Mode::MaximizeReward ? 0.0 : -1.0);
   }
 
-  base_power_ = dc_.total_base_power_kw();
-
-  std::size_t next_row = 0;
   if (mode_ == Mode::MinimizePower) {
     lp.add_constraint(std::move(reward_terms), solver::Relation::GreaterEq,
                       reward_floor);
-    ++next_row;
   }
-
-  // Thermal redline rows. Unlike the classic builders there is no early
-  // return when base load alone violates a redline with no adjustable
-  // terms: the empty row makes the LP infeasible, which is the same verdict
-  // through the normal path — and keeps the row structure point-invariant.
-  node_row0_ = next_row;
-  node_rhs_base_.assign(nn, 0.0);
-  for (std::size_t r = 0; r < nn; ++r) {
-    std::vector<std::pair<std::size_t, double>> terms;
-    double rhs_base = 0.0;
-    for (std::size_t j = 0; j < nn; ++j) {
-      const double w = node_coeff(r, j);
-      if (w == 0.0) continue;
-      rhs_base += w * dc_.node_base_power_kw(j);
-      for (std::size_t v : seg_vars_[j]) terms.emplace_back(v, w);
-    }
-    node_rhs_base_[r] = rhs_base;
-    lp.add_constraint(std::move(terms), solver::Relation::LessEq,
-                      node_row_rhs(r, off.node_in0[r]));
-    ++next_row;
-  }
-  crac_row0_ = next_row;
-  crac_rhs_base_.assign(nc, 0.0);
-  for (std::size_t c = 0; c < nc; ++c) {
-    std::vector<std::pair<std::size_t, double>> terms;
-    double rhs_base = 0.0;
-    for (std::size_t j = 0; j < nn; ++j) {
-      const double w = crac_coeff(c, j);
-      if (w == 0.0) continue;
-      rhs_base += w * dc_.node_base_power_kw(j);
-      for (std::size_t v : seg_vars_[j]) terms.emplace_back(v, w);
-    }
-    crac_rhs_base_[c] = rhs_base;
-    lp.add_constraint(std::move(terms), solver::Relation::LessEq,
-                      crac_row_rhs(c, off.crac_in0[c]));
-    ++next_row;
-  }
-
-  // k-scaled CRAC power rows (see file comment): thermal coefficients are
-  // the raw crac_in_coeff entries, so only (-1/k_c) and the RHS move with
-  // the setpoints.
-  power_row0_ = next_row;
-  power_rhs_base_.assign(nc, 0.0);
-  for (std::size_t c = 0; c < nc; ++c) {
-    std::vector<std::pair<std::size_t, double>> terms;
-    double rhs_base = 0.0;
-    for (std::size_t j = 0; j < nn; ++j) {
-      const double w = crac_coeff(c, j);
-      if (w == 0.0) continue;
-      rhs_base += w * dc_.node_base_power_kw(j);
-      for (std::size_t v : seg_vars_[j]) terms.emplace_back(v, w);
-    }
-    power_rhs_base_[c] = rhs_base;
-    terms.emplace_back(crac_power_vars_[c],
-                       -inv_k(dc_.cracs[c], crac_out0[c]));
-    lp.add_constraint(std::move(terms), solver::Relation::LessEq,
-                      power_row_rhs(c, off.crac_in0[c], crac_out0[c]));
-    ++next_row;
-  }
-
-  if (mode_ == Mode::MaximizeReward) {
-    std::vector<std::pair<std::size_t, double>> terms;
-    for (std::size_t j = 0; j < nn; ++j) {
-      for (std::size_t v : seg_vars_[j]) terms.emplace_back(v, 1.0);
-    }
-    for (std::size_t v : crac_power_vars_) terms.emplace_back(v, 1.0);
-    lp.add_constraint(std::move(terms), solver::Relation::LessEq,
-                      dc_.p_const_kw - base_power_);
-  }
+  // Redlines, k-scaled CRAC power rows and (MaximizeReward) the budget row
+  // over the segment variables; see core/thermal_rows.h.
+  thermal_rows_.append(lp, seg_vars_, crac_power_vars_, crac_out0,
+                       mode_ == Mode::MaximizeReward);
 
   session_ = std::make_unique<solver::LpSession>(std::move(lp), lp_options);
 }
 
 void Stage1LpEvaluator::move_to(const std::vector<double>& crac_out) {
-  const std::size_t nn = dc_.num_nodes();
-  const std::size_t nc = dc_.num_cracs();
-  TAPO_CHECK(crac_out.size() == nc);
-  const thermal::HeatFlowModel::AffineOffsets off = model_.offsets(crac_out);
-  for (std::size_t r = 0; r < nn; ++r) {
-    session_->patch_rhs(node_row0_ + r, node_row_rhs(r, off.node_in0[r]));
-  }
-  for (std::size_t c = 0; c < nc; ++c) {
-    session_->patch_rhs(crac_row0_ + c, crac_row_rhs(c, off.crac_in0[c]));
-  }
-  for (std::size_t c = 0; c < nc; ++c) {
-    session_->patch_coefficient(power_row0_ + c, crac_power_vars_[c],
-                                -inv_k(dc_.cracs[c], crac_out[c]));
-    session_->patch_rhs(power_row0_ + c,
-                        power_row_rhs(c, off.crac_in0[c], crac_out[c]));
-  }
+  thermal_rows_.move_to(*session_, crac_out);
 }
 
 void Stage1LpEvaluator::set_reward_floor(double floor) {
@@ -198,7 +87,7 @@ Stage1Solver::LpOutcome Stage1LpEvaluator::solve(const solver::LpBasis* seed) {
   for (std::size_t j = 0; j < nn; ++j) {
     for (std::size_t v : seg_vars_[j]) out.node_core_power_kw[j] += sol.x[v];
   }
-  out.compute_power_kw = base_power_;
+  out.compute_power_kw = dc_.total_base_power_kw();
   for (double p : out.node_core_power_kw) out.compute_power_kw += p;
   out.crac_power_kw = 0.0;
   for (std::size_t v : crac_power_vars_) out.crac_power_kw += sol.x[v];

@@ -6,7 +6,9 @@
 // setpoint-dependent pieces move: every row's RHS (through the affine
 // offsets of HeatFlowModel::offsets) and, in the CRAC power rows, the CoP
 // factor k_c = rho*Cp*F_c / CoP(tout_c). This class builds the LP once per
-// warm chain and afterwards patches exactly those pieces in place:
+// warm chain and afterwards patches exactly those pieces in place, through
+// the thermal block it shares with the baseline evaluator
+// (core/thermal_rows.h):
 //
 //   * the CRAC power row is carried in the k-scaled form
 //       (crac_in_c - tout_c) - q_c / k_c <= 0
@@ -28,6 +30,7 @@
 #include <vector>
 
 #include "core/stage1.h"
+#include "core/thermal_rows.h"
 #include "dc/datacenter.h"
 #include "solver/session.h"
 #include "thermal/heatflow.h"
@@ -72,28 +75,15 @@ class Stage1LpEvaluator {
   const solver::LpProblem& problem() const { return session_->problem(); }
 
  private:
-  double node_row_rhs(std::size_t r, double node_in0) const;
-  double crac_row_rhs(std::size_t c, double crac_in0) const;
-  double power_row_rhs(std::size_t c, double crac_in0, double tout) const;
-  static double inv_k(const dc::CracSpec& crac, double tout);
-
   const dc::DataCenter& dc_;
-  const thermal::HeatFlowModel& model_;
   Mode mode_;
 
   std::vector<std::vector<std::size_t>> seg_vars_;
   std::vector<std::size_t> crac_power_vars_;
-  double base_power_ = 0.0;
 
-  // Row layout: [floor_row_ (MinimizePower)] node redlines, CRAC redlines,
-  // CRAC power rows, [budget (MaximizeReward)].
-  std::size_t node_row0_ = 0;
-  std::size_t crac_row0_ = 0;
-  std::size_t power_row0_ = 0;
-
-  // Setpoint-independent RHS base terms (sum over nodes of w * base power,
-  // accumulated in the same order as the classic builders).
-  std::vector<double> node_rhs_base_, crac_rhs_base_, power_rhs_base_;
+  // Row layout: [reward floor (MinimizePower)], then the thermal block:
+  // node redlines, CRAC redlines, CRAC power rows, [budget (MaximizeReward)].
+  ResidentThermalRows thermal_rows_;
 
   std::unique_ptr<solver::LpSession> session_;
 };

@@ -3,11 +3,24 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
+#include "core/baseline_lp.h"
 #include "testutil.h"
+#include "util/telemetry.h"
 
 namespace tapo::core {
 namespace {
+
+bool same_entries(const solver::Matrix& a, const solver::Matrix& b) {
+  if (a.rows() != b.rows() || a.cols() != b.cols()) return false;
+  for (std::size_t r = 0; r < a.rows(); ++r) {
+    for (std::size_t c = 0; c < a.cols(); ++c) {
+      if (a(r, c) != b(r, c)) return false;
+    }
+  }
+  return true;
+}
 
 TEST(Baseline, ProducesVerifiedAssignment) {
   const auto scenario = test::make_small_scenario(91, 10, 2);
@@ -141,6 +154,176 @@ TEST(Baseline, ThreeStageBeatsOrMatchesBaselineOnAverage) {
   }
   ASSERT_GE(feasible_runs, 3);
   EXPECT_GE(total_three, 0.98 * total_base);
+}
+
+TEST(Baseline, SessionSweepMatchesPerPointSweep) {
+  // The default sweep (revised engine, warm chains) solves the aggregated
+  // LP of BaselineLpEvaluator on one session per chain; warm_chain = 1
+  // solves solve_at's LP at every point. Both select the setpoints the
+  // Dense re-solve publishes, so the plans must be bit-identical, for any
+  // worker count.
+  struct Park {
+    std::uint64_t seed;
+    std::size_t nodes;
+    std::size_t cracs;
+  };
+  const std::vector<Park> parks = {{201, 10, 2}, {202, 12, 2}, {203, 16, 2},
+                                   {204, 20, 3}, {205, 24, 2}, {206, 40, 2},
+                                   {207, 40, 3}, {208, 150, 3}};
+  for (const Park& park : parks) {
+    SCOPED_TRACE(testing::Message() << "seed=" << park.seed
+                                    << " nodes=" << park.nodes);
+    const auto scenario = test::make_small_scenario(park.seed, park.nodes,
+                                                    park.cracs);
+    const thermal::HeatFlowModel model(scenario.dc);
+    const BaselineAssigner assigner(scenario.dc, model);
+    BaselineOptions per_point;
+    per_point.grid.warm_chain = 1;
+    const Assignment reference = assigner.assign(per_point);
+    ASSERT_TRUE(reference.feasible);
+    for (const std::size_t threads :
+         {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
+      SCOPED_TRACE(testing::Message() << "threads=" << threads);
+      BaselineOptions options;
+      options.grid.threads = threads;
+      const Assignment got = assigner.assign(options);
+      ASSERT_TRUE(got.feasible);
+      EXPECT_EQ(got.crac_out_c, reference.crac_out_c);
+      EXPECT_EQ(got.core_pstate, reference.core_pstate);
+      EXPECT_TRUE(same_entries(got.tc, reference.tc));
+      EXPECT_EQ(got.reward_rate, reference.reward_rate);
+      EXPECT_EQ(got.stage1_objective, reference.stage1_objective);
+      EXPECT_EQ(got.lp_solves, reference.lp_solves);
+    }
+  }
+}
+
+TEST(Baseline, EvaluatorMatchesSolveAtAlongAPath) {
+  // One resident evaluator walked across setpoints — feasible and
+  // infeasible ones — must agree with a cold Dense solve_at at every stop.
+  auto scenario = test::make_small_scenario(211, 20, 2);
+  scenario.dc.p_const_kw *= 0.8;
+  const thermal::HeatFlowModel model(scenario.dc);
+  const BaselineAssigner assigner(scenario.dc, model);
+  solver::LpOptions dense;
+  dense.engine = solver::LpEngine::Dense;
+  const std::vector<std::vector<double>> path = {
+      {16.0, 16.0}, {18.0, 16.5}, {25.0, 25.0}, {10.0, 10.0},
+      {12.5, 21.0}, {22.0, 11.0}, {16.0, 16.0}, {19.5, 19.5}};
+  BaselineLpEvaluator eval(scenario.dc, model, path.front(), {});
+  std::size_t feasible = 0;
+  for (std::size_t k = 0; k < path.size(); ++k) {
+    SCOPED_TRACE(testing::Message() << "stop " << k);
+    if (k > 0) eval.move_to(path[k]);
+    const BaselineAssigner::LpOutcome got = eval.solve();
+    const BaselineAssigner::LpOutcome want = assigner.solve_at(path[k], dense);
+    ASSERT_EQ(got.feasible, want.feasible);
+    if (!want.feasible) continue;
+    ++feasible;
+    EXPECT_NEAR(got.objective, want.objective,
+                1e-9 * std::max(1.0, std::abs(want.objective)));
+  }
+  EXPECT_GE(feasible, 4u);
+  EXPECT_GT(eval.session_stats().resident_resumes, 0u);
+}
+
+TEST(Baseline, BaseLoadRedlineBreachIsInfeasible) {
+  // Inlet redlines below the coldest supply air: base load alone breaks
+  // them at every setpoint. Both sweeps must say Infeasible (not a
+  // resource failure), and so must an evaluator whose redline rows carry
+  // no adjustable column (every fraction pinned by an impossible deadline).
+  auto scenario = test::make_small_scenario(221, 10, 2);
+  scenario.dc.redline_node_c = 5.0;
+  scenario.dc.redline_crac_c = 5.0;
+  const thermal::HeatFlowModel model(scenario.dc);
+  const BaselineAssigner assigner(scenario.dc, model);
+  for (const std::size_t warm_chain : {std::size_t{1}, std::size_t{8}}) {
+    BaselineOptions options;
+    options.grid.warm_chain = warm_chain;
+    const Assignment a = assigner.assign(options);
+    EXPECT_FALSE(a.feasible);
+    EXPECT_EQ(a.status.code(), util::StatusCode::kInfeasible);
+  }
+
+  for (auto& type : scenario.dc.task_types) type.relative_deadline = 1e-12;
+  const std::vector<double> setpoints(scenario.dc.num_cracs(), 15.0);
+  EXPECT_FALSE(assigner.solve_at(setpoints).feasible);
+  BaselineLpEvaluator eval(scenario.dc, model, setpoints, {});
+  const BaselineAssigner::LpOutcome outcome = eval.solve();
+  EXPECT_FALSE(outcome.feasible);
+  EXPECT_EQ(outcome.status, solver::LpStatus::Infeasible);
+}
+
+TEST(Baseline, IterationCapReportsResourceExhausted) {
+  const auto scenario = test::make_small_scenario(231, 10, 2);
+  const thermal::HeatFlowModel model(scenario.dc);
+  const BaselineAssigner assigner(scenario.dc, model);
+  for (const std::size_t warm_chain : {std::size_t{1}, std::size_t{8}}) {
+    BaselineOptions capped;
+    capped.grid.warm_chain = warm_chain;
+    capped.lp.max_iterations = 1;
+    const Assignment a = assigner.assign(capped);
+    EXPECT_FALSE(a.feasible);
+    EXPECT_EQ(a.status.code(), util::StatusCode::kResourceExhausted);
+  }
+}
+
+TEST(Baseline, DegradedParkYieldsVerifiedPlan) {
+  // Failed nodes get no fractions and no base power; a derated CRAC is
+  // never set below its raised minimum outlet.
+  auto scenario = test::make_small_scenario(241, 30, 3);
+  dc::DataCenter& dc = scenario.dc;
+  const thermal::HeatFlowModel model(dc);
+  for (std::size_t j = 0; j < dc.num_nodes(); j += 10) {
+    dc.set_node_failed(j, true);
+  }
+  dc.set_crac_min_outlet(1, 19.0);
+  const BaselineAssigner assigner(dc, model);
+  for (const std::size_t warm_chain : {std::size_t{1}, std::size_t{8}}) {
+    SCOPED_TRACE(testing::Message() << "warm_chain=" << warm_chain);
+    BaselineOptions options;
+    options.grid.warm_chain = warm_chain;
+    const Assignment a = assigner.assign(options);
+    ASSERT_TRUE(a.feasible) << a.status.to_string();
+    const AssignmentCheck check = verify_assignment(dc, model, a);
+    EXPECT_TRUE(check.ok()) << "power=" << check.power_ok
+                            << " thermal=" << check.thermal_ok
+                            << " rates=" << check.rates_ok;
+    for (std::size_t j = 0; j < dc.num_nodes(); ++j) {
+      if (!dc.node_failed(j)) continue;
+      for (std::size_t c = 0; c < dc.node_type(j).cores_per_node(); ++c) {
+        const std::size_t k = dc.core_offset(j) + c;
+        EXPECT_EQ(a.core_pstate[k], dc.node_type(j).off_state());
+        for (std::size_t i = 0; i < dc.num_task_types(); ++i) {
+          EXPECT_EQ(a.tc(i, k), 0.0);
+        }
+      }
+    }
+    for (std::size_t c = 0; c < dc.num_cracs(); ++c) {
+      EXPECT_GE(a.crac_out_c[c], dc.crac_min_outlet(c, 10.0));
+    }
+  }
+}
+
+TEST(Baseline, TelemetryCountsTheSweep) {
+  const auto scenario = test::make_small_scenario(251, 10, 2);
+  const thermal::HeatFlowModel model(scenario.dc);
+  const BaselineAssigner assigner(scenario.dc, model);
+  util::telemetry::Registry registry;
+  BaselineOptions options;
+  options.lp.telemetry = &registry;
+  const Assignment traced = assigner.assign(options);
+  ASSERT_TRUE(traced.feasible);
+  EXPECT_EQ(registry.counter_value("baseline.lp_solves"), traced.lp_solves);
+  EXPECT_GT(registry.counter_value("baseline.sweep_rounds"), 0u);
+  // Every sweep point, plus the incumbent re-solves that seed each round,
+  // is one timed session solve.
+  const std::uint64_t timed = registry.timer_stats("baseline.lp").count;
+  EXPECT_GT(timed, traced.lp_solves);
+  EXPECT_EQ(registry.counter_value("lp.session.solves"), timed);
+  const Assignment plain = assigner.assign();
+  EXPECT_EQ(plain.crac_out_c, traced.crac_out_c);
+  EXPECT_EQ(plain.reward_rate, traced.reward_rate);
 }
 
 }  // namespace
