@@ -1,6 +1,8 @@
 #include "sim/des.h"
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <deque>
 #include <functional>
 #include <limits>
@@ -8,7 +10,7 @@
 #include <numeric>
 #include <utility>
 
-#include "util/check.h"
+#include "sim/trace.h"
 #include "util/telemetry.h"
 #include "util/threadpool.h"
 
@@ -20,15 +22,18 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 
 // TC-weighted relative L1 deviation of realized from desired rates at `now`
 // (the SimResult::mean_tracking_error definition, evaluated mid-run by the
-// telemetry sampler as well as once at the end).
-double tracking_error_at(const dc::DataCenter& dc,
-                         const core::Assignment& assignment,
-                         const core::DynamicScheduler& scheduler, double now) {
+// telemetry sampler and the re-plan check as well as once at the end).
+// `scheduler_of(i)` is the scheduler routing type i: the one scheduler of a
+// serial run, or the type's shard scheduler.
+template <typename SchedulerOf>
+double tracking_error_at(const dc::DataCenter& dc, const core::Assignment& plan,
+                         const SchedulerOf& scheduler_of, double now) {
   double err_sum = 0.0;
   double weight_sum = 0.0;
   for (std::size_t i = 0; i < dc.num_task_types(); ++i) {
+    const core::DynamicScheduler& scheduler = scheduler_of(i);
     for (std::size_t k = 0; k < dc.total_cores(); ++k) {
-      const double tc = assignment.tc(i, k);
+      const double tc = plan.tc(i, k);
       if (tc <= 0.0) continue;
       err_sum += std::fabs(scheduler.atc(i, k, now) - tc);
       weight_sum += tc;
@@ -110,51 +115,32 @@ class ArrivalPump {
   double horizon_;
 };
 
-// Admission-batch statistics published as sim.* telemetry at end of run.
-struct BatchStats {
-  std::size_t batches = 0;
-  std::size_t max_batch = 0;
+// A recorded Trace behind the ArrivalPump interface. check_run() has vetted
+// every event up to the first one past the horizon, which ends the replay.
+struct TraceCursor {
+  const Trace& trace;
+  double horizon;
+  std::size_t next = 0;
+
+  bool peek(double& time, std::size_t& type) const {
+    if (next == trace.size()) return false;
+    time = trace[next].time;
+    type = trace[next].task_type;
+    return time <= horizon;
+  }
+
+  void advance(std::size_t /*type*/, double /*now*/) { ++next; }
 };
 
-// Drives one event loop to the horizon: admission batches interleaved with
-// calendar events in global time order (calendar first on exact ties). The
-// `admit` callback routes a single arrival at its arrival time.
-template <typename Admit>
-void run_event_loop(Engine& engine, ArrivalPump& pump, double horizon,
-                    BatchStats& stats, const Admit& admit) {
-  double ta = 0.0;
-  std::size_t type = 0;
-  while (true) {
-    const bool have_arrival = pump.peek(ta, type);
-    const double te = engine.next_time();
-    if (have_arrival && ta < te) {
-      std::size_t batch = 0;
-      do {
-        admit(type, ta);
-        pump.advance(type, ta);
-        ++batch;
-      } while (pump.peek(ta, type) && ta < te);
-      ++stats.batches;
-      if (batch > stats.max_batch) stats.max_batch = batch;
-    } else if (!engine.run_one(horizon)) {
-      break;
-    }
-  }
-  engine.run_until(horizon);  // no events left; advances the clock only
-}
-
-void record_routing_stats(util::telemetry::Registry* reg,
-                          const core::RoutingStats& stats,
-                          const BatchStats& batches) {
-  if (!reg) return;
-  reg->count("scheduler.routes_indexed", stats.indexed_routes);
-  reg->count("scheduler.routes_scan", stats.scan_routes);
-  reg->count("scheduler.index_pops", stats.index_pops);
-  reg->count("scheduler.index_deferred", stats.index_deferred);
-  reg->count("scheduler.index_stale_pops", stats.index_stale_pops);
-  reg->count("sim.arrival_batches", batches.batches);
-  reg->gauge_max("sim.max_batch_size", static_cast<double>(batches.max_batch));
-}
+// What a run leaves for the end-of-run recorder; the sharded path merges one
+// per component.
+struct RunTotals {
+  core::RoutingStats routing;
+  std::size_t batches = 0;  // arrival admission batches
+  std::size_t max_batch = 0;
+  std::size_t events = 0;
+  std::size_t max_pending = 0;
+};
 
 void accumulate(core::RoutingStats& into, const core::RoutingStats& from) {
   into.routed += from.routed;
@@ -165,33 +151,361 @@ void accumulate(core::RoutingStats& into, const core::RoutingStats& from) {
   into.index_stale_pops += from.index_stale_pops;
 }
 
+void accumulate(RunTotals& into, const RunTotals& from) {
+  accumulate(into.routing, from.routing);
+  into.batches += from.batches;
+  into.max_batch = std::max(into.max_batch, from.max_batch);
+  into.events += from.events;
+  into.max_pending = std::max(into.max_pending, from.max_pending);
+}
+
+// Piecewise-constant power draw integrated over the measured window.
+struct EnergyMeter {
+  double power_kw = 0.0;
+  double kwh = 0.0;
+  double last = 0.0;
+
+  void advance_to(double t, double warmup, double horizon) {
+    const double a = std::max(last, warmup);
+    const double b = std::min(t, horizon);
+    if (b > a) kwh += power_kw * (b - a) / 3600.0;
+    last = t;
+  }
+};
+
+// The result finalizer and end-of-run recorder every entry point ends in.
+// `result.per_type` holds the run's counters.
+void finish_run(SimResult& result, const SimOptions& options,
+                double tracking_error, double energy_kwh,
+                const RunTotals& totals, const char* run_counter) {
+  result.measured_seconds = options.duration_seconds - options.warmup_seconds;
+  for (const PerTypeMetrics& m : result.per_type) result.total_reward += m.reward;
+  result.reward_rate = result.total_reward / result.measured_seconds;
+  result.mean_tracking_error = tracking_error;
+  result.energy_kwh = energy_kwh;
+  result.reward_per_kwh =
+      result.energy_kwh > 0.0 ? result.total_reward / result.energy_kwh : 0.0;
+
+  util::telemetry::Registry* const reg = options.telemetry;
+  if (!reg) return;
+  reg->count(run_counter);
+  reg->count("sim.events_processed", totals.events);
+  reg->gauge_max("sim.queue_depth_high_water",
+                 static_cast<double>(totals.max_pending));
+  std::size_t arrived = 0, assigned = 0, dropped = 0, in_time = 0, late = 0;
+  for (const PerTypeMetrics& m : result.per_type) {
+    arrived += m.arrived;
+    assigned += m.assigned;
+    dropped += m.dropped;
+    in_time += m.completed_in_time;
+    late += m.completed_late;
+  }
+  reg->count("sim.arrivals", arrived);
+  reg->count("scheduler.assigned", assigned);
+  reg->count("scheduler.dropped", dropped);
+  reg->count("scheduler.completed_in_time", in_time);
+  reg->count("scheduler.deadline_misses", late);
+  reg->gauge_set("scheduler.final_tracking_error", result.mean_tracking_error);
+  reg->gauge_set("sim.reward_rate", result.reward_rate);
+  reg->gauge_set("sim.drop_fraction", result.drop_fraction());
+  reg->gauge_set("sim.energy_kwh", result.energy_kwh);
+  reg->count("scheduler.routes_indexed", totals.routing.indexed_routes);
+  reg->count("scheduler.routes_scan", totals.routing.scan_routes);
+  reg->count("scheduler.index_pops", totals.routing.index_pops);
+  reg->count("scheduler.index_deferred", totals.routing.index_deferred);
+  reg->count("scheduler.index_stale_pops", totals.routing.index_stale_pops);
+  reg->count("sim.arrival_batches", totals.batches);
+  reg->gauge_max("sim.max_batch_size", static_cast<double>(totals.max_batch));
+}
+
+// A task admitted to a core and neither completed nor killed yet.
+struct InFlight {
+  double deadline;
+  std::size_t type;
+  // Admission counted inside the measured window; a kill reclassifies such
+  // an admission as a drop so arrived == assigned + dropped always holds.
+  bool counted;
+};
+
+// One FIFO of in-flight tasks per core, threaded through a shared slot pool.
+// Freed slots are reused first, so the pool never outgrows the peak number
+// of tasks in flight, and admissions keep touching the same few cache lines
+// however many cores the park has. The pool is a deque so that growing it
+// never copies: an empty calendar admits a whole run's arrivals in one
+// batch, so the peak can be every task of the run.
+class InFlightQueues {
+ public:
+  explicit InFlightQueues(std::size_t cores)
+      : head_(cores, kNone), tail_(cores, kNone) {}
+
+  void push(std::size_t k, const InFlight& task) {
+    if (free_ == kNone) {
+      free_ = static_cast<std::uint32_t>(slots_.size());
+      slots_.push_back({task, kNone});
+    }
+    const std::uint32_t s = free_;
+    free_ = slots_[s].next;
+    slots_[s] = {task, kNone};
+    (tail_[k] == kNone ? head_[k] : slots_[tail_[k]].next) = s;
+    tail_[k] = s;
+  }
+
+  // Removes and returns core k's oldest task; the FIFO must not be empty.
+  InFlight pop(std::size_t k) {
+    const std::uint32_t s = head_[k];
+    head_[k] = slots_[s].next;
+    if (head_[k] == kNone) tail_[k] = kNone;
+    slots_[s].next = free_;
+    free_ = s;
+    return slots_[s].task;
+  }
+
+  // Empties core k's FIFO, returning its tasks in admission order.
+  std::vector<InFlight> take(std::size_t k) {
+    std::vector<InFlight> tasks;
+    while (head_[k] != kNone) tasks.push_back(pop(k));
+    return tasks;
+  }
+
+ private:
+  static constexpr std::uint32_t kNone =
+      std::numeric_limits<std::uint32_t>::max();
+  struct Slot {
+    InFlight task;
+    std::uint32_t next;
+  };
+  std::deque<Slot> slots_;
+  std::uint32_t free_ = kNone;
+  std::vector<std::uint32_t> head_, tail_;  // per core; kNone when empty
+};
+
+// The one online run every entry point drives (docs/SCHEDULER.md §3): the
+// event calendar, the scheduler routing against per-core backlogs, one FIFO
+// of in-flight tasks per core, completion-side reward booking, piecewise
+// energy and the telemetry samplers. Entry points differ only in the arrival
+// source they hand run() and in the events they schedule on engine() first.
+class RunCore {
+ public:
+  // `shard_types` restricts the scheduler to one sharded component.
+  RunCore(const dc::DataCenter& dc, const core::Assignment& plan,
+          const SimOptions& options,
+          const std::vector<std::size_t>* shard_types = nullptr)
+      : dc_(dc),
+        options_(options),
+        plan_(&plan),
+        core_free_time_(dc.total_cores(), 0.0),
+        in_flight_(dc.total_cores()),
+        epoch_(dc.total_cores(), 0) {
+    if (!options_.scheduler.telemetry) {
+      options_.scheduler.telemetry = options.telemetry;
+    }
+    scheduler_ = shard_types
+                     ? std::make_unique<core::DynamicScheduler>(
+                           dc, plan, options_.scheduler, *shard_types)
+                     : std::make_unique<core::DynamicScheduler>(
+                           dc, plan, options_.scheduler);
+    energy_.power_kw = plan.total_power_kw();
+    result_.per_type.assign(dc.num_task_types(), {});
+    for (std::size_t i = 0; i < dc.num_task_types(); ++i) {
+      for (std::size_t k = 0; k < dc.total_cores(); ++k) {
+        result_.per_type[i].desired_rate += plan.tc(i, k);
+      }
+    }
+  }
+  // Calendar events hold `this`.
+  RunCore(const RunCore&) = delete;
+  RunCore& operator=(const RunCore&) = delete;
+
+  Engine& engine() { return engine_; }
+  const core::Assignment& plan() const { return *plan_; }
+  const core::DynamicScheduler& scheduler() const { return *scheduler_; }
+  const SimResult& result() const { return result_; }
+
+  double tracking_error(double now) const {
+    return tracking_error_at(
+        dc_, *plan_,
+        [this](std::size_t) -> const core::DynamicScheduler& {
+          return *scheduler_;
+        },
+        now);
+  }
+
+  // Routes a task through the plan in force. A placed task joins its core's
+  // FIFO and, when it finishes by the horizon, gets a completion event.
+  bool admit(std::size_t type, double now, double deadline, bool counted) {
+    const auto decision = scheduler_->route(type, now, core_free_time_);
+    if (!decision.assigned) return false;
+    const std::size_t k = decision.core;
+    const double finish =
+        std::max(now, core_free_time_[k]) + decision.exec_seconds;
+    core_free_time_[k] = finish;
+    in_flight_.push(k, {deadline, type, counted});
+    if (finish <= options_.duration_seconds) {
+      engine_.schedule_at(finish, [this, core = static_cast<std::uint32_t>(k),
+                                   epoch = epoch_[k]] { complete(core, epoch); });
+    }
+    return true;
+  }
+
+  // A measured-window admission that ended up killed or unplaceable.
+  void drop_admitted(std::size_t type) {
+    --result_.per_type[type].assigned;
+    ++result_.per_type[type].dropped;
+  }
+
+  // Kills the work queued on core k at `now` and returns it in admission
+  // order; the core's pending completion events go stale.
+  std::vector<InFlight> evict(std::size_t k, double now) {
+    ++epoch_[k];
+    core_free_time_[k] = now;
+    return in_flight_.take(k);
+  }
+
+  // Makes `plan` the plan in force from `now`: energy integrates up to the
+  // swap and the scheduler is rebuilt on the new plan. Its ATC tracking
+  // state resets on purpose — realized-rate history against a retired plan
+  // is meaningless for the new rate matrix — while the retired scheduler's
+  // routing-path stats carry into the end-of-run counters.
+  void adopt(core::Assignment plan, double now) {
+    energy_.advance_to(now, options_.warmup_seconds, options_.duration_seconds);
+    energy_.power_kw = plan.total_power_kw();
+    accumulate(totals_.routing, scheduler_->stats());
+    // The retired plan outlives the scheduler that still references it.
+    const auto retired = std::exchange(
+        owned_plan_, std::make_unique<core::Assignment>(std::move(plan)));
+    plan_ = owned_plan_.get();
+    scheduler_ =
+        std::make_unique<core::DynamicScheduler>(dc_, *plan_, options_.scheduler);
+  }
+
+  // Drives the run to the horizon: admission batches interleaved with
+  // calendar events in global time order (calendar first on exact ties).
+  template <typename Source>
+  void run(Source& arrivals) {
+    util::telemetry::Registry* const reg = options_.telemetry;
+    const double horizon = options_.duration_seconds;
+    // Samplers are pure observers at evenly spaced simulated times: they
+    // read state but mutate nothing, so they cannot change the outcome
+    // (their own events do count in sim.events_processed).
+    if (reg && options_.telemetry_samples > 0) {
+      for (std::size_t s = 0; s < options_.telemetry_samples; ++s) {
+        const double t = horizon * static_cast<double>(s + 1) /
+                         static_cast<double>(options_.telemetry_samples);
+        engine_.schedule_at(t, [this, reg, t] {
+          reg->sample("scheduler.tracking_error", t, tracking_error(t));
+          reg->sample("sim.queue_depth", t,
+                      static_cast<double>(engine_.pending()));
+          reg->sample("scheduler.backlog", t,
+                      backlog_depth(dc_, core_free_time_, t));
+          reg->sample("sim.active_power_kw", t, energy_.power_kw);
+        });
+      }
+    }
+
+    double ta = 0.0;
+    std::size_t type = 0;
+    while (true) {
+      const bool have_arrival = arrivals.peek(ta, type);
+      const double te = engine_.next_time();
+      if (have_arrival && ta < te) {
+        std::size_t batch = 0;
+        do {
+          arrive(type, ta);
+          arrivals.advance(type, ta);
+          ++batch;
+        } while (arrivals.peek(ta, type) && ta < te);
+        ++totals_.batches;
+        totals_.max_batch = std::max(totals_.max_batch, batch);
+      } else if (!engine_.run_one(horizon)) {
+        break;
+      }
+    }
+    engine_.run_until(horizon);  // no events left; advances the clock only
+    energy_.advance_to(horizon, options_.warmup_seconds, horizon);
+  }
+
+  RunTotals totals() const {
+    RunTotals totals = totals_;
+    accumulate(totals.routing, scheduler_->stats());
+    totals.events = engine_.executed();
+    totals.max_pending = engine_.max_pending();
+    return totals;
+  }
+
+  SimResult finish(const char* run_counter) {
+    finish_run(result_, options_, tracking_error(options_.duration_seconds),
+               energy_.kwh, totals(), run_counter);
+    return std::move(result_);
+  }
+
+ private:
+  // Reward is booked at the completion event, not at admission: booking at
+  // admission would credit queued work that never executes inside the
+  // measured window, letting deep-queueing policies appear to beat the
+  // steady-state LP bound (deadlines of slow task types span minutes).
+  void arrive(std::size_t type, double now) {
+    PerTypeMetrics& m = result_.per_type[type];
+    const bool counted = now >= options_.warmup_seconds;
+    const bool placed =
+        admit(type, now, now + dc_.task_types[type].relative_deadline, counted);
+    if (!counted) return;
+    ++m.arrived;
+    ++(placed ? m.assigned : m.dropped);
+  }
+
+  // Finish times on a core never decrease and the engine breaks time ties
+  // by insertion order, so a core's completions fire in admission order and
+  // each one is its FIFO's front.
+  void complete(std::uint32_t k, std::uint32_t epoch) {
+    if (epoch != epoch_[k]) return;  // killed by a node failure
+    const InFlight task = in_flight_.pop(k);
+    const double finish = engine_.now();
+    if (finish < options_.warmup_seconds) return;
+    PerTypeMetrics& m = result_.per_type[task.type];
+    if (finish <= task.deadline + 1e-12) {
+      ++m.completed_in_time;
+      m.reward += dc_.task_types[task.type].reward;
+    } else {
+      ++m.completed_late;
+    }
+  }
+
+  const dc::DataCenter& dc_;
+  SimOptions options_;
+  Engine engine_;
+  const core::Assignment* plan_;
+  std::unique_ptr<core::Assignment> owned_plan_;  // set once a plan is adopted
+  std::unique_ptr<core::DynamicScheduler> scheduler_;
+  std::vector<double> core_free_time_;
+  InFlightQueues in_flight_;
+  std::vector<std::uint32_t> epoch_;  // bumped when a core's work is killed
+  EnergyMeter energy_;
+  RunTotals totals_;  // routing stats of the schedulers adopt() replaced
+  SimResult result_;
+};
+
 // Component-sharded simulation (docs/SCHEDULER.md §4). Task types that share
 // a candidate core must co-shard — union-find over the candidate structure
-// finds the connected components, each of which runs as a fully independent
-// sub-simulation. Exactness rests on three facts: per-type arrival streams
-// are independent RNG substreams, a component's routing state (ATC counts,
-// index heaps, core backlog) is touched by no other component, and the ATC
-// clock is pinned to the global first-arrival time in every shard.
+// finds the connected components, each of which runs the core on its own.
+// Exactness rests on three facts: per-type arrival streams are independent
+// RNG substreams, a component's routing state (ATC counts, index heaps, core
+// backlog) is touched by no other component, and the ATC clock is pinned to
+// the global first-arrival time in every shard.
 SimResult simulate_sharded(const dc::DataCenter& dc,
                            const core::Assignment& assignment,
-                           const SimOptions& options,
-                           const core::SchedulerOptions& scheduler_options,
-                           util::telemetry::Registry* reg,
-                           std::size_t threads) {
+                           const SimOptions& options, std::size_t threads) {
   const double horizon = options.duration_seconds;
-  const double warmup = options.warmup_seconds;
   const std::size_t t = dc.num_task_types();
 
   // Candidate structure (policy-aware: the ablation policies share every
   // active core, so they collapse into one component).
-  core::SchedulerOptions probe_options = scheduler_options;
+  core::SchedulerOptions probe_options = options.scheduler;
   probe_options.telemetry = nullptr;
   const core::DynamicScheduler probe(dc, assignment, probe_options);
 
   std::vector<std::size_t> parent(t);
   std::iota(parent.begin(), parent.end(), 0);
-  const std::function<std::size_t(std::size_t)> find =
-      [&](std::size_t i) -> std::size_t {
+  const auto find = [&](std::size_t i) {
     while (parent[i] != i) {
       parent[i] = parent[parent[i]];
       i = parent[i];
@@ -223,143 +537,91 @@ SimResult simulate_sharded(const dc::DataCenter& dc,
     comps[static_cast<std::size_t>(comp_of_root[r])].push_back(i);
   }
 
-  // Global first-arrival time pins every shard's ATC clock to the value the
-  // single-scheduler run would use (a throwaway pump re-draws exactly the
-  // first interarrival of each substream).
-  core::SchedulerOptions shard_options = scheduler_options;
-  shard_options.telemetry = nullptr;  // per-decision events are serial-only
+  // Shards record nothing mid-run (they cannot observe cross-shard state
+  // without synchronizing). The global first-arrival time pins every
+  // shard's ATC clock to the value the single-scheduler run would use (a
+  // throwaway pump re-draws exactly the first interarrival of each
+  // substream).
+  SimOptions shard_options = options;
+  shard_options.telemetry = nullptr;
+  shard_options.scheduler.telemetry = nullptr;
   {
     ArrivalPump probe_pump(dc.task_types, util::Rng(options.seed), horizon,
                            nullptr, options.rate_trace);
     double t0 = 0.0;
     std::size_t first_type = 0;
-    if (probe_pump.peek(t0, first_type)) shard_options.start_time = t0;
+    if (probe_pump.peek(t0, first_type)) shard_options.scheduler.start_time = t0;
   }
 
-  struct ShardRun {
-    std::vector<PerTypeMetrics> per_type;
-    std::unique_ptr<core::DynamicScheduler> scheduler;
-    BatchStats batches;
-    std::size_t events = 0;
-    std::size_t max_pending = 0;
-  };
-  std::vector<ShardRun> runs(comps.size());
-
+  std::vector<std::unique_ptr<RunCore>> runs(comps.size());
   util::ThreadPool pool(threads);
   pool.parallel_for(comps.size(), [&](std::size_t c) {
-    ShardRun& run = runs[c];
-    run.per_type.assign(t, {});
-    Engine engine;
+    runs[c] = std::make_unique<RunCore>(dc, assignment, shard_options, &comps[c]);
     ArrivalPump pump(dc.task_types, util::Rng(options.seed), horizon,
                      &comps[c], options.rate_trace);
-    run.scheduler = std::make_unique<core::DynamicScheduler>(
-        dc, assignment, shard_options, comps[c]);
-    std::vector<double> core_free_time(dc.total_cores(), 0.0);
-    run_event_loop(
-        engine, pump, horizon, run.batches,
-        [&](std::size_t type, double now) {
-          PerTypeMetrics& m = run.per_type[type];
-          if (now >= warmup) ++m.arrived;
-          const auto decision = run.scheduler->route(type, now, core_free_time);
-          if (decision.assigned) {
-            const double start = std::max(now, core_free_time[decision.core]);
-            const double finish = start + decision.exec_seconds;
-            core_free_time[decision.core] = finish;
-            const double deadline = now + dc.task_types[type].relative_deadline;
-            if (now >= warmup) ++m.assigned;
-            if (finish <= horizon) {
-              engine.schedule_at(
-                  finish, [&m, &dc, type, finish, deadline, warmup] {
-                    if (finish < warmup) return;
-                    if (finish <= deadline + 1e-12) {
-                      ++m.completed_in_time;
-                      m.reward += dc.task_types[type].reward;
-                    } else {
-                      ++m.completed_late;
-                    }
-                  });
-            }
-          } else if (now >= warmup) {
-            ++m.dropped;
-          }
-        });
-    run.events = engine.executed();
-    run.max_pending = engine.max_pending();
+    runs[c]->run(pump);
   });
 
   // Deterministic merge: every aggregate is reduced in task-type order, so
-  // the result is bit-identical to the serial loop's regardless of thread
+  // the result is bit-identical to the serial run's regardless of thread
   // count or component layout.
   SimResult result;
   result.per_type.assign(t, {});
   for (std::size_t i = 0; i < t; ++i) {
-    result.per_type[i] = runs[comp_of_type[i]].per_type[i];
-    result.per_type[i].desired_rate = 0.0;
-    for (std::size_t k = 0; k < dc.total_cores(); ++k) {
-      result.per_type[i].desired_rate += assignment.tc(i, k);
-    }
+    result.per_type[i] = runs[comp_of_type[i]]->result().per_type[i];
   }
-  result.measured_seconds = horizon - warmup;
-  for (const PerTypeMetrics& m : result.per_type) result.total_reward += m.reward;
-  result.reward_rate = result.total_reward / result.measured_seconds;
-
-  double err_sum = 0.0;
-  double weight_sum = 0.0;
-  for (std::size_t i = 0; i < t; ++i) {
-    const core::DynamicScheduler& shard = *runs[comp_of_type[i]].scheduler;
-    for (std::size_t k = 0; k < dc.total_cores(); ++k) {
-      const double tc = assignment.tc(i, k);
-      if (tc <= 0.0) continue;
-      err_sum += std::fabs(shard.atc(i, k, horizon) - tc);
-      weight_sum += tc;
-    }
-  }
-  result.mean_tracking_error = weight_sum > 0.0 ? err_sum / weight_sum : 0.0;
-
-  result.energy_kwh =
-      assignment.total_power_kw() * result.measured_seconds / 3600.0;
-  result.reward_per_kwh =
-      result.energy_kwh > 0.0 ? result.total_reward / result.energy_kwh : 0.0;
-
-  if (reg) {
-    reg->count("sim.runs");
-    core::RoutingStats routing;
-    BatchStats batches;
-    std::size_t events = 0;
-    std::size_t max_pending = 0;
-    for (const ShardRun& run : runs) {
-      accumulate(routing, run.scheduler->stats());
-      batches.batches += run.batches.batches;
-      if (run.batches.max_batch > batches.max_batch) {
-        batches.max_batch = run.batches.max_batch;
-      }
-      events += run.events;
-      if (run.max_pending > max_pending) max_pending = run.max_pending;
-    }
-    reg->count("sim.events_processed", events);
-    reg->gauge_max("sim.queue_depth_high_water",
-                   static_cast<double>(max_pending));
-    std::size_t arrived = 0, assigned = 0, dropped = 0, in_time = 0, late = 0;
-    for (const PerTypeMetrics& m : result.per_type) {
-      arrived += m.arrived;
-      assigned += m.assigned;
-      dropped += m.dropped;
-      in_time += m.completed_in_time;
-      late += m.completed_late;
-    }
-    reg->count("sim.arrivals", arrived);
-    reg->count("scheduler.assigned", assigned);
-    reg->count("scheduler.dropped", dropped);
-    reg->count("scheduler.completed_in_time", in_time);
-    reg->count("scheduler.deadline_misses", late);
-    reg->gauge_set("scheduler.final_tracking_error",
-                   result.mean_tracking_error);
-    reg->gauge_set("sim.reward_rate", result.reward_rate);
-    reg->gauge_set("sim.drop_fraction", result.drop_fraction());
-    reg->gauge_set("sim.energy_kwh", result.energy_kwh);
-    record_routing_stats(reg, routing, batches);
-  }
+  RunTotals totals;
+  for (const auto& run : runs) accumulate(totals, run->totals());
+  const double tracking_error = tracking_error_at(
+      dc, assignment,
+      [&](std::size_t i) -> const core::DynamicScheduler& {
+        return runs[comp_of_type[i]]->scheduler();
+      },
+      horizon);
+  EnergyMeter energy{assignment.total_power_kw()};
+  energy.advance_to(horizon, options.warmup_seconds, horizon);
+  finish_run(result, options, tracking_error, energy.kwh, totals, "sim.runs");
   return result;
+}
+
+// The checks every entry point runs before a run starts. The rate trace's
+// type count can only be checked against a concrete data center.
+util::Status check_run(const dc::DataCenter& dc, const core::Assignment& plan,
+                       const SimOptions& options,
+                       const Trace* replay = nullptr) {
+  if (util::Status s = options.validate(); !s.ok()) return s;
+  if (!plan.feasible) {
+    return util::Status::FailedPrecondition(
+        "cannot simulate an infeasible assignment");
+  }
+  const RateTrace* trace = options.rate_trace;
+  if (trace && trace->num_task_types() != dc.num_task_types()) {
+    return util::Status::InvalidArgument(
+        "rate trace covers " + std::to_string(trace->num_task_types()) +
+        " task types, data center has " + std::to_string(dc.num_task_types()));
+  }
+  if (!replay) return util::Status::Ok();
+  // A replay reads events up to the first one past the horizon; each must
+  // name one of the data center's task types and come no earlier than the
+  // one before it (the first no earlier than time 0).
+  double previous = 0.0;
+  for (std::size_t e = 0; e < replay->size(); ++e) {
+    const TraceEvent& event = (*replay)[e];
+    if (!(event.time >= previous)) {
+      return util::Status::InvalidArgument(
+          "trace event " + std::to_string(e) + " at t=" +
+          std::to_string(event.time) + "s is out of order");
+    }
+    if (event.time > options.duration_seconds) break;
+    if (event.task_type >= dc.num_task_types()) {
+      return util::Status::InvalidArgument(
+          "trace event " + std::to_string(e) + " has task type " +
+          std::to_string(event.task_type) + ", data center has " +
+          std::to_string(dc.num_task_types()));
+    }
+    previous = event.time;
+  }
+  return util::Status::Ok();
 }
 
 }  // namespace
@@ -390,22 +652,6 @@ util::Status SimOptions::validate() const {
   return util::Status::Ok();
 }
 
-namespace {
-
-// The trace's type count can only be checked against a concrete data
-// center; both simulate entry points run this after options.validate().
-util::Status check_trace_types(const dc::DataCenter& dc,
-                               const RateTrace* trace) {
-  if (trace && trace->num_task_types() != dc.num_task_types()) {
-    return util::Status::InvalidArgument(
-        "rate trace covers " + std::to_string(trace->num_task_types()) +
-        " task types, data center has " + std::to_string(dc.num_task_types()));
-  }
-  return util::Status::Ok();
-}
-
-}  // namespace
-
 double SimResult::drop_fraction() const {
   std::size_t arrived = 0, dropped = 0;
   for (const PerTypeMetrics& m : per_type) {
@@ -417,146 +663,33 @@ double SimResult::drop_fraction() const {
 
 SimResult simulate(const dc::DataCenter& dc, const core::Assignment& assignment,
                    const SimOptions& options) {
-  if (util::Status s = options.validate(); !s.ok()) {
-    SimResult result;
-    result.status = std::move(s);
-    return result;
-  }
-  if (!assignment.feasible) {
-    SimResult result;
-    result.status = util::Status::FailedPrecondition(
-        "cannot simulate an infeasible assignment");
-    return result;
-  }
-  if (util::Status s = check_trace_types(dc, options.rate_trace); !s.ok()) {
-    SimResult result;
-    result.status = std::move(s);
-    return result;
-  }
-
-  util::telemetry::Registry* const reg = options.telemetry;
-  const util::telemetry::ScopedTimer run_timer(reg, "sim.run");
-
-  core::SchedulerOptions scheduler_options = options.scheduler;
-  if (!scheduler_options.telemetry) scheduler_options.telemetry = reg;
-
+  SimResult rejected;
+  rejected.status = check_run(dc, assignment, options);
+  if (!rejected.status.ok()) return rejected;
+  const util::telemetry::ScopedTimer run_timer(options.telemetry, "sim.run");
   const std::size_t threads = options.threads == 0
                                   ? util::ThreadPool::hardware_threads()
                                   : options.threads;
-  if (threads > 1) {
-    return simulate_sharded(dc, assignment, options, scheduler_options, reg,
-                            threads);
-  }
+  if (threads > 1) return simulate_sharded(dc, assignment, options, threads);
 
-  Engine engine;
+  RunCore run(dc, assignment, options);
   ArrivalPump pump(dc.task_types, util::Rng(options.seed),
                    options.duration_seconds, nullptr, options.rate_trace);
-  core::DynamicScheduler scheduler(dc, assignment, scheduler_options);
+  run.run(pump);
+  return run.finish("sim.runs");
+}
 
-  std::vector<double> core_free_time(dc.total_cores(), 0.0);
-  SimResult result;
-  result.per_type.assign(dc.num_task_types(), {});
-  for (std::size_t i = 0; i < dc.num_task_types(); ++i) {
-    for (std::size_t k = 0; k < dc.total_cores(); ++k) {
-      result.per_type[i].desired_rate += assignment.tc(i, k);
-    }
-  }
-
-  const double horizon = options.duration_seconds;
-  const double warmup = options.warmup_seconds;
-
-  // Telemetry samplers: pure observers at evenly spaced simulated times.
-  // They read scheduler/engine state but mutate nothing, so enabling them
-  // cannot change the simulation outcome (their own events do show up in
-  // the sim.events_processed count — documented in docs/OBSERVABILITY.md).
-  if (reg && options.telemetry_samples > 0) {
-    for (std::size_t s = 0; s < options.telemetry_samples; ++s) {
-      const double t = horizon * static_cast<double>(s + 1) /
-                       static_cast<double>(options.telemetry_samples);
-      engine.schedule_at(t, [&, t] {
-        reg->sample("scheduler.tracking_error", t,
-                    tracking_error_at(dc, assignment, scheduler, t));
-        reg->sample("sim.queue_depth", t,
-                    static_cast<double>(engine.pending()));
-        reg->sample("scheduler.backlog", t, backlog_depth(dc, core_free_time, t));
-      });
-    }
-  }
-
-  // Batched admission: every arrival that falls strictly before the next
-  // calendar event routes in one tight loop. Reward is booked at the
-  // *completion* event — booking at admission would credit queued work that
-  // never executes inside the measured window, letting deep-queueing
-  // policies appear to beat the steady-state LP bound (deadlines of slow
-  // task types span minutes).
-  BatchStats batches;
-  run_event_loop(
-      engine, pump, horizon, batches, [&](std::size_t type, double now) {
-        PerTypeMetrics& m = result.per_type[type];
-        if (now >= warmup) ++m.arrived;
-        const auto decision = scheduler.route(type, now, core_free_time);
-        if (decision.assigned) {
-          const double start = std::max(now, core_free_time[decision.core]);
-          const double finish = start + decision.exec_seconds;
-          core_free_time[decision.core] = finish;
-          const double deadline = now + dc.task_types[type].relative_deadline;
-          if (now >= warmup) ++m.assigned;
-          if (finish <= horizon) {
-            engine.schedule_at(finish, [&m, &dc, type, finish, deadline, warmup] {
-              if (finish < warmup) return;  // completed inside the warm-up
-              if (finish <= deadline + 1e-12) {
-                ++m.completed_in_time;
-                m.reward += dc.task_types[type].reward;
-              } else {
-                ++m.completed_late;
-              }
-            });
-          }
-        } else if (now >= warmup) {
-          ++m.dropped;
-        }
-      });
-
-  result.measured_seconds = horizon - warmup;
-  for (const PerTypeMetrics& m : result.per_type) result.total_reward += m.reward;
-  result.reward_rate = result.total_reward / result.measured_seconds;
-
-  // Tracking error of the realized rates against the desired TC matrix,
-  // weighted by TC so that starved low-rate pairs do not dominate.
-  result.mean_tracking_error =
-      tracking_error_at(dc, assignment, scheduler, horizon);
-
-  result.energy_kwh =
-      assignment.total_power_kw() * result.measured_seconds / 3600.0;
-  result.reward_per_kwh =
-      result.energy_kwh > 0.0 ? result.total_reward / result.energy_kwh : 0.0;
-
-  if (reg) {
-    reg->count("sim.runs");
-    reg->count("sim.events_processed", engine.executed());
-    reg->gauge_max("sim.queue_depth_high_water",
-                   static_cast<double>(engine.max_pending()));
-    std::size_t arrived = 0, assigned = 0, dropped = 0, in_time = 0, late = 0;
-    for (const PerTypeMetrics& m : result.per_type) {
-      arrived += m.arrived;
-      assigned += m.assigned;
-      dropped += m.dropped;
-      in_time += m.completed_in_time;
-      late += m.completed_late;
-    }
-    reg->count("sim.arrivals", arrived);
-    reg->count("scheduler.assigned", assigned);
-    reg->count("scheduler.dropped", dropped);
-    reg->count("scheduler.completed_in_time", in_time);
-    reg->count("scheduler.deadline_misses", late);
-    reg->gauge_set("scheduler.final_tracking_error",
-                   result.mean_tracking_error);
-    reg->gauge_set("sim.reward_rate", result.reward_rate);
-    reg->gauge_set("sim.drop_fraction", result.drop_fraction());
-    reg->gauge_set("sim.energy_kwh", result.energy_kwh);
-    record_routing_stats(reg, scheduler.stats(), batches);
-  }
-  return result;
+SimResult simulate_trace(const dc::DataCenter& dc,
+                         const core::Assignment& assignment, const Trace& trace,
+                         const SimOptions& options) {
+  SimResult rejected;
+  rejected.status = check_run(dc, assignment, options, &trace);
+  if (!rejected.status.ok()) return rejected;
+  const util::telemetry::ScopedTimer run_timer(options.telemetry, "sim.replay");
+  RunCore run(dc, assignment, options);
+  TraceCursor cursor{trace, options.duration_seconds};
+  run.run(cursor);
+  return run.finish("sim.replays");
 }
 
 FaultSimResult simulate_with_faults(dc::DataCenter& dc,
@@ -565,21 +698,10 @@ FaultSimResult simulate_with_faults(dc::DataCenter& dc,
                                     const FaultSchedule& schedule,
                                     const FaultSimOptions& options) {
   FaultSimResult out;
-  if (util::Status s = options.sim.validate(); !s.ok()) {
-    out.status = std::move(s);
-    return out;
-  }
-  if (!initial.feasible) {
-    out.status = util::Status::FailedPrecondition(
-        "cannot simulate an infeasible assignment");
-    return out;
-  }
+  out.status = check_run(dc, initial, options.sim);
+  if (!out.status.ok()) return out;
   if (util::Status s = schedule.validate(dc); !s.ok()) {
     out.status = s.with_context("fault schedule");
-    return out;
-  }
-  if (util::Status s = check_trace_types(dc, options.sim.rate_trace); !s.ok()) {
-    out.status = std::move(s);
     return out;
   }
   if (options.replan) {
@@ -599,81 +721,26 @@ FaultSimResult simulate_with_faults(dc::DataCenter& dc,
   const std::vector<double> saved_crac_min = dc.crac_min_outlet_c;
 
   const double horizon = options.sim.duration_seconds;
-  const double warmup = options.sim.warmup_seconds;
   const double tcrac_min = options.recovery.assign.stage1.tcrac_min_c;
   const double tcrac_max = options.recovery.assign.stage1.tcrac_max_c;
 
-  Engine engine;
-  ArrivalPump pump(dc.task_types, util::Rng(options.sim.seed), horizon,
-                   nullptr, options.sim.rate_trace);
-  core::SchedulerOptions scheduler_options = options.sim.scheduler;
-  if (!scheduler_options.telemetry) scheduler_options.telemetry = reg;
-
-  // Plan swaps keep every adopted Assignment alive in a deque (the scheduler
-  // holds a reference to its plan) and rebuild the scheduler, which resets
-  // its ATC tracking state — intentional: realized-rate history against a
-  // retired plan is meaningless for the new rate matrix. Routing-path stats
-  // of retired schedulers accumulate so the end-of-run scheduler.* counters
-  // cover the whole run.
-  std::deque<core::Assignment> plans;
-  plans.push_back(initial);
-  auto scheduler = std::make_unique<core::DynamicScheduler>(
-      dc, plans.back(), scheduler_options);
-  core::RoutingStats retired_stats;
-
-  SimResult& result = out.sim;
-  result.per_type.assign(dc.num_task_types(), {});
-  for (std::size_t i = 0; i < dc.num_task_types(); ++i) {
-    for (std::size_t k = 0; k < dc.total_cores(); ++k) {
-      result.per_type[i].desired_rate += initial.tc(i, k);
-    }
-  }
-
-  std::vector<double> core_free_time(dc.total_cores(), 0.0);
-
-  // Admitted tasks live in stable cells so a node failure can cancel their
-  // completion events: the event fires, sees the flag and does nothing.
-  struct Cell {
-    std::size_t type = 0;
-    double deadline = 0.0;
-    double finish = 0.0;
-    // Admission counted inside the measured window; a kill reclassifies such
-    // an admission as a drop so arrived == assigned + dropped always holds.
-    bool counted = false;
-    bool cancelled = false;
-    bool done = false;
-  };
-  std::deque<Cell> cells;
-  std::vector<std::vector<Cell*>> core_queue(dc.total_cores());
-
-  // Piecewise energy integration over the active plans, clipped to the
-  // measured window.
-  double active_power_kw = initial.total_power_kw();
-  double energy_kwh = 0.0;
-  double last_power_time = 0.0;
-  const auto integrate_to = [&](double t) {
-    const double a = std::max(last_power_time, warmup);
-    const double b = std::min(t, horizon);
-    if (b > a) energy_kwh += active_power_kw * (b - a) / 3600.0;
-    last_power_time = t;
-  };
+  RunCore run(dc, initial, options.sim);
+  Engine& engine = run.engine();
 
   // A newer fault — or a newer horizon step — supersedes any pending re-plan
   // adoption: adoption events capture the generation at scheduling time and
   // fire only if it is still current.
   std::uint64_t plan_generation = 0;
-
-  // Swaps the active plan: integrates energy up to `now`, retires the
-  // scheduler's routing stats and rebuilds it on the new plan (ATC tracking
-  // state resets — realized-rate history against a retired plan is
-  // meaningless for the new rate matrix).
-  const auto adopt_plan = [&](core::Assignment plan, double now) {
-    integrate_to(now);
-    plans.push_back(std::move(plan));
-    active_power_kw = plans.back().total_power_kw();
-    accumulate(retired_stats, scheduler->stats());
-    scheduler = std::make_unique<core::DynamicScheduler>(dc, plans.back(),
-                                                         scheduler_options);
+  const auto adopt_later = [&](core::Assignment plan,
+                               std::function<void()> on_adopted) {
+    engine.schedule_at(
+        engine.now() + options.recovery.replan_delay_s,
+        [&, gen = plan_generation, plan = std::move(plan),
+         on_adopted = std::move(on_adopted)]() mutable {
+          if (gen != plan_generation) return;
+          run.adopt(std::move(plan), engine.now());
+          on_adopted();
+        });
   };
 
   // --- Receding-horizon re-planner state (FaultSimOptions::replan) --------
@@ -700,33 +767,6 @@ FaultSimResult simulate_with_faults(dc::DataCenter& dc,
   double next_attempt_allowed = 0.0;  // bounded-backoff gate
   double recovery_pending_until = -1.0;  // fault re-plan adoption in flight
   double degraded_since = -1.0;       // entering time of the degraded mode
-
-  const auto try_assign = [&](std::size_t type, double now, double deadline,
-                              bool counted) -> bool {
-    const auto decision = scheduler->route(type, now, core_free_time);
-    if (!decision.assigned) return false;
-    const double start = std::max(now, core_free_time[decision.core]);
-    const double finish = start + decision.exec_seconds;
-    core_free_time[decision.core] = finish;
-    cells.push_back(Cell{type, deadline, finish, counted, false, false});
-    Cell* const cell = &cells.back();
-    core_queue[decision.core].push_back(cell);
-    if (finish <= horizon) {
-      engine.schedule_at(finish, [&result, &dc, cell, warmup] {
-        if (cell->cancelled) return;
-        cell->done = true;
-        if (cell->finish < warmup) return;
-        PerTypeMetrics& m = result.per_type[cell->type];
-        if (cell->finish <= cell->deadline + 1e-12) {
-          ++m.completed_in_time;
-          m.reward += dc.task_types[cell->type].reward;
-        } else {
-          ++m.completed_late;
-        }
-      });
-    }
-    return true;
-  };
 
   const auto on_fault = [&](const FaultEvent& ev) {
     const double now = engine.now();
@@ -762,38 +802,26 @@ FaultSimResult simulate_with_faults(dc::DataCenter& dc,
 
     // Kill in-flight and queued work on the lost cores. A killed task whose
     // admission fell inside the measured window has that admission
-    // reclassified as a drop (unless it is successfully requeued), so the
-    // arrived == assigned + dropped invariant survives faults.
-    struct Orphan {
-      std::size_t type;
-      double deadline;
-      bool counted;
-    };
-    std::vector<Orphan> orphans;
+    // reclassified as a drop (unless it is successfully requeued).
+    std::vector<InFlight> orphans;
     if (ev.kind == FaultKind::kNodeFail) {
       const std::size_t begin = dc.core_offset(ev.target);
       const std::size_t n = dc.node_type(ev.target).cores_per_node();
       for (std::size_t k = begin; k < begin + n; ++k) {
-        for (Cell* cell : core_queue[k]) {
-          if (cell->done || cell->cancelled) continue;
-          cell->cancelled = true;
+        for (const InFlight& task : run.evict(k, now)) {
           ++record.tasks_killed;
           if (options.in_flight == InFlightPolicy::kRequeue) {
-            orphans.push_back({cell->type, cell->deadline, cell->counted});
-          } else if (cell->counted) {
-            PerTypeMetrics& m = result.per_type[cell->type];
-            --m.assigned;  // kDrop: the admission becomes a drop
-            ++m.dropped;
+            orphans.push_back(task);
+          } else if (task.counted) {
+            run.drop_admitted(task.type);
           }
         }
-        core_queue[k].clear();
-        core_free_time[k] = now;
       }
     }
 
     // Two-phase recovery against the plan in force.
     const core::RecoveryController controller(dc, model, options.recovery);
-    core::RecoveryOutcome rec = controller.recover(plans.back());
+    core::RecoveryOutcome rec = controller.recover(run.plan());
     record.safe = rec.safe;
     record.replan_adopted = rec.replan_adopted;
     record.recovery_status = rec.status;
@@ -803,21 +831,19 @@ FaultSimResult simulate_with_faults(dc::DataCenter& dc,
     // The safety throttle takes effect at the fault instant. The hardware
     // (and with it the Stage-3 class structure) changed, so the rolling
     // planner — if one is running — must re-anchor on the throttle plan.
-    adopt_plan(std::move(rec.throttle), now);
+    run.adopt(std::move(rec.throttle), now);
     if (planner) {
-      planner->rebind(plans.back());
+      planner->rebind(run.plan());
       last_plan_time = now;
     }
 
     // Orphans re-route through the throttle plan, original deadlines kept
     // (they may well complete late); unplaceable ones count as drops.
-    for (const auto& [type, deadline, counted] : orphans) {
-      if (try_assign(type, now, deadline, counted)) {
+    for (const InFlight& task : orphans) {
+      if (run.admit(task.type, now, task.deadline, task.counted)) {
         ++record.tasks_requeued;
-      } else if (counted) {
-        PerTypeMetrics& m = result.per_type[type];
-        --m.assigned;
-        ++m.dropped;
+      } else if (task.counted) {
+        run.drop_admitted(task.type);
       }
     }
     if (reg) {
@@ -829,22 +855,17 @@ FaultSimResult simulate_with_faults(dc::DataCenter& dc,
     // configured delay unless a newer fault supersedes it.
     if (rec.replan_adopted) {
       ++out.replans_adopted;
-      const std::uint64_t gen = plan_generation;
       recovery_pending_until = now + options.recovery.replan_delay_s;
-      engine.schedule_at(
-          now + options.recovery.replan_delay_s,
-          [&, gen, replan = std::move(rec.plan)]() mutable {
-            if (gen != plan_generation) return;
-            adopt_plan(std::move(replan), engine.now());
-            recovery_pending_until = -1.0;
-            // The recovery plan's P-states replace the throttle's: rebuild
-            // the rolling planner's resident LP around them.
-            if (planner) {
-              planner->rebind(plans.back());
-              last_plan_time = engine.now();
-            }
-            if (reg) reg->count("recovery.replans_activated");
-          });
+      adopt_later(std::move(rec.plan), [&] {
+        recovery_pending_until = -1.0;
+        // The recovery plan's P-states replace the throttle's: rebuild the
+        // rolling planner's resident LP around them.
+        if (planner) {
+          planner->rebind(run.plan());
+          last_plan_time = engine.now();
+        }
+        if (reg) reg->count("recovery.replans_activated");
+      });
     }
     out.faults.push_back(std::move(record));
   };
@@ -872,7 +893,7 @@ FaultSimResult simulate_with_faults(dc::DataCenter& dc,
         if (now - last_plan_time >= replan_options.cadence_s - 1e-9) {
           cadence_fire = true;
         } else if (replan_options.tracking_error_threshold > 0.0 &&
-                   tracking_error_at(dc, plans.back(), *scheduler, now) >
+                   run.tracking_error(now) >
                        replan_options.tracking_error_threshold) {
           tracking_fire = true;
         }
@@ -899,14 +920,9 @@ FaultSimResult simulate_with_faults(dc::DataCenter& dc,
           // fault (or a newer step) between now and the actuation instant
           // supersedes this plan.
           ++plan_generation;
-          const std::uint64_t gen = plan_generation;
-          engine.schedule_at(
-              now + options.recovery.replan_delay_s,
-              [&, gen, plan = std::move(step.plan)]() mutable {
-                if (gen != plan_generation) return;
-                adopt_plan(std::move(plan), engine.now());
-                if (reg) reg->count("replan.adoptions_activated");
-              });
+          adopt_later(std::move(step.plan), [&] {
+            if (reg) reg->count("replan.adoptions_activated");
+          });
         } else {
           ++out.horizon_degraded;
           if (degraded_since < 0.0) degraded_since = now;
@@ -916,7 +932,7 @@ FaultSimResult simulate_with_faults(dc::DataCenter& dc,
             // The safety action is immediate and supersedes any in-flight
             // adoption — an unverified plan must never outrank it.
             ++plan_generation;
-            adopt_plan(std::move(step.plan), now);
+            run.adopt(std::move(step.plan), now);
           }
         }
       }
@@ -929,68 +945,18 @@ FaultSimResult simulate_with_faults(dc::DataCenter& dc,
     }
   }
 
-  if (reg && options.sim.telemetry_samples > 0) {
-    for (std::size_t s = 0; s < options.sim.telemetry_samples; ++s) {
-      const double t = horizon * static_cast<double>(s + 1) /
-                       static_cast<double>(options.sim.telemetry_samples);
-      engine.schedule_at(t, [&, t] {
-        reg->sample("scheduler.tracking_error", t,
-                    tracking_error_at(dc, plans.back(), *scheduler, t));
-        reg->sample("sim.queue_depth", t,
-                    static_cast<double>(engine.pending()));
-        reg->sample("scheduler.backlog", t, backlog_depth(dc, core_free_time, t));
-        reg->sample("sim.active_power_kw", t, active_power_kw);
-      });
-    }
-  }
-
-  BatchStats batches;
-  run_event_loop(engine, pump, horizon, batches,
-                 [&](std::size_t type, double now) {
-                   PerTypeMetrics& m = result.per_type[type];
-                   if (now >= warmup) ++m.arrived;
-                   const double deadline =
-                       now + dc.task_types[type].relative_deadline;
-                   if (try_assign(type, now, deadline, now >= warmup)) {
-                     if (now >= warmup) ++m.assigned;
-                   } else if (now >= warmup) {
-                     ++m.dropped;
-                   }
-                 });
-  integrate_to(horizon);
-
-  result.measured_seconds = horizon - warmup;
-  for (const PerTypeMetrics& m : result.per_type) result.total_reward += m.reward;
-  result.reward_rate = result.total_reward / result.measured_seconds;
-  result.mean_tracking_error =
-      tracking_error_at(dc, plans.back(), *scheduler, horizon);
-  result.energy_kwh = energy_kwh;
-  result.reward_per_kwh =
-      result.energy_kwh > 0.0 ? result.total_reward / result.energy_kwh : 0.0;
-
+  ArrivalPump pump(dc.task_types, util::Rng(options.sim.seed), horizon,
+                   nullptr, options.sim.rate_trace);
+  run.run(pump);
   if (degraded_since >= 0.0) {
     out.horizon_degraded_time_s += horizon - degraded_since;
-    degraded_since = -1.0;
   }
-
+  out.sim = run.finish("sim.fault_runs");
   if (reg) {
-    reg->count("sim.fault_runs");
-    reg->count("sim.events_processed", engine.executed());
     reg->count("recovery.replans_adopted_total", out.replans_adopted);
     if (planner) {
       reg->gauge_set("replan.degraded_time_s", out.horizon_degraded_time_s);
     }
-    std::size_t arrived = 0, dropped = 0;
-    for (const PerTypeMetrics& m : result.per_type) {
-      arrived += m.arrived;
-      dropped += m.dropped;
-    }
-    reg->count("sim.arrivals", arrived);
-    reg->count("scheduler.dropped", dropped);
-    reg->gauge_set("sim.reward_rate", result.reward_rate);
-    reg->gauge_set("sim.energy_kwh", result.energy_kwh);
-    accumulate(retired_stats, scheduler->stats());
-    record_routing_stats(reg, retired_stats, batches);
   }
 
   dc.p_const_kw = saved_pconst;

@@ -1,5 +1,5 @@
-// End-to-end online simulation: Poisson arrivals -> dynamic scheduler ->
-// per-core FIFO execution -> reward accounting.
+// End-to-end online simulation: arrivals -> dynamic scheduler -> per-core
+// FIFO execution -> reward accounting.
 //
 // This realizes the paper's second-step loop (Figure 2): tasks stream into
 // the data center; the dynamic scheduler routes each to a core (or drops
@@ -8,14 +8,24 @@
 // reward rate is the measurable counterpart of the first step's predicted
 // steady-state reward rate.
 //
-// Arrivals are admitted in batches: instead of one calendar event per task,
-// a per-type next-arrival calendar drains every arrival that falls strictly
-// before the next calendar event (completion, sampler, fault) in one tight
-// loop, so the per-task cost is a routing decision plus an O(task types)
-// min-scan — no priority-queue traffic, no per-arrival callback allocation.
-// SimOptions::threads additionally shards the whole simulation by connected
-// components of the candidate structure. docs/SCHEDULER.md describes both
-// and the determinism contract they keep.
+// One event loop serves every entry point (docs/SCHEDULER.md §3-§5). It owns
+// the event calendar, the scheduler, one FIFO of in-flight tasks per core,
+// admission, completion-side reward booking, piecewise energy integration,
+// the telemetry samplers and the end-of-run recorder. Arrivals come from one
+// of two sources: live Poisson streams (simulate, simulate_with_faults) or a
+// recorded Trace (simulate_trace, sim/trace.h). Either way they are admitted
+// in batches: every arrival strictly before the next calendar event routes
+// in one tight loop, so the per-task cost is a routing decision plus an
+// O(task types) min-scan, with no priority-queue traffic. The entry points
+// differ only in what they add to that loop:
+//   * simulate adds nothing, or with SimOptions::threads > 1 runs the loop
+//     once per connected component of the candidate structure and merges
+//     the results deterministically;
+//   * simulate_with_faults schedules fault events, generation-guarded plan
+//     adoptions and the receding-horizon re-plan checks on the same
+//     calendar;
+//   * simulate_trace swaps the live streams for the trace.
+// All three return SimResult::status instead of aborting on operator input.
 #pragma once
 
 #include <cstddef>
@@ -46,15 +56,18 @@ struct SimOptions {
   double warmup_seconds = 0.0;
   core::SchedulerOptions scheduler;
   std::uint64_t seed = 1;
-  // Worker threads for the component-sharded simulation (docs/SCHEDULER.md
+  // Worker threads for simulate's component-sharded run (docs/SCHEDULER.md
   // §4): task types are partitioned into connected components of shared
-  // candidate cores; each component runs as an independent sub-simulation
-  // (own event calendar, own arrival substreams, own scheduler shard) and
-  // the results merge deterministically. 1 (default) runs the serial
-  // reference loop; 0 uses every hardware thread. SimResult is bit-identical
+  // candidate cores, the event loop runs once per component (own event
+  // calendar, own arrival substreams, own scheduler shard) and the results
+  // merge deterministically. 1 (default) runs the loop once over the whole
+  // data center; 0 uses every hardware thread. SimResult is bit-identical
   // for any thread count, but mid-run telemetry series and per-decision
-  // event records are only recorded by the serial loop (shards cannot
+  // event records are only recorded by the unsharded run (shards cannot
   // observe cross-shard state mid-run without synchronizing).
+  // simulate_with_faults and simulate_trace always run serially and ignore
+  // this field: a fault or a plan swap touches every component at once, and
+  // a replay is a single ordered stream.
   std::size_t threads = 1;
   // Optional metrics sink (sim.* / scheduler.* in docs/OBSERVABILITY.md):
   // end-of-run counters (events processed, queue high-water, drops, deadline
@@ -94,8 +107,9 @@ struct PerTypeMetrics {
 };
 
 struct SimResult {
-  // Non-ok (with every metric zero) when the options are degenerate or the
-  // assignment is infeasible; simulate() never aborts on operator input.
+  // Non-ok (with every metric zero) when the options are degenerate, the
+  // assignment is infeasible or a replayed trace is malformed; no entry
+  // point aborts on operator input.
   util::Status status;
   double measured_seconds = 0.0;
   double total_reward = 0.0;

@@ -280,6 +280,10 @@ TEST_F(FaultSimFixture, TelemetryDoesNotChangeTheFaultRun) {
   EXPECT_EQ(registry.counter_value("recovery.invocations"),
             schedule.events.size());
   EXPECT_EQ(registry.timer_stats("sim.fault_run").count, 1u);
+  // The one end-of-run recorder books fault runs like plain ones.
+  std::size_t assigned = 0;
+  for (const PerTypeMetrics& m : with.sim.per_type) assigned += m.assigned;
+  EXPECT_EQ(registry.counter_value("scheduler.assigned"), assigned);
 }
 
 TEST_F(FaultSimFixture, DataCenterStateIsRestoredAfterRun) {
@@ -302,13 +306,7 @@ TEST_F(FaultSimFixture, EmptyScheduleMatchesPlainSimulate) {
   const SimResult plain = simulate(scenario->dc, assignment, o.sim);
 
   EXPECT_TRUE(with_faults.faults.empty());
-  EXPECT_EQ(with_faults.sim.total_reward, plain.total_reward);
-  EXPECT_NEAR(with_faults.sim.energy_kwh, plain.energy_kwh, 1e-9);
-  ASSERT_EQ(with_faults.sim.per_type.size(), plain.per_type.size());
-  for (std::size_t i = 0; i < plain.per_type.size(); ++i) {
-    EXPECT_EQ(with_faults.sim.per_type[i].arrived, plain.per_type[i].arrived);
-    EXPECT_EQ(with_faults.sim.per_type[i].dropped, plain.per_type[i].dropped);
-  }
+  test::expect_identical(with_faults.sim, plain);
 }
 
 TEST_F(FaultSimFixture, NodeFailureKillsInFlightWork) {

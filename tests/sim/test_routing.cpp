@@ -1,7 +1,8 @@
 // Differential tests for the online routing paths (docs/SCHEDULER.md):
-// scan vs indexed selection and serial vs component-sharded simulation must
-// produce bit-identical SimResults — same decisions, same counters, same
-// doubles — across seeds, policies, fault scenarios and thread counts.
+// scan vs indexed selection, serial vs component-sharded simulation and the
+// four DES entry points must produce bit-identical SimResults — same
+// decisions, same counters, same doubles — across seeds, policies, fault
+// scenarios and thread counts.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -9,6 +10,7 @@
 #include "core/assigner.h"
 #include "sim/des.h"
 #include "sim/faults.h"
+#include "sim/trace.h"
 #include "testutil.h"
 #include "thermal/heatflow.h"
 #include "util/telemetry.h"
@@ -16,25 +18,7 @@
 namespace tapo::sim {
 namespace {
 
-void expect_identical(const SimResult& a, const SimResult& b) {
-  ASSERT_TRUE(a.status.ok()) << a.status.to_string();
-  ASSERT_TRUE(b.status.ok()) << b.status.to_string();
-  EXPECT_EQ(a.total_reward, b.total_reward);
-  EXPECT_EQ(a.reward_rate, b.reward_rate);
-  EXPECT_EQ(a.mean_tracking_error, b.mean_tracking_error);
-  EXPECT_EQ(a.energy_kwh, b.energy_kwh);
-  EXPECT_EQ(a.reward_per_kwh, b.reward_per_kwh);
-  ASSERT_EQ(a.per_type.size(), b.per_type.size());
-  for (std::size_t i = 0; i < a.per_type.size(); ++i) {
-    EXPECT_EQ(a.per_type[i].arrived, b.per_type[i].arrived) << "type " << i;
-    EXPECT_EQ(a.per_type[i].assigned, b.per_type[i].assigned) << "type " << i;
-    EXPECT_EQ(a.per_type[i].dropped, b.per_type[i].dropped) << "type " << i;
-    EXPECT_EQ(a.per_type[i].completed_in_time, b.per_type[i].completed_in_time);
-    EXPECT_EQ(a.per_type[i].completed_late, b.per_type[i].completed_late);
-    EXPECT_EQ(a.per_type[i].reward, b.per_type[i].reward);
-    EXPECT_EQ(a.per_type[i].desired_rate, b.per_type[i].desired_rate);
-  }
-}
+using test::expect_identical;
 
 struct RoutingFixture : ::testing::Test {
   void SetUp() override {
@@ -181,6 +165,107 @@ TEST_F(RoutingFixture, FaultSimulationIdenticalAcrossRouteModes) {
               runs[1].faults[i].replan_adopted);
   }
   EXPECT_EQ(runs[0].replans_adopted, runs[1].replans_adopted);
+}
+
+// ---- Entry-point differential ---------------------------------------------
+//
+// simulate, the component-sharded simulate, simulate_with_faults with an
+// empty schedule and simulate_trace over the same Poisson sample path run one
+// event loop with different arrival sources and extras, so every pair must
+// agree bit for bit over policies, route modes, seeds and warm-ups.
+
+struct EntryPointDifferential : RoutingFixture {
+  struct Case {
+    core::SchedulerPolicy policy;
+    core::RouteMode mode;
+    std::uint64_t seed;
+    double warmup;
+  };
+
+  static std::vector<Case> cases() {
+    std::vector<Case> out;
+    for (const auto policy : {core::SchedulerPolicy::MinAtcTcRatio,
+                              core::SchedulerPolicy::EarliestFinish,
+                              core::SchedulerPolicy::Random}) {
+      for (const auto mode : {core::RouteMode::kScan, core::RouteMode::kIndexed}) {
+        for (const std::uint64_t seed : {3u, 58u, 9001u}) {
+          for (const double warmup : {0.0, 10.0}) {
+            out.push_back({policy, mode, seed, warmup});
+          }
+        }
+      }
+    }
+    return out;
+  }
+
+  SimOptions options(const Case& c) const {
+    SimOptions o = RoutingFixture::options(c.mode, c.seed);
+    o.warmup_seconds = c.warmup;
+    o.scheduler.policy = c.policy;
+    return o;
+  }
+
+  static std::string describe(const Case& c) {
+    return "policy " + std::to_string(static_cast<int>(c.policy)) + " mode " +
+           std::to_string(static_cast<int>(c.mode)) + " seed " +
+           std::to_string(c.seed) + " warmup " + std::to_string(c.warmup);
+  }
+
+  SimResult with_faults(const SimOptions& o) {
+    FaultSimOptions fo;
+    fo.sim = o;
+    const FaultSimResult r = simulate_with_faults(scenario->dc, *model,
+                                                  assignment, FaultSchedule{}, fo);
+    EXPECT_TRUE(r.faults.empty());
+    EXPECT_EQ(r.replans_adopted, 0u);
+    return r.sim;
+  }
+};
+
+TEST_F(EntryPointDifferential, FaultAndReplayRunsMatchSimulate) {
+  for (const Case& c : cases()) {
+    SCOPED_TRACE(describe(c));
+    const SimOptions o = options(c);
+    const SimResult plain = simulate(scenario->dc, assignment, o);
+    expect_identical(plain, with_faults(o));
+    const Trace trace = generate_poisson_trace(
+        scenario->dc.task_types, o.duration_seconds, util::Rng(c.seed));
+    expect_identical(plain, simulate_trace(scenario->dc, assignment, trace, o));
+  }
+}
+
+TEST_F(EntryPointDifferential, ShardedRunsMatchSimulate) {
+  for (const Case& c : cases()) {
+    SCOPED_TRACE(describe(c));
+    const SimResult plain = simulate(scenario->dc, assignment, options(c));
+    for (const std::size_t threads : {2u, 8u}) {
+      SimOptions o = options(c);
+      o.threads = threads;
+      expect_identical(plain, simulate(scenario->dc, assignment, o));
+    }
+  }
+}
+
+TEST_F(EntryPointDifferential, ShardedAndFaultRunsMatchSimulateUnderRateTrace) {
+  // Time-varying arrivals have no recorded-trace counterpart, so the replay
+  // sits this one out.
+  RateTraceGenConfig config;
+  config.kind = RateTraceGenConfig::Kind::kDiurnal;
+  config.horizon_s = 120.0;
+  config.seed = 12;
+  const RateTrace rates = generate_rate_trace(scenario->dc.task_types, config);
+  for (const std::uint64_t seed : {3u, 58u, 9001u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    SimOptions o = RoutingFixture::options(core::RouteMode::kAuto, seed);
+    o.rate_trace = &rates;
+    const SimResult plain = simulate(scenario->dc, assignment, o);
+    expect_identical(plain, with_faults(o));
+    for (const std::size_t threads : {2u, 8u}) {
+      SimOptions sharded = o;
+      sharded.threads = threads;
+      expect_identical(plain, simulate(scenario->dc, assignment, sharded));
+    }
+  }
 }
 
 }  // namespace

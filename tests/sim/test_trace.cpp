@@ -8,6 +8,7 @@
 #include "core/assigner.h"
 #include "testutil.h"
 #include "thermal/heatflow.h"
+#include "util/telemetry.h"
 
 namespace tapo::sim {
 namespace {
@@ -150,12 +151,7 @@ TEST_F(TraceSimFixture, PoissonTraceReplayMatchesLiveSimulator) {
   const auto trace = generate_poisson_trace(scenario->dc.task_types, 100.0,
                                             util::Rng(33));
   const auto replay = simulate_trace(scenario->dc, assignment, trace, options);
-  EXPECT_NEAR(replay.total_reward, live.total_reward,
-              1e-9 * std::max(1.0, live.total_reward));
-  for (std::size_t i = 0; i < replay.per_type.size(); ++i) {
-    EXPECT_EQ(replay.per_type[i].arrived, live.per_type[i].arrived);
-    EXPECT_EQ(replay.per_type[i].dropped, live.per_type[i].dropped);
-  }
+  test::expect_identical(replay, live);
 }
 
 TEST_F(TraceSimFixture, BurstinessDoesNotRaiseReward) {
@@ -181,6 +177,82 @@ TEST_F(TraceSimFixture, EmptyTraceYieldsNothing) {
   const auto result = simulate_trace(scenario->dc, assignment, {}, options);
   EXPECT_DOUBLE_EQ(result.total_reward, 0.0);
   EXPECT_DOUBLE_EQ(result.drop_fraction(), 0.0);
+}
+
+TEST_F(TraceSimFixture, TelemetryDoesNotChangeTheReplay) {
+  SimOptions options;
+  options.duration_seconds = 60.0;
+  options.warmup_seconds = 5.0;
+  const auto trace = generate_poisson_trace(scenario->dc.task_types, 60.0,
+                                            util::Rng(21));
+  const SimResult without =
+      simulate_trace(scenario->dc, assignment, trace, options);
+  util::telemetry::Registry registry;
+  options.telemetry = &registry;
+  const SimResult with = simulate_trace(scenario->dc, assignment, trace, options);
+  test::expect_identical(with, without);
+
+  // Replays go through the same end-of-run recorder as live runs.
+  EXPECT_EQ(registry.counter_value("sim.replays"), 1u);
+  EXPECT_EQ(registry.timer_stats("sim.replay").count, 1u);
+  EXPECT_GT(registry.counter_value("sim.events_processed"), 0u);
+  EXPECT_GT(registry.counter_value("sim.arrival_batches"), 0u);
+  EXPECT_EQ(registry.counter_value("scheduler.routes_indexed") +
+                registry.counter_value("scheduler.routes_scan"),
+            trace.size());
+  EXPECT_EQ(registry.gauge_value("sim.energy_kwh"), with.energy_kwh);
+  EXPECT_EQ(registry.series_values("scheduler.tracking_error").size(),
+            options.telemetry_samples);
+}
+
+// Operator input never aborts a replay: each rejected input comes back as
+// SimResult::status with every metric zero.
+TEST_F(TraceSimFixture, InfeasiblePlanIsRejected) {
+  core::Assignment infeasible = assignment;
+  infeasible.feasible = false;
+  const auto trace = generate_poisson_trace(scenario->dc.task_types, 10.0,
+                                            util::Rng(1));
+  SimOptions options;
+  options.duration_seconds = 10.0;
+  const SimResult r = simulate_trace(scenario->dc, infeasible, trace, options);
+  EXPECT_EQ(r.status.code(), util::StatusCode::kFailedPrecondition);
+  EXPECT_EQ(r.total_reward, 0.0);
+}
+
+TEST_F(TraceSimFixture, DegenerateDurationIsRejected) {
+  SimOptions options;
+  options.duration_seconds = 0.0;
+  const SimResult r = simulate_trace(scenario->dc, assignment, {}, options);
+  EXPECT_EQ(r.status.code(), util::StatusCode::kInvalidArgument);
+}
+
+TEST_F(TraceSimFixture, DegenerateWarmupIsRejected) {
+  SimOptions options;
+  options.duration_seconds = 10.0;
+  options.warmup_seconds = 10.0;
+  const SimResult r = simulate_trace(scenario->dc, assignment, {}, options);
+  EXPECT_EQ(r.status.code(), util::StatusCode::kInvalidArgument);
+}
+
+TEST_F(TraceSimFixture, OutOfRangeTaskTypeIsRejected) {
+  const Trace trace = {{1.0, 0}, {2.0, scenario->dc.num_task_types()}};
+  SimOptions options;
+  options.duration_seconds = 10.0;
+  const SimResult r = simulate_trace(scenario->dc, assignment, trace, options);
+  EXPECT_EQ(r.status.code(), util::StatusCode::kInvalidArgument);
+  EXPECT_NE(r.status.message().find("task type"), std::string::npos);
+  EXPECT_TRUE(r.per_type.empty());
+}
+
+TEST_F(TraceSimFixture, OutOfOrderEventIsRejected) {
+  SimOptions options;
+  options.duration_seconds = 10.0;
+  for (const Trace& trace : {Trace{{3.0, 0}, {2.0, 0}}, Trace{{-1.0, 0}},
+                             Trace{{std::nan(""), 0}}}) {
+    const SimResult r = simulate_trace(scenario->dc, assignment, trace, options);
+    EXPECT_EQ(r.status.code(), util::StatusCode::kInvalidArgument);
+    EXPECT_NE(r.status.message().find("out of order"), std::string::npos);
+  }
 }
 
 }  // namespace

@@ -1,10 +1,14 @@
-// Shared helpers for building small, fully-valid data centers in tests.
+// Shared helpers for building small, fully-valid data centers in tests, and
+// the bitwise SimResult comparison the DES differential suites share.
 #pragma once
+
+#include <gtest/gtest.h>
 
 #include <vector>
 
 #include "dc/datacenter.h"
 #include "scenario/generator.h"
+#include "sim/des.h"
 #include "solver/matrix.h"
 
 namespace tapo::test {
@@ -60,6 +64,32 @@ inline scenario::Scenario make_small_scenario(std::uint64_t seed,
     throw std::runtime_error("scenario generation failed in test helper");
   }
   return std::move(*result);
+}
+
+// Every SimResult field must match exactly: same decisions, same counters,
+// same doubles.
+inline void expect_identical(const sim::SimResult& a, const sim::SimResult& b) {
+  ASSERT_TRUE(a.status.ok()) << a.status.to_string();
+  ASSERT_TRUE(b.status.ok()) << b.status.to_string();
+  EXPECT_EQ(a.measured_seconds, b.measured_seconds);
+  EXPECT_EQ(a.total_reward, b.total_reward);
+  EXPECT_EQ(a.reward_rate, b.reward_rate);
+  EXPECT_EQ(a.mean_tracking_error, b.mean_tracking_error);
+  EXPECT_EQ(a.energy_kwh, b.energy_kwh);
+  EXPECT_EQ(a.reward_per_kwh, b.reward_per_kwh);
+  ASSERT_EQ(a.per_type.size(), b.per_type.size());
+  for (std::size_t i = 0; i < a.per_type.size(); ++i) {
+    EXPECT_EQ(a.per_type[i].arrived, b.per_type[i].arrived) << "type " << i;
+    EXPECT_EQ(a.per_type[i].assigned, b.per_type[i].assigned) << "type " << i;
+    EXPECT_EQ(a.per_type[i].dropped, b.per_type[i].dropped) << "type " << i;
+    EXPECT_EQ(a.per_type[i].completed_in_time, b.per_type[i].completed_in_time)
+        << "type " << i;
+    EXPECT_EQ(a.per_type[i].completed_late, b.per_type[i].completed_late)
+        << "type " << i;
+    EXPECT_EQ(a.per_type[i].reward, b.per_type[i].reward) << "type " << i;
+    EXPECT_EQ(a.per_type[i].desired_rate, b.per_type[i].desired_rate)
+        << "type " << i;
+  }
 }
 
 }  // namespace tapo::test

@@ -352,6 +352,10 @@ int cmd_trace(const util::ArgParser& args) {
   options.telemetry = g_telemetry;
   const sim::SimResult result =
       sim::simulate_trace(scenario->dc, a, trace, options);
+  if (!result.status.ok()) {
+    std::fprintf(stderr, "error: %s\n", result.status.to_string().c_str());
+    return 2;
+  }
   util::Table table({"arrivals", "predicted reward/s", "achieved reward/s",
                      "ratio", "drop %"});
   table.add_row({std::to_string(trace.size()), util::fmt(a.reward_rate, 3),
