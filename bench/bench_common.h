@@ -3,6 +3,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <string>
 
@@ -46,6 +47,21 @@ inline solver::LpPricing env_lp_pricing(const char* name,
     }
   }
   return out;
+}
+
+// Reads an LP engine ("revised" | "dense") from the environment; returns
+// fallback when unset, warns and returns fallback on an unknown name. The
+// no-rebuild engine A/B knob (e.g. TAPO_LP_ENGINE=dense
+// ./bench_recovery_latency).
+inline solver::LpEngine env_lp_engine(const char* name,
+                                      solver::LpEngine fallback) {
+  const char* value = std::getenv(name);
+  if (!value) return fallback;
+  if (std::strcmp(value, "revised") == 0) return solver::LpEngine::Revised;
+  if (std::strcmp(value, "dense") == 0) return solver::LpEngine::Dense;
+  std::fprintf(stderr, "%s: unknown engine '%s', keeping %s\n", name, value,
+               fallback == solver::LpEngine::Dense ? "dense" : "revised");
+  return fallback;
 }
 
 // Telemetry sink for bench binaries, sharing the runtime registry and JSON

@@ -37,18 +37,10 @@ int main() {
   const std::size_t runs = bench::env_size("TAPO_RUNS", 5);
   // TAPO_LP_ENGINE=dense and TAPO_NO_WARM=1 reproduce the pre-warm-start
   // baseline (dense tableau, cold re-plans) for A/B latency comparisons
-  // against the default revised + warm-seeded configuration. An unknown
-  // engine name warns and keeps the revised default.
-  bool use_dense = false;
-  if (const char* engine = std::getenv("TAPO_LP_ENGINE")) {
-    const std::string name(engine);
-    if (name == "dense") {
-      use_dense = true;
-    } else if (name != "revised") {
-      std::fprintf(stderr, "TAPO_LP_ENGINE: unknown engine '%s', keeping "
-                           "revised\n", engine);
-    }
-  }
+  // against the default revised + warm-seeded configuration.
+  const bool use_dense =
+      bench::env_lp_engine("TAPO_LP_ENGINE", solver::LpEngine::Revised) ==
+      solver::LpEngine::Dense;
   const bool no_warm = bench::env_flag("TAPO_NO_WARM", false);
   util::telemetry::Registry* const reg = bench::telemetry_sink();
   std::printf("=== Extension: recovery latency and retained reward per fault "

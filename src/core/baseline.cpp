@@ -1,16 +1,13 @@
 #include "core/baseline.h"
 
-#include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <memory>
-#include <optional>
 
 #include "core/baseline_lp.h"
+#include "core/crac_sweep.h"
 #include "dc/crac.h"
 #include "solver/lp.h"
 #include "util/check.h"
-#include "util/telemetry.h"
 
 namespace tapo::core {
 
@@ -172,133 +169,41 @@ BaselineAssigner::LpOutcome BaselineAssigner::solve_at(
 }
 
 Assignment BaselineAssigner::assign(const BaselineOptions& options) const {
-  const std::size_t nc = dc_.num_cracs();
   const std::size_t nn = dc_.num_nodes();
   const std::size_t t = dc_.num_task_types();
-  util::telemetry::Registry* const reg = options.lp.telemetry;
 
-  // Stage 1's sweep rule: on the revised engine with warm chains, each
-  // chain holds one persistent BaselineLpEvaluator, built at the chain head
-  // and patched in place for every later point of the chain. Chain heads
-  // are seeded across rounds: after each round the serial on_round hook
-  // re-solves the running incumbent on one more resident evaluator and
-  // publishes its basis as the next round's head seed. Sessions are
-  // per-chain, the chain partition is thread-count-invariant and the seed
-  // is a function of the incumbent sequence alone, so the selected
-  // setpoints are bit-identical across thread counts. The dense engine and
-  // chaining off solve solve_at's LP cold at every point. The counters are
-  // the sole shared writes (the registry is thread-safe).
-  const bool use_session = options.lp.engine == solver::LpEngine::Revised &&
-                           options.grid.warm_chain > 1;
-  struct SessionChainState {
-    std::unique_ptr<BaselineLpEvaluator> eval;
+  // The session LP is BaselineLpEvaluator's, over per-node power columns;
+  // its bases do not fit solve_at's LP, so the sweep gets no initial seed.
+  CracSweepLp<LpOutcome, BaselineLpEvaluator> family;
+  family.solve_at = [this](const std::vector<double>& crac_out,
+                           const solver::LpOptions& lp) {
+    return solve_at(crac_out, lp);
   };
-  solver::LpBasis round_seed;
-  std::vector<double> seed_point;
-  std::unique_ptr<BaselineLpEvaluator> incumbent;
-  std::atomic<std::size_t> lp_solves{0};
-  std::atomic<std::size_t> iter_limited{0};
-  const auto value = [&](const LpOutcome& outcome) -> std::optional<double> {
-    if (outcome.feasible) return outcome.objective;
-    if (outcome.status == solver::LpStatus::IterLimit) {
-      iter_limited.fetch_add(1, std::memory_order_relaxed);
-    }
-    return std::nullopt;
+  family.evaluator = [this](const std::vector<double>& crac_out,
+                            const solver::LpOptions& lp) {
+    return std::make_unique<BaselineLpEvaluator>(dc_, model_, crac_out, lp);
   };
-  const solver::GridChainObjective session_objective =
-      [&](const std::vector<double>& crac_out,
-          std::shared_ptr<void>& chain_state) -> std::optional<double> {
-    lp_solves.fetch_add(1, std::memory_order_relaxed);
-    const util::telemetry::ScopedTimer lp_timer(reg, "baseline.lp");
-    auto* state = static_cast<SessionChainState*>(chain_state.get());
-    const solver::LpBasis* seed = nullptr;
-    if (state == nullptr) {
-      chain_state = std::make_shared<SessionChainState>();
-      state = static_cast<SessionChainState*>(chain_state.get());
-      state->eval = std::make_unique<BaselineLpEvaluator>(dc_, model_, crac_out,
-                                                          options.lp);
-      seed = round_seed.empty() ? nullptr : &round_seed;
-    } else {
-      state->eval->move_to(crac_out);
-    }
-    return value(state->eval->solve(seed));
-  };
-  solver::LpOptions point_lp = options.lp;
-  point_lp.warm_start = nullptr;
-  const solver::GridChainObjective per_point_objective =
-      [&](const std::vector<double>& crac_out,
-          std::shared_ptr<void>&) -> std::optional<double> {
-    lp_solves.fetch_add(1, std::memory_order_relaxed);
-    const util::telemetry::ScopedTimer lp_timer(reg, "baseline.lp");
-    return value(solve_at(crac_out, point_lp));
-  };
-  const solver::GridChainObjective& objective =
-      use_session ? session_objective : per_point_objective;
-
-  // Per-CRAC lower bounds honor derated units, as in Stage 1.
-  std::vector<double> lo(nc);
-  const std::vector<double> hi(nc, options.tcrac_max_c);
-  for (std::size_t c = 0; c < nc; ++c) {
-    lo[c] = std::min(dc_.crac_min_outlet(c, options.tcrac_min_c),
-                     options.tcrac_max_c);
-  }
-  solver::GridSearchOptions grid = options.grid;
-  grid.on_round = [&](std::size_t round,
-                      const solver::GridSearchResult& running) {
-    if (options.grid.on_round) options.grid.on_round(round, running);
-    if (reg) reg->count("baseline.sweep_rounds");
-    if (!use_session || !running.found || running.best_point == seed_point) {
-      return;
-    }
-    const util::telemetry::ScopedTimer lp_timer(reg, "baseline.lp");
-    if (incumbent == nullptr) {
-      incumbent = std::make_unique<BaselineLpEvaluator>(
-          dc_, model_, running.best_point, options.lp);
-    } else {
-      incumbent->move_to(running.best_point);
-    }
-    const LpOutcome best = incumbent->solve();
-    if (!best.basis.empty()) round_seed = best.basis;
-    seed_point = running.best_point;
-  };
-  const solver::GridSearchResult search =
-      options.full_grid
-          ? solver::grid_search_maximize(lo, hi, objective, grid)
-          : solver::uniform_then_coordinate_maximize(lo, hi, objective, grid);
+  family.value = [](const LpOutcome& outcome) { return outcome.objective; };
+  CracSweepOptions sweep_options;
+  sweep_options.prefix = "baseline";
+  sweep_options.tcrac_min_c = options.tcrac_min_c;
+  sweep_options.tcrac_max_c = options.tcrac_max_c;
+  sweep_options.grid = options.grid;
+  sweep_options.full_grid = options.full_grid;
+  sweep_options.lp = options.lp;
+  sweep_options.telemetry = options.lp.telemetry;
+  const CracSweepResult<LpOutcome> sweep =
+      crac_sweep(dc_, sweep_options, family);
 
   Assignment assignment;
   assignment.technique = "baseline-P0-or-off";
-  assignment.lp_solves = lp_solves.load(std::memory_order_relaxed);
-  if (reg) reg->count("baseline.lp_solves", assignment.lp_solves);
-  if (!search.found) {
-    assignment.status =
-        iter_limited.load(std::memory_order_relaxed) > 0
-            ? util::Status::ResourceExhausted(
-                  "baseline: no feasible setpoint found and at least one "
-                  "candidate LP hit the iteration cap")
-            : util::Status::Infeasible(
-                  "baseline: every CRAC setpoint vector is infeasible");
-    return assignment;
-  }
-
-  // Dense-oracle re-solve at the winner (engine-independent published plan).
-  solver::LpOptions polish = options.lp;
-  polish.engine = solver::LpEngine::Dense;
-  polish.warm_start = nullptr;
-  LpOutcome best = solve_at(search.best_point, polish);
-  if (!best.feasible) {
-    assignment.status =
-        best.status == solver::LpStatus::IterLimit
-            ? util::Status::ResourceExhausted(
-                  "baseline: LP iteration cap hit re-solving the selected "
-                  "setpoints")
-            : util::Status::Internal(
-                  "baseline: best grid point infeasible on re-solve");
-    return assignment;
-  }
+  assignment.lp_solves = sweep.lp_solves;
+  assignment.status = sweep.status;
+  if (!sweep.status.ok()) return assignment;
+  const LpOutcome& best = sweep.best;
   assignment.stage1_basis = best.basis;
   assignment.stage1_objective = best.objective;
-  assignment.crac_out_c = search.best_point;
+  assignment.crac_out_c = sweep.crac_out_c;
 
   // Rounding: shrink each node's fractions so |cores_j| * sum_i FRAC is an
   // integer core count (Eq. 22 discussion).

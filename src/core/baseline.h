@@ -19,12 +19,13 @@
 // power, and the setpoint search starts each CRAC at its raised minimum
 // outlet, as Stage 1 does.
 //
-// The sweep follows Stage 1's engine rule: on the revised engine with warm
-// chains (the default) each chain solves one resident BaselineLpEvaluator
-// (core/baseline_lp.h) — the same LP written over per-node power columns,
-// patched from point to point; otherwise every point solves solve_at's LP.
-// Either way the published plan is solve_at's Dense cold re-solve at the
-// selected setpoints. See docs/SOLVER.md §4 and §7.
+// The setpoint sweep is the shared CRAC sweep (core/crac_sweep.h): on the
+// revised engine with warm chains (the default) each chain solves one
+// resident BaselineLpEvaluator (core/baseline_lp.h) — the same LP written
+// over per-node power columns, patched from point to point; otherwise every
+// point solves solve_at's LP. Either way the published plan is solve_at's
+// Dense cold re-solve at the selected setpoints. See docs/SOLVER.md §4 and
+// §7.
 #pragma once
 
 #include <vector>

@@ -1,0 +1,94 @@
+#include "core/crac_sweep.h"
+
+#include <algorithm>
+
+namespace tapo::core::detail {
+
+CracSweepCore::CracSweepCore(const dc::DataCenter& dc,
+                             const CracSweepOptions& options)
+    : options(options),
+      lo(dc.num_cracs()),
+      hi(dc.num_cracs(), options.tcrac_max_c),
+      sessions(options.lp.engine == solver::LpEngine::Revised &&
+               options.grid.warm_chain > 1),
+      lp(options.lp),
+      lp_timer(std::string(options.prefix) + ".lp") {
+  for (std::size_t c = 0; c < lo.size(); ++c) {
+    lo[c] = std::min(dc.crac_min_outlet(c, options.tcrac_min_c),
+                     options.tcrac_max_c);
+  }
+  lp.telemetry = options.telemetry;
+  lp.warm_start = nullptr;
+  point_lp = lp;
+  if (options.seed != nullptr && !options.seed->empty()) {
+    point_lp.warm_start = options.seed;
+  }
+  dense_lp = lp;
+  dense_lp.engine = solver::LpEngine::Dense;
+}
+
+void CracSweepCore::count_failure(solver::LpStatus status) {
+  infeasible.fetch_add(1, std::memory_order_relaxed);
+  if (status == solver::LpStatus::IterLimit) {
+    iter_limited.fetch_add(1, std::memory_order_relaxed);
+  }
+}
+
+solver::GridSearchResult CracSweepCore::search(
+    const solver::GridChainObjective& objective,
+    const std::function<void(const solver::GridSearchResult&)>&
+        between_rounds) {
+  util::telemetry::Registry* const reg = options.telemetry;
+  const std::string prefix(options.prefix);
+  solver::GridSearchOptions grid = options.grid;
+  grid.on_round = [&](std::size_t round,
+                      const solver::GridSearchResult& running) {
+    if (reg) {
+      reg->count(prefix + ".sweep_rounds");
+      if (running.found) {
+        reg->sample(prefix + ".best_objective_by_round",
+                    static_cast<double>(round), running.best_value);
+      }
+    }
+    if (options.grid.on_round) options.grid.on_round(round, running);
+    between_rounds(running);
+  };
+  const solver::GridSearchResult search =
+      options.full_grid
+          ? solver::grid_search_maximize(lo, hi, objective, grid)
+          : solver::uniform_then_coordinate_maximize(lo, hi, objective,
+                                                     grid);
+  if (reg) {
+    reg->count(prefix + ".lp_solves",
+               lp_solves.load(std::memory_order_relaxed));
+    reg->count(prefix + ".infeasible_candidates",
+               infeasible.load(std::memory_order_relaxed));
+    reg->count(prefix + ".grid_evaluations", search.evaluations);
+  }
+  return search;
+}
+
+util::Status CracSweepCore::no_feasible_point() const {
+  const std::string prefix(options.prefix);
+  return iter_limited.load(std::memory_order_relaxed) > 0
+             ? util::Status::ResourceExhausted(
+                   prefix +
+                   ": no feasible setpoint found and at least one candidate "
+                   "LP hit the iteration cap")
+             : util::Status::Infeasible(
+                   prefix +
+                   ": no CRAC setpoint vector admits a feasible LP "
+                   "(redlines, power budget or reward floor unsatisfiable)");
+}
+
+util::Status CracSweepCore::failed_resolve(solver::LpStatus status) const {
+  const std::string prefix(options.prefix);
+  return status == solver::LpStatus::IterLimit
+             ? util::Status::ResourceExhausted(
+                   prefix +
+                   ": LP iteration cap hit re-solving the selected setpoints")
+             : util::Status::Internal(
+                   prefix + ": best grid point infeasible on re-solve");
+}
+
+}  // namespace tapo::core::detail

@@ -51,15 +51,16 @@ struct Stage1Options {
   // at the selected setpoints always runs the Dense oracle, so the published
   // plan is engine-independent). The telemetry pointer inside is ignored;
   // `telemetry` below is used for the lp.* metrics too. On the revised
-  // engine with grid.warm_chain > 1, each warm chain runs on one persistent
-  // LP session (solver/session.h + core/stage1_lp.h): the chain builds its
-  // LP once and re-points it at successive grid points through the
-  // structure-preserving patch API, keeping the basis and LU factors
-  // resident. Otherwise every point builds and solves its own LP.
+  // engine with warm chains, each chain runs on one persistent LP session
+  // (core/crac_sweep.h, core/stage1_lp.h): the chain builds its LP once and
+  // re-points it at successive grid points through the structure-preserving
+  // patch API, keeping the basis and LU factors resident. Otherwise every
+  // point builds and solves its own LP.
   solver::LpOptions lp;
-  // Optional warm-start basis for the sweep's chain heads and the first
-  // solve of every chain (non-owning; must outlive solve()). Within a chain
-  // each LP resumes from its predecessor's basis regardless.
+  // Optional warm-start basis (non-owning; must outlive solve()): seeds
+  // every per-point solve, or on sessions the chain heads until the first
+  // incumbent re-solve replaces it (core/crac_sweep.h). Within a chain each
+  // LP resumes from its predecessor's basis regardless.
   // Recovery passes the pre-fault plan's basis here so a re-plan converges
   // in a handful of dual pivots per grid point.
   const solver::LpBasis* warm_seed = nullptr;

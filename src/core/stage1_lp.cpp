@@ -1,62 +1,116 @@
 #include "core/stage1_lp.h"
 
+#include <optional>
 #include <utility>
 
 #include "core/reward.h"
+#include "dc/crac.h"
 #include "solver/piecewise.h"
 #include "util/check.h"
+#include "util/telemetry.h"
 
 namespace tapo::core {
+
+namespace {
+
+using Mode = Stage1LpEvaluator::Mode;
+using Terms = std::vector<std::pair<std::size_t, double>>;
+
+// The columns of the Stage-1 LP, shared by the per-point builder and the
+// evaluator so an LpBasis is exchangeable between the two.
+struct Columns {
+  std::vector<std::vector<std::size_t>> seg_vars;  // per node
+  std::vector<std::size_t> crac_power_vars;        // per CRAC
+  Terms reward_terms;  // the reward-floor row (MinimizePower only)
+};
+
+// Segment variables per node; consecutive segments of a concave function
+// have decreasing slopes, so a maximizing LP fills them in order and the
+// sum of segment variables is exactly the node core power p_j. Failed nodes
+// get no variables at all - their core power is pinned to zero and their
+// base draw is excluded from every row via node_base_power_kw. Then one
+// auxiliary variable per CRAC carrying its (clamped) power; it appears with
+// +1 in the budget row (or the power objective), so the LP presses it down
+// onto max(0, linear expression) - an exact encoding of Eq. 3's clamp.
+// MaximizeReward prices segments at their slopes; MinimizePower prices
+// every column at -1 (minimize power) and collects the reward terms.
+Columns add_columns(solver::LpProblem& lp, const dc::DataCenter& dc,
+                    Mode mode, double psi) {
+  std::vector<solver::PiecewiseLinear> arr_by_type;
+  arr_by_type.reserve(dc.node_types.size());
+  for (std::size_t t = 0; t < dc.node_types.size(); ++t) {
+    arr_by_type.push_back(concave_aggregate_reward_rate(dc, t, psi)
+                              .scale_copies(dc.node_types[t].cores_per_node()));
+  }
+  Columns cols;
+  cols.seg_vars.assign(dc.num_nodes(), {});
+  for (std::size_t j = 0; j < dc.num_nodes(); ++j) {
+    if (dc.node_failed(j)) continue;
+    const auto& fn = arr_by_type[dc.nodes[j].type];
+    const auto& pts = fn.points();
+    const auto slopes = fn.slopes();
+    for (std::size_t s = 0; s < slopes.size(); ++s) {
+      const double len = pts[s + 1].x - pts[s].x;
+      const double obj = mode == Mode::MaximizeReward ? slopes[s] : -1.0;
+      const std::size_t v = lp.add_variable(0.0, len, obj);
+      cols.seg_vars[j].push_back(v);
+      if (mode == Mode::MinimizePower) cols.reward_terms.emplace_back(v, slopes[s]);
+    }
+  }
+  cols.crac_power_vars.resize(dc.num_cracs());
+  for (std::size_t c = 0; c < dc.num_cracs(); ++c) {
+    cols.crac_power_vars[c] = lp.add_variable(
+        0.0, solver::kLpInfinity, mode == Mode::MaximizeReward ? 0.0 : -1.0);
+  }
+  return cols;
+}
+
+// The outcome of one solve: objective and powers on Optimal; otherwise
+// the basis only (on a warm Infeasible, the dual-feasible certificate
+// basis, which still warm-starts a neighbor).
+Stage1Solver::LpOutcome make_outcome(
+    const dc::DataCenter& dc,
+    const std::vector<std::vector<std::size_t>>& seg_vars,
+    const std::vector<std::size_t>& crac_power_vars,
+    const solver::LpSolution& sol) {
+  Stage1Solver::LpOutcome out;
+  out.status = sol.status;
+  out.basis = sol.basis;
+  if (!sol.optimal()) return out;
+  out.feasible = true;
+  out.objective = sol.objective;
+  out.node_core_power_kw.assign(dc.num_nodes(), 0.0);
+  for (std::size_t j = 0; j < dc.num_nodes(); ++j) {
+    for (std::size_t v : seg_vars[j]) out.node_core_power_kw[j] += sol.x[v];
+  }
+  out.compute_power_kw = dc.total_base_power_kw();
+  for (double p : out.node_core_power_kw) out.compute_power_kw += p;
+  out.crac_power_kw = 0.0;
+  for (std::size_t v : crac_power_vars) out.crac_power_kw += sol.x[v];
+  return out;
+}
+
+}  // namespace
 
 Stage1LpEvaluator::Stage1LpEvaluator(const dc::DataCenter& dc,
                                      const thermal::HeatFlowModel& model,
                                      Mode mode, double psi, double reward_floor,
                                      const std::vector<double>& crac_out0,
                                      const solver::LpOptions& lp_options)
-    : dc_(dc), mode_(mode), thermal_rows_(dc, model) {
-  const std::size_t nn = dc_.num_nodes();
-  const std::size_t nc = dc_.num_cracs();
-  TAPO_CHECK(crac_out0.size() == nc);
-
-  std::vector<solver::PiecewiseLinear> arr_by_type;
-  arr_by_type.reserve(dc_.node_types.size());
-  for (std::size_t t = 0; t < dc_.node_types.size(); ++t) {
-    arr_by_type.push_back(concave_aggregate_reward_rate(dc_, t, psi)
-                              .scale_copies(dc_.node_types[t].cores_per_node()));
-  }
-
+    : dc_(dc), thermal_rows_(dc, model) {
+  TAPO_CHECK(crac_out0.size() == dc_.num_cracs());
   solver::LpProblem lp;
-  // Same variable layout as Stage1Solver::solve_at / solve_power_at, so an
-  // LpBasis is exchangeable between this LP and the classic builders'.
-  seg_vars_.assign(nn, {});
-  std::vector<std::pair<std::size_t, double>> reward_terms;
-  for (std::size_t j = 0; j < nn; ++j) {
-    if (dc_.node_failed(j)) continue;
-    const auto& fn = arr_by_type[dc_.nodes[j].type];
-    const auto& pts = fn.points();
-    const auto slopes = fn.slopes();
-    for (std::size_t s = 0; s < slopes.size(); ++s) {
-      const double len = pts[s + 1].x - pts[s].x;
-      const double obj = mode_ == Mode::MaximizeReward ? slopes[s] : -1.0;
-      const std::size_t v = lp.add_variable(0.0, len, obj);
-      seg_vars_[j].push_back(v);
-      if (mode_ == Mode::MinimizePower) reward_terms.emplace_back(v, slopes[s]);
-    }
-  }
-  crac_power_vars_.resize(nc);
-  for (std::size_t c = 0; c < nc; ++c) {
-    crac_power_vars_[c] = lp.add_variable(
-        0.0, solver::kLpInfinity, mode_ == Mode::MaximizeReward ? 0.0 : -1.0);
-  }
-
-  if (mode_ == Mode::MinimizePower) {
-    lp.add_constraint(std::move(reward_terms), solver::Relation::GreaterEq,
+  Columns cols = add_columns(lp, dc_, mode, psi);
+  if (mode == Mode::MinimizePower) {
+    lp.add_constraint(std::move(cols.reward_terms), solver::Relation::GreaterEq,
                       reward_floor);
   }
+  seg_vars_ = std::move(cols.seg_vars);
+  crac_power_vars_ = std::move(cols.crac_power_vars);
   // Redlines, k-scaled CRAC power rows and (MaximizeReward) the budget row
   // over the segment variables; see core/thermal_rows.h.
   thermal_rows_.append(lp, seg_vars_, crac_power_vars_, crac_out0,
-                       mode_ == Mode::MaximizeReward);
+                       mode == Mode::MaximizeReward);
 
   session_ = std::make_unique<solver::LpSession>(std::move(lp), lp_options);
 }
@@ -65,33 +119,133 @@ void Stage1LpEvaluator::move_to(const std::vector<double>& crac_out) {
   thermal_rows_.move_to(*session_, crac_out);
 }
 
-void Stage1LpEvaluator::set_reward_floor(double floor) {
-  TAPO_CHECK_MSG(mode_ == Mode::MinimizePower,
-                 "reward floor exists only in MinimizePower mode");
-  session_->patch_rhs(0, floor);
+Stage1Solver::LpOutcome Stage1LpEvaluator::solve(const solver::LpBasis* seed) {
+  return make_outcome(dc_, seg_vars_, crac_power_vars_, session_->solve(seed));
 }
 
-Stage1Solver::LpOutcome Stage1LpEvaluator::solve(const solver::LpBasis* seed) {
-  const solver::LpSolution sol = session_->solve(seed);
-  Stage1Solver::LpOutcome out;
-  out.status = sol.status;
-  if (!sol.optimal()) {
-    out.basis = sol.basis;  // certificate basis on a warm Infeasible
-    return out;
+Stage1Solver::LpOutcome solve_stage1_lp(const dc::DataCenter& dc,
+                                        const thermal::HeatFlowModel& model,
+                                        Mode mode, double psi,
+                                        double reward_floor,
+                                        const std::vector<double>& crac_out,
+                                        const solver::LpOptions& lp_options) {
+  const std::size_t nn = dc.num_nodes();
+  const std::size_t nc = dc.num_cracs();
+  TAPO_CHECK(crac_out.size() == nc);
+
+  // Phase accounting for docs/SOLVER.md §6: everything up to solve_lp is
+  // per-point fixed cost that the persistent evaluator amortizes away.
+  std::optional<util::telemetry::ScopedTimer> build_timer;
+  if (lp_options.telemetry) build_timer.emplace(lp_options.telemetry, "lp.phase.build");
+
+  const thermal::LinearResponse lr = model.linearize(crac_out);
+  solver::LpProblem lp;
+  Columns cols = add_columns(lp, dc, mode, psi);
+  if (mode == Mode::MinimizePower) {
+    lp.add_constraint(std::move(cols.reward_terms), solver::Relation::GreaterEq,
+                      reward_floor);
   }
-  out.feasible = true;
-  out.basis = sol.basis;
-  out.objective = sol.objective;
-  const std::size_t nn = dc_.num_nodes();
-  out.node_core_power_kw.assign(nn, 0.0);
-  for (std::size_t j = 0; j < nn; ++j) {
-    for (std::size_t v : seg_vars_[j]) out.node_core_power_kw[j] += sol.x[v];
+
+  // Thermal redlines: the inlet offset already contains the CRAC-outlet
+  // contribution; the coefficient rows add the node-power influence,
+  // including base power. False when base load alone violates the redline
+  // at these setpoints.
+  const auto add_redline = [&](const solver::Matrix& coeff, std::size_t r,
+                               double rhs) {
+    Terms terms;
+    for (std::size_t j = 0; j < nn; ++j) {
+      const double w = coeff(r, j);
+      if (w == 0.0) continue;
+      rhs -= w * dc.node_base_power_kw(j);
+      for (std::size_t v : cols.seg_vars[j]) terms.emplace_back(v, w);
+    }
+    if (rhs < 0.0 && terms.empty()) return false;
+    lp.add_constraint(std::move(terms), solver::Relation::LessEq, rhs);
+    return true;
+  };
+  for (std::size_t r = 0; r < nn; ++r) {
+    if (!add_redline(lr.node_in_coeff, r, dc.redline_node_c - lr.node_in0[r])) {
+      return {};
+    }
   }
-  out.compute_power_kw = dc_.total_base_power_kw();
-  for (double p : out.node_core_power_kw) out.compute_power_kw += p;
-  out.crac_power_kw = 0.0;
-  for (std::size_t v : crac_power_vars_) out.crac_power_kw += sol.x[v];
-  return out;
+  for (std::size_t r = 0; r < nc; ++r) {
+    if (!add_redline(lr.crac_in_coeff, r, dc.redline_crac_c - lr.crac_in0[r])) {
+      return {};
+    }
+  }
+
+  // CRAC power definition rows: k_c * (crac_in_c - tout_c) - q_c <= 0 with
+  // k_c = rho*Cp*F_c / CoP(tout_c).
+  for (std::size_t c = 0; c < nc; ++c) {
+    const dc::CracSpec& crac = dc.cracs[c];
+    const double k = dc::kAirDensity * dc::kAirSpecificHeat * crac.flow_m3s /
+                     crac.cop(crac_out[c]);
+    Terms terms;
+    double rhs = -k * (lr.crac_in0[c] - crac_out[c]);
+    for (std::size_t j = 0; j < nn; ++j) {
+      const double w = k * lr.crac_in_coeff(c, j);
+      if (w == 0.0) continue;
+      rhs -= w * dc.node_base_power_kw(j);
+      for (std::size_t v : cols.seg_vars[j]) terms.emplace_back(v, w);
+    }
+    terms.emplace_back(cols.crac_power_vars[c], -1.0);
+    lp.add_constraint(std::move(terms), solver::Relation::LessEq, rhs);
+  }
+
+  // Power budget: sum of node core powers + CRAC powers <= Pconst - base.
+  if (mode == Mode::MaximizeReward) {
+    Terms terms;
+    for (std::size_t j = 0; j < nn; ++j) {
+      for (std::size_t v : cols.seg_vars[j]) terms.emplace_back(v, 1.0);
+    }
+    for (std::size_t v : cols.crac_power_vars) terms.emplace_back(v, 1.0);
+    lp.add_constraint(std::move(terms), solver::Relation::LessEq,
+                      dc.p_const_kw - dc.total_base_power_kw());
+  }
+
+  build_timer.reset();
+  return make_outcome(dc, cols.seg_vars, cols.crac_power_vars,
+                      solve_lp(lp, lp_options));
+}
+
+CracSweepLp<Stage1Solver::LpOutcome, Stage1LpEvaluator> stage1_sweep_lp(
+    const dc::DataCenter& dc, const thermal::HeatFlowModel& model, Mode mode,
+    double psi, double reward_floor) {
+  CracSweepLp<Stage1Solver::LpOutcome, Stage1LpEvaluator> family;
+  family.solve_at = [&dc, &model, mode, psi, reward_floor](
+                        const std::vector<double>& crac_out,
+                        const solver::LpOptions& lp) {
+    return solve_stage1_lp(dc, model, mode, psi, reward_floor, crac_out, lp);
+  };
+  family.evaluator = [&dc, &model, mode, psi, reward_floor](
+                         const std::vector<double>& crac_out,
+                         const solver::LpOptions& lp) {
+    return std::make_unique<Stage1LpEvaluator>(dc, model, mode, psi,
+                                               reward_floor, crac_out, lp);
+  };
+  if (mode == Mode::MaximizeReward) {
+    family.value = [](const Stage1Solver::LpOutcome& o) { return o.objective; };
+  } else {
+    family.value = [](const Stage1Solver::LpOutcome& o) {
+      return -(o.compute_power_kw + o.crac_power_kw);
+    };
+  }
+  return family;
+}
+
+CracSweepOptions stage1_sweep_options(const Stage1Options& options,
+                                      const char* prefix,
+                                      const solver::LpBasis* seed) {
+  CracSweepOptions sweep;
+  sweep.prefix = prefix;
+  sweep.tcrac_min_c = options.tcrac_min_c;
+  sweep.tcrac_max_c = options.tcrac_max_c;
+  sweep.grid = stage1_grid_options(options);
+  sweep.full_grid = options.full_grid;
+  sweep.lp = options.lp;
+  sweep.telemetry = options.telemetry;
+  sweep.seed = seed;
+  return sweep;
 }
 
 }  // namespace tapo::core

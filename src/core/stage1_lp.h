@@ -1,34 +1,36 @@
-// Persistent Stage-1 LP evaluator: one resident LP re-pointed at successive
-// CRAC setpoints through the solver session's patch API.
+// The Stage-1 LP at fixed CRAC setpoints, in both of its roles (Stage 1
+// proper and power minimization), as the CRAC sweep (core/crac_sweep.h)
+// needs it: one builder that solves it once from scratch, and one
+// persistent evaluator that keeps it resident and re-points it at
+// successive setpoints through the solver session's patch API.
 //
-// Stage1Solver::solve_at and powermin's solve_power_at rebuild their LP from
-// scratch at every grid point, although between neighboring points only the
-// setpoint-dependent pieces move: every row's RHS (through the affine
-// offsets of HeatFlowModel::offsets) and, in the CRAC power rows, the CoP
-// factor k_c = rho*Cp*F_c / CoP(tout_c). This class builds the LP once per
-// warm chain and afterwards patches exactly those pieces in place, through
-// the thermal block it shares with the baseline evaluator
-// (core/thermal_rows.h):
+// Between neighboring points only the setpoint-dependent pieces move: every
+// row's RHS (through the affine offsets of HeatFlowModel::offsets) and, in
+// the CRAC power rows, the CoP factor k_c = rho*Cp*F_c / CoP(tout_c). The
+// evaluator builds the LP once per warm chain and afterwards patches exactly
+// those pieces in place, through the thermal block it shares with the
+// baseline evaluator (core/thermal_rows.h):
 //
 //   * the CRAC power row is carried in the k-scaled form
 //       (crac_in_c - tout_c) - q_c / k_c <= 0
-//     (the classic builders multiply through by k_c), so the node-power
+//     (the per-point builder multiplies through by k_c), so the node-power
 //     coefficients — the dense thermal part — are setpoint-INDEPENDENT and
 //     a move touches one coefficient (-1/k_c) plus the RHS per CRAC;
 //   * redline rows keep their coefficients verbatim and move only the RHS;
 //   * the reward-floor row (MinimizePower) and the budget row never move.
 //
-// The feasible set at each point is identical to the classic builders'
-// (row scaling changes no solution), the variable layout and row structure
-// are exchangeable with theirs (an LpBasis from solve_at warm-starts this
-// LP and vice versa), and the sweep's published plan is still the Dense
-// cold re-solve at the winning point. See docs/SOLVER.md §7.
+// The feasible set at each point is the per-point builder's (row scaling
+// changes no solution), and both LPs have the same variables, rows and row
+// order, so an LpBasis from one warm-starts the other. The sweep's published
+// plan is the builder's Dense cold re-solve at the winning point. See
+// docs/SOLVER.md §7.
 #pragma once
 
 #include <cstddef>
 #include <memory>
 #include <vector>
 
+#include "core/crac_sweep.h"
 #include "core/stage1.h"
 #include "core/thermal_rows.h"
 #include "dc/datacenter.h"
@@ -58,12 +60,9 @@ class Stage1LpEvaluator {
   // row, patch_coefficient on one column per CRAC power row).
   void move_to(const std::vector<double>& crac_out);
 
-  // MinimizePower only: moves the reward-floor row's RHS (one patch).
-  void set_reward_floor(double floor);
-
   // Solves the resident LP. A non-null seed warm-starts from that basis
   // (chain heads / cross-round seeding); otherwise the previous solve's
-  // state is resumed in place. The outcome mirrors Stage1Solver::solve_at:
+  // state is resumed in place. The outcome mirrors solve_stage1_lp:
   // objective/powers on Optimal, the infeasibility-certificate basis on a
   // warm Infeasible.
   Stage1Solver::LpOutcome solve(const solver::LpBasis* seed = nullptr);
@@ -76,7 +75,6 @@ class Stage1LpEvaluator {
 
  private:
   const dc::DataCenter& dc_;
-  Mode mode_;
 
   std::vector<std::vector<std::size_t>> seg_vars_;
   std::vector<std::size_t> crac_power_vars_;
@@ -87,5 +85,29 @@ class Stage1LpEvaluator {
 
   std::unique_ptr<solver::LpSession> session_;
 };
+
+// Builds the LP of `mode` at crac_out from scratch and solves it with
+// lp_options (engine, warm start, telemetry). Row layout: [reward floor
+// (MinimizePower)], node redlines, CRAC redlines, CRAC power rows, [budget
+// (MaximizeReward)]. Stage1Solver::solve_at is the MaximizeReward case.
+Stage1Solver::LpOutcome solve_stage1_lp(const dc::DataCenter& dc,
+                                        const thermal::HeatFlowModel& model,
+                                        Stage1LpEvaluator::Mode mode,
+                                        double psi, double reward_floor,
+                                        const std::vector<double>& crac_out,
+                                        const solver::LpOptions& lp_options);
+
+// The Stage-1 LP family of `mode` for crac_sweep. The sweep maximizes the
+// relaxed reward (MaximizeReward) or minus the total power, base power
+// included (MinimizePower).
+CracSweepLp<Stage1Solver::LpOutcome, Stage1LpEvaluator> stage1_sweep_lp(
+    const dc::DataCenter& dc, const thermal::HeatFlowModel& model,
+    Stage1LpEvaluator::Mode mode, double psi, double reward_floor);
+
+// Stage1Options as crac_sweep options: metrics under `prefix`, chain heads
+// seeded from `seed` (may be null).
+CracSweepOptions stage1_sweep_options(const Stage1Options& options,
+                                      const char* prefix,
+                                      const solver::LpBasis* seed);
 
 }  // namespace tapo::core

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "core/assigner.h"
 #include "testutil.h"
 
@@ -82,6 +85,41 @@ TEST(PowerMin, AssignmentSatisfiesThermalConstraints) {
       result.assignment.crac_out_c,
       scenario.dc.node_power_from_pstates(result.assignment.core_pstate));
   EXPECT_TRUE(model.within_redlines(temps));
+}
+
+TEST(PowerMin, EngineAndWarmChainDoNotChangeThePlan) {
+  // The sweep only selects setpoints; every attempt's plan comes from a cold
+  // Dense re-solve at the winner. So the plan must be bit-identical whether
+  // the sweep ran the Dense engine per point, the revised engine per point,
+  // or resident sessions at any worker count.
+  for (const std::uint64_t seed : {std::uint64_t{127}, std::uint64_t{128}}) {
+    SCOPED_TRACE(testing::Message() << "seed=" << seed);
+    const auto scenario = test::make_small_scenario(seed, 12, 2);
+    const thermal::HeatFlowModel model(scenario.dc);
+    const Assignment reference =
+        ThreeStageAssigner(scenario.dc, model).assign();
+    ASSERT_TRUE(reference.feasible);
+    const double target = 0.6 * reference.reward_rate;
+
+    std::vector<PowerMinOptions> variants(4);
+    variants[0].stage1.lp.engine = solver::LpEngine::Dense;
+    variants[1].stage1.grid.warm_chain = 1;  // revised, one LP per point
+    variants[2].stage1.threads = 1;          // revised sessions
+    variants[3].stage1.threads = 4;
+    const PowerMinResult dense =
+        minimize_power_for_reward(scenario.dc, model, target, variants[0]);
+    ASSERT_TRUE(dense.feasible);
+    for (std::size_t i = 1; i < variants.size(); ++i) {
+      SCOPED_TRACE(testing::Message() << "variant " << i);
+      const PowerMinResult got =
+          minimize_power_for_reward(scenario.dc, model, target, variants[i]);
+      ASSERT_TRUE(got.feasible);
+      EXPECT_EQ(got.attempts, dense.attempts);
+      EXPECT_EQ(got.assignment.crac_out_c, dense.assignment.crac_out_c);
+      EXPECT_EQ(got.assignment.core_pstate, dense.assignment.core_pstate);
+      EXPECT_EQ(got.total_power_kw, dense.total_power_kw);
+    }
+  }
 }
 
 TEST(PowerMin, ZeroTargetCostsRoughlyPmin) {
