@@ -1,6 +1,7 @@
 // Shared helpers for the benchmark/reproduction binaries.
 #pragma once
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -13,23 +14,34 @@
 namespace tapo::bench {
 
 // Reads a positive integer from the environment; returns fallback when the
-// variable is unset or unparsable. Used to scale the heavy harnesses down
+// variable is unset, warns and returns fallback when it is not a positive
+// integer (trailing junk included). Used to scale the heavy harnesses down
 // (e.g. TAPO_RUNS=3 TAPO_NODES=40 ./bench_fig6_improvement).
 inline std::size_t env_size(const char* name, std::size_t fallback) {
   const char* value = std::getenv(name);
   if (!value) return fallback;
-  const long parsed = std::strtol(value, nullptr, 10);
-  return parsed > 0 ? static_cast<std::size_t>(parsed) : fallback;
+  char* end = nullptr;
+  errno = 0;
+  const long parsed = std::strtol(value, &end, 10);
+  if (end == value || *end != '\0' || errno == ERANGE || parsed <= 0) {
+    std::fprintf(stderr, "%s: '%s' is not a positive integer, keeping %zu\n",
+                 name, value, fallback);
+    return fallback;
+  }
+  return static_cast<std::size_t>(parsed);
 }
 
-// Reads a 0/1 flag from the environment; returns fallback when unset or not
-// "0"/"1". Used to A/B solver paths without a rebuild (e.g. TAPO_NO_WARM=1
-// ./bench_recovery_latency re-plans without the pre-fault warm seed).
+// Reads a 0/1 flag from the environment; returns fallback when unset, warns
+// and returns fallback when not "0"/"1". Used to A/B solver paths without a
+// rebuild (e.g. TAPO_NO_WARM=1 ./bench_recovery_latency re-plans without the
+// pre-fault warm seed).
 inline bool env_flag(const char* name, bool fallback) {
   const char* value = std::getenv(name);
   if (!value) return fallback;
-  if (value[0] == '0' && value[1] == '\0') return false;
-  if (value[0] == '1' && value[1] == '\0') return true;
+  if (std::strcmp(value, "0") == 0) return false;
+  if (std::strcmp(value, "1") == 0) return true;
+  std::fprintf(stderr, "%s: '%s' is not 0 or 1, keeping %d\n", name, value,
+               fallback ? 1 : 0);
   return fallback;
 }
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 #include <utility>
 
 #include "core/recovery.h"
@@ -39,72 +38,30 @@ RollingPlanner::RollingPlanner(const dc::DataCenter& dc,
                                const thermal::HeatFlowModel& model,
                                const Assignment& active,
                                ReplannerOptions options)
-    : dc_(dc), model_(model), options_(std::move(options)), active_(active) {
+    : dc_(dc),
+      model_(model),
+      options_(std::move(options)),
+      active_(active),
+      rate_lp_(dc, active.core_pstate) {
   TAPO_CHECK(options_.validate().ok());
-  TAPO_CHECK(active_.core_pstate.size() == dc_.total_cores());
   build_session();
 }
 
-// Mirrors the Stage-3 class aggregation (core/stage3.cpp): one variable per
-// (task type, (node type, P-state) class), class-capacity rows, then one
-// arrival row per task type whose right-hand side — the only place lambda_i
-// appears in the whole three-stage pipeline — is what step() patches.
+// Resident copy of rate_lp_; step() patches its arrival rows.
 void RollingPlanner::build_session() {
-  vars_.clear();
-  arrival_row_.assign(dc_.num_task_types(), -1);
   session_.reset();
-
-  std::map<std::pair<std::size_t, std::size_t>, std::vector<std::size_t>>
-      classes;
-  for (std::size_t k = 0; k < dc_.total_cores(); ++k) {
-    if (!dc_.core_available(k)) continue;
-    const std::size_t type = dc_.core_type(k);
-    const std::size_t ps = active_.core_pstate[k];
-    if (ps == dc_.node_types[type].off_state()) continue;
-    classes[{type, ps}].push_back(k);
-  }
-
-  solver::LpProblem lp;
-  std::vector<std::vector<std::size_t>> by_type(dc_.num_task_types());
-  for (const auto& [key, cores] : classes) {
-    const auto [type, ps] = key;
-    std::vector<std::pair<std::size_t, double>> capacity_terms;
-    for (std::size_t i = 0; i < dc_.num_task_types(); ++i) {
-      if (!dc_.ecs.can_meet_deadline(i, type, ps,
-                                     dc_.task_types[i].relative_deadline)) {
-        continue;
-      }
-      const double ecs = dc_.ecs.ecs(i, type, ps);
-      const std::size_t v =
-          lp.add_variable(0.0, solver::kLpInfinity, dc_.task_types[i].reward);
-      vars_.push_back({v, i, cores});
-      by_type[i].push_back(vars_.size() - 1);
-      capacity_terms.emplace_back(v, 1.0 / ecs);
-    }
-    if (!capacity_terms.empty()) {
-      lp.add_constraint(std::move(capacity_terms), solver::Relation::LessEq,
-                        static_cast<double>(cores.size()));
-    }
-  }
-  for (std::size_t i = 0; i < dc_.num_task_types(); ++i) {
-    if (by_type[i].empty()) continue;
-    std::vector<std::pair<std::size_t, double>> terms;
-    for (std::size_t idx : by_type[i]) terms.emplace_back(vars_[idx].var, 1.0);
-    arrival_row_[i] = static_cast<std::ptrdiff_t>(lp.num_constraints());
-    lp.add_constraint(std::move(terms), solver::Relation::LessEq,
-                      dc_.task_types[i].arrival_rate);
-  }
-
-  if (!vars_.empty()) {
+  if (!rate_lp_.empty()) {
     solver::LpOptions lp_options = options_.lp;
     if (!lp_options.telemetry) lp_options.telemetry = options_.telemetry;
-    session_ = std::make_unique<solver::LpSession>(std::move(lp), lp_options);
+    session_ =
+        std::make_unique<solver::LpSession>(rate_lp_.problem(), lp_options);
   }
 }
 
 void RollingPlanner::rebind(const Assignment& active) {
   TAPO_CHECK(active.core_pstate.size() == dc_.total_cores());
   active_ = active;
+  rate_lp_ = Stage3RateLp(dc_, active_.core_pstate);
   build_session();
   ++rebuilds_;
   if (options_.telemetry) options_.telemetry->count("replan.session_rebuilds");
@@ -175,8 +132,9 @@ HorizonStep RollingPlanner::step(const std::vector<double>& lambda) {
 
   // The demand-only patch: T right-hand sides on the resident LP.
   for (std::size_t i = 0; i < dc_.num_task_types(); ++i) {
-    if (arrival_row_[i] < 0) continue;
-    session_->patch_rhs(static_cast<std::size_t>(arrival_row_[i]), lambda[i]);
+    if (rate_lp_.arrival_row(i) < 0) continue;
+    session_->patch_rhs(static_cast<std::size_t>(rate_lp_.arrival_row(i)),
+                        lambda[i]);
   }
   const solver::LpSolution sol = session_->solve();
   if (!sol.optimal()) {
@@ -191,13 +149,7 @@ HorizonStep RollingPlanner::step(const std::vector<double>& lambda) {
   candidate.technique = "rolling-horizon";
   candidate.crac_out_c = active_.crac_out_c;
   candidate.core_pstate = active_.core_pstate;
-  candidate.tc = solver::Matrix(dc_.num_task_types(), dc_.total_cores());
-  for (const VarInfo& v : vars_) {
-    const double per_core =
-        sol.x[v.var] / static_cast<double>(v.cores.size());
-    if (per_core <= 0.0) continue;
-    for (std::size_t core : v.cores) candidate.tc(v.task_type, core) = per_core;
-  }
+  candidate.tc = rate_lp_.split(sol.x);
   candidate.reward_rate = sol.objective;
   candidate.feasible = true;
   candidate = finalize_assignment(dc_, model_, std::move(candidate));

@@ -40,6 +40,7 @@
 #include <vector>
 
 #include "core/assigner.h"
+#include "core/stage3.h"
 #include "dc/datacenter.h"
 #include "solver/session.h"
 #include "thermal/heatflow.h"
@@ -126,16 +127,9 @@ class RollingPlanner {
   ReplannerOptions options_;
   Assignment active_;
 
-  // Resident LP bookkeeping: one variable per (task type, (node-type,
-  // P-state) class), arrival row index per task type (-1 = type has no
-  // feasible class and needs no row).
-  struct VarInfo {
-    std::size_t var = 0;
-    std::size_t task_type = 0;
-    std::vector<std::size_t> cores;
-  };
-  std::vector<VarInfo> vars_;
-  std::vector<std::ptrdiff_t> arrival_row_;
+  // The rate LP for active_'s P-states and its resident session (null when
+  // nothing is schedulable).
+  Stage3RateLp rate_lp_;
   std::unique_ptr<solver::LpSession> session_;
 
   std::size_t failures_ = 0;

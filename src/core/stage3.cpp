@@ -1,6 +1,7 @@
 #include "core/stage3.h"
 
 #include <map>
+#include <utility>
 
 #include "solver/lp.h"
 #include "util/check.h"
@@ -10,10 +11,10 @@ namespace tapo::core {
 
 namespace {
 
-Stage3Result finalize(const dc::DataCenter& dc, Stage3Result result) {
-  result.per_type_rate.assign(dc.num_task_types(), 0.0);
-  for (std::size_t i = 0; i < dc.num_task_types(); ++i) {
-    for (std::size_t k = 0; k < dc.total_cores(); ++k) {
+Stage3Result finalize(Stage3Result result) {
+  result.per_type_rate.assign(result.tc.rows(), 0.0);
+  for (std::size_t i = 0; i < result.tc.rows(); ++i) {
+    for (std::size_t k = 0; k < result.tc.cols(); ++k) {
       result.per_type_rate[i] += result.tc(i, k);
     }
   }
@@ -22,11 +23,10 @@ Stage3Result finalize(const dc::DataCenter& dc, Stage3Result result) {
 
 }  // namespace
 
-Stage3Result solve_stage3(const dc::DataCenter& dc,
-                          const std::vector<std::size_t>& core_pstate,
-                          util::telemetry::Registry* telemetry) {
+Stage3RateLp::Stage3RateLp(const dc::DataCenter& dc,
+                           const std::vector<std::size_t>& core_pstate)
+    : num_cores_(dc.total_cores()), arrival_row_(dc.num_task_types(), -1) {
   TAPO_CHECK(core_pstate.size() == dc.total_cores());
-  const util::telemetry::ScopedTimer stage_timer(telemetry, "stage3.solve");
   const std::size_t t = dc.num_task_types();
 
   // Group cores into (node type, P-state) classes; off cores are skipped.
@@ -39,18 +39,10 @@ Stage3Result solve_stage3(const dc::DataCenter& dc,
     classes[{type, ps}].push_back(k);
   }
 
-  solver::LpProblem lp;
-  struct Var {
-    std::size_t var;
-    std::size_t task_type;
-    const std::vector<std::size_t>* cores;
-    double ecs;
-  };
-  std::vector<Var> vars;
   std::vector<std::vector<std::size_t>> by_type(t);  // var indices per task type
-
-  for (const auto& [key, cores] : classes) {
+  for (auto& [key, cores] : classes) {
     const auto [type, ps] = key;
+    const std::size_t cls = classes_.size();
     std::vector<std::pair<std::size_t, double>> capacity_terms;
     for (std::size_t i = 0; i < t; ++i) {
       if (!dc.ecs.can_meet_deadline(i, type, ps,
@@ -59,59 +51,86 @@ Stage3Result solve_stage3(const dc::DataCenter& dc,
       }
       const double ecs = dc.ecs.ecs(i, type, ps);
       const std::size_t v =
-          lp.add_variable(0.0, solver::kLpInfinity, dc.task_types[i].reward);
-      vars.push_back({v, i, &cores, ecs});
-      by_type[i].push_back(vars.size() - 1);
+          lp_.add_variable(0.0, solver::kLpInfinity, dc.task_types[i].reward);
+      vars_.push_back({v, i, cls});
+      by_type[i].push_back(vars_.size() - 1);
       capacity_terms.emplace_back(v, 1.0 / ecs);
     }
     if (!capacity_terms.empty()) {
-      lp.add_constraint(std::move(capacity_terms), solver::Relation::LessEq,
-                        static_cast<double>(cores.size()));
+      lp_.add_constraint(std::move(capacity_terms), solver::Relation::LessEq,
+                         static_cast<double>(cores.size()));
     }
+    classes_.push_back(std::move(cores));
   }
   for (std::size_t i = 0; i < t; ++i) {
     if (by_type[i].empty()) continue;
     std::vector<std::pair<std::size_t, double>> terms;
-    for (std::size_t idx : by_type[i]) terms.emplace_back(vars[idx].var, 1.0);
-    lp.add_constraint(std::move(terms), solver::Relation::LessEq,
-                      dc.task_types[i].arrival_rate);
+    for (std::size_t idx : by_type[i]) terms.emplace_back(vars_[idx].var, 1.0);
+    arrival_row_[i] = static_cast<std::ptrdiff_t>(lp_.num_constraints());
+    lp_.add_constraint(std::move(terms), solver::Relation::LessEq,
+                       dc.task_types[i].arrival_rate);
   }
+}
 
-  Stage3Result result;
-  result.tc = solver::Matrix(t, dc.total_cores());
+void Stage3RateLp::set_arrival_rates(const std::vector<double>& lambda) {
+  TAPO_CHECK(lambda.size() == arrival_row_.size());
+  for (std::size_t i = 0; i < lambda.size(); ++i) {
+    if (arrival_row_[i] < 0) continue;
+    lp_.patch_rhs(static_cast<std::size_t>(arrival_row_[i]), lambda[i]);
+  }
+}
+
+solver::Matrix Stage3RateLp::split(const std::vector<double>& x) const {
+  solver::Matrix tc(arrival_row_.size(), num_cores_);
+  for (const Var& v : vars_) {
+    const std::vector<std::size_t>& cores = classes_[v.cls];
+    const double per_core = x[v.var] / static_cast<double>(cores.size());
+    if (per_core <= 0.0) continue;
+    for (std::size_t core : cores) tc(v.task_type, core) = per_core;
+  }
+  return tc;
+}
+
+Stage3Result solve_stage3(const dc::DataCenter& dc,
+                          const std::vector<std::size_t>& core_pstate,
+                          util::telemetry::Registry* telemetry) {
+  const util::telemetry::ScopedTimer stage_timer(telemetry, "stage3.solve");
+  return solve_stage3(Stage3RateLp(dc, core_pstate), telemetry);
+}
+
+Stage3Result solve_stage3(const Stage3RateLp& rate_lp,
+                          util::telemetry::Registry* telemetry) {
   if (telemetry) {
     telemetry->count("stage3.solves");
-    telemetry->count("stage3.core_classes", classes.size());
-    telemetry->count("stage3.lp_variables", vars.size());
+    telemetry->count("stage3.core_classes", rate_lp.num_classes());
+    telemetry->count("stage3.lp_variables", rate_lp.num_variables());
   }
-  if (vars.empty()) {
+  Stage3Result result;
+  std::vector<double> x(rate_lp.num_variables(), 0.0);  // zero unless solved
+  if (rate_lp.empty()) {
     result.optimal = true;  // nothing can run: zero rates are optimal
-    if (telemetry) telemetry->gauge_set("stage3.reward_rate", 0.0);
-    return finalize(dc, std::move(result));
+  } else {
+    solver::LpOptions lp_opt;
+    lp_opt.telemetry = telemetry;
+    solver::LpSolution sol = solve_lp(rate_lp.problem(), lp_opt);
+    if (telemetry) telemetry->count("stage3.lp_iterations", sol.iterations);
+    if (sol.optimal()) {
+      result.optimal = true;
+      result.reward_rate = sol.objective;
+      x = std::move(sol.x);
+    } else {
+      result.status =
+          sol.status == solver::LpStatus::IterLimit
+              ? util::Status::ResourceExhausted(
+                    "stage3: rate LP hit the iteration cap")
+              : util::Status::Internal("stage3: rate LP did not converge");
+    }
   }
-
-  solver::LpOptions lp_opt;
-  lp_opt.telemetry = telemetry;
-  const solver::LpSolution sol = solve_lp(lp, lp_opt);
-  if (telemetry) telemetry->count("stage3.lp_iterations", sol.iterations);
-  if (!sol.optimal()) {
-    result.status =
-        sol.status == solver::LpStatus::IterLimit
-            ? util::Status::ResourceExhausted(
-                  "stage3: rate LP hit the iteration cap")
-            : util::Status::Internal("stage3: rate LP did not converge");
-    return finalize(dc, std::move(result));
+  if (telemetry && result.optimal) {
+    telemetry->gauge_set("stage3.reward_rate", result.reward_rate);
   }
-
-  result.optimal = true;
-  result.reward_rate = sol.objective;
-  if (telemetry) telemetry->gauge_set("stage3.reward_rate", result.reward_rate);
-  for (const Var& v : vars) {
-    const double per_core = sol.x[v.var] / static_cast<double>(v.cores->size());
-    if (per_core <= 0.0) continue;
-    for (std::size_t core : *v.cores) result.tc(v.task_type, core) = per_core;
-  }
-  return finalize(dc, std::move(result));
+  result.tc = rate_lp.split(x);
+  return finalize(std::move(result));
 }
 
 Stage3Result solve_stage3_percore(const dc::DataCenter& dc,
@@ -161,7 +180,7 @@ Stage3Result solve_stage3_percore(const dc::DataCenter& dc,
   result.tc = solver::Matrix(t, dc.total_cores());
   if (vars.empty()) {
     result.optimal = true;
-    return finalize(dc, std::move(result));
+    return finalize(std::move(result));
   }
 
   const solver::LpSolution sol = solve_lp(lp);
@@ -171,13 +190,13 @@ Stage3Result solve_stage3_percore(const dc::DataCenter& dc,
             ? util::Status::ResourceExhausted(
                   "stage3: rate LP hit the iteration cap")
             : util::Status::Internal("stage3: rate LP did not converge");
-    return finalize(dc, std::move(result));
+    return finalize(std::move(result));
   }
 
   result.optimal = true;
   result.reward_rate = sol.objective;
   for (const Var& v : vars) result.tc(v.task_type, v.core) = sol.x[v.var];
-  return finalize(dc, std::move(result));
+  return finalize(std::move(result));
 }
 
 }  // namespace tapo::core

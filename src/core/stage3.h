@@ -11,12 +11,17 @@
 // variable per (task type, class) with class capacity = class size; rates
 // are distributed uniformly within a class afterwards. solve_stage3_percore
 // keeps the literal per-core formulation for cross-validation.
+//
+// Stages 1 and 2 never read the arrival rates, so the arrival rows here are
+// the only place lambda enters the three-stage plan: a re-plan at drifted
+// rates is this LP with new arrival-row right-hand sides (core/replanner.h).
 #pragma once
 
 #include <cstddef>
 #include <vector>
 
 #include "dc/datacenter.h"
+#include "solver/lp.h"
 #include "solver/matrix.h"
 #include "util/status.h"
 
@@ -37,6 +42,50 @@ struct Stage3Result {
   std::vector<double> per_type_rate;  // sum over cores, per task type
 };
 
+// The class-aggregated Eq.-7 rate LP for fixed per-core P-states: one
+// variable per (task type, (node type, P-state) class) in class order, one
+// capacity row per class with a schedulable type, then one arrival row per
+// task type with a variable. Off cores and failed nodes (dc's degraded-mode
+// state at construction) get no variables. solve_stage3 cold-solves it;
+// RollingPlanner keeps it resident in an LpSession and patches the arrival
+// rows.
+class Stage3RateLp {
+ public:
+  // Arrival rows start at dc.task_types' rates.
+  Stage3RateLp(const dc::DataCenter& dc,
+               const std::vector<std::size_t>& core_pstate);
+
+  const solver::LpProblem& problem() const { return lp_; }
+  // True when no (task type, class) pair is schedulable: the LP has no
+  // variables and zero rates are optimal.
+  bool empty() const { return vars_.empty(); }
+  std::size_t num_classes() const { return classes_.size(); }
+  std::size_t num_variables() const { return vars_.size(); }
+
+  // Row of task type i's arrival constraint sum_k TC(i,k) <= lambda_i, or -1
+  // when no class can meet its deadline and the type has no row.
+  std::ptrdiff_t arrival_row(std::size_t i) const { return arrival_row_[i]; }
+
+  // Re-points the arrival rows at `lambda` (one rate per task type).
+  void set_arrival_rates(const std::vector<double>& lambda);
+
+  // Splits solution `x` uniformly over each class's member cores into the
+  // T x NCORES matrix TC.
+  solver::Matrix split(const std::vector<double>& x) const;
+
+ private:
+  struct Var {
+    std::size_t var;
+    std::size_t task_type;
+    std::size_t cls;
+  };
+  std::size_t num_cores_;
+  std::vector<std::vector<std::size_t>> classes_;  // member cores per class
+  std::vector<Var> vars_;
+  std::vector<std::ptrdiff_t> arrival_row_;
+  solver::LpProblem lp_;
+};
+
 // Solves the Eq.-7 rate LP for the given per-core P-states (off cores get no
 // rates). Cores are aggregated into (node type, P-state) equivalence classes
 // before solving — a lossless reduction because ECS depends on the core only
@@ -48,6 +97,12 @@ struct Stage3Result {
 // counters and the achieved reward rate.
 Stage3Result solve_stage3(const dc::DataCenter& dc,
                           const std::vector<std::size_t>& core_pstate,
+                          util::telemetry::Registry* telemetry = nullptr);
+
+// Cold-solves an already built rate LP at its current arrival rates. Records
+// the stage3.* counters and gauge; the stage3.solve timer is the overload
+// above's, which also covers the build.
+Stage3Result solve_stage3(const Stage3RateLp& rate_lp,
                           util::telemetry::Registry* telemetry = nullptr);
 
 // Reference implementation with one variable per (task type, core); used by

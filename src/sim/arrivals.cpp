@@ -259,12 +259,14 @@ util::Status RateTraceGenConfig::validate() const {
     return util::Status::InvalidArgument(
         "flash/burst duration must be positive and finite");
   }
-  if (std::isfinite(start_s) && start_s >= horizon_s) {
+  // Any negative onset draws it from the seed; NaN fails every comparison,
+  // so it must be rejected by name.
+  if (std::isnan(start_s)) {
+    return util::Status::InvalidArgument("flash/burst onset must be a number");
+  }
+  if (start_s >= horizon_s) {
     return util::Status::InvalidArgument(
         "flash/burst onset must fall inside the horizon");
-  }
-  if (!std::isfinite(start_s) && start_s >= 0.0) {
-    return util::Status::InvalidArgument("flash/burst onset must be finite");
   }
   return util::Status::Ok();
 }

@@ -93,7 +93,9 @@ TEST(ReplannerOptions, ValidateRejectsDegenerateFields) {
 TEST_F(ReplannerFixture, AdoptedStepMatchesFreshStage3OnDriftedRates) {
   RollingPlanner planner(dc(), *model, assignment);
   // A chain of drifted demand points; each patched-and-resumed step must
-  // land on the same optimum as a from-scratch Stage-3 solve at those rates.
+  // land on the same optimum as a from-scratch Stage-3 solve at those rates,
+  // and — because Stages 1 and 2 never read the rates — on the same plan as
+  // a full three-stage re-plan at those rates.
   const std::vector<dc::TaskType> original = dc().task_types;
   for (const double scale : {0.6, 1.4, 0.9, 2.0, 0.3}) {
     const std::vector<double> lambda = rates(scale);
@@ -102,16 +104,24 @@ TEST_F(ReplannerFixture, AdoptedStepMatchesFreshStage3OnDriftedRates) {
                                 << step.status.to_string();
     EXPECT_TRUE(step.plan.feasible);
     EXPECT_EQ(step.plan.technique, "rolling-horizon");
+    EXPECT_TRUE(verify_assignment(dc(), *model, step.plan, &lambda).ok())
+        << "scale " << scale;
 
     for (std::size_t i = 0; i < dc().num_task_types(); ++i) {
       dc().task_types[i].arrival_rate = lambda[i];
     }
     const Stage3Result fresh =
         solve_stage3(dc(), assignment.core_pstate);
+    const Assignment replan = ThreeStageAssigner(dc(), *model).assign();
     dc().task_types = original;
     ASSERT_TRUE(fresh.optimal);
     EXPECT_NEAR(step.plan.reward_rate, fresh.reward_rate,
                 1e-6 * std::max(1.0, fresh.reward_rate))
+        << "scale " << scale;
+    ASSERT_TRUE(replan.feasible) << "scale " << scale;
+    EXPECT_EQ(step.plan.crac_out_c, replan.crac_out_c) << "scale " << scale;
+    EXPECT_EQ(step.plan.core_pstate, replan.core_pstate) << "scale " << scale;
+    EXPECT_DOUBLE_EQ(step.plan.reward_rate, replan.reward_rate)
         << "scale " << scale;
   }
   EXPECT_EQ(planner.consecutive_failures(), 0u);

@@ -223,6 +223,34 @@ TEST(RateTrace, GeneratorsAreDeterministicAndValid) {
   }
 }
 
+TEST(RateTrace, GeneratorConfigValidationRejectsDegenerateFields) {
+  EXPECT_TRUE(RateTraceGenConfig{}.validate().ok());
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  {
+    RateTraceGenConfig c;
+    c.start_s = -1.0;  // < 0 draws the onset from the seed
+    EXPECT_TRUE(c.validate().ok());
+  }
+  const auto rejects = [](auto mutate) {
+    RateTraceGenConfig c;
+    mutate(c);
+    return !c.validate().ok();
+  };
+  EXPECT_TRUE(rejects([&](RateTraceGenConfig& c) { c.start_s = nan; }));
+  EXPECT_TRUE(rejects([&](RateTraceGenConfig& c) { c.start_s = inf; }));
+  EXPECT_TRUE(rejects([](RateTraceGenConfig& c) { c.start_s = c.horizon_s; }));
+  EXPECT_TRUE(rejects([&](RateTraceGenConfig& c) { c.horizon_s = nan; }));
+  EXPECT_TRUE(rejects([](RateTraceGenConfig& c) { c.horizon_s = 0.0; }));
+  EXPECT_TRUE(rejects([](RateTraceGenConfig& c) { c.segments = 0; }));
+  EXPECT_TRUE(rejects([](RateTraceGenConfig& c) { c.amplitude = 1.5; }));
+  EXPECT_TRUE(rejects([&](RateTraceGenConfig& c) { c.amplitude = nan; }));
+  EXPECT_TRUE(rejects([](RateTraceGenConfig& c) { c.magnitude = 0.5; }));
+  EXPECT_TRUE(rejects([&](RateTraceGenConfig& c) { c.magnitude = inf; }));
+  EXPECT_TRUE(rejects([](RateTraceGenConfig& c) { c.duration_s = 0.0; }));
+  EXPECT_TRUE(rejects([&](RateTraceGenConfig& c) { c.duration_s = nan; }));
+}
+
 TEST(RateTrace, FlashCrowdPeaksAtMagnitude) {
   RateTraceGenConfig config;
   config.kind = RateTraceGenConfig::Kind::kFlashCrowd;
