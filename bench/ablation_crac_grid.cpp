@@ -23,6 +23,7 @@ int main() {
   std::printf("=== Ablation: CRAC setpoint search strategies (%zu runs, %zu "
               "nodes, 2 CRACs) ===\n\n",
               runs, nodes);
+  bench::print_config();
 
   util::RunningStats reward_uc, reward_grid, reward_fixed;
   util::RunningStats solves_uc, solves_grid;

@@ -19,6 +19,7 @@ int main() {
   std::printf("=== Extension: power minimization under a reward-rate floor "
               "(%zu nodes) ===\n\n",
               nodes);
+  bench::print_config();
 
   scenario::ScenarioConfig config;
   config.num_nodes = nodes;

@@ -27,6 +27,7 @@ int main() {
   std::printf("=== Ablation: psi sweep (%zu runs, %zu nodes, set-3 config) "
               "===\n\n",
               runs, nodes);
+  bench::print_config();
 
   const double psis[] = {12.5, 25.0, 37.5, 50.0, 75.0, 100.0};
   std::vector<util::RunningStats> improvement(std::size(psis));

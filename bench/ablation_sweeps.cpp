@@ -54,6 +54,7 @@ int main() {
   std::printf("=== Ablation: static-fraction x Vprop sweep (%zu runs per "
               "cell, %zu nodes) ===\n\n",
               runs, nodes);
+  bench::print_config();
   std::printf("cells: mean %% improvement (best-of-psi) over baseline, 95%% CI\n\n");
 
   const double fractions[] = {0.1, 0.2, 0.3, 0.4};

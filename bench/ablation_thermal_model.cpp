@@ -42,6 +42,7 @@ int main() {
   std::printf("=== Ablation: planning with a mis-modeled thermal matrix "
               "(%zu nodes, %zu scenarios) ===\n\n",
               nodes, runs);
+  bench::print_config();
 
   util::RunningStats aware_reward, blind_reward, blind_violation_c;
   std::size_t blind_violations = 0, total = 0;

@@ -7,11 +7,51 @@
 #include <cstring>
 #include <fstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "solver/lp.h"
 #include "util/telemetry.h"
 
 namespace tapo::bench {
+
+// Every TAPO_* knob the readers below have resolved, in first-read order:
+// (name, "value" plus "(default)" when unset or a note when the value was
+// rejected). print_config lists them in a harness header.
+inline std::vector<std::pair<std::string, std::string>>& knobs_read() {
+  static std::vector<std::pair<std::string, std::string>> knobs;
+  return knobs;
+}
+
+// Records knob `name` as resolved to `value`; `raw` is the environment
+// string (null when unset) and `accepted` whether it was used. A knob read
+// again keeps its first slot.
+inline void note_knob(const char* name, const char* raw, bool accepted,
+                      std::string value) {
+  if (!raw) {
+    value += " (default)";
+  } else if (!accepted) {
+    value += " (default; '" + std::string(raw) + "' rejected)";
+  }
+  for (auto& knob : knobs_read()) {
+    if (knob.first == name) {
+      knob.second = std::move(value);
+      return;
+    }
+  }
+  knobs_read().emplace_back(name, std::move(value));
+}
+
+// Prints the knobs read so far as one "config:" line and a blank line.
+// Harnesses call it right after their header, having read every knob first.
+inline void print_config() {
+  std::printf("config:");
+  if (knobs_read().empty()) std::printf(" no TAPO_* knobs read");
+  for (const auto& [name, value] : knobs_read()) {
+    std::printf(" %s=%s", name.c_str(), value.c_str());
+  }
+  std::printf("\n\n");
+}
 
 // Reads a positive integer from the environment; returns fallback when the
 // variable is unset, warns and returns fallback when it is not a positive
@@ -19,15 +59,20 @@ namespace tapo::bench {
 // (e.g. TAPO_RUNS=3 TAPO_NODES=40 ./bench_fig6_improvement).
 inline std::size_t env_size(const char* name, std::size_t fallback) {
   const char* value = std::getenv(name);
-  if (!value) return fallback;
+  if (!value) {
+    note_knob(name, nullptr, false, std::to_string(fallback));
+    return fallback;
+  }
   char* end = nullptr;
   errno = 0;
   const long parsed = std::strtol(value, &end, 10);
   if (end == value || *end != '\0' || errno == ERANGE || parsed <= 0) {
     std::fprintf(stderr, "%s: '%s' is not a positive integer, keeping %zu\n",
                  name, value, fallback);
+    note_knob(name, value, false, std::to_string(fallback));
     return fallback;
   }
+  note_knob(name, value, true, std::to_string(parsed));
   return static_cast<std::size_t>(parsed);
 }
 
@@ -37,12 +82,17 @@ inline std::size_t env_size(const char* name, std::size_t fallback) {
 // pre-fault warm seed).
 inline bool env_flag(const char* name, bool fallback) {
   const char* value = std::getenv(name);
-  if (!value) return fallback;
-  if (std::strcmp(value, "0") == 0) return false;
-  if (std::strcmp(value, "1") == 0) return true;
-  std::fprintf(stderr, "%s: '%s' is not 0 or 1, keeping %d\n", name, value,
-               fallback ? 1 : 0);
-  return fallback;
+  bool out = fallback;
+  const bool accepted = value && (std::strcmp(value, "0") == 0 ||
+                                  std::strcmp(value, "1") == 0);
+  if (accepted) {
+    out = value[0] == '1';
+  } else if (value) {
+    std::fprintf(stderr, "%s: '%s' is not 0 or 1, keeping %d\n", name, value,
+                 fallback ? 1 : 0);
+  }
+  note_knob(name, value, accepted, out ? "1" : "0");
+  return out;
 }
 
 // Reads a revised-engine pricing rule ("dantzig" | "partial_devex")
@@ -52,12 +102,13 @@ inline bool env_flag(const char* name, bool fallback) {
 inline solver::LpPricing env_lp_pricing(const char* name,
                                         solver::LpPricing fallback) {
   solver::LpPricing out = fallback;
-  if (const char* value = std::getenv(name)) {
-    if (!solver::parse_lp_pricing(value, &out)) {
-      std::fprintf(stderr, "%s: unknown pricing '%s', keeping %s\n", name,
-                   value, solver::to_string(fallback));
-    }
+  const char* value = std::getenv(name);
+  const bool accepted = value && solver::parse_lp_pricing(value, &out);
+  if (value && !accepted) {
+    std::fprintf(stderr, "%s: unknown pricing '%s', keeping %s\n", name,
+                 value, solver::to_string(fallback));
   }
+  note_knob(name, value, accepted, solver::to_string(out));
   return out;
 }
 
@@ -68,12 +119,21 @@ inline solver::LpPricing env_lp_pricing(const char* name,
 inline solver::LpEngine env_lp_engine(const char* name,
                                       solver::LpEngine fallback) {
   const char* value = std::getenv(name);
-  if (!value) return fallback;
-  if (std::strcmp(value, "revised") == 0) return solver::LpEngine::Revised;
-  if (std::strcmp(value, "dense") == 0) return solver::LpEngine::Dense;
-  std::fprintf(stderr, "%s: unknown engine '%s', keeping %s\n", name, value,
-               fallback == solver::LpEngine::Dense ? "dense" : "revised");
-  return fallback;
+  solver::LpEngine out = fallback;
+  bool accepted = false;
+  if (value && std::strcmp(value, "revised") == 0) {
+    out = solver::LpEngine::Revised;
+    accepted = true;
+  } else if (value && std::strcmp(value, "dense") == 0) {
+    out = solver::LpEngine::Dense;
+    accepted = true;
+  } else if (value) {
+    std::fprintf(stderr, "%s: unknown engine '%s', keeping %s\n", name, value,
+                 fallback == solver::LpEngine::Dense ? "dense" : "revised");
+  }
+  note_knob(name, value, accepted,
+            out == solver::LpEngine::Dense ? "dense" : "revised");
+  return out;
 }
 
 // Telemetry sink for bench binaries, sharing the runtime registry and JSON
@@ -86,7 +146,9 @@ inline solver::LpEngine env_lp_engine(const char* name,
 // null check, exactly like library call sites.
 inline util::telemetry::Registry* telemetry_sink() {
   static util::telemetry::Registry registry;
-  return std::getenv("TAPO_TELEMETRY_OUT") ? &registry : nullptr;
+  const char* path = std::getenv("TAPO_TELEMETRY_OUT");
+  note_knob("TAPO_TELEMETRY_OUT", path, true, path ? path : "off");
+  return path ? &registry : nullptr;
 }
 
 // Serializes the sink to $TAPO_TELEMETRY_OUT (no-op when unset). Call once

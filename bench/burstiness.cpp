@@ -25,6 +25,7 @@ int main() {
   std::printf("=== Extension: reward under bursty (MMPP) arrivals at equal "
               "offered load (%zu nodes, %zu scenarios, %.0f s) ===\n\n",
               nodes, runs, horizon);
+  bench::print_config();
 
   const double multipliers[] = {1.0, 3.0, 6.0, 10.0};
   std::vector<util::RunningStats> reward(std::size(multipliers));

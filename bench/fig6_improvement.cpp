@@ -54,6 +54,7 @@ int main() {
               "the Eq. 21 baseline ===\n");
   std::printf("%zu runs per set, %zu nodes, %zu CRACs (paper: 25 x 150 x 3)\n\n",
               runs, nodes, cracs);
+  bench::print_config();
 
   util::Table table({"configuration", "psi=25 (%)", "psi=50 (%)",
                      "best of both (%)", "runs"});

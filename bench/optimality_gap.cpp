@@ -27,9 +27,11 @@ int main() {
   // paper's validation scale. ----
   const std::size_t runs_a = bench::env_size("TAPO_RUNS", 5);
   const std::size_t nodes_a = bench::env_size("TAPO_NODES", 40);
+  const std::size_t runs_b = bench::env_size("TAPO_MICRO_RUNS", 8);
   std::printf("=== Part A: brute-force discretized CRAC search vs default "
               "search (%zu nodes, 2 CRACs, %zu runs) ===\n\n",
               nodes_a, runs_a);
+  bench::print_config();
   util::RunningStats gain_pct;
   for (std::size_t run = 0; run < runs_a; ++run) {
     scenario::ScenarioConfig config;
@@ -58,7 +60,6 @@ int main() {
               util::fmt_ci(gain_pct.mean(), gain_pct.ci_halfwidth(0.95)).c_str());
 
   // ---- Part (b): exhaustive Eq.-7 optimum on micro data centers. ----
-  const std::size_t runs_b = bench::env_size("TAPO_MICRO_RUNS", 8);
   std::printf("=== Part B: exhaustive MINLP optimum on micro data centers "
               "(2 nodes x 3 cores, %zu instances) ===\n\n",
               runs_b);

@@ -18,6 +18,7 @@ int main() {
   std::printf("=== Eq. 17/18: power bounds and the budget (%zu nodes, %zu "
               "CRACs) ===\n\n",
               nodes, cracs);
+  bench::print_config();
 
   util::Table table({"seed", "Pmin (kW)", "Pmax (kW)", "Pconst (kW)",
                      "compute max (kW)", "CRAC share at Pmax (%)",

@@ -197,6 +197,7 @@ int main() {
   std::printf("=== Extension: one-shot vs rolling re-plans vs trace oracle "
               "under demand drift (%zu nodes, %zu scenarios) ===\n\n",
               nodes, runs);
+  bench::print_config();
   bool empty_row = false;
 
   const double horizon = 120.0;

@@ -25,6 +25,7 @@ int main() {
   std::printf("=== Second-step ablation: routing policies (%zu nodes, %zu "
               "scenarios, 120 s runs) ===\n\n",
               nodes, runs);
+  bench::print_config();
 
   struct Policy {
     const char* name;

@@ -194,6 +194,10 @@ BENCHMARK(BM_SimulateSharded)->Arg(640)->Arg(4800)->Unit(benchmark::kMillisecond
 int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  tapo::bench::telemetry_sink();  // resolves TAPO_TELEMETRY_OUT for the header
+  for (const auto& [name, value] : tapo::bench::knobs_read()) {
+    benchmark::AddCustomContext(name, value);
+  }
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   tapo::bench::write_telemetry();

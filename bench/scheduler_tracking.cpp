@@ -18,8 +18,12 @@ int main() {
   using namespace tapo;
 
   const std::size_t nodes = bench::env_size("TAPO_NODES", 15);
+  // TAPO_TELEMETRY_OUT=<file>.json archives this harness's metrics in the
+  // same JSON shape tapo_cli --telemetry-out emits.
+  util::telemetry::Registry* const telemetry = bench::telemetry_sink();
   std::printf("=== Second-step dynamic scheduler: desired vs realized rates "
               "===\n\n");
+  bench::print_config();
 
   scenario::ScenarioConfig config;
   config.num_nodes = nodes;
@@ -33,9 +37,6 @@ int main() {
   const auto& dc = scenario->dc;
   const thermal::HeatFlowModel model(dc);
   const core::ThreeStageAssigner assigner(dc, model);
-  // TAPO_TELEMETRY_OUT=<file>.json archives this harness's metrics in the
-  // same JSON shape tapo_cli --telemetry-out emits.
-  util::telemetry::Registry* const telemetry = bench::telemetry_sink();
   core::ThreeStageOptions assign_options;
   assign_options.stage1.telemetry = telemetry;
   const core::Assignment assignment = assigner.assign(assign_options);

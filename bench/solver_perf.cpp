@@ -504,6 +504,14 @@ BENCHMARK(BM_BaselineAssign)->Arg(20)->Arg(50)->Arg(150)->Unit(benchmark::kMilli
 int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  // Resolve every knob up front (TAPO_BENCH_MAX_NODES was read when the
+  // sweeps registered) so the benchmark header's context lists them all.
+  tapo::bench::telemetry_sink();
+  tapo::bench::env_lp_pricing("TAPO_LP_PRICING",
+                              tapo::solver::LpOptions{}.pricing);
+  for (const auto& [name, value] : tapo::bench::knobs_read()) {
+    benchmark::AddCustomContext(name, value);
+  }
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   tapo::bench::write_telemetry();

@@ -16,7 +16,10 @@
 int main() {
   using namespace tapo;
 
+  const std::size_t nodes = bench::env_size("TAPO_NODES", 150);
+  const std::size_t cracs = bench::env_size("TAPO_CRACS", 3);
   std::printf("=== Table II: EC / RC ranges per compute-node label ===\n\n");
+  bench::print_config();
   util::Table ranges({"label", "EC range (paper)", "RC range (paper)"});
   for (auto label : {dc::RackLabel::A, dc::RackLabel::B, dc::RackLabel::C,
                      dc::RackLabel::D, dc::RackLabel::E}) {
@@ -27,8 +30,6 @@ int main() {
   }
   ranges.print(std::cout);
 
-  const std::size_t nodes = bench::env_size("TAPO_NODES", 150);
-  const std::size_t cracs = bench::env_size("TAPO_CRACS", 3);
   std::printf("\nGenerating cross-interference coefficients for %zu nodes / "
               "%zu CRACs (Appendix B as a feasible circulation)...\n",
               nodes, cracs);

@@ -25,6 +25,7 @@ int main() {
   std::printf("=== Extension: task-type-dependent core power (%zu nodes, %zu "
               "scenarios) ===\n\n",
               nodes, runs);
+  bench::print_config();
   std::printf("Half the task types are 'I/O-like' with the given power "
               "factor; idle factor = cheapest task factor.\n\n");
 

@@ -57,6 +57,52 @@
 
 namespace tapo::solver::internal {
 
+void run_col_dots(const RunColumns& a, const double* y, const std::size_t* cols,
+                  std::size_t n, double* dots) {
+  constexpr std::size_t kLanes = 4;
+  std::size_t i = 0;
+  for (; i + kLanes <= n; i += kLanes) {
+    double s[kLanes];
+    const double* yv[kLanes];
+    const double* cv[kLanes];
+    std::size_t rl[kLanes];
+    std::size_t common = 0;
+    for (std::size_t l = 0; l < kLanes; ++l) {
+      const std::size_t j = cols[i + l];
+      const std::size_t rs = a.run_start[j];
+      s[l] = 0.0;
+      for (std::size_t k = a.start[j]; k < rs; ++k) {
+        s[l] += y[a.row[k]] * a.val[k];
+      }
+      rl[l] = a.run_len[j];
+      yv[l] = rl[l] != 0 ? y + a.row[rs] : y;
+      cv[l] = a.val + rs;
+      common = l == 0 ? rl[0] : std::min(common, rl[l]);
+    }
+    // The lockstep: four independent chains, each in ascending order.
+    double s0 = s[0], s1 = s[1], s2 = s[2], s3 = s[3];
+    for (std::size_t t = 0; t < common; ++t) {
+      s0 += yv[0][t] * cv[0][t];
+      s1 += yv[1][t] * cv[1][t];
+      s2 += yv[2][t] * cv[2][t];
+      s3 += yv[3][t] * cv[3][t];
+    }
+    s[0] = s0;
+    s[1] = s1;
+    s[2] = s2;
+    s[3] = s3;
+    for (std::size_t l = 0; l < kLanes; ++l) {
+      for (std::size_t t = common; t < rl[l]; ++t) s[l] += yv[l][t] * cv[l][t];
+      const std::size_t j = cols[i + l];
+      for (std::size_t k = a.run_start[j] + rl[l]; k < a.start[j + 1]; ++k) {
+        s[l] += y[a.row[k]] * a.val[k];
+      }
+      dots[j] = s[l];
+    }
+  }
+  for (; i < n; ++i) dots[cols[i]] = run_col_dot(a, y, cols[i]);
+}
+
 void RevisedCore::standardize() {
   util::telemetry::ScopedTimer timer(reg_, "lp.phase.standardize");
   TAPO_CHECK_MSG(opt_.ft_max_updates >= 1,
@@ -458,6 +504,15 @@ bool RevisedCore::pivot(std::size_t enter, int dir, std::size_t pivot_row,
   return push_update_and_maybe_refactor(pivot_row);
 }
 
+void RevisedCore::fill_nonbasic_class_dots(const std::vector<double>& y) {
+  for (std::size_t v = 0; v < n_struct_; ++v) {
+    if (status_[v] == VarStatus::Basic) continue;
+    if (ub_[v] <= 0.0 && status_[v] == VarStatus::AtLower) continue;  // fixed
+    queue_class_dot(v);
+  }
+  flush_class_dots(y);
+}
+
 bool RevisedCore::price_entering(const std::vector<double>& cost, bool bland,
                                  std::size_t& enter, int& dir) {
   const double tol = opt_.tolerance;
@@ -496,6 +551,7 @@ bool RevisedCore::price_entering(const std::vector<double>& cost, bool bland,
     // columns. Under Bland the first eligible index wins — windowing is
     // bypassed entirely so the anti-cycling argument (strictly lowest
     // eligible index) is untouched by the pricing rule.
+    fill_nonbasic_class_dots(y_);
     for (std::size_t v = 0; v < n_total_; ++v) {
       if (status_[v] == VarStatus::Basic) continue;
       if (ub_[v] <= 0.0 && status_[v] == VarStatus::AtLower) continue;
@@ -547,6 +603,8 @@ bool RevisedCore::price_entering(const std::vector<double>& cost, bool bland,
   for (std::size_t v = slack0_; v < n_total_; ++v) {
     consider(v, cost[v] - col_dot(y_, v));
   }
+  for (const std::size_t u : cand_units_) queue_class_dot(units_[u]);
+  flush_class_dots(y_);
   std::size_t alive = 0;
   for (std::size_t i = 0; i < cand_units_.size(); ++i) {
     if (scan_unit(cand_units_[i])) cand_units_[alive++] = cand_units_[i];
@@ -573,6 +631,8 @@ bool RevisedCore::price_entering(const std::vector<double>& cost, bool bland,
     std::size_t unit;
   };
   std::vector<UnitScore> eligible;
+  for (std::size_t u = 0; u < nu; ++u) queue_class_dot(units_[u]);
+  flush_class_dots(y_);
   for (std::size_t u = 0; u < nu; ++u) {
     const std::size_t rep = units_[u];
     const double dot = priced_dot(y_, rep);
@@ -756,6 +816,7 @@ void RevisedCore::make_dual_feasible() {
   // leave them unchanged).
   price_y(obj2_);
   d_.assign(n_total_, 0.0);
+  fill_nonbasic_class_dots(y_);
   bool flipped = false;
   for (std::size_t v = 0; v < n_total_; ++v) {
     if (status_[v] == VarStatus::Basic) continue;
@@ -855,6 +916,7 @@ RevisedCore::Step RevisedCore::dual_iterate() {
     // cost update after the pivot; d_ was seeded by make_dual_feasible.
     cands.clear();
     alphas_.resize(n_total_);  // stale entries belong to skipped vars only
+    fill_nonbasic_class_dots(rho_);
     for (std::size_t v = 0; v < n_total_; ++v) {
       if (status_[v] == VarStatus::Basic) continue;
       if (ub_[v] <= 0.0 && status_[v] == VarStatus::AtLower) continue;  // fixed

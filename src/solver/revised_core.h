@@ -26,6 +26,47 @@
 
 namespace tapo::solver::internal {
 
+// The standardized structural columns as the pricing dots read them: CSC
+// arrays plus, per column, its longest contiguous row run (see
+// RevisedCore::col_run_start_). Rows ascend within each column.
+struct RunColumns {
+  const std::size_t* start;      // column j's entries are [start[j], start[j+1])
+  const std::size_t* row;        // row index per entry
+  const double* val;             // coefficient per entry
+  const std::size_t* run_start;  // CSC position of column j's run
+  const std::size_t* run_len;    // its length (0 only for an empty column)
+};
+
+// y · column j, split into sparse head / contiguous dense run / sparse tail.
+// The three loops visit the column's entries in ascending-row order, so the
+// sum is the same as a plain CSC walk; the run loop just drops the row-index
+// gather.
+inline double run_col_dot(const RunColumns& a, const double* y,
+                          std::size_t j) {
+  double s = 0.0;
+  const std::size_t k1 = a.start[j + 1];
+  const std::size_t rs = a.run_start[j];
+  const std::size_t rl = a.run_len[j];
+  for (std::size_t k = a.start[j]; k < rs; ++k) s += y[a.row[k]] * a.val[k];
+  if (rl != 0) {
+    const double* yv = y + a.row[rs];
+    const double* cv = a.val + rs;
+    for (std::size_t i = 0; i < rl; ++i) s += yv[i] * cv[i];
+  }
+  for (std::size_t k = rs + rl; k < k1; ++k) s += y[a.row[k]] * a.val[k];
+  return s;
+}
+
+// dots[j] = run_col_dot(a, y, j) for every j in cols[0, n), bit for bit.
+// Columns go four at a time: each lane keeps its own sum in run_col_dot's
+// order and expression shape, and the lanes only interleave independent add
+// chains, so the lockstep hides floating-point add latency without
+// reassociating any sum. The lanes run the common prefix of their runs
+// together; each then finishes its own remainder. A final group of fewer
+// than four columns falls back to run_col_dot.
+void run_col_dots(const RunColumns& a, const double* y, const std::size_t* cols,
+                  std::size_t n, double* dots);
+
 class RevisedCore {
  public:
   RevisedCore(const LpProblem& p, const LpOptions& opt)
@@ -106,34 +147,16 @@ class RevisedCore {
       f(j - art0_, art_sign_[j - art0_]);
     }
   }
-  // Pricing dot, split per structural column into sparse head / contiguous
-  // dense run / sparse tail (see col_run_start_). The three loops visit the
-  // same entries in the same ascending-row order as for_col, so the sum is
-  // bit-identical; the dense middle loop — the thermal-row block in the
-  // Stage-1 LPs — just drops the per-entry row-index gather.
+  // Pricing dot of any column: run_col_dot for structural columns, one
+  // array read for slacks and artificials.
   double col_dot(const std::vector<double>& y, std::size_t j) const {
-    double s = 0.0;
-    if (j < slack0_) {
-      const std::size_t k1 = col_start_[j + 1];
-      const std::size_t rs = col_run_start_[j];
-      const std::size_t rl = col_run_len_[j];
-      for (std::size_t k = col_start_[j]; k < rs; ++k) {
-        s += y[col_row_[k]] * col_val_[k];
-      }
-      if (rl != 0) {
-        const double* yv = y.data() + col_row_[rs];
-        const double* cv = col_val_.data() + rs;
-        for (std::size_t i = 0; i < rl; ++i) s += yv[i] * cv[i];
-      }
-      for (std::size_t k = rs + rl; k < k1; ++k) {
-        s += y[col_row_[k]] * col_val_[k];
-      }
-    } else if (j < art0_) {
-      s = y[j - slack0_];
-    } else {
-      s = y[j - art0_] * art_sign_[j - art0_];
-    }
-    return s;
+    if (j < slack0_) return run_col_dot(run_columns(), y.data(), j);
+    if (j < art0_) return y[j - slack0_];
+    return y[j - art0_] * art_sign_[j - art0_];
+  }
+  RunColumns run_columns() const {
+    return {col_start_.data(), col_row_.data(), col_val_.data(),
+            col_run_start_.data(), col_run_len_.data()};
   }
   void load_col(std::size_t j, std::vector<double>& w) const {
     w.assign(m_, 0.0);
@@ -155,6 +178,25 @@ class RevisedCore {
     }
     return class_dot_[rep];
   }
+  // Batched memo fill for a full pricing pass: queue_class_dot(v) queues
+  // structural column v's class when its memo is stale for the current
+  // epoch, and flush_class_dots(y) fills every queued memo with
+  // run_col_dots. A pass queues its columns first and then reads them
+  // through priced_dot as before, now all memo hits.
+  void queue_class_dot(std::size_t v) {
+    const std::size_t rep = col_class_[v];
+    if (class_stamp_[rep] == pricing_epoch_) return;
+    class_stamp_[rep] = pricing_epoch_;
+    dot_batch_.push_back(rep);
+  }
+  void flush_class_dots(const std::vector<double>& y) {
+    run_col_dots(run_columns(), y.data(), dot_batch_.data(), dot_batch_.size(),
+                 class_dot_.data());
+    dot_batch_.clear();
+  }
+  // The batched fill for the columns every full pass visits: each nonbasic,
+  // non-fixed structural column.
+  void fill_nonbasic_class_dots(const std::vector<double>& y);
 
   // ---- state recomputation ----
   void price_y(const std::vector<double>& cost);
@@ -244,6 +286,7 @@ class RevisedCore {
   std::vector<double> class_dot_;          // memoized dot, indexed by rep
   std::vector<std::uint64_t> class_stamp_; // epoch the memo slot was filled
   std::uint64_t pricing_epoch_ = 1;        // bumped when y_/rho_ change
+  std::vector<std::size_t> dot_batch_;     // reps queued for flush_class_dots
 
   // Candidate-list partial pricing (docs/SOLVER.md §8). A unit is one column
   // class: units_ lists the representatives ascending, and unit_cols_
