@@ -15,7 +15,12 @@
 // [0.5, 2.0] degenerate every cohort to one member, which is the index's
 // worst case (one heap entry per candidate, as a flat index would hold).
 // Arrival rates match the TC row sums so admission stays realistic: the
-// ratio filter hovers around 1 and both paths see blocked candidates.
+// ratio filter hovers around 1 and both paths see blocked candidates. A
+// third layout is the overload regime of the des-storm-300 pipeline
+// workload: uniform rates that load every core to capacity, short deadlines
+// and arrivals at twice the planned rates, so most routes end with whole
+// cohort buckets deadline-blocked — the path the buckets' finish floors
+// skip in O(1) (docs/SCHEDULER.md §2).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -36,19 +41,32 @@ constexpr std::size_t kNumTypes = 8;
 constexpr std::size_t kCoresPerNode = 16;
 constexpr double kEcsRate = 4.0;  // tasks/sec per core => utilization <= 0.5
 
+// Overload layout: per-core desired rate at P-state 0 capacity, arrivals at
+// kOverloadDemand x the TC sums and every core starting with a backlog of
+// one deadline. Admission then runs at the service rate, so each core sits
+// at its deadline boundary: about half the routes find every bucket of the
+// type deadline-blocked and drop, the rest admit to a core that just
+// drained below the boundary.
+constexpr double kOverloadDeadline = 2.0;
+constexpr double kOverloadDemand = 2.0;
+
+enum class Rates { kHeterogeneous, kUniform, kOverload };
+
 struct BenchPark {
   dc::DataCenter dc;
   core::Assignment assignment;
-  double total_rate = 0.0;  // sum of all desired rates (= arrival rate)
+  double total_rate = 0.0;  // sum of all arrival rates
+  double backlog_s = 0.0;   // every core's queued work at time 0
 };
 
 // A single-node-type park with `cores` cores total, a block-diagonal
 // desired-rate matrix (type i owns cores [i*B, (i+1)*B)) and arrival rates
-// matched to the TC row sums. `uniform` selects LP-like identical rates per
-// row; otherwise rates are drawn from [0.5, 2.0]. Only the fields the
-// scheduler and DES touch need to be meaningful; thermal state (alpha) is
-// never consulted on the routing path and is left empty.
-BenchPark make_park(std::size_t cores, bool uniform = false) {
+// matched to the TC row sums (kOverloadDemand times them for kOverload).
+// kUniform selects LP-like identical rates per row, kOverload identical
+// rates at capacity; kHeterogeneous draws rates from [0.5, 2.0]. Only the
+// fields the scheduler and DES touch need to be meaningful; thermal state
+// (alpha) is never consulted on the routing path and is left empty.
+BenchPark make_park(std::size_t cores, Rates rates = Rates::kHeterogeneous) {
   BenchPark park;
   dc::DataCenter& dc = park.dc;
   const std::size_t nodes = cores / kCoresPerNode;
@@ -76,20 +94,27 @@ BenchPark make_park(std::size_t cores, bool uniform = false) {
   dc.ecs = dc::EcsTable(kNumTypes, 1, 3);
   dc.task_types.resize(kNumTypes);
   const std::size_t block = cores / kNumTypes;
+  const bool overload = rates == Rates::kOverload;
   for (std::size_t i = 0; i < kNumTypes; ++i) {
     double row_rate = 0.0;
     for (std::size_t k = i * block; k < (i + 1) * block; ++k) {
-      a.tc(i, k) = uniform ? 1.0 : rng.uniform(0.5, 2.0);
+      switch (rates) {
+        case Rates::kHeterogeneous: a.tc(i, k) = rng.uniform(0.5, 2.0); break;
+        case Rates::kUniform: a.tc(i, k) = 1.0; break;
+        case Rates::kOverload: a.tc(i, k) = kEcsRate; break;
+      }
       row_rate += a.tc(i, k);
     }
     dc.ecs.set_ecs(i, 0, 0, kEcsRate);
     dc.ecs.set_ecs(i, 0, 1, kEcsRate * 0.6);
     dc.task_types[i].name = "t" + std::to_string(i);
     dc.task_types[i].reward = 1.0;
-    dc.task_types[i].relative_deadline = 30.0;  // rarely binding at load 0.5
-    dc.task_types[i].arrival_rate = row_rate;
-    park.total_rate += row_rate;
+    // 30 s rarely binds at load 0.5; the overload deadline binds by design.
+    dc.task_types[i].relative_deadline = overload ? kOverloadDeadline : 30.0;
+    dc.task_types[i].arrival_rate = row_rate * (overload ? kOverloadDemand : 1.0);
+    park.total_rate += dc.task_types[i].arrival_rate;
   }
+  if (overload) park.backlog_s = kOverloadDeadline;
   return park;
 }
 
@@ -106,13 +131,13 @@ std::vector<std::size_t> draw_types(const dc::DataCenter& dc, std::size_t n) {
 }
 
 void route_throughput(benchmark::State& state, core::RouteMode mode,
-                      bool uniform = false) {
+                      Rates rates = Rates::kHeterogeneous) {
   const auto cores = static_cast<std::size_t>(state.range(0));
-  const BenchPark park = make_park(cores, uniform);
+  const BenchPark park = make_park(cores, rates);
   core::SchedulerOptions options;
   options.route_mode = mode;
   core::DynamicScheduler scheduler(park.dc, park.assignment, options);
-  std::vector<double> free_time(cores, 0.0);
+  std::vector<double> free_time(cores, park.backlog_s);
   const auto types = draw_types(park.dc, 1 << 16);
   const double dt = 1.0 / park.total_rate;
   double now = 0.0;
@@ -127,6 +152,10 @@ void route_throughput(benchmark::State& state, core::RouteMode mode,
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
   state.counters["cores"] = static_cast<double>(cores);
+  // Blocked buckets stashed on their finish floor alone, per route.
+  state.counters["index_floor_skips"] = benchmark::Counter(
+      static_cast<double>(scheduler.stats().index_floor_skips),
+      benchmark::Counter::kAvgIterations);
 }
 
 void BM_RouteScan(benchmark::State& state) {
@@ -143,14 +172,27 @@ BENCHMARK(BM_RouteIndexed)->Arg(160)->Arg(640)->Arg(4800);
 // pays O(1) bucket pops per route where a flat per-candidate index would
 // re-examine the whole equal-key cohort (hundreds of entries) every time.
 void BM_RouteScanUniform(benchmark::State& state) {
-  route_throughput(state, core::RouteMode::kScan, /*uniform=*/true);
+  route_throughput(state, core::RouteMode::kScan, Rates::kUniform);
 }
 BENCHMARK(BM_RouteScanUniform)->Arg(4800);
 
 void BM_RouteIndexedUniform(benchmark::State& state) {
-  route_throughput(state, core::RouteMode::kIndexed, /*uniform=*/true);
+  route_throughput(state, core::RouteMode::kIndexed, Rates::kUniform);
 }
 BENCHMARK(BM_RouteIndexedUniform)->Arg(4800);
+
+// Overload: most routes find every cohort bucket of the type deadline-
+// blocked. The scan still checks every candidate; the index stashes each
+// blocked bucket on its finish floor instead of re-walking its members.
+void BM_RouteScanOverload(benchmark::State& state) {
+  route_throughput(state, core::RouteMode::kScan, Rates::kOverload);
+}
+BENCHMARK(BM_RouteScanOverload)->Arg(4800);
+
+void BM_RouteIndexedOverload(benchmark::State& state) {
+  route_throughput(state, core::RouteMode::kIndexed, Rates::kOverload);
+}
+BENCHMARK(BM_RouteIndexedOverload)->Arg(4800);
 
 // End-to-end DES arrival loop (batched admission + routing + completion
 // events), 20 simulated seconds per iteration. Items = routed arrivals, so

@@ -40,6 +40,14 @@ util::Status SchedulerOptions::validate() const {
         std::to_string(warmup_seconds) +
         "); a zero floor makes the first arrival's ATC estimate 0/0");
   }
+  // NaN means "unset"; an infinite origin makes every elapsed time infinite
+  // (-inf: all ratios 0, routing degenerates to first-eligible) or pins ATC
+  // to the warm-up floor forever (+inf).
+  if (!std::isnan(start_time) && !std::isfinite(start_time)) {
+    return util::Status::InvalidArgument(
+        "scheduler ATC start_time must be finite or NaN (unset), got " +
+        std::to_string(start_time));
+  }
   return util::Status::Ok();
 }
 
@@ -295,10 +303,19 @@ DynamicScheduler::Decision DynamicScheduler::route_indexed(
       stash_.push_back(top);  // rate-saturated now; retry at larger elapsed
       continue;
     }
+    // Under the backlog contract every member's finish is at least the
+    // floor (rounded max and + are monotone), so a floor past the deadline
+    // fails every member's test below without walking them.
+    if (options_.deadline_check && bucket->finish_floor > deadline + 1e-12) {
+      ++stats_.index_floor_skips;
+      stash_.push_back(top);  // still deadline-blocked; key unchanged
+      continue;
+    }
     // The scan admits the first member (in position order) whose backlog
     // still meets the deadline; members share the ratio but not the queue.
     std::uint32_t pos = 0;
     double exec = 0.0;
+    double floor = std::numeric_limits<double>::infinity();
     bool eligible = false;
     for (std::uint32_t m : bucket->members) {
       const double finish = std::max(now, core_free_time[cands[m]]) + execs[m];
@@ -308,8 +325,10 @@ DynamicScheduler::Decision DynamicScheduler::route_indexed(
         eligible = true;
         break;
       }
+      floor = std::min(floor, finish);
     }
     if (!eligible) {
+      bucket->finish_floor = floor;
       stash_.push_back(top);  // every member deadline-blocked; key unchanged
       continue;
     }
@@ -354,6 +373,10 @@ DynamicScheduler::Decision DynamicScheduler::route_indexed(
         break;
       }
     }
+    // The winner's finish bounds its own later finishes (its free time only
+    // grows), so the bucket it joins keeps a valid floor.
+    const double finish =
+        std::max(now, core_free_time[best.core]) + best.exec_seconds;
     if (next != nullptr) {
       // The bucket already has a live entry; joining it never adds one.
       // (Its entry position may now sit above the bucket's true minimum —
@@ -362,8 +385,9 @@ DynamicScheduler::Decision DynamicScheduler::route_indexed(
       next->members.insert(
           std::lower_bound(next->members.begin(), next->members.end(), best_pos),
           best_pos);
+      next->finish_floor = std::min(next->finish_floor, finish);
     } else {
-      cohort.buckets.push_back(CohortBucket{new_count, {best_pos}});
+      cohort.buckets.push_back(CohortBucket{new_count, {best_pos}, finish});
       heap.push_back(IndexEntry{new_count / cohort.tc, best_pos,
                                 best_entry.group, new_count});
       std::push_heap(heap.begin(), heap.end(), after);
@@ -381,6 +405,8 @@ DynamicScheduler::Decision DynamicScheduler::route(
     started_ = true;
     start_time_ = now;
   }
+  if (now < last_now_) backlog_lowered();  // the contract's O(1) half
+  last_now_ = now;
   ++stats_.routed;
 
   Decision best;
@@ -412,6 +438,16 @@ DynamicScheduler::Decision DynamicScheduler::route(
                      {{"type", static_cast<double>(task_type)}});
   }
   return best;
+}
+
+void DynamicScheduler::backlog_lowered() {
+  for (std::vector<Cohort>& cohorts : cohorts_) {
+    for (Cohort& cohort : cohorts) {
+      for (CohortBucket& b : cohort.buckets) {
+        b.finish_floor = -std::numeric_limits<double>::infinity();
+      }
+    }
+  }
 }
 
 void DynamicScheduler::check_index_invariants() const {

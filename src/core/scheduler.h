@@ -25,7 +25,10 @@
 //              cores of a type the same desired rate, and min-ratio routing
 //              then pins whole cohorts at equal keys; per-candidate entries
 //              would force the tie window to examine every member on every
-//              route (docs/SCHEDULER.md §2).
+//              route (docs/SCHEDULER.md §2). A bucket whose walk found every
+//              member deadline-blocked keeps a floor on its members' finish
+//              times, so later routes skip it in O(1) while it still
+//              misses the deadline.
 // The ablation policies always use the scan.
 #pragma once
 
@@ -69,7 +72,8 @@ struct RoutingStats {
   std::size_t scan_routes = 0;      // served by the reference scan
   std::size_t index_pops = 0;       // cohort-bucket entries examined
   std::size_t index_deferred = 0;   // blocked entries pushed back
-  std::size_t index_stale_pops = 0; // defensive discards (0 by invariant)
+  std::size_t index_floor_skips = 0;  // deferred by finish floor, no walk
+  std::size_t index_stale_pops = 0;   // defensive discards (0 by invariant)
 };
 
 struct SchedulerOptions {
@@ -89,7 +93,8 @@ struct SchedulerOptions {
   // Origin of the ATC elapsed-time clock. NaN (the default) keeps the
   // historical behavior — the first routed arrival starts the clock. The
   // sharded simulation pins every shard to the global first-arrival time so
-  // shard-local ratios match the single-scheduler run bit for bit.
+  // shard-local ratios match the single-scheduler run bit for bit. Any
+  // other value must be finite; validate() rejects +-inf.
   double start_time = std::numeric_limits<double>::quiet_NaN();
   // Cross-checks every indexed decision against the reference scan and
   // aborts on divergence. Test/debug knob; the differential suites keep it
@@ -104,7 +109,8 @@ struct SchedulerOptions {
   util::telemetry::Registry* telemetry = nullptr;
 
   // Rejects degenerate configurations (non-positive or non-finite ATC
-  // warm-up floor) so callers can report instead of aborting.
+  // warm-up floor, infinite start_time) so callers can report instead of
+  // aborting.
   util::Status validate() const;
 };
 
@@ -128,8 +134,22 @@ class DynamicScheduler {
 
   // Routes a task arriving at `now`; core_free_time[k] is the earliest time
   // core k can start new work. On success the internal ATC counters update.
+  //
+  // Precondition (the backlog contract, docs/SCHEDULER.md §2): between two
+  // calls `now` does not decrease and no core_free_time entry decreases,
+  // unless backlog_lowered() is called in between. The indexed path caches
+  // a lower bound on each cohort bucket's finish times and skips buckets
+  // that bound proves deadline-blocked; a lowered backlog would make that
+  // bound stale. route() clears the bounds itself when `now` goes
+  // backwards; a caller that lowers a free time must call the hook.
   Decision route(std::size_t task_type, double now,
                  const std::vector<double>& core_free_time);
+
+  // Declares that some core_free_time entry was lowered since the last
+  // route() (a drained or killed queue). Clears every cached finish floor;
+  // O(cohort buckets). A spurious call is harmless (it only costs member
+  // walks); a missing one can make the index skip an eligible member.
+  void backlog_lowered();
 
   // Realized assignment rate of task type i on core k at time `now`.
   double atc(std::size_t task_type, std::size_t core, double now) const;
@@ -176,9 +196,16 @@ class DynamicScheduler {
   // partitioned into buckets by current assignment count. Members are kept
   // in ascending candidate-position order so the bucket's representative
   // (front) is the scan's tie-break winner among its members.
+  //
+  // `finish_floor` is a lower bound on every member's finish time
+  // max(now, core_free_time[k]) + exec at any later route() under the
+  // backlog contract: a member walk that finds the bucket fully
+  // deadline-blocked sets it to the walk's minimum finish, and a joining
+  // winner lowers it to its own finish. -inf means "no bound".
   struct CohortBucket {
     double count = 0.0;
     std::vector<std::uint32_t> members;  // candidate positions, ascending
+    double finish_floor = -std::numeric_limits<double>::infinity();
   };
   struct Cohort {
     double tc = 0.0;
@@ -199,6 +226,7 @@ class DynamicScheduler {
   const Assignment& assignment_;
   SchedulerOptions options_;
   double start_time_ = 0.0;
+  double last_now_ = -std::numeric_limits<double>::infinity();
   bool started_ = false;
   bool use_index_ = false;
 

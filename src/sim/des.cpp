@@ -148,6 +148,7 @@ void accumulate(core::RoutingStats& into, const core::RoutingStats& from) {
   into.scan_routes += from.scan_routes;
   into.index_pops += from.index_pops;
   into.index_deferred += from.index_deferred;
+  into.index_floor_skips += from.index_floor_skips;
   into.index_stale_pops += from.index_stale_pops;
 }
 
@@ -213,6 +214,7 @@ void finish_run(SimResult& result, const SimOptions& options,
   reg->count("scheduler.routes_scan", totals.routing.scan_routes);
   reg->count("scheduler.index_pops", totals.routing.index_pops);
   reg->count("scheduler.index_deferred", totals.routing.index_deferred);
+  reg->count("scheduler.index_floor_skips", totals.routing.index_floor_skips);
   reg->count("scheduler.index_stale_pops", totals.routing.index_stale_pops);
   reg->count("sim.arrival_batches", totals.batches);
   reg->gauge_max("sim.max_batch_size", static_cast<double>(totals.max_batch));
@@ -358,6 +360,7 @@ class RunCore {
   std::vector<InFlight> evict(std::size_t k, double now) {
     ++epoch_[k];
     core_free_time_[k] = now;
+    scheduler_->backlog_lowered();  // the route() backlog contract
     return in_flight_.take(k);
   }
 

@@ -1,5 +1,6 @@
 #include "sim/engine.h"
 
+#include <algorithm>
 #include <limits>
 
 #include "util/check.h"
@@ -8,7 +9,8 @@ namespace tapo::sim {
 
 void Engine::schedule_at(double when, Callback cb) {
   TAPO_CHECK_MSG(when >= now_ - 1e-12, "cannot schedule in the past");
-  queue_.push(Event{when, next_seq_++, std::move(cb)});
+  queue_.push_back(Event{when, next_seq_++, std::move(cb)});
+  std::push_heap(queue_.begin(), queue_.end(), Later{});
   if (queue_.size() > max_pending_) max_pending_ = queue_.size();
 }
 
@@ -19,31 +21,23 @@ void Engine::schedule_in(double delay, Callback cb) {
 
 double Engine::next_time() const {
   return queue_.empty() ? std::numeric_limits<double>::infinity()
-                        : queue_.top().time;
+                        : queue_.front().time;
 }
 
 bool Engine::run_one(double horizon) {
-  if (queue_.empty() || queue_.top().time > horizon) return false;
-  Event ev = queue_.top();
-  queue_.pop();
+  if (queue_.empty() || queue_.front().time > horizon) return false;
+  std::pop_heap(queue_.begin(), queue_.end(), Later{});
+  Event ev = std::move(queue_.back());
+  queue_.pop_back();
   now_ = ev.time;
-  ev.cb();
+  ev.cb();  // may schedule further events
   ++executed_;
   return true;
 }
 
 std::size_t Engine::run_until(double horizon) {
   std::size_t executed = 0;
-  while (!queue_.empty() && queue_.top().time <= horizon) {
-    // priority_queue::top returns const&; move the callback out via a copy of
-    // the event (callbacks are small).
-    Event ev = queue_.top();
-    queue_.pop();
-    now_ = ev.time;
-    ev.cb();
-    ++executed;
-    ++executed_;
-  }
+  while (run_one(horizon)) ++executed;
   if (now_ < horizon) now_ = horizon;
   return executed;
 }

@@ -6,7 +6,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <queue>
 #include <vector>
 
 namespace tapo::sim {
@@ -61,7 +60,9 @@ class Engine {
   std::uint64_t next_seq_ = 0;
   std::size_t executed_ = 0;
   std::size_t max_pending_ = 0;
-  std::priority_queue<Event, std::vector<Event>, Later> queue_;
+  // Binary heap under Later (front = earliest), kept with std::*_heap so a
+  // pop can move the callback out instead of copying it.
+  std::vector<Event> queue_;
 };
 
 }  // namespace tapo::sim

@@ -8,6 +8,7 @@
 #include "core/assigner.h"
 #include "testutil.h"
 #include "thermal/heatflow.h"
+#include "util/check.h"
 
 namespace tapo::core {
 namespace {
@@ -263,6 +264,8 @@ void expect_identical_decisions(const dc::DataCenter& dc, DynamicScheduler& a,
       for (std::size_t k = 0; k < dc.total_cores(); k += 3) {
         free_a[k] = free_b[k] = now;
       }
+      a.backlog_lowered();  // the route() backlog contract
+      b.backlog_lowered();
     }
   }
   ASSERT_GT(a.stats().routed, 0u);
@@ -436,6 +439,8 @@ TEST_F(SchedulerFixture, CohortDeadlineSubstitutionMatchesScan) {
                                          : (p % 3 == static_cast<std::size_t>(step) % 3);
       free_time[cands[p]] = block ? now + 1e9 : 0.0;
     }
+    a.backlog_lowered();  // unblocked members' free times drop to 0
+    b.backlog_lowered();
     const auto da = a.route(type, now, free_time);
     const auto db = b.route(type, now, free_time);
     ASSERT_EQ(da.assigned, db.assigned) << "step " << step;
@@ -445,6 +450,172 @@ TEST_F(SchedulerFixture, CohortDeadlineSubstitutionMatchesScan) {
     b.check_index_invariants();
   }
   EXPECT_GT(b.stats().routed, 0u);
+}
+
+// --- Finish floors of deadline-blocked cohort buckets -----------------------
+//
+// A bucket whose member walk found every member deadline-blocked keeps a
+// lower bound on its members' finish times; later routes stash it without a
+// walk while the bound misses the deadline. Exact only under the backlog
+// contract (no free time lowered without backlog_lowered()).
+
+TEST_F(SchedulerFixture, FinishFloorSkipsMatchScanUnderMonotoneSaturation) {
+  // Arrivals far above the desired rates with backlogs that only grow: most
+  // routes end with whole cohorts deadline-blocked, the regime the floor
+  // exists for. validate_index re-checks every decision against the scan.
+  const Assignment uniform = uniform_tc_assignment(scenario->dc, assignment);
+  SchedulerOptions scan;
+  scan.route_mode = RouteMode::kScan;
+  SchedulerOptions indexed;
+  indexed.route_mode = RouteMode::kIndexed;
+  indexed.validate_index = true;
+  DynamicScheduler a(scenario->dc, uniform, scan);
+  DynamicScheduler b(scenario->dc, uniform, indexed);
+  util::Rng rng(29);
+  std::vector<double> free_time(scenario->dc.total_cores(), 0.0);
+  double now = 0.0;
+  std::size_t drops = 0;
+  for (int step = 0; step < 6000; ++step) {
+    now += rng.exponential(2000.0);
+    const auto type = static_cast<std::size_t>(
+        rng.uniform_int(0, scenario->dc.num_task_types() - 1));
+    const auto da = a.route(type, now, free_time);
+    const auto db = b.route(type, now, free_time);
+    ASSERT_EQ(da.assigned, db.assigned) << "step " << step;
+    if (da.assigned) {
+      ASSERT_EQ(da.core, db.core) << "step " << step;
+      ASSERT_EQ(da.exec_seconds, db.exec_seconds);
+      free_time[da.core] = std::max(now, free_time[da.core]) + da.exec_seconds;
+    } else {
+      ++drops;
+    }
+  }
+  b.check_index_invariants();
+  EXPECT_GT(drops, 0u);
+  EXPECT_GT(b.stats().index_floor_skips, 0u);
+  EXPECT_LE(b.stats().index_floor_skips, b.stats().index_deferred);
+}
+
+TEST_F(SchedulerFixture, WinnerJoiningBlockedBucketLowersItsFloor) {
+  // One cohort (uniform rates) and a warm-up long enough that no ratio
+  // reaches 1, so only deadlines block. Free times only ever grow.
+  //   A: c0 wins the count-0 bucket and opens the count-1 bucket.
+  //   B: every core is busy past the deadline; both buckets get a floor,
+  //      the count-1 bucket's far above the deadline of step D.
+  //   C: the rest drain; c1 wins the count-0 bucket and joins count 1.
+  //   D: only c1 can still meet the deadline. Unless joining lowered the
+  //      count-1 floor to c1's finish, the index skips c1 and drops.
+  const Assignment uniform = uniform_tc_assignment(scenario->dc, assignment);
+  SchedulerOptions scan;
+  scan.route_mode = RouteMode::kScan;
+  scan.warmup_seconds = 1e9;
+  SchedulerOptions indexed = scan;
+  indexed.route_mode = RouteMode::kIndexed;
+  DynamicScheduler a(scenario->dc, uniform, scan);
+  DynamicScheduler b(scenario->dc, uniform, indexed);
+  std::size_t type = scenario->dc.num_task_types();
+  for (std::size_t i = 0; i < scenario->dc.num_task_types(); ++i) {
+    if (a.candidates(i).size() >= 3) {
+      type = i;
+      break;
+    }
+  }
+  ASSERT_LT(type, scenario->dc.num_task_types()) << "need a 3+ candidate type";
+  const auto& cands = a.candidates(type);
+  const double d = scenario->dc.task_types[type].relative_deadline;
+  std::vector<double> free_time(scenario->dc.total_cores(), 0.0);
+  const auto route_both = [&](double now) {
+    const auto da = a.route(type, now, free_time);
+    const auto db = b.route(type, now, free_time);
+    EXPECT_EQ(da.assigned, db.assigned) << "at " << now;
+    if (da.assigned) {
+      EXPECT_EQ(da.core, db.core) << "at " << now;
+      free_time[da.core] = std::max(now, free_time[da.core]) + da.exec_seconds;
+    }
+    return da;
+  };
+  ASSERT_EQ(route_both(0.0).core, cands[0]);  // A
+  for (std::size_t p = 0; p < cands.size(); ++p) {
+    free_time[cands[p]] = p == 0 ? 100.0 * d : 10.0 * d;
+  }
+  ASSERT_FALSE(route_both(d).assigned);  // B
+  const auto c = route_both(10.0 * d);   // C
+  ASSERT_TRUE(c.assigned);
+  ASSERT_EQ(c.core, cands[1]);
+  for (std::size_t p = 2; p < cands.size(); ++p) free_time[cands[p]] = 100.0 * d;
+  const auto last = route_both(10.0 * d + c.exec_seconds);  // D
+  EXPECT_TRUE(last.assigned);
+  EXPECT_EQ(last.core, cands[1]);
+}
+
+// Routes `type` once against fully blocked cores (setting the floors of its
+// buckets), then frees every core without calling the hook.
+struct BlockedThenFreed {
+  std::size_t type;
+  std::vector<double> free_time;
+};
+
+BlockedThenFreed block_then_free(const dc::DataCenter& dc,
+                                 DynamicScheduler& indexed) {
+  BlockedThenFreed out{dc.num_task_types(), {}};
+  for (std::size_t i = 0; i < dc.num_task_types(); ++i) {
+    if (!indexed.candidates(i).empty()) {
+      out.type = i;
+      break;
+    }
+  }
+  TAPO_CHECK(out.type < dc.num_task_types());
+  out.free_time.assign(dc.total_cores(), 1e9);
+  TAPO_CHECK(!indexed.route(out.type, 1.0, out.free_time).assigned);
+  TAPO_CHECK(indexed.stats().index_deferred > 0);
+  std::fill(out.free_time.begin(), out.free_time.end(), 0.0);
+  return out;
+}
+
+TEST_F(SchedulerFixture, LoweredBacklogWithoutHookTripsValidateIndex) {
+  const Assignment uniform = uniform_tc_assignment(scenario->dc, assignment);
+  SchedulerOptions indexed;
+  indexed.route_mode = RouteMode::kIndexed;
+  indexed.validate_index = true;
+  EXPECT_DEATH(
+      {
+        DynamicScheduler b(scenario->dc, uniform, indexed);
+        const BlockedThenFreed s = block_then_free(scenario->dc, b);
+        b.route(s.type, 2.0, s.free_time);  // stale floors skip free cores
+      },
+      "diverged");
+}
+
+TEST_F(SchedulerFixture, LoweredBacklogWithHookMatchesScan) {
+  const Assignment uniform = uniform_tc_assignment(scenario->dc, assignment);
+  SchedulerOptions scan;
+  scan.route_mode = RouteMode::kScan;
+  SchedulerOptions indexed;
+  indexed.route_mode = RouteMode::kIndexed;
+  indexed.validate_index = true;
+  DynamicScheduler b(scenario->dc, uniform, indexed);
+  const BlockedThenFreed s = block_then_free(scenario->dc, b);
+  b.backlog_lowered();
+  DynamicScheduler a(scenario->dc, uniform, scan);
+  const auto da = a.route(s.type, 2.0, s.free_time);
+  const auto db = b.route(s.type, 2.0, s.free_time);
+  ASSERT_TRUE(da.assigned);
+  ASSERT_TRUE(db.assigned);
+  EXPECT_EQ(da.core, db.core);
+  EXPECT_EQ(b.stats().index_floor_skips, 0u);
+}
+
+TEST_F(SchedulerFixture, ClockGoingBackwardsClearsFloors) {
+  // route() keeps the contract's `now` half itself: an earlier `now` than
+  // the previous call clears the floors, so a rewound drive stays exact.
+  const Assignment uniform = uniform_tc_assignment(scenario->dc, assignment);
+  SchedulerOptions indexed;
+  indexed.route_mode = RouteMode::kIndexed;
+  indexed.validate_index = true;
+  DynamicScheduler b(scenario->dc, uniform, indexed);
+  const BlockedThenFreed s = block_then_free(scenario->dc, b);
+  EXPECT_TRUE(b.route(s.type, 0.5, s.free_time).assigned);
+  EXPECT_EQ(b.stats().index_floor_skips, 0u);
 }
 
 TEST_F(SchedulerFixture, IndexInvariantsHoldAfterRandomizedUpdates) {
@@ -533,6 +704,19 @@ TEST(SchedulerOptionsTest, ValidateRejectsDegenerateWarmup) {
   EXPECT_FALSE(options.validate().ok());
   options.warmup_seconds = 0.5;
   EXPECT_TRUE(options.validate().ok());
+}
+
+TEST(SchedulerOptionsTest, ValidateRejectsInfiniteStartTime) {
+  SchedulerOptions options;
+  EXPECT_TRUE(options.validate().ok());  // NaN: the clock starts on route
+  options.start_time = 0.0;
+  EXPECT_TRUE(options.validate().ok());
+  options.start_time = -12.5;
+  EXPECT_TRUE(options.validate().ok());
+  options.start_time = std::numeric_limits<double>::infinity();
+  EXPECT_FALSE(options.validate().ok());
+  options.start_time = -std::numeric_limits<double>::infinity();
+  EXPECT_FALSE(options.validate().ok());
 }
 
 }  // namespace

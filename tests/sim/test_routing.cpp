@@ -5,6 +5,7 @@
 // scenarios and thread counts.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
 
 #include "core/assigner.h"
@@ -137,6 +138,35 @@ TEST_F(RoutingFixture, InvalidSchedulerOptionsSurfaceThroughSimulate) {
   EXPECT_EQ(r.total_reward, 0.0);
 }
 
+TEST_F(RoutingFixture, IndexedSimulationMatchesScanUnderOverload) {
+  // Arrivals at twice the planned demand: most routes end with whole cohort
+  // buckets deadline-blocked, so the index stashes most of them through
+  // their finish floors rather than member walks.
+  for (dc::TaskType& t : scenario->dc.task_types) t.arrival_rate *= 2.0;
+  for (const std::uint64_t seed : {2u, 23u, 5150u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const SimResult scan =
+        simulate(scenario->dc, assignment, options(core::RouteMode::kScan, seed));
+    util::telemetry::Registry registry;
+    SimOptions o = options(core::RouteMode::kIndexed, seed);
+    o.scheduler.validate_index = true;
+    o.telemetry = &registry;
+    expect_identical(scan, simulate(scenario->dc, assignment, o));
+    EXPECT_GT(registry.counter_value("scheduler.index_floor_skips"), 0u);
+  }
+}
+
+TEST_F(RoutingFixture, InfiniteStartTimeSurfacesThroughSimulate) {
+  for (const double start : {std::numeric_limits<double>::infinity(),
+                             -std::numeric_limits<double>::infinity()}) {
+    SimOptions o = options(core::RouteMode::kAuto, 1);
+    o.scheduler.start_time = start;
+    const SimResult r = simulate(scenario->dc, assignment, o);
+    EXPECT_FALSE(r.status.ok());
+    EXPECT_EQ(r.total_reward, 0.0);
+  }
+}
+
 // ---- Fault path -----------------------------------------------------------
 
 TEST_F(RoutingFixture, FaultSimulationIdenticalAcrossRouteModes) {
@@ -165,6 +195,35 @@ TEST_F(RoutingFixture, FaultSimulationIdenticalAcrossRouteModes) {
               runs[1].faults[i].replan_adopted);
   }
   EXPECT_EQ(runs[0].replans_adopted, runs[1].replans_adopted);
+}
+
+TEST_F(RoutingFixture, ValidatedIndexSurvivesNodeFailuresUnderOverload) {
+  // Node failures kill queued work and lower the failed cores' backlogs
+  // (RunCore::evict), the one place the DES lowers a free time; evict calls
+  // backlog_lowered() before the orphans re-route. validate_index aborts on
+  // any divergence from the scan.
+  for (dc::TaskType& t : scenario->dc.task_types) t.arrival_rate *= 2.0;
+  FaultSchedule schedule;
+  schedule.events.push_back({25.0, FaultKind::kNodeFail, 0, 0.0});
+  schedule.events.push_back({50.0, FaultKind::kNodeFail, 1, 0.0});
+  schedule.events.push_back({80.0, FaultKind::kNodeFail, 2, 0.0});
+
+  FaultSimResult runs[2];
+  const core::RouteMode modes[2] = {core::RouteMode::kScan,
+                                    core::RouteMode::kIndexed};
+  for (int m = 0; m < 2; ++m) {
+    FaultSimOptions o;
+    o.sim = options(modes[m], 4);
+    o.sim.scheduler.validate_index = modes[m] == core::RouteMode::kIndexed;
+    o.recovery.replan_delay_s = 5.0;
+    runs[m] =
+        simulate_with_faults(scenario->dc, *model, assignment, schedule, o);
+    ASSERT_TRUE(runs[m].status.ok()) << runs[m].status.to_string();
+  }
+  expect_identical(runs[0].sim, runs[1].sim);
+  std::size_t killed = 0;
+  for (const FaultRecord& f : runs[1].faults) killed += f.tasks_killed;
+  EXPECT_GT(killed, 0u);  // evict ran with work queued
 }
 
 // ---- Entry-point differential ---------------------------------------------
