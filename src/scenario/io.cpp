@@ -1,24 +1,22 @@
 #include "scenario/io.h"
 
-#include <cctype>
-#include <cmath>
-#include <cstdio>
-#include <cstdlib>
+#include <algorithm>
 #include <fstream>
 #include <istream>
 #include <ostream>
-#include <sstream>
+
+#include "thermal/heatflow.h"
+#include "util/text.h"
 
 namespace tapo::scenario {
 
 namespace {
 
-// Doubles are written as hex floats so load(save(x)) == x exactly.
-std::string hex_double(double v) {
-  char buf[48];
-  std::snprintf(buf, sizeof(buf), "%a", v);
-  return buf;
-}
+using util::text::format_hex;
+
+// DataCenter::finalize() keeps one entry per core; an archive asking for
+// more than this many is rejected before anything is sized by it.
+constexpr std::size_t kMaxCores = std::size_t{1} << 24;
 
 }  // namespace
 
@@ -58,94 +56,80 @@ std::string decode_name(const std::string& encoded) {
 
 namespace {
 
-// Whitespace-delimited token scanner that tracks the current line, so every
-// parse error can say where in the document it happened.
-class Reader {
+// save_data_center writes one record per line, so the archive is read a line
+// at a time: a record's keyword and field count are checked before its
+// fields are parsed left to right, and the first failure is kept, naming its
+// line.
+class Records {
  public:
-  explicit Reader(std::istream& is) : is_(is) {}
+  explicit Records(std::istream& is) : lines_(is) {}
 
-  bool expect(const std::string& token) {
-    std::string got;
-    if (!next(got)) {
-      fail("expected '" + token + "', got end of document");
-      return false;
+  bool header(std::string_view header) {
+    status_ = lines_.expect_header(header);
+    return status_.ok();
+  }
+
+  // Reads the next line as `keyword` (none when empty) and `fields` fields.
+  bool next(const std::string& keyword, std::size_t fields) {
+    const std::string what = keyword.empty()
+                                 ? std::to_string(fields) + " values"
+                                 : "'" + keyword + "'";
+    if (!lines_.next(line_)) {
+      line_.number = lines_.line_number();
+      return reject("expected " + what + ", got end of document");
     }
-    if (got != token) {
-      fail("expected '" + token + "', got '" + got + "'");
-      return false;
+    field_ = keyword.empty() ? 0 : 1;
+    if (field_ == 1 && line_.tokens[0] != keyword) {
+      return reject("expected " + what + ", got '" + line_.tokens[0] + "'");
+    }
+    if (line_.tokens.size() != field_ + fields) {
+      return reject("expected " + std::to_string(fields) + " values" +
+                    (keyword.empty() ? "" : " after " + what) + ", got " +
+                    std::to_string(line_.tokens.size() - field_));
     }
     return true;
   }
 
-  bool read_size(std::size_t& out) {
-    std::string token;
-    if (!next(token)) {
-      fail("expected a non-negative integer, got end of document");
-      return false;
-    }
-    char* end = nullptr;
-    const long long v = std::strtoll(token.c_str(), &end, 10);
-    if (!end || *end != '\0' || v < 0) {
-      fail("expected a non-negative integer, got '" + token + "'");
-      return false;
-    }
-    out = static_cast<std::size_t>(v);
-    return true;
+  // A whole fixed-shape record: `keyword`, then one field per argument.
+  template <typename... Fields>
+  bool record(const std::string& keyword, Fields&... fields) {
+    return next(keyword, sizeof...(fields)) && (field(fields) && ...);
   }
 
-  bool read_double(double& out) {
-    std::string token;
-    if (!next(token)) {
-      fail("expected a number, got end of document");
-      return false;
-    }
-    char* end = nullptr;
-    out = std::strtod(token.c_str(), &end);
-    if (!end || *end != '\0') {
-      fail("malformed number '" + token + "'");
-      return false;
-    }
+  // The current record's next field, parsed by its type.
+  bool field(std::string& out) {
+    out = line_.tokens[field_++];
     return true;
   }
-
-  bool read_word(std::string& out) {
-    if (!next(out)) {
-      fail("unexpected end of document");
-      return false;
-    }
-    return true;
+  bool field(double& out) {
+    const std::string& token = line_.tokens[field_++];
+    return util::text::parse_number(token, out) ||
+           reject("malformed number '" + token + "'");
+  }
+  bool field(std::size_t& out) {
+    const std::string& token = line_.tokens[field_++];
+    return util::text::parse_unsigned(token, out) ||
+           reject("expected a non-negative integer, got '" + token + "'");
   }
 
-  void fail(const std::string& message) {
-    if (status_.ok()) {
-      status_ = util::Status::InvalidArgument(
-          "line " + std::to_string(line_) + ": " + message);
-    }
+  // Keeps `message` against the current line unless a failure is already
+  // kept; returns the kept failure.
+  util::Status fail(const std::string& message) {
+    reject(message);
+    return status_;
   }
-  bool failed() const { return !status_.ok(); }
   const util::Status& status() const { return status_; }
+  std::size_t line() const { return line_.number; }
 
  private:
-  // Reads one whitespace-delimited token, counting newlines, so `line_` is
-  // the line the token started on when a read fails.
-  bool next(std::string& out) {
-    out.clear();
-    int c = is_.get();
-    while (c != EOF && std::isspace(static_cast<unsigned char>(c))) {
-      if (c == '\n') ++line_;
-      c = is_.get();
-    }
-    if (c == EOF) return false;
-    while (c != EOF && !std::isspace(static_cast<unsigned char>(c))) {
-      out += static_cast<char>(c);
-      c = is_.get();
-    }
-    if (c == '\n') ++line_;
-    return true;
+  bool reject(const std::string& message) {
+    if (status_.ok()) status_ = util::text::at_line(line_.number, message);
+    return false;
   }
 
-  std::istream& is_;
-  std::size_t line_ = 1;
+  util::text::LineReader lines_;
+  util::text::Line line_;
+  std::size_t field_ = 0;
   util::Status status_;
 };
 
@@ -157,13 +141,13 @@ void save_data_center(const dc::DataCenter& dc, std::ostream& os) {
   os << "node_types " << dc.node_types.size() << "\n";
   for (const auto& spec : dc.node_types) {
     os << "node_type " << encode_name(spec.name()) << " "
-       << hex_double(spec.base_power_kw()) << " " << spec.cores_per_node() << " "
-       << hex_double(spec.p0_power_kw()) << " "
-       << hex_double(spec.static_fraction()) << " "
-       << hex_double(spec.airflow_m3s()) << " " << spec.num_active_pstates() << "\n";
+       << format_hex(spec.base_power_kw()) << " " << spec.cores_per_node() << " "
+       << format_hex(spec.p0_power_kw()) << " "
+       << format_hex(spec.static_fraction()) << " "
+       << format_hex(spec.airflow_m3s()) << " " << spec.num_active_pstates() << "\n";
     for (std::size_t k = 0; k < spec.num_active_pstates(); ++k) {
       const auto& s = spec.power_model().state(k);
-      os << "pstate " << hex_double(s.freq_mhz) << " " << hex_double(s.voltage)
+      os << "pstate " << format_hex(s.freq_mhz) << " " << format_hex(s.voltage)
          << "\n";
     }
   }
@@ -174,8 +158,8 @@ void save_data_center(const dc::DataCenter& dc, std::ostream& os) {
 
   os << "cracs " << dc.num_cracs() << "\n";
   for (const auto& crac : dc.cracs) {
-    os << hex_double(crac.flow_m3s) << " " << hex_double(crac.cop_a) << " "
-       << hex_double(crac.cop_b) << " " << hex_double(crac.cop_c) << "\n";
+    os << format_hex(crac.flow_m3s) << " " << format_hex(crac.cop_a) << " "
+       << format_hex(crac.cop_b) << " " << format_hex(crac.cop_c) << "\n";
   }
 
   os << "layout " << dc.layout.num_cracs << " " << dc.layout.nodes.size() << "\n";
@@ -185,7 +169,7 @@ void save_data_center(const dc::DataCenter& dc, std::ostream& os) {
   }
   for (std::size_t a = 0; a < dc.layout.num_cracs; ++a) {
     for (std::size_t c = 0; c < dc.layout.num_cracs; ++c) {
-      os << hex_double(dc.layout.hot_aisle_to_crac(a, c)) << " ";
+      os << format_hex(dc.layout.hot_aisle_to_crac(a, c)) << " ";
     }
     os << "\n";
   }
@@ -193,8 +177,8 @@ void save_data_center(const dc::DataCenter& dc, std::ostream& os) {
   os << "task_types " << dc.task_types.size() << "\n";
   for (const auto& task : dc.task_types) {
     os << encode_name(task.name.empty() ? "-" : task.name) << " "
-       << hex_double(task.reward) << " " << hex_double(task.relative_deadline)
-       << " " << hex_double(task.arrival_rate) << "\n";
+       << format_hex(task.reward) << " " << format_hex(task.relative_deadline)
+       << " " << format_hex(task.arrival_rate) << "\n";
   }
 
   os << "ecs " << dc.ecs.num_task_types() << " " << dc.ecs.num_node_types()
@@ -202,7 +186,7 @@ void save_data_center(const dc::DataCenter& dc, std::ostream& os) {
   for (std::size_t i = 0; i < dc.ecs.num_task_types(); ++i) {
     for (std::size_t j = 0; j < dc.ecs.num_node_types(); ++j) {
       for (std::size_t k = 0; k < dc.ecs.num_states(); ++k) {
-        os << hex_double(dc.ecs.ecs(i, j, k)) << " ";
+        os << format_hex(dc.ecs.ecs(i, j, k)) << " ";
       }
       os << "\n";
     }
@@ -211,156 +195,140 @@ void save_data_center(const dc::DataCenter& dc, std::ostream& os) {
   os << "alpha " << dc.alpha.rows() << "\n";
   for (std::size_t i = 0; i < dc.alpha.rows(); ++i) {
     for (std::size_t j = 0; j < dc.alpha.cols(); ++j) {
-      os << hex_double(dc.alpha(i, j)) << " ";
+      os << format_hex(dc.alpha(i, j)) << " ";
     }
     os << "\n";
   }
 
-  os << "limits " << hex_double(dc.redline_node_c) << " "
-     << hex_double(dc.redline_crac_c) << " " << hex_double(dc.p_const_kw) << "\n";
+  os << "limits " << format_hex(dc.redline_node_c) << " "
+     << format_hex(dc.redline_crac_c) << " " << format_hex(dc.p_const_kw) << "\n";
   os << "end\n";
 }
 
-LoadResult load_data_center(std::istream& is) {
-  LoadResult result;
-  Reader r(is);
-  dc::DataCenter& dc = result.dc;
+util::StatusOr<dc::DataCenter> load_data_center(std::istream& is) {
+  Records r(is);
+  dc::DataCenter dc;
+  if (!r.header("tapo-datacenter v1")) return r.status();
 
-  const auto finish_error = [&]() {
-    result.status = r.failed()
-                        ? r.status()
-                        : util::Status::InvalidArgument("malformed document");
-    result.error = result.status.message();
-    return result;
-  };
-
-  if (!r.expect("tapo-datacenter") || !r.expect("v1")) return finish_error();
-
+  // Every count is checked against the fields on its line or against sizes
+  // already read before anything is sized by it, and everything the dc::
+  // constructors would TAPO_CHECK is checked first, so a malformed archive
+  // is a Status, never an abort.
   std::size_t count = 0;
-  if (!r.expect("node_types") || !r.read_size(count)) return finish_error();
+  if (!r.record("node_types", count)) return r.status();
   for (std::size_t t = 0; t < count; ++t) {
     std::string name;
     double base = 0, p0 = 0, static_fraction = 0, flow = 0;
     std::size_t cores = 0, states = 0;
-    if (!r.expect("node_type") || !r.read_word(name) || !r.read_double(base) ||
-        !r.read_size(cores) || !r.read_double(p0) ||
-        !r.read_double(static_fraction) || !r.read_double(flow) ||
-        !r.read_size(states)) {
-      return finish_error();
+    if (!r.record("node_type", name, base, cores, p0, static_fraction, flow,
+                  states)) {
+      return r.status();
     }
-    std::vector<dc::PStateSpec> pstates(states);
-    for (auto& s : pstates) {
-      if (!r.expect("pstate") || !r.read_double(s.freq_mhz) ||
-          !r.read_double(s.voltage)) {
-        return finish_error();
-      }
-    }
-    // Everything the NodeTypeSpec / CorePowerModel constructors would
-    // TAPO_CHECK must be pre-validated here so malformed files report a
-    // Status instead of aborting.
     if (states == 0 || cores == 0 || p0 <= 0 || flow <= 0 || base < 0 ||
-        !std::isfinite(base) || !std::isfinite(p0) || !std::isfinite(flow) ||
         !(static_fraction >= 0.0 && static_fraction < 1.0)) {
-      r.fail("invalid node type parameters for '" + name + "'");
-      return finish_error();
+      return r.fail("invalid node type parameters for '" + name + "'");
     }
-    for (const auto& s : pstates) {
-      if (!(s.freq_mhz > 0.0) || !(s.voltage > 0.0) ||
-          !std::isfinite(s.freq_mhz) || !std::isfinite(s.voltage)) {
-        r.fail("invalid P-state parameters for '" + name + "'");
-        return finish_error();
+    std::vector<dc::PStateSpec> pstates;
+    for (std::size_t k = 0; k < states; ++k) {
+      dc::PStateSpec& s = pstates.emplace_back();
+      if (!r.record("pstate", s.freq_mhz, s.voltage)) return r.status();
+      if (!(s.freq_mhz > 0.0) || !(s.voltage > 0.0)) {
+        return r.fail("invalid P-state parameters for '" + name + "'");
       }
     }
     dc.node_types.emplace_back(decode_name(name), base, cores, p0,
                                static_fraction, std::move(pstates), flow);
   }
 
-  if (!r.expect("nodes") || !r.read_size(count)) return finish_error();
+  if (!r.record("nodes", count)) return r.status();
+  if (count == 0) return r.fail("a data center needs at least one node");
+  if (!r.next("", count)) return r.status();
   dc.nodes.resize(count);
+  std::size_t total_cores = 0;
   for (auto& node : dc.nodes) {
-    if (!r.read_size(node.type)) return finish_error();
+    if (!r.field(node.type)) return r.status();
     if (node.type >= dc.node_types.size()) {
-      r.fail("node references unknown type " + std::to_string(node.type) +
-             " (have " + std::to_string(dc.node_types.size()) + ")");
-      return finish_error();
+      return r.fail("node references unknown type " +
+                    std::to_string(node.type) + " (have " +
+                    std::to_string(dc.node_types.size()) + ")");
     }
+    const std::size_t cores = dc.node_types[node.type].cores_per_node();
+    if (cores > kMaxCores - total_cores) {
+      return r.fail("more than " + std::to_string(kMaxCores) + " cores");
+    }
+    total_cores += cores;
   }
 
-  if (!r.expect("cracs") || !r.read_size(count)) return finish_error();
-  dc.cracs.resize(count);
-  for (auto& crac : dc.cracs) {
-    if (!r.read_double(crac.flow_m3s) || !r.read_double(crac.cop_a) ||
-        !r.read_double(crac.cop_b) || !r.read_double(crac.cop_c)) {
-      return finish_error();
+  if (!r.record("cracs", count)) return r.status();
+  if (count == 0) return r.fail("a data center needs at least one CRAC");
+  for (std::size_t c = 0; c < count; ++c) {
+    dc::CracSpec& crac = dc.cracs.emplace_back();
+    if (!r.record("", crac.flow_m3s, crac.cop_a, crac.cop_b, crac.cop_c)) {
+      return r.status();
     }
-    if (!(crac.flow_m3s > 0) || !std::isfinite(crac.flow_m3s)) {
-      r.fail("CRAC flow must be positive");
-      return finish_error();
-    }
+    if (!(crac.flow_m3s > 0)) return r.fail("CRAC flow must be positive");
   }
 
   std::size_t layout_cracs = 0, layout_nodes = 0;
-  if (!r.expect("layout") || !r.read_size(layout_cracs) ||
-      !r.read_size(layout_nodes)) {
-    return finish_error();
+  if (!r.record("layout", layout_cracs, layout_nodes)) return r.status();
+  if (layout_cracs != dc.cracs.size() || layout_nodes != dc.nodes.size()) {
+    return r.fail("layout size does not match the CRAC and node counts");
   }
   dc.layout.num_cracs = layout_cracs;
   dc.layout.num_hot_aisles = layout_cracs;
   dc.layout.nodes.resize(layout_nodes);
   for (auto& p : dc.layout.nodes) {
     std::size_t label = 0;
-    if (!r.read_size(p.rack) || !r.read_size(p.slot) || !r.read_size(label) ||
-        !r.read_size(p.hot_aisle)) {
-      return finish_error();
-    }
+    if (!r.record("", p.rack, p.slot, label, p.hot_aisle)) return r.status();
     if (label > 4 || p.hot_aisle >= layout_cracs) {
-      r.fail("invalid node placement");
-      return finish_error();
+      return r.fail("invalid node placement");
     }
     p.label = static_cast<dc::RackLabel>(label);
   }
   dc.layout.hot_aisle_to_crac = solver::Matrix(layout_cracs, layout_cracs);
   for (std::size_t a = 0; a < layout_cracs; ++a) {
+    if (!r.next("", layout_cracs)) return r.status();
     for (std::size_t c = 0; c < layout_cracs; ++c) {
-      if (!r.read_double(dc.layout.hot_aisle_to_crac(a, c))) return finish_error();
+      if (!r.field(dc.layout.hot_aisle_to_crac(a, c))) return r.status();
     }
   }
 
-  if (!r.expect("task_types") || !r.read_size(count)) return finish_error();
-  dc.task_types.resize(count);
-  for (auto& task : dc.task_types) {
+  if (!r.record("task_types", count)) return r.status();
+  for (std::size_t i = 0; i < count; ++i) {
+    dc::TaskType& task = dc.task_types.emplace_back();
     std::string name;
-    if (!r.read_word(name) || !r.read_double(task.reward) ||
-        !r.read_double(task.relative_deadline) ||
-        !r.read_double(task.arrival_rate)) {
-      return finish_error();
+    if (!r.record("", name, task.reward, task.relative_deadline,
+                  task.arrival_rate)) {
+      return r.status();
     }
-    if (!(task.relative_deadline > 0) || task.arrival_rate < 0 ||
-        !std::isfinite(task.reward)) {
-      r.fail("invalid task type parameters for '" + name + "'");
-      return finish_error();
+    if (!(task.relative_deadline > 0) || task.arrival_rate < 0) {
+      return r.fail("invalid task type parameters for '" + name + "'");
     }
     task.name = name == "-" ? std::string() : decode_name(name);
   }
 
-  std::size_t et = 0, ej = 0, ek = 0;
-  if (!r.expect("ecs") || !r.read_size(et) || !r.read_size(ej) ||
-      !r.read_size(ek)) {
-    return finish_error();
+  // One ECS row per (task type, node type), one value per P-state plus off.
+  std::size_t et = 0, ej = 0, ek = 0, states = 0;
+  if (!r.record("ecs", et, ej, ek)) return r.status();
+  for (const auto& spec : dc.node_types) {
+    states = std::max(states, spec.num_pstates_with_off());
   }
-  if (et == 0 || ej == 0 || ek < 2) {
-    r.fail("invalid ecs dimensions");
-    return finish_error();
+  if (et == 0 || et != dc.task_types.size() || ej != dc.node_types.size() ||
+      ek != states) {
+    return r.fail("invalid ecs dimensions (want " +
+                  std::to_string(dc.task_types.size()) + " " +
+                  std::to_string(dc.node_types.size()) + " " +
+                  std::to_string(states) + ")");
   }
   dc.ecs = dc::EcsTable(et, ej, ek);
   for (std::size_t i = 0; i < et; ++i) {
     for (std::size_t j = 0; j < ej; ++j) {
+      if (!r.next("", ek)) return r.status();
       for (std::size_t k = 0; k < ek; ++k) {
         double v = 0;
-        if (!r.read_double(v)) return finish_error();
+        if (!r.field(v)) return r.status();
         if (v < 0 || (k + 1 == ek && v != 0.0)) {
-          r.fail("invalid ecs value");
-          return finish_error();
+          return r.fail("invalid ecs value");
         }
         dc.ecs.set_ecs(i, j, k, v);
       }
@@ -368,38 +336,34 @@ LoadResult load_data_center(std::istream& is) {
   }
 
   std::size_t alpha_n = 0;
-  if (!r.expect("alpha") || !r.read_size(alpha_n)) return finish_error();
+  if (!r.record("alpha", alpha_n)) return r.status();
+  const std::size_t alpha_line = r.line();
+  if (alpha_n != dc.num_entities()) {
+    return r.fail("alpha size " + std::to_string(alpha_n) +
+                  " does not match CRACs + nodes (" +
+                  std::to_string(dc.num_entities()) + ")");
+  }
   dc.alpha = solver::Matrix(alpha_n, alpha_n);
   for (std::size_t i = 0; i < alpha_n; ++i) {
+    if (!r.next("", alpha_n)) return r.status();
     for (std::size_t j = 0; j < alpha_n; ++j) {
-      if (!r.read_double(dc.alpha(i, j))) return finish_error();
+      if (!r.field(dc.alpha(i, j))) return r.status();
     }
   }
 
-  if (!r.expect("limits") || !r.read_double(dc.redline_node_c) ||
-      !r.read_double(dc.redline_crac_c) || !r.read_double(dc.p_const_kw)) {
-    return finish_error();
+  if (!r.record("limits", dc.redline_node_c, dc.redline_crac_c,
+                dc.p_const_kw)) {
+    return r.status();
   }
-  if (!std::isfinite(dc.redline_node_c) || !std::isfinite(dc.redline_crac_c) ||
-      !std::isfinite(dc.p_const_kw) || dc.p_const_kw < 0) {
-    r.fail("invalid limits");
-    return finish_error();
-  }
-  if (!r.expect("end")) return finish_error();
+  if (dc.p_const_kw < 0) return r.fail("invalid limits");
+  if (!r.record("end")) return r.status();
 
-  // Structural consistency before finalize()'s own checks.
-  if (dc.nodes.empty() || dc.cracs.empty() ||
-      dc.layout.nodes.size() != dc.nodes.size() ||
-      dc.layout.num_cracs != dc.cracs.size() ||
-      alpha_n != dc.nodes.size() + dc.cracs.size() ||
-      dc.ecs.num_node_types() != dc.node_types.size()) {
-    result.status = util::Status::InvalidArgument("inconsistent section sizes");
-    result.error = result.status.message();
-    return result;
-  }
   dc.finalize();
-  result.ok = true;
-  return result;
+  // The thermal model's own rule for alpha, reported instead of aborting.
+  if (const auto g = thermal::inlet_mixing(dc); !g.ok()) {
+    return util::text::at_line(alpha_line, g.status().message());
+  }
+  return dc;
 }
 
 bool save_data_center_file(const dc::DataCenter& dc, const std::string& path) {
@@ -409,20 +373,9 @@ bool save_data_center_file(const dc::DataCenter& dc, const std::string& path) {
   return static_cast<bool>(os);
 }
 
-LoadResult load_data_center_file(const std::string& path) {
-  std::ifstream is(path);
-  if (!is) {
-    LoadResult result;
-    result.status = util::Status::NotFound("cannot open '" + path + "'");
-    result.error = result.status.message();
-    return result;
-  }
-  LoadResult result = load_data_center(is);
-  if (!result.ok) {
-    result.status = result.status.with_context(path);
-    result.error = result.status.message();
-  }
-  return result;
+util::StatusOr<dc::DataCenter> load_data_center_file(
+    const std::string& path) {
+  return util::text::load_file(path, load_data_center);
 }
 
 }  // namespace tapo::scenario

@@ -8,12 +8,15 @@
 // This lets the CLI and the benchmark harness archive the exact instance
 // behind any reported number.
 //
-// Loading never aborts on malformed input: every parse failure is reported
-// as a Status (and the mirrored ok/error fields) carrying the line number of
-// the offending token, so callers - tapo_cli in particular - can print a
-// diagnostic and exit instead of crashing. The runtime degraded-mode state
-// (DataCenter::node_failed_mask, crac_min_outlet_c) is deliberately not
-// serialized: a scenario file archives the healthy topology.
+// Loading never aborts on malformed input: every parse failure is a Status
+// carrying the line of the offending token ("line N: ..."), under the
+// lexical rules of util/text.h (docs/SCENARIOS.md "Lexical rules"), so
+// callers - tapo_cli in particular - can print a diagnostic and exit instead
+// of crashing. Counts are checked against the records that back them before
+// anything is sized by them, and alpha passes thermal::inlet_mixing(). The
+// runtime degraded-mode state (DataCenter::node_failed_mask,
+// crac_min_outlet_c) is deliberately not serialized: a scenario file
+// archives the healthy topology.
 #pragma once
 
 #include <iosfwd>
@@ -29,22 +32,13 @@ namespace tapo::scenario {
 // percent-encoded, so any character round-trips.
 void save_data_center(const dc::DataCenter& dc, std::ostream& os);
 
-struct LoadResult {
-  // `ok`/`error` mirror `status` for existing call sites; `status` carries
-  // the code plus "line N: ..." context.
-  bool ok = false;
-  std::string error;
-  util::Status status;
-  dc::DataCenter dc;
-};
-
-// Parses a document produced by save_data_center. On failure `status` (and
-// `error`) name the offending section and line.
-LoadResult load_data_center(std::istream& is);
+// Parses a document produced by save_data_center, one record per line. On
+// failure the status names the offending line.
+util::StatusOr<dc::DataCenter> load_data_center(std::istream& is);
 
 // Convenience file wrappers; load errors gain a "<path>:" prefix.
 bool save_data_center_file(const dc::DataCenter& dc, const std::string& path);
-LoadResult load_data_center_file(const std::string& path);
+util::StatusOr<dc::DataCenter> load_data_center_file(const std::string& path);
 
 // Percent-encoding shared by every tapo text format for free-form names:
 // space, '%' and newline are escaped so any name survives a line- or

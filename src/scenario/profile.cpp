@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <istream>
@@ -14,47 +12,17 @@
 
 #include "scenario/io.h"
 #include "util/rng.h"
+#include "util/text.h"
 
 namespace tapo::scenario {
 
 namespace {
 
-// 17 significant digits round-trip every finite double through strtod
-// exactly, while staying readable for the committed library (0.5 stays
-// "0.5").
-std::string fmt_double(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
-bool parse_double_token(const std::string& token, double& out) {
-  char* end = nullptr;
-  out = std::strtod(token.c_str(), &end);
-  return end && *end == '\0' && end != token.c_str() && std::isfinite(out);
-}
-
-bool parse_size_token(const std::string& token, std::size_t& out) {
-  char* end = nullptr;
-  const long long v = std::strtoll(token.c_str(), &end, 10);
-  if (!end || *end != '\0' || end == token.c_str() || v < 0) return false;
-  out = static_cast<std::size_t>(v);
-  return true;
-}
-
-bool parse_u64_token(const std::string& token, std::uint64_t& out) {
-  if (token.empty() || token[0] == '-') return false;
-  char* end = nullptr;
-  out = std::strtoull(token.c_str(), &end, 10);
-  return end && *end == '\0' && end != token.c_str();
-}
+using util::text::at_line;
+using util::text::format_double;
 
 util::Status invalid(const std::string& message) {
   return util::Status::InvalidArgument(message);
-}
-
-util::Status line_error(std::size_t line, const std::string& message) {
-  return invalid("line " + std::to_string(line) + ": " + message);
 }
 
 }  // namespace
@@ -236,22 +204,22 @@ void save_profile(const ScenarioProfile& profile, std::ostream& os) {
   os << "cracs " << profile.cracs << "\n";
   os << "task_types " << profile.task_types << "\n";
   os << "seed " << profile.seed << "\n";
-  os << "static_fraction " << fmt_double(profile.static_fraction) << "\n";
-  os << "v_ecs " << fmt_double(profile.v_ecs) << "\n";
-  os << "v_prop " << fmt_double(profile.v_prop) << "\n";
-  os << "v_arrival " << fmt_double(profile.v_arrival) << "\n";
-  os << "pconst_factor " << fmt_double(profile.pconst_factor) << "\n";
+  os << "static_fraction " << format_double(profile.static_fraction) << "\n";
+  os << "v_ecs " << format_double(profile.v_ecs) << "\n";
+  os << "v_prop " << format_double(profile.v_prop) << "\n";
+  os << "v_arrival " << format_double(profile.v_arrival) << "\n";
+  os << "pconst_factor " << format_double(profile.pconst_factor) << "\n";
   if (!profile.node_mix.empty()) {
     os << "node_mix";
-    for (double w : profile.node_mix) os << " " << fmt_double(w);
+    for (double w : profile.node_mix) os << " " << format_double(w);
     os << "\n";
   }
   if (profile.redline_node_c != ScenarioProfile{}.redline_node_c ||
       profile.redline_crac_c != ScenarioProfile{}.redline_crac_c) {
-    os << "redline " << fmt_double(profile.redline_node_c) << " "
-       << fmt_double(profile.redline_crac_c) << "\n";
+    os << "redline " << format_double(profile.redline_node_c) << " "
+       << format_double(profile.redline_crac_c) << "\n";
   }
-  os << "psi " << fmt_double(profile.psi) << "\n";
+  os << "psi " << format_double(profile.psi) << "\n";
   if (!profile.deadline_check) os << "deadline_check off\n";
   switch (profile.policy) {
     case ScenarioProfile::Policy::kMinAtcTc:
@@ -267,47 +235,47 @@ void save_profile(const ScenarioProfile& profile, std::ostream& os) {
     case ArrivalOverlay::Kind::kNone:
       break;
     case ArrivalOverlay::Kind::kScale:
-      os << "arrival scale " << fmt_double(profile.arrival.scale) << "\n";
+      os << "arrival scale " << format_double(profile.arrival.scale) << "\n";
       break;
     case ArrivalOverlay::Kind::kMmpp:
-      os << "arrival mmpp " << fmt_double(profile.arrival.burst_multiplier)
-         << " " << fmt_double(profile.arrival.mean_phase_s) << " "
-         << fmt_double(profile.arrival.burst_duty) << "\n";
+      os << "arrival mmpp " << format_double(profile.arrival.burst_multiplier)
+         << " " << format_double(profile.arrival.mean_phase_s) << " "
+         << format_double(profile.arrival.burst_duty) << "\n";
       break;
   }
   switch (profile.trace.kind) {
     case TraceOverlay::Kind::kNone:
       break;
     case TraceOverlay::Kind::kDiurnal:
-      os << "trace diurnal " << fmt_double(profile.trace.amplitude) << " "
+      os << "trace diurnal " << format_double(profile.trace.amplitude) << " "
          << profile.trace.segments << "\n";
       break;
     case TraceOverlay::Kind::kFlash:
-      os << "trace flash " << fmt_double(profile.trace.start_s) << " "
-         << fmt_double(profile.trace.magnitude) << " "
-         << fmt_double(profile.trace.duration_s) << "\n";
+      os << "trace flash " << format_double(profile.trace.start_s) << " "
+         << format_double(profile.trace.magnitude) << " "
+         << format_double(profile.trace.duration_s) << "\n";
       break;
     case TraceOverlay::Kind::kBurst:
-      os << "trace burst " << fmt_double(profile.trace.start_s) << " "
-         << fmt_double(profile.trace.magnitude) << " "
-         << fmt_double(profile.trace.duration_s) << " "
+      os << "trace burst " << format_double(profile.trace.start_s) << " "
+         << format_double(profile.trace.magnitude) << " "
+         << format_double(profile.trace.duration_s) << " "
          << profile.trace.segments << "\n";
       break;
   }
-  os << "sim " << fmt_double(profile.sim.duration_s) << " "
-     << fmt_double(profile.sim.warmup_s) << " " << profile.sim.seed << " "
+  os << "sim " << format_double(profile.sim.duration_s) << " "
+     << format_double(profile.sim.warmup_s) << " " << profile.sim.seed << " "
      << profile.sim.samples << "\n";
   if (profile.faults) {
     const FaultStorm& f = *profile.faults;
-    os << "faults " << f.seed << " " << fmt_double(f.horizon_s) << " "
-       << f.node_failures << " " << fmt_double(f.node_repair_after_s) << " "
-       << f.crac_derates << " " << fmt_double(f.crac_capacity_fraction) << " "
-       << fmt_double(f.crac_repair_after_s) << " "
-       << fmt_double(f.power_cap_fraction) << "\n";
+    os << "faults " << f.seed << " " << format_double(f.horizon_s) << " "
+       << f.node_failures << " " << format_double(f.node_repair_after_s) << " "
+       << f.crac_derates << " " << format_double(f.crac_capacity_fraction) << " "
+       << format_double(f.crac_repair_after_s) << " "
+       << format_double(f.power_cap_fraction) << "\n";
   }
   if (profile.replan) {
-    os << "replan " << fmt_double(profile.replan->cadence_s) << " "
-       << fmt_double(profile.replan->tracking_threshold) << " "
+    os << "replan " << format_double(profile.replan->cadence_s) << " "
+       << format_double(profile.replan->tracking_threshold) << " "
        << profile.replan->max_lp_iterations << "\n";
   }
   if (profile.expect_infeasible) os << "expect infeasible\n";
@@ -331,35 +299,13 @@ bool save_profile_file(const ScenarioProfile& profile, const std::string& path) 
   return static_cast<bool>(os);
 }
 
-namespace {
-
-// One `key value...` line already split into tokens.
-struct ProfileLine {
-  std::size_t number = 0;
-  std::vector<std::string> tokens;
-};
-
-}  // namespace
-
 util::StatusOr<ScenarioProfile> load_profile(std::istream& is) {
-  // Tokenize per line so every diagnostic carries its line number; blank
-  // lines and full-line '#' comments are skipped.
-  std::vector<ProfileLine> lines;
-  std::string raw;
-  for (std::size_t number = 1; std::getline(is, raw); ++number) {
-    if (!raw.empty() && raw.back() == '\r') raw.pop_back();
-    std::istringstream tokens(raw);
-    ProfileLine line;
-    line.number = number;
-    std::string token;
-    while (tokens >> token) line.tokens.push_back(token);
-    if (line.tokens.empty() || line.tokens[0][0] == '#') continue;
-    lines.push_back(std::move(line));
-  }
+  std::vector<util::text::Line> lines;
+  util::text::LineReader reader(is);
+  for (util::text::Line line; reader.next(line);) lines.push_back(line);
   if (lines.empty()) return invalid("empty document (expected tapo-scenarios v1)");
   if (lines[0].tokens != std::vector<std::string>{"tapo-scenarios", "v1"}) {
-    return line_error(lines[0].number,
-                      "expected header 'tapo-scenarios v1'");
+    return at_line(lines[0].number, "expected header 'tapo-scenarios v1'");
   }
 
   ScenarioProfile profile;
@@ -367,50 +313,42 @@ util::StatusOr<ScenarioProfile> load_profile(std::istream& is) {
   bool saw_end = false;
   std::set<std::string> seen;
   for (std::size_t i = 1; i < lines.size(); ++i) {
-    const ProfileLine& line = lines[i];
+    const util::text::Line& line = lines[i];
     const std::string& key = line.tokens[0];
     if (saw_end) {
-      return line_error(line.number, "content after 'end'");
+      return at_line(line.number, "content after 'end'");
     }
     if (key == "end") {
       if (line.tokens.size() != 1) {
-        return line_error(line.number, "'end' takes no value");
+        return at_line(line.number, "'end' takes no value");
       }
       saw_end = true;
       continue;
     }
     if (!seen.insert(key).second) {
-      return line_error(line.number, "duplicate key '" + key + "'");
+      return at_line(line.number, "duplicate key '" + key + "'");
     }
     const auto args = line.tokens.size() - 1;
     const auto need = [&](std::size_t n) {
       return args == n
                  ? util::Status::Ok()
-                 : line_error(line.number, "'" + key + "' expects " +
-                                               std::to_string(n) + " value" +
-                                               (n == 1 ? "" : "s") + ", got " +
-                                               std::to_string(args));
+                 : at_line(line.number, "'" + key + "' expects " +
+                                            std::to_string(n) + " value" +
+                                            (n == 1 ? "" : "s") + ", got " +
+                                            std::to_string(args));
     };
     const auto get_double = [&](std::size_t idx, double& out) {
-      if (!parse_double_token(line.tokens[idx], out)) {
-        return line_error(line.number, "'" + key + "': malformed number '" +
-                                           line.tokens[idx] + "'");
+      if (!util::text::parse_number(line.tokens[idx], out)) {
+        return at_line(line.number, "'" + key + "': malformed number '" +
+                                        line.tokens[idx] + "'");
       }
       return util::Status::Ok();
     };
-    const auto get_size = [&](std::size_t idx, std::size_t& out) {
-      if (!parse_size_token(line.tokens[idx], out)) {
-        return line_error(line.number,
-                          "'" + key + "': expected a non-negative integer, got '" +
-                              line.tokens[idx] + "'");
-      }
-      return util::Status::Ok();
-    };
-    const auto get_u64 = [&](std::size_t idx, std::uint64_t& out) {
-      if (!parse_u64_token(line.tokens[idx], out)) {
-        return line_error(line.number,
-                          "'" + key + "': expected an unsigned integer, got '" +
-                              line.tokens[idx] + "'");
+    const auto get_count = [&](std::size_t idx, auto& out) {
+      if (!util::text::parse_unsigned(line.tokens[idx], out)) {
+        return at_line(line.number, "'" + key +
+                                        "': expected a non-negative integer, "
+                                        "got '" + line.tokens[idx] + "'");
       }
       return util::Status::Ok();
     };
@@ -421,16 +359,16 @@ util::StatusOr<ScenarioProfile> load_profile(std::istream& is) {
       saw_name = true;
     } else if (key == "nodes") {
       if (s = need(1); !s.ok()) return s;
-      if (s = get_size(1, profile.nodes); !s.ok()) return s;
+      if (s = get_count(1, profile.nodes); !s.ok()) return s;
     } else if (key == "cracs") {
       if (s = need(1); !s.ok()) return s;
-      if (s = get_size(1, profile.cracs); !s.ok()) return s;
+      if (s = get_count(1, profile.cracs); !s.ok()) return s;
     } else if (key == "task_types") {
       if (s = need(1); !s.ok()) return s;
-      if (s = get_size(1, profile.task_types); !s.ok()) return s;
+      if (s = get_count(1, profile.task_types); !s.ok()) return s;
     } else if (key == "seed") {
       if (s = need(1); !s.ok()) return s;
-      if (s = get_u64(1, profile.seed); !s.ok()) return s;
+      if (s = get_count(1, profile.seed); !s.ok()) return s;
     } else if (key == "static_fraction") {
       if (s = need(1); !s.ok()) return s;
       if (s = get_double(1, profile.static_fraction); !s.ok()) return s;
@@ -448,7 +386,7 @@ util::StatusOr<ScenarioProfile> load_profile(std::istream& is) {
       if (s = get_double(1, profile.pconst_factor); !s.ok()) return s;
     } else if (key == "node_mix") {
       if (args == 0) {
-        return line_error(line.number, "'node_mix' expects weights");
+        return at_line(line.number, "'node_mix' expects weights");
       }
       profile.node_mix.resize(args);
       for (std::size_t k = 0; k < args; ++k) {
@@ -468,7 +406,7 @@ util::StatusOr<ScenarioProfile> load_profile(std::istream& is) {
       } else if (line.tokens[1] == "off") {
         profile.deadline_check = false;
       } else {
-        return line_error(line.number, "'deadline_check' must be on or off");
+        return at_line(line.number, "'deadline_check' must be on or off");
       }
     } else if (key == "policy") {
       if (s = need(1); !s.ok()) return s;
@@ -479,12 +417,12 @@ util::StatusOr<ScenarioProfile> load_profile(std::istream& is) {
       } else if (line.tokens[1] == "random") {
         profile.policy = ScenarioProfile::Policy::kRandom;
       } else {
-        return line_error(line.number,
-                          "'policy' must be minatc, earliest, or random");
+        return at_line(line.number,
+                       "'policy' must be minatc, earliest, or random");
       }
     } else if (key == "arrival") {
       if (args == 0) {
-        return line_error(line.number, "'arrival' expects scale|mmpp");
+        return at_line(line.number, "'arrival' expects scale|mmpp");
       }
       if (line.tokens[1] == "scale") {
         if (s = need(2); !s.ok()) return s;
@@ -497,17 +435,17 @@ util::StatusOr<ScenarioProfile> load_profile(std::istream& is) {
         if (s = get_double(3, profile.arrival.mean_phase_s); !s.ok()) return s;
         if (s = get_double(4, profile.arrival.burst_duty); !s.ok()) return s;
       } else {
-        return line_error(line.number, "'arrival' must be scale or mmpp");
+        return at_line(line.number, "'arrival' must be scale or mmpp");
       }
     } else if (key == "trace") {
       if (args == 0) {
-        return line_error(line.number, "'trace' expects diurnal|flash|burst");
+        return at_line(line.number, "'trace' expects diurnal|flash|burst");
       }
       if (line.tokens[1] == "diurnal") {
         if (s = need(3); !s.ok()) return s;
         profile.trace.kind = TraceOverlay::Kind::kDiurnal;
         if (s = get_double(2, profile.trace.amplitude); !s.ok()) return s;
-        if (s = get_size(3, profile.trace.segments); !s.ok()) return s;
+        if (s = get_count(3, profile.trace.segments); !s.ok()) return s;
       } else if (line.tokens[1] == "flash") {
         if (s = need(4); !s.ok()) return s;
         profile.trace.kind = TraceOverlay::Kind::kFlash;
@@ -520,32 +458,32 @@ util::StatusOr<ScenarioProfile> load_profile(std::istream& is) {
         if (s = get_double(2, profile.trace.start_s); !s.ok()) return s;
         if (s = get_double(3, profile.trace.magnitude); !s.ok()) return s;
         if (s = get_double(4, profile.trace.duration_s); !s.ok()) return s;
-        if (s = get_size(5, profile.trace.segments); !s.ok()) return s;
+        if (s = get_count(5, profile.trace.segments); !s.ok()) return s;
       } else {
-        return line_error(line.number,
-                          "'trace' must be diurnal, flash, or burst");
+        return at_line(line.number,
+                       "'trace' must be diurnal, flash, or burst");
       }
     } else if (key == "replan") {
       if (s = need(3); !s.ok()) return s;
       ReplanSection r;
       if (s = get_double(1, r.cadence_s); !s.ok()) return s;
       if (s = get_double(2, r.tracking_threshold); !s.ok()) return s;
-      if (s = get_u64(3, r.max_lp_iterations); !s.ok()) return s;
+      if (s = get_count(3, r.max_lp_iterations); !s.ok()) return s;
       profile.replan = r;
     } else if (key == "sim") {
       if (s = need(4); !s.ok()) return s;
       if (s = get_double(1, profile.sim.duration_s); !s.ok()) return s;
       if (s = get_double(2, profile.sim.warmup_s); !s.ok()) return s;
-      if (s = get_u64(3, profile.sim.seed); !s.ok()) return s;
-      if (s = get_size(4, profile.sim.samples); !s.ok()) return s;
+      if (s = get_count(3, profile.sim.seed); !s.ok()) return s;
+      if (s = get_count(4, profile.sim.samples); !s.ok()) return s;
     } else if (key == "faults") {
       if (s = need(8); !s.ok()) return s;
       FaultStorm f;
-      if (s = get_u64(1, f.seed); !s.ok()) return s;
+      if (s = get_count(1, f.seed); !s.ok()) return s;
       if (s = get_double(2, f.horizon_s); !s.ok()) return s;
-      if (s = get_size(3, f.node_failures); !s.ok()) return s;
+      if (s = get_count(3, f.node_failures); !s.ok()) return s;
       if (s = get_double(4, f.node_repair_after_s); !s.ok()) return s;
-      if (s = get_size(5, f.crac_derates); !s.ok()) return s;
+      if (s = get_count(5, f.crac_derates); !s.ok()) return s;
       if (s = get_double(6, f.crac_capacity_fraction); !s.ok()) return s;
       if (s = get_double(7, f.crac_repair_after_s); !s.ok()) return s;
       if (s = get_double(8, f.power_cap_fraction); !s.ok()) return s;
@@ -557,17 +495,14 @@ util::StatusOr<ScenarioProfile> load_profile(std::istream& is) {
       } else if (line.tokens[1] == "infeasible") {
         profile.expect_infeasible = true;
       } else {
-        return line_error(line.number,
-                          "'expect' must be feasible or infeasible");
+        return at_line(line.number,
+                       "'expect' must be feasible or infeasible");
       }
     } else {
-      return line_error(line.number, "unknown key '" + key + "'");
+      return at_line(line.number, "unknown key '" + key + "'");
     }
   }
-  if (!saw_end) {
-    return invalid("line " + std::to_string(lines.back().number) +
-                   ": missing 'end'");
-  }
+  if (!saw_end) return at_line(lines.back().number, "missing 'end'");
   if (!saw_name) return invalid("missing required key 'name'");
   if (util::Status s = profile.validate(); !s.ok()) return s;
   return profile;
@@ -579,11 +514,7 @@ util::StatusOr<ScenarioProfile> parse_profile(const std::string& text) {
 }
 
 util::StatusOr<ScenarioProfile> load_profile_file(const std::string& path) {
-  std::ifstream is(path);
-  if (!is) return util::Status::NotFound("cannot open '" + path + "'");
-  util::StatusOr<ScenarioProfile> result = load_profile(is);
-  if (!result.ok()) return result.status().with_context(path);
-  return result;
+  return util::text::load_file(path, load_profile);
 }
 
 util::StatusOr<std::vector<ScenarioProfile>> load_profile_dir(

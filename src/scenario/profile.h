@@ -11,11 +11,13 @@
 // fleet and `generate_random_profiles` emits seeded random profiles into the
 // same format for coverage beyond the hand-named corners.
 //
-// The text format is line-oriented (`key value...`, one key per line, '#'
-// comment lines, closed by `end`). Parsing is strict: unknown keys,
-// duplicate keys, missing sections, out-of-range values and trailing junk
-// all produce a line-numbered util::Status::InvalidArgument — never a crash,
-// never silent acceptance (the fuzz suite in tests/scenario pins this).
+// The text format is line-oriented (`key value...`, one key per line,
+// closed by `end`); tokens, numbers, counts, comments and CRLF follow the
+// shared lexical rules (util/text.h, docs/SCENARIOS.md "Lexical rules").
+// Parsing is strict: unknown keys, duplicate keys, missing sections,
+// out-of-range values and trailing junk all produce a line-numbered
+// util::Status::InvalidArgument — never a crash, never silent acceptance
+// (the fuzz suite in tests/scenario pins this).
 // serialize→parse round-trips bit-identically: doubles are written with 17
 // significant digits and names percent-encoded.
 #pragma once

@@ -2,14 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <limits>
 #include <ostream>
 #include <sstream>
 
 #include "util/check.h"
+#include "util/text.h"
 
 namespace tapo::sim {
 
@@ -19,32 +18,10 @@ constexpr char kHeader[] = "tapo-traces v1";
 constexpr double kInf = std::numeric_limits<double>::infinity();
 constexpr double kPi = 3.14159265358979323846;
 
-std::string fmt_double(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
-bool parse_double(const std::string& token, double* out) {
-  const char* begin = token.c_str();
-  char* end = nullptr;
-  *out = std::strtod(begin, &end);
-  return end == begin + token.size() && token.size() > 0;
-}
-
-bool parse_index(const std::string& token, std::size_t* out) {
-  const char* begin = token.c_str();
-  char* end = nullptr;
-  const long long v = std::strtoll(begin, &end, 10);
-  if (end != begin + token.size() || token.empty() || v < 0) return false;
-  *out = static_cast<std::size_t>(v);
-  return true;
-}
-
-util::Status line_error(std::size_t line, const std::string& msg) {
-  return util::Status::InvalidArgument("line " + std::to_string(line) + ": " +
-                                       msg);
-}
+using util::text::at_line;
+using util::text::format_double;
+using util::text::parse_number;
+using util::text::parse_unsigned;
 
 // Index of the segment in force at time t (segments validated: first start
 // 0, strictly increasing).
@@ -124,8 +101,8 @@ void save_rate_trace(const RateTrace& trace, std::ostream& os) {
   os << "types " << trace.per_type.size() << "\n";
   for (std::size_t i = 0; i < trace.per_type.size(); ++i) {
     for (const RateSegment& s : trace.per_type[i]) {
-      os << "seg " << i << ' ' << fmt_double(s.start_s) << ' '
-         << fmt_double(s.rate) << "\n";
+      os << "seg " << i << ' ' << format_double(s.start_s) << ' '
+         << format_double(s.rate) << "\n";
     }
   }
   os << "end\n";
@@ -138,80 +115,65 @@ std::string serialize_rate_trace(const RateTrace& trace) {
 }
 
 util::StatusOr<RateTrace> load_rate_trace(std::istream& is) {
-  std::string line;
-  std::size_t line_no = 0;
-  // Blank lines and comments are ignored everywhere, including before the
-  // header line.
-  bool have_header = false;
-  while (std::getline(is, line)) {
-    ++line_no;
-    const std::size_t first = line.find_first_not_of(" \t\r");
-    if (first == std::string::npos || line[first] == '#') continue;
-    if (line != kHeader) {
-      return line_error(line_no, "expected header '" + std::string(kHeader) +
-                                     "', got '" + line + "'");
-    }
-    have_header = true;
-    break;
-  }
-  if (!have_header) {
-    return util::Status::InvalidArgument("empty trace file");
-  }
+  util::text::LineReader reader(is);
+  if (util::Status s = reader.expect_header(kHeader); !s.ok()) return s;
 
   RateTrace trace;
-  bool have_types = false;
+  std::size_t types = 0;  // set by the 'types' line
   bool have_end = false;
   std::size_t current = 0;  // segments must arrive grouped by ascending type
-  while (std::getline(is, line)) {
-    ++line_no;
-    std::istringstream ls(line);
-    std::vector<std::string> tokens;
-    std::string token;
-    while (ls >> token) tokens.push_back(token);
-    if (tokens.empty() || tokens.front()[0] == '#') continue;
+  for (util::text::Line line; reader.next(line);) {
+    const std::size_t line_no = line.number;
+    const std::vector<std::string>& tokens = line.tokens;
     if (have_end) {
-      return line_error(line_no, "trailing content after 'end'");
+      return at_line(line_no, "trailing content after 'end'");
     }
 
     if (tokens.front() == "types") {
-      if (have_types) return line_error(line_no, "duplicate 'types' line");
-      std::size_t t = 0;
-      if (tokens.size() != 2 || !parse_index(tokens[1], &t) || t == 0) {
-        return line_error(line_no, "'types' needs one positive count");
+      if (types != 0) return at_line(line_no, "duplicate 'types' line");
+      if (tokens.size() != 2 || !parse_unsigned(tokens[1], types) ||
+          types == 0) {
+        return at_line(line_no, "'types' needs one positive count");
       }
-      trace.per_type.assign(t, {});
-      have_types = true;
     } else if (tokens.front() == "seg") {
-      if (!have_types) {
-        return line_error(line_no, "'seg' before the 'types' line");
+      if (types == 0) {
+        return at_line(line_no, "'seg' before the 'types' line");
       }
       std::size_t type = 0;
       RateSegment seg;
-      if (tokens.size() != 4 || !parse_index(tokens[1], &type) ||
-          !parse_double(tokens[2], &seg.start_s) ||
-          !parse_double(tokens[3], &seg.rate)) {
-        return line_error(line_no, "expected 'seg <type> <start_s> <rate>'");
+      if (tokens.size() != 4 || !parse_unsigned(tokens[1], type) ||
+          !parse_number(tokens[2], seg.start_s) ||
+          !parse_number(tokens[3], seg.rate)) {
+        return at_line(line_no, "expected 'seg <type> <start_s> <rate>'");
       }
-      if (type >= trace.per_type.size()) {
-        return line_error(line_no, "type index " + std::to_string(type) +
-                                       " out of range (trace has " +
-                                       std::to_string(trace.per_type.size()) +
-                                       " types)");
+      if (type >= types) {
+        return at_line(line_no, "type index " + std::to_string(type) +
+                                    " out of range (trace has " +
+                                    std::to_string(types) + " types)");
       }
       if (type < current) {
-        return line_error(line_no, "segments must be grouped by ascending type");
+        return at_line(line_no, "segments must be grouped by ascending type");
       }
       current = type;
-      trace.per_type[type].push_back(seg);
+      // The trace grows one type at a time, so a 'types' count the document
+      // does not back allocates nothing. Past a skipped type nothing is
+      // stored; the gap is reported once the document has parsed.
+      if (type == trace.per_type.size()) trace.per_type.emplace_back();
+      if (type < trace.per_type.size()) trace.per_type[type].push_back(seg);
     } else if (tokens.front() == "end") {
-      if (tokens.size() != 1) return line_error(line_no, "junk after 'end'");
+      if (tokens.size() != 1) return at_line(line_no, "junk after 'end'");
       have_end = true;
     } else {
-      return line_error(line_no, "unknown directive '" + tokens.front() + "'");
+      return at_line(line_no, "unknown directive '" + tokens.front() + "'");
     }
   }
   if (!have_end) {
     return util::Status::InvalidArgument("missing 'end' terminator");
+  }
+  if (trace.per_type.size() < types) {
+    return util::Status::InvalidArgument(
+        "trace type " + std::to_string(trace.per_type.size()) +
+        ": no segments");
   }
   if (util::Status s = trace.validate(); !s.ok()) return s;
   return trace;
@@ -223,13 +185,7 @@ util::StatusOr<RateTrace> parse_rate_trace(const std::string& text) {
 }
 
 util::StatusOr<RateTrace> load_rate_trace_file(const std::string& path) {
-  std::ifstream is(path);
-  if (!is) {
-    return util::Status::NotFound("cannot open '" + path + "'");
-  }
-  util::StatusOr<RateTrace> loaded = load_rate_trace(is);
-  if (!loaded.ok()) return loaded.status().with_context(path);
-  return loaded;
+  return util::text::load_file(path, load_rate_trace);
 }
 
 bool save_rate_trace_file(const RateTrace& trace, const std::string& path) {

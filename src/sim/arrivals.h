@@ -67,8 +67,9 @@ inline bool operator!=(const RateTrace& a, const RateTrace& b) {
 //   types <T>
 //   seg <type> <start_s> <rate>     (grouped by type, starts increasing)
 //   end
-// Blank lines and '#' comments are ignored. Doubles serialize with 17
-// significant digits so save -> load round-trips bit-identically; parse
+// Tokens, numbers, counts, comments and CRLF follow the shared lexical rules
+// (util/text.h, docs/SCENARIOS.md "Lexical rules"). Doubles serialize with
+// 17 significant digits so save -> load round-trips bit-identically; parse
 // errors carry the offending line number and never crash (the mutation-fuzz
 // suite pins this).
 void save_rate_trace(const RateTrace& trace, std::ostream& os);

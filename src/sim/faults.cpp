@@ -2,13 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
-#include <fstream>
 #include <ostream>
-#include <sstream>
 
 #include "util/check.h"
 #include "util/rng.h"
+#include "util/text.h"
 
 namespace tapo::sim {
 
@@ -16,26 +14,9 @@ namespace {
 
 constexpr char kHeader[] = "tapo-faults v1";
 
-bool parse_double(const std::string& token, double* out) {
-  const char* begin = token.c_str();
-  char* end = nullptr;
-  *out = std::strtod(begin, &end);
-  return end == begin + token.size() && token.size() > 0;
-}
-
-bool parse_index(const std::string& token, std::size_t* out) {
-  const char* begin = token.c_str();
-  char* end = nullptr;
-  const long long v = std::strtoll(begin, &end, 10);
-  if (end != begin + token.size() || token.empty() || v < 0) return false;
-  *out = static_cast<std::size_t>(v);
-  return true;
-}
-
-util::Status line_error(std::size_t line, const std::string& msg) {
-  return util::Status::InvalidArgument("line " + std::to_string(line) + ": " +
-                                       msg);
-}
+using util::text::at_line;
+using util::text::parse_number;
+using util::text::parse_unsigned;
 
 }  // namespace
 
@@ -127,66 +108,52 @@ void save_fault_schedule(const FaultSchedule& schedule, std::ostream& os) {
 }
 
 util::StatusOr<FaultSchedule> load_fault_schedule(std::istream& is) {
-  std::string line;
-  std::size_t line_no = 0;
-  if (!std::getline(is, line)) {
-    return util::Status::InvalidArgument("empty fault file");
-  }
-  ++line_no;
-  if (line != kHeader) {
-    return line_error(line_no, "expected header '" + std::string(kHeader) +
-                                   "', got '" + line + "'");
-  }
+  util::text::LineReader reader(is);
+  if (util::Status s = reader.expect_header(kHeader); !s.ok()) return s;
 
   FaultSchedule schedule;
-  while (std::getline(is, line)) {
-    ++line_no;
-    std::istringstream ls(line);
-    std::vector<std::string> tokens;
-    std::string token;
-    while (ls >> token) tokens.push_back(token);
-    if (tokens.empty() || tokens.front()[0] == '#') continue;
-
+  for (util::text::Line line; reader.next(line);) {
+    const std::size_t line_no = line.number;
+    const std::vector<std::string>& tokens = line.tokens;
     if (tokens.size() < 2) {
-      return line_error(line_no, "expected '<time> <kind> ...'");
+      return at_line(line_no, "expected '<time> <kind> ...'");
     }
     FaultEvent e;
-    if (!parse_double(tokens[0], &e.time_s) || !std::isfinite(e.time_s) ||
-        e.time_s < 0.0) {
-      return line_error(line_no, "bad time '" + tokens[0] + "'");
+    if (!parse_number(tokens[0], e.time_s) || e.time_s < 0.0) {
+      return at_line(line_no, "bad time '" + tokens[0] + "'");
     }
     const std::string& kind = tokens[1];
     if (kind == "node_fail" || kind == "node_repair") {
       e.kind = kind == "node_fail" ? FaultKind::kNodeFail
                                    : FaultKind::kNodeRepair;
-      if (tokens.size() != 3 || !parse_index(tokens[2], &e.target)) {
-        return line_error(line_no, kind + " needs one node index");
+      if (tokens.size() != 3 || !parse_unsigned(tokens[2], e.target)) {
+        return at_line(line_no, kind + " needs one node index");
       }
     } else if (kind == "crac_derate") {
       e.kind = FaultKind::kCracDerate;
-      if (tokens.size() != 4 || !parse_index(tokens[2], &e.target) ||
-          !parse_double(tokens[3], &e.value)) {
-        return line_error(line_no,
-                          "crac_derate needs '<crac> <capacity_fraction>'");
+      if (tokens.size() != 4 || !parse_unsigned(tokens[2], e.target) ||
+          !parse_number(tokens[3], e.value)) {
+        return at_line(line_no,
+                       "crac_derate needs '<crac> <capacity_fraction>'");
       }
-      if (!std::isfinite(e.value) || e.value < 0.0 || e.value > 1.0) {
-        return line_error(line_no, "capacity fraction must be in [0, 1]");
+      if (e.value < 0.0 || e.value > 1.0) {
+        return at_line(line_no, "capacity fraction must be in [0, 1]");
       }
     } else if (kind == "crac_repair") {
       e.kind = FaultKind::kCracRepair;
-      if (tokens.size() != 3 || !parse_index(tokens[2], &e.target)) {
-        return line_error(line_no, "crac_repair needs one CRAC index");
+      if (tokens.size() != 3 || !parse_unsigned(tokens[2], e.target)) {
+        return at_line(line_no, "crac_repair needs one CRAC index");
       }
     } else if (kind == "power_cap") {
       e.kind = FaultKind::kPowerCap;
-      if (tokens.size() != 3 || !parse_double(tokens[2], &e.value)) {
-        return line_error(line_no, "power_cap needs '<kw>'");
+      if (tokens.size() != 3 || !parse_number(tokens[2], e.value)) {
+        return at_line(line_no, "power_cap needs '<kw>'");
       }
-      if (!std::isfinite(e.value) || e.value < 0.0) {
-        return line_error(line_no, "power cap must be finite and non-negative");
+      if (e.value < 0.0) {
+        return at_line(line_no, "power cap must be finite and non-negative");
       }
     } else {
-      return line_error(line_no, "unknown fault kind '" + kind + "'");
+      return at_line(line_no, "unknown fault kind '" + kind + "'");
     }
     schedule.events.push_back(e);
   }
@@ -195,13 +162,7 @@ util::StatusOr<FaultSchedule> load_fault_schedule(std::istream& is) {
 }
 
 util::StatusOr<FaultSchedule> load_fault_schedule_file(const std::string& path) {
-  std::ifstream is(path);
-  if (!is) {
-    return util::Status::NotFound("cannot open '" + path + "'");
-  }
-  util::StatusOr<FaultSchedule> loaded = load_fault_schedule(is);
-  if (!loaded.ok()) return loaded.status().with_context(path);
-  return loaded;
+  return util::text::load_file(path, load_fault_schedule);
 }
 
 FaultSchedule generate_fault_schedule(const dc::DataCenter& dc,

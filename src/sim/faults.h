@@ -66,7 +66,8 @@ struct FaultSchedule {
 //   <time_s> crac_derate <crac> <capacity_fraction>
 //   <time_s> crac_repair <crac>
 //   <time_s> power_cap <kw>
-// Blank lines and lines starting with '#' are ignored. Parse errors carry
+// Tokens, numbers, indices, comments and CRLF follow the shared lexical
+// rules (util/text.h, docs/SCENARIOS.md "Lexical rules"). Parse errors carry
 // the offending line number.
 void save_fault_schedule(const FaultSchedule& schedule, std::ostream& os);
 util::StatusOr<FaultSchedule> load_fault_schedule(std::istream& is);

@@ -8,6 +8,7 @@
 
 #include "sim/arrivals.h"
 #include "util/check.h"
+#include "util/text.h"
 
 namespace tapo::sim {
 
@@ -101,30 +102,45 @@ bool save_trace_csv(const Trace& trace, const std::string& path) {
   return static_cast<bool>(os);
 }
 
-std::optional<Trace> load_trace_csv(const std::string& path,
-                                    std::size_t num_task_types) {
-  std::ifstream is(path);
-  if (!is) return std::nullopt;
-  std::string line;
-  if (!std::getline(is, line) || line != "time,task_type") return std::nullopt;
+namespace {
+
+util::StatusOr<Trace> read_trace_csv(std::istream& is,
+                                     std::size_t num_task_types) {
+  util::text::LineReader reader(is);
+  util::Status error = reader.expect_header("time,task_type");
   Trace trace;
-  while (std::getline(is, line)) {
-    if (line.empty()) continue;
-    double time = 0.0;
-    unsigned long type = 0;
-    if (std::sscanf(line.c_str(), "%lf,%lu", &time, &type) != 2) {
-      return std::nullopt;
+  for (util::text::Line line; error.ok() && reader.next(line);) {
+    const std::string& fields = line.tokens[0];
+    const std::size_t comma = fields.find(',');
+    TraceEvent e;
+    if (line.tokens.size() != 1 || comma == std::string::npos ||
+        !util::text::parse_number(fields.substr(0, comma), e.time) ||
+        !util::text::parse_unsigned(fields.substr(comma + 1), e.task_type)) {
+      error = util::text::at_line(line.number, "expected '<time>,<task_type>'");
+    } else if (e.time < 0.0) {
+      error = util::text::at_line(line.number, "negative time");
+    } else if (e.task_type >= num_task_types) {
+      error = util::text::at_line(
+          line.number, "task type " + std::to_string(e.task_type) +
+                           " out of range (have " +
+                           std::to_string(num_task_types) + ")");
+    } else if (!trace.empty() && e.time < trace.back().time) {
+      error = util::text::at_line(line.number, "events out of time order");
+    } else {
+      trace.push_back(e);
     }
-    if (type >= num_task_types || time < 0.0) return std::nullopt;
-    trace.push_back({time, static_cast<std::size_t>(type)});
   }
-  if (!std::is_sorted(trace.begin(), trace.end(),
-                      [](const TraceEvent& a, const TraceEvent& b) {
-                        return a.time < b.time;
-                      })) {
-    return std::nullopt;
-  }
+  if (!error.ok()) return error;
   return trace;
+}
+
+}  // namespace
+
+util::StatusOr<Trace> load_trace_csv(const std::string& path,
+                                     std::size_t num_task_types) {
+  return util::text::load_file(path, [&](std::istream& is) {
+    return read_trace_csv(is, num_task_types);
+  });
 }
 
 }  // namespace tapo::sim

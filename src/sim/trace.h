@@ -10,7 +10,6 @@
 // offered load.
 #pragma once
 
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -18,6 +17,7 @@
 #include "dc/datacenter.h"
 #include "sim/des.h"
 #include "util/rng.h"
+#include "util/status.h"
 
 namespace tapo::sim {
 
@@ -51,10 +51,13 @@ Trace generate_mmpp_trace(const std::vector<dc::TaskType>& task_types,
 std::vector<double> trace_rates(const Trace& trace, std::size_t num_task_types,
                                 double horizon_seconds);
 
-// CSV persistence: header "time,task_type", one event per line.
+// CSV persistence: header "time,task_type", then one "<time>,<task_type>"
+// event per line in time order, under the shared lexical rules (util/text.h,
+// docs/SCENARIOS.md "Lexical rules"). Loading reports the first bad line as
+// "<path>: line N: ..." (NOT_FOUND when the file cannot be opened).
 bool save_trace_csv(const Trace& trace, const std::string& path);
-std::optional<Trace> load_trace_csv(const std::string& path,
-                                    std::size_t num_task_types);
+util::StatusOr<Trace> load_trace_csv(const std::string& path,
+                                     std::size_t num_task_types);
 
 // Replays a trace against an assignment on the same event loop as simulate()
 // (sim/des.h), with the trace in place of the live arrival streams;

@@ -15,6 +15,7 @@
 #include "sim/trace.h"
 #include "thermal/heatflow.h"
 #include "util/telemetry.h"
+#include "util/text.h"
 #include "util/threadpool.h"
 
 namespace tapo::soak {
@@ -22,43 +23,14 @@ namespace tapo::soak {
 namespace {
 
 namespace fs = std::filesystem;
-
-std::string fmt_double(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
+using util::text::json_number;
+using util::text::json_string;
 
 std::string hash_hex(std::uint64_t hash) {
   char buf[20];
   std::snprintf(buf, sizeof(buf), "%016llx",
                 static_cast<unsigned long long>(hash));
   return buf;
-}
-
-// Report strings are JSON-escaped the same way the telemetry registry does
-// it: quote, backslash, and control characters only.
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 // Cache/artifact file stem: profile names are free-form, filenames are not.
@@ -103,24 +75,24 @@ std::string build_report_json(const scenario::ScenarioProfile& profile,
                               std::uint64_t hash, const RunRecord& record) {
   std::ostringstream os;
   os << "{\"schema\":\"tapo-soak-report-v1\"";
-  os << ",\"name\":\"" << json_escape(profile.name) << "\"";
+  os << ",\"name\":" << json_string(profile.name);
   os << ",\"hash\":\"" << hash_hex(hash) << "\"";
   os << ",\"expect\":\""
      << (profile.expect_infeasible ? "infeasible" : "feasible") << "\"";
   os << ",\"planned\":" << (record.planned ? "true" : "false");
   os << ",\"feasible\":" << (record.feasible ? "true" : "false");
   if (!record.reason.empty()) {
-    os << ",\"reason\":\"" << json_escape(record.reason) << "\"";
+    os << ",\"reason\":" << json_string(record.reason);
   }
   if (record.feasible) {
-    os << ",\"reward_rate\":" << fmt_double(record.reward_rate);
+    os << ",\"reward_rate\":" << json_number(record.reward_rate);
   }
   if (record.simulated) {
     os << ",\"achieved_reward_rate\":"
-       << fmt_double(record.achieved_reward_rate);
-    os << ",\"drop_fraction\":" << fmt_double(record.drop_fraction);
-    os << ",\"tracking_error\":" << fmt_double(record.tracking_error);
-    os << ",\"energy_kwh\":" << fmt_double(record.energy_kwh);
+       << json_number(record.achieved_reward_rate);
+    os << ",\"drop_fraction\":" << json_number(record.drop_fraction);
+    os << ",\"tracking_error\":" << json_number(record.tracking_error);
+    os << ",\"energy_kwh\":" << json_number(record.energy_kwh);
   }
   if (record.replanned) {
     os << ",\"replan\":{\"steps\":" << record.horizon_steps
@@ -132,11 +104,11 @@ std::string build_report_json(const scenario::ScenarioProfile& profile,
   for (std::size_t i = 0; i < record.anomalies.size(); ++i) {
     const Anomaly& a = record.anomalies[i];
     if (i) os << ",";
-    os << "{\"detector\":\"" << json_escape(a.detector) << "\""
-       << ",\"series\":\"" << json_escape(a.series) << "\""
-       << ",\"value\":" << fmt_double(a.value)
-       << ",\"threshold\":" << fmt_double(a.threshold)
-       << ",\"detail\":\"" << json_escape(a.detail) << "\"}";
+    os << "{\"detector\":" << json_string(a.detector)
+       << ",\"series\":" << json_string(a.series)
+       << ",\"value\":" << json_number(a.value)
+       << ",\"threshold\":" << json_number(a.threshold)
+       << ",\"detail\":" << json_string(a.detail) << "}";
   }
   os << "]";
   os << ",\"pass\":" << (record.pass ? "true" : "false");

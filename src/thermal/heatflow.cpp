@@ -7,28 +7,42 @@
 
 namespace tapo::thermal {
 
-HeatFlowModel::HeatFlowModel(const dc::DataCenter& dc) : dc_(dc) {
-  const std::size_t nc = dc.num_cracs();
-  const std::size_t nn = dc.num_nodes();
-  const std::size_t n = nc + nn;
-  TAPO_CHECK_MSG(dc.alpha.rows() == n && dc.alpha.cols() == n,
-                 "alpha dimensions do not match the data center");
-
-  // G(j, i) = alpha(i, j) * F_i / F_j : weight of source i's outlet in sink
-  // j's inlet. Flow balance (Appendix B constraint 2) makes rows sum to 1.
-  g_ = solver::Matrix(n, n);
+util::StatusOr<solver::Matrix> inlet_mixing(const dc::DataCenter& dc) {
+  const std::size_t n = dc.num_entities();
+  if (dc.alpha.rows() != n || dc.alpha.cols() != n) {
+    return util::Status::InvalidArgument(
+        "alpha dimensions do not match the data center");
+  }
+  // Flow balance (Appendix B constraint 2) makes rows of G sum to 1.
+  solver::Matrix g(n, n);
   for (std::size_t j = 0; j < n; ++j) {
     const double fj = dc.entity_flow(j);
     double row_sum = 0.0;
     for (std::size_t i = 0; i < n; ++i) {
       const double a = dc.alpha(i, j);
-      TAPO_CHECK_MSG(a >= -1e-9, "negative cross-interference coefficient");
-      g_(j, i) = a * dc.entity_flow(i) / fj;
-      row_sum += g_(j, i);
+      if (!(a >= -1e-9) || !std::isfinite(a)) {
+        return util::Status::InvalidArgument(
+            "cross-interference coefficient alpha(" + std::to_string(i) +
+            ", " + std::to_string(j) + ") is negative or not finite");
+      }
+      g(j, i) = a * dc.entity_flow(i) / fj;
+      row_sum += g(j, i);
     }
-    TAPO_CHECK_MSG(std::fabs(row_sum - 1.0) < 1e-5,
-                   "inlet flow balance violated (alpha inconsistent)");
+    if (!(std::fabs(row_sum - 1.0) < 1e-5)) {
+      return util::Status::InvalidArgument(
+          "inlet flow balance violated at entity " + std::to_string(j) +
+          " (alpha inconsistent)");
+    }
   }
+  return g;
+}
+
+HeatFlowModel::HeatFlowModel(const dc::DataCenter& dc) : dc_(dc) {
+  const std::size_t nc = dc.num_cracs();
+  const std::size_t nn = dc.num_nodes();
+  util::StatusOr<solver::Matrix> g = inlet_mixing(dc);
+  TAPO_CHECK_MSG(g.ok(), g.status().message().c_str());
+  g_ = std::move(*g);
 
   g_cc_ = g_.block(0, 0, nc, nc);
   g_cn_ = g_.block(0, nc, nc, nn);

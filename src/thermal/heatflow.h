@@ -19,6 +19,7 @@
 #include "dc/datacenter.h"
 #include "solver/lu.h"
 #include "solver/matrix.h"
+#include "util/status.h"
 
 namespace tapo::thermal {
 
@@ -41,10 +42,18 @@ struct LinearResponse {
   solver::Matrix crac_in_coeff;  // NCRAC x NCN
 };
 
+// The inlet mixing matrix G(j, i) = alpha(i, j) * F_i / F_j: the weight of
+// source i's outlet in sink j's inlet, entities ordered CRACs then nodes.
+// The one statement of what a valid alpha is: sized to the data center,
+// entries finite and non-negative, and every row of G summing to 1 (inlet
+// flow balance, Appendix B constraint 2). Anything else is INVALID_ARGUMENT,
+// so the archive loader can reject the alpha HeatFlowModel would refuse.
+util::StatusOr<solver::Matrix> inlet_mixing(const dc::DataCenter& dc);
+
 class HeatFlowModel {
  public:
-  // Builds A_hat from dc.alpha and the entity flows, validates flow balance,
-  // and factors (I - G_nn). Aborts (TAPO_CHECK) on a malformed alpha.
+  // Builds A_hat via inlet_mixing() and factors (I - G_nn). Aborts
+  // (TAPO_CHECK) when inlet_mixing() fails or (I - G_nn) is singular.
   explicit HeatFlowModel(const dc::DataCenter& dc);
 
   // Steady-state temperatures for given CRAC outlet setpoints and node

@@ -1,12 +1,27 @@
 #include "util/args.h"
 
 #include <cctype>
+#include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <sstream>
 
 #include "util/check.h"
+#include "util/text.h"
 
 namespace tapo::util {
+
+namespace {
+
+// A malformed numeric option is bad input: name it and exit 2.
+[[noreturn]] void bad_value(const std::string& name, const std::string& value,
+                            const char* expected) {
+  std::fprintf(stderr, "error: option --%s: '%s' is not %s\n", name.c_str(),
+               value.c_str(), expected);
+  std::exit(2);
+}
+
+}  // namespace
 
 ArgParser::ArgParser(std::string program, std::string description)
     : program_(std::move(program)), description_(std::move(description)) {}
@@ -121,20 +136,21 @@ const std::string& ArgParser::option(const std::string& name) const {
 
 double ArgParser::option_double(const std::string& name) const {
   const std::string& v = option(name);
-  char* end = nullptr;
-  const double parsed = std::strtod(v.c_str(), &end);
-  TAPO_CHECK_MSG(end && *end == '\0' && end != v.c_str(),
-                 "option is not a number");
+  double parsed = 0.0;
+  if (!text::parse_number(v, parsed)) bad_value(name, v, "a finite number");
   return parsed;
 }
 
 std::int64_t ArgParser::option_int(const std::string& name) const {
   const std::string& v = option(name);
-  char* end = nullptr;
-  const long long parsed = std::strtoll(v.c_str(), &end, 10);
-  TAPO_CHECK_MSG(end && *end == '\0' && end != v.c_str(),
-                 "option is not an integer");
-  return parsed;
+  const bool negative = !v.empty() && v[0] == '-';
+  std::uint64_t magnitude = 0;
+  if (!text::parse_unsigned(std::string_view(v).substr(negative), magnitude) ||
+      magnitude > std::uint64_t{std::numeric_limits<std::int64_t>::max()} +
+                      negative) {
+    bad_value(name, v, "an integer");
+  }
+  return static_cast<std::int64_t>(negative ? 0 - magnitude : magnitude);
 }
 
 std::string ArgParser::usage() const {

@@ -32,6 +32,9 @@ class ArgParser {
 
   bool flag(const std::string& name) const;
   const std::string& option(const std::string& name) const;
+  // Numeric values follow util/text.h: a finite number; an optional '-'
+  // then decimal digits within int64 range. A malformed value prints a
+  // diagnostic naming the option and exits with status 2 (bad input).
   double option_double(const std::string& name) const;
   std::int64_t option_int(const std::string& name) const;
 

@@ -1,49 +1,14 @@
 #include "util/telemetry.h"
 
-#include <cmath>
-#include <cstdio>
 #include <ostream>
 #include <sstream>
 
+#include "util/text.h"
+
 namespace tapo::util::telemetry {
 
-namespace {
-
-// Shortest-exact double for JSON: %.17g round-trips every finite double
-// through strtod; non-finite values have no JSON encoding and become null.
-void write_double(std::ostream& os, double v) {
-  if (!std::isfinite(v)) {
-    os << "null";
-    return;
-  }
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  os << buf;
-}
-
-void write_string(std::ostream& os, std::string_view s) {
-  os << '"';
-  for (char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      case '\r': os << "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          os << buf;
-        } else {
-          os << c;
-        }
-    }
-  }
-  os << '"';
-}
-
-}  // namespace
+using text::json_number;
+using text::json_string;
 
 Registry::Registry(std::size_t max_events) : max_events_(max_events) {}
 
@@ -161,8 +126,7 @@ void Registry::to_json(std::ostream& os) const {
   for (const auto& [name, value] : counters_) {
     os << (first ? "\n    " : ",\n    ");
     first = false;
-    write_string(os, name);
-    os << ": " << value;
+    os << json_string(name) << ": " << value;
   }
   os << (first ? "},\n" : "\n  },\n");
 
@@ -171,9 +135,7 @@ void Registry::to_json(std::ostream& os) const {
   for (const auto& [name, value] : gauges_) {
     os << (first ? "\n    " : ",\n    ");
     first = false;
-    write_string(os, name);
-    os << ": ";
-    write_double(os, value);
+    os << json_string(name) << ": " << json_number(value);
   }
   os << (first ? "},\n" : "\n  },\n");
 
@@ -182,12 +144,9 @@ void Registry::to_json(std::ostream& os) const {
   for (const auto& [name, stats] : timers_) {
     os << (first ? "\n    " : ",\n    ");
     first = false;
-    write_string(os, name);
-    os << ": {\"count\": " << stats.count << ", \"total_seconds\": ";
-    write_double(os, stats.total_seconds);
-    os << ", \"max_seconds\": ";
-    write_double(os, stats.max_seconds);
-    os << "}";
+    os << json_string(name) << ": {\"count\": " << stats.count
+       << ", \"total_seconds\": " << json_number(stats.total_seconds)
+       << ", \"max_seconds\": " << json_number(stats.max_seconds) << "}";
   }
   os << (first ? "},\n" : "\n  },\n");
 
@@ -196,15 +155,11 @@ void Registry::to_json(std::ostream& os) const {
   for (const auto& [name, samples] : series_) {
     os << (first ? "\n    " : ",\n    ");
     first = false;
-    write_string(os, name);
-    os << ": [";
+    os << json_string(name) << ": [";
     for (std::size_t i = 0; i < samples.size(); ++i) {
       if (i) os << ", ";
-      os << "[";
-      write_double(os, samples[i].x);
-      os << ", ";
-      write_double(os, samples[i].value);
-      os << "]";
+      os << "[" << json_number(samples[i].x) << ", "
+         << json_number(samples[i].value) << "]";
     }
     os << "]";
   }
@@ -214,16 +169,12 @@ void Registry::to_json(std::ostream& os) const {
      << ", \"retained\": " << events_.size() << ", \"records\": [";
   for (std::size_t i = 0; i < events_.size(); ++i) {
     const Event& ev = events_[i];
-    os << (i ? ",\n    " : "\n    ") << "{\"name\": ";
-    write_string(os, ev.name);
-    os << ", \"t\": ";
-    write_double(os, ev.t);
-    os << ", \"fields\": {";
+    os << (i ? ",\n    " : "\n    ") << "{\"name\": " << json_string(ev.name)
+       << ", \"t\": " << json_number(ev.t) << ", \"fields\": {";
     for (std::size_t f = 0; f < ev.fields.size(); ++f) {
       if (f) os << ", ";
-      write_string(os, ev.fields[f].first);
-      os << ": ";
-      write_double(os, ev.fields[f].second);
+      os << json_string(ev.fields[f].first) << ": "
+         << json_number(ev.fields[f].second);
     }
     os << "}}";
   }

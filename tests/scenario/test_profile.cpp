@@ -277,6 +277,28 @@ TEST(Profile, ParserErrorsCarryLineNumbers) {
 // return InvalidArgument (line-numbered) or a profile that passes
 // validate() — and must never crash, which ASan/UBSan turns into a hard
 // failure in CI.
+TEST(Profile, IntegersFollowTheSharedLexicalRules) {
+  // strtoull clamped an overflowing seed to 18446744073709551615 and
+  // strtoll accepted a sign on counts.
+  const char* const bad[] = {
+      "seed 99999999999999999999", "seed 18446744073709551616",
+      "nodes +5",                  "nodes -0",
+      "sim 120 12 2 +64",          "psi 1e999",
+      "psi inf",
+  };
+  for (const char* line : bad) {
+    const auto parsed = parse_profile(std::string("tapo-scenarios v1\nname x\n") +
+                                      line + "\nend\n");
+    ASSERT_FALSE(parsed.ok()) << line;
+    EXPECT_NE(parsed.status().message().find("line 3"), std::string::npos)
+        << parsed.status().to_string();
+  }
+  const auto max_seed = parse_profile(
+      "tapo-scenarios v1\r\nname x\r\nseed 18446744073709551615\r\nend\r\n");
+  ASSERT_TRUE(max_seed.ok()) << max_seed.status().to_string();
+  EXPECT_EQ(max_seed->seed, 18446744073709551615ULL);
+}
+
 TEST(Profile, MutationFuzzNeverCrashesOrSilentlyAccepts) {
   const std::string bases[] = {serialize_profile(busy_profile()),
                                serialize_profile(drift_profile())};

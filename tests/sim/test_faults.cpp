@@ -57,6 +57,35 @@ TEST(FaultSchedule, CommentsAndBlankLinesAreIgnored) {
   EXPECT_EQ(loaded->events[0].kind, FaultKind::kNodeFail);
 }
 
+TEST(FaultSchedule, CrlfFileWithALeadingCommentLoads) {
+  // The header used to be compared with its '\r' still attached ("expected
+  // header 'tapo-faults v1', got 'tapo-faults v1'").
+  std::istringstream is(
+      "# exported from a spreadsheet\r\n"
+      "tapo-faults v1\r\n"
+      "5 node_fail 0\r\n"
+      "9 crac_derate 1 0.5\r\n");
+  const auto loaded = load_fault_schedule(is);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().to_string();
+  ASSERT_EQ(loaded->events.size(), 2u);
+  EXPECT_EQ(loaded->events[1].kind, FaultKind::kCracDerate);
+  EXPECT_EQ(loaded->events[1].value, 0.5);
+}
+
+TEST(FaultSchedule, TokensFollowTheSharedLexicalRules) {
+  for (const char* doc : {"tapo-faults v1\n5 node_fail +1\n",
+                          "tapo-faults v1\n5 node_fail -0\n",
+                          "tapo-faults v1\n5 node_fail 18446744073709551616\n",
+                          "tapo-faults v1\nnan node_fail 0\n",
+                          "tapo-faults v1\n5 power_cap inf\n"}) {
+    std::istringstream is(doc);
+    const auto loaded = load_fault_schedule(is);
+    ASSERT_FALSE(loaded.ok()) << doc;
+    EXPECT_NE(loaded.status().message().find("line 2"), std::string::npos)
+        << loaded.status().to_string();
+  }
+}
+
 TEST(FaultSchedule, RejectsBadHeader) {
   std::istringstream is("tapo-faults v9\n5 node_fail 0\n");
   const auto loaded = load_fault_schedule(is);

@@ -125,6 +125,24 @@ TEST(RateTrace, ParserErrorsCarryLineNumbers) {
   }
 }
 
+TEST(RateTrace, TypeCountIsNotTrustedForAllocation) {
+  // 'types' sized the per-type table up front: 2^60 threw from inside the
+  // loader. The table now grows with the segments the document holds.
+  const auto huge =
+      parse_rate_trace("tapo-traces v1\ntypes 1152921504606846976\n"
+                       "seg 0 0 1\nend\n");
+  ASSERT_FALSE(huge.ok());
+  EXPECT_EQ(huge.status().message(), "trace type 1: no segments");
+  const auto gap = parse_rate_trace(
+      "tapo-traces v1\ntypes 3\nseg 0 0 1\nseg 2 0 1\nend\n");
+  ASSERT_FALSE(gap.ok());
+  EXPECT_EQ(gap.status().message(), "trace type 1: no segments");
+  const auto crlf = parse_rate_trace(
+      "tapo-traces v1\r\ntypes 2\r\nseg 0 0 1\r\nseg 1 0 2\r\nend\r\n");
+  ASSERT_TRUE(crlf.ok()) << crlf.status().to_string();
+  EXPECT_EQ(crlf->rate_at(1, 5.0), 2.0);
+}
+
 TEST(RateTrace, CommentsAndBlankLinesAreSkipped) {
   const std::string text =
       "# leading comment\n"

@@ -101,7 +101,7 @@ TEST(Trace, CsvRoundTrip) {
   const std::string path = "/tmp/tapo_trace_test.csv";
   ASSERT_TRUE(save_trace_csv(trace, path));
   const auto loaded = load_trace_csv(path, 2);
-  ASSERT_TRUE(loaded.has_value());
+  ASSERT_TRUE(loaded.ok()) << loaded.status().to_string();
   ASSERT_EQ(loaded->size(), trace.size());
   for (std::size_t e = 0; e < trace.size(); ++e) {
     EXPECT_NEAR((*loaded)[e].time, trace[e].time, 1e-8);
@@ -117,13 +117,40 @@ TEST(Trace, CsvRejectsBadHeaderAndOutOfRangeTypes) {
     std::fputs("wrong,header\n1.0,0\n", f);
     std::fclose(f);
   }
-  EXPECT_FALSE(load_trace_csv(path, 2).has_value());
+  EXPECT_FALSE(load_trace_csv(path, 2).ok());
   {
     std::FILE* f = std::fopen(path.c_str(), "w");
     std::fputs("time,task_type\n1.0,9\n", f);
     std::fclose(f);
   }
-  EXPECT_FALSE(load_trace_csv(path, 2).has_value());
+  EXPECT_FALSE(load_trace_csv(path, 2).ok());
+  std::remove(path.c_str());
+}
+
+TEST(Trace, CsvRejectsMalformedFieldsNamingTheLine) {
+  const std::string path = "/tmp/tapo_trace_junk.csv";
+  const auto load = [&](const char* text) {
+    std::FILE* f = std::fopen(path.c_str(), "w");
+    std::fputs(text, f);
+    std::fclose(f);
+    return load_trace_csv(path, 2);
+  };
+  // sscanf("%lf,%lu") used to read "1abc" as type 1.
+  const auto junk = load("time,task_type\n0.5,1abc\n");
+  ASSERT_FALSE(junk.ok());
+  EXPECT_EQ(junk.status().code(), util::StatusCode::kInvalidArgument);
+  EXPECT_NE(junk.status().message().find("line 2"), std::string::npos)
+      << junk.status().to_string();
+  EXPECT_FALSE(load("time,task_type\n0.5,-1\n").ok());
+  EXPECT_FALSE(load("time,task_type\nnan,0\n").ok());
+  const auto unsorted = load("time,task_type\n2,0\n1,1\n");
+  ASSERT_FALSE(unsorted.ok());
+  EXPECT_NE(unsorted.status().message().find("line 3"), std::string::npos);
+  // CRLF endings and comments follow the shared lexical rules.
+  const auto crlf = load("# arrivals\r\ntime,task_type\r\n0.5,1\r\n");
+  ASSERT_TRUE(crlf.ok()) << crlf.status().to_string();
+  ASSERT_EQ(crlf->size(), 1u);
+  EXPECT_EQ((*crlf)[0].task_type, 1u);
   std::remove(path.c_str());
 }
 

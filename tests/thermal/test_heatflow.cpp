@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 
 #include "dc/crac.h"
 #include "testutil.h"
@@ -141,6 +142,31 @@ TEST(HeatFlow, RejectsMalformedAlpha) {
   auto dc = make_tiny_dc({0, 0}, 1);
   dc.alpha(0, 0) += 0.5;  // breaks flow balance
   EXPECT_DEATH({ HeatFlowModel model(dc); }, "flow balance");
+}
+
+TEST(HeatFlow, InletMixingStatesTheAlphaRuleAsAStatus) {
+  const auto dc = make_tiny_dc({0, 0}, 1);
+  const auto g = inlet_mixing(dc);
+  ASSERT_TRUE(g.ok()) << g.status().to_string();
+  for (std::size_t j = 0; j < dc.num_entities(); ++j) {
+    double row = 0.0;
+    for (std::size_t i = 0; i < dc.num_entities(); ++i) row += (*g)(j, i);
+    EXPECT_NEAR(row, 1.0, 1e-12);
+  }
+  const auto fails_with = [&](auto mutate, const char* want) {
+    auto bad = dc;
+    mutate(bad);
+    const auto status = inlet_mixing(bad).status();
+    EXPECT_EQ(status.code(), util::StatusCode::kInvalidArgument) << want;
+    EXPECT_NE(status.message().find(want), std::string::npos)
+        << status.to_string();
+  };
+  fails_with([](dc::DataCenter& d) { d.alpha(0, 1) = -0.5; }, "negative");
+  fails_with([](dc::DataCenter& d) { d.alpha(0, 1) = std::nan(""); },
+             "not finite");
+  fails_with([](dc::DataCenter& d) { d.alpha(0, 0) += 0.5; }, "flow balance");
+  fails_with([](dc::DataCenter& d) { d.alpha = solver::Matrix(2, 2); },
+             "dimensions");
 }
 
 TEST(HeatFlow, HeatingPerKwMatchesNodeFlow) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+
 namespace tapo::util {
 namespace {
 
@@ -90,10 +93,37 @@ TEST(Args, UsageListsEverything) {
   EXPECT_NE(usage.find("--help"), std::string::npos);
 }
 
-TEST(Args, NonNumericOptionAborts) {
+TEST(Args, NonNumericOptionExitsWithStatusTwo) {
   auto parser = make_parser();
   ASSERT_TRUE(parser.parse({"--nodes=abc"}));
-  EXPECT_DEATH(parser.option_int("nodes"), "not an integer");
+  EXPECT_EXIT(parser.option_int("nodes"), ::testing::ExitedWithCode(2),
+              "--nodes: 'abc' is not an integer");
+}
+
+TEST(Args, NumericOptionsFollowTheSharedLexicalRules) {
+  auto parser = make_parser();
+  ASSERT_TRUE(parser.parse({"--nodes=-5", "--psi=0x1p-1"}));
+  EXPECT_EQ(parser.option_int("nodes"), -5);  // ranges are the caller's
+  EXPECT_EQ(parser.option_double("psi"), 0.5);
+  for (const char* bad : {"--nodes=12x", "--nodes=+5", "--nodes=",
+                          "--nodes=9223372036854775808", "--nodes=1.0"}) {
+    auto p = make_parser();
+    ASSERT_TRUE(p.parse({bad}));
+    EXPECT_EXIT(p.option_int("nodes"), ::testing::ExitedWithCode(2),
+                "option --nodes")
+        << bad;
+  }
+  for (const char* bad : {"--psi=12x", "--psi=nan", "--psi=inf", "--psi=1e999"}) {
+    auto p = make_parser();
+    ASSERT_TRUE(p.parse({bad}));
+    EXPECT_EXIT(p.option_double("psi"), ::testing::ExitedWithCode(2),
+                "option --psi: .* is not a finite number")
+        << bad;
+  }
+  auto extremes = make_parser();
+  ASSERT_TRUE(extremes.parse({"--nodes=-9223372036854775808"}));
+  EXPECT_EQ(extremes.option_int("nodes"),
+            std::numeric_limits<std::int64_t>::min());
 }
 
 }  // namespace

@@ -22,7 +22,8 @@
 // subcommand finishes.
 //
 // Exit codes: 0 success, 1 infeasible/unsolvable instance, 2 bad input
-// (malformed scenario or fault file, unknown flags).
+// (malformed scenario, trace or fault file, a malformed or out-of-range
+// option, unknown flags).
 #include <cstdio>
 #include <fstream>
 #include <iostream>
@@ -33,6 +34,7 @@
 #include "core/powermin.h"
 #include "scenario/generator.h"
 #include "scenario/io.h"
+#include "scenario/profile.h"
 #include "sim/des.h"
 #include "sim/trace.h"
 #include "thermal/heatflow.h"
@@ -60,25 +62,33 @@ std::optional<scenario::Scenario> make_scenario(const util::ArgParser& args) {
   if (const std::string& path = args.option("load"); !path.empty()) {
     // An archived instance: the data center is complete; bounds stay unset
     // except for subcommands that recompute them.
-    scenario::LoadResult loaded = scenario::load_data_center_file(path);
-    if (!loaded.ok) {
-      std::fprintf(stderr, "error: %s\n", loaded.status.to_string().c_str());
+    util::StatusOr<dc::DataCenter> loaded =
+        scenario::load_data_center_file(path);
+    if (!loaded.ok()) {
+      std::fprintf(stderr, "error: %s\n", loaded.status().to_string().c_str());
       return std::nullopt;
     }
     scenario.emplace();
-    scenario->dc = std::move(loaded.dc);
+    scenario->dc = std::move(*loaded);
     const thermal::HeatFlowModel model(scenario->dc);
     scenario->bounds = thermal::compute_power_bounds(scenario->dc, model);
   } else {
-    scenario::ScenarioConfig config;
-    config.num_nodes = static_cast<std::size_t>(args.option_int("nodes"));
-    config.num_cracs = static_cast<std::size_t>(args.option_int("cracs"));
-    config.num_task_types = static_cast<std::size_t>(args.option_int("task-types"));
-    config.static_fraction = args.option_double("static-fraction");
-    config.v_prop = args.option_double("vprop");
-    config.pconst_factor = args.option_double("pconst-factor");
-    config.seed = static_cast<std::uint64_t>(args.option_int("seed"));
-    scenario = scenario::generate_scenario(config);
+    // The generator inputs pass the ranges a scenario profile enforces, so
+    // a count like --nodes=-5 is bad input rather than a huge size_t.
+    scenario::ScenarioProfile profile;
+    profile.name = "tapo_cli";
+    profile.nodes = static_cast<std::size_t>(args.option_int("nodes"));
+    profile.cracs = static_cast<std::size_t>(args.option_int("cracs"));
+    profile.task_types = static_cast<std::size_t>(args.option_int("task-types"));
+    profile.static_fraction = args.option_double("static-fraction");
+    profile.v_prop = args.option_double("vprop");
+    profile.pconst_factor = args.option_double("pconst-factor");
+    profile.seed = static_cast<std::uint64_t>(args.option_int("seed"));
+    if (const util::Status s = profile.validate(); !s.ok()) {
+      std::fprintf(stderr, "error: %s\n", s.to_string().c_str());
+      return std::nullopt;
+    }
+    scenario = scenario::generate_scenario(profile.to_config());
     if (!scenario) std::fprintf(stderr, "error: scenario generation failed\n");
   }
   if (scenario) {
@@ -316,9 +326,9 @@ int cmd_trace(const util::ArgParser& args) {
   sim::Trace trace;
   if (const std::string& path = args.option("trace-in"); !path.empty()) {
     auto loaded = sim::load_trace_csv(path, scenario->dc.num_task_types());
-    if (!loaded) {
-      std::fprintf(stderr, "error: cannot load trace '%s'\n", path.c_str());
-      return 1;
+    if (!loaded.ok()) {
+      std::fprintf(stderr, "error: %s\n", loaded.status().to_string().c_str());
+      return 2;
     }
     trace = std::move(*loaded);
   } else if (args.option_double("burst-multiplier") > 1.0) {
