@@ -1,6 +1,6 @@
 // Online-routing throughput microbenchmarks (google-benchmark): the
 // reference scan vs the candidate index at several park sizes, plus the
-// DES-level arrival loop serial and component-sharded. BM_RouteScan doubles
+// DES-level arrival loop under both routing paths. BM_RouteScan doubles
 // as the machine-speed proxy for the CI perf gate: normalizing
 // BM_RouteIndexed by the same-size scan measured in the same process turns
 // the gate into a speedup-ratio check that is immune to runner generations
@@ -197,14 +197,12 @@ BENCHMARK(BM_RouteIndexedOverload)->Arg(4800);
 // End-to-end DES arrival loop (batched admission + routing + completion
 // events), 20 simulated seconds per iteration. Items = routed arrivals, so
 // items/sec is the headline routed-tasks-per-second number.
-void des_throughput(benchmark::State& state, core::RouteMode mode,
-                    std::size_t threads) {
+void des_throughput(benchmark::State& state, core::RouteMode mode) {
   const auto cores = static_cast<std::size_t>(state.range(0));
   const BenchPark park = make_park(cores);
   sim::SimOptions options;
   options.duration_seconds = 20.0;
   options.scheduler.route_mode = mode;
-  options.threads = threads;
   std::size_t routed = 0;
   for (auto _ : state) {
     options.seed++;  // fresh arrival draws each iteration
@@ -217,19 +215,14 @@ void des_throughput(benchmark::State& state, core::RouteMode mode,
 }
 
 void BM_SimulateScan(benchmark::State& state) {
-  des_throughput(state, core::RouteMode::kScan, 1);
+  des_throughput(state, core::RouteMode::kScan);
 }
 BENCHMARK(BM_SimulateScan)->Arg(160)->Arg(640)->Arg(4800)->Unit(benchmark::kMillisecond);
 
 void BM_SimulateIndexed(benchmark::State& state) {
-  des_throughput(state, core::RouteMode::kIndexed, 1);
+  des_throughput(state, core::RouteMode::kIndexed);
 }
 BENCHMARK(BM_SimulateIndexed)->Arg(160)->Arg(640)->Arg(4800)->Unit(benchmark::kMillisecond);
-
-void BM_SimulateSharded(benchmark::State& state) {
-  des_throughput(state, core::RouteMode::kIndexed, 0);  // all hardware threads
-}
-BENCHMARK(BM_SimulateSharded)->Arg(640)->Arg(4800)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -40,14 +40,6 @@ util::Status SchedulerOptions::validate() const {
         std::to_string(warmup_seconds) +
         "); a zero floor makes the first arrival's ATC estimate 0/0");
   }
-  // NaN means "unset"; an infinite origin makes every elapsed time infinite
-  // (-inf: all ratios 0, routing degenerates to first-eligible) or pins ATC
-  // to the warm-up floor forever (+inf).
-  if (!std::isnan(start_time) && !std::isfinite(start_time)) {
-    return util::Status::InvalidArgument(
-        "scheduler ATC start_time must be finite or NaN (unset), got " +
-        std::to_string(start_time));
-  }
   return util::Status::Ok();
 }
 
@@ -58,40 +50,12 @@ DynamicScheduler::DynamicScheduler(const dc::DataCenter& dc,
       assignment_(assignment),
       options_(std::move(options)),
       rng_(options_.random_seed) {
-  build(nullptr);
-}
-
-DynamicScheduler::DynamicScheduler(const dc::DataCenter& dc,
-                                   const Assignment& assignment,
-                                   SchedulerOptions options,
-                                   const std::vector<std::size_t>& shard_types)
-    : dc_(dc),
-      assignment_(assignment),
-      options_(std::move(options)),
-      rng_(options_.random_seed) {
-  build(&shard_types);
-}
-
-void DynamicScheduler::build(const std::vector<std::size_t>* shard_types) {
   TAPO_CHECK(assignment_.feasible);
   TAPO_CHECK(assignment_.tc.rows() == dc_.num_task_types());
   TAPO_CHECK(assignment_.tc.cols() == dc_.total_cores());
   TAPO_CHECK_MSG(options_.validate().ok(),
                  "invalid SchedulerOptions (see SchedulerOptions::validate)");
-  if (!std::isnan(options_.start_time)) {
-    start_time_ = options_.start_time;
-    started_ = true;
-  }
   const std::size_t t = dc_.num_task_types();
-  owned_.assign(t, 0);
-  if (shard_types) {
-    for (std::size_t i : *shard_types) {
-      TAPO_CHECK(i < t);
-      owned_[i] = 1;
-    }
-  } else {
-    owned_.assign(t, 1);
-  }
   candidates_.assign(t, {});
   exec_seconds_.assign(t, {});
   counts_.assign(t, {});
@@ -102,7 +66,6 @@ void DynamicScheduler::build(const std::vector<std::size_t>* shard_types) {
   const bool tc_based = options_.policy == SchedulerPolicy::MinAtcTcRatio;
   use_index_ = tc_based && options_.route_mode != RouteMode::kScan;
   for (std::size_t i = 0; i < t; ++i) {
-    if (!owned_[i]) continue;
     counts_[i].assign(dc_.total_cores(), 0.0);
     for (std::size_t k = 0; k < dc_.total_cores(); ++k) {
       if (tc_based) {
@@ -172,7 +135,6 @@ double DynamicScheduler::atc_tc_ratio(std::size_t task_type, std::size_t core,
 const std::vector<std::size_t>& DynamicScheduler::candidates(
     std::size_t task_type) const {
   TAPO_CHECK(task_type < candidates_.size());
-  TAPO_CHECK_MSG(owned_[task_type], "task type outside this scheduler shard");
   return candidates_[task_type];
 }
 
@@ -399,7 +361,6 @@ DynamicScheduler::Decision DynamicScheduler::route_indexed(
 DynamicScheduler::Decision DynamicScheduler::route(
     std::size_t task_type, double now, const std::vector<double>& core_free_time) {
   TAPO_CHECK(task_type < candidates_.size());
-  TAPO_CHECK_MSG(owned_[task_type], "task type outside this scheduler shard");
   TAPO_CHECK(core_free_time.size() == dc_.total_cores());
   if (!started_) {
     started_ = true;
@@ -454,7 +415,6 @@ void DynamicScheduler::check_index_invariants() const {
   if (!use_index_) return;
   const IndexEntryGreater after;
   for (std::size_t i = 0; i < index_.size(); ++i) {
-    if (!owned_[i]) continue;
     const std::vector<IndexEntry>& heap = index_[i];
     const std::vector<Cohort>& cohorts = cohorts_[i];
     TAPO_CHECK_MSG(std::is_heap(heap.begin(), heap.end(), after),

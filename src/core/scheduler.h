@@ -90,12 +90,6 @@ struct SchedulerOptions {
   bool deadline_check = true;
   // Seed for the Random policy.
   std::uint64_t random_seed = 1;
-  // Origin of the ATC elapsed-time clock. NaN (the default) keeps the
-  // historical behavior — the first routed arrival starts the clock. The
-  // sharded simulation pins every shard to the global first-arrival time so
-  // shard-local ratios match the single-scheduler run bit for bit. Any
-  // other value must be finite; validate() rejects +-inf.
-  double start_time = std::numeric_limits<double>::quiet_NaN();
   // Cross-checks every indexed decision against the reference scan and
   // aborts on divergence. Test/debug knob; the differential suites keep it
   // on through randomized sequences.
@@ -108,9 +102,8 @@ struct SchedulerOptions {
   // affects routing decisions.
   util::telemetry::Registry* telemetry = nullptr;
 
-  // Rejects degenerate configurations (non-positive or non-finite ATC
-  // warm-up floor, infinite start_time) so callers can report instead of
-  // aborting.
+  // Rejects a degenerate ATC warm-up floor (non-positive or non-finite) so
+  // callers can report instead of aborting.
   util::Status validate() const;
 };
 
@@ -118,13 +111,6 @@ class DynamicScheduler {
  public:
   DynamicScheduler(const dc::DataCenter& dc, const Assignment& assignment,
                    SchedulerOptions options = {});
-
-  // Shard constructor: builds routing state only for the given task types
-  // (the sharded simulation's per-component schedulers, docs/SCHEDULER.md
-  // §4). Routing a type outside the shard is a programming error.
-  DynamicScheduler(const dc::DataCenter& dc, const Assignment& assignment,
-                   SchedulerOptions options,
-                   const std::vector<std::size_t>& shard_types);
 
   struct Decision {
     bool assigned = false;
@@ -170,7 +156,7 @@ class DynamicScheduler {
   // the resolved route_mode.
   bool routes_with_index() const { return use_index_; }
 
-  // Index invariant check (property tests): for every owned task type the
+  // Index invariant check (property tests): for every task type the
   // cohort buckets partition the candidate list, every member of a bucket
   // has the bucket's exact count and its cohort's exact TC, every bucket has
   // exactly one live heap entry whose key equals count/TC, and the entries
@@ -212,7 +198,6 @@ class DynamicScheduler {
     std::vector<CohortBucket> buckets;  // few per cohort; linear lookup
   };
 
-  void build(const std::vector<std::size_t>* shard_types);
   Decision route_scan(std::size_t task_type, double now,
                       const std::vector<double>& core_free_time);
   Decision route_indexed(std::size_t task_type, double now,
@@ -230,7 +215,6 @@ class DynamicScheduler {
   bool started_ = false;
   bool use_index_ = false;
 
-  std::vector<std::uint8_t> owned_;                   // per task type
   std::vector<std::vector<std::size_t>> candidates_;  // per task type
   std::vector<std::vector<double>> exec_seconds_;     // [type][candidate pos]
   std::vector<std::vector<double>> counts_;           // [task type][core]

@@ -7,40 +7,16 @@
 #include <functional>
 #include <limits>
 #include <memory>
-#include <numeric>
 #include <utility>
 
 #include "sim/trace.h"
 #include "util/telemetry.h"
-#include "util/threadpool.h"
 
 namespace tapo::sim {
 
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
-
-// TC-weighted relative L1 deviation of realized from desired rates at `now`
-// (the SimResult::mean_tracking_error definition, evaluated mid-run by the
-// telemetry sampler and the re-plan check as well as once at the end).
-// `scheduler_of(i)` is the scheduler routing type i: the one scheduler of a
-// serial run, or the type's shard scheduler.
-template <typename SchedulerOf>
-double tracking_error_at(const dc::DataCenter& dc, const core::Assignment& plan,
-                         const SchedulerOf& scheduler_of, double now) {
-  double err_sum = 0.0;
-  double weight_sum = 0.0;
-  for (std::size_t i = 0; i < dc.num_task_types(); ++i) {
-    const core::DynamicScheduler& scheduler = scheduler_of(i);
-    for (std::size_t k = 0; k < dc.total_cores(); ++k) {
-      const double tc = plan.tc(i, k);
-      if (tc <= 0.0) continue;
-      err_sum += std::fabs(scheduler.atc(i, k, now) - tc);
-      weight_sum += tc;
-    }
-  }
-  return weight_sum > 0.0 ? err_sum / weight_sum : 0.0;
-}
 
 // Deepest per-core backlog (seconds of admitted-but-unfinished work) at time
 // `now`, normalized by the longest relative deadline in the workload. With
@@ -68,22 +44,15 @@ double backlog_depth(const dc::DataCenter& dc,
 // renewal stream is drawn lazily exactly as the old one-event-per-arrival
 // design did (one interarrival per processed arrival, stopping once the next
 // time would pass the horizon), so arrival times are bit-identical — only
-// the event-calendar traffic is gone. peek() is an O(owned types) min-scan;
+// the event-calendar traffic is gone. peek() is an O(task types) min-scan;
 // with the paper-scale handful of task types that beats a heap.
 class ArrivalPump {
  public:
   ArrivalPump(const std::vector<dc::TaskType>& task_types, util::Rng rng,
-              double horizon, const std::vector<std::size_t>* types = nullptr,
-              const RateTrace* trace = nullptr)
+              double horizon, const RateTrace* trace)
       : arrivals_(task_types, std::move(rng), trace), horizon_(horizon) {
     next_.assign(task_types.size(), kInf);
-    if (types) {
-      owned_ = *types;
-    } else {
-      owned_.resize(task_types.size());
-      std::iota(owned_.begin(), owned_.end(), 0);
-    }
-    for (std::size_t i : owned_) {
+    for (std::size_t i = 0; i < next_.size(); ++i) {
       const double t = arrivals_.next_arrival_after(i, 0.0);
       if (t <= horizon_) next_[i] = t;
     }
@@ -93,7 +62,7 @@ class ArrivalPump {
   // ties resolve to the lowest task type id.
   bool peek(double& time, std::size_t& type) const {
     time = kInf;
-    for (std::size_t i : owned_) {
+    for (std::size_t i = 0; i < next_.size(); ++i) {
       if (next_[i] < time) {
         time = next_[i];
         type = i;
@@ -111,7 +80,6 @@ class ArrivalPump {
  private:
   ArrivalProcess arrivals_;
   std::vector<double> next_;
-  std::vector<std::size_t> owned_;
   double horizon_;
 };
 
@@ -132,8 +100,7 @@ struct TraceCursor {
   void advance(std::size_t /*type*/, double /*now*/) { ++next; }
 };
 
-// What a run leaves for the end-of-run recorder; the sharded path merges one
-// per component.
+// What a run leaves for the end-of-run recorder.
 struct RunTotals {
   core::RoutingStats routing;
   std::size_t batches = 0;  // arrival admission batches
@@ -150,14 +117,6 @@ void accumulate(core::RoutingStats& into, const core::RoutingStats& from) {
   into.index_deferred += from.index_deferred;
   into.index_floor_skips += from.index_floor_skips;
   into.index_stale_pops += from.index_stale_pops;
-}
-
-void accumulate(RunTotals& into, const RunTotals& from) {
-  accumulate(into.routing, from.routing);
-  into.batches += from.batches;
-  into.max_batch = std::max(into.max_batch, from.max_batch);
-  into.events += from.events;
-  into.max_pending = std::max(into.max_pending, from.max_pending);
 }
 
 // Piecewise-constant power draw integrated over the measured window.
@@ -288,10 +247,8 @@ class InFlightQueues {
 // source they hand run() and in the events they schedule on engine() first.
 class RunCore {
  public:
-  // `shard_types` restricts the scheduler to one sharded component.
   RunCore(const dc::DataCenter& dc, const core::Assignment& plan,
-          const SimOptions& options,
-          const std::vector<std::size_t>* shard_types = nullptr)
+          const SimOptions& options)
       : dc_(dc),
         options_(options),
         plan_(&plan),
@@ -301,11 +258,8 @@ class RunCore {
     if (!options_.scheduler.telemetry) {
       options_.scheduler.telemetry = options.telemetry;
     }
-    scheduler_ = shard_types
-                     ? std::make_unique<core::DynamicScheduler>(
-                           dc, plan, options_.scheduler, *shard_types)
-                     : std::make_unique<core::DynamicScheduler>(
-                           dc, plan, options_.scheduler);
+    scheduler_ =
+        std::make_unique<core::DynamicScheduler>(dc, plan, options_.scheduler);
     energy_.power_kw = plan.total_power_kw();
     result_.per_type.assign(dc.num_task_types(), {});
     for (std::size_t i = 0; i < dc.num_task_types(); ++i) {
@@ -320,16 +274,23 @@ class RunCore {
 
   Engine& engine() { return engine_; }
   const core::Assignment& plan() const { return *plan_; }
-  const core::DynamicScheduler& scheduler() const { return *scheduler_; }
-  const SimResult& result() const { return result_; }
 
+  // TC-weighted relative L1 deviation of realized from desired rates at
+  // `now` (the SimResult::mean_tracking_error definition, evaluated mid-run
+  // by the telemetry sampler and the re-plan check as well as once at the
+  // end).
   double tracking_error(double now) const {
-    return tracking_error_at(
-        dc_, *plan_,
-        [this](std::size_t) -> const core::DynamicScheduler& {
-          return *scheduler_;
-        },
-        now);
+    double err_sum = 0.0;
+    double weight_sum = 0.0;
+    for (std::size_t i = 0; i < dc_.num_task_types(); ++i) {
+      for (std::size_t k = 0; k < dc_.total_cores(); ++k) {
+        const double tc = plan_->tc(i, k);
+        if (tc <= 0.0) continue;
+        err_sum += std::fabs(scheduler_->atc(i, k, now) - tc);
+        weight_sum += tc;
+      }
+    }
+    return weight_sum > 0.0 ? err_sum / weight_sum : 0.0;
   }
 
   // Routes a task through the plan in force. A placed task joins its core's
@@ -487,106 +448,6 @@ class RunCore {
   SimResult result_;
 };
 
-// Component-sharded simulation (docs/SCHEDULER.md §4). Task types that share
-// a candidate core must co-shard — union-find over the candidate structure
-// finds the connected components, each of which runs the core on its own.
-// Exactness rests on three facts: per-type arrival streams are independent
-// RNG substreams, a component's routing state (ATC counts, index heaps, core
-// backlog) is touched by no other component, and the ATC clock is pinned to
-// the global first-arrival time in every shard.
-SimResult simulate_sharded(const dc::DataCenter& dc,
-                           const core::Assignment& assignment,
-                           const SimOptions& options, std::size_t threads) {
-  const double horizon = options.duration_seconds;
-  const std::size_t t = dc.num_task_types();
-
-  // Candidate structure (policy-aware: the ablation policies share every
-  // active core, so they collapse into one component).
-  core::SchedulerOptions probe_options = options.scheduler;
-  probe_options.telemetry = nullptr;
-  const core::DynamicScheduler probe(dc, assignment, probe_options);
-
-  std::vector<std::size_t> parent(t);
-  std::iota(parent.begin(), parent.end(), 0);
-  const auto find = [&](std::size_t i) {
-    while (parent[i] != i) {
-      parent[i] = parent[parent[i]];
-      i = parent[i];
-    }
-    return i;
-  };
-  std::vector<std::ptrdiff_t> core_owner(dc.total_cores(), -1);
-  for (std::size_t i = 0; i < t; ++i) {
-    for (std::size_t k : probe.candidates(i)) {
-      if (core_owner[k] < 0) {
-        core_owner[k] = static_cast<std::ptrdiff_t>(i);
-      } else {
-        const std::size_t a = find(i);
-        const std::size_t b = find(static_cast<std::size_t>(core_owner[k]));
-        if (a != b) parent[std::max(a, b)] = std::min(a, b);
-      }
-    }
-  }
-  std::vector<std::vector<std::size_t>> comps;
-  std::vector<std::ptrdiff_t> comp_of_root(t, -1);
-  std::vector<std::size_t> comp_of_type(t, 0);
-  for (std::size_t i = 0; i < t; ++i) {
-    const std::size_t r = find(i);
-    if (comp_of_root[r] < 0) {
-      comp_of_root[r] = static_cast<std::ptrdiff_t>(comps.size());
-      comps.emplace_back();
-    }
-    comp_of_type[i] = static_cast<std::size_t>(comp_of_root[r]);
-    comps[static_cast<std::size_t>(comp_of_root[r])].push_back(i);
-  }
-
-  // Shards record nothing mid-run (they cannot observe cross-shard state
-  // without synchronizing). The global first-arrival time pins every
-  // shard's ATC clock to the value the single-scheduler run would use (a
-  // throwaway pump re-draws exactly the first interarrival of each
-  // substream).
-  SimOptions shard_options = options;
-  shard_options.telemetry = nullptr;
-  shard_options.scheduler.telemetry = nullptr;
-  {
-    ArrivalPump probe_pump(dc.task_types, util::Rng(options.seed), horizon,
-                           nullptr, options.rate_trace);
-    double t0 = 0.0;
-    std::size_t first_type = 0;
-    if (probe_pump.peek(t0, first_type)) shard_options.scheduler.start_time = t0;
-  }
-
-  std::vector<std::unique_ptr<RunCore>> runs(comps.size());
-  util::ThreadPool pool(threads);
-  pool.parallel_for(comps.size(), [&](std::size_t c) {
-    runs[c] = std::make_unique<RunCore>(dc, assignment, shard_options, &comps[c]);
-    ArrivalPump pump(dc.task_types, util::Rng(options.seed), horizon,
-                     &comps[c], options.rate_trace);
-    runs[c]->run(pump);
-  });
-
-  // Deterministic merge: every aggregate is reduced in task-type order, so
-  // the result is bit-identical to the serial run's regardless of thread
-  // count or component layout.
-  SimResult result;
-  result.per_type.assign(t, {});
-  for (std::size_t i = 0; i < t; ++i) {
-    result.per_type[i] = runs[comp_of_type[i]]->result().per_type[i];
-  }
-  RunTotals totals;
-  for (const auto& run : runs) accumulate(totals, run->totals());
-  const double tracking_error = tracking_error_at(
-      dc, assignment,
-      [&](std::size_t i) -> const core::DynamicScheduler& {
-        return runs[comp_of_type[i]]->scheduler();
-      },
-      horizon);
-  EnergyMeter energy{assignment.total_power_kw()};
-  energy.advance_to(horizon, options.warmup_seconds, horizon);
-  finish_run(result, options, tracking_error, energy.kwh, totals, "sim.runs");
-  return result;
-}
-
 // The checks every entry point runs before a run starts. The rate trace's
 // type count can only be checked against a concrete data center.
 util::Status check_run(const dc::DataCenter& dc, const core::Assignment& plan,
@@ -670,14 +531,9 @@ SimResult simulate(const dc::DataCenter& dc, const core::Assignment& assignment,
   rejected.status = check_run(dc, assignment, options);
   if (!rejected.status.ok()) return rejected;
   const util::telemetry::ScopedTimer run_timer(options.telemetry, "sim.run");
-  const std::size_t threads = options.threads == 0
-                                  ? util::ThreadPool::hardware_threads()
-                                  : options.threads;
-  if (threads > 1) return simulate_sharded(dc, assignment, options, threads);
-
   RunCore run(dc, assignment, options);
   ArrivalPump pump(dc.task_types, util::Rng(options.seed),
-                   options.duration_seconds, nullptr, options.rate_trace);
+                   options.duration_seconds, options.rate_trace);
   run.run(pump);
   return run.finish("sim.runs");
 }
@@ -949,7 +805,7 @@ FaultSimResult simulate_with_faults(dc::DataCenter& dc,
   }
 
   ArrivalPump pump(dc.task_types, util::Rng(options.sim.seed), horizon,
-                   nullptr, options.sim.rate_trace);
+                   options.sim.rate_trace);
   run.run(pump);
   if (degraded_since >= 0.0) {
     out.horizon_degraded_time_s += horizon - degraded_since;

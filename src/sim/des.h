@@ -8,7 +8,7 @@
 // reward rate is the measurable counterpart of the first step's predicted
 // steady-state reward rate.
 //
-// One event loop serves every entry point (docs/SCHEDULER.md §3-§5). It owns
+// One event loop serves every entry point (docs/SCHEDULER.md §3-§4). It owns
 // the event calendar, the scheduler, one FIFO of in-flight tasks per core,
 // admission, completion-side reward booking, piecewise energy integration,
 // the telemetry samplers and the end-of-run recorder. Arrivals come from one
@@ -18,9 +18,7 @@
 // in one tight loop, so the per-task cost is a routing decision plus an
 // O(task types) min-scan, with no priority-queue traffic. The entry points
 // differ only in what they add to that loop:
-//   * simulate adds nothing, or with SimOptions::threads > 1 runs the loop
-//     once per connected component of the candidate structure and merges
-//     the results deterministically;
+//   * simulate adds nothing;
 //   * simulate_with_faults schedules fault events, generation-guarded plan
 //     adoptions and the receding-horizon re-plan checks on the same
 //     calendar;
@@ -56,19 +54,6 @@ struct SimOptions {
   double warmup_seconds = 0.0;
   core::SchedulerOptions scheduler;
   std::uint64_t seed = 1;
-  // Worker threads for simulate's component-sharded run (docs/SCHEDULER.md
-  // §4): task types are partitioned into connected components of shared
-  // candidate cores, the event loop runs once per component (own event
-  // calendar, own arrival substreams, own scheduler shard) and the results
-  // merge deterministically. 1 (default) runs the loop once over the whole
-  // data center; 0 uses every hardware thread. SimResult is bit-identical
-  // for any thread count, but mid-run telemetry series and per-decision
-  // event records are only recorded by the unsharded run (shards cannot
-  // observe cross-shard state mid-run without synchronizing).
-  // simulate_with_faults and simulate_trace always run serially and ignore
-  // this field: a fault or a plan swap touches every component at once, and
-  // a replay is a single ordered stream.
-  std::size_t threads = 1;
   // Optional metrics sink (sim.* / scheduler.* in docs/OBSERVABILITY.md):
   // end-of-run counters (events processed, queue high-water, drops, deadline
   // misses) plus ATC/TC tracking-error and queue-depth series sampled at

@@ -89,7 +89,7 @@ util::Status FaultSchedule::validate(const dc::DataCenter& dc) const {
 void save_fault_schedule(const FaultSchedule& schedule, std::ostream& os) {
   os << kHeader << "\n";
   for (const FaultEvent& e : schedule.events) {
-    os << e.time_s << ' ' << fault_kind_name(e.kind);
+    os << util::text::format_double(e.time_s) << ' ' << fault_kind_name(e.kind);
     switch (e.kind) {
       case FaultKind::kNodeFail:
       case FaultKind::kNodeRepair:
@@ -97,10 +97,10 @@ void save_fault_schedule(const FaultSchedule& schedule, std::ostream& os) {
         os << ' ' << e.target;
         break;
       case FaultKind::kCracDerate:
-        os << ' ' << e.target << ' ' << e.value;
+        os << ' ' << e.target << ' ' << util::text::format_double(e.value);
         break;
       case FaultKind::kPowerCap:
-        os << ' ' << e.value;
+        os << ' ' << util::text::format_double(e.value);
         break;
     }
     os << "\n";

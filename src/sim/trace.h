@@ -61,11 +61,11 @@ util::StatusOr<Trace> load_trace_csv(const std::string& path,
 
 // Replays a trace against an assignment on the same event loop as simulate()
 // (sim/des.h), with the trace in place of the live arrival streams;
-// options.seed and options.threads are unused. Events past the horizon are
-// ignored. Returns InvalidArgument for degenerate options or an event read
-// before the horizon whose task type is out of range or whose time is
-// negative, not a number or earlier than its predecessor's, and
-// FailedPrecondition for an infeasible assignment.
+// options.seed is unused. Events past the horizon are ignored. Returns
+// InvalidArgument for degenerate options or an event read before the
+// horizon whose task type is out of range or whose time is negative, not a
+// number or earlier than its predecessor's, and FailedPrecondition for an
+// infeasible assignment.
 SimResult simulate_trace(const dc::DataCenter& dc,
                          const core::Assignment& assignment, const Trace& trace,
                          const SimOptions& options = {});

@@ -638,38 +638,15 @@ TEST_F(SchedulerFixture, IndexInvariantsHoldAfterRandomizedUpdates) {
   scheduler.check_index_invariants();
 }
 
-TEST_F(SchedulerFixture, ShardSchedulerMatchesFullSchedulerOnOwnedTypes) {
-  SchedulerOptions options;
-  DynamicScheduler full(scenario->dc, assignment, options);
-  // Shard owning only type 0: decisions for type 0 must match the full
-  // scheduler's as long as no other type's arrivals touch type 0's ATC
-  // state — which they never do (counts are per (type, core)).
-  const std::vector<std::size_t> shard_types = {0};
-  DynamicScheduler shard(scenario->dc, assignment, options, shard_types);
-  std::vector<double> free_time(scenario->dc.total_cores(), 0.0);
-  util::Rng rng(3);
-  double now = 0.0;
-  for (int n = 0; n < 300; ++n) {
-    now += rng.exponential(25.0);
-    const auto da = full.route(0, now, free_time);
-    const auto db = shard.route(0, now, free_time);
-    ASSERT_EQ(da.assigned, db.assigned);
-    if (da.assigned) {
-      ASSERT_EQ(da.core, db.core);
-      free_time[da.core] = std::max(now, free_time[da.core]) + da.exec_seconds;
-    }
-  }
-}
-
 // --- ATC warm-up edge and options validation -------------------------------
 
 TEST_F(SchedulerFixture, FirstArrivalAtStartTimeUsesWarmupFloor) {
-  // At the first routed arrival `now == start_time`, so elapsed time is
-  // exactly the warm-up floor and ATC = count / warmup_seconds. With a zero
-  // floor this would be 0/0 — the reason validate() rejects it.
+  // The first routed arrival starts the ATC clock, so at that arrival the
+  // elapsed time is exactly the warm-up floor and ATC = count /
+  // warmup_seconds. With a zero floor this would be 0/0 — the reason
+  // validate() rejects it.
   SchedulerOptions options;
   options.warmup_seconds = 4.0;
-  options.start_time = 10.0;
   DynamicScheduler scheduler(scenario->dc, assignment, options);
   std::vector<double> free_time(scenario->dc.total_cores(), 0.0);
   const auto d = scheduler.route(0, 10.0, free_time);
@@ -704,19 +681,6 @@ TEST(SchedulerOptionsTest, ValidateRejectsDegenerateWarmup) {
   EXPECT_FALSE(options.validate().ok());
   options.warmup_seconds = 0.5;
   EXPECT_TRUE(options.validate().ok());
-}
-
-TEST(SchedulerOptionsTest, ValidateRejectsInfiniteStartTime) {
-  SchedulerOptions options;
-  EXPECT_TRUE(options.validate().ok());  // NaN: the clock starts on route
-  options.start_time = 0.0;
-  EXPECT_TRUE(options.validate().ok());
-  options.start_time = -12.5;
-  EXPECT_TRUE(options.validate().ok());
-  options.start_time = std::numeric_limits<double>::infinity();
-  EXPECT_FALSE(options.validate().ok());
-  options.start_time = -std::numeric_limits<double>::infinity();
-  EXPECT_FALSE(options.validate().ok());
 }
 
 }  // namespace

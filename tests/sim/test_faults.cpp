@@ -26,6 +26,8 @@ FaultSchedule make_mixed_schedule() {
 
 TEST(FaultSchedule, SaveLoadRoundTrip) {
   FaultSchedule original = make_mixed_schedule();
+  // Digits past the stream's default six must survive too.
+  original.events.push_back({37.123456789, FaultKind::kPowerCap, 0, 1234.56789});
   std::ostringstream os;
   save_fault_schedule(original, os);
 
@@ -36,10 +38,10 @@ TEST(FaultSchedule, SaveLoadRoundTrip) {
   original.sort_by_time();  // the loader returns time-sorted events
   ASSERT_EQ(loaded->events.size(), original.events.size());
   for (std::size_t i = 0; i < original.events.size(); ++i) {
-    EXPECT_DOUBLE_EQ(loaded->events[i].time_s, original.events[i].time_s);
+    EXPECT_EQ(loaded->events[i].time_s, original.events[i].time_s);
     EXPECT_EQ(loaded->events[i].kind, original.events[i].kind);
     EXPECT_EQ(loaded->events[i].target, original.events[i].target);
-    EXPECT_DOUBLE_EQ(loaded->events[i].value, original.events[i].value);
+    EXPECT_EQ(loaded->events[i].value, original.events[i].value);
   }
 }
 

@@ -456,32 +456,6 @@ TEST_F(RateTraceSimFixture, FlashCrowdRaisesArrivalsAboveStationary) {
   EXPECT_GT(flash, base + base / 2);
 }
 
-TEST_F(RateTraceSimFixture, ShardedSimulationIsBitIdenticalUnderTrace) {
-  RateTraceGenConfig config;
-  config.kind = RateTraceGenConfig::Kind::kDiurnal;
-  config.amplitude = 0.6;
-  config.horizon_s = 30.0;
-  const RateTrace trace =
-      generate_rate_trace(scenario->dc.task_types, config);
-  SimOptions serial;
-  serial.duration_seconds = 30.0;
-  serial.rate_trace = &trace;
-  SimOptions sharded = serial;
-  sharded.threads = 4;
-  const SimResult a = simulate(scenario->dc, assignment, serial);
-  const SimResult b = simulate(scenario->dc, assignment, sharded);
-  ASSERT_TRUE(a.status.ok());
-  ASSERT_TRUE(b.status.ok());
-  EXPECT_DOUBLE_EQ(a.total_reward, b.total_reward);
-  EXPECT_DOUBLE_EQ(a.energy_kwh, b.energy_kwh);
-  ASSERT_EQ(a.per_type.size(), b.per_type.size());
-  for (std::size_t i = 0; i < a.per_type.size(); ++i) {
-    EXPECT_EQ(a.per_type[i].arrived, b.per_type[i].arrived);
-    EXPECT_EQ(a.per_type[i].assigned, b.per_type[i].assigned);
-    EXPECT_DOUBLE_EQ(a.per_type[i].reward, b.per_type[i].reward);
-  }
-}
-
 TEST_F(RateTraceSimFixture, TraceTypeCountMismatchIsRejected) {
   RateTrace trace;
   trace.per_type = {{{0.0, 1.0}}};  // one type; the scenario has more

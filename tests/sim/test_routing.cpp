@@ -1,11 +1,9 @@
 // Differential tests for the online routing paths (docs/SCHEDULER.md):
-// scan vs indexed selection, serial vs component-sharded simulation and the
-// four DES entry points must produce bit-identical SimResults — same
-// decisions, same counters, same doubles — across seeds, policies, fault
-// scenarios and thread counts.
+// scan vs indexed selection and the three DES entry points must produce
+// bit-identical SimResults — same decisions, same counters, same doubles —
+// across seeds, policies, fault scenarios and rate traces.
 #include <gtest/gtest.h>
 
-#include <limits>
 #include <memory>
 
 #include "core/assigner.h"
@@ -55,6 +53,27 @@ TEST_F(RoutingFixture, IndexedSimulationMatchesScanAcrossSeeds) {
   }
 }
 
+TEST_F(RoutingFixture, DisjointCandidateBlocksShardAndStayIdentical) {
+  // A genuinely multi-component candidate structure: strip the TC matrix to
+  // disjoint per-type core blocks so every type owns its own candidate
+  // cores, and the scan and the index must still agree bit for bit.
+  core::Assignment blocks = assignment;
+  const std::size_t t = scenario->dc.num_task_types();
+  for (std::size_t i = 0; i < t; ++i) {
+    for (std::size_t k = 0; k < scenario->dc.total_cores(); ++k) {
+      if (k % t != i) blocks.tc(i, k) = 0.0;
+    }
+  }
+  for (const std::uint64_t seed : {13u, 31u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const SimResult scan =
+        simulate(scenario->dc, blocks, options(core::RouteMode::kScan, seed));
+    const SimResult indexed =
+        simulate(scenario->dc, blocks, options(core::RouteMode::kIndexed, seed));
+    expect_identical(scan, indexed);
+  }
+}
+
 TEST_F(RoutingFixture, IndexedSimulationMatchesScanForAblationPolicies) {
   for (const auto policy :
        {core::SchedulerPolicy::EarliestFinish, core::SchedulerPolicy::Random}) {
@@ -75,51 +94,9 @@ TEST_F(RoutingFixture, ValidatedIndexSurvivesFullSimulation) {
   EXPECT_GT(r.total_reward, 0.0);
 }
 
-TEST_F(RoutingFixture, ShardedSimulationBitIdenticalAcrossThreadCounts) {
-  const SimResult serial =
-      simulate(scenario->dc, assignment, options(core::RouteMode::kAuto, 31));
-  for (const std::size_t threads : {2u, 8u}) {
-    SimOptions o = options(core::RouteMode::kAuto, 31);
-    o.threads = threads;
-    const SimResult sharded = simulate(scenario->dc, assignment, o);
-    expect_identical(serial, sharded);
-  }
-}
-
-TEST_F(RoutingFixture, ShardedScanAlsoMatchesSerial) {
-  // The sharding layer sits above the selection path; it must be exact for
-  // the reference scan too, not just the index.
-  const SimResult serial =
-      simulate(scenario->dc, assignment, options(core::RouteMode::kScan, 77));
-  SimOptions o = options(core::RouteMode::kScan, 77);
-  o.threads = 4;
-  expect_identical(serial, simulate(scenario->dc, assignment, o));
-}
-
-TEST_F(RoutingFixture, DisjointCandidateBlocksShardAndStayIdentical) {
-  // Force a genuinely multi-component candidate structure: strip the TC
-  // matrix to disjoint per-type core blocks so every type is its own
-  // component and the sharded run exercises the merge across many shards.
-  core::Assignment blocks = assignment;
-  const std::size_t t = scenario->dc.num_task_types();
-  for (std::size_t i = 0; i < t; ++i) {
-    for (std::size_t k = 0; k < scenario->dc.total_cores(); ++k) {
-      if (k % t != i) blocks.tc(i, k) = 0.0;
-    }
-  }
-  const SimResult serial =
-      simulate(scenario->dc, blocks, options(core::RouteMode::kAuto, 13));
-  for (const std::size_t threads : {2u, 8u}) {
-    SimOptions o = options(core::RouteMode::kAuto, 13);
-    o.threads = threads;
-    expect_identical(serial, simulate(scenario->dc, blocks, o));
-  }
-}
-
-TEST_F(RoutingFixture, ShardedRunRecordsEndOfRunTelemetry) {
+TEST_F(RoutingFixture, SimulateRecordsEndOfRunTelemetry) {
   util::telemetry::Registry registry;
   SimOptions o = options(core::RouteMode::kAuto, 7);
-  o.threads = 4;
   o.telemetry = &registry;
   const SimResult with = simulate(scenario->dc, assignment, o);
   o.telemetry = nullptr;
@@ -153,17 +130,6 @@ TEST_F(RoutingFixture, IndexedSimulationMatchesScanUnderOverload) {
     o.telemetry = &registry;
     expect_identical(scan, simulate(scenario->dc, assignment, o));
     EXPECT_GT(registry.counter_value("scheduler.index_floor_skips"), 0u);
-  }
-}
-
-TEST_F(RoutingFixture, InfiniteStartTimeSurfacesThroughSimulate) {
-  for (const double start : {std::numeric_limits<double>::infinity(),
-                             -std::numeric_limits<double>::infinity()}) {
-    SimOptions o = options(core::RouteMode::kAuto, 1);
-    o.scheduler.start_time = start;
-    const SimResult r = simulate(scenario->dc, assignment, o);
-    EXPECT_FALSE(r.status.ok());
-    EXPECT_EQ(r.total_reward, 0.0);
   }
 }
 
@@ -228,10 +194,10 @@ TEST_F(RoutingFixture, ValidatedIndexSurvivesNodeFailuresUnderOverload) {
 
 // ---- Entry-point differential ---------------------------------------------
 //
-// simulate, the component-sharded simulate, simulate_with_faults with an
-// empty schedule and simulate_trace over the same Poisson sample path run one
-// event loop with different arrival sources and extras, so every pair must
-// agree bit for bit over policies, route modes, seeds and warm-ups.
+// simulate, simulate_with_faults with an empty schedule and simulate_trace
+// over the same Poisson sample path run one event loop with different
+// arrival sources and extras, so every pair must agree bit for bit over
+// policies, route modes, seeds and warm-ups.
 
 struct EntryPointDifferential : RoutingFixture {
   struct Case {
@@ -293,19 +259,7 @@ TEST_F(EntryPointDifferential, FaultAndReplayRunsMatchSimulate) {
   }
 }
 
-TEST_F(EntryPointDifferential, ShardedRunsMatchSimulate) {
-  for (const Case& c : cases()) {
-    SCOPED_TRACE(describe(c));
-    const SimResult plain = simulate(scenario->dc, assignment, options(c));
-    for (const std::size_t threads : {2u, 8u}) {
-      SimOptions o = options(c);
-      o.threads = threads;
-      expect_identical(plain, simulate(scenario->dc, assignment, o));
-    }
-  }
-}
-
-TEST_F(EntryPointDifferential, ShardedAndFaultRunsMatchSimulateUnderRateTrace) {
+TEST_F(EntryPointDifferential, FaultRunsMatchSimulateUnderRateTrace) {
   // Time-varying arrivals have no recorded-trace counterpart, so the replay
   // sits this one out.
   RateTraceGenConfig config;
@@ -319,11 +273,6 @@ TEST_F(EntryPointDifferential, ShardedAndFaultRunsMatchSimulateUnderRateTrace) {
     o.rate_trace = &rates;
     const SimResult plain = simulate(scenario->dc, assignment, o);
     expect_identical(plain, with_faults(o));
-    for (const std::size_t threads : {2u, 8u}) {
-      SimOptions sharded = o;
-      sharded.threads = threads;
-      expect_identical(plain, simulate(scenario->dc, assignment, sharded));
-    }
   }
 }
 

@@ -103,6 +103,23 @@ std::optional<scenario::Scenario> make_scenario(const util::ArgParser& args) {
   return scenario;
 }
 
+// Range checks for options the library would abort on (--psi, --points) or
+// accept without a word (--target-fraction). Subcommands run them before any
+// scenario work, so a bad value exits 2 with an error line.
+bool option_rejected(const util::ArgParser& args, const char* name, bool ok,
+                     const char* range) {
+  if (!ok) {
+    std::fprintf(stderr, "error: --%s must be %s, got %s\n", name, range,
+                 args.option(name).c_str());
+  }
+  return !ok;
+}
+
+bool psi_rejected(const util::ArgParser& args) {
+  const double psi = args.option_double("psi");
+  return option_rejected(args, "psi", psi > 0.0 && psi <= 100.0, "in (0, 100]");
+}
+
 core::Assignment run_technique(const dc::DataCenter& dc,
                                const thermal::HeatFlowModel& model,
                                const std::string& technique, double psi) {
@@ -141,6 +158,7 @@ int cmd_bounds(const util::ArgParser& args) {
 }
 
 int cmd_assign(const util::ArgParser& args) {
+  if (psi_rejected(args)) return 2;
   const auto scenario = make_scenario(args);
   if (!scenario) return 2;
   const thermal::HeatFlowModel model(scenario->dc);
@@ -183,6 +201,7 @@ int cmd_assign(const util::ArgParser& args) {
 }
 
 int cmd_simulate(const util::ArgParser& args) {
+  if (psi_rejected(args)) return 2;
   auto scenario = make_scenario(args);  // non-const: fault runs mutate the dc
   if (!scenario) return 2;
   const thermal::HeatFlowModel model(scenario->dc);
@@ -286,6 +305,11 @@ int cmd_simulate(const util::ArgParser& args) {
 }
 
 int cmd_powermin(const util::ArgParser& args) {
+  if (option_rejected(args, "target-fraction",
+                      args.option_double("target-fraction") >= 0.0,
+                      "non-negative")) {
+    return 2;
+  }
   const auto scenario = make_scenario(args);
   if (!scenario) return 2;
   const thermal::HeatFlowModel model(scenario->dc);
@@ -318,6 +342,7 @@ int cmd_powermin(const util::ArgParser& args) {
 }
 
 int cmd_trace(const util::ArgParser& args) {
+  if (psi_rejected(args)) return 2;
   const auto scenario = make_scenario(args);
   if (!scenario) return 2;
   const double horizon = args.option_double("duration");
@@ -377,10 +402,16 @@ int cmd_trace(const util::ArgParser& args) {
 }
 
 int cmd_sweep(const util::ArgParser& args) {
+  // The sweep spaces its points from 0.15 to 0.9 of the budget range, so it
+  // needs both ends.
+  if (option_rejected(args, "points", args.option_int("points") >= 2,
+                      "at least 2")) {
+    return 2;
+  }
+  const auto points = static_cast<std::size_t>(args.option_int("points"));
   auto scenario = make_scenario(args);
   if (!scenario) return 2;
   const thermal::HeatFlowModel model(scenario->dc);
-  const auto points = static_cast<std::size_t>(args.option_int("points"));
   util::Table table({"budget factor", "Pconst kW", "three-stage", "baseline",
                      "improvement %"});
   for (std::size_t p = 0; p < points; ++p) {
