@@ -19,8 +19,9 @@
 // third layout is the overload regime of the des-storm-300 pipeline
 // workload: uniform rates that load every core to capacity, short deadlines
 // and arrivals at twice the planned rates, so most routes end with whole
-// cohort buckets deadline-blocked — the path the buckets' finish floors
-// skip in O(1) (docs/SCHEDULER.md §2).
+// cohort buckets deadline-blocked — the buckets the index parks on their
+// finish floors (docs/SCHEDULER.md §2). The overload layout also drives one
+// DES row, where the completion cursor carries every admitted task.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -152,9 +153,12 @@ void route_throughput(benchmark::State& state, core::RouteMode mode,
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
   state.counters["cores"] = static_cast<double>(cores);
-  // Blocked buckets stashed on their finish floor alone, per route.
-  state.counters["index_floor_skips"] = benchmark::Counter(
-      static_cast<double>(scheduler.stats().index_floor_skips),
+  // Cohort buckets examined and deadline-blocked buckets parked, per route.
+  state.counters["index_pops"] = benchmark::Counter(
+      static_cast<double>(scheduler.stats().index_pops),
+      benchmark::Counter::kAvgIterations);
+  state.counters["index_parks"] = benchmark::Counter(
+      static_cast<double>(scheduler.stats().index_parks),
       benchmark::Counter::kAvgIterations);
 }
 
@@ -182,8 +186,9 @@ void BM_RouteIndexedUniform(benchmark::State& state) {
 BENCHMARK(BM_RouteIndexedUniform)->Arg(4800);
 
 // Overload: most routes find every cohort bucket of the type deadline-
-// blocked. The scan still checks every candidate; the index stashes each
-// blocked bucket on its finish floor instead of re-walking its members.
+// blocked. The scan still checks every candidate; the index leaves each
+// blocked bucket parked on its finish floor instead of re-walking its
+// members.
 void BM_RouteScanOverload(benchmark::State& state) {
   route_throughput(state, core::RouteMode::kScan, Rates::kOverload);
 }
@@ -194,12 +199,13 @@ void BM_RouteIndexedOverload(benchmark::State& state) {
 }
 BENCHMARK(BM_RouteIndexedOverload)->Arg(4800);
 
-// End-to-end DES arrival loop (batched admission + routing + completion
-// events), 20 simulated seconds per iteration. Items = routed arrivals, so
-// items/sec is the headline routed-tasks-per-second number.
-void des_throughput(benchmark::State& state, core::RouteMode mode) {
+// End-to-end DES arrival loop (batched admission + routing + completions),
+// 20 simulated seconds per iteration. Items = routed arrivals, so items/sec
+// is the headline routed-tasks-per-second number.
+void des_throughput(benchmark::State& state, core::RouteMode mode,
+                    Rates rates = Rates::kHeterogeneous) {
   const auto cores = static_cast<std::size_t>(state.range(0));
-  const BenchPark park = make_park(cores);
+  const BenchPark park = make_park(cores, rates);
   sim::SimOptions options;
   options.duration_seconds = 20.0;
   options.scheduler.route_mode = mode;
@@ -223,6 +229,14 @@ void BM_SimulateIndexed(benchmark::State& state) {
   des_throughput(state, core::RouteMode::kIndexed);
 }
 BENCHMARK(BM_SimulateIndexed)->Arg(160)->Arg(640)->Arg(4800)->Unit(benchmark::kMillisecond);
+
+// The overload layout through the DES: arrivals at twice the planned rates
+// against capacity-loaded cores (each starts idle, so the backlog builds up
+// to the deadline boundary within the first seconds).
+void BM_SimulateIndexedOverload(benchmark::State& state) {
+  des_throughput(state, core::RouteMode::kIndexed, Rates::kOverload);
+}
+BENCHMARK(BM_SimulateIndexedOverload)->Arg(4800)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -1,5 +1,8 @@
 #include "core/powermin.h"
 
+#include <cmath>
+#include <string>
+
 #include "core/crac_sweep.h"
 #include "core/stage1_lp.h"
 #include "core/stage2.h"
@@ -16,6 +19,12 @@ PowerMinResult minimize_power_for_reward(const dc::DataCenter& dc,
   const util::telemetry::ScopedTimer total_timer(reg, "powermin.solve");
 
   PowerMinResult result;
+  if (!std::isfinite(target_reward_rate) || target_reward_rate < 0.0) {
+    result.status = util::Status::InvalidArgument(
+        "reward-rate target must be non-negative and finite (got " +
+        std::to_string(target_reward_rate) + ")");
+    return result;
+  }
   double floor = target_reward_rate;
 
   solver::LpBasis attempt_seed;  // the previous attempt's winning basis

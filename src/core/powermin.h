@@ -43,7 +43,8 @@ struct PowerMinResult {
 
 // Minimizes total power subject to reward_rate >= target (plus redlines).
 // The data center's p_const_kw is ignored here - the power budget is what is
-// being minimized.
+// being minimized. A negative or non-finite target returns InvalidArgument
+// (no attempt is made).
 PowerMinResult minimize_power_for_reward(const dc::DataCenter& dc,
                                          const thermal::HeatFlowModel& model,
                                          double target_reward_rate,

@@ -48,6 +48,15 @@ double clamp_rates_to_pstates(const dc::DataCenter& dc, Assignment& plan) {
 
 }  // namespace
 
+util::Status RecoveryOptions::validate() const {
+  if (!std::isfinite(replan_delay_s) || replan_delay_s < 0.0) {
+    return util::Status::InvalidArgument(
+        "re-plan delay must be non-negative and finite (got " +
+        std::to_string(replan_delay_s) + "s)");
+  }
+  return util::Status::Ok();
+}
+
 RecoveryController::RecoveryController(const dc::DataCenter& dc,
                                        const thermal::HeatFlowModel& model,
                                        RecoveryOptions options)

@@ -45,6 +45,10 @@ struct RecoveryOptions {
   // Optional recovery.* metrics sink (docs/OBSERVABILITY.md); falls back to
   // assign.stage1.telemetry when null.
   util::telemetry::Registry* telemetry = nullptr;
+
+  // Rejects a negative or non-finite re-plan delay: an adoption scheduled
+  // before the fault instant would land in the simulation's past.
+  util::Status validate() const;
 };
 
 struct RecoveryOutcome {

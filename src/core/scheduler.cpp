@@ -31,6 +31,16 @@ struct IndexEntryGreater {
   }
 };
 
+// Min-heap on the parked buckets' finish floors. Release order among equal
+// floors cannot matter: every released entry goes back to the ratio heap,
+// whose (key, position) order is total.
+struct FloorGreater {
+  template <typename E>
+  bool operator()(const E& a, const E& b) const {
+    return a.floor > b.floor;
+  }
+};
+
 }  // namespace
 
 util::Status SchedulerOptions::validate() const {
@@ -61,6 +71,7 @@ DynamicScheduler::DynamicScheduler(const dc::DataCenter& dc,
   counts_.assign(t, {});
   cohorts_.assign(t, {});
   index_.assign(t, {});
+  parked_.assign(t, {});
   assigned_.assign(t, 0);
   dropped_.assign(t, 0);
   const bool tc_based = options_.policy == SchedulerPolicy::MinAtcTcRatio;
@@ -201,6 +212,14 @@ DynamicScheduler::Decision DynamicScheduler::route_scan(
   return best;
 }
 
+DynamicScheduler::CohortBucket* DynamicScheduler::find_bucket(Cohort& cohort,
+                                                              double count) {
+  for (CohortBucket& b : cohort.buckets) {
+    if (b.count == count) return &b;
+  }
+  return nullptr;
+}
+
 DynamicScheduler::Decision DynamicScheduler::route_indexed(
     std::size_t task_type, double now,
     const std::vector<double>& core_free_time) {
@@ -210,10 +229,24 @@ DynamicScheduler::Decision DynamicScheduler::route_indexed(
   const double rate_cutoff = elapsed * (1.0 + kIndexMargin);
 
   std::vector<IndexEntry>& heap = index_[task_type];
+  std::vector<ParkedEntry>& parked = parked_[task_type];
   std::vector<Cohort>& cohorts = cohorts_[task_type];
   const std::vector<std::size_t>& cands = candidates_[task_type];
   const std::vector<double>& execs = exec_seconds_[task_type];
   const IndexEntryGreater after;
+
+  // Release every parked bucket whose floor no longer misses the deadline:
+  // the exact complement of the scan's test, so a bucket stays out only
+  // while every member's finish provably fails it (docs/SCHEDULER.md §2).
+  while (!parked.empty() && !(parked.front().floor > deadline + 1e-12)) {
+    const IndexEntry e = parked.front().entry;
+    std::pop_heap(parked.begin(), parked.end(), FloorGreater{});
+    parked.pop_back();
+    find_bucket(cohorts[e.group], e.count)->finish_floor =
+        -std::numeric_limits<double>::infinity();
+    heap.push_back(e);
+    std::push_heap(heap.begin(), heap.end(), after);
+  }
 
   Decision best;
   double best_ratio = 0.0;
@@ -241,14 +274,7 @@ DynamicScheduler::Decision DynamicScheduler::route_indexed(
     heap.pop_back();
     ++stats_.index_pops;
 
-    Cohort& cohort = cohorts[top.group];
-    CohortBucket* bucket = nullptr;
-    for (CohortBucket& b : cohort.buckets) {
-      if (b.count == top.count) {
-        bucket = &b;
-        break;
-      }
-    }
+    CohortBucket* bucket = find_bucket(cohorts[top.group], top.count);
     if (bucket == nullptr) {
       // Defensive only: the pop/push discipline keeps exactly one live
       // entry per bucket, so this branch is dead by invariant.
@@ -263,14 +289,6 @@ DynamicScheduler::Decision DynamicScheduler::route_indexed(
     const double ratio = atc_tc_ratio(task_type, k0, now);
     if (ratio > 1.0) {
       stash_.push_back(top);  // rate-saturated now; retry at larger elapsed
-      continue;
-    }
-    // Under the backlog contract every member's finish is at least the
-    // floor (rounded max and + are monotone), so a floor past the deadline
-    // fails every member's test below without walking them.
-    if (options_.deadline_check && bucket->finish_floor > deadline + 1e-12) {
-      ++stats_.index_floor_skips;
-      stash_.push_back(top);  // still deadline-blocked; key unchanged
       continue;
     }
     // The scan admits the first member (in position order) whose backlog
@@ -290,8 +308,14 @@ DynamicScheduler::Decision DynamicScheduler::route_indexed(
       floor = std::min(floor, finish);
     }
     if (!eligible) {
+      // Every member is deadline-blocked. Under the backlog contract each
+      // member's later finishes are at least this walk's (rounded max and +
+      // are monotone), so the bucket sits out, key unchanged, until a
+      // deadline reaches its floor.
       bucket->finish_floor = floor;
-      stash_.push_back(top);  // every member deadline-blocked; key unchanged
+      parked.push_back(ParkedEntry{floor, top});
+      std::push_heap(parked.begin(), parked.end(), FloorGreater{});
+      ++stats_.index_parks;
       continue;
     }
     if (!best.assigned || ratio < best_ratio ||
@@ -328,34 +352,45 @@ DynamicScheduler::Decision DynamicScheduler::route_indexed(
       cohort.buckets.erase(cohort.buckets.begin() + bi);
     }
     const double new_count = best_entry.count + 1.0;
-    CohortBucket* next = nullptr;
-    for (CohortBucket& b : cohort.buckets) {
-      if (b.count == new_count) {
-        next = &b;
-        break;
-      }
-    }
-    // The winner's finish bounds its own later finishes (its free time only
-    // grows), so the bucket it joins keeps a valid floor.
-    const double finish =
-        std::max(now, core_free_time[best.core]) + best.exec_seconds;
-    if (next != nullptr) {
+    if (CohortBucket* next = find_bucket(cohort, new_count)) {
       // The bucket already has a live entry; joining it never adds one.
       // (Its entry position may now sit above the bucket's true minimum —
       // that only biases pop order among exact-equal keys, which the
-      // examination-time tie-break re-derives anyway.)
+      // examination-time tie-break re-derives anyway.) The winner meets
+      // this route's deadline, so a parked bucket's floor no longer bounds
+      // its members past it: release the bucket.
+      if (next->parked()) release(task_type, best_entry.group, new_count);
       next->members.insert(
           std::lower_bound(next->members.begin(), next->members.end(), best_pos),
           best_pos);
-      next->finish_floor = std::min(next->finish_floor, finish);
     } else {
-      cohort.buckets.push_back(CohortBucket{new_count, {best_pos}, finish});
+      cohort.buckets.push_back(CohortBucket{new_count, {best_pos}});
       heap.push_back(IndexEntry{new_count / cohort.tc, best_pos,
                                 best_entry.group, new_count});
       std::push_heap(heap.begin(), heap.end(), after);
     }
   }
   return best;
+}
+
+void DynamicScheduler::release(std::size_t task_type, std::uint32_t group,
+                               double count) {
+  std::vector<ParkedEntry>& parked = parked_[task_type];
+  const auto it = std::find_if(parked.begin(), parked.end(),
+                               [&](const ParkedEntry& p) {
+                                 return p.entry.group == group &&
+                                        p.entry.count == count;
+                               });
+  TAPO_CHECK(it != parked.end());
+  const IndexEntry e = it->entry;
+  *it = parked.back();
+  parked.pop_back();
+  std::make_heap(parked.begin(), parked.end(), FloorGreater{});
+  find_bucket(cohorts_[task_type][group], count)->finish_floor =
+      -std::numeric_limits<double>::infinity();
+  std::vector<IndexEntry>& heap = index_[task_type];
+  heap.push_back(e);
+  std::push_heap(heap.begin(), heap.end(), IndexEntryGreater{});
 }
 
 DynamicScheduler::Decision DynamicScheduler::route(
@@ -402,8 +437,12 @@ DynamicScheduler::Decision DynamicScheduler::route(
 }
 
 void DynamicScheduler::backlog_lowered() {
-  for (std::vector<Cohort>& cohorts : cohorts_) {
-    for (Cohort& cohort : cohorts) {
+  for (std::size_t i = 0; i < parked_.size(); ++i) {
+    if (parked_[i].empty()) continue;
+    for (const ParkedEntry& p : parked_[i]) index_[i].push_back(p.entry);
+    parked_[i].clear();
+    std::make_heap(index_[i].begin(), index_[i].end(), IndexEntryGreater{});
+    for (Cohort& cohort : cohorts_[i]) {
       for (CohortBucket& b : cohort.buckets) {
         b.finish_floor = -std::numeric_limits<double>::infinity();
       }
@@ -444,14 +483,18 @@ void DynamicScheduler::check_index_invariants() const {
     TAPO_CHECK_MSG(std::all_of(seen.begin(), seen.end(),
                                [](std::uint8_t s) { return s != 0; }),
                    "candidate missing from every cohort bucket");
-    // Exactly one live heap entry per bucket, keyed by the bucket's state.
-    TAPO_CHECK_MSG(heap.size() == buckets,
+    // Exactly one live entry per bucket: in the ratio heap keyed by the
+    // bucket's state, or parked keyed by its floor.
+    const std::vector<ParkedEntry>& parked = parked_[i];
+    TAPO_CHECK_MSG(std::is_heap(parked.begin(), parked.end(), FloorGreater{}),
+                   "parked heap property violated");
+    TAPO_CHECK_MSG(heap.size() + parked.size() == buckets,
                    "index must hold exactly one entry per cohort bucket");
     std::vector<std::vector<std::uint8_t>> entry_seen(cohorts.size());
     for (std::size_t g = 0; g < cohorts.size(); ++g) {
       entry_seen[g].assign(cohorts[g].buckets.size(), 0);
     }
-    for (const IndexEntry& e : heap) {
+    const auto check_entry = [&](const IndexEntry& e) -> const CohortBucket& {
       TAPO_CHECK(e.group < cohorts.size());
       const Cohort& c = cohorts[e.group];
       std::size_t bi = 0;
@@ -464,6 +507,15 @@ void DynamicScheduler::check_index_invariants() const {
       const std::vector<std::uint32_t>& m = c.buckets[bi].members;
       TAPO_CHECK_MSG(std::binary_search(m.begin(), m.end(), e.pos),
                      "index entry position is not a bucket member");
+      return c.buckets[bi];
+    };
+    for (const IndexEntry& e : heap) {
+      TAPO_CHECK_MSG(!check_entry(e).parked(),
+                     "parked bucket has a ratio-heap entry");
+    }
+    for (const ParkedEntry& p : parked) {
+      TAPO_CHECK_MSG(check_entry(p.entry).finish_floor == p.floor,
+                     "parked key differs from the bucket's finish floor");
     }
   }
 }

@@ -71,9 +71,9 @@ struct RoutingStats {
   std::size_t indexed_routes = 0;   // served by the candidate index
   std::size_t scan_routes = 0;      // served by the reference scan
   std::size_t index_pops = 0;       // cohort-bucket entries examined
-  std::size_t index_deferred = 0;   // blocked entries pushed back
-  std::size_t index_floor_skips = 0;  // deferred by finish floor, no walk
-  std::size_t index_stale_pops = 0;   // defensive discards (0 by invariant)
+  std::size_t index_deferred = 0;   // rate-saturated or outranked, pushed back
+  std::size_t index_parks = 0;      // deadline-blocked buckets parked
+  std::size_t index_stale_pops = 0;  // defensive discards (0 by invariant)
 };
 
 struct SchedulerOptions {
@@ -123,18 +123,20 @@ class DynamicScheduler {
   //
   // Precondition (the backlog contract, docs/SCHEDULER.md §2): between two
   // calls `now` does not decrease and no core_free_time entry decreases,
-  // unless backlog_lowered() is called in between. The indexed path caches
-  // a lower bound on each cohort bucket's finish times and skips buckets
-  // that bound proves deadline-blocked; a lowered backlog would make that
-  // bound stale. route() clears the bounds itself when `now` goes
-  // backwards; a caller that lowers a free time must call the hook.
+  // unless backlog_lowered() is called in between. The indexed path parks
+  // deadline-blocked cohort buckets on a lower bound of their finish times
+  // and leaves them out until a deadline reaches that bound; a lowered
+  // backlog would make the bound stale. route() releases every parked
+  // bucket itself when `now` goes backwards; a caller that lowers a free
+  // time must call the hook.
   Decision route(std::size_t task_type, double now,
                  const std::vector<double>& core_free_time);
 
   // Declares that some core_free_time entry was lowered since the last
-  // route() (a drained or killed queue). Clears every cached finish floor;
-  // O(cohort buckets). A spurious call is harmless (it only costs member
-  // walks); a missing one can make the index skip an eligible member.
+  // route() (a drained or killed queue). Releases every parked bucket back
+  // into its ratio heap and clears the floors; O(cohort buckets). A
+  // spurious call is harmless (it only costs member walks); a missing one
+  // can make the index skip an eligible member.
   void backlog_lowered();
 
   // Realized assignment rate of task type i on core k at time `now`.
@@ -159,8 +161,9 @@ class DynamicScheduler {
   // Index invariant check (property tests): for every task type the
   // cohort buckets partition the candidate list, every member of a bucket
   // has the bucket's exact count and its cohort's exact TC, every bucket has
-  // exactly one live heap entry whose key equals count/TC, and the entries
-  // form a valid min-heap. Aborts on violation.
+  // exactly one live entry — in the ratio heap with key count/TC, or parked
+  // with key equal to its finish floor — and both heaps are valid
+  // min-heaps. Aborts on violation.
   void check_index_invariants() const;
 
  private:
@@ -183,15 +186,24 @@ class DynamicScheduler {
   // in ascending candidate-position order so the bucket's representative
   // (front) is the scan's tie-break winner among its members.
   //
-  // `finish_floor` is a lower bound on every member's finish time
-  // max(now, core_free_time[k]) + exec at any later route() under the
-  // backlog contract: a member walk that finds the bucket fully
-  // deadline-blocked sets it to the walk's minimum finish, and a joining
-  // winner lowers it to its own finish. -inf means "no bound".
+  // A member walk that finds the bucket fully deadline-blocked parks it
+  // with `finish_floor` set to the walk's minimum finish: under the backlog
+  // contract that bounds every member's finish time
+  // max(now, core_free_time[k]) + exec at any later route(). Members never
+  // leave a parked bucket (it cannot win), and a joining winner releases
+  // it. -inf while the bucket is in the ratio heap.
   struct CohortBucket {
     double count = 0.0;
     std::vector<std::uint32_t> members;  // candidate positions, ascending
     double finish_floor = -std::numeric_limits<double>::infinity();
+    bool parked() const {
+      return finish_floor != -std::numeric_limits<double>::infinity();
+    }
+  };
+  // A parked bucket's ratio-heap entry, kept unchanged for its release.
+  struct ParkedEntry {
+    double floor = 0.0;
+    IndexEntry entry;
   };
   struct Cohort {
     double tc = 0.0;
@@ -202,6 +214,10 @@ class DynamicScheduler {
                       const std::vector<double>& core_free_time);
   Decision route_indexed(std::size_t task_type, double now,
                          const std::vector<double>& core_free_time);
+  // Moves the parked entry of bucket (group, count) back to the ratio heap.
+  void release(std::size_t task_type, std::uint32_t group, double count);
+  // The bucket of `cohort` holding `count`; nullptr when there is none.
+  static CohortBucket* find_bucket(Cohort& cohort, double count);
   // The MinAtcTcRatio scan selection without side effects, shared by
   // route_scan and the validate_index cross-check.
   Decision select_min_ratio(std::size_t task_type, double now,
@@ -220,6 +236,7 @@ class DynamicScheduler {
   std::vector<std::vector<double>> counts_;           // [task type][core]
   std::vector<std::vector<Cohort>> cohorts_;          // [task type][group]
   std::vector<std::vector<IndexEntry>> index_;        // [task type] min-heap
+  std::vector<std::vector<ParkedEntry>> parked_;      // [task type] min-heap
   std::vector<IndexEntry> stash_;                     // route-local scratch
   std::vector<std::size_t> assigned_, dropped_;
   RoutingStats stats_;

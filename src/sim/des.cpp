@@ -115,7 +115,7 @@ void accumulate(core::RoutingStats& into, const core::RoutingStats& from) {
   into.scan_routes += from.scan_routes;
   into.index_pops += from.index_pops;
   into.index_deferred += from.index_deferred;
-  into.index_floor_skips += from.index_floor_skips;
+  into.index_parks += from.index_parks;
   into.index_stale_pops += from.index_stale_pops;
 }
 
@@ -173,7 +173,7 @@ void finish_run(SimResult& result, const SimOptions& options,
   reg->count("scheduler.routes_scan", totals.routing.scan_routes);
   reg->count("scheduler.index_pops", totals.routing.index_pops);
   reg->count("scheduler.index_deferred", totals.routing.index_deferred);
-  reg->count("scheduler.index_floor_skips", totals.routing.index_floor_skips);
+  reg->count("scheduler.index_parks", totals.routing.index_parks);
   reg->count("scheduler.index_stale_pops", totals.routing.index_stale_pops);
   reg->count("sim.arrival_batches", totals.batches);
   reg->gauge_max("sim.max_batch_size", static_cast<double>(totals.max_batch));
@@ -182,18 +182,30 @@ void finish_run(SimResult& result, const SimOptions& options,
 // A task admitted to a core and neither completed nor killed yet.
 struct InFlight {
   double deadline;
-  std::size_t type;
+  double finish;
+  // The engine sequence number held for its completion (Engine::hold), or
+  // kUntimed when it finishes past the horizon and never completes.
+  std::uint64_t seq;
+  std::uint32_t type;
   // Admission counted inside the measured window; a kill reclassifies such
   // an admission as a drop so arrived == assigned + dropped always holds.
   bool counted;
 };
 
-// One FIFO of in-flight tasks per core, threaded through a shared slot pool.
-// Freed slots are reused first, so the pool never outgrows the peak number
-// of tasks in flight, and admissions keep touching the same few cache lines
-// however many cores the park has. The pool is a deque so that growing it
-// never copies: an empty calendar admits a whole run's arrivals in one
-// batch, so the peak can be every task of the run.
+constexpr std::uint64_t kUntimed = std::numeric_limits<std::uint64_t>::max();
+
+// One FIFO of in-flight tasks per core, threaded through a shared slot pool,
+// and the completion cursor over them. Freed slots are reused first, so the
+// pool never outgrows the peak number of tasks in flight, and admissions
+// keep touching the same few cache lines however many cores the park has.
+// The pool is a deque so that growing it never copies: a run that starts
+// with no calendar event admits all its arrivals in one batch, so the peak
+// can be every task of the run.
+//
+// A core's finish times never decrease (start = max(now, free time)), so
+// its next completion is its FIFO head. The cursor is a min-heap over cores
+// keyed by the head's (finish, seq); it holds only timed heads, so every
+// core with a completion due by the horizon has exactly one entry.
 class InFlightQueues {
  public:
   explicit InFlightQueues(std::size_t cores)
@@ -207,22 +219,54 @@ class InFlightQueues {
     const std::uint32_t s = free_;
     free_ = slots_[s].next;
     slots_[s] = {task, kNone};
-    (tail_[k] == kNone ? head_[k] : slots_[tail_[k]].next) = s;
+    if (tail_[k] == kNone) {
+      head_[k] = s;
+      if (task.seq != kUntimed) {
+        cursor_.push_back({task.finish, task.seq, static_cast<std::uint32_t>(k)});
+        sift_up(cursor_.size() - 1);
+      }
+    } else {
+      slots_[tail_[k]].next = s;
+    }
     tail_[k] = s;
   }
 
-  // Removes and returns core k's oldest task; the FIFO must not be empty.
-  InFlight pop(std::size_t k) {
-    const std::uint32_t s = head_[k];
-    head_[k] = slots_[s].next;
-    if (head_[k] == kNone) tail_[k] = kNone;
-    slots_[s].next = free_;
-    free_ = s;
-    return slots_[s].task;
+  // The earliest timed completion: false when none is due by the horizon.
+  bool next(double& finish, std::uint64_t& seq) const {
+    if (cursor_.empty()) return false;
+    finish = cursor_.front().finish;
+    seq = cursor_.front().seq;
+    return true;
+  }
+
+  // Removes and returns the task of the earliest timed completion; the
+  // cursor must not be empty.
+  InFlight pop_next() {
+    const std::uint32_t k = cursor_.front().core;
+    const InFlight task = pop(k);
+    const std::uint32_t h = head_[k];
+    if (h != kNone && slots_[h].task.seq != kUntimed) {
+      cursor_.front() = {slots_[h].task.finish, slots_[h].task.seq, k};
+    } else {
+      cursor_.front() = cursor_.back();
+      cursor_.pop_back();
+    }
+    if (!cursor_.empty()) sift_down(0);
+    return task;
   }
 
   // Empties core k's FIFO, returning its tasks in admission order.
   std::vector<InFlight> take(std::size_t k) {
+    for (std::size_t i = 0; i < cursor_.size(); ++i) {
+      if (cursor_[i].core != k) continue;
+      cursor_[i] = cursor_.back();
+      cursor_.pop_back();
+      if (i < cursor_.size()) {
+        sift_down(i);
+        sift_up(i);
+      }
+      break;
+    }
     std::vector<InFlight> tasks;
     while (head_[k] != kNone) tasks.push_back(pop(k));
     return tasks;
@@ -235,15 +279,61 @@ class InFlightQueues {
     InFlight task;
     std::uint32_t next;
   };
+  struct Head {
+    double finish;
+    std::uint64_t seq;
+    std::uint32_t core;
+  };
+  static bool earlier(const Head& a, const Head& b) {
+    return a.finish < b.finish || (a.finish == b.finish && a.seq < b.seq);
+  }
+
+  // Unlinks core k's oldest task; the FIFO must not be empty.
+  InFlight pop(std::size_t k) {
+    const std::uint32_t s = head_[k];
+    head_[k] = slots_[s].next;
+    if (head_[k] == kNone) tail_[k] = kNone;
+    slots_[s].next = free_;
+    free_ = s;
+    return slots_[s].task;
+  }
+
+  void sift_up(std::size_t i) {
+    const Head h = cursor_[i];
+    while (i > 0) {
+      const std::size_t parent = (i - 1) / 2;
+      if (!earlier(h, cursor_[parent])) break;
+      cursor_[i] = cursor_[parent];
+      i = parent;
+    }
+    cursor_[i] = h;
+  }
+
+  void sift_down(std::size_t i) {
+    const Head h = cursor_[i];
+    const std::size_t n = cursor_.size();
+    while (true) {
+      std::size_t child = 2 * i + 1;
+      if (child >= n) break;
+      if (child + 1 < n && earlier(cursor_[child + 1], cursor_[child])) ++child;
+      if (!earlier(cursor_[child], h)) break;
+      cursor_[i] = cursor_[child];
+      i = child;
+    }
+    cursor_[i] = h;
+  }
+
   std::deque<Slot> slots_;
   std::uint32_t free_ = kNone;
   std::vector<std::uint32_t> head_, tail_;  // per core; kNone when empty
+  std::vector<Head> cursor_;                // min-heap under earlier()
 };
 
 // The one online run every entry point drives (docs/SCHEDULER.md §3): the
 // event calendar, the scheduler routing against per-core backlogs, one FIFO
-// of in-flight tasks per core, completion-side reward booking, piecewise
-// energy and the telemetry samplers. Entry points differ only in the arrival
+// of in-flight tasks per core with the completion cursor over them,
+// completion-side reward booking, piecewise energy and the telemetry
+// samplers. Entry points differ only in the arrival
 // source they hand run() and in the events they schedule on engine() first.
 class RunCore {
  public:
@@ -253,8 +343,7 @@ class RunCore {
         options_(options),
         plan_(&plan),
         core_free_time_(dc.total_cores(), 0.0),
-        in_flight_(dc.total_cores()),
-        epoch_(dc.total_cores(), 0) {
+        in_flight_(dc.total_cores()) {
     if (!options_.scheduler.telemetry) {
       options_.scheduler.telemetry = options.telemetry;
     }
@@ -294,7 +383,7 @@ class RunCore {
   }
 
   // Routes a task through the plan in force. A placed task joins its core's
-  // FIFO and, when it finishes by the horizon, gets a completion event.
+  // FIFO and, when it finishes by the horizon, holds a completion event.
   bool admit(std::size_t type, double now, double deadline, bool counted) {
     const auto decision = scheduler_->route(type, now, core_free_time_);
     if (!decision.assigned) return false;
@@ -302,11 +391,10 @@ class RunCore {
     const double finish =
         std::max(now, core_free_time_[k]) + decision.exec_seconds;
     core_free_time_[k] = finish;
-    in_flight_.push(k, {deadline, type, counted});
-    if (finish <= options_.duration_seconds) {
-      engine_.schedule_at(finish, [this, core = static_cast<std::uint32_t>(k),
-                                   epoch = epoch_[k]] { complete(core, epoch); });
-    }
+    const std::uint64_t seq =
+        finish <= options_.duration_seconds ? engine_.hold() : kUntimed;
+    in_flight_.push(k, {deadline, finish, seq, static_cast<std::uint32_t>(type),
+                        counted});
     return true;
   }
 
@@ -317,12 +405,15 @@ class RunCore {
   }
 
   // Kills the work queued on core k at `now` and returns it in admission
-  // order; the core's pending completion events go stale.
+  // order; the core's held completion events are cancelled.
   std::vector<InFlight> evict(std::size_t k, double now) {
-    ++epoch_[k];
     core_free_time_[k] = now;
     scheduler_->backlog_lowered();  // the route() backlog contract
-    return in_flight_.take(k);
+    std::vector<InFlight> tasks = in_flight_.take(k);
+    for (const InFlight& task : tasks) {
+      if (task.seq != kUntimed) engine_.cancel_held();
+    }
+    return tasks;
   }
 
   // Makes `plan` the plan in force from `now`: energy integrates up to the
@@ -343,7 +434,10 @@ class RunCore {
   }
 
   // Drives the run to the horizon: admission batches interleaved with
-  // calendar events in global time order (calendar first on exact ties).
+  // calendar events and completions in global time order. An arrival batch
+  // runs up to the earlier of the next calendar event and the next
+  // completion; events come first on exact ties, and a calendar event and a
+  // completion at the same time run in engine sequence order.
   template <typename Source>
   void run(Source& arrivals) {
     util::telemetry::Registry* const reg = options_.telemetry;
@@ -370,7 +464,11 @@ class RunCore {
     std::size_t type = 0;
     while (true) {
       const bool have_arrival = arrivals.peek(ta, type);
-      const double te = engine_.next_time();
+      const double t_event = engine_.next_time();
+      double t_done = kInf;
+      std::uint64_t seq = 0;
+      const bool have_completion = in_flight_.next(t_done, seq);
+      const double te = std::min(t_event, t_done);
       if (have_arrival && ta < te) {
         std::size_t batch = 0;
         do {
@@ -380,6 +478,10 @@ class RunCore {
         } while (arrivals.peek(ta, type) && ta < te);
         ++totals_.batches;
         totals_.max_batch = std::max(totals_.max_batch, batch);
+      } else if (have_completion &&
+                 (t_done < t_event ||
+                  (t_done == t_event && seq < engine_.next_seq()))) {
+        complete();
       } else if (!engine_.run_one(horizon)) {
         break;
       }
@@ -417,13 +519,12 @@ class RunCore {
     ++(placed ? m.assigned : m.dropped);
   }
 
-  // Finish times on a core never decrease and the engine breaks time ties
-  // by insertion order, so a core's completions fire in admission order and
-  // each one is its FIFO's front.
-  void complete(std::uint32_t k, std::uint32_t epoch) {
-    if (epoch != epoch_[k]) return;  // killed by a node failure
-    const InFlight task = in_flight_.pop(k);
-    const double finish = engine_.now();
+  // Fires the cursor's earliest completion. Timed completions all finish
+  // by the horizon, so the run loop fires each one.
+  void complete() {
+    const InFlight task = in_flight_.pop_next();
+    const double finish = task.finish;
+    engine_.fire_held(finish);
     if (finish < options_.warmup_seconds) return;
     PerTypeMetrics& m = result_.per_type[task.type];
     if (finish <= task.deadline + 1e-12) {
@@ -442,7 +543,6 @@ class RunCore {
   std::unique_ptr<core::DynamicScheduler> scheduler_;
   std::vector<double> core_free_time_;
   InFlightQueues in_flight_;
-  std::vector<std::uint32_t> epoch_;  // bumped when a core's work is killed
   EnergyMeter energy_;
   RunTotals totals_;  // routing stats of the schedulers adopt() replaced
   SimResult result_;
@@ -561,6 +661,10 @@ FaultSimResult simulate_with_faults(dc::DataCenter& dc,
   if (!out.status.ok()) return out;
   if (util::Status s = schedule.validate(dc); !s.ok()) {
     out.status = s.with_context("fault schedule");
+    return out;
+  }
+  if (util::Status s = options.recovery.validate(); !s.ok()) {
+    out.status = s.with_context("recovery options");
     return out;
   }
   if (options.replan) {

@@ -11,13 +11,17 @@
 // One event loop serves every entry point (docs/SCHEDULER.md §3-§4). It owns
 // the event calendar, the scheduler, one FIFO of in-flight tasks per core,
 // admission, completion-side reward booking, piecewise energy integration,
-// the telemetry samplers and the end-of-run recorder. Arrivals come from one
-// of two sources: live Poisson streams (simulate, simulate_with_faults) or a
-// recorded Trace (simulate_trace, sim/trace.h). Either way they are admitted
-// in batches: every arrival strictly before the next calendar event routes
-// in one tight loop, so the per-task cost is a routing decision plus an
-// O(task types) min-scan, with no priority-queue traffic. The entry points
-// differ only in what they add to that loop:
+// the telemetry samplers and the end-of-run recorder. The calendar holds
+// only the rare events (samplers, faults, adoptions, re-plan checks); task
+// completions fire from a per-core cursor, a heap over the cores' FIFO
+// heads ordered by the same (time, sequence number) rule. Arrivals come
+// from one of two sources: live Poisson streams (simulate,
+// simulate_with_faults) or a recorded Trace (simulate_trace, sim/trace.h).
+// Either way they are admitted in batches: every arrival strictly before
+// the next calendar event or completion routes in one tight loop, so the
+// per-task cost is a routing decision plus an O(task types) min-scan, with
+// no priority-queue traffic. The entry points differ only in what they add
+// to that loop:
 //   * simulate adds nothing;
 //   * simulate_with_faults schedules fault events, generation-guarded plan
 //     adoptions and the receding-horizon re-plan checks on the same

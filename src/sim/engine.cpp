@@ -7,11 +7,15 @@
 
 namespace tapo::sim {
 
+void Engine::note_pending() {
+  if (pending() > max_pending_) max_pending_ = pending();
+}
+
 void Engine::schedule_at(double when, Callback cb) {
   TAPO_CHECK_MSG(when >= now_ - 1e-12, "cannot schedule in the past");
   queue_.push_back(Event{when, next_seq_++, std::move(cb)});
   std::push_heap(queue_.begin(), queue_.end(), Later{});
-  if (queue_.size() > max_pending_) max_pending_ = queue_.size();
+  note_pending();
 }
 
 void Engine::schedule_in(double delay, Callback cb) {
@@ -24,6 +28,11 @@ double Engine::next_time() const {
                         : queue_.front().time;
 }
 
+std::uint64_t Engine::next_seq() const {
+  TAPO_CHECK(!queue_.empty());
+  return queue_.front().seq;
+}
+
 bool Engine::run_one(double horizon) {
   if (queue_.empty() || queue_.front().time > horizon) return false;
   std::pop_heap(queue_.begin(), queue_.end(), Later{});
@@ -33,6 +42,25 @@ bool Engine::run_one(double horizon) {
   ev.cb();  // may schedule further events
   ++executed_;
   return true;
+}
+
+std::uint64_t Engine::hold() {
+  ++held_;
+  note_pending();
+  return next_seq_++;
+}
+
+void Engine::fire_held(double when) {
+  TAPO_CHECK(held_ > 0);
+  --held_;
+  now_ = when;
+  ++executed_;
+}
+
+void Engine::cancel_held() {
+  TAPO_CHECK(held_ > 0);
+  --held_;
+  ++executed_;
 }
 
 std::size_t Engine::run_until(double horizon) {

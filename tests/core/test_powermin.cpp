@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "core/assigner.h"
@@ -119,6 +120,21 @@ TEST(PowerMin, EngineAndWarmChainDoNotChangeThePlan) {
       EXPECT_EQ(got.assignment.core_pstate, dense.assignment.core_pstate);
       EXPECT_EQ(got.total_power_kw, dense.total_power_kw);
     }
+  }
+}
+
+TEST(PowerMin, NegativeOrNonFiniteTargetIsInvalidArgument) {
+  const auto scenario = test::make_small_scenario(126, 6, 1);
+  const thermal::HeatFlowModel model(scenario.dc);
+  for (const double target : {-1.0, std::numeric_limits<double>::quiet_NaN(),
+                              std::numeric_limits<double>::infinity()}) {
+    const PowerMinResult result =
+        minimize_power_for_reward(scenario.dc, model, target);
+    EXPECT_EQ(result.status.code(), util::StatusCode::kInvalidArgument)
+        << "target " << target;
+    EXPECT_FALSE(result.feasible);
+    EXPECT_FALSE(result.met_target);
+    EXPECT_EQ(result.attempts, 0u);
   }
 }
 

@@ -452,16 +452,17 @@ TEST_F(SchedulerFixture, CohortDeadlineSubstitutionMatchesScan) {
   EXPECT_GT(b.stats().routed, 0u);
 }
 
-// --- Finish floors of deadline-blocked cohort buckets -----------------------
+// --- Parked deadline-blocked cohort buckets ---------------------------------
 //
-// A bucket whose member walk found every member deadline-blocked keeps a
-// lower bound on its members' finish times; later routes stash it without a
-// walk while the bound misses the deadline. Exact only under the backlog
-// contract (no free time lowered without backlog_lowered()).
+// A bucket whose member walk found every member deadline-blocked is parked
+// on a lower bound of its members' finish times; it returns to the ratio
+// heap once a route's deadline reaches that floor, or when a winner joins
+// it. Exact only under the backlog contract (no free time lowered without
+// backlog_lowered()).
 
 TEST_F(SchedulerFixture, FinishFloorSkipsMatchScanUnderMonotoneSaturation) {
   // Arrivals far above the desired rates with backlogs that only grow: most
-  // routes end with whole cohorts deadline-blocked, the regime the floor
+  // routes end with whole cohorts deadline-blocked, the regime parking
   // exists for. validate_index re-checks every decision against the scan.
   const Assignment uniform = uniform_tc_assignment(scenario->dc, assignment);
   SchedulerOptions scan;
@@ -492,8 +493,8 @@ TEST_F(SchedulerFixture, FinishFloorSkipsMatchScanUnderMonotoneSaturation) {
   }
   b.check_index_invariants();
   EXPECT_GT(drops, 0u);
-  EXPECT_GT(b.stats().index_floor_skips, 0u);
-  EXPECT_LE(b.stats().index_floor_skips, b.stats().index_deferred);
+  EXPECT_GT(b.stats().index_parks, 0u);
+  EXPECT_LE(b.stats().index_parks, b.stats().index_pops);
 }
 
 TEST_F(SchedulerFixture, WinnerJoiningBlockedBucketLowersItsFloor) {
@@ -548,6 +549,127 @@ TEST_F(SchedulerFixture, WinnerJoiningBlockedBucketLowersItsFloor) {
   EXPECT_EQ(last.core, cands[1]);
 }
 
+// A type with at least three candidates, or num_task_types() when none has.
+std::size_t wide_type(const dc::DataCenter& dc, const DynamicScheduler& s) {
+  for (std::size_t i = 0; i < dc.num_task_types(); ++i) {
+    if (s.candidates(i).size() >= 3) return i;
+  }
+  return dc.num_task_types();
+}
+
+TEST_F(SchedulerFixture, ParkedBucketReturnsExactlyWhenDeadlineReachesFloor) {
+  // One cohort (uniform rates), a warm-up long enough that no ratio reaches
+  // 1, and every core busy until B: the first route parks the count-0
+  // bucket on floor = B + min exec. A route whose deadline misses the floor
+  // by 1e-9 must drop without examining any bucket; a route whose deadline
+  // equals the floor must release the bucket and admit the member that
+  // sets the floor, as the scan does.
+  const Assignment uniform = uniform_tc_assignment(scenario->dc, assignment);
+  SchedulerOptions scan;
+  scan.route_mode = RouteMode::kScan;
+  scan.warmup_seconds = 1e9;
+  SchedulerOptions indexed = scan;
+  indexed.route_mode = RouteMode::kIndexed;
+  indexed.validate_index = true;
+  DynamicScheduler a(scenario->dc, uniform, scan);
+  DynamicScheduler b(scenario->dc, uniform, indexed);
+  const std::size_t type = wide_type(scenario->dc, a);
+  ASSERT_LT(type, scenario->dc.num_task_types()) << "need a 3+ candidate type";
+  const auto& cands = a.candidates(type);
+  const double d = scenario->dc.task_types[type].relative_deadline;
+  const double busy = 50.0 * d;
+  std::vector<double> free_time(scenario->dc.total_cores(), busy);
+  const auto route_both = [&](double now) {
+    const auto da = a.route(type, now, free_time);
+    const auto db = b.route(type, now, free_time);
+    EXPECT_EQ(da.assigned, db.assigned) << "at " << now;
+    if (da.assigned) {
+      EXPECT_EQ(da.core, db.core) << "at " << now;
+    }
+    b.check_index_invariants();
+    return db;
+  };
+
+  ASSERT_FALSE(route_both(0.0).assigned);
+  ASSERT_EQ(b.stats().index_parks, 1u);
+  double floor = std::numeric_limits<double>::infinity();
+  std::size_t floor_core = 0;
+  for (std::size_t p = 0; p < cands.size(); ++p) {
+    const double finish = busy + scenario->dc.ecs.etc_seconds(
+        type, scenario->dc.core_type(cands[p]), uniform.core_pstate[cands[p]]);
+    if (finish < floor) {
+      floor = finish;
+      floor_core = cands[p];
+    }
+  }
+  // The release threshold is the deadline test's own: the bucket stays
+  // parked while floor > now + d + 1e-12.
+  const double at = floor - d;
+  ASSERT_FALSE(floor > at + d + 1e-12);
+  const double before = at - 1e-9;
+  ASSERT_TRUE(floor > before + d + 1e-12);
+
+  const std::size_t pops = b.stats().index_pops;
+  EXPECT_FALSE(route_both(before).assigned);
+  EXPECT_EQ(b.stats().index_pops, pops) << "a parked bucket was examined";
+  EXPECT_EQ(b.stats().index_parks, 1u);
+
+  const auto last = route_both(at);
+  ASSERT_TRUE(last.assigned);
+  EXPECT_EQ(last.core, floor_core);
+  EXPECT_EQ(b.stats().index_pops, pops + 1);
+}
+
+TEST_F(SchedulerFixture, WinnerJoiningParkedBucketReleasesIt) {
+  // One cohort, no ratio above 1, free times that only grow.
+  //   A: c0 wins the count-0 bucket and opens the count-1 bucket.
+  //   B: every core is busy past the deadline, c0 far longer than the
+  //      rest: both buckets park, count 1 on a floor far above step D's
+  //      deadline.
+  //   C: the count-0 bucket's floor comes due; c1 wins it and joins the
+  //      parked count-1 bucket, which must release it.
+  //   D: only c1 can meet the deadline. A count-1 bucket still parked on
+  //      c0's floor would drop the task the scan admits to c1.
+  const Assignment uniform = uniform_tc_assignment(scenario->dc, assignment);
+  SchedulerOptions scan;
+  scan.route_mode = RouteMode::kScan;
+  scan.warmup_seconds = 1e9;
+  SchedulerOptions indexed = scan;
+  indexed.route_mode = RouteMode::kIndexed;
+  indexed.validate_index = true;
+  DynamicScheduler a(scenario->dc, uniform, scan);
+  DynamicScheduler b(scenario->dc, uniform, indexed);
+  const std::size_t type = wide_type(scenario->dc, a);
+  ASSERT_LT(type, scenario->dc.num_task_types()) << "need a 3+ candidate type";
+  const auto& cands = a.candidates(type);
+  const double d = scenario->dc.task_types[type].relative_deadline;
+  std::vector<double> free_time(scenario->dc.total_cores(), 0.0);
+  const auto route_both = [&](double now) {
+    const auto da = a.route(type, now, free_time);
+    const auto db = b.route(type, now, free_time);
+    EXPECT_EQ(da.assigned, db.assigned) << "at " << now;
+    if (da.assigned) {
+      EXPECT_EQ(da.core, db.core) << "at " << now;
+      free_time[da.core] = std::max(now, free_time[da.core]) + da.exec_seconds;
+    }
+    b.check_index_invariants();
+    return db;
+  };
+  ASSERT_EQ(route_both(0.0).core, cands[0]);  // A
+  for (std::size_t p = 0; p < cands.size(); ++p) {
+    free_time[cands[p]] = p == 0 ? 100.0 * d : 10.0 * d;
+  }
+  ASSERT_FALSE(route_both(d).assigned);  // B
+  ASSERT_EQ(b.stats().index_parks, 2u);
+  const auto c = route_both(10.0 * d);  // C
+  ASSERT_TRUE(c.assigned);
+  ASSERT_EQ(c.core, cands[1]);
+  for (std::size_t p = 2; p < cands.size(); ++p) free_time[cands[p]] = 100.0 * d;
+  const auto last = route_both(10.0 * d + c.exec_seconds);  // D
+  EXPECT_TRUE(last.assigned);
+  EXPECT_EQ(last.core, cands[1]);
+}
+
 // Routes `type` once against fully blocked cores (setting the floors of its
 // buckets), then frees every core without calling the hook.
 struct BlockedThenFreed {
@@ -567,7 +689,7 @@ BlockedThenFreed block_then_free(const dc::DataCenter& dc,
   TAPO_CHECK(out.type < dc.num_task_types());
   out.free_time.assign(dc.total_cores(), 1e9);
   TAPO_CHECK(!indexed.route(out.type, 1.0, out.free_time).assigned);
-  TAPO_CHECK(indexed.stats().index_deferred > 0);
+  TAPO_CHECK(indexed.stats().index_parks > 0);
   std::fill(out.free_time.begin(), out.free_time.end(), 0.0);
   return out;
 }
@@ -602,7 +724,7 @@ TEST_F(SchedulerFixture, LoweredBacklogWithHookMatchesScan) {
   ASSERT_TRUE(da.assigned);
   ASSERT_TRUE(db.assigned);
   EXPECT_EQ(da.core, db.core);
-  EXPECT_EQ(b.stats().index_floor_skips, 0u);
+  b.check_index_invariants();
 }
 
 TEST_F(SchedulerFixture, ClockGoingBackwardsClearsFloors) {
@@ -615,7 +737,7 @@ TEST_F(SchedulerFixture, ClockGoingBackwardsClearsFloors) {
   DynamicScheduler b(scenario->dc, uniform, indexed);
   const BlockedThenFreed s = block_then_free(scenario->dc, b);
   EXPECT_TRUE(b.route(s.type, 0.5, s.free_time).assigned);
-  EXPECT_EQ(b.stats().index_floor_skips, 0u);
+  b.check_index_invariants();
 }
 
 TEST_F(SchedulerFixture, IndexInvariantsHoldAfterRandomizedUpdates) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
 
 namespace tapo::sim {
@@ -129,6 +130,35 @@ TEST(Engine, ChainBeyondHorizonIsCut) {
   engine.schedule_at(0.0, step);
   engine.run_until(3.5);
   EXPECT_EQ(count, 4);  // t = 0, 1, 2, 3
+}
+
+// Held events (kept by the caller, fired or cancelled by it) draw their
+// sequence numbers from the calendar's counter and count in pending(), its
+// high-water mark and executed() exactly as scheduled events do.
+TEST(Engine, HeldEventsShareSequenceNumbersAndCounters) {
+  Engine engine;
+  engine.schedule_at(2.0, [] {});
+  const std::uint64_t held = engine.hold();
+  engine.schedule_at(2.0, [] {});
+  EXPECT_EQ(engine.next_seq() + 1, held);  // the first scheduled event
+  EXPECT_EQ(engine.pending(), 3u);
+  EXPECT_EQ(engine.max_pending(), 3u);
+  const std::uint64_t cancelled = engine.hold();
+  EXPECT_EQ(cancelled, held + 2);
+  EXPECT_EQ(engine.max_pending(), 4u);
+
+  engine.cancel_held();
+  EXPECT_EQ(engine.pending(), 3u);
+  EXPECT_EQ(engine.executed(), 1u);
+  EXPECT_DOUBLE_EQ(engine.now(), 0.0);  // cancelling does not move the clock
+
+  EXPECT_TRUE(engine.run_one(10.0));
+  engine.fire_held(2.0);
+  EXPECT_DOUBLE_EQ(engine.now(), 2.0);
+  EXPECT_EQ(engine.run_until(10.0), 1u);
+  EXPECT_EQ(engine.pending(), 0u);
+  EXPECT_EQ(engine.executed(), 4u);
+  EXPECT_EQ(engine.max_pending(), 4u);
 }
 
 }  // namespace

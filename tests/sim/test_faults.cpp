@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
 #include <sstream>
 
@@ -385,6 +386,26 @@ TEST_F(FaultSimFixture, DegenerateOptionsAndSchedulesAreRejected) {
       scenario->dc, *model, assignment, out_of_range, base_options());
   EXPECT_FALSE(r2.status.ok());
   EXPECT_NE(r2.status.message().find("fault schedule"), std::string::npos);
+}
+
+TEST_F(FaultSimFixture, NegativeOrNonFiniteReplanDelayIsRejected) {
+  // An adoption delayed by a negative time would be scheduled in the
+  // simulation's past; the run must refuse instead of aborting.
+  FaultSchedule schedule;
+  schedule.events.push_back({20.0, FaultKind::kNodeFail, 2, 0.0});
+  for (const double delay : {-1.0, std::numeric_limits<double>::infinity(),
+                             std::numeric_limits<double>::quiet_NaN()}) {
+    FaultSimOptions bad = base_options();
+    bad.recovery.replan_delay_s = delay;
+    EXPECT_FALSE(bad.recovery.validate().ok()) << delay;
+    const FaultSimResult r = simulate_with_faults(scenario->dc, *model,
+                                                  assignment, schedule, bad);
+    EXPECT_EQ(r.status.code(), util::StatusCode::kInvalidArgument) << delay;
+    EXPECT_NE(r.status.message().find("recovery options"), std::string::npos);
+  }
+  core::RecoveryOptions zero;
+  zero.replan_delay_s = 0.0;
+  EXPECT_TRUE(zero.validate().ok());
 }
 
 TEST(SimOptionsValidate, RejectsDegenerateConfigs) {

@@ -4,9 +4,12 @@
 // across seeds, policies, fault scenarios and rate traces.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <memory>
 
 #include "core/assigner.h"
+#include "sim/arrivals.h"
 #include "sim/des.h"
 #include "sim/faults.h"
 #include "sim/trace.h"
@@ -117,8 +120,8 @@ TEST_F(RoutingFixture, InvalidSchedulerOptionsSurfaceThroughSimulate) {
 
 TEST_F(RoutingFixture, IndexedSimulationMatchesScanUnderOverload) {
   // Arrivals at twice the planned demand: most routes end with whole cohort
-  // buckets deadline-blocked, so the index stashes most of them through
-  // their finish floors rather than member walks.
+  // buckets deadline-blocked, so the index parks them on their finish floors
+  // instead of re-walking their members on every route.
   for (dc::TaskType& t : scenario->dc.task_types) t.arrival_rate *= 2.0;
   for (const std::uint64_t seed : {2u, 23u, 5150u}) {
     SCOPED_TRACE("seed " + std::to_string(seed));
@@ -129,7 +132,7 @@ TEST_F(RoutingFixture, IndexedSimulationMatchesScanUnderOverload) {
     o.scheduler.validate_index = true;
     o.telemetry = &registry;
     expect_identical(scan, simulate(scenario->dc, assignment, o));
-    EXPECT_GT(registry.counter_value("scheduler.index_floor_skips"), 0u);
+    EXPECT_GT(registry.counter_value("scheduler.index_parks"), 0u);
   }
 }
 
@@ -161,6 +164,49 @@ TEST_F(RoutingFixture, FaultSimulationIdenticalAcrossRouteModes) {
               runs[1].faults[i].replan_adopted);
   }
   EXPECT_EQ(runs[0].replans_adopted, runs[1].replans_adopted);
+}
+
+TEST_F(RoutingFixture, FaultAndCompletionAtOneInstantRunInSequenceOrder) {
+  // Fault events are scheduled before the run starts, so a fault holds a
+  // lower engine sequence number than any completion: on an exact time tie
+  // it fires first and kills the finishing task. The run's first task is
+  // routed on an idle park, so its core and finish time can be computed
+  // outside the run from the same arrival streams and a fresh scheduler.
+  const SimOptions o = options(core::RouteMode::kAuto, 5);
+  ArrivalProcess arrivals(scenario->dc.task_types, util::Rng(o.seed));
+  double first = std::numeric_limits<double>::infinity();
+  std::size_t type = 0;
+  for (std::size_t i = 0; i < scenario->dc.num_task_types(); ++i) {
+    const double t = arrivals.next_arrival_after(i, 0.0);
+    if (t < first) {
+      first = t;
+      type = i;
+    }
+  }
+  core::DynamicScheduler scheduler(scenario->dc, assignment, o.scheduler);
+  const std::vector<double> idle(scenario->dc.total_cores(), 0.0);
+  const auto d = scheduler.route(type, first, idle);
+  ASSERT_TRUE(d.assigned);
+  const double finish = first + d.exec_seconds;
+  ASSERT_LT(finish, o.duration_seconds);
+  const std::size_t node = scenario->dc.core_node(d.core);
+
+  const auto killed_by_failure_at = [&](double t) {
+    FaultSchedule schedule;
+    schedule.events.push_back({t, FaultKind::kNodeFail, node, 0.0});
+    FaultSimOptions fo;
+    fo.sim = o;
+    fo.in_flight = InFlightPolicy::kDrop;
+    const FaultSimResult r =
+        simulate_with_faults(scenario->dc, *model, assignment, schedule, fo);
+    EXPECT_TRUE(r.status.ok()) << r.status.to_string();
+    return r.faults.empty() ? std::size_t{0} : r.faults.front().tasks_killed;
+  };
+  const std::size_t at = killed_by_failure_at(finish);
+  const std::size_t after = killed_by_failure_at(
+      std::nextafter(finish, std::numeric_limits<double>::infinity()));
+  EXPECT_EQ(at, after + 1) << "the first task completed before the fault "
+                              "that shares its instant";
 }
 
 TEST_F(RoutingFixture, ValidatedIndexSurvivesNodeFailuresUnderOverload) {

@@ -24,6 +24,7 @@
 // Exit codes: 0 success, 1 infeasible/unsolvable instance, 2 bad input
 // (malformed scenario, trace or fault file, a malformed or out-of-range
 // option, unknown flags).
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
@@ -343,9 +344,13 @@ int cmd_powermin(const util::ArgParser& args) {
 
 int cmd_trace(const util::ArgParser& args) {
   if (psi_rejected(args)) return 2;
+  const double horizon = args.option_double("duration");
+  if (option_rejected(args, "duration", std::isfinite(horizon) && horizon > 0.0,
+                      "positive and finite")) {
+    return 2;
+  }
   const auto scenario = make_scenario(args);
   if (!scenario) return 2;
-  const double horizon = args.option_double("duration");
   const auto seed = static_cast<std::uint64_t>(args.option_int("seed"));
 
   sim::Trace trace;
