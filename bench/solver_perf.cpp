@@ -134,8 +134,9 @@ BENCHMARK(BM_CrossInterference)->Arg(50)->Arg(150);
 // divide the threads:1 time by a threads:N time for the speedup, and read
 // LP throughput off the lp_solves/s counter. The full Cartesian grid (the
 // paper's generic multi-step search) has the widest rounds and is the
-// headline scaling case; the uniform+coordinate default has narrower rounds
-// and bounds what batching can buy there.
+// headline scaling case; the uniform+coordinate default has narrower rounds,
+// and with a pool its coordinate passes speculate (one batch of every
+// remaining CRAC's pair), so its threads:4 row shows what that buys.
 void run_stage1_sweep(benchmark::State& state, bool full_grid) {
   scenario::ScenarioConfig config;
   config.num_nodes = 40;
@@ -180,6 +181,7 @@ BENCHMARK(BM_Stage1UniformSweep)
     ->ArgName("threads")
     ->Arg(1)
     ->Arg(0)
+    ->Arg(4)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 

@@ -86,7 +86,7 @@ BaselineLpEvaluator::BaselineLpEvaluator(const dc::DataCenter& dc,
   thermal_rows_.append(lp, power_cols, crac_power_vars, crac_out0,
                        /*with_budget_row=*/true);
 
-  session_ = std::make_unique<solver::LpSession>(std::move(lp), lp_options);
+  session_.emplace(lp, lp_options);
 }
 
 void BaselineLpEvaluator::move_to(const std::vector<double>& crac_out) {

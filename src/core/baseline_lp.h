@@ -27,7 +27,7 @@
 #pragma once
 
 #include <cstddef>
-#include <memory>
+#include <optional>
 #include <vector>
 
 #include "core/baseline.h"
@@ -49,7 +49,8 @@ class BaselineLpEvaluator {
   // Builds the LP at crac_out0 and standardizes it into a resident
   // LpSession. lp_options supplies numerics and the telemetry sink; the
   // engine/warm_start fields are ignored (sessions are always the revised
-  // engine with per-solve seeds).
+  // engine with per-solve seeds). Copies behave as Stage1LpEvaluator's: a
+  // never-solved evaluator copied and moved to P solves as one built at P.
   BaselineLpEvaluator(const dc::DataCenter& dc,
                       const thermal::HeatFlowModel& model,
                       const std::vector<double>& crac_out0,
@@ -73,7 +74,8 @@ class BaselineLpEvaluator {
   // Row layout: arrival rates, one tie row per powered node, then the
   // thermal block (redlines, CRAC power rows, budget).
   ResidentThermalRows thermal_rows_;
-  std::unique_ptr<solver::LpSession> session_;
+  // Engaged by the constructor, once the LP is built.
+  std::optional<solver::LpSession> session_;
 };
 
 }  // namespace tapo::core

@@ -58,9 +58,12 @@ solver::GridSearchResult CracSweepCore::search(
           ? solver::grid_search_maximize(lo, hi, objective, grid)
           : solver::uniform_then_coordinate_maximize(lo, hi, objective,
                                                      grid);
+  // From here on lp_solves counts the accepted solves only.
+  lp_solves.fetch_sub(search.speculative_discards, std::memory_order_relaxed);
   if (reg) {
     reg->count(prefix + ".lp_solves",
                lp_solves.load(std::memory_order_relaxed));
+    reg->count(prefix + ".speculative_discards", search.speculative_discards);
     reg->count(prefix + ".infeasible_candidates",
                infeasible.load(std::memory_order_relaxed));
     reg->count(prefix + ".grid_evaluations", search.evaluations);

@@ -9,23 +9,26 @@
 //     so a derated unit is never set below its raised minimum outlet;
 //   * search: full Cartesian coarse-to-fine (full_grid) or the cheaper
 //     uniform-value-then-coordinate-descent default (solver/gridsearch.h);
-//   * engine: on the revised engine with warm chains each chain holds one
-//     resident evaluator, built at the chain head and moved to every later
-//     point of the chain; otherwise every point builds and solves its own
-//     LP, warm-started from the caller's seed;
-//   * seeding: chain heads start from the caller's seed. After every round
-//     a serial step moves one resident incumbent evaluator to the running
-//     best point (skipped when that point has not changed) and resumes it;
-//     its basis seeds the next round's chain heads. The step runs between
-//     rounds on the driving thread and depends only on the incumbent, which
-//     is thread-count-invariant, so results are bit-identical across
-//     thread counts;
-//   * accounting: one `<prefix>.lp` interval per sweep solve and per
-//     incumbent re-solve, and the `<prefix>.lp_solves`,
+//   * engine: on the revised engine with warm chains the sweep builds one
+//     resident evaluator (its LP assembled and standardized once) and
+//     copies it at every chain head; the copy is moved to the head's point
+//     and then to every later point of the chain. Otherwise every point
+//     builds and solves its own LP, warm-started from the caller's seed;
+//   * seeding: chain heads start from the round seed — the caller's seed
+//     in the first round, afterwards the optimal basis that the incumbent's
+//     own sweep solve exported (kept by the search as best_state). No
+//     evaluator is kept for the incumbent and nothing is re-solved between
+//     rounds. The seed changes only between rounds, and every accepted
+//     solve is a function of (point, chain position, round seed), so results
+//     are bit-identical across thread counts;
+//   * accounting: one `<prefix>.lp` interval per solve, and the
+//     `<prefix>.lp_solves`, `.speculative_discards`,
 //     `.infeasible_candidates`, `.grid_evaluations`, `.sweep_rounds`
 //     counters and `.best_objective_by_round` series
-//     (docs/OBSERVABILITY.md). A caller's grid.on_round hook is always
-//     forwarded;
+//     (docs/OBSERVABILITY.md). `lp_solves` counts the accepted solves, the
+//     same for every thread count; the coordinate passes' discarded
+//     speculative solves count apart. A caller's grid.on_round hook is
+//     always forwarded;
 //   * outcome: with no feasible point the status is ResourceExhausted when
 //     any candidate hit the LP iteration cap, else Infeasible. Otherwise the
 //     winner is re-solved cold on the Dense oracle, so the published plan is
@@ -63,14 +66,16 @@ struct CracSweepOptions {
 };
 
 // A caller's LP family. Outcome carries `feasible`, `status` and `basis`;
-// Evaluator offers move_to(crac_out) and solve(const LpBasis* seed).
+// Evaluator is copyable and offers move_to(crac_out) and
+// solve(const LpBasis* seed). A never-solved evaluator copied and moved to
+// P must solve exactly as one built at P.
 template <class Outcome, class Evaluator>
 struct CracSweepLp {
   // Builds and solves the LP at one setpoint vector.
   std::function<Outcome(const std::vector<double>& crac_out,
                         const solver::LpOptions& lp)>
       solve_at;
-  // Builds a resident evaluator at one setpoint vector.
+  // Builds a resident evaluator at one setpoint vector (once per sweep).
   std::function<std::unique_ptr<Evaluator>(const std::vector<double>& crac_out,
                                            const solver::LpOptions& lp)>
       evaluator;
@@ -95,7 +100,8 @@ struct CracSweepCore {
   // Counts an infeasible or iteration-capped candidate.
   void count_failure(solver::LpStatus status);
   // Runs the search; `between_rounds` runs after every round, after the
-  // round's metrics and the caller's hook. Records the sweep counters.
+  // round's metrics and the caller's hook. Records the sweep counters and
+  // takes the discarded speculative solves out of lp_solves.
   solver::GridSearchResult search(
       const solver::GridChainObjective& objective,
       const std::function<void(const solver::GridSearchResult&)>&
@@ -121,55 +127,52 @@ CracSweepResult<Outcome> crac_sweep(
     const CracSweepLp<Outcome, Evaluator>& family) {
   detail::CracSweepCore core(dc, options);
   util::telemetry::Registry* const reg = options.telemetry;
-  solver::LpBasis round_seed;
-  if (options.seed != nullptr) round_seed = *options.seed;
-  const auto seed = [&]() -> const solver::LpBasis* {
-    return round_seed.empty() ? nullptr : &round_seed;
-  };
-  const auto value = [&](const Outcome& outcome) -> std::optional<double> {
-    if (outcome.feasible) return family.value(outcome);
-    core.count_failure(outcome.status);
-    return std::nullopt;
+  // The chain heads' seed; written only between rounds. `winner` owns it
+  // once the search has kept an incumbent's basis.
+  std::shared_ptr<const void> winner;
+  const solver::LpBasis* round_seed =
+      options.seed != nullptr && !options.seed->empty() ? options.seed
+                                                        : nullptr;
+  const auto value = [&](Outcome outcome, std::shared_ptr<const void>& kept)
+      -> std::optional<double> {
+    if (!outcome.feasible) {
+      core.count_failure(outcome.status);
+      return std::nullopt;
+    }
+    const double v = family.value(outcome);
+    if (core.sessions && !outcome.basis.empty()) {
+      kept = std::make_shared<const solver::LpBasis>(std::move(outcome.basis));
+    }
+    return v;
   };
 
   // The sweep may evaluate chains from several threads at once; a chain
-  // runs serially on one thread, and the counters and the thread-safe
-  // registry are the only shared writes. round_seed is written only
-  // between rounds.
+  // runs serially on one thread, the prototype is only read (copied), and
+  // the counters and the thread-safe registry are the only shared writes.
+  std::unique_ptr<const Evaluator> prototype;
+  if (core.sessions) prototype = family.evaluator(core.lo, core.lp);
   const solver::GridChainObjective objective =
-      [&](const std::vector<double>& crac_out,
-          std::shared_ptr<void>& chain) -> std::optional<double> {
+      [&](const std::vector<double>& crac_out, std::shared_ptr<void>& chain,
+          std::shared_ptr<const void>& kept) -> std::optional<double> {
     core.lp_solves.fetch_add(1, std::memory_order_relaxed);
     const util::telemetry::ScopedTimer timer(reg, core.lp_timer);
-    if (!core.sessions) return value(family.solve_at(crac_out, core.point_lp));
+    if (!core.sessions) {
+      return value(family.solve_at(crac_out, core.point_lp), kept);
+    }
     if (chain == nullptr) {
-      std::shared_ptr<Evaluator> head = family.evaluator(crac_out, core.lp);
+      auto head = std::make_shared<Evaluator>(*prototype);
+      head->move_to(crac_out);
       chain = head;
-      return value(head->solve(seed()));
+      return value(head->solve(round_seed), kept);
     }
     auto* eval = static_cast<Evaluator*>(chain.get());
     eval->move_to(crac_out);
-    return value(eval->solve(nullptr));
+    return value(eval->solve(nullptr), kept);
   };
-
-  std::unique_ptr<Evaluator> incumbent;
-  std::vector<double> incumbent_point;
   const auto reseed = [&](const solver::GridSearchResult& running) {
-    if (!core.sessions || !running.found ||
-        running.best_point == incumbent_point) {
-      return;
-    }
-    const util::telemetry::ScopedTimer timer(reg, core.lp_timer);
-    const solver::LpBasis* start = nullptr;
-    if (incumbent == nullptr) {
-      incumbent = family.evaluator(running.best_point, core.lp);
-      start = seed();
-    } else {
-      incumbent->move_to(running.best_point);
-    }
-    const Outcome best = incumbent->solve(start);
-    if (!best.basis.empty()) round_seed = best.basis;
-    incumbent_point = running.best_point;
+    if (running.best_state == nullptr || running.best_state == winner) return;
+    winner = running.best_state;
+    round_seed = static_cast<const solver::LpBasis*>(winner.get());
   };
   const solver::GridSearchResult search = core.search(objective, reseed);
 

@@ -1,10 +1,40 @@
 #include "core/stage1.h"
 
+#include <cmath>
+#include <string>
+
 #include "core/crac_sweep.h"
 #include "core/stage1_lp.h"
 #include "util/telemetry.h"
 
 namespace tapo::core {
+
+util::Status Stage1Options::validate() const {
+  const auto invalid = [](const std::string& what) {
+    return util::Status::InvalidArgument("stage1: " + what);
+  };
+  if (!(psi > 0.0 && psi <= 100.0)) {
+    return invalid("psi must be in (0, 100] (got " + std::to_string(psi) + ")");
+  }
+  if (!std::isfinite(tcrac_min_c) || !std::isfinite(tcrac_max_c) ||
+      tcrac_min_c > tcrac_max_c) {
+    return invalid("CRAC setpoint range must be finite with min <= max (got [" +
+                   std::to_string(tcrac_min_c) + ", " +
+                   std::to_string(tcrac_max_c) + "])");
+  }
+  if (grid.coarse_samples < 1 || grid.refine_samples < 1) {
+    return invalid("grid sample counts must be >= 1");
+  }
+  if (!(grid.min_resolution > 0.0)) {
+    return invalid("grid min_resolution must be > 0");
+  }
+  if (grid.warm_chain < 1) return invalid("grid warm_chain must be >= 1");
+  if (threads > kMaxThreads) {
+    return invalid("threads must be at most " + std::to_string(kMaxThreads) +
+                   " (got " + std::to_string(threads) + ")");
+  }
+  return util::Status::Ok();
+}
 
 solver::GridSearchOptions stage1_grid_options(const Stage1Options& options) {
   solver::GridSearchOptions grid = options.grid;
@@ -29,6 +59,9 @@ Stage1Solver::LpOutcome Stage1Solver::solve_at(const std::vector<double>& crac_o
 }
 
 Stage1Result Stage1Solver::solve(const Stage1Options& options) const {
+  Stage1Result result;
+  result.status = options.validate();
+  if (!result.status.ok()) return result;
   util::telemetry::Registry* const reg = options.telemetry;
   const util::telemetry::ScopedTimer stage_timer(reg, "stage1.solve");
   if (reg) reg->count("stage1.solves");
@@ -37,7 +70,6 @@ Stage1Result Stage1Solver::solve(const Stage1Options& options) const {
       dc_, stage1_sweep_options(options, "stage1", options.warm_seed),
       stage1_sweep_lp(dc_, model_, Stage1LpEvaluator::Mode::MaximizeReward,
                       options.psi, 0.0));
-  Stage1Result result;
   result.lp_solves = sweep.lp_solves;
   result.status = sweep.status;
   if (!sweep.status.ok()) return result;

@@ -40,13 +40,19 @@ struct Stage1Options {
   // Full Cartesian coarse-to-fine search (paper's generic multi-step method)
   // instead of the cheaper uniform-value + coordinate-descent default.
   bool full_grid = false;
-  // Worker threads for the setpoint sweep: each sweep round solves its LPs
-  // as one batch (0 = all hardware threads, 1 = the serial legacy path).
-  // Every value yields a bit-identical Stage1Result — batch results are
+  // Worker threads for the setpoint sweep (0 = all hardware threads, 1 =
+  // serial; at most kMaxThreads). Each sweep round solves its LPs as one
+  // batch, and with more than one thread the coordinate passes speculate:
+  // the ±step pairs of every remaining CRAC go out as one batch around the
+  // incumbent (solver::GridSearchOptions::threads). Every value yields a
+  // bit-identical Stage1Result, lp_solves included — batch results are
   // reduced in a fixed order with value ties broken toward the
-  // lexicographically smallest setpoint vector, and the warm-start chain
-  // partition depends only on the point sequence. Overrides grid.threads.
+  // lexicographically smallest setpoint vector, the warm-start chain
+  // partition depends only on the point sequence, and discarded
+  // speculative solves are counted apart (stage1.speculative_discards).
+  // Overrides grid.threads.
   std::size_t threads = 0;
+  static constexpr std::size_t kMaxThreads = 256;
   // LP engine and numerics for every solve in the sweep (the final re-solve
   // at the selected setpoints always runs the Dense oracle, so the published
   // plan is engine-independent). The telemetry pointer inside is ignored;
@@ -58,9 +64,9 @@ struct Stage1Options {
   // point builds and solves its own LP.
   solver::LpOptions lp;
   // Optional warm-start basis (non-owning; must outlive solve()): seeds
-  // every per-point solve, or on sessions the chain heads until the first
-  // incumbent re-solve replaces it (core/crac_sweep.h). Within a chain each
-  // LP resumes from its predecessor's basis regardless.
+  // every per-point solve, or on sessions the first round's chain heads;
+  // later rounds seed from the incumbent's own basis (core/crac_sweep.h).
+  // Within a chain each LP resumes from its predecessor's basis regardless.
   // Recovery passes the pre-fault plan's basis here so a re-plan converges
   // in a handful of dual pivots per grid point.
   const solver::LpBasis* warm_seed = nullptr;
@@ -70,6 +76,12 @@ struct Stage1Options {
   // changes the solved result. ThreeStageAssigner and powermin reuse this
   // pointer for their stage2.* / stage3.* / powermin.* metrics.
   util::telemetry::Registry* telemetry = nullptr;
+
+  // InvalidArgument unless psi is in (0, 100], tcrac_min_c <= tcrac_max_c
+  // are finite, grid.coarse_samples and grid.refine_samples are >= 1,
+  // grid.min_resolution > 0, grid.warm_chain >= 1 and threads <=
+  // kMaxThreads.
+  util::Status validate() const;
 };
 
 // `options.grid` with the Stage-1 `threads` knob applied; shared by every

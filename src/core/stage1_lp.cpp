@@ -1,5 +1,6 @@
 #include "core/stage1_lp.h"
 
+#include <memory>
 #include <optional>
 #include <utility>
 
@@ -112,7 +113,7 @@ Stage1LpEvaluator::Stage1LpEvaluator(const dc::DataCenter& dc,
   thermal_rows_.append(lp, seg_vars_, crac_power_vars_, crac_out0,
                        mode == Mode::MaximizeReward);
 
-  session_ = std::make_unique<solver::LpSession>(std::move(lp), lp_options);
+  session_.emplace(lp, lp_options);
 }
 
 void Stage1LpEvaluator::move_to(const std::vector<double>& crac_out) {

@@ -27,7 +27,7 @@
 #pragma once
 
 #include <cstddef>
-#include <memory>
+#include <optional>
 #include <vector>
 
 #include "core/crac_sweep.h"
@@ -51,6 +51,11 @@ class Stage1LpEvaluator {
   // otherwise). lp_options supplies numerics and the telemetry sink; the
   // engine/warm_start fields are ignored (sessions are always the revised
   // engine with per-solve seeds).
+  //
+  // A copy is an independent evaluator. A never-solved evaluator built at
+  // any setpoints, copied and moved to P, solves bit for bit as one built
+  // at P, so the sweep builds one per sweep and copies it at every chain
+  // head instead of assembling and standardizing the LP again.
   Stage1LpEvaluator(const dc::DataCenter& dc,
                     const thermal::HeatFlowModel& model, Mode mode, double psi,
                     double reward_floor, const std::vector<double>& crac_out0,
@@ -70,9 +75,6 @@ class Stage1LpEvaluator {
   // Session statistics (patches, FT updates, refactorizations, fallbacks).
   solver::LpSession::Stats session_stats() const { return session_->stats(); }
 
-  // The resident patched problem, for differential-oracle re-solves.
-  const solver::LpProblem& problem() const { return session_->problem(); }
-
  private:
   const dc::DataCenter& dc_;
 
@@ -83,7 +85,8 @@ class Stage1LpEvaluator {
   // node redlines, CRAC redlines, CRAC power rows, [budget (MaximizeReward)].
   ResidentThermalRows thermal_rows_;
 
-  std::unique_ptr<solver::LpSession> session_;
+  // Engaged by the constructor, once the LP is built.
+  std::optional<solver::LpSession> session_;
 };
 
 // Builds the LP of `mode` at crac_out from scratch and solves it with

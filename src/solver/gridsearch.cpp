@@ -20,8 +20,8 @@ bool lex_less(const std::vector<double>& a, const std::vector<double>& b) {
 // bit-identical for every thread count. Points are evaluated in warm-start
 // chains of `chain` consecutive points; a chain is the parallel work unit
 // and its points run serially sharing one chain_state (null at the head).
-// The chain partition depends only on the submitted point sequence, never on
-// the thread count.
+// The chain partition depends only on the submitted point sequence, never
+// on the thread count.
 class BatchEvaluator {
  public:
   BatchEvaluator(const GridChainObjective& objective, std::size_t threads,
@@ -32,18 +32,22 @@ class BatchEvaluator {
     if (n > 1) pool_ = std::make_unique<util::ThreadPool>(n);
   }
 
-  // Evaluates every point; the returned values are aligned with `points` and
-  // remain valid until the next evaluate() call.
+  bool pooled() const { return pool_ != nullptr; }
+  std::size_t chain() const { return chain_; }
+
+  // Evaluates every point in chains of `chain`; the returned values are
+  // aligned with `points` and remain valid until the next evaluate() call.
   const std::vector<std::optional<double>>& evaluate(
-      const std::vector<std::vector<double>>& points) {
+      const std::vector<std::vector<double>>& points, std::size_t chain) {
     values_.assign(points.size(), std::nullopt);
-    const std::size_t n_chains = (points.size() + chain_ - 1) / chain_;
+    kept_.assign(points.size(), nullptr);
+    const std::size_t n_chains = (points.size() + chain - 1) / chain;
     const auto eval_chain = [&](std::size_t c) {
       std::shared_ptr<void> state;  // reset at every chain head
-      const std::size_t begin = c * chain_;
-      const std::size_t end = std::min(points.size(), begin + chain_);
+      const std::size_t begin = c * chain;
+      const std::size_t end = std::min(points.size(), begin + chain);
       for (std::size_t i = begin; i < end; ++i) {
-        values_[i] = objective_(points[i], state);
+        values_[i] = objective_(points[i], state, kept_[i]);
       }
     };
     if (pool_ && n_chains > 1) {
@@ -58,7 +62,7 @@ class BatchEvaluator {
   // and an exact value tie goes to the lexicographically smallest point.
   void sweep(const std::vector<std::vector<double>>& points,
              GridSearchResult& result) {
-    const auto& values = evaluate(points);
+    const auto& values = evaluate(points, chain_);
     for (std::size_t i = 0; i < points.size(); ++i) {
       ++result.evaluations;
       if (!values[i]) continue;
@@ -66,11 +70,18 @@ class BatchEvaluator {
       if (!result.found || value > result.best_value ||
           (value == result.best_value &&
            lex_less(points[i], result.best_point))) {
-        result.found = true;
-        result.best_value = value;
-        result.best_point = points[i];
+        accept(i, points[i], result);
       }
     }
+  }
+
+  // Makes evaluation i of the last batch, at `point`, the incumbent.
+  void accept(std::size_t i, const std::vector<double>& point,
+              GridSearchResult& result) {
+    result.found = true;
+    result.best_value = *values_[i];
+    result.best_point = point;
+    result.best_state = std::move(kept_[i]);
   }
 
  private:
@@ -78,6 +89,7 @@ class BatchEvaluator {
   std::size_t chain_;
   std::unique_ptr<util::ThreadPool> pool_;
   std::vector<std::optional<double>> values_;
+  std::vector<std::shared_ptr<const void>> kept_;
 };
 
 // All points of the Cartesian grid defined by per-dimension sample lists,
@@ -216,34 +228,50 @@ GridSearchResult uniform_then_coordinate_impl(const std::vector<double>& lo,
   }
 
   // Phase 2: cyclic coordinate descent around the best uniform point. Both
-  // deltas of a coordinate are evaluated from the same incumbent and reduced
-  // deterministically, then the incumbent moves only on a strict improvement.
+  // deltas of a coordinate are evaluated from the same incumbent, as one
+  // two-point chain, and reduced deterministically; the incumbent moves only
+  // on a strict improvement. With a pool the pass speculates: the pairs of
+  // coordinates d..dims-1 go out as one batch around the incumbent and are
+  // accepted in coordinate order up to the first improvement, after which
+  // the later pairs are stale and resubmitted from the new incumbent. An
+  // accepted pair was thus evaluated at the serial pass's points in the
+  // serial pass's chain, so the pass is the same for every thread count.
+  const std::size_t pair_chain = std::min<std::size_t>(evaluator.chain(), 2);
   double cstep = std::max(step, options.min_resolution);
   for (std::size_t round = 0; round < options.refine_rounds + 1; ++round) {
     bool improved = false;
-    for (std::size_t d = 0; d < dims; ++d) {
-      std::vector<std::vector<double>> pair;
-      pair.reserve(2);
-      for (double delta : {-cstep, cstep}) {
-        std::vector<double> point = result.best_point;
-        point[d] = std::clamp(point[d] + delta, lo[d], hi[d]);
-        pair.push_back(std::move(point));
-      }
-      const auto& values = evaluator.evaluate(pair);
-      result.evaluations += pair.size();
-      std::size_t pick = pair.size();
-      for (std::size_t i = 0; i < pair.size(); ++i) {
-        if (!values[i]) continue;
-        if (pick == pair.size() || *values[i] > *values[pick] ||
-            (*values[i] == *values[pick] && lex_less(pair[i], pair[pick]))) {
-          pick = i;
+    for (std::size_t d = 0; d < dims;) {
+      const std::size_t end = evaluator.pooled() ? dims : d + 1;
+      std::vector<std::vector<double>> pairs;
+      pairs.reserve(2 * (end - d));
+      for (std::size_t e = d; e < end; ++e) {
+        for (double delta : {-cstep, cstep}) {
+          std::vector<double> point = result.best_point;
+          point[e] = std::clamp(point[e] + delta, lo[e], hi[e]);
+          pairs.push_back(std::move(point));
         }
       }
-      if (pick < pair.size() && *values[pick] > result.best_value + 1e-12) {
-        result.best_value = *values[pick];
-        result.best_point = pair[pick];
-        improved = true;
+      const auto& values = evaluator.evaluate(pairs, pair_chain);
+      std::size_t next = end;
+      for (std::size_t e = d; e < end && next == end; ++e) {
+        const std::size_t i0 = 2 * (e - d);
+        result.evaluations += 2;
+        std::size_t pick = i0 + 2;
+        for (std::size_t i = i0; i < i0 + 2; ++i) {
+          if (!values[i]) continue;
+          if (pick == i0 + 2 || *values[i] > *values[pick] ||
+              (*values[i] == *values[pick] && lex_less(pairs[i], pairs[pick]))) {
+            pick = i;
+          }
+        }
+        if (pick < i0 + 2 && *values[pick] > result.best_value + 1e-12) {
+          evaluator.accept(pick, pairs[pick], result);
+          improved = true;
+          next = e + 1;
+        }
       }
+      result.speculative_discards += 2 * (end - next);
+      d = next;
     }
     round_done();
     if (!improved) {
@@ -258,7 +286,8 @@ GridSearchResult uniform_then_coordinate_impl(const std::vector<double>& lo,
 // ignored), preserving the original per-point parallel granularity.
 GridChainObjective ignore_chain(const GridObjective& objective) {
   return [&objective](const std::vector<double>& point,
-                      std::shared_ptr<void>& /*chain_state*/) {
+                      std::shared_ptr<void>& /*chain_state*/,
+                      std::shared_ptr<const void>& /*kept*/) {
     return objective(point);
   };
 }

@@ -31,11 +31,18 @@ struct GridSearchOptions {
   double min_resolution = 0.5;
   // Worker threads used to evaluate each sweep round as one batch
   // (1 = serial, 0 = all hardware threads). Every value produces an
-  // identical GridSearchResult: batch results are reduced in submission
-  // order and exact value ties go to the lexicographically smallest point,
-  // so the outcome never depends on thread completion order. With
-  // threads != 1 the objective is invoked concurrently and must be safe to
-  // call from multiple threads at once.
+  // identical GridSearchResult, speculative_discards aside: batch results
+  // are reduced in submission order and exact value ties go to the
+  // lexicographically smallest point, so the outcome never depends on
+  // thread completion order. With a pool (more than one thread) the
+  // coordinate passes of uniform_then_coordinate_maximize also speculate:
+  // the ±step pairs of every remaining coordinate around the incumbent go
+  // out as one batch, each pair its own two-point chain, and results are
+  // accepted in coordinate order; the pairs after the first strict
+  // improvement are discarded and resubmitted from the new incumbent. Every
+  // accepted value thus comes from the same point and chain position as in
+  // the serial pass. With threads != 1 the objective is invoked
+  // concurrently and must be safe to call from multiple threads at once.
   std::size_t threads = 1;
   // Length of a warm-start chain when the chained-objective overloads run:
   // each sweep's batch is split into chains of this many consecutive points
@@ -56,8 +63,15 @@ struct GridSearchOptions {
 struct GridSearchResult {
   std::vector<double> best_point;
   double best_value = 0.0;
+  // Accepted evaluations: the same count for every thread count.
   std::size_t evaluations = 0;
   bool found = false;  // false when every evaluation was infeasible
+  // What the chained objective kept for the evaluation that produced
+  // best_value (see GridChainObjective); null for plain objectives.
+  std::shared_ptr<const void> best_state;
+  // Speculative evaluations discarded by the coordinate passes (see
+  // GridSearchOptions::threads); not in `evaluations`. Zero without a pool.
+  std::size_t speculative_discards = 0;
 };
 
 // Objective: returns the value at a point, or nullopt when infeasible.
@@ -68,11 +82,15 @@ using GridObjective =
 // between the consecutive points of one chain (null at each chain head) and
 // is owned by the objective — typically a persistent LP session or the
 // previous point's optimal basis, so neighboring CRAC setpoints re-solve in
-// a few pivots.
+// a few pivots. `kept` (null on entry) may be set to any state of this one
+// evaluation; the driver hands the kept state of the incumbent's
+// evaluation back as GridSearchResult::best_state (the CRAC sweep keeps
+// each solve's optimal basis there to seed the next round).
 // The driver guarantees a chain runs serially on one thread; distinct chains
 // may run concurrently, each with its own state.
 using GridChainObjective = std::function<std::optional<double>(
-    const std::vector<double>&, std::shared_ptr<void>& chain_state)>;
+    const std::vector<double>&, std::shared_ptr<void>& chain_state,
+    std::shared_ptr<const void>& kept)>;
 
 // Full Cartesian coarse-to-fine maximization over [lo_d, hi_d] per dimension.
 // Cost grows exponentially with dimension; intended for <= 4 dimensions.

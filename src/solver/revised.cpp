@@ -71,7 +71,7 @@ void run_col_dots(const RunColumns& a, const double* y, const std::size_t* cols,
       const std::size_t j = cols[i + l];
       const std::size_t rs = a.run_start[j];
       s[l] = 0.0;
-      for (std::size_t k = a.start[j]; k < rs; ++k) {
+      for (std::size_t k = a.begin[j]; k < rs; ++k) {
         s[l] += y[a.row[k]] * a.val[k];
       }
       rl[l] = a.run_len[j];
@@ -94,7 +94,7 @@ void run_col_dots(const RunColumns& a, const double* y, const std::size_t* cols,
     for (std::size_t l = 0; l < kLanes; ++l) {
       for (std::size_t t = common; t < rl[l]; ++t) s[l] += yv[l][t] * cv[l][t];
       const std::size_t j = cols[i + l];
-      for (std::size_t k = a.run_start[j] + rl[l]; k < a.start[j + 1]; ++k) {
+      for (std::size_t k = a.run_start[j] + rl[l]; k < a.end[j]; ++k) {
         s[l] += y[a.row[k]] * a.val[k];
       }
       dots[j] = s[l];
@@ -103,7 +103,7 @@ void run_col_dots(const RunColumns& a, const double* y, const std::size_t* cols,
   for (; i < n; ++i) dots[cols[i]] = run_col_dot(a, y, cols[i]);
 }
 
-void RevisedCore::standardize() {
+void RevisedCore::standardize(const LpProblem& p) {
   util::telemetry::ScopedTimer timer(reg_, "lp.phase.standardize");
   TAPO_CHECK_MSG(opt_.ft_max_updates >= 1,
                  "LpOptions::ft_max_updates must be >= 1");
@@ -111,8 +111,8 @@ void RevisedCore::standardize() {
                  "LpOptions::ft_fill_factor must be >= 1.0");
   TAPO_CHECK_MSG(opt_.ft_pivot_tolerance > 0.0 && opt_.ft_pivot_tolerance < 1.0,
                  "LpOptions::ft_pivot_tolerance must be in (0, 1)");
-  m_ = p_.num_constraints();
-  n_struct_ = p_.num_vars();
+  m_ = p.num_constraints();
+  n_struct_ = p.num_vars();
   slack0_ = n_struct_;
   art0_ = n_struct_ + m_;
   n_total_ = n_struct_ + 2 * m_;
@@ -121,22 +121,24 @@ void RevisedCore::standardize() {
   equality_.assign(m_, 0);
   b_.assign(m_, 0.0);
   for (std::size_t r = 0; r < m_; ++r) {
-    equality_[r] = p_.relation(r) == Relation::Equal ? 1 : 0;
-    if (p_.relation(r) == Relation::GreaterEq) rel_sign_[r] = -1.0;
-    b_[r] = p_.rhs(r);
+    equality_[r] = p.relation(r) == Relation::Equal ? 1 : 0;
+    if (p.relation(r) == Relation::GreaterEq) rel_sign_[r] = -1.0;
+    b_[r] = p.rhs(r);
   }
 
-  LpProblem::SparseColumns raw = p_.columns();
-  col_start_ = std::move(raw.starts);
+  LpProblem::SparseColumns raw = p.columns();
+  col_begin_.assign(raw.starts.begin(), raw.starts.end() - 1);
+  col_end_.assign(raw.starts.begin() + 1, raw.starts.end());
   col_row_ = std::move(raw.rows);
   col_val_ = std::move(raw.values);
 
   // Shift lower bounds to zero: b -= A * lo (raw coefficients), then apply
   // the GreaterEq negation to both the columns and the rhs.
+  lo_.resize(n_struct_);
   for (std::size_t v = 0; v < n_struct_; ++v) {
-    const double lo = p_.lower_bound(v);
+    const double lo = lo_[v] = p.lower_bound(v);
     if (lo == 0.0) continue;
-    for (std::size_t k = col_start_[v]; k < col_start_[v + 1]; ++k) {
+    for (std::size_t k = col_begin_[v]; k < col_end_[v]; ++k) {
       b_[col_row_[k]] -= col_val_[k] * lo;
     }
   }
@@ -149,10 +151,10 @@ void RevisedCore::standardize() {
   col_run_start_.assign(n_struct_, 0);
   col_run_len_.assign(n_struct_, 0);
   for (std::size_t v = 0; v < n_struct_; ++v) {
-    const std::size_t k1 = col_start_[v + 1];
-    std::size_t best_start = col_start_[v];
+    const std::size_t k1 = col_end_[v];
+    std::size_t best_start = col_begin_[v];
     std::size_t best_len = 0;
-    std::size_t k = col_start_[v];
+    std::size_t k = col_begin_[v];
     while (k < k1) {
       std::size_t j = k + 1;
       while (j < k1 && col_row_[j] == col_row_[j - 1] + 1) ++j;
@@ -177,9 +179,9 @@ void RevisedCore::standardize() {
   ub_.assign(n_total_, 0.0);
   obj2_.assign(n_total_, 0.0);
   for (std::size_t v = 0; v < n_struct_; ++v) {
-    const double hi = p_.upper_bound(v);
-    ub_[v] = std::isfinite(hi) ? hi - p_.lower_bound(v) : kLpInfinity;
-    obj2_[v] = p_.objective_coeff(v);
+    const double hi = p.upper_bound(v);
+    ub_[v] = std::isfinite(hi) ? hi - lo_[v] : kLpInfinity;
+    obj2_[v] = p.objective_coeff(v);
   }
   for (std::size_t r = 0; r < m_; ++r) {
     ub_[slack0_ + r] = equality_[r] ? 0.0 : kLpInfinity;
@@ -190,18 +192,17 @@ void RevisedCore::standardize() {
       opt_.max_iterations ? opt_.max_iterations : 50 * (m_ + n_total_) + 2000;
 
   build_col_classes();
+  store_classes_once();
 
   if (session_mode_) {
-    // Session bookkeeping: lo_ mirrors the structural lower bounds and
-    // rhs_shift_ the standardized-coefficient shift sum, so every patch can
-    // maintain b_[r] = rel_sign_[r] * rhs_raw[r] - rhs_shift_[r] in O(row)
-    // or O(column) work without replaying the standardization.
-    lo_.resize(n_struct_);
-    for (std::size_t v = 0; v < n_struct_; ++v) lo_[v] = p_.lower_bound(v);
+    // Session bookkeeping: rhs_shift_ holds the standardized-coefficient
+    // shift sum, so every patch can maintain b_[r] = rel_sign_[r] *
+    // rhs_raw[r] - rhs_shift_[r] in O(row) or O(column) work without
+    // replaying the standardization.
     rhs_shift_.assign(m_, 0.0);
     for (std::size_t v = 0; v < n_struct_; ++v) {
       if (lo_[v] == 0.0) continue;
-      for (std::size_t k = col_start_[v]; k < col_start_[v + 1]; ++k) {
+      for (std::size_t k = col_begin_[v]; k < col_end_[v]; ++k) {
         rhs_shift_[col_row_[k]] += col_val_[k] * lo_[v];
       }
     }
@@ -225,8 +226,8 @@ void RevisedCore::build_col_classes() {
   std::unordered_map<std::uint64_t, std::vector<std::size_t>> buckets;
   buckets.reserve(n_struct_);
   for (std::size_t v = 0; v < n_struct_; ++v) {
-    const std::size_t k0 = col_start_[v];
-    const std::size_t len = col_start_[v + 1] - k0;
+    const std::size_t k0 = col_begin_[v];
+    const std::size_t len = col_end_[v] - k0;
     std::uint64_t h = 1469598103934665603ull;
     const auto mix = [&h](std::uint64_t x) {
       h ^= x;
@@ -242,8 +243,8 @@ void RevisedCore::build_col_classes() {
     std::size_t rep = v;
     std::vector<std::size_t>& bucket = buckets[h];
     for (const std::size_t u : bucket) {
-      const std::size_t u0 = col_start_[u];
-      if (col_start_[u + 1] - u0 != len) continue;
+      const std::size_t u0 = col_begin_[u];
+      if (col_end_[u] - u0 != len) continue;
       if (len == 0 ||
           (std::memcmp(&col_row_[u0], &col_row_[k0],
                        len * sizeof(col_row_[0])) == 0 &&
@@ -257,6 +258,56 @@ void RevisedCore::build_col_classes() {
     col_class_[v] = rep;
   }
   rebuild_pricing_units();
+}
+
+void RevisedCore::store_classes_once() {
+  // Re-lay the columns out with one copy of each class's entries (at its
+  // representative, the smallest member, so it is placed first) and point
+  // every other member at that copy.
+  std::size_t nnz = 0;
+  for (std::size_t v = 0; v < n_struct_; ++v) {
+    if (col_class_[v] == v) nnz += col_end_[v] - col_begin_[v];
+  }
+  std::vector<std::size_t> rows;
+  std::vector<double> vals;
+  rows.reserve(nnz);
+  vals.reserve(nnz);
+  col_shared_.assign(n_struct_, 0);
+  for (std::size_t v = 0; v < n_struct_; ++v) {
+    const std::size_t rep = col_class_[v];
+    if (rep != v) {
+      col_begin_[v] = col_begin_[rep];
+      col_end_[v] = col_end_[rep];
+      col_run_start_[v] = col_run_start_[rep];
+      col_shared_[v] = col_shared_[rep] = 1;
+      continue;
+    }
+    const std::size_t k0 = rows.size();
+    for (std::size_t k = col_begin_[v]; k < col_end_[v]; ++k) {
+      rows.push_back(col_row_[k]);
+      vals.push_back(col_val_[k]);
+    }
+    col_run_start_[v] = k0 + (col_run_start_[v] - col_begin_[v]);
+    col_begin_[v] = k0;
+    col_end_[v] = rows.size();
+  }
+  col_row_ = std::move(rows);
+  col_val_ = std::move(vals);
+}
+
+void RevisedCore::make_col_private(std::size_t v) {
+  // Append a copy of v's entries and re-point v at it; the members it
+  // shared with keep reading the original range, which stays unchanged.
+  const std::size_t k0 = col_begin_[v];
+  const std::size_t k1 = col_row_.size();
+  for (std::size_t k = k0; k < col_end_[v]; ++k) {
+    col_row_.push_back(col_row_[k]);
+    col_val_.push_back(col_val_[k]);
+  }
+  col_run_start_[v] = k1 + (col_run_start_[v] - k0);
+  col_begin_[v] = k1;
+  col_end_[v] = col_row_.size();
+  col_shared_[v] = 0;
 }
 
 void RevisedCore::rebuild_pricing_units() {
@@ -1210,9 +1261,13 @@ LpSolution RevisedCore::extract(LpStatus status) {
   }
   for (std::size_t r = 0; r < m_; ++r) z[basis_[r]] = xb_[r];
   for (std::size_t v = 0; v < n_struct_; ++v) {
-    sol.x[v] = p_.lower_bound(v) + z[v];
+    sol.x[v] = lo_[v] + z[v];
   }
-  sol.objective = p_.objective_value(sol.x);
+  // The objective in LpProblem::objective_value's summation order.
+  sol.objective = 0.0;
+  for (std::size_t v = 0; v < n_struct_; ++v) {
+    sol.objective += obj2_[v] * sol.x[v];
+  }
 
   // Duals y = B^{-T} c_B of the standardized system map back through the
   // GreaterEq negation only (no rhs flips in this standardization).
@@ -1224,8 +1279,8 @@ LpSolution RevisedCore::extract(LpStatus status) {
   return sol;
 }
 
-LpSolution RevisedCore::run() {
-  standardize();
+LpSolution RevisedCore::run(const LpProblem& p) {
+  standardize(p);
   const bool want_warm = opt_.warm_start != nullptr && !opt_.warm_start->empty();
   for (int attempt = 0; attempt < 2; ++attempt) {
     const Outcome out = solve_once(want_warm && attempt == 0);
@@ -1248,10 +1303,10 @@ LpSolution RevisedCore::run() {
 
 // ---- persistent-session implementation ----
 
-void RevisedCore::setup() {
+void RevisedCore::setup(const LpProblem& p) {
   TAPO_CHECK_MSG(!session_mode_, "setup() must run exactly once");
   session_mode_ = true;
-  standardize();
+  standardize(p);
 }
 
 void RevisedCore::patch_rhs(std::size_t r, double rhs) {
@@ -1265,18 +1320,18 @@ void RevisedCore::patch_coefficient(std::size_t r, std::size_t v,
   TAPO_CHECK_MSG(session_mode_ && r < m_ && v < n_struct_,
                  "patch_coefficient: bad row/var / no setup()");
   // The CSC column is row-sorted, so the entry is found by binary search.
-  const auto first = col_row_.begin() + static_cast<std::ptrdiff_t>(col_start_[v]);
-  const auto last = col_row_.begin() + static_cast<std::ptrdiff_t>(col_start_[v + 1]);
+  const auto first = col_row_.begin() + static_cast<std::ptrdiff_t>(col_begin_[v]);
+  const auto last = col_row_.begin() + static_cast<std::ptrdiff_t>(col_end_[v]);
   const auto it = std::lower_bound(first, last, r);
   TAPO_CHECK_MSG(it != last && *it == r,
                  "patch_coefficient: term absent from the standardized matrix");
-  const std::size_t k =
-      static_cast<std::size_t>(it - col_row_.begin());
+  const auto offset = static_cast<std::size_t>(it - first);
   const double new_std = rel_sign_[r] * coeff;
-  const double old_std = col_val_[k];
+  const double old_std = col_val_[col_begin_[v] + offset];
   if (new_std == old_std) return;
   demote_col_class(v);  // its content now diverges from its pricing class
-  col_val_[k] = new_std;
+  if (col_shared_[v]) make_col_private(v);
+  col_val_[col_begin_[v] + offset] = new_std;
   if (lo_[v] != 0.0) {
     const double shift_delta = (new_std - old_std) * lo_[v];
     rhs_shift_[r] += shift_delta;
@@ -1295,9 +1350,11 @@ void RevisedCore::patch_coefficient(std::size_t r, std::size_t v,
 void RevisedCore::patch_bound(std::size_t v, double lo, double hi) {
   TAPO_CHECK_MSG(session_mode_ && v < n_struct_,
                  "patch_bound: bad var / no setup()");
+  TAPO_CHECK_MSG(std::isfinite(lo), "variable lower bound must be finite");
+  TAPO_CHECK_MSG(hi >= lo, "variable bounds crossed");
   if (lo != lo_[v]) {
     const double dlo = lo - lo_[v];
-    for (std::size_t k = col_start_[v]; k < col_start_[v + 1]; ++k) {
+    for (std::size_t k = col_begin_[v]; k < col_end_[v]; ++k) {
       const double shift_delta = col_val_[k] * dlo;
       rhs_shift_[col_row_[k]] += shift_delta;
       b_[col_row_[k]] -= shift_delta;
@@ -1491,8 +1548,8 @@ LpSolution RevisedCore::solve_persistent(const LpBasis* seed) {
 }
 
 LpSolution solve_lp_revised(const LpProblem& problem, const LpOptions& options) {
-  RevisedCore solver(problem, options);
-  return solver.run();
+  RevisedCore solver(options);
+  return solver.run(problem);
 }
 
 }  // namespace tapo::solver::internal

@@ -26,14 +26,17 @@
 
 namespace tapo::solver::internal {
 
-// The standardized structural columns as the pricing dots read them: CSC
-// arrays plus, per column, its longest contiguous row run (see
-// RevisedCore::col_run_start_). Rows ascend within each column.
+// The standardized structural columns as the pricing dots read them: column
+// j's entries are [begin[j], end[j]) of the row/val arrays, plus its longest
+// contiguous row run (see RevisedCore::col_run_start_). Rows ascend within
+// each column. Columns need not be laid out back to back: bit-identical
+// columns may share one range (RevisedCore stores each class once).
 struct RunColumns {
-  const std::size_t* start;      // column j's entries are [start[j], start[j+1])
+  const std::size_t* begin;      // first entry of column j
+  const std::size_t* end;        // one past its last entry
   const std::size_t* row;        // row index per entry
   const double* val;             // coefficient per entry
-  const std::size_t* run_start;  // CSC position of column j's run
+  const std::size_t* run_start;  // position of column j's run
   const std::size_t* run_len;    // its length (0 only for an empty column)
 };
 
@@ -44,10 +47,10 @@ struct RunColumns {
 inline double run_col_dot(const RunColumns& a, const double* y,
                           std::size_t j) {
   double s = 0.0;
-  const std::size_t k1 = a.start[j + 1];
+  const std::size_t k1 = a.end[j];
   const std::size_t rs = a.run_start[j];
   const std::size_t rl = a.run_len[j];
-  for (std::size_t k = a.start[j]; k < rs; ++k) s += y[a.row[k]] * a.val[k];
+  for (std::size_t k = a.begin[j]; k < rs; ++k) s += y[a.row[k]] * a.val[k];
   if (rl != 0) {
     const double* yv = y + a.row[rs];
     const double* cv = a.val + rs;
@@ -69,11 +72,13 @@ void run_col_dots(const RunColumns& a, const double* y, const std::size_t* cols,
 
 class RevisedCore {
  public:
-  RevisedCore(const LpProblem& p, const LpOptions& opt)
-      : p_(p), opt_(opt), reg_(opt.telemetry) {}
+  // The core keeps no reference to any LpProblem: run() and setup() read
+  // the problem once, while standardizing it, and never again.
+  explicit RevisedCore(const LpOptions& opt)
+      : opt_(opt), reg_(opt.telemetry) {}
 
   // One-shot solve (standardize + warm/cold attempts + canonical extract).
-  LpSolution run();
+  LpSolution run(const LpProblem& p);
 
   // ---- persistent-session interface (driven by LpSession) ----
 
@@ -92,14 +97,16 @@ class RevisedCore {
     std::uint64_t ft_budget_exhausted = 0;
   };
 
-  // Standardizes the resident problem once; call before the first
-  // solve_persistent() and never again (the structure is fixed).
-  void setup();
+  // Standardizes `p` into the resident arrays once; call before the first
+  // solve_persistent() and never again (the structure is fixed). Nothing
+  // of `p` is read afterwards.
+  void setup(const LpProblem& p);
 
-  // In-place patches of the standardized arrays. The caller (LpSession)
-  // applies the same patch to the LpProblem this core references, so
-  // extraction — which reads bounds/objective through the problem — stays
-  // consistent. patch_coefficient requires the CSC entry to exist.
+  // In-place patches of the standardized arrays, with LpProblem::patch_*'s
+  // contracts. Extraction reads bounds and costs from the resident arrays,
+  // so these are the whole patched problem. patch_coefficient requires the
+  // CSC entry to exist; patching a column that shares its stored entries
+  // with other members of its class first gives it a private copy.
   void patch_rhs(std::size_t r, double rhs);
   void patch_coefficient(std::size_t r, std::size_t v, double coeff);
   void patch_bound(std::size_t v, double lo, double hi);
@@ -114,14 +121,22 @@ class RevisedCore {
 
   const SessionCounters& session_counters() const { return session_; }
 
+  // The structural columns as the pricing dots read them.
+  RunColumns run_columns() const {
+    return {col_begin_.data(), col_end_.data(), col_row_.data(),
+            col_val_.data(),   col_run_start_.data(), col_run_len_.data()};
+  }
+
  private:
   enum class VarStatus : unsigned char { AtLower, AtUpper, Basic };
   enum class Step { Done, Unbounded, Numerical };
   enum class Outcome { Optimal, Infeasible, Unbounded, IterLimit, Restart };
 
   // ---- setup ----
-  void standardize();
+  void standardize(const LpProblem& p);
   void build_col_classes();
+  void store_classes_once();
+  void make_col_private(std::size_t v);
   void demote_col_class(std::size_t v);
   void cold_start();
   bool try_warm(const LpBasis& wb);
@@ -138,7 +153,7 @@ class RevisedCore {
   template <typename F>
   void for_col(std::size_t j, F&& f) const {
     if (j < slack0_) {
-      for (std::size_t k = col_start_[j]; k < col_start_[j + 1]; ++k) {
+      for (std::size_t k = col_begin_[j]; k < col_end_[j]; ++k) {
         f(col_row_[k], col_val_[k]);
       }
     } else if (j < art0_) {
@@ -153,10 +168,6 @@ class RevisedCore {
     if (j < slack0_) return run_col_dot(run_columns(), y.data(), j);
     if (j < art0_) return y[j - slack0_];
     return y[j - art0_] * art_sign_[j - art0_];
-  }
-  RunColumns run_columns() const {
-    return {col_start_.data(), col_row_.data(), col_val_.data(),
-            col_run_start_.data(), col_run_len_.data()};
   }
   void load_col(std::size_t j, std::vector<double>& w) const {
     w.assign(m_, 0.0);
@@ -256,7 +267,6 @@ class RevisedCore {
   // patched system; part of the session's stability monitor.
   bool residual_ok();
 
-  const LpProblem& p_;
   LpOptions opt_;
   util::telemetry::Registry* reg_ = nullptr;
 
@@ -266,13 +276,21 @@ class RevisedCore {
   std::size_t art0_ = 0;      // first artificial index (= n_struct_ + m_)
   std::size_t n_total_ = 0;   // n_struct_ + 2 * m_
 
-  // Standardized structural columns (CSC), rel_sign already applied.
-  std::vector<std::size_t> col_start_, col_row_;
+  // Standardized structural columns, rel_sign already applied: column v's
+  // entries are [col_begin_[v], col_end_[v]) of col_row_/col_val_, rows
+  // ascending. Each class of bit-identical columns (see col_class_) is
+  // stored once and its members share the range; col_shared_[v] marks a
+  // column whose range another column may read, so patch_coefficient copies
+  // it out (make_col_private) before writing. In the Stage-1 LPs every
+  // segment column of a node repeats the node's thermal column, so this
+  // keeps about a third of the nonzeros.
+  std::vector<std::size_t> col_begin_, col_end_, col_row_;
   std::vector<double> col_val_;
+  std::vector<char> col_shared_;
 
   // Per structural column, the longest contiguous row-index run inside its
   // CSC slice: col_run_start_[v] is a CSC position k in
-  // [col_start_[v], col_start_[v+1]] and col_run_len_[v] its length, with
+  // [col_begin_[v], col_end_[v]] and col_run_len_[v] its length, with
   // col_row_[k..k+len) consecutive. In the Stage-1 LPs this is the dense
   // thermal block of the column; col_dot iterates it without the row-index
   // gather. Row structure never changes after standardize() (patches edit
@@ -362,11 +380,14 @@ class RevisedCore {
   bool needs_phase1_ = false;
   bool warm_used_ = false;
 
-  // Session state. lo_ mirrors the structural lower bounds and rhs_shift_
-  // the per-row sum of a_std * lo, so patches can maintain the standardized
-  // b_ = rel_sign * rhs_raw - rhs_shift incrementally. dirty_cols_ queues
-  // patched columns that were basic at patch time for factor updates.
-  std::vector<double> lo_;         // n_struct_, session mode only
+  // Structural lower bounds (extraction adds them back to the shifted
+  // values; patch_bound keeps them current).
+  std::vector<double> lo_;  // n_struct_
+
+  // Session state. rhs_shift_ holds the per-row sum of a_std * lo, so
+  // patches can maintain the standardized b_ = rel_sign * rhs_raw -
+  // rhs_shift incrementally. dirty_cols_ queues patched columns that were
+  // basic at patch time for factor updates.
   std::vector<double> rhs_shift_;  // m_, session mode only
   std::vector<std::size_t> dirty_cols_;
   std::vector<char> col_dirty_;  // n_struct_, dedupes dirty_cols_

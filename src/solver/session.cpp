@@ -9,55 +9,55 @@
 namespace tapo::solver {
 
 struct LpSession::Impl {
-  Impl(LpProblem p, const LpOptions& options)
-      : problem(std::move(p)), opt(options), core(problem, sanitize(opt)) {}
+  explicit Impl(const LpOptions& options)
+      : core(sanitize(options)), reg(options.telemetry) {}
 
   // A session is always the revised engine with per-solve seeds; a stray
   // Dense selection or dangling warm_start pointer must not leak in.
-  static const LpOptions& sanitize(LpOptions& o) {
+  static LpOptions sanitize(LpOptions o) {
     o.engine = LpEngine::Revised;
     o.warm_start = nullptr;
     return o;
   }
 
-  LpProblem problem;
-  LpOptions opt;
   internal::RevisedCore core;
-  util::telemetry::Registry* reg = opt.telemetry;
+  util::telemetry::Registry* reg;
   std::uint64_t pending_patches = 0;  // flushed to telemetry per solve
   Stats stats;
 };
 
-LpSession::LpSession(LpProblem problem, const LpOptions& options)
-    : impl_(std::make_unique<Impl>(std::move(problem), options)) {
+LpSession::LpSession(const LpProblem& problem, const LpOptions& options)
+    : impl_(std::make_unique<Impl>(options)) {
   util::telemetry::ScopedTimer timer(impl_->reg, "lp.session.build");
-  impl_->core.setup();
+  impl_->core.setup(problem);
 }
 
 LpSession::~LpSession() = default;
+LpSession::LpSession(const LpSession& other)
+    : impl_(std::make_unique<Impl>(*other.impl_)) {}
+LpSession& LpSession::operator=(const LpSession& other) {
+  if (this != &other) impl_ = std::make_unique<Impl>(*other.impl_);
+  return *this;
+}
 LpSession::LpSession(LpSession&&) noexcept = default;
 LpSession& LpSession::operator=(LpSession&&) noexcept = default;
 
 void LpSession::patch_rhs(std::size_t r, double rhs) {
-  impl_->problem.patch_rhs(r, rhs);
   impl_->core.patch_rhs(r, rhs);
   ++impl_->pending_patches;
 }
 
 void LpSession::patch_coefficient(std::size_t r, std::size_t v, double coeff) {
-  impl_->problem.patch_coefficient(r, v, coeff);
   impl_->core.patch_coefficient(r, v, coeff);
   ++impl_->pending_patches;
 }
 
 void LpSession::patch_bound(std::size_t v, double lo, double hi) {
-  impl_->problem.patch_bound(v, lo, hi);
   impl_->core.patch_bound(v, lo, hi);
   ++impl_->pending_patches;
 }
 
 void LpSession::patch_cost(std::size_t v, double obj) {
-  impl_->problem.patch_cost(v, obj);
   impl_->core.patch_cost(v, obj);
   ++impl_->pending_patches;
 }
@@ -122,8 +122,6 @@ LpSolution LpSession::solve(const LpBasis* seed) {
   im.pending_patches = 0;
   return sol;
 }
-
-const LpProblem& LpSession::problem() const { return impl_->problem; }
 
 LpSession::Stats LpSession::stats() const { return impl_->stats; }
 

@@ -6,9 +6,13 @@
 // refactorize once more for canonical extraction. docs/SOLVER.md §6 measured
 // that those fixed costs — not simplex pivots — are why the dense tableau
 // kept winning wall-clock even at a ~0.9 warm-hit rate. An LpSession pays
-// them once: it owns the problem, its standardized arrays, the basis and the
+// them once: it standardizes the problem when it is built and keeps only the
+// standardized arrays (no row-wise copy of the problem), the basis and the
 // LU factors across solves, and callers mutate the resident problem through
-// the structure-preserving patch API instead of rebuilding it.
+// the structure-preserving patch API instead of rebuilding it. A session is
+// copyable: a copy of a never-solved session is the cheap way to get many
+// independent sessions of one LP (the CRAC sweep builds one per sweep and
+// copies it at every warm-chain head).
 //
 // Between solves the factorization is maintained, not rebuilt: pivots update
 // the Forrest–Tomlin factors in place as usual, and a patched column that is
@@ -20,9 +24,9 @@
 // canonical extraction keeps its results a function of the final basis
 // alone, exactly like solve_lp. Protocol details: docs/SOLVER.md §7.
 //
-// The CRAC grid sweep (core/stage1.cpp), powermin attempts and recovery
+// The CRAC grid sweep (core/crac_sweep.h), powermin attempts and recovery
 // re-plans hold one session per warm chain. Not thread-safe; one session
-// belongs to one chain on one thread.
+// belongs to one chain on one thread (copying a session only reads it).
 #pragma once
 
 #include <cstdint>
@@ -49,17 +53,23 @@ class LpSession {
                                             // budget and refactorized instead
   };
 
-  // Takes ownership of the built problem and standardizes it once
-  // (telemetry: lp.session.build). The engine choice in options is ignored —
-  // a session is always the revised engine (the dense oracle has no
+  // Standardizes the built problem once (telemetry: lp.session.build) and
+  // keeps nothing else of it. The engine choice in options is ignored — a
+  // session is always the revised engine (the dense oracle has no
   // persistent form); warm_start is ignored in favor of per-solve seeds.
-  LpSession(LpProblem problem, const LpOptions& options);
+  LpSession(const LpProblem& problem, const LpOptions& options);
   ~LpSession();
+  // A copy carries the resident arrays, basis, factors and counters; it
+  // solves exactly as the original would from that state.
+  LpSession(const LpSession& other);
+  LpSession& operator=(const LpSession& other);
   LpSession(LpSession&&) noexcept;
   LpSession& operator=(LpSession&&) noexcept;
 
-  // Structure-preserving patches, applied to the resident standardized
-  // arrays AND the owned LpProblem (same contracts as LpProblem::patch_*).
+  // Structure-preserving patches of the resident standardized arrays (same
+  // contracts as LpProblem::patch_*). A caller that needs the patched
+  // problem itself, e.g. for an oracle re-solve, keeps and patches its own
+  // LpProblem.
   void patch_rhs(std::size_t r, double rhs);
   void patch_coefficient(std::size_t r, std::size_t v, double coeff);
   void patch_bound(std::size_t v, double lo, double hi);
@@ -71,9 +81,6 @@ class LpSession {
   // exported basis and the infeasibility-certificate convention — match
   // solve_lp with the revised engine on an identically patched problem.
   LpSolution solve(const LpBasis* seed = nullptr);
-
-  // The resident problem (patched state); useful for oracle re-solves.
-  const LpProblem& problem() const;
 
   Stats stats() const;
 

@@ -316,11 +316,14 @@ TEST(Baseline, TelemetryCountsTheSweep) {
   ASSERT_TRUE(traced.feasible);
   EXPECT_EQ(registry.counter_value("baseline.lp_solves"), traced.lp_solves);
   EXPECT_GT(registry.counter_value("baseline.sweep_rounds"), 0u);
-  // Every sweep point, plus the incumbent re-solves that seed each round,
-  // is one timed session solve.
+  // Every sweep point is one timed session solve: the next round is seeded
+  // from the incumbent's own solve, never re-solved, and the serial sweep
+  // speculates nothing. The sweep standardizes its LP once and copies it.
   const std::uint64_t timed = registry.timer_stats("baseline.lp").count;
-  EXPECT_GT(timed, traced.lp_solves);
+  EXPECT_EQ(timed, traced.lp_solves);
+  EXPECT_EQ(registry.counter_value("baseline.speculative_discards"), 0u);
   EXPECT_EQ(registry.counter_value("lp.session.solves"), timed);
+  EXPECT_EQ(registry.timer_stats("lp.session.build").count, 1u);
   const Assignment plain = assigner.assign();
   EXPECT_EQ(plain.crac_out_c, traced.crac_out_c);
   EXPECT_EQ(plain.reward_rate, traced.reward_rate);

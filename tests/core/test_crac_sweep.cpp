@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <vector>
+
 #include "core/baseline.h"
+#include "core/baseline_lp.h"
 #include "core/powermin.h"
 #include "core/stage1.h"
+#include "core/stage1_lp.h"
 #include "testutil.h"
 #include "util/telemetry.h"
 
@@ -66,6 +71,94 @@ TEST(CracSweep, EveryCallerForwardsTheRoundHookAndHonoursFullGrid) {
                 stage1_reg.counter_value("stage1.grid_evaluations"));
     }
   }
+}
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+void expect_same_outcome(const Stage1Solver::LpOutcome& a,
+                         const Stage1Solver::LpOutcome& b) {
+  EXPECT_EQ(a.status, b.status);
+  EXPECT_TRUE(same_bits(a.objective, b.objective));
+  ASSERT_EQ(a.node_core_power_kw.size(), b.node_core_power_kw.size());
+  for (std::size_t j = 0; j < a.node_core_power_kw.size(); ++j) {
+    EXPECT_TRUE(same_bits(a.node_core_power_kw[j], b.node_core_power_kw[j]))
+        << "node " << j;
+  }
+  EXPECT_TRUE(same_bits(a.compute_power_kw, b.compute_power_kw));
+  EXPECT_TRUE(same_bits(a.crac_power_kw, b.crac_power_kw));
+  EXPECT_EQ(a.basis.status, b.basis.status);
+}
+
+void expect_same_outcome(const BaselineAssigner::LpOutcome& a,
+                         const BaselineAssigner::LpOutcome& b) {
+  EXPECT_EQ(a.status, b.status);
+  EXPECT_TRUE(same_bits(a.objective, b.objective));
+  ASSERT_EQ(a.frac.rows(), b.frac.rows());
+  ASSERT_EQ(a.frac.cols(), b.frac.cols());
+  for (std::size_t i = 0; i < a.frac.rows(); ++i) {
+    for (std::size_t j = 0; j < a.frac.cols(); ++j) {
+      EXPECT_TRUE(same_bits(a.frac(i, j), b.frac(i, j))) << i << "," << j;
+    }
+  }
+  EXPECT_EQ(a.basis.status, b.basis.status);
+}
+
+// The sweep builds one evaluator per sweep and copies it at every chain
+// head. A never-solved evaluator built at P0, copied and moved to P must
+// solve exactly as one built at P — cold and from a seed — and keep doing
+// so along the chain.
+template <class Evaluator, class Make>
+void expect_copies_solve_as_fresh(const Make& make) {
+  const std::vector<double> p0{12.0, 13.5, 12.5};
+  const std::vector<double> p{17.5, 19.0, 18.0};
+  const std::vector<double> q{18.5, 19.0, 17.0};  // seed source, chain next
+  Evaluator seeder = make(q);
+  const solver::LpBasis seed = seeder.solve().basis;
+  ASSERT_FALSE(seed.empty());
+  const Evaluator prototype = make(p0);
+  for (const solver::LpBasis* start : {static_cast<const solver::LpBasis*>(nullptr), &seed}) {
+    SCOPED_TRACE(testing::Message() << "seeded=" << (start != nullptr));
+    Evaluator copy(prototype);
+    copy.move_to(p);
+    Evaluator fresh = make(p);
+    const auto got = copy.solve(start);
+    ASSERT_TRUE(got.feasible);
+    expect_same_outcome(got, fresh.solve(start));
+    copy.move_to(q);
+    fresh.move_to(q);
+    expect_same_outcome(copy.solve(), fresh.solve());
+  }
+}
+
+TEST(CracSweep, CopiedEvaluatorSolvesAsAFreshOne) {
+  const auto scenario = test::make_small_scenario(302, 12, 3);
+  const dc::DataCenter& dc = scenario.dc;
+  const thermal::HeatFlowModel model(dc);
+  const solver::LpOptions lp;
+  const double psi = 50.0;
+  const double relaxed =
+      Stage1Solver(dc, model).solve_at({17.5, 19.0, 18.0}, psi).objective;
+  ASSERT_GT(relaxed, 0.0);
+  for (const Stage1LpEvaluator::Mode mode :
+       {Stage1LpEvaluator::Mode::MaximizeReward,
+        Stage1LpEvaluator::Mode::MinimizePower}) {
+    SCOPED_TRACE(testing::Message()
+                 << "min_power="
+                 << (mode == Stage1LpEvaluator::Mode::MinimizePower));
+    const double floor =
+        mode == Stage1LpEvaluator::Mode::MinimizePower ? 0.5 * relaxed : 0.0;
+    expect_copies_solve_as_fresh<Stage1LpEvaluator>(
+        [&](const std::vector<double>& at) {
+          return Stage1LpEvaluator(dc, model, mode, psi, floor, at, lp);
+        });
+  }
+  SCOPED_TRACE("baseline");
+  expect_copies_solve_as_fresh<BaselineLpEvaluator>(
+      [&](const std::vector<double>& at) {
+        return BaselineLpEvaluator(dc, model, at, lp);
+      });
 }
 
 }  // namespace

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <numeric>
+#include <vector>
 
 #include "testutil.h"
 #include "thermal/heatflow.h"
@@ -163,6 +165,42 @@ TEST(Stage1, IterationCapReportsResourceExhausted) {
   const Stage1Result result = solver.solve(capped);
   EXPECT_FALSE(result.feasible);
   EXPECT_EQ(result.status.code(), util::StatusCode::kResourceExhausted);
+}
+
+TEST(Stage1, OptionsOutOfRangeAreInvalidArguments) {
+  const auto scenario = test::make_small_scenario(44, 8, 2);
+  const thermal::HeatFlowModel model(scenario.dc);
+  const Stage1Solver solver(scenario.dc, model);
+  EXPECT_TRUE(Stage1Options{}.validate().ok());
+
+  std::vector<Stage1Options> bad(9);
+  bad[0].psi = 0.0;
+  bad[1].psi = 100.5;
+  bad[2].tcrac_min_c = 26.0;  // above tcrac_max_c
+  bad[3].tcrac_max_c = std::numeric_limits<double>::infinity();
+  bad[4].full_grid = true;  // used to abort in linspace
+  bad[4].grid.coarse_samples = 0;
+  bad[5].grid.refine_samples = 0;
+  bad[6].grid.min_resolution = 0.0;
+  bad[7].grid.warm_chain = 0;
+  // Far beyond the cap: rejected before any pool exists, so no thread is
+  // ever started for it.
+  bad[8].threads = std::size_t{1} << 40;
+  for (std::size_t i = 0; i < bad.size(); ++i) {
+    SCOPED_TRACE(testing::Message() << "case " << i);
+    util::telemetry::Registry registry;
+    bad[i].telemetry = &registry;
+    EXPECT_EQ(bad[i].validate().code(), util::StatusCode::kInvalidArgument);
+    const Stage1Result result = solver.solve(bad[i]);
+    EXPECT_FALSE(result.feasible);
+    EXPECT_EQ(result.status.code(), util::StatusCode::kInvalidArgument)
+        << result.status.to_string();
+    EXPECT_EQ(result.lp_solves, 0u);
+    EXPECT_EQ(registry.counter_value("stage1.solves"), 0u);  // no work began
+  }
+  Stage1Options at_cap;
+  at_cap.threads = Stage1Options::kMaxThreads;
+  EXPECT_TRUE(at_cap.validate().ok());
 }
 
 TEST(Stage1, EngineAndThreadCountDoNotChangeThePlan) {

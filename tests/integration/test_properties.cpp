@@ -11,6 +11,7 @@
 #include "testutil.h"
 #include "thermal/heatflow.h"
 #include "util/rng.h"
+#include "util/telemetry.h"
 
 namespace tapo {
 namespace {
@@ -233,8 +234,15 @@ TEST(Stage1Properties, ObjectiveMonotoneInPowerBudget) {
 }
 
 TEST(Stage1Properties, ThreadCountDoesNotChangeTheResult) {
-  for (std::uint64_t seed : {606, 607}) {
-    const auto scenario = test::make_small_scenario(seed, 10, 2);
+  // The 6-CRAC scenario has more coordinates than the smaller pools have
+  // threads, so speculative coordinate passes are cut short and resubmitted.
+  struct Case {
+    std::uint64_t seed;
+    std::size_t nodes, cracs;
+  };
+  for (const Case& c : {Case{606, 10, 2}, Case{607, 10, 2}, Case{608, 24, 6}}) {
+    const std::uint64_t seed = c.seed;
+    const auto scenario = test::make_small_scenario(seed, c.nodes, c.cracs);
     const thermal::HeatFlowModel model(scenario.dc);
     const core::Stage1Solver solver(scenario.dc, model);
     for (bool full_grid : {false, true}) {
@@ -243,11 +251,17 @@ TEST(Stage1Properties, ThreadCountDoesNotChangeTheResult) {
       options.threads = 1;
       const auto serial = solver.solve(options);
       ASSERT_TRUE(serial.feasible);
-      for (std::size_t threads : {std::size_t{2}, std::size_t{8}}) {
+      for (std::size_t threads : {std::size_t{2}, std::size_t{4}, std::size_t{8}}) {
         SCOPED_TRACE(testing::Message() << "seed=" << seed << " full_grid="
                                         << full_grid << " threads=" << threads);
         options.threads = threads;
+        util::telemetry::Registry registry;
+        options.telemetry = &registry;
         const auto parallel = solver.solve(options);
+        options.telemetry = nullptr;
+        if (!full_grid && c.cracs == 6) {
+          EXPECT_GT(registry.counter_value("stage1.speculative_discards"), 0u);
+        }
         EXPECT_EQ(parallel.feasible, serial.feasible);
         EXPECT_EQ(parallel.crac_out_c, serial.crac_out_c);  // exact, bit-wise
         EXPECT_EQ(parallel.objective, serial.objective);

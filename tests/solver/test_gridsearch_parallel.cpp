@@ -9,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "util/rng.h"
@@ -171,6 +173,80 @@ TEST(GridSearchParallel, TieHeavyPlateauIsThreadCountInvariant) {
     expect_identical(serial, grid_search_maximize(lo, hi, plateau, opt));
     expect_identical(serial_uc,
                      uniform_then_coordinate_maximize(lo, hi, plateau, opt));
+  }
+}
+
+// Six coordinates, flat in 1, 2 and 4: after the uniform phase the
+// coordinate passes improve exactly at the first (0), a middle (3) and the
+// last (5) coordinate, so a speculative batch is cut short at each of them.
+std::optional<double> three_peaks(const std::vector<double>& x) {
+  const double a = x[0] - 2.0, b = x[3] - 6.3, c = x[5] - 8.0;
+  return -(a * a + b * b + c * c);
+}
+
+// Everything a pass shows: the result and the on_round trajectory.
+struct CoordinateRun {
+  GridSearchResult result;
+  std::vector<std::pair<double, std::vector<double>>> rounds;
+};
+
+template <class Objective>
+CoordinateRun run_coordinate(const Objective& objective, std::size_t threads) {
+  CoordinateRun run;
+  GridSearchOptions opt;
+  opt.threads = threads;
+  opt.refine_rounds = 3;
+  opt.min_resolution = 0.05;
+  opt.on_round = [&run](std::size_t, const GridSearchResult& running) {
+    run.rounds.emplace_back(running.best_value, running.best_point);
+  };
+  const std::vector<double> lo(6, 0.0), hi(6, 10.0);
+  run.result = uniform_then_coordinate_maximize(lo, hi, objective, opt);
+  return run;
+}
+
+void expect_same_pass(const CoordinateRun& serial, const CoordinateRun& run,
+                      std::size_t threads) {
+  expect_identical(serial.result, run.result);
+  EXPECT_EQ(serial.rounds, run.rounds);  // exact values and points
+  if (threads == 1) {
+    EXPECT_EQ(run.result.speculative_discards, 0u);
+  } else {
+    EXPECT_GT(run.result.speculative_discards, 0u);
+  }
+}
+
+TEST(GridSearchParallel, SpeculativeCoordinatePassesMatchTheSerialPass) {
+  const GridObjective plain = three_peaks;
+  const CoordinateRun serial = run_coordinate(plain, 1);
+  ASSERT_TRUE(serial.result.found);
+  const std::vector<double>& best = serial.result.best_point;
+  // The flat coordinates keep the uniform value; 0, 3 and 5 moved off it.
+  EXPECT_EQ(best[1], best[2]);
+  EXPECT_EQ(best[1], best[4]);
+  for (const std::size_t d : {0, 3, 5}) EXPECT_NE(best[d], best[1]) << d;
+
+  // The chained form reads the chain position too, so a pair evaluated in
+  // any other chain than the serial pass's would change the values; it
+  // keeps each point, which must come back as the incumbent's state.
+  const GridChainObjective chained =
+      [](const std::vector<double>& x, std::shared_ptr<void>& chain,
+         std::shared_ptr<const void>& kept) -> std::optional<double> {
+    if (chain == nullptr) chain = std::make_shared<std::size_t>(0);
+    std::size_t& position = *static_cast<std::size_t*>(chain.get());
+    kept = std::make_shared<const std::vector<double>>(x);
+    return *three_peaks(x) - 1e-9 * static_cast<double>(position++);
+  };
+  const CoordinateRun serial_chained = run_coordinate(chained, 1);
+
+  for (const std::size_t threads : {1, 2, 4, 8}) {
+    SCOPED_TRACE(testing::Message() << "threads=" << threads);
+    expect_same_pass(serial, run_coordinate(plain, threads), threads);
+    const CoordinateRun run = run_coordinate(chained, threads);
+    expect_same_pass(serial_chained, run, threads);
+    ASSERT_NE(run.result.best_state, nullptr);
+    EXPECT_EQ(*static_cast<const std::vector<double>*>(run.result.best_state.get()),
+              run.result.best_point);
   }
 }
 

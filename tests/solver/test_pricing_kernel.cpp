@@ -34,15 +34,16 @@ double spread_value(util::Rng& rng) {
                     static_cast<int>(rng.uniform_int(-20, 20)));
 }
 
-// A CSC column set with an explicit run per column.
+// A column set in the engine's layout: column j's entries are
+// [begin[j], end[j]) of row/val, with an explicit run per column.
 struct Columns {
-  std::vector<std::size_t> start{0}, row, run_start, run_len;
+  std::vector<std::size_t> begin, end, row, run_start, run_len;
   std::vector<double> val;
 
   std::size_t size() const { return run_len.size(); }
   RunColumns view() const {
-    return {start.data(), row.data(), val.data(), run_start.data(),
-            run_len.data()};
+    return {begin.data(), end.data(),       row.data(),
+            val.data(),   run_start.data(), run_len.data()};
   }
 
   // Appends a column with sparse rows `head` (ascending, below run_row), a
@@ -52,25 +53,37 @@ struct Columns {
   void add(const std::vector<std::size_t>& head, std::size_t run_row,
            std::size_t len, const std::vector<std::size_t>& tail,
            util::Rng& rng) {
+    begin.push_back(row.size());
     for (const std::size_t r : head) push(r, rng);
     run_start.push_back(row.size());
     run_len.push_back(len);
     for (std::size_t i = 0; i < len; ++i) push(run_row + i, rng);
     for (const std::size_t r : tail) push(r, rng);
-    start.push_back(row.size());
+    end.push_back(row.size());
   }
 
-  // Appends a bitwise copy of column j (another member of j's class).
+  // Appends a bitwise copy of column j (another member of j's class) in
+  // storage of its own.
   void add_copy(std::size_t j) {
-    const std::size_t k0 = start[j], k1 = start[j + 1];
+    const std::size_t k0 = begin[j], k1 = end[j];
     const std::size_t offset = row.size() - k0;
+    begin.push_back(row.size());
     run_start.push_back(run_start[j] + offset);
     run_len.push_back(run_len[j]);
     for (std::size_t k = k0; k < k1; ++k) {
       row.push_back(row[k]);
       val.push_back(val[k]);
     }
-    start.push_back(row.size());
+    end.push_back(row.size());
+  }
+
+  // Appends a column that reads column j's entries, as the engine stores
+  // every member of a class.
+  void add_shared(std::size_t j) {
+    begin.push_back(begin[j]);
+    end.push_back(end[j]);
+    run_start.push_back(run_start[j]);
+    run_len.push_back(run_len[j]);
   }
 
  private:
@@ -128,7 +141,7 @@ std::vector<double> random_y(util::Rng& rng) {
 double csc_walk_dot(const Columns& cols, const std::vector<double>& y,
                     std::size_t j) {
   double s = 0.0;
-  for (std::size_t k = cols.start[j]; k < cols.start[j + 1]; ++k) {
+  for (std::size_t k = cols.begin[j]; k < cols.end[j]; ++k) {
     s += y[cols.row[k]] * cols.val[k];
   }
   return s;
@@ -221,6 +234,10 @@ TEST(PricingKernel, ClassRepresentativeMemoServesEveryMember) {
     const std::size_t members = static_cast<std::size_t>(rng.uniform_int(0, 4));
     for (std::size_t k = 0; k < members; ++k) {
       cols.add_copy(reps.back());
+      class_of.push_back(reps.back());
+    }
+    if (rng.next_double() < 0.5) {
+      cols.add_shared(reps.back());
       class_of.push_back(reps.back());
     }
   }

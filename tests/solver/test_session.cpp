@@ -4,7 +4,7 @@
 // resident across solves; callers mutate it through the structure-preserving
 // patch API. The contract under test: after ANY sequence of patches, a
 // session solve must agree with a fresh build of the identically patched
-// problem — the dense tableau as oracle for status/objective, the resident
+// problem — the dense tableau as oracle for status/objective, the patched
 // problem's own max_violation for primal feasibility — and the stability
 // monitor must demote bad column replacements to refactorizations or cold
 // fallbacks rather than return drifted answers. See docs/SOLVER.md §7.
@@ -12,10 +12,12 @@
 
 #include <cmath>
 #include <cstddef>
+#include <cstring>
 #include <utility>
 #include <vector>
 
 #include "solver/lp.h"
+#include "solver/revised_core.h"
 #include "solver/session.h"
 #include "util/rng.h"
 #include "util/telemetry.h"
@@ -180,8 +182,8 @@ TEST(LpSession, RandomPatchSequencesMatchFreshSolves) {
           << "trial " << trial << " step " << step;
       EXPECT_LT(fresh.max_violation(got.x), 1e-6)
           << "trial " << trial << " step " << step;
-      // The session's resident LpProblem mirrors every patch.
-      EXPECT_NEAR(session.problem().objective_value(got.x), got.objective, 1e-7);
+      // The reported objective is the patched problem's value at got.x.
+      EXPECT_NEAR(fresh.objective_value(got.x), got.objective, 1e-7);
     }
   }
   EXPECT_GT(optimal_count, solves / 3);
@@ -373,7 +375,8 @@ LpProblem diagonal_lp(double x1_in_row0) {
 }
 
 TEST(LpSession, PatchedBasicColumnTakesFtUpdate) {
-  LpSession session(diagonal_lp(0.0), LpOptions{});
+  LpProblem problem = diagonal_lp(0.0);  // patched alongside, as the oracle
+  LpSession session(problem, LpOptions{});
   const LpSolution first = session.solve();
   ASSERT_TRUE(first.optimal());
   EXPECT_DOUBLE_EQ(first.objective, 8.0);
@@ -381,10 +384,11 @@ TEST(LpSession, PatchedBasicColumnTakesFtUpdate) {
   // Row 0 becomes x0 + 0.5*x1 <= 1 while x1 is basic: exactly one
   // column-replacement update, no refactorization, no fallback.
   session.patch_coefficient(0, 1, 0.5);
+  problem.patch_coefficient(0, 1, 0.5);
   const LpSolution second = session.solve();
   ASSERT_TRUE(second.optimal());
   EXPECT_NEAR(second.objective, 7.5, 1e-9);
-  const LpSolution oracle = solve_with(session.problem(), LpEngine::Dense);
+  const LpSolution oracle = solve_with(problem, LpEngine::Dense);
   ASSERT_TRUE(oracle.optimal());
   EXPECT_NEAR(oracle.objective, second.objective, 1e-9);
 
@@ -401,16 +405,19 @@ TEST(LpSession, SingularPatchTriggersStabilityMonitorAndFallsBack) {
   // demote the update to a refactorization, the rebuilt basis is singular,
   // and the session must fall back to a cold solve rather than produce a
   // drifted answer.
-  LpSession session(diagonal_lp(0.0), LpOptions{});
+  LpProblem problem = diagonal_lp(0.0);  // patched alongside, as the oracle
+  LpSession session(problem, LpOptions{});
   ASSERT_TRUE(session.solve().optimal());
 
   session.patch_coefficient(0, 1, 1.0);
   session.patch_coefficient(1, 1, 0.0);
+  problem.patch_coefficient(0, 1, 1.0);
+  problem.patch_coefficient(1, 1, 0.0);
   const LpSolution after = session.solve();
   ASSERT_TRUE(after.optimal());
   // max x0+..+x7 with x0 + x1 <= 1 and x2..x7 <= 1 each.
   EXPECT_NEAR(after.objective, 7.0, 1e-9);
-  const LpSolution oracle = solve_with(session.problem(), LpEngine::Dense);
+  const LpSolution oracle = solve_with(problem, LpEngine::Dense);
   EXPECT_NEAR(oracle.objective, after.objective, 1e-9);
 
   const LpSession::Stats stats = session.stats();
@@ -492,6 +499,56 @@ TEST(LpSession, PatchApiMatchesRebuiltProblem) {
   const LpSolution pb = solve_with(direct, LpEngine::Dense);
   ASSERT_EQ(pa.status, pb.status);
   EXPECT_EQ(pa.objective, pb.objective);
+}
+
+TEST(LpSession, PatchingASharedColumnLeavesItsClassmatesIntact) {
+  // Columns 0..2 are bit-identical, so the engine stores them once; column 3
+  // differs. Patching a member must give it a private copy: the other
+  // members' pricing dots keep their bits, and the solve matches solve_lp on
+  // the identically patched problem.
+  LpProblem problem;
+  for (int v = 0; v < 4; ++v) problem.add_variable(0.0, 2.0 + v, 1.0 + 0.25 * v);
+  problem.add_constraint({{0, 1.0}, {1, 1.0}, {2, 1.0}, {3, 0.5}},
+                         Relation::LessEq, 4.0);
+  problem.add_constraint({{0, 2.0}, {1, 2.0}, {2, 2.0}, {3, 1.0}},
+                         Relation::LessEq, 7.0);
+  problem.add_constraint({{0, 0.5}, {1, 0.5}, {2, 0.5}, {3, 3.0}},
+                         Relation::LessEq, 5.0);
+  internal::RevisedCore core(LpOptions{});
+  core.setup(problem);
+  const std::vector<double> y = {0.3, -1.7, 2.9};
+  const auto dot = [&](std::size_t j) {
+    return internal::run_col_dot(core.run_columns(), y.data(), j);
+  };
+  const auto same_bits = [](double a, double b) {
+    return std::memcmp(&a, &b, sizeof(double)) == 0;
+  };
+  const double shared = dot(0);
+  EXPECT_TRUE(same_bits(dot(1), shared));
+  EXPECT_TRUE(same_bits(dot(2), shared));
+  ASSERT_TRUE(core.solve_persistent(nullptr).optimal());
+
+  // A plain member, then the class representative.
+  for (const std::size_t v : {std::size_t{1}, std::size_t{0}}) {
+    SCOPED_TRACE(testing::Message() << "patched column " << v);
+    const double coeff = v == 1 ? -0.75 : 3.5;
+    core.patch_coefficient(1, v, coeff);
+    problem.patch_coefficient(1, v, coeff);
+    EXPECT_TRUE(same_bits(dot(2), shared));
+    EXPECT_FALSE(same_bits(dot(v), shared));
+    if (v == 0) {
+      EXPECT_FALSE(same_bits(dot(1), dot(0)));
+    }
+
+    const LpSolution got = core.solve_persistent(nullptr);
+    const LpSolution want = solve_with(problem, LpEngine::Revised);
+    ASSERT_EQ(want.status, got.status);
+    ASSERT_TRUE(got.optimal());
+    EXPECT_NEAR(want.objective, got.objective, 1e-9);
+    for (std::size_t j = 0; j < want.x.size(); ++j) {
+      EXPECT_NEAR(want.x[j], got.x[j], 1e-9) << "var " << j;
+    }
+  }
 }
 
 TEST(LpSession, TelemetryCatalogsSessionActivity) {
