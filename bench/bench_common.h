@@ -95,23 +95,6 @@ inline bool env_flag(const char* name, bool fallback) {
   return out;
 }
 
-// Reads a revised-engine pricing rule ("dantzig" | "partial_devex")
-// from the environment; returns fallback when unset, warns and returns
-// fallback on an unknown name. The no-rebuild pricing A/B knob
-// (e.g. TAPO_LP_PRICING=dantzig ./bench_solver_perf).
-inline solver::LpPricing env_lp_pricing(const char* name,
-                                        solver::LpPricing fallback) {
-  solver::LpPricing out = fallback;
-  const char* value = std::getenv(name);
-  const bool accepted = value && solver::parse_lp_pricing(value, &out);
-  if (value && !accepted) {
-    std::fprintf(stderr, "%s: unknown pricing '%s', keeping %s\n", name,
-                 value, solver::to_string(fallback));
-  }
-  note_knob(name, value, accepted, solver::to_string(out));
-  return out;
-}
-
 // Reads an LP engine ("revised" | "dense") from the environment; returns
 // fallback when unset, warns and returns fallback on an unknown name. The
 // no-rebuild engine A/B knob (e.g. TAPO_LP_ENGINE=dense

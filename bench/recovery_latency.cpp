@@ -42,11 +42,6 @@ int main() {
       bench::env_lp_engine("TAPO_LP_ENGINE", solver::LpEngine::Revised) ==
       solver::LpEngine::Dense;
   const bool no_warm = bench::env_flag("TAPO_NO_WARM", false);
-  // Pricing-rule A/B for re-plan latency
-  // (TAPO_LP_PRICING=dantzig|partial_devex); the revised engine defaults to
-  // partial_devex.
-  const solver::LpPricing pricing = bench::env_lp_pricing(
-      "TAPO_LP_PRICING", core::RecoveryOptions{}.assign.stage1.lp.pricing);
   util::telemetry::Registry* const reg = bench::telemetry_sink();
   std::printf("=== Extension: recovery latency and retained reward per fault "
               "(%zu nodes, %zu scenarios, %s engine, warm seeds %s) ===\n\n",
@@ -114,7 +109,6 @@ int main() {
       options.telemetry = reg;
       options.assign.stage1.telemetry = lp_reg;
       if (use_dense) options.assign.stage1.lp.engine = solver::LpEngine::Dense;
-      options.assign.stage1.lp.pricing = pricing;
       sim::FaultEvent event = fault_case.event;
       if (event.kind == sim::FaultKind::kPowerCap) {
         event.value = 0.85 * scenario->dc.p_const_kw;

@@ -5,7 +5,6 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
-#include <optional>
 
 #include "bench_common.h"
 #include "core/assigner.h"
@@ -185,18 +184,16 @@ BENCHMARK(BM_Stage1UniformSweep)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
-// Stage-1 sweep with a fixed thread count, varying the LP engine and the
-// warm-start chaining — the headline comparison for the revised engine:
-// dense tableau vs revised cold (chaining off) vs revised with warm chains,
-// each chain on one persistent LP session. All three select the
-// bit-identical plan; only iterations and wall clock differ. Counters report
+// Stage-1 sweep with a fixed thread count, varying the LP engine — the
+// headline comparison for the revised engine: dense tableau (one LP per
+// point) vs revised with warm chains, each chain on one persistent LP
+// session. Both select the bit-identical plan; only iterations and wall
+// clock differ. Counters report
 // LP effort per sweep (iterations per solve, warm-start hit rate, per-solve
 // iteration histogram); with TAPO_TELEMETRY_OUT set, the same lp.* counters
 // land in the telemetry JSON.
 void run_stage1_engine_sweep(benchmark::State& state, solver::LpEngine engine,
-                             std::size_t warm_chain, bool full_grid = true,
-                             std::optional<solver::LpPricing> pricing =
-                                 std::nullopt) {
+                             bool full_grid = true) {
   scenario::ScenarioConfig config;
   config.num_nodes = static_cast<std::size_t>(state.range(0));
   // 3 search dimensions at the historical sizes (unchanged baselines). At
@@ -225,7 +222,7 @@ void run_stage1_engine_sweep(benchmark::State& state, solver::LpEngine engine,
   // wall clock into LP build, standardization, basis factorization, and the
   // per-iteration pricing / FTRAN / basis-update laps — the split that
   // showed pivots were never the dense engine's problem (docs/SOLVER.md §6)
-  // and, since PR 10, where a pricing rule's scan cost actually lands.
+  // and where the pricing scans' cost actually lands.
   static const char* const kPhases[] = {
       "lp.phase.build", "lp.phase.standardize", "lp.phase.factorize",
       "lp.phase.price", "lp.phase.ftran",       "lp.phase.update"};
@@ -237,7 +234,7 @@ void run_stage1_engine_sweep(benchmark::State& state, solver::LpEngine engine,
   // updates applied, stability rejections and fill-triggered rebuilds.
   static const char* const kFt[] = {"lp.ft.updates", "lp.ft.stability_rejects",
                                     "lp.ft.fill_refactorizations"};
-  // Pricing-rule internals (docs/OBSERVABILITY.md): candidate-window
+  // Partial-Devex internals (docs/OBSERVABILITY.md): candidate-window
   // rotations, Devex reference resets, certified full-rotation fallbacks.
   static const char* const kPricing[] = {"lp.pricing.window_refreshes",
                                          "lp.pricing.devex_resets",
@@ -262,14 +259,6 @@ void run_stage1_engine_sweep(benchmark::State& state, solver::LpEngine engine,
   options.full_grid = full_grid;
   options.threads = 1;
   options.lp.engine = engine;
-  // Default benches run the production rule (the LpOptions default),
-  // overridable by TAPO_LP_PRICING; the pinned *Dantzig A/B row ignores the
-  // env so its name always means what it says.
-  options.lp.pricing =
-      pricing.has_value()
-          ? *pricing
-          : bench::env_lp_pricing("TAPO_LP_PRICING", options.lp.pricing);
-  options.grid.warm_chain = warm_chain;
   options.telemetry = reg;
   double objective = 0.0;
   for (auto _ : state) {
@@ -293,13 +282,11 @@ void run_stage1_engine_sweep(benchmark::State& state, solver::LpEngine engine,
     state.counters[std::string("phase_") + (kPhases[i] + 9) + "_ms"] =
         1e3 * seconds / iterations;
   }
-  if (engine == solver::LpEngine::Revised && warm_chain > 1) {
+  if (engine == solver::LpEngine::Revised) {
     for (int i = 0; i < 6; ++i) {
       state.counters[kSession[i] + 3] = static_cast<double>(
           reg->counter_value(kSession[i]) - session0[i]) / iterations;
     }
-  }
-  if (engine == solver::LpEngine::Revised) {
     for (int i = 0; i < 3; ++i) {
       state.counters[kFt[i] + 3] = static_cast<double>(
           reg->counter_value(kFt[i]) - ft0[i]) / iterations;
@@ -348,47 +335,25 @@ void apply_c2f_sizes(benchmark::internal::Benchmark* b) {
 // attached counters show it). The dense tableau still wins the full grid
 // through 500 nodes — the thermal rows make every LP column dense, so a
 // full pricing scan touches as many entries as the tableau does without
-// its vectorization, and no pricing rule changes that: the column-class
-// dedup already collapses the scan to one dot per distinct column, and
-// the session sweep's pricing time is dominated by the rule-independent
-// dual ratio scans of patch-and-resume repair. Partial Devex pricing does
-// win the coarse-to-fine rows, by a margin that grows with scale, which
-// is why it is the default (docs/SOLVER.md §6b/§8 keep the measured
-// numbers). The pinned *Dantzig row below is the pricing A/B against the
-// partial-Devex default.
+// its vectorization: the column-class dedup already collapses the scan to
+// one dot per distinct column, and the session sweep's pricing time is
+// dominated by the dual ratio scans of patch-and-resume repair. Partial
+// Devex pricing wins the coarse-to-fine rows at production scale, by a
+// margin that grows with scale (docs/SOLVER.md §6b/§8 keep the measured
+// numbers).
 void BM_Stage1SweepDense(benchmark::State& state) {
-  run_stage1_engine_sweep(state, solver::LpEngine::Dense, 1);
+  run_stage1_engine_sweep(state, solver::LpEngine::Dense);
 }
 BENCHMARK(BM_Stage1SweepDense)->Apply(apply_full_grid_sizes);
-
-void BM_Stage1SweepRevisedCold(benchmark::State& state) {
-  run_stage1_engine_sweep(state, solver::LpEngine::Revised, 1);
-}
-BENCHMARK(BM_Stage1SweepRevisedCold)->Apply(apply_full_grid_sizes);
 
 // Persistent-session sweep (solver/session.h): one resident LP per warm
 // chain, patched between grid points and maintained with in-place
 // Forrest–Tomlin column-replacement updates instead of per-point rebuild +
 // import refactorization.
 void BM_Stage1SweepRevisedSession(benchmark::State& state) {
-  run_stage1_engine_sweep(state, solver::LpEngine::Revised,
-                          solver::GridSearchOptions{}.warm_chain);
+  run_stage1_engine_sweep(state, solver::LpEngine::Revised);
 }
 BENCHMARK(BM_Stage1SweepRevisedSession)->Apply(apply_full_grid_sizes);
-
-// Pricing-rule A/B on the session sweep: identical configuration to
-// BM_Stage1SweepRevisedSession (which runs the partial-Devex default) with
-// Dantzig pinned, immune to TAPO_LP_PRICING. Both rows publish the
-// bit-identical plan; they differ in iteration counts (lp_iters_per_solve)
-// and in where the phase_*_ms time goes. check_perf_regression.py gates
-// the pinned row at a loose per-prefix threshold so a pricing-path
-// regression cannot rot silently.
-void BM_Stage1SweepRevisedSessionDantzig(benchmark::State& state) {
-  run_stage1_engine_sweep(state, solver::LpEngine::Revised,
-                          solver::GridSearchOptions{}.warm_chain,
-                          /*full_grid=*/true, solver::LpPricing::Dantzig);
-}
-BENCHMARK(BM_Stage1SweepRevisedSessionDantzig)->Apply(apply_full_grid_sizes);
 
 // Same comparison on the coarse-to-fine search (the paper's production
 // path): refinement rounds evaluate tightly clustered setpoints, so warm
@@ -396,14 +361,13 @@ BENCHMARK(BM_Stage1SweepRevisedSessionDantzig)->Apply(apply_full_grid_sizes);
 // at 40 nodes vs 47 cold; cross-round incumbent seeding keeps the hit
 // rate above 0.9). The engine wall-clock trade-off above applies here too.
 void BM_Stage1CoarseToFineDense(benchmark::State& state) {
-  run_stage1_engine_sweep(state, solver::LpEngine::Dense, 1,
+  run_stage1_engine_sweep(state, solver::LpEngine::Dense,
                           /*full_grid=*/false);
 }
 BENCHMARK(BM_Stage1CoarseToFineDense)->Apply(apply_c2f_sizes);
 
 void BM_Stage1CoarseToFineRevisedSession(benchmark::State& state) {
   run_stage1_engine_sweep(state, solver::LpEngine::Revised,
-                          solver::GridSearchOptions{}.warm_chain,
                           /*full_grid=*/false);
 }
 BENCHMARK(BM_Stage1CoarseToFineRevisedSession)->Apply(apply_c2f_sizes);
@@ -509,8 +473,6 @@ int main(int argc, char** argv) {
   // Resolve every knob up front (TAPO_BENCH_MAX_NODES was read when the
   // sweeps registered) so the benchmark header's context lists them all.
   tapo::bench::telemetry_sink();
-  tapo::bench::env_lp_pricing("TAPO_LP_PRICING",
-                              tapo::solver::LpOptions{}.pricing);
   for (const auto& [name, value] : tapo::bench::knobs_read()) {
     benchmark::AddCustomContext(name, value);
   }

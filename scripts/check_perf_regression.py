@@ -58,14 +58,11 @@ import sys
 DEFAULT_PROXY_PREFIX = "BM_LuFactorSolve/"
 # Benches that gate the build. A bare prefix gates at --threshold; a
 # "prefix=0.35" entry carries its own threshold (the revised/session sweeps
-# tolerate more run-to-run variance than the stateless dense ones). Order
-# matters: first match wins, so the pricing A/B row (pinned Dantzig on the
-# session sweep — a non-default iterate path, the noisiest row in the file)
-# claims its looser 0.50 band before the generic revised prefix would.
+# tolerate more run-to-run variance than the stateless dense ones). The
+# first matching entry wins.
 DEFAULT_GATED_PREFIXES = (
     "BM_Stage1SweepDense/",
     "BM_Stage1CoarseToFineDense/",
-    "BM_Stage1SweepRevisedSessionDantzig=0.50",
     "BM_Stage1SweepRevised=0.35",
     "BM_Stage1CoarseToFineRevised=0.35",
 )

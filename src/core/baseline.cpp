@@ -5,11 +5,17 @@
 
 #include "core/baseline_lp.h"
 #include "core/crac_sweep.h"
+#include "core/stage1.h"
 #include "dc/crac.h"
 #include "solver/lp.h"
 #include "util/check.h"
 
 namespace tapo::core {
+
+util::Status BaselineOptions::validate() const {
+  return validate_sweep_grid("baseline", tcrac_min_c, tcrac_max_c, grid,
+                             grid.threads);
+}
 
 BaselineAssigner::BaselineAssigner(const dc::DataCenter& dc,
                                    const thermal::HeatFlowModel& model)
@@ -169,6 +175,10 @@ BaselineAssigner::LpOutcome BaselineAssigner::solve_at(
 }
 
 Assignment BaselineAssigner::assign(const BaselineOptions& options) const {
+  Assignment assignment;
+  assignment.technique = "baseline-P0-or-off";
+  assignment.status = options.validate();
+  if (!assignment.status.ok()) return assignment;
   const std::size_t nn = dc_.num_nodes();
   const std::size_t t = dc_.num_task_types();
 
@@ -195,8 +205,6 @@ Assignment BaselineAssigner::assign(const BaselineOptions& options) const {
   const CracSweepResult<LpOutcome> sweep =
       crac_sweep(dc_, sweep_options, family);
 
-  Assignment assignment;
-  assignment.technique = "baseline-P0-or-off";
   assignment.lp_solves = sweep.lp_solves;
   assignment.status = sweep.status;
   if (!sweep.status.ok()) return assignment;

@@ -20,12 +20,12 @@
 // outlet, as Stage 1 does.
 //
 // The setpoint sweep is the shared CRAC sweep (core/crac_sweep.h): on the
-// revised engine with warm chains (the default) each chain solves one
-// resident BaselineLpEvaluator (core/baseline_lp.h) — the same LP written
-// over per-node power columns, patched from point to point; otherwise every
-// point solves solve_at's LP. Either way the published plan is solve_at's
-// Dense cold re-solve at the selected setpoints. See docs/SOLVER.md §4 and
-// §7.
+// revised engine (the default) each warm chain solves one resident
+// BaselineLpEvaluator (core/baseline_lp.h) — the same LP written over
+// per-node power columns, patched from point to point; on the dense oracle
+// every point solves solve_at's LP. Either way the published plan is
+// solve_at's Dense cold re-solve at the selected setpoints. See
+// docs/SOLVER.md §4 and §7.
 #pragma once
 
 #include <vector>
@@ -35,6 +35,7 @@
 #include "solver/gridsearch.h"
 #include "solver/lp.h"
 #include "thermal/heatflow.h"
+#include "util/status.h"
 
 namespace tapo::core {
 
@@ -48,12 +49,17 @@ struct BaselineOptions {
   // at the selected setpoints always runs the Dense oracle
   // (engine-independent published plans, mirroring Stage 1).
   solver::LpOptions lp;
+
+  // InvalidArgument unless validate_sweep_grid (core/stage1.h) accepts the
+  // setpoint range, grid and grid.threads.
+  util::Status validate() const;
 };
 
 class BaselineAssigner {
  public:
   BaselineAssigner(const dc::DataCenter& dc, const thermal::HeatFlowModel& model);
 
+  // An invalid `options` returns its validate() status before any work.
   Assignment assign(const BaselineOptions& options = {}) const;
 
   // The Eq. 21 LP at fixed CRAC outlet temperatures (before rounding).

@@ -9,8 +9,7 @@ CracSweepCore::CracSweepCore(const dc::DataCenter& dc,
     : options(options),
       lo(dc.num_cracs()),
       hi(dc.num_cracs(), options.tcrac_max_c),
-      sessions(options.lp.engine == solver::LpEngine::Revised &&
-               options.grid.warm_chain > 1),
+      sessions(options.lp.engine == solver::LpEngine::Revised),
       lp(options.lp),
       lp_timer(std::string(options.prefix) + ".lp") {
   for (std::size_t c = 0; c < lo.size(); ++c) {
@@ -19,10 +18,6 @@ CracSweepCore::CracSweepCore(const dc::DataCenter& dc,
   }
   lp.telemetry = options.telemetry;
   lp.warm_start = nullptr;
-  point_lp = lp;
-  if (options.seed != nullptr && !options.seed->empty()) {
-    point_lp.warm_start = options.seed;
-  }
   dense_lp = lp;
   dense_lp.engine = solver::LpEngine::Dense;
 }

@@ -9,11 +9,11 @@
 //     so a derated unit is never set below its raised minimum outlet;
 //   * search: full Cartesian coarse-to-fine (full_grid) or the cheaper
 //     uniform-value-then-coordinate-descent default (solver/gridsearch.h);
-//   * engine: on the revised engine with warm chains the sweep builds one
-//     resident evaluator (its LP assembled and standardized once) and
-//     copies it at every chain head; the copy is moved to the head's point
-//     and then to every later point of the chain. Otherwise every point
-//     builds and solves its own LP, warm-started from the caller's seed;
+//   * engine: on the revised engine the sweep builds one resident
+//     evaluator (its LP assembled and standardized once) and copies it at
+//     every warm-chain head; the copy is moved to the head's point and then
+//     to every later point of the chain. On the dense oracle every point
+//     builds and solves its own LP cold;
 //   * seeding: chain heads start from the round seed — the caller's seed
 //     in the first round, afterwards the optimal basis that the incumbent's
 //     own sweep solve exported (kept by the search as best_state). No
@@ -111,9 +111,8 @@ struct CracSweepCore {
 
   const CracSweepOptions& options;
   std::vector<double> lo, hi;
-  bool sessions;               // resident evaluators per warm chain
+  bool sessions;               // revised engine: resident evaluators
   solver::LpOptions lp;        // sweep solves: telemetry on, no warm start
-  solver::LpOptions point_lp;  // per-point solves: lp plus the caller's seed
   solver::LpOptions dense_lp;  // the winner's re-solve: Dense, cold
   std::string lp_timer;        // "<prefix>.lp"
   std::atomic<std::size_t> lp_solves{0}, infeasible{0}, iter_limited{0};
@@ -157,7 +156,7 @@ CracSweepResult<Outcome> crac_sweep(
     core.lp_solves.fetch_add(1, std::memory_order_relaxed);
     const util::telemetry::ScopedTimer timer(reg, core.lp_timer);
     if (!core.sessions) {
-      return value(family.solve_at(crac_out, core.point_lp), kept);
+      return value(family.solve_at(crac_out, core.lp), kept);
     }
     if (chain == nullptr) {
       auto head = std::make_shared<Evaluator>(*prototype);

@@ -11,6 +11,23 @@
 
 namespace tapo::core {
 
+util::Status PowerMinOptions::validate() const {
+  const util::Status s = stage1.validate();
+  if (!s.ok()) return s;
+  if (!std::isfinite(retry_inflation) || retry_inflation < 1.0) {
+    return util::Status::InvalidArgument(
+        "powermin: retry_inflation must be finite and >= 1 (got " +
+        std::to_string(retry_inflation) + ")");
+  }
+  if (!std::isfinite(relative_tolerance) || relative_tolerance < 0.0 ||
+      relative_tolerance >= 1.0) {
+    return util::Status::InvalidArgument(
+        "powermin: relative_tolerance must be in [0, 1) (got " +
+        std::to_string(relative_tolerance) + ")");
+  }
+  return util::Status::Ok();
+}
+
 PowerMinResult minimize_power_for_reward(const dc::DataCenter& dc,
                                          const thermal::HeatFlowModel& model,
                                          double target_reward_rate,
@@ -19,6 +36,8 @@ PowerMinResult minimize_power_for_reward(const dc::DataCenter& dc,
   const util::telemetry::ScopedTimer total_timer(reg, "powermin.solve");
 
   PowerMinResult result;
+  result.status = options.validate();
+  if (!result.status.ok()) return result;
   if (!std::isfinite(target_reward_rate) || target_reward_rate < 0.0) {
     result.status = util::Status::InvalidArgument(
         "reward-rate target must be non-negative and finite (got " +

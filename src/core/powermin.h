@@ -16,6 +16,7 @@
 #include "core/stage1.h"
 #include "dc/datacenter.h"
 #include "thermal/heatflow.h"
+#include "util/status.h"
 
 namespace tapo::core {
 
@@ -27,6 +28,10 @@ struct PowerMinOptions {
   std::size_t max_retries = 4;
   // Accept reward rates within this relative shortfall of the target.
   double relative_tolerance = 1e-3;
+
+  // InvalidArgument unless stage1.validate() passes, retry_inflation is
+  // finite and >= 1, and relative_tolerance is finite and in [0, 1).
+  util::Status validate() const;
 };
 
 struct PowerMinResult {
@@ -43,8 +48,8 @@ struct PowerMinResult {
 
 // Minimizes total power subject to reward_rate >= target (plus redlines).
 // The data center's p_const_kw is ignored here - the power budget is what is
-// being minimized. A negative or non-finite target returns InvalidArgument
-// (no attempt is made).
+// being minimized. Invalid `options` (PowerMinOptions::validate) or a
+// negative or non-finite target return InvalidArgument (no attempt is made).
 PowerMinResult minimize_power_for_reward(const dc::DataCenter& dc,
                                          const thermal::HeatFlowModel& model,
                                          double target_reward_rate,

@@ -75,7 +75,7 @@ DynamicScheduler::DynamicScheduler(const dc::DataCenter& dc,
   assigned_.assign(t, 0);
   dropped_.assign(t, 0);
   const bool tc_based = options_.policy == SchedulerPolicy::MinAtcTcRatio;
-  use_index_ = tc_based && options_.route_mode != RouteMode::kScan;
+  use_index_ = tc_based && options_.route_mode == RouteMode::kIndexed;
   for (std::size_t i = 0; i < t; ++i) {
     counts_[i].assign(dc_.total_cores(), 0.0);
     for (std::size_t k = 0; k < dc_.total_cores(); ++k) {

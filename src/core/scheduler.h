@@ -56,12 +56,11 @@ namespace tapo::core {
 // active core that could ever serve the type (not just TC > 0 cores).
 enum class SchedulerPolicy { MinAtcTcRatio, EarliestFinish, Random };
 
-// Selection-path override. kAuto resolves to the indexed path for
-// MinAtcTcRatio and the scan for the ablation policies (which have no
-// time-independent key); kScan forces the reference path everywhere;
-// kIndexed forces the index where it applies and falls back to the scan
-// where it does not. Decisions are bit-identical across all three.
-enum class RouteMode { kAuto, kScan, kIndexed };
+// Selection path. kIndexed (the default) routes MinAtcTcRatio through the
+// candidate index and the ablation policies (which have no time-independent
+// key) through the scan; kScan forces the reference scan everywhere, the
+// oracle of the differential tests. Decisions are bit-identical across both.
+enum class RouteMode { kScan, kIndexed };
 
 // Cumulative routing-path statistics, kept as plain counters so the hot
 // path never touches the telemetry registry; the simulation loop publishes
@@ -78,7 +77,7 @@ struct RoutingStats {
 
 struct SchedulerOptions {
   SchedulerPolicy policy = SchedulerPolicy::MinAtcTcRatio;
-  RouteMode route_mode = RouteMode::kAuto;
+  RouteMode route_mode = RouteMode::kIndexed;
   // Elapsed-time floor (seconds) in the ATC estimate; prevents the ratio
   // from saturating on the first assignments of a run. The floor is load
   // bearing: at the first arrival `now == start time`, so the elapsed time

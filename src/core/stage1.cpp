@@ -9,13 +9,13 @@
 
 namespace tapo::core {
 
-util::Status Stage1Options::validate() const {
-  const auto invalid = [](const std::string& what) {
-    return util::Status::InvalidArgument("stage1: " + what);
+util::Status validate_sweep_grid(const char* prefix, double tcrac_min_c,
+                                 double tcrac_max_c,
+                                 const solver::GridSearchOptions& grid,
+                                 std::size_t threads) {
+  const auto invalid = [prefix](const std::string& what) {
+    return util::Status::InvalidArgument(std::string(prefix) + ": " + what);
   };
-  if (!(psi > 0.0 && psi <= 100.0)) {
-    return invalid("psi must be in (0, 100] (got " + std::to_string(psi) + ")");
-  }
   if (!std::isfinite(tcrac_min_c) || !std::isfinite(tcrac_max_c) ||
       tcrac_min_c > tcrac_max_c) {
     return invalid("CRAC setpoint range must be finite with min <= max (got [" +
@@ -28,12 +28,21 @@ util::Status Stage1Options::validate() const {
   if (!(grid.min_resolution > 0.0)) {
     return invalid("grid min_resolution must be > 0");
   }
-  if (grid.warm_chain < 1) return invalid("grid warm_chain must be >= 1");
-  if (threads > kMaxThreads) {
-    return invalid("threads must be at most " + std::to_string(kMaxThreads) +
-                   " (got " + std::to_string(threads) + ")");
+  if (threads > Stage1Options::kMaxThreads) {
+    return invalid("threads must be at most " +
+                   std::to_string(Stage1Options::kMaxThreads) + " (got " +
+                   std::to_string(threads) + ")");
   }
   return util::Status::Ok();
+}
+
+util::Status Stage1Options::validate() const {
+  if (!(psi > 0.0 && psi <= 100.0)) {
+    return util::Status::InvalidArgument(
+        "stage1: psi must be in (0, 100] (got " + std::to_string(psi) + ")");
+  }
+  return validate_sweep_grid("stage1", tcrac_min_c, tcrac_max_c, grid,
+                             threads);
 }
 
 solver::GridSearchOptions stage1_grid_options(const Stage1Options& options) {

@@ -57,14 +57,14 @@ struct Stage1Options {
   // at the selected setpoints always runs the Dense oracle, so the published
   // plan is engine-independent). The telemetry pointer inside is ignored;
   // `telemetry` below is used for the lp.* metrics too. On the revised
-  // engine with warm chains, each chain runs on one persistent LP session
+  // engine each warm chain runs on one persistent LP session
   // (core/crac_sweep.h, core/stage1_lp.h): the chain builds its LP once and
   // re-points it at successive grid points through the structure-preserving
-  // patch API, keeping the basis and LU factors resident. Otherwise every
-  // point builds and solves its own LP.
+  // patch API, keeping the basis and LU factors resident. On the dense
+  // oracle every point builds and solves its own LP.
   solver::LpOptions lp;
-  // Optional warm-start basis (non-owning; must outlive solve()): seeds
-  // every per-point solve, or on sessions the first round's chain heads;
+  // Optional warm-start basis (non-owning; must outlive solve()): seeds the
+  // revised engine's first-round chain heads (the dense oracle ignores it);
   // later rounds seed from the incumbent's own basis (core/crac_sweep.h).
   // Within a chain each LP resumes from its predecessor's basis regardless.
   // Recovery passes the pre-fault plan's basis here so a re-plan converges
@@ -77,12 +77,20 @@ struct Stage1Options {
   // pointer for their stage2.* / stage3.* / powermin.* metrics.
   util::telemetry::Registry* telemetry = nullptr;
 
-  // InvalidArgument unless psi is in (0, 100], tcrac_min_c <= tcrac_max_c
-  // are finite, grid.coarse_samples and grid.refine_samples are >= 1,
-  // grid.min_resolution > 0, grid.warm_chain >= 1 and threads <=
-  // kMaxThreads.
+  // InvalidArgument unless psi is in (0, 100] and validate_sweep_grid
+  // accepts the setpoint range, grid and threads.
   util::Status validate() const;
 };
+
+// The option checks every CRAC-setpoint sweep shares (Stage 1, power
+// minimization, the baseline): InvalidArgument, its message prefixed with
+// `prefix`, unless tcrac_min_c <= tcrac_max_c are finite,
+// grid.coarse_samples and grid.refine_samples are >= 1,
+// grid.min_resolution > 0 and threads <= Stage1Options::kMaxThreads.
+util::Status validate_sweep_grid(const char* prefix, double tcrac_min_c,
+                                 double tcrac_max_c,
+                                 const solver::GridSearchOptions& grid,
+                                 std::size_t threads);
 
 // `options.grid` with the Stage-1 `threads` knob applied; shared by every
 // caller that drives a grid search over the Stage-1-style LP objective.

@@ -5,6 +5,7 @@
 #include <istream>
 #include <ostream>
 
+#include "solver/lu.h"
 #include "thermal/heatflow.h"
 #include "util/text.h"
 
@@ -359,9 +360,17 @@ util::StatusOr<dc::DataCenter> load_data_center(std::istream& is) {
   if (!r.record("end")) return r.status();
 
   dc.finalize();
-  // The thermal model's own rule for alpha, reported instead of aborting.
-  if (const auto g = thermal::inlet_mixing(dc); !g.ok()) {
-    return util::text::at_line(alpha_line, g.status().message());
+  // The thermal model's own rules for alpha, reported instead of aborting:
+  // inlet_mixing() validates the entries, and (I - G_nn) must factor.
+  const auto g = thermal::inlet_mixing(dc);
+  if (!g.ok()) return util::text::at_line(alpha_line, g.status().message());
+  if (!solver::LuFactorization(
+           thermal::node_fixed_point_system(*g, dc.num_cracs()))
+           .ok()) {
+    return util::text::at_line(
+        alpha_line,
+        "(I - G_nn) is singular: some node inlet is fed only by node outlets "
+        "with no path from any CRAC");
   }
   return dc;
 }

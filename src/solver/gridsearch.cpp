@@ -11,6 +11,9 @@ namespace tapo::solver {
 
 namespace {
 
+// Points per warm-start chain in the chained-objective overloads.
+constexpr std::size_t kWarmChain = 8;
+
 bool lex_less(const std::vector<double>& a, const std::vector<double>& b) {
   return std::lexicographical_compare(a.begin(), a.end(), b.begin(), b.end());
 }
@@ -305,7 +308,7 @@ GridSearchResult grid_search_maximize(const std::vector<double>& lo,
                                       const std::vector<double>& hi,
                                       const GridChainObjective& objective,
                                       const GridSearchOptions& options) {
-  return grid_search_impl(lo, hi, objective, options, options.warm_chain);
+  return grid_search_impl(lo, hi, objective, options, kWarmChain);
 }
 
 GridSearchResult uniform_then_coordinate_maximize(
@@ -319,7 +322,7 @@ GridSearchResult uniform_then_coordinate_maximize(
     const std::vector<double>& lo, const std::vector<double>& hi,
     const GridChainObjective& objective, const GridSearchOptions& options) {
   return uniform_then_coordinate_impl(lo, hi, objective, options,
-                                      options.warm_chain);
+                                      kWarmChain);
 }
 
 }  // namespace tapo::solver

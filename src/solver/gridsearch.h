@@ -44,13 +44,6 @@ struct GridSearchOptions {
   // the serial pass. With threads != 1 the objective is invoked
   // concurrently and must be safe to call from multiple threads at once.
   std::size_t threads = 1;
-  // Length of a warm-start chain when the chained-objective overloads run:
-  // each sweep's batch is split into chains of this many consecutive points
-  // (in submission order), a chain — not a point — is the parallel work
-  // unit, and the points of one chain evaluate serially sharing one
-  // chain_state. The partition is a pure function of the point sequence, so
-  // results stay bit-identical across thread counts. 1 disables chaining.
-  std::size_t warm_chain = 8;
   // Optional progress hook, invoked after each sweep round (coarse sweep,
   // refinement rounds, coordinate-descent passes) with the running result.
   // Always called from the driving thread after the round's batch has been
@@ -110,7 +103,10 @@ GridSearchResult uniform_then_coordinate_maximize(
 
 // Chained-objective variants: identical drivers (same sweeps, same
 // deterministic lex reduction), but each batch is evaluated in warm-start
-// chains of options.warm_chain consecutive points (see GridChainObjective).
+// chains of 8 consecutive points (see GridChainObjective). A chain — not a
+// point — is the parallel work unit, and the points of one chain evaluate
+// serially sharing one chain_state. The partition is a pure function of the
+// point sequence, so results stay bit-identical across thread counts.
 GridSearchResult grid_search_maximize(const std::vector<double>& lo,
                                       const std::vector<double>& hi,
                                       const GridChainObjective& objective,

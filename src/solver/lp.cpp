@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <string_view>
 
 #include "solver/revised.h"
 #include "util/check.h"
@@ -18,23 +17,6 @@ const char* to_string(LpStatus status) {
     case LpStatus::IterLimit: return "iteration-limit";
   }
   return "?";
-}
-
-const char* to_string(LpPricing pricing) {
-  switch (pricing) {
-    case LpPricing::Dantzig: return "dantzig";
-    case LpPricing::PartialDevex: return "partial_devex";
-  }
-  return "?";
-}
-
-bool parse_lp_pricing(const char* name, LpPricing* out) {
-  if (name == nullptr || out == nullptr) return false;
-  const std::string_view s(name);
-  if (s == "dantzig") *out = LpPricing::Dantzig;
-  else if (s == "partial_devex") *out = LpPricing::PartialDevex;
-  else return false;
-  return true;
 }
 
 std::size_t LpProblem::add_variable(double lo, double hi, double obj) {

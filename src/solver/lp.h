@@ -57,31 +57,6 @@ const char* to_string(LpStatus status);
 // Which simplex implementation solve_lp runs (see file comment).
 enum class LpEngine { Revised, Dense };
 
-// Pricing rule of the revised engine (docs/SOLVER.md §8). The dense oracle
-// always prices with Dantzig. Pricing changes only the pivot path — never
-// the optimality certificate or the canonically extracted solution of a
-// given final basis — so either rule may be A/B'd freely (TAPO_LP_PRICING
-// in the bench binaries).
-//   * Dantzig: most-negative reduced cost, full scan. Bit-exact on the
-//     historical pivot paths — it anchors the differential suites and stays
-//     the fastest measured rule on the patch-heavy full-grid sweeps, where
-//     the rule-independent dual repair scans dominate pricing time
-//     (SOLVER.md §6b).
-//   * PartialDevex (default): Devex reference-weight scores (d^2 / weight)
-//     over a candidate list holding the best-scoring ~2*sqrt(#classes)
-//     column classes of the last full scan. Slacks are always priced; a dry
-//     list triggers a full scan that both selects the entering column and
-//     rebuilds the list, so the optimality certificate is identical to a
-//     full scan's. Measured fastest on the production coarse-to-fine path,
-//     by a margin that grows with scale (≈5% at 500 nodes to 10% at 1500 —
-//     SOLVER.md §6b).
-enum class LpPricing { Dantzig, PartialDevex };
-
-// Human-readable pricing name ("dantzig", ...); parse_lp_pricing inverts it
-// (returns false on an unknown name, leaving `out` untouched).
-const char* to_string(LpPricing pricing);
-bool parse_lp_pricing(const char* name, LpPricing* out);
-
 // Basis status of one variable in an exported basis. The slot order is:
 // structural variables (problem order) first, then one logical/slack
 // variable per constraint row.
@@ -178,13 +153,6 @@ struct LpOptions {
   double pivot_tolerance = 1e-8;
   // Which simplex implementation runs (see file comment).
   LpEngine engine = LpEngine::Revised;
-  // Revised engine: entering-variable pricing rule (see LpPricing). Partial
-  // Devex is the default — measured fastest on the coarse-to-fine sweeps
-  // the production pipeline runs, 5-10% over Dantzig growing with scale
-  // (SOLVER.md §6b); Dantzig is selectable for A/B runs. Either rule
-  // yields the same published plans (canonical extraction + the dense
-  // final re-solve).
-  LpPricing pricing = LpPricing::PartialDevex;
   // Revised engine, Forrest–Tomlin factor updates (docs/SOLVER.md §6a):
   // refactorize after this many in-place column replacements. Smaller =
   // tighter numerics, more O(m^3) work. Must be >= 1.

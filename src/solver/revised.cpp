@@ -567,28 +567,22 @@ void RevisedCore::fill_nonbasic_class_dots(const std::vector<double>& y) {
 bool RevisedCore::price_entering(const std::vector<double>& cost, bool bland,
                                  std::size_t& enter, int& dir) {
   const double tol = opt_.tolerance;
-  const bool devex = opt_.pricing == LpPricing::PartialDevex;
   bool found = false;
-  // Dantzig keeps the historical "gain > best with best seeded at tol"
-  // comparison so its pivot paths match the pre-pricing engine exactly;
-  // Devex scores d^2 / weight among candidates that pass the same tol
+  // Devex scores d^2 / weight among candidates that pass the tol
   // eligibility test.
-  double best = devex ? 0.0 : tol;
+  double best = 0.0;
   const auto consider = [&](std::size_t v, double d) {
     if (status_[v] == VarStatus::Basic) return;
     if (ub_[v] <= 0.0 && status_[v] == VarStatus::AtLower) return;  // fixed
     int candidate_dir;
-    double gain;
     if (status_[v] == VarStatus::AtLower && d > tol) {
-      gain = d;
       candidate_dir = +1;
     } else if (status_[v] == VarStatus::AtUpper && d < -tol) {
-      gain = -d;
       candidate_dir = -1;
     } else {
       return;
     }
-    const double score = devex ? d * d / devex_w_[v] : gain;
+    const double score = d * d / devex_w_[v];
     if (!found || score > best) {
       best = score;
       enter = v;
@@ -597,11 +591,11 @@ bool RevisedCore::price_entering(const std::vector<double>& cost, bool bland,
     }
   };
 
-  if (bland || !devex || units_.empty()) {
-    // Full ascending scan: Bland, Dantzig, or an LP without structural
-    // columns. Under Bland the first eligible index wins — windowing is
-    // bypassed entirely so the anti-cycling argument (strictly lowest
-    // eligible index) is untouched by the pricing rule.
+  if (bland || units_.empty()) {
+    // Full ascending scan: Bland, or an LP without structural columns.
+    // Under Bland the first eligible index wins — windowing is bypassed
+    // entirely so the anti-cycling argument (strictly lowest eligible
+    // index) is untouched by the candidate list.
     fill_nonbasic_class_dots(y_);
     for (std::size_t v = 0; v < n_total_; ++v) {
       if (status_[v] == VarStatus::Basic) continue;
@@ -628,8 +622,8 @@ bool RevisedCore::price_entering(const std::vector<double>& cost, bool bland,
   // globally best-scoring units of the last full scan, re-scanned every
   // iteration. Only when the list (plus the slack sweep) is dry does a full
   // scan run — it selects the global best AND harvests the next list. A dry
-  // full scan is a complete scan, so the optimality certificate is
-  // identical to Dantzig's.
+  // full scan is a complete scan, so the optimality certificate is that
+  // of a full scan.
   const auto eligible_gain = [&](std::size_t v, double d) -> bool {
     if (status_[v] == VarStatus::Basic) return false;
     if (ub_[v] <= 0.0 && status_[v] == VarStatus::AtLower) return false;
@@ -724,7 +718,7 @@ RevisedCore::Step RevisedCore::primal_iterate(bool phase1,
   } flusher{this};
   const double tol = opt_.tolerance;
   // Switch to Bland's anti-cycling rule if pricing stalls (same threshold
-  // as the dense oracle, applied under every pricing rule).
+  // as the dense oracle).
   const std::size_t bland_after = 10 * (m_ + n_total_) + 500;
   std::size_t local_iter = 0;
   bool y_valid = false;  // bound flips keep y; only pivots invalidate it
@@ -807,19 +801,17 @@ RevisedCore::Step RevisedCore::primal_iterate(bool phase1,
       continue;
     }
     const std::size_t leaving = basis_[static_cast<std::size_t>(pivot_row)];
-    if (opt_.pricing == LpPricing::PartialDevex) {
-      // Approximate Devex update from the pivot element of the entering
-      // FTRAN column: the leaving variable re-enters the nonbasic pool with
-      // the entering column's weight projected through the pivot. Overflow
-      // resets the whole framework to the unit reference.
-      const double ar = w_[static_cast<std::size_t>(pivot_row)];
-      const double gl =
-          std::max(std::max(devex_w_[enter], 1.0) / (ar * ar), 1.0);
-      if (gl > kDevexResetThreshold) {
-        reset_devex(/*count_overflow=*/true);
-      } else {
-        devex_w_[leaving] = gl;
-      }
+    // Approximate Devex update from the pivot element of the entering
+    // FTRAN column: the leaving variable re-enters the nonbasic pool with
+    // the entering column's weight projected through the pivot. Overflow
+    // resets the whole framework to the unit reference.
+    const double ar = w_[static_cast<std::size_t>(pivot_row)];
+    const double gl =
+        std::max(std::max(devex_w_[enter], 1.0) / (ar * ar), 1.0);
+    if (gl > kDevexResetThreshold) {
+      reset_devex(/*count_overflow=*/true);
+    } else {
+      devex_w_[leaving] = gl;
     }
     if (!pivot(enter, dir, static_cast<std::size_t>(pivot_row), delta,
                leaving_at_upper)) {
@@ -828,7 +820,7 @@ RevisedCore::Step RevisedCore::primal_iterate(bool phase1,
       }
       return Step::Numerical;
     }
-    if (opt_.pricing == LpPricing::PartialDevex && !units_.empty()) {
+    if (!units_.empty()) {
       ++pivots_since_rebuild_;
       if (leaving < n_struct_) {
         // The leaving variable just turned nonbasic with a freshly flipped
@@ -906,7 +898,6 @@ RevisedCore::Step RevisedCore::dual_iterate() {
   } flusher{this};
   const std::size_t bland_after = 10 * (m_ + n_total_) + 500;
   std::size_t local_iter = 0;
-  const bool dual_devex = opt_.pricing == LpPricing::PartialDevex;
 
   struct Cand {
     std::size_t v;
@@ -922,18 +913,16 @@ RevisedCore::Step RevisedCore::dual_iterate() {
 
     Clock::time_point mark;
     if (timed) mark = Clock::now();
-    // Leaving row. Dantzig: the largest bound violation among basic
-    // variables. PartialDevex: the largest violation^2 / row weight — the
-    // exact dual Devex rule, whose weights are maintained in O(m) per pivot from
-    // the entering FTRAN column below. Eligibility (what counts as a
-    // violation at all) is the same threshold under both rules, and the
-    // dual-ratio candidate scan stays a FULL scan under every rule — the
-    // bound-flipping ratio test needs every eligible candidate, so the
-    // partial window applies only to the primal side.
+    // Leaving row: the largest violation^2 / row weight among basic
+    // variables — the exact dual Devex rule, whose weights are maintained in
+    // O(m) per pivot from the entering FTRAN column below. The dual-ratio
+    // candidate scan stays a FULL scan — the bound-flipping ratio test needs
+    // every eligible candidate, so the partial window applies only to the
+    // primal side.
     std::ptrdiff_t r_leave = -1;
     const double eps = std::max(opt_.tolerance, 1e-9 * bnorm_);
     double worst = 0.0;   // violation of the selected row
-    double best_score = eps;  // selection score (== violation for Dantzig)
+    double best_score = eps;  // selection score of the selected row
     bool upper_viol = false;
     for (std::size_t r = 0; r < m_; ++r) {
       double viol = -xb_[r];
@@ -944,8 +933,7 @@ RevisedCore::Step RevisedCore::dual_iterate() {
         at_upper = true;
       }
       if (viol <= eps) continue;
-      const double score =
-          dual_devex ? viol * viol / dual_devex_w_[r] : viol;
+      const double score = viol * viol / dual_devex_w_[r];
       if (r_leave < 0 || score > best_score) {
         best_score = score;
         worst = viol;
@@ -1075,24 +1063,22 @@ RevisedCore::Step RevisedCore::dual_iterate() {
       if (r == rl) continue;
       xb_[r] -= theta * w_[r];
     }
-    if (dual_devex) {
-      // Exact dual Devex update from the already-computed FTRAN column:
-      // gamma_i = max(gamma_i, (alpha_i / alpha_r)^2 * gamma_r) for the
-      // staying rows, gamma_r = max(gamma_r / alpha_r^2, 1) for the pivot
-      // row. O(m) on a vector the pivot loop above already touched.
-      const double gr = std::max(dual_devex_w_[rl], 1.0);
-      const double inv2 = gr / (wr * wr);
-      double wmax = 0.0;
-      for (std::size_t r = 0; r < m_; ++r) {
-        if (r == rl) continue;
-        const double cand = w_[r] * w_[r] * inv2;
-        if (cand > dual_devex_w_[r]) dual_devex_w_[r] = cand;
-        wmax = std::max(wmax, dual_devex_w_[r]);
-      }
-      dual_devex_w_[rl] = std::max(inv2, 1.0);
-      if (std::max(wmax, dual_devex_w_[rl]) > kDevexResetThreshold) {
-        reset_devex(/*count_overflow=*/true);
-      }
+    // Exact dual Devex update from the already-computed FTRAN column:
+    // gamma_i = max(gamma_i, (alpha_i / alpha_r)^2 * gamma_r) for the
+    // staying rows, gamma_r = max(gamma_r / alpha_r^2, 1) for the pivot
+    // row. O(m) on a vector the pivot loop above already touched.
+    const double gr = std::max(dual_devex_w_[rl], 1.0);
+    const double inv2 = gr / (wr * wr);
+    double wmax = 0.0;
+    for (std::size_t r = 0; r < m_; ++r) {
+      if (r == rl) continue;
+      const double cand = w_[r] * w_[r] * inv2;
+      if (cand > dual_devex_w_[r]) dual_devex_w_[r] = cand;
+      wmax = std::max(wmax, dual_devex_w_[r]);
+    }
+    dual_devex_w_[rl] = std::max(inv2, 1.0);
+    if (std::max(wmax, dual_devex_w_[rl]) > kDevexResetThreshold) {
+      reset_devex(/*count_overflow=*/true);
     }
     const double enter_old =
         (status_[enter] == VarStatus::AtUpper) ? ub_[enter] : 0.0;

@@ -215,10 +215,9 @@ class RevisedCore {
   double primal_infeasibility() const;
 
   // ---- pricing (docs/SOLVER.md §8) ----
-  // Entering-variable selection for one primal iteration: Dantzig or
-  // candidate-list partial Devex per opt_.pricing; `bland` forces the full
-  // lowest-index anti-cycling scan under every rule. Returns false when no
-  // eligible candidate exists anywhere — for the partial rule that verdict
+  // Entering-variable selection for one primal iteration: candidate-list
+  // partial Devex; `bland` forces the full lowest-index anti-cycling scan.
+  // Returns false when no eligible candidate exists anywhere — that verdict
   // is only reached by a full scan after the candidate list ran dry (y is
   // re-priced fresh every pivot), so it is the same optimality certificate
   // as a full scan.

@@ -37,6 +37,14 @@ util::StatusOr<solver::Matrix> inlet_mixing(const dc::DataCenter& dc) {
   return g;
 }
 
+solver::Matrix node_fixed_point_system(const solver::Matrix& g,
+                                       std::size_t num_cracs) {
+  const std::size_t nn = g.rows() - num_cracs;
+  solver::Matrix fixed = solver::Matrix::identity(nn);
+  fixed.add_scaled(g.block(num_cracs, num_cracs, nn, nn), -1.0);
+  return fixed;
+}
+
 HeatFlowModel::HeatFlowModel(const dc::DataCenter& dc) : dc_(dc) {
   const std::size_t nc = dc.num_cracs();
   const std::size_t nn = dc.num_nodes();
@@ -49,9 +57,7 @@ HeatFlowModel::HeatFlowModel(const dc::DataCenter& dc) : dc_(dc) {
   g_nc_ = g_.block(nc, 0, nn, nc);
   g_nn_ = g_.block(nc, nc, nn, nn);
 
-  solver::Matrix fixed = solver::Matrix::identity(nn);
-  fixed.add_scaled(g_nn_, -1.0);
-  fixed_point_.emplace(fixed);
+  fixed_point_.emplace(node_fixed_point_system(g_, nc));
   TAPO_CHECK_MSG(fixed_point_->ok(),
                  "(I - G_nn) singular: some node inlet is fed only by node "
                  "outlets with no path from any CRAC");

@@ -50,6 +50,14 @@ struct LinearResponse {
 // so the archive loader can reject the alpha HeatFlowModel would refuse.
 util::StatusOr<solver::Matrix> inlet_mixing(const dc::DataCenter& dc);
 
+// The node-outlet fixed-point system (I - G_nn), from the inlet mixing
+// matrix `g` of inlet_mixing() (entities CRACs-first, `num_cracs` of them).
+// It is singular when some group of nodes recirculates only among itself,
+// with no path from any CRAC; HeatFlowModel refuses such an alpha, so the
+// archive loader factors this matrix to reject it first.
+solver::Matrix node_fixed_point_system(const solver::Matrix& g,
+                                       std::size_t num_cracs);
+
 class HeatFlowModel {
  public:
   // Builds A_hat via inlet_mixing() and factors (I - G_nn). Aborts

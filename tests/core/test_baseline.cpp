@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include "core/baseline_lp.h"
@@ -158,7 +159,7 @@ TEST(Baseline, ThreeStageBeatsOrMatchesBaselineOnAverage) {
 
 TEST(Baseline, SessionSweepMatchesPerPointSweep) {
   // The default sweep (revised engine, warm chains) solves the aggregated
-  // LP of BaselineLpEvaluator on one session per chain; warm_chain = 1
+  // LP of BaselineLpEvaluator on one session per chain; the dense engine
   // solves solve_at's LP at every point. Both select the setpoints the
   // Dense re-solve publishes, so the plans must be bit-identical, for any
   // worker count.
@@ -178,7 +179,7 @@ TEST(Baseline, SessionSweepMatchesPerPointSweep) {
     const thermal::HeatFlowModel model(scenario.dc);
     const BaselineAssigner assigner(scenario.dc, model);
     BaselineOptions per_point;
-    per_point.grid.warm_chain = 1;
+    per_point.lp.engine = solver::LpEngine::Dense;
     const Assignment reference = assigner.assign(per_point);
     ASSERT_TRUE(reference.feasible);
     for (const std::size_t threads :
@@ -237,9 +238,10 @@ TEST(Baseline, BaseLoadRedlineBreachIsInfeasible) {
   scenario.dc.redline_crac_c = 5.0;
   const thermal::HeatFlowModel model(scenario.dc);
   const BaselineAssigner assigner(scenario.dc, model);
-  for (const std::size_t warm_chain : {std::size_t{1}, std::size_t{8}}) {
+  for (const solver::LpEngine engine :
+       {solver::LpEngine::Dense, solver::LpEngine::Revised}) {
     BaselineOptions options;
-    options.grid.warm_chain = warm_chain;
+    options.lp.engine = engine;
     const Assignment a = assigner.assign(options);
     EXPECT_FALSE(a.feasible);
     EXPECT_EQ(a.status.code(), util::StatusCode::kInfeasible);
@@ -258,9 +260,10 @@ TEST(Baseline, IterationCapReportsResourceExhausted) {
   const auto scenario = test::make_small_scenario(231, 10, 2);
   const thermal::HeatFlowModel model(scenario.dc);
   const BaselineAssigner assigner(scenario.dc, model);
-  for (const std::size_t warm_chain : {std::size_t{1}, std::size_t{8}}) {
+  for (const solver::LpEngine engine :
+       {solver::LpEngine::Dense, solver::LpEngine::Revised}) {
     BaselineOptions capped;
-    capped.grid.warm_chain = warm_chain;
+    capped.lp.engine = engine;
     capped.lp.max_iterations = 1;
     const Assignment a = assigner.assign(capped);
     EXPECT_FALSE(a.feasible);
@@ -279,10 +282,12 @@ TEST(Baseline, DegradedParkYieldsVerifiedPlan) {
   }
   dc.set_crac_min_outlet(1, 19.0);
   const BaselineAssigner assigner(dc, model);
-  for (const std::size_t warm_chain : {std::size_t{1}, std::size_t{8}}) {
-    SCOPED_TRACE(testing::Message() << "warm_chain=" << warm_chain);
+  for (const solver::LpEngine engine :
+       {solver::LpEngine::Dense, solver::LpEngine::Revised}) {
+    SCOPED_TRACE(testing::Message()
+                 << "dense=" << (engine == solver::LpEngine::Dense));
     BaselineOptions options;
-    options.grid.warm_chain = warm_chain;
+    options.lp.engine = engine;
     const Assignment a = assigner.assign(options);
     ASSERT_TRUE(a.feasible) << a.status.to_string();
     const AssignmentCheck check = verify_assignment(dc, model, a);
@@ -327,6 +332,39 @@ TEST(Baseline, TelemetryCountsTheSweep) {
   const Assignment plain = assigner.assign();
   EXPECT_EQ(plain.crac_out_c, traced.crac_out_c);
   EXPECT_EQ(plain.reward_rate, traced.reward_rate);
+}
+
+TEST(Baseline, OptionsOutOfRangeAreInvalidArguments) {
+  const auto scenario = test::make_small_scenario(252, 8, 2);
+  const thermal::HeatFlowModel model(scenario.dc);
+  const BaselineAssigner assigner(scenario.dc, model);
+  EXPECT_TRUE(BaselineOptions{}.validate().ok());
+
+  std::vector<BaselineOptions> bad(6);
+  bad[0].full_grid = true;  // used to abort in linspace
+  bad[0].grid.coarse_samples = 0;
+  bad[1].tcrac_min_c = 26.0;  // above tcrac_max_c
+  bad[2].tcrac_min_c = std::numeric_limits<double>::quiet_NaN();
+  bad[3].grid.refine_samples = 0;
+  bad[4].grid.min_resolution = -1.0;
+  // Far beyond the cap: rejected before any pool exists, so no thread is
+  // ever started for it.
+  bad[5].grid.threads = std::size_t{1} << 40;
+  for (std::size_t i = 0; i < bad.size(); ++i) {
+    SCOPED_TRACE(testing::Message() << "case " << i);
+    util::telemetry::Registry registry;
+    bad[i].lp.telemetry = &registry;
+    EXPECT_EQ(bad[i].validate().code(), util::StatusCode::kInvalidArgument);
+    const Assignment a = assigner.assign(bad[i]);
+    EXPECT_FALSE(a.feasible);
+    EXPECT_EQ(a.status.code(), util::StatusCode::kInvalidArgument)
+        << a.status.to_string();
+    EXPECT_EQ(a.lp_solves, 0u);
+    EXPECT_EQ(registry.counter_value("lp.solves"), 0u);  // no work began
+  }
+  BaselineOptions at_cap;
+  at_cap.grid.threads = Stage1Options::kMaxThreads;
+  EXPECT_TRUE(at_cap.validate().ok());
 }
 
 }  // namespace

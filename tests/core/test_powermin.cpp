@@ -8,6 +8,7 @@
 
 #include "core/assigner.h"
 #include "testutil.h"
+#include "util/telemetry.h"
 
 namespace tapo::core {
 namespace {
@@ -91,8 +92,8 @@ TEST(PowerMin, AssignmentSatisfiesThermalConstraints) {
 TEST(PowerMin, EngineAndWarmChainDoNotChangeThePlan) {
   // The sweep only selects setpoints; every attempt's plan comes from a cold
   // Dense re-solve at the winner. So the plan must be bit-identical whether
-  // the sweep ran the Dense engine per point, the revised engine per point,
-  // or resident sessions at any worker count.
+  // the sweep ran the Dense engine per point or resident revised sessions
+  // on warm chains, at any worker count.
   for (const std::uint64_t seed : {std::uint64_t{127}, std::uint64_t{128}}) {
     SCOPED_TRACE(testing::Message() << "seed=" << seed);
     const auto scenario = test::make_small_scenario(seed, 12, 2);
@@ -102,11 +103,10 @@ TEST(PowerMin, EngineAndWarmChainDoNotChangeThePlan) {
     ASSERT_TRUE(reference.feasible);
     const double target = 0.6 * reference.reward_rate;
 
-    std::vector<PowerMinOptions> variants(4);
+    std::vector<PowerMinOptions> variants(3);
     variants[0].stage1.lp.engine = solver::LpEngine::Dense;
-    variants[1].stage1.grid.warm_chain = 1;  // revised, one LP per point
-    variants[2].stage1.threads = 1;          // revised sessions
-    variants[3].stage1.threads = 4;
+    variants[1].stage1.threads = 1;  // revised sessions
+    variants[2].stage1.threads = 4;
     const PowerMinResult dense =
         minimize_power_for_reward(scenario.dc, model, target, variants[0]);
     ASSERT_TRUE(dense.feasible);
@@ -135,6 +135,39 @@ TEST(PowerMin, NegativeOrNonFiniteTargetIsInvalidArgument) {
     EXPECT_FALSE(result.feasible);
     EXPECT_FALSE(result.met_target);
     EXPECT_EQ(result.attempts, 0u);
+  }
+}
+
+TEST(PowerMin, OptionsOutOfRangeAreInvalidArguments) {
+  const auto scenario = test::make_small_scenario(126, 6, 1);
+  const thermal::HeatFlowModel model(scenario.dc);
+  EXPECT_TRUE(PowerMinOptions{}.validate().ok());
+
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  std::vector<PowerMinOptions> bad(9);
+  bad[0].stage1.psi = 0.0;  // used to abort building the reward curves
+  bad[1].stage1.tcrac_min_c = 30.0;  // above tcrac_max_c
+  bad[2].stage1.grid.refine_samples = 0;
+  bad[3].retry_inflation = 0.5;
+  bad[4].retry_inflation = kNaN;
+  bad[5].relative_tolerance = 1.0;
+  bad[6].relative_tolerance = -0.1;
+  bad[7].relative_tolerance = kNaN;
+  // Far beyond the cap: rejected before any pool exists, so no thread is
+  // ever started for it.
+  bad[8].stage1.threads = std::size_t{1} << 40;
+  for (std::size_t i = 0; i < bad.size(); ++i) {
+    SCOPED_TRACE(testing::Message() << "case " << i);
+    util::telemetry::Registry registry;
+    bad[i].stage1.telemetry = &registry;
+    EXPECT_EQ(bad[i].validate().code(), util::StatusCode::kInvalidArgument);
+    const PowerMinResult result =
+        minimize_power_for_reward(scenario.dc, model, 1.0, bad[i]);
+    EXPECT_EQ(result.status.code(), util::StatusCode::kInvalidArgument)
+        << result.status.to_string();
+    EXPECT_FALSE(result.feasible);
+    EXPECT_EQ(result.attempts, 0u);
+    EXPECT_EQ(registry.counter_value("powermin.attempts"), 0u);
   }
 }
 

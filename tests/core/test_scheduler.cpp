@@ -312,18 +312,18 @@ TEST_F(SchedulerFixture, IndexedMatchesScanAcrossWarmups) {
   }
 }
 
-TEST_F(SchedulerFixture, AblationPoliciesFallBackToScanUnderAuto) {
+TEST_F(SchedulerFixture, AblationPoliciesFallBackToScanUnderTheDefaultMode) {
+  // The default kIndexed routes MinAtcTcRatio through the index and the
+  // ablation policies, which have no index key, through the scan.
+  EXPECT_EQ(SchedulerOptions{}.route_mode, RouteMode::kIndexed);
   for (const auto policy :
        {SchedulerPolicy::EarliestFinish, SchedulerPolicy::Random}) {
     SchedulerOptions options;
     options.policy = policy;
-    options.route_mode = RouteMode::kAuto;
     const DynamicScheduler scheduler(scenario->dc, assignment, options);
     EXPECT_FALSE(scheduler.routes_with_index());
   }
-  SchedulerOptions options;
-  options.route_mode = RouteMode::kAuto;
-  const DynamicScheduler scheduler(scenario->dc, assignment, options);
+  const DynamicScheduler scheduler(scenario->dc, assignment, SchedulerOptions{});
   EXPECT_TRUE(scheduler.routes_with_index());
 }
 

@@ -173,7 +173,7 @@ TEST(Stage1, OptionsOutOfRangeAreInvalidArguments) {
   const Stage1Solver solver(scenario.dc, model);
   EXPECT_TRUE(Stage1Options{}.validate().ok());
 
-  std::vector<Stage1Options> bad(9);
+  std::vector<Stage1Options> bad(8);
   bad[0].psi = 0.0;
   bad[1].psi = 100.5;
   bad[2].tcrac_min_c = 26.0;  // above tcrac_max_c
@@ -182,10 +182,9 @@ TEST(Stage1, OptionsOutOfRangeAreInvalidArguments) {
   bad[4].grid.coarse_samples = 0;
   bad[5].grid.refine_samples = 0;
   bad[6].grid.min_resolution = 0.0;
-  bad[7].grid.warm_chain = 0;
   // Far beyond the cap: rejected before any pool exists, so no thread is
   // ever started for it.
-  bad[8].threads = std::size_t{1} << 40;
+  bad[7].threads = std::size_t{1} << 40;
   for (std::size_t i = 0; i < bad.size(); ++i) {
     SCOPED_TRACE(testing::Message() << "case " << i);
     util::telemetry::Registry registry;
@@ -204,9 +203,9 @@ TEST(Stage1, OptionsOutOfRangeAreInvalidArguments) {
 }
 
 TEST(Stage1, EngineAndThreadCountDoNotChangeThePlan) {
-  // The published plan must be bit-identical across LP engines, sweep thread
-  // counts, and warm-start chaining on/off: the sweep only *selects* a
-  // setpoint, and the final re-solve always runs the Dense oracle cold.
+  // The published plan must be bit-identical across LP engines and sweep
+  // thread counts: the sweep only *selects* a setpoint, and the final
+  // re-solve always runs the Dense oracle cold.
   const auto scenario = test::make_small_scenario(43, 10, 2);
   const thermal::HeatFlowModel model(scenario.dc);
   const Stage1Solver solver(scenario.dc, model);
@@ -214,11 +213,10 @@ TEST(Stage1, EngineAndThreadCountDoNotChangeThePlan) {
   const Stage1Result reference = solver.solve();
   ASSERT_TRUE(reference.feasible);
 
-  std::vector<Stage1Options> variants(4);
+  std::vector<Stage1Options> variants(3);
   variants[0].lp.engine = solver::LpEngine::Dense;
   variants[1].threads = 1;
   variants[2].threads = 4;
-  variants[3].grid.warm_chain = 1;  // chaining (and sessions) disabled
   for (std::size_t i = 0; i < variants.size(); ++i) {
     const Stage1Result got = solver.solve(variants[i]);
     ASSERT_TRUE(got.feasible) << "variant " << i;
@@ -231,79 +229,67 @@ TEST(Stage1, EngineAndThreadCountDoNotChangeThePlan) {
 }
 
 TEST(Stage1, SessionSweepIsBitIdenticalAcrossThreadCounts) {
-  // The revised engine runs each warm chain (warm_chain > 1) on one
-  // persistent LP session. Chains are a pure function of the point
-  // sequence, so the published plan must stay bit-identical for any worker
-  // count, on either engine, and match the chaining-off sweep that builds
-  // one LP per point.
+  // The revised engine runs each warm chain on one persistent LP session.
+  // Chains are a pure function of the point sequence, so the published plan
+  // must stay bit-identical for any worker count, on either engine, and
+  // match the dense sweep that builds one LP per point.
   const auto scenario = test::make_small_scenario(45, 12, 2);
   const thermal::HeatFlowModel model(scenario.dc);
   const Stage1Solver solver(scenario.dc, model);
 
   Stage1Options per_point;
-  per_point.grid.warm_chain = 1;
+  per_point.lp.engine = solver::LpEngine::Dense;
   const Stage1Result reference = solver.solve(per_point);
   ASSERT_TRUE(reference.feasible);
 
   for (const solver::LpEngine engine :
        {solver::LpEngine::Revised, solver::LpEngine::Dense}) {
-    for (const std::size_t warm_chain : {std::size_t{1}, std::size_t{8}}) {
-      for (const std::size_t threads :
-           {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
-        SCOPED_TRACE(testing::Message()
-                     << "dense=" << (engine == solver::LpEngine::Dense)
-                     << " warm_chain=" << warm_chain << " threads=" << threads);
-        Stage1Options options;
-        options.lp.engine = engine;
-        options.grid.warm_chain = warm_chain;
-        options.threads = threads;
-        const Stage1Result got = solver.solve(options);
-        ASSERT_TRUE(got.feasible);
-        EXPECT_EQ(got.objective, reference.objective);
-        EXPECT_EQ(got.crac_out_c, reference.crac_out_c);
-        EXPECT_EQ(got.node_core_power_kw, reference.node_core_power_kw);
-        EXPECT_EQ(got.compute_power_kw, reference.compute_power_kw);
-        EXPECT_EQ(got.crac_power_kw, reference.crac_power_kw);
-      }
+    for (const std::size_t threads :
+         {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
+      SCOPED_TRACE(testing::Message()
+                   << "dense=" << (engine == solver::LpEngine::Dense)
+                   << " threads=" << threads);
+      Stage1Options options;
+      options.lp.engine = engine;
+      options.threads = threads;
+      const Stage1Result got = solver.solve(options);
+      ASSERT_TRUE(got.feasible);
+      EXPECT_EQ(got.objective, reference.objective);
+      EXPECT_EQ(got.crac_out_c, reference.crac_out_c);
+      EXPECT_EQ(got.node_core_power_kw, reference.node_core_power_kw);
+      EXPECT_EQ(got.compute_power_kw, reference.compute_power_kw);
+      EXPECT_EQ(got.crac_power_kw, reference.crac_power_kw);
     }
   }
 }
 
 TEST(Stage1, PricingRuleDoesNotChangeThePlan) {
-  // The pricing rule only reorders the sweep's pivots; selection is by
+  // The revised engine prices with partial Devex, the dense oracle with
+  // Dantzig. Pricing only reorders the sweep's pivots; selection is by
   // objective and the final re-solve at the winner runs the Dense oracle
-  // cold, so the published plan must stay bit-identical across both rules
-  // — with and without warm chains (sessions), at every worker count.
+  // cold, so the published plan must match the dense sweep's bit for bit at
+  // every worker count.
   const auto scenario = test::make_small_scenario(46, 11, 2);
   const thermal::HeatFlowModel model(scenario.dc);
   const Stage1Solver solver(scenario.dc, model);
 
-  Stage1Options dantzig;
-  dantzig.lp.pricing = solver::LpPricing::Dantzig;
-  const Stage1Result reference = solver.solve(dantzig);
+  Stage1Options dense;
+  dense.lp.engine = solver::LpEngine::Dense;
+  const Stage1Result reference = solver.solve(dense);
   ASSERT_TRUE(reference.feasible);
 
-  for (const solver::LpPricing pricing :
-       {solver::LpPricing::Dantzig, solver::LpPricing::PartialDevex}) {
-    for (const std::size_t warm_chain : {std::size_t{1}, std::size_t{8}}) {
-      for (const std::size_t threads :
-           {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
-        SCOPED_TRACE(testing::Message()
-                     << "pricing=" << solver::to_string(pricing)
-                     << " warm_chain=" << warm_chain << " threads=" << threads);
-        Stage1Options options;
-        options.lp.pricing = pricing;
-        options.grid.warm_chain = warm_chain;
-        options.threads = threads;
-        const Stage1Result got = solver.solve(options);
-        ASSERT_TRUE(got.feasible);
-        EXPECT_EQ(got.objective, reference.objective);
-        EXPECT_EQ(got.crac_out_c, reference.crac_out_c);
-        EXPECT_EQ(got.node_core_power_kw, reference.node_core_power_kw);
-        EXPECT_EQ(got.compute_power_kw, reference.compute_power_kw);
-        EXPECT_EQ(got.crac_power_kw, reference.crac_power_kw);
-      }
-    }
+  for (const std::size_t threads :
+       {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
+    SCOPED_TRACE(testing::Message() << "threads=" << threads);
+    Stage1Options options;
+    options.threads = threads;
+    const Stage1Result got = solver.solve(options);
+    ASSERT_TRUE(got.feasible);
+    EXPECT_EQ(got.objective, reference.objective);
+    EXPECT_EQ(got.crac_out_c, reference.crac_out_c);
+    EXPECT_EQ(got.node_core_power_kw, reference.node_core_power_kw);
+    EXPECT_EQ(got.compute_power_kw, reference.compute_power_kw);
+    EXPECT_EQ(got.crac_power_kw, reference.crac_power_kw);
   }
 }
 

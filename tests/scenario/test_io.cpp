@@ -331,6 +331,32 @@ TEST(Io, AlphaTheThermalModelWouldRefuseIsAStatus) {
   EXPECT_EQ(negative.status().message().rfind("line ", 0), 0u);
 }
 
+TEST(Io, NodesRecirculatingOnlyIntoEachOtherAreAStatus) {
+  // Nodes a and b take their whole inlet from each other's outlet: alpha
+  // passes inlet_mixing() (every inlet balances), but no CRAC reaches the
+  // pair, so (I - G_nn) is singular. HeatFlowModel aborts on it; the loader
+  // must return the verdict as a Status first.
+  dc::DataCenter dc = test::make_small_scenario(801, 6, 2).dc;
+  const std::size_t a = dc.num_cracs(), b = dc.num_cracs() + 1;
+  for (std::size_t i = 0; i < dc.num_entities(); ++i) {
+    dc.alpha(i, a) = 0.0;
+    dc.alpha(i, b) = 0.0;
+  }
+  dc.alpha(b, a) = dc.entity_flow(a) / dc.entity_flow(b);
+  dc.alpha(a, b) = dc.entity_flow(b) / dc.entity_flow(a);
+  ASSERT_TRUE(thermal::inlet_mixing(dc).ok());
+  EXPECT_DEATH(thermal::HeatFlowModel{dc}, "singular");
+
+  std::stringstream buffer;
+  save_data_center(dc, buffer);
+  const auto loaded = load_text(buffer.str());
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), util::StatusCode::kInvalidArgument);
+  EXPECT_NE(loaded.status().message().find("singular"), std::string::npos)
+      << loaded.status().to_string();
+  EXPECT_EQ(loaded.status().message().rfind("line ", 0), 0u);
+}
+
 // Every whitespace-separated token of `doc` replaced in turn by each of the
 // hostile spellings; `check` sees every resulting document.
 template <typename Check>

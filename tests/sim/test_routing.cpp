@@ -99,7 +99,7 @@ TEST_F(RoutingFixture, ValidatedIndexSurvivesFullSimulation) {
 
 TEST_F(RoutingFixture, SimulateRecordsEndOfRunTelemetry) {
   util::telemetry::Registry registry;
-  SimOptions o = options(core::RouteMode::kAuto, 7);
+  SimOptions o = options(core::RouteMode::kIndexed, 7);
   o.telemetry = &registry;
   const SimResult with = simulate(scenario->dc, assignment, o);
   o.telemetry = nullptr;
@@ -111,7 +111,7 @@ TEST_F(RoutingFixture, SimulateRecordsEndOfRunTelemetry) {
 }
 
 TEST_F(RoutingFixture, InvalidSchedulerOptionsSurfaceThroughSimulate) {
-  SimOptions o = options(core::RouteMode::kAuto, 1);
+  SimOptions o = options(core::RouteMode::kIndexed, 1);
   o.scheduler.warmup_seconds = 0.0;  // 0/0 ATC at the first arrival
   const SimResult r = simulate(scenario->dc, assignment, o);
   EXPECT_FALSE(r.status.ok());
@@ -172,7 +172,7 @@ TEST_F(RoutingFixture, FaultAndCompletionAtOneInstantRunInSequenceOrder) {
   // it fires first and kills the finishing task. The run's first task is
   // routed on an idle park, so its core and finish time can be computed
   // outside the run from the same arrival streams and a fresh scheduler.
-  const SimOptions o = options(core::RouteMode::kAuto, 5);
+  const SimOptions o = options(core::RouteMode::kIndexed, 5);
   ArrivalProcess arrivals(scenario->dc.task_types, util::Rng(o.seed));
   double first = std::numeric_limits<double>::infinity();
   std::size_t type = 0;
@@ -315,7 +315,7 @@ TEST_F(EntryPointDifferential, FaultRunsMatchSimulateUnderRateTrace) {
   const RateTrace rates = generate_rate_trace(scenario->dc.task_types, config);
   for (const std::uint64_t seed : {3u, 58u, 9001u}) {
     SCOPED_TRACE("seed " + std::to_string(seed));
-    SimOptions o = RoutingFixture::options(core::RouteMode::kAuto, seed);
+    SimOptions o = RoutingFixture::options(core::RouteMode::kIndexed, seed);
     o.rate_trace = &rates;
     const SimResult plain = simulate(scenario->dc, assignment, o);
     expect_identical(plain, with_faults(o));

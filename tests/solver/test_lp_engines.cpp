@@ -82,21 +82,6 @@ LpSolution solve_with(const LpProblem& problem, LpEngine engine,
   return solve_lp(problem, opt);
 }
 
-// Revised engine under an explicit pricing rule (the dense oracle ignores
-// LpOptions::pricing and always runs Dantzig).
-LpSolution solve_with_pricing(const LpProblem& problem, LpPricing pricing,
-                              const LpBasis* warm = nullptr) {
-  LpOptions opt;
-  opt.engine = LpEngine::Revised;
-  opt.pricing = pricing;
-  opt.warm_start = warm;
-  return solve_lp(problem, opt);
-}
-
-constexpr LpPricing kAllPricing[] = {LpPricing::Dantzig,
-                                     LpPricing::PartialDevex};
-constexpr int kNumPricing = static_cast<int>(std::size(kAllPricing));
-
 TEST(LpEngines, DifferentialRandomInstances) {
   util::Rng rng(0x1f2e3d4c5b6a7980ULL);
   std::size_t optimal_count = 0;
@@ -288,60 +273,20 @@ TEST(LpEngines, BealeCyclingInstanceTerminates) {
                     Relation::LessEq, 0.0);
   lp.add_constraint({{2, 1.0}}, Relation::LessEq, 1.0);
 
+  // On the revised engine the stall counter trips the Bland fallback under
+  // partial Devex too: Bland's full lowest-index scan bypasses both the
+  // Devex scores and the partial window — a windowed anti-cycling scan
+  // would forfeit the guarantee.
   for (const LpEngine engine : {LpEngine::Dense, LpEngine::Revised}) {
     const LpSolution sol = solve_with(lp, engine);
     ASSERT_EQ(sol.status, LpStatus::Optimal);
     EXPECT_NEAR(sol.objective, 0.05, 1e-9);
   }
-  // Every pricing rule must terminate here too: the degenerate-iteration
-  // stall counter trips the Bland fallback regardless of the rule (Bland's
-  // full lowest-index scan bypasses both the Devex scores and the partial
-  // window — a windowed anti-cycling scan would forfeit the guarantee).
-  for (const LpPricing pricing : kAllPricing) {
-    const LpSolution sol = solve_with_pricing(lp, pricing);
-    ASSERT_EQ(sol.status, LpStatus::Optimal) << to_string(pricing);
-    EXPECT_NEAR(sol.objective, 0.05, 1e-9) << to_string(pricing);
-  }
 }
 
-// Pricing-rule differential: every rule is a different route to the same
-// optimum. Across a random corpus both rules must agree with the dense
-// oracle on status and objective, and every returned point must actually be
-// feasible. Iteration counts are logged (not asserted — rule quality is
-// measured in bench/solver_perf.cpp, where Devex's whole point is that they
-// differ).
-TEST(LpEngines, PricingRulesDifferentialRandomInstances) {
-  util::Rng rng(0x7788aa99bbcc0011ULL);
-  std::size_t optimal_count = 0;
-  std::size_t iters[kNumPricing] = {};
-  for (int trial = 0; trial < 120; ++trial) {
-    const std::size_t n_vars = static_cast<std::size_t>(rng.uniform_int(2, 14));
-    const std::size_t n_rows = static_cast<std::size_t>(rng.uniform_int(1, 10));
-    const RandomLp lp = make_random_lp(rng, n_vars, n_rows);
-    const LpSolution dense = solve_with(lp.problem, LpEngine::Dense);
-    for (int p = 0; p < kNumPricing; ++p) {
-      const LpSolution sol = solve_with_pricing(lp.problem, kAllPricing[p]);
-      ASSERT_EQ(dense.status, sol.status)
-          << "trial " << trial << " pricing " << to_string(kAllPricing[p]);
-      if (dense.status != LpStatus::Optimal) continue;
-      EXPECT_NEAR(dense.objective, sol.objective, 1e-7)
-          << "trial " << trial << " pricing " << to_string(kAllPricing[p]);
-      EXPECT_LT(lp.problem.max_violation(sol.x), 1e-6)
-          << "trial " << trial << " pricing " << to_string(kAllPricing[p]);
-      iters[p] += sol.iterations;
-    }
-    if (dense.status == LpStatus::Optimal) ++optimal_count;
-  }
-  EXPECT_GT(optimal_count, 50u);
-  for (int p = 0; p < kNumPricing; ++p) {
-    ::testing::Test::RecordProperty(
-        std::string("total_iterations_") + to_string(kAllPricing[p]),
-        static_cast<int>(iters[p]));
-  }
-}
-
-// A warm start interacts with each pricing rule the same way: the imported
-// basis decides feasibility, the rule only orders the remaining pivots.
+// A warm start changes the route, never the destination: the revised
+// engine (partial Devex) resolving from an imported basis must agree with
+// the dense oracle (Dantzig, cold) on status and objective.
 TEST(LpEngines, PricingRulesAgreeOnWarmStartedResolves) {
   util::Rng rng(0x31415926535897ULL);
   std::size_t compared = 0;
@@ -355,33 +300,14 @@ TEST(LpEngines, PricingRulesAgreeOnWarmStartedResolves) {
     for (double& d : delta) d = rng.uniform(-0.3, 0.3);
     const LpProblem shifted = with_shifted_rhs(lp, delta);
     const LpSolution oracle = solve_with(shifted, LpEngine::Dense);
-    for (const LpPricing pricing : kAllPricing) {
-      const LpSolution warm = solve_with_pricing(shifted, pricing, &base.basis);
-      ASSERT_EQ(oracle.status, warm.status) << to_string(pricing);
-      if (!oracle.optimal()) continue;
-      EXPECT_NEAR(oracle.objective, warm.objective, 1e-7) << to_string(pricing);
-    }
-    if (oracle.optimal()) ++compared;
+    const LpSolution warm =
+        solve_with(shifted, LpEngine::Revised, &base.basis);
+    ASSERT_EQ(oracle.status, warm.status) << "trial " << trial;
+    if (!oracle.optimal()) continue;
+    EXPECT_NEAR(oracle.objective, warm.objective, 1e-7) << "trial " << trial;
+    ++compared;
   }
   EXPECT_GT(compared, 15u);
-}
-
-// parse_lp_pricing inverts to_string and rejects junk — including the
-// retired full-scan "devex" rule — without clobbering out.
-TEST(LpEngines, PricingNameRoundTrip) {
-  for (const LpPricing pricing : kAllPricing) {
-    LpPricing parsed = LpPricing::Dantzig;
-    EXPECT_TRUE(parse_lp_pricing(to_string(pricing), &parsed));
-    EXPECT_EQ(pricing, parsed);
-  }
-  for (const char* junk : {"devex", "steepest_edge"}) {
-    LpPricing out = LpPricing::PartialDevex;
-    EXPECT_FALSE(parse_lp_pricing(junk, &out)) << junk;
-    EXPECT_EQ(out, LpPricing::PartialDevex) << junk;
-  }
-  LpPricing out = LpPricing::Dantzig;
-  EXPECT_FALSE(parse_lp_pricing(nullptr, &out));
-  EXPECT_EQ(out, LpPricing::Dantzig);
 }
 
 TEST(LpEngines, IterLimitIsReportedNotLooped) {

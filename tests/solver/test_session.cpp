@@ -12,6 +12,7 @@
 
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <cstring>
 #include <utility>
 #include <vector>
@@ -247,35 +248,33 @@ TEST(LpSession, FtUpdateBudgetsAgreeOnRandomPatchSequences) {
 }
 
 TEST(LpSession, PricingRulesAgreeOnRandomPatchSequences) {
-  // Two sessions over the same problem, one per pricing rule, dragged
-  // through the identical patch sequence. Devex weights and the partial
-  // candidate list survive patches and resident resumes (docs/SOLVER.md §8)
-  // — this differential is what pins that carried state: stale weights can
-  // only reorder pivots, never change the certified optimum, so both
-  // sessions must keep matching the dense oracle at every step.
-  util::Rng rng(0x9e3779b97f4a7c15ULL);
+  // Two sessions over the same problem, dragged through the identical patch
+  // sequence, that differ only in their partial-Devex pricing state. The
+  // carried session resumes in place, so its Devex weights and candidate
+  // list survive every patch (docs/SOLVER.md §8). The reset session
+  // re-imports its own last basis as a seed before each solve, which starts
+  // the same basis from unit weights and an empty candidate list. Stale
+  // weights may only reorder pivots, never change the certified optimum:
+  // both must match the dense oracle, and each other, at every step.
+  util::Rng rng(0x2545f4914f6cdd1dULL);
   std::size_t optimal_count = 0, solves = 0, borderline = 0;
+  std::uint64_t reset_imports = 0;
   for (int trial = 0; trial < 20; ++trial) {
     const std::size_t n_vars = static_cast<std::size_t>(rng.uniform_int(2, 14));
     const std::size_t n_rows = static_cast<std::size_t>(rng.uniform_int(1, 10));
     MutableLp lp = make_random_lp(rng, n_vars, n_rows);
-    constexpr LpPricing kRules[] = {LpPricing::Dantzig,
-                                    LpPricing::PartialDevex};
-    std::vector<LpSession> sessions;
-    sessions.reserve(2);
-    for (const LpPricing pricing : kRules) {
-      LpOptions opt;
-      opt.pricing = pricing;
-      sessions.emplace_back(lp.build(), opt);
-    }
+    LpSession carried(lp.build(), LpOptions{});
+    LpSession reset(lp.build(), LpOptions{});
+    LpBasis reset_seed;
     const int steps = rng.uniform_int(3, 7);
     for (int step = 0; step < steps; ++step) {
       const int patches = rng.uniform_int(1, 4);
       for (int k = 0; k < patches; ++k) {
-        random_patch(rng, {&sessions[0], &sessions[1]}, lp);
+        random_patch(rng, {&carried, &reset}, lp);
       }
-      LpSolution sols[2];
-      for (int p = 0; p < 2; ++p) sols[p] = sessions[p].solve();
+      const LpSolution kept = carried.solve();
+      const LpSolution fresh_weights = reset.solve(&reset_seed);
+      reset_seed = fresh_weights.basis;
       ++solves;
       const LpProblem fresh = lp.build();
       const LpSolution dense = solve_with(fresh, LpEngine::Dense);
@@ -284,23 +283,28 @@ TEST(LpSession, PricingRulesAgreeOnRandomPatchSequences) {
         ++borderline;  // engines themselves split: phase-1 threshold case
         continue;
       }
-      for (int p = 0; p < 2; ++p) {
-        ASSERT_EQ(dense.status, sols[p].status)
-            << "trial " << trial << " step " << step << " pricing "
-            << to_string(kRules[p]);
-        if (dense.status != LpStatus::Optimal) continue;
-        EXPECT_NEAR(dense.objective, sols[p].objective, 1e-7)
-            << "trial " << trial << " step " << step << " pricing "
-            << to_string(kRules[p]);
-        EXPECT_LT(fresh.max_violation(sols[p].x), 1e-6)
-            << "trial " << trial << " step " << step << " pricing "
-            << to_string(kRules[p]);
-      }
-      if (dense.status == LpStatus::Optimal) ++optimal_count;
+      ASSERT_EQ(dense.status, kept.status)
+          << "trial " << trial << " step " << step << " carried";
+      ASSERT_EQ(dense.status, fresh_weights.status)
+          << "trial " << trial << " step " << step << " reset";
+      if (dense.status != LpStatus::Optimal) continue;
+      ++optimal_count;
+      EXPECT_NEAR(dense.objective, kept.objective, 1e-7)
+          << "trial " << trial << " step " << step;
+      EXPECT_NEAR(kept.objective, fresh_weights.objective, 1e-7)
+          << "trial " << trial << " step " << step;
+      EXPECT_LT(fresh.max_violation(kept.x), 1e-6)
+          << "trial " << trial << " step " << step;
+      EXPECT_LT(fresh.max_violation(fresh_weights.x), 1e-6)
+          << "trial " << trial << " step " << step;
     }
+    EXPECT_EQ(carried.stats().seed_imports, 0u);
+    reset_imports += reset.stats().seed_imports;
   }
   EXPECT_GT(optimal_count, solves / 3);
   EXPECT_LT(borderline, solves / 20);
+  // The reset session really took the seed-import path on most solves.
+  EXPECT_GT(reset_imports, solves / 3);
 }
 
 TEST(LpSession, UnpatchedResolveIsBitIdentical) {
