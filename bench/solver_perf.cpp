@@ -14,6 +14,7 @@
 #include "scenario/generator.h"
 #include "solver/lp.h"
 #include "solver/lu.h"
+#include "solver/session.h"
 #include "thermal/crossinterference.h"
 #include "thermal/heatflow.h"
 #include "util/rng.h"
@@ -375,7 +376,9 @@ BENCHMARK(BM_Stage1CoarseToFineRevisedSession)->Apply(apply_c2f_sizes);
 // RHS re-solve latency, the recovery/grid-neighbor pattern in isolation: a
 // transportation LP is solved once, then re-solved with perturbed sink
 // capacities — cold (arg 0) or warm from the unperturbed optimal basis
-// (arg 1). The counter reports simplex iterations per re-solve.
+// (arg 1: a fresh LpSession per re-solve, seeded with that basis — the same
+// standardize, import and solve a one-shot warm start would do). The
+// counter reports simplex iterations per re-solve.
 void BM_LpRhsResolve(benchmark::State& state) {
   const bool warm = state.range(0) != 0;
   const std::size_t sources = 120, sinks = 8;
@@ -412,9 +415,9 @@ void BM_LpRhsResolve(benchmark::State& state) {
   for (auto _ : state) {
     const solver::LpProblem lp = build(scales[pick]);
     pick = (pick + 1) % 4;
-    solver::LpOptions opt;
-    if (warm) opt.warm_start = &base.basis;
-    const solver::LpSolution sol = solver::solve_lp(lp, opt);
+    const solver::LpSolution sol =
+        warm ? solver::LpSession(lp, solver::LpOptions{}).solve(&base.basis)
+             : solver::solve_lp(lp);
     if (!sol.optimal()) std::abort();
     iterations += sol.iterations;
     ++resolves;

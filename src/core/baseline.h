@@ -44,8 +44,8 @@ struct BaselineOptions {
   double tcrac_max_c = 25.0;
   solver::GridSearchOptions grid;
   bool full_grid = false;
-  // LP engine, numerics and telemetry sink for the sweep's solves (the
-  // baseline.* and lp.* metrics); warm_start is ignored. The final re-solve
+  // LP engine, iteration cap and telemetry sink for the sweep's solves (the
+  // baseline.* and lp.* metrics). The final re-solve
   // at the selected setpoints always runs the Dense oracle
   // (engine-independent published plans, mirroring Stage 1).
   solver::LpOptions lp;

@@ -47,9 +47,9 @@ bool baseline_frac_allowed(const dc::DataCenter& dc, std::size_t i,
 class BaselineLpEvaluator {
  public:
   // Builds the LP at crac_out0 and standardizes it into a resident
-  // LpSession. lp_options supplies numerics and the telemetry sink; the
-  // engine/warm_start fields are ignored (sessions are always the revised
-  // engine with per-solve seeds). Copies behave as Stage1LpEvaluator's: a
+  // LpSession. lp_options supplies the iteration cap, the FT update budget
+  // and the telemetry sink; the engine field is ignored (sessions are always
+  // the revised engine, warm-started by per-solve seeds). Copies behave as Stage1LpEvaluator's: a
   // never-solved evaluator copied and moved to P solves as one built at P.
   BaselineLpEvaluator(const dc::DataCenter& dc,
                       const thermal::HeatFlowModel& model,

@@ -17,7 +17,6 @@ CracSweepCore::CracSweepCore(const dc::DataCenter& dc,
                      options.tcrac_max_c);
   }
   lp.telemetry = options.telemetry;
-  lp.warm_start = nullptr;
   dense_lp = lp;
   dense_lp.engine = solver::LpEngine::Dense;
 }

@@ -57,8 +57,8 @@ struct CracSweepOptions {
   double tcrac_max_c = 25.0;
   solver::GridSearchOptions grid;
   bool full_grid = false;
-  // Engine and numerics of every solve; warm_start and telemetry are
-  // ignored (see seed and telemetry below).
+  // Engine and iteration cap of every solve; its telemetry pointer is
+  // ignored (see telemetry below). Warm starts come from seed.
   solver::LpOptions lp;
   util::telemetry::Registry* telemetry = nullptr;
   // Initial warm-start basis (non-owning, may be null or empty).

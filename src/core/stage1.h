@@ -138,8 +138,9 @@ class Stage1Solver {
     solver::LpBasis basis;
   };
   LpOutcome solve_at(const std::vector<double>& crac_out, double psi) const;
-  // As above with explicit LP options (engine, warm start, telemetry); the
-  // two-argument form uses defaults.
+  // As above with explicit LP options (engine, iteration cap, telemetry);
+  // the two-argument form uses defaults. Always a cold solve: warm starts go
+  // through a session (Stage1LpEvaluator) and its seed.
   LpOutcome solve_at(const std::vector<double>& crac_out, double psi,
                      const solver::LpOptions& lp) const;
 

@@ -48,9 +48,9 @@ class Stage1LpEvaluator {
 
   // Builds the LP at crac_out0 and standardizes it into a resident
   // LpSession. reward_floor is only meaningful for MinimizePower (pass 0.0
-  // otherwise). lp_options supplies numerics and the telemetry sink; the
-  // engine/warm_start fields are ignored (sessions are always the revised
-  // engine with per-solve seeds).
+  // otherwise). lp_options supplies the iteration cap, the FT update budget
+  // and the telemetry sink; the engine field is ignored (sessions are always
+  // the revised engine, warm-started by per-solve seeds).
   //
   // A copy is an independent evaluator. A never-solved evaluator built at
   // any setpoints, copied and moved to P, solves bit for bit as one built

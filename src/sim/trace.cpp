@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <fstream>
 #include <utility>
 
@@ -94,10 +93,9 @@ bool save_trace_csv(const Trace& trace, const std::string& path) {
   std::ofstream os(path);
   if (!os) return false;
   os << "time,task_type\n";
-  char buf[64];
+  // %.17g times, so a saved trace loads back bit for bit.
   for (const TraceEvent& e : trace) {
-    std::snprintf(buf, sizeof(buf), "%.9f,%zu\n", e.time, e.task_type);
-    os << buf;
+    os << util::text::format_double(e.time) << ',' << e.task_type << '\n';
   }
   return static_cast<bool>(os);
 }

@@ -52,7 +52,8 @@ std::vector<double> trace_rates(const Trace& trace, std::size_t num_task_types,
                                 double horizon_seconds);
 
 // CSV persistence: header "time,task_type", then one "<time>,<task_type>"
-// event per line in time order, under the shared lexical rules (util/text.h,
+// event per line in time order, times as %.17g so a saved trace loads back
+// bit for bit, under the shared lexical rules (util/text.h,
 // docs/SCENARIOS.md "Lexical rules"). Loading reports the first bad line as
 // "<path>: line N: ..." (NOT_FOUND when the file cannot be opened).
 bool save_trace_csv(const Trace& trace, const std::string& path);

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "solver/revised.h"
+#include "solver/revised_core.h"
 #include "util/check.h"
 #include "util/telemetry.h"
 
@@ -289,7 +289,7 @@ void SimplexSolver::price_out_objective() {
 }
 
 bool SimplexSolver::choose_entering(bool bland, std::size_t& enter, int& dir) const {
-  const double tol = opt_.tolerance;
+  const double tol = kLpTolerance;
   double best = tol;
   bool found = false;
   for (std::size_t v = 0; v < n_total_; ++v) {
@@ -352,7 +352,7 @@ void SimplexSolver::apply_pivot(std::size_t enter, int dir, std::size_t pivot_ro
 }
 
 bool SimplexSolver::iterate(bool phase1) {
-  const double tol = opt_.tolerance;
+  const double tol = kLpTolerance;
   // Switch to Bland's anti-cycling rule if Dantzig pricing stalls.
   const std::size_t bland_after = 10 * (m_ + n_total_) + 500;
   std::size_t local_iter = 0;
@@ -375,7 +375,7 @@ bool SimplexSolver::iterate(bool phase1) {
     for (std::size_t r = 0; r < m_; ++r) {
       const double w = dir * tab_[r][enter];
       const std::size_t bvar = basis_[r];
-      if (w > opt_.pivot_tolerance) {
+      if (w > kLpPivotTolerance) {
         const double limit = xb_[r] / w;  // basic variable reaches 0
         if (limit < delta - tol ||
             (limit < delta + tol && pivot_row >= 0 &&
@@ -384,7 +384,7 @@ bool SimplexSolver::iterate(bool phase1) {
           pivot_row = static_cast<std::ptrdiff_t>(r);
           leaving_at_upper = false;
         }
-      } else if (w < -opt_.pivot_tolerance && std::isfinite(ub_[bvar])) {
+      } else if (w < -kLpPivotTolerance && std::isfinite(ub_[bvar])) {
         const double limit = (ub_[bvar] - xb_[r]) / (-w);  // basic reaches ub
         if (limit < delta - tol ||
             (limit < delta + tol && pivot_row >= 0 &&
@@ -511,27 +511,34 @@ LpSolution SimplexSolver::run() {
   return extract(LpStatus::Optimal);
 }
 
+namespace internal {
+
+void count_lp_solve(util::telemetry::Registry* reg, const LpSolution& sol,
+                    bool warm_attempted) {
+  if (reg == nullptr) return;
+  reg->count("lp.solves");
+  reg->count("lp.iterations", sol.iterations);
+  if (warm_attempted) {
+    reg->count(sol.warm_used ? "lp.warm_starts" : "lp.warm_rejects");
+  }
+  const char* bucket = sol.iterations <= 4     ? "lp.iters.le_4"
+                       : sol.iterations <= 16  ? "lp.iters.le_16"
+                       : sol.iterations <= 64  ? "lp.iters.le_64"
+                       : sol.iterations <= 256 ? "lp.iters.le_256"
+                                               : "lp.iters.gt_256";
+  reg->count(bucket);
+}
+
+}  // namespace internal
+
 LpSolution solve_lp(const LpProblem& problem, const LpOptions& options) {
-  LpSolution sol;
-  if (options.engine == LpEngine::Dense) {
-    SimplexSolver solver(problem, options);
-    sol = solver.run();
-  } else {
-    sol = internal::solve_lp_revised(problem, options);
-  }
-  if (auto* reg = options.telemetry) {
-    reg->count("lp.solves");
-    reg->count("lp.iterations", sol.iterations);
-    if (options.warm_start != nullptr && !options.warm_start->empty()) {
-      reg->count(sol.warm_used ? "lp.warm_starts" : "lp.warm_rejects");
-    }
-    const char* bucket = sol.iterations <= 4     ? "lp.iters.le_4"
-                         : sol.iterations <= 16  ? "lp.iters.le_16"
-                         : sol.iterations <= 64  ? "lp.iters.le_64"
-                         : sol.iterations <= 256 ? "lp.iters.le_256"
-                                                 : "lp.iters.gt_256";
-    reg->count(bucket);
-  }
+  // The revised engine is built directly, not through LpSession, so the
+  // lp.session.* metrics count sessions only.
+  LpSolution sol =
+      options.engine == LpEngine::Dense
+          ? SimplexSolver(problem, options).run()
+          : internal::RevisedCore(problem, options).solve(/*seed=*/nullptr);
+  internal::count_lp_solve(options.telemetry, sol, /*warm_attempted=*/false);
   return sol;
 }
 

@@ -12,12 +12,14 @@
 //
 // Two engines share this interface (LpOptions::engine):
 //   * Revised (default): revised simplex over an LU-factorized basis with
-//     in-place Forrest–Tomlin updates and budgeted refactorization, sparse
-//     column access, and warm starts from an exported LpBasis (a
-//     dual-simplex phase absorbs RHS/bound changes). This is what makes the
-//     CRAC setpoint sweep and the recovery re-plans cheap: neighboring grid
-//     points differ mostly in the RHS, so the previous optimal basis is a
-//     few pivots from optimal.
+//     in-place Forrest–Tomlin updates and budgeted refactorization, and
+//     sparse column access. Its persistent form, LpSession
+//     (solver/session.h), warm-starts from a seed LpBasis or from its own
+//     previous solve (a dual-simplex phase absorbs RHS/bound changes). This
+//     is what makes the CRAC setpoint sweep and the recovery re-plans cheap:
+//     neighboring grid points differ mostly in the RHS, so the previous
+//     optimal basis is a few pivots from optimal. A solve_lp call is a
+//     fresh session's first solve: always cold.
 //   * Dense: the original dense-tableau implementation, kept as a
 //     differential-testing oracle and as the engine for the final re-solve
 //     at a selected grid point (engine-independent published plans).
@@ -65,9 +67,9 @@ enum class LpBasisStatus : unsigned char { AtLower, AtUpper, Basic };
 // An exportable/importable simplex basis — the warm-start currency. A basis
 // captured from one LP stays meaningful for any LP with the same variable
 // and row structure (bounds, RHS and coefficients may change; that is
-// exactly the CRAC-grid / recovery re-solve situation). The revised engine
-// validates an imported basis (size, basic count, factorizability) and
-// silently falls back to a cold start when it does not fit.
+// exactly the CRAC-grid / recovery re-solve situation). LpSession::solve
+// takes one as a seed, validates it (size, basic count, factorizability)
+// and silently falls back to a cold start when it does not fit.
 struct LpBasis {
   std::vector<LpBasisStatus> status;  // num_vars + num_constraints entries
 
@@ -142,36 +144,22 @@ class LpProblem {
   std::vector<double> rhs_;
 };
 
-// Numerical knobs for solve_lp; the defaults suit this repo's LP sizes
-// (hundreds of rows, thousands of columns) and are used everywhere.
+// Both engines' fixed numerics: the feasibility / optimality tolerance and
+// the minimum pivot magnitude a ratio test accepts.
+inline constexpr double kLpTolerance = 1e-9;
+inline constexpr double kLpPivotTolerance = 1e-8;
+
+// The caller-set knobs of solve_lp and LpSession; the defaults suit this
+// repo's LP sizes (hundreds of rows, thousands of columns).
 struct LpOptions {
   // Hard iteration cap; 0 means "auto" (50 * (rows + cols) + 2000).
   std::size_t max_iterations = 0;
-  // Feasibility / optimality tolerance.
-  double tolerance = 1e-9;
-  // Minimum acceptable pivot magnitude.
-  double pivot_tolerance = 1e-8;
   // Which simplex implementation runs (see file comment).
   LpEngine engine = LpEngine::Revised;
   // Revised engine, Forrest–Tomlin factor updates (docs/SOLVER.md §6a):
   // refactorize after this many in-place column replacements. Smaller =
   // tighter numerics, more O(m^3) work. Must be >= 1.
   std::size_t ft_max_updates = 96;
-  // Forrest–Tomlin: refactorize once update fill-in grows the stored factor
-  // entries beyond this multiple of the post-refactorization baseline.
-  // Must be >= 1.0.
-  double ft_fill_factor = 4.0;
-  // Forrest–Tomlin: reject an update (and refactorize) when the emerging
-  // diagonal is below this fraction of max(1, ||spike||_inf). Must be in
-  // (0, 1).
-  double ft_pivot_tolerance = 1e-7;
-  // Optional warm-start basis (non-owning; must outlive the solve). Only the
-  // revised engine honors it: an accepted basis skips phase 1 entirely,
-  // entering either primal phase 2 (already primal feasible) or a dual
-  // simplex phase (primal infeasible after an RHS/bound change but dual
-  // feasible). A basis that does not fit the problem falls back to a cold
-  // start; the solve result is valid either way.
-  const LpBasis* warm_start = nullptr;
   // Optional lp.* metrics sink (docs/OBSERVABILITY.md): solves, iterations,
   // warm-start accepts/rejects, refactorizations, fallbacks, and a bucketed
   // per-solve iteration histogram. Never changes the solved result.
@@ -198,7 +186,8 @@ struct LpSolution {
   // re-solve that lands on the same basis reproduces x and objective
   // bit-for-bit.
   LpBasis basis;
-  // True when an imported warm_start basis was accepted and used.
+  // True when the solve started from a warm basis: an accepted session seed
+  // or the session's resident previous solve.
   bool warm_used = false;
 
   bool optimal() const { return status == LpStatus::Optimal; }

@@ -336,7 +336,7 @@ void FtFactorization::btran(std::vector<double>& v) const {
 
 FtFactorization::Update FtFactorization::replace_column(
     std::size_t pos, const std::vector<double>& spike,
-    double pivot_tolerance) {
+    double min_ratio) {
   TAPO_CHECK(ok());
   TAPO_CHECK(pos < m_);
   TAPO_CHECK(spike.size() == m_);
@@ -409,7 +409,7 @@ FtFactorization::Update FtFactorization::replace_column(
   }
 
   const double diag = rp_vals[p];
-  if (!(std::fabs(diag) >= pivot_tolerance * std::max(1.0, spike_max))) {
+  if (!(std::fabs(diag) >= min_ratio * std::max(1.0, spike_max))) {
     return Update::kUnstable;
   }
   ++n_updates_;

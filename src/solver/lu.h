@@ -140,10 +140,10 @@ class FtFactorization {
 
   // Replaces the basis column at position `pos` with the column whose
   // ftran-captured spike is `spike`. Returns kUnstable when the emerging
-  // diagonal fails |d| >= pivot_tolerance * max(1, ||spike||_inf); the
+  // diagonal fails |d| >= min_ratio * max(1, ||spike||_inf); the
   // factors are then no longer usable and the caller must refactorize.
   Update replace_column(std::size_t pos, const std::vector<double>& spike,
-                        double pivot_tolerance);
+                        double min_ratio);
 
  private:
   void materialize();

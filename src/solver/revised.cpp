@@ -17,10 +17,10 @@
 // FTRAN/BTRAN stay two sparse triangular solves plus scalar eta
 // applications regardless of how dense the replaced columns were. A
 // stability monitor (emerging-diagonal test) and a fill/update budget
-// (LpOptions::ft_max_updates, ft_fill_factor) demote the update chain to a
+// (kFtFillFactor, LpOptions::ft_max_updates) demote the update chain to a
 // from-scratch refactorization.
 //
-// Warm starts: an imported LpBasis is validated (slot count, exactly m
+// Warm starts: a seed LpBasis is validated (slot count, exactly m
 // basic variables, factorizable basis matrix); on acceptance phase 1 is
 // skipped entirely and the solve enters primal phase 2 directly (still
 // primal feasible) or a dual simplex phase (primal infeasible after an
@@ -35,14 +35,12 @@
 // on the final (basis set, nonbasic statuses), not on the pivot path, so a
 // warm re-solve landing on the same basis is bit-identical to a cold one.
 //
-// Persistent sessions (solver/session.h) reuse this same class across
-// solves: setup() standardizes once, patch_*() edit the standardized arrays
-// in place, and solve_persistent() resumes the previous solve's basis and
-// factors, repairing them with Forrest–Tomlin column replacements
-// instead of refactorizing — see the notes on apply_pending_updates below
-// and docs/SOLVER.md §7.
-#include "solver/revised.h"
-
+// One class serves both solve_lp and persistent sessions (solver/session.h):
+// the constructor standardizes once, patch_*() edit the standardized arrays
+// in place, and solve() resumes the previous solve's basis and factors,
+// repairing them with Forrest–Tomlin column replacements instead of
+// refactorizing — see the notes on apply_pending_updates below and
+// docs/SOLVER.md §7. A one-shot solve_lp is a fresh core's first solve.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -103,14 +101,15 @@ void run_col_dots(const RunColumns& a, const double* y, const std::size_t* cols,
   for (; i < n; ++i) dots[cols[i]] = run_col_dot(a, y, cols[i]);
 }
 
-void RevisedCore::standardize(const LpProblem& p) {
-  util::telemetry::ScopedTimer timer(reg_, "lp.phase.standardize");
+RevisedCore::RevisedCore(const LpProblem& p, const LpOptions& opt)
+    : opt_(opt), reg_(opt.telemetry) {
   TAPO_CHECK_MSG(opt_.ft_max_updates >= 1,
                  "LpOptions::ft_max_updates must be >= 1");
-  TAPO_CHECK_MSG(opt_.ft_fill_factor >= 1.0,
-                 "LpOptions::ft_fill_factor must be >= 1.0");
-  TAPO_CHECK_MSG(opt_.ft_pivot_tolerance > 0.0 && opt_.ft_pivot_tolerance < 1.0,
-                 "LpOptions::ft_pivot_tolerance must be in (0, 1)");
+  standardize(p);
+}
+
+void RevisedCore::standardize(const LpProblem& p) {
+  util::telemetry::ScopedTimer timer(reg_, "lp.phase.standardize");
   m_ = p.num_constraints();
   n_struct_ = p.num_vars();
   slack0_ = n_struct_;
@@ -194,21 +193,18 @@ void RevisedCore::standardize(const LpProblem& p) {
   build_col_classes();
   store_classes_once();
 
-  if (session_mode_) {
-    // Session bookkeeping: rhs_shift_ holds the standardized-coefficient
-    // shift sum, so every patch can maintain b_[r] = rel_sign_[r] *
-    // rhs_raw[r] - rhs_shift_[r] in O(row) or O(column) work without
-    // replaying the standardization.
-    rhs_shift_.assign(m_, 0.0);
-    for (std::size_t v = 0; v < n_struct_; ++v) {
-      if (lo_[v] == 0.0) continue;
-      for (std::size_t k = col_begin_[v]; k < col_end_[v]; ++k) {
-        rhs_shift_[col_row_[k]] += col_val_[k] * lo_[v];
-      }
+  // Patch bookkeeping: rhs_shift_ holds the standardized-coefficient shift
+  // sum, so every patch can maintain b_[r] = rel_sign_[r] * rhs_raw[r] -
+  // rhs_shift_[r] in O(row) or O(column) work without replaying the
+  // standardization.
+  rhs_shift_.assign(m_, 0.0);
+  for (std::size_t v = 0; v < n_struct_; ++v) {
+    if (lo_[v] == 0.0) continue;
+    for (std::size_t k = col_begin_[v]; k < col_end_[v]; ++k) {
+      rhs_shift_[col_row_[k]] += col_val_[k] * lo_[v];
     }
-    col_dirty_.assign(n_struct_, 0);
-    dirty_cols_.clear();
   }
+  col_dirty_.assign(n_struct_, 0);
 }
 
 void RevisedCore::build_col_classes() {
@@ -467,13 +463,11 @@ bool RevisedCore::refactorize() {
     return false;
   }
   spike_valid_ = false;
-  if (session_mode_) {
-    // A from-scratch rebuild reads the patched CSC directly, so any queued
-    // column updates are incorporated for free.
-    for (const std::size_t v : dirty_cols_) col_dirty_[v] = 0;
-    dirty_cols_.clear();
-    ++session_.refactorizations;
-  }
+  // A from-scratch rebuild reads the patched CSC directly, so any queued
+  // column updates are incorporated for free.
+  for (const std::size_t v : dirty_cols_) col_dirty_[v] = 0;
+  dirty_cols_.clear();
+  ++stats_.refactorizations;
   if (reg_) reg_->count("lp.refactorizations");
   return true;
 }
@@ -522,16 +516,16 @@ bool RevisedCore::push_update_and_maybe_refactor(std::size_t pivot_row) {
   TAPO_CHECK_MSG(spike_valid_, "FT update without a captured entering spike");
   spike_valid_ = false;
   const FtFactorization::Update res =
-      ft_->replace_column(pivot_row, spike_, opt_.ft_pivot_tolerance);
+      ft_->replace_column(pivot_row, spike_, kFtPivotTolerance);
   if (res == FtFactorization::Update::kUnstable) {
     // The rejected update left the factors unusable; rebuild from basis_
     // (which pivot() already updated, so the rebuild is the new basis).
     if (reg_) reg_->count("lp.ft.stability_rejects");
-    if (session_mode_) ++session_.stability_refactorizations;
+    ++stats_.stability_refactorizations;
     return refactorize();
   }
   if (reg_) reg_->count("lp.ft.updates");
-  const bool fill = ft_->fill_exceeded(opt_.ft_fill_factor);
+  const bool fill = ft_->fill_exceeded(kFtFillFactor);
   if (fill || ft_->updates() >= opt_.ft_max_updates) {
     if (fill && reg_) reg_->count("lp.ft.fill_refactorizations");
     if (!refactorize()) return false;
@@ -566,7 +560,7 @@ void RevisedCore::fill_nonbasic_class_dots(const std::vector<double>& y) {
 
 bool RevisedCore::price_entering(const std::vector<double>& cost, bool bland,
                                  std::size_t& enter, int& dir) {
-  const double tol = opt_.tolerance;
+  const double tol = kLpTolerance;
   bool found = false;
   // Devex scores d^2 / weight among candidates that pass the tol
   // eligibility test.
@@ -716,7 +710,7 @@ RevisedCore::Step RevisedCore::primal_iterate(bool phase1,
     RevisedCore* core;
     ~Flusher() { core->flush_iterate_stats(); }
   } flusher{this};
-  const double tol = opt_.tolerance;
+  const double tol = kLpTolerance;
   // Switch to Bland's anti-cycling rule if pricing stalls (same threshold
   // as the dense oracle).
   const std::size_t bland_after = 10 * (m_ + n_total_) + 500;
@@ -758,7 +752,7 @@ RevisedCore::Step RevisedCore::primal_iterate(bool phase1,
     for (std::size_t r = 0; r < m_; ++r) {
       const double wd = dir * w_[r];
       const std::size_t bvar = basis_[r];
-      if (wd > opt_.pivot_tolerance) {
+      if (wd > kLpPivotTolerance) {
         const double limit = xb_[r] / wd;  // basic variable reaches 0
         if (limit < delta - tol ||
             (limit < delta + tol && pivot_row >= 0 &&
@@ -767,7 +761,7 @@ RevisedCore::Step RevisedCore::primal_iterate(bool phase1,
           pivot_row = static_cast<std::ptrdiff_t>(r);
           leaving_at_upper = false;
         }
-      } else if (wd < -opt_.pivot_tolerance && std::isfinite(ub_[bvar])) {
+      } else if (wd < -kLpPivotTolerance && std::isfinite(ub_[bvar])) {
         const double limit = (ub_[bvar] - xb_[r]) / (-wd);  // basic reaches ub
         if (limit < delta - tol ||
             (limit < delta + tol && pivot_row >= 0 &&
@@ -866,14 +860,14 @@ void RevisedCore::make_dual_feasible() {
     if (ub_[v] <= 0.0 && status_[v] == VarStatus::AtLower) continue;  // fixed
     const double d = obj2_[v] - priced_dot(y_, v);
     d_[v] = d;
-    if (status_[v] == VarStatus::AtLower && d > opt_.tolerance) {
+    if (status_[v] == VarStatus::AtLower && d > kLpTolerance) {
       if (std::isfinite(ub_[v])) {
         status_[v] = VarStatus::AtUpper;
         flipped = true;
       } else {
         d_[v] = 0.0;  // dual phase-1 shift
       }
-    } else if (status_[v] == VarStatus::AtUpper && d < -opt_.tolerance) {
+    } else if (status_[v] == VarStatus::AtUpper && d < -kLpTolerance) {
       status_[v] = VarStatus::AtLower;
       flipped = true;
     }
@@ -920,7 +914,7 @@ RevisedCore::Step RevisedCore::dual_iterate() {
     // every eligible candidate, so the partial window applies only to the
     // primal side.
     std::ptrdiff_t r_leave = -1;
-    const double eps = std::max(opt_.tolerance, 1e-9 * bnorm_);
+    const double eps = std::max(kLpTolerance, 1e-9 * bnorm_);
     double worst = 0.0;   // violation of the selected row
     double best_score = eps;  // selection score of the selected row
     bool upper_viol = false;
@@ -964,11 +958,11 @@ RevisedCore::Step RevisedCore::dual_iterate() {
       bool eligible = false;
       if (!upper_viol) {
         // Basic variable below zero: entering must push it up.
-        eligible = (status_[v] == VarStatus::AtLower && alpha < -opt_.pivot_tolerance) ||
-                   (status_[v] == VarStatus::AtUpper && alpha > opt_.pivot_tolerance);
+        eligible = (status_[v] == VarStatus::AtLower && alpha < -kLpPivotTolerance) ||
+                   (status_[v] == VarStatus::AtUpper && alpha > kLpPivotTolerance);
       } else {
-        eligible = (status_[v] == VarStatus::AtLower && alpha > opt_.pivot_tolerance) ||
-                   (status_[v] == VarStatus::AtUpper && alpha < -opt_.pivot_tolerance);
+        eligible = (status_[v] == VarStatus::AtLower && alpha > kLpPivotTolerance) ||
+                   (status_[v] == VarStatus::AtUpper && alpha < -kLpPivotTolerance);
       }
       if (!eligible) continue;
       cands.push_back({v, alpha, std::fabs(d_[v]) / std::fabs(alpha)});
@@ -1002,7 +996,7 @@ RevisedCore::Step RevisedCore::dual_iterate() {
     for (const Cand& c : cands) {
       const double range = ub_[c.v];
       if (std::isfinite(range) &&
-          std::fabs(c.alpha) * range < remaining - opt_.tolerance) {
+          std::fabs(c.alpha) * range < remaining - kLpTolerance) {
         const double move =
             (status_[c.v] == VarStatus::AtLower) ? range : -range;
         if (!any_flip) wf_.assign(m_, 0.0);
@@ -1144,7 +1138,7 @@ bool RevisedCore::driveout_artificials() {
 RevisedCore::Outcome RevisedCore::finish_from_basis(bool repair_primal) {
   if (repair_primal &&
       // Relative feasibility test: compute_xb's residual scales with |b|.
-      primal_infeasibility() > std::max(10 * opt_.tolerance, 1e-10 * bnorm_)) {
+      primal_infeasibility() > std::max(10 * kLpTolerance, 1e-10 * bnorm_)) {
     make_dual_feasible();
     const Step sd = dual_iterate();
     if (sd == Step::Numerical) return Outcome::Restart;
@@ -1184,16 +1178,6 @@ RevisedCore::Outcome RevisedCore::cold_attempt() {
   // the pre-session engine — phase-1 leftovers below the acceptance
   // threshold must not trigger a dual phase here.
   return finish_from_basis(/*repair_primal=*/false);
-}
-
-RevisedCore::Outcome RevisedCore::solve_once(bool use_warm) {
-  warm_used_ = false;
-  if (use_warm && try_warm(*opt_.warm_start)) {
-    warm_used_ = true;
-    return finish_from_basis(/*repair_primal=*/true);
-  }
-  if (use_warm) return Outcome::Restart;  // rejected basis: count fallback
-  return cold_attempt();
 }
 
 LpSolution RevisedCore::extract(LpStatus status) {
@@ -1265,52 +1249,23 @@ LpSolution RevisedCore::extract(LpStatus status) {
   return sol;
 }
 
-LpSolution RevisedCore::run(const LpProblem& p) {
-  standardize(p);
-  const bool want_warm = opt_.warm_start != nullptr && !opt_.warm_start->empty();
-  for (int attempt = 0; attempt < 2; ++attempt) {
-    const Outcome out = solve_once(want_warm && attempt == 0);
-    if (out == Outcome::Restart) {
-      if (reg_) reg_->count("lp.fallbacks");
-      warm_used_ = false;
-      continue;
-    }
-    switch (out) {
-      case Outcome::Optimal: return extract(LpStatus::Optimal);
-      case Outcome::Infeasible: return extract(LpStatus::Infeasible);
-      case Outcome::Unbounded: return extract(LpStatus::Unbounded);
-      default: return extract(LpStatus::IterLimit);
-    }
-  }
-  // Two attempts hit numerical trouble; report the cap-style failure so
-  // callers treat the point as unusable rather than silently wrong.
-  return extract(LpStatus::IterLimit);
-}
-
-// ---- persistent-session implementation ----
-
-void RevisedCore::setup(const LpProblem& p) {
-  TAPO_CHECK_MSG(!session_mode_, "setup() must run exactly once");
-  session_mode_ = true;
-  standardize(p);
-}
-
 void RevisedCore::patch_rhs(std::size_t r, double rhs) {
-  TAPO_CHECK_MSG(session_mode_ && r < m_, "patch_rhs: bad row / no setup()");
+  TAPO_CHECK_MSG(r < m_, "patch_rhs: bad row");
+  ++pending_patches_;
   b_[r] = rel_sign_[r] * rhs - rhs_shift_[r];
   b_dirty_ = true;
 }
 
 void RevisedCore::patch_coefficient(std::size_t r, std::size_t v,
                                     double coeff) {
-  TAPO_CHECK_MSG(session_mode_ && r < m_ && v < n_struct_,
-                 "patch_coefficient: bad row/var / no setup()");
+  TAPO_CHECK_MSG(r < m_ && v < n_struct_, "patch_coefficient: bad row/var");
   // The CSC column is row-sorted, so the entry is found by binary search.
   const auto first = col_row_.begin() + static_cast<std::ptrdiff_t>(col_begin_[v]);
   const auto last = col_row_.begin() + static_cast<std::ptrdiff_t>(col_end_[v]);
   const auto it = std::lower_bound(first, last, r);
   TAPO_CHECK_MSG(it != last && *it == r,
                  "patch_coefficient: term absent from the standardized matrix");
+  ++pending_patches_;
   const auto offset = static_cast<std::size_t>(it - first);
   const double new_std = rel_sign_[r] * coeff;
   const double old_std = col_val_[col_begin_[v] + offset];
@@ -1334,10 +1289,10 @@ void RevisedCore::patch_coefficient(std::size_t r, std::size_t v,
 }
 
 void RevisedCore::patch_bound(std::size_t v, double lo, double hi) {
-  TAPO_CHECK_MSG(session_mode_ && v < n_struct_,
-                 "patch_bound: bad var / no setup()");
+  TAPO_CHECK_MSG(v < n_struct_, "patch_bound: bad var");
   TAPO_CHECK_MSG(std::isfinite(lo), "variable lower bound must be finite");
   TAPO_CHECK_MSG(hi >= lo, "variable bounds crossed");
+  ++pending_patches_;
   if (lo != lo_[v]) {
     const double dlo = lo - lo_[v];
     for (std::size_t k = col_begin_[v]; k < col_end_[v]; ++k) {
@@ -1358,8 +1313,8 @@ void RevisedCore::patch_bound(std::size_t v, double lo, double hi) {
 }
 
 void RevisedCore::patch_cost(std::size_t v, double obj) {
-  TAPO_CHECK_MSG(session_mode_ && v < n_struct_,
-                 "patch_cost: bad var / no setup()");
+  TAPO_CHECK_MSG(v < n_struct_, "patch_cost: bad var");
+  ++pending_patches_;
   // Dual feasibility is re-established by the resume path (dual repair or
   // primal phase 2), so a cost change needs no factor work at all.
   obj2_[v] = obj;
@@ -1377,7 +1332,7 @@ bool RevisedCore::apply_pending_updates() {
     // them longer) that keep outrunning the update budget show up as a
     // counter the soak anomaly pass can watch, instead of hiding inside
     // the generic refactorization total.
-    ++session_.ft_budget_exhausted;  // emitted by LpSession as a delta
+    ++stats_.ft_budget_exhausted;  // emitted by LpSession as a delta
     return refactorize();  // clears the dirty queue
   }
   // Sequential column replacement: for a basic column v in basis row r whose
@@ -1402,23 +1357,23 @@ bool RevisedCore::apply_pending_updates() {
     double wmax = 0.0;
     for (std::size_t i = 0; i < m_; ++i) wmax = std::max(wmax, std::fabs(w_[i]));
     if (std::fabs(w_[r]) < 1e-6 * std::max(1.0, wmax)) {
-      ++session_.stability_refactorizations;
+      ++stats_.stability_refactorizations;
       if (reg_) reg_->count("lp.session.stability_refactorizations");
       return refactorize();
     }
     spike_valid_ = false;
     const FtFactorization::Update res =
-        ft_->replace_column(r, spike_, opt_.ft_pivot_tolerance);
+        ft_->replace_column(r, spike_, kFtPivotTolerance);
     if (res == FtFactorization::Update::kUnstable) {
-      ++session_.stability_refactorizations;
+      ++stats_.stability_refactorizations;
       if (reg_) reg_->count("lp.ft.stability_rejects");
       if (reg_) reg_->count("lp.session.stability_refactorizations");
       return refactorize();
     }
     if (reg_) reg_->count("lp.ft.updates");
-    ++session_.column_updates;
+    ++stats_.column_updates;
     if (ft_->updates() >= opt_.ft_max_updates ||
-        ft_->fill_exceeded(opt_.ft_fill_factor)) {
+        ft_->fill_exceeded(kFtFillFactor)) {
       if (!refactorize()) return false;
       break;  // remaining queue entries were absorbed by the rebuild
     }
@@ -1447,8 +1402,10 @@ bool RevisedCore::residual_ok() {
   return worst <= 1e-7 * std::max(1.0, bnorm_);
 }
 
-LpSolution RevisedCore::solve_persistent(const LpBasis* seed) {
-  TAPO_CHECK_MSG(session_mode_, "solve_persistent: setup() must run first");
+LpSolution RevisedCore::solve(const LpBasis* seed) {
+  ++stats_.solves;
+  stats_.patches += pending_patches_;  // patches are booked with their solve
+  pending_patches_ = 0;
   iterations_ = 0;
   // Coefficient patches may have demoted column classes; refresh the
   // candidate-list units before any pricing scan runs. Devex weights are
@@ -1470,11 +1427,11 @@ LpSolution RevisedCore::solve_persistent(const LpBasis* seed) {
   Outcome out = Outcome::Restart;
 
   if (have_seed) {
-    // Chain-head import: one refactorization, like PR 4's warm path. The
-    // import replaces the resident state wholesale (try_warm rebuilds the
-    // status vector and refactorizes, flushing any queued column updates).
+    // Chain-head import: one refactorization. The import replaces the
+    // resident state wholesale (try_warm rebuilds the status vector and
+    // refactorizes, flushing any queued column updates).
     if (try_warm(*seed)) {
-      ++session_.seed_imports;
+      ++stats_.seed_imports;
       warm_used_ = true;
       out = finish_from_basis(/*repair_primal=*/true);
       decided = out != Outcome::Restart;
@@ -1486,7 +1443,7 @@ LpSolution RevisedCore::solve_persistent(const LpBasis* seed) {
     if (apply_pending_updates()) {
       compute_xb();
       if (residual_ok()) {
-        ++session_.resident_resumes;
+        ++stats_.resident_resumes;
         warm_used_ = true;
         out = finish_from_basis(/*repair_primal=*/true);
         decided = out != Outcome::Restart;
@@ -1496,13 +1453,16 @@ LpSolution RevisedCore::solve_persistent(const LpBasis* seed) {
 
   if (!decided) {
     if (warm_available) {
-      ++session_.fallbacks;
+      ++stats_.fallbacks;
       if (reg_) reg_->count("lp.fallbacks");
     }
     warm_used_ = false;
     out = cold_attempt();
     if (out == Outcome::Restart) {
-      // Mirror run(): one retry, then report the cap-style failure.
+      // One cold retry, then report the cap-style failure so callers treat
+      // the point as unusable rather than silently wrong. lp.fallbacks
+      // counts the abandoned attempts that were retried: the final failure
+      // falls back to nothing and is not counted.
       if (reg_) reg_->count("lp.fallbacks");
       out = cold_attempt();
       if (out == Outcome::Restart) out = Outcome::IterLimit;
@@ -1531,11 +1491,6 @@ LpSolution RevisedCore::solve_persistent(const LpBasis* seed) {
     dirty_cols_.clear();
   }
   return sol;
-}
-
-LpSolution solve_lp_revised(const LpProblem& problem, const LpOptions& options) {
-  RevisedCore solver(options);
-  return solver.run(problem);
 }
 
 }  // namespace tapo::solver::internal

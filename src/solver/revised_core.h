@@ -1,20 +1,18 @@
-// Internal: the revised-simplex engine class behind solve_lp_revised and
-// LpSession. Not part of the public solver API — include solver/lp.h (one-
-// shot solves) or solver/session.h (persistent sessions) instead.
+// Internal: the revised-simplex engine class behind solve_lp and LpSession.
+// Not part of the public solver API — include solver/lp.h (one-shot solves)
+// or solver/session.h (persistent sessions) instead.
 //
-// The class has two entry points over one set of state:
-//   * run() — the one-shot path used by solve_lp: standardize, warm/cold
-//     attempts, canonical extraction. Behavior-identical to the pre-session
-//     engine (docs/SOLVER.md §1–§5).
-//   * the persistent-session interface — setup() once, then any number of
-//     patch_*() calls followed by solve_persistent(). Patches edit the
-//     resident standardized arrays in place (CSC values, shifted RHS,
-//     bounds, costs); a patched column that is currently basic is queued for
-//     an in-place Forrest–Tomlin column replacement of the resident
-//     factorization instead of a refactorization. A stability
-//     monitor (spike-pivot and residual checks) demotes updates to a
-//     refactorization and, failing that, to the cold path, so a session
-//     solve is never less correct than a fresh one (docs/SOLVER.md §7).
+// The class has one driver over one set of state: the constructor
+// standardizes the problem once, any number of patch_*() calls edit the
+// resident standardized arrays in place (CSC values, shifted RHS, bounds,
+// costs), and solve() solves the patched problem — from a seed basis, from
+// the previous solve's resident basis and factors, or cold. A one-shot
+// solve_lp is a fresh core's first solve. A patched column that is currently
+// basic is queued for an in-place Forrest–Tomlin column replacement of the
+// resident factorization instead of a refactorization. A stability monitor
+// (spike-pivot and residual checks) demotes updates to a refactorization
+// and, failing that, to the cold path, so a resumed solve is never less
+// correct than a fresh one (docs/SOLVER.md §7).
 #pragma once
 
 #include <cstdint>
@@ -23,6 +21,11 @@
 
 #include "solver/lp.h"
 #include "solver/lu.h"
+#include "solver/session.h"
+
+namespace tapo::util::telemetry {
+class Registry;
+}
 
 namespace tapo::solver::internal {
 
@@ -70,37 +73,18 @@ inline double run_col_dot(const RunColumns& a, const double* y,
 void run_col_dots(const RunColumns& a, const double* y, const std::size_t* cols,
                   std::size_t n, double* dots);
 
+// Books one solve's lp.* metrics (docs/OBSERVABILITY.md): lp.solves,
+// lp.iterations, the lp.iters.* histogram bucket and, when the solve tried
+// a warm start, lp.warm_starts or lp.warm_rejects. solve_lp and
+// LpSession::solve both call it; a null registry books nothing.
+void count_lp_solve(util::telemetry::Registry* reg, const LpSolution& sol,
+                    bool warm_attempted);
+
 class RevisedCore {
  public:
-  // The core keeps no reference to any LpProblem: run() and setup() read
-  // the problem once, while standardizing it, and never again.
-  explicit RevisedCore(const LpOptions& opt)
-      : opt_(opt), reg_(opt.telemetry) {}
-
-  // One-shot solve (standardize + warm/cold attempts + canonical extract).
-  LpSolution run(const LpProblem& p);
-
-  // ---- persistent-session interface (driven by LpSession) ----
-
-  // Counters a session accumulates across its lifetime; never reset.
-  struct SessionCounters {
-    std::uint64_t column_updates = 0;  // FT replacements of patched columns
-    std::uint64_t refactorizations = 0;  // LU rebuilds (any reason)
-    std::uint64_t stability_refactorizations = 0;  // monitor-triggered ones
-    std::uint64_t fallbacks = 0;      // resident/seed state abandoned for cold
-    std::uint64_t resident_resumes = 0;  // solves served from resident state
-    std::uint64_t seed_imports = 0;      // chain-head basis imports
-    // Resumes whose queued patch set hit the min(ft_max_updates, m/4+1)
-    // update budget and were demoted to a refactorization. A climbing rate
-    // here means patch chains outgrew the factor-update budget (soak
-    // anomaly detection watches the lp.session.ft_budget_exhausted series).
-    std::uint64_t ft_budget_exhausted = 0;
-  };
-
-  // Standardizes `p` into the resident arrays once; call before the first
-  // solve_persistent() and never again (the structure is fixed). Nothing
-  // of `p` is read afterwards.
-  void setup(const LpProblem& p);
+  // Standardizes `p` into the resident arrays. The core keeps no reference
+  // to `p`: nothing of it is read afterwards (the structure is fixed).
+  RevisedCore(const LpProblem& p, const LpOptions& opt);
 
   // In-place patches of the standardized arrays, with LpProblem::patch_*'s
   // contracts. Extraction reads bounds and costs from the resident arrays,
@@ -112,14 +96,16 @@ class RevisedCore {
   void patch_bound(std::size_t v, double lo, double hi);
   void patch_cost(std::size_t v, double obj);
 
-  // Solves the resident (patched) problem. A non-empty seed re-imports that
+  // Solves the resident (patched) problem. A non-empty seed imports that
   // basis (one refactorization — the chain-head cost); otherwise the
   // previous solve's basis and factors are resumed with pending column
-  // updates applied. Falls back to a cold solve on any validation or
-  // numerical failure. Extraction is canonical, exactly like run().
-  LpSolution solve_persistent(const LpBasis* seed);
+  // updates applied, and a core that has not solved yet starts cold. Falls
+  // back to a cold solve on any validation or numerical failure. Extraction
+  // is canonical: the result depends only on the final basis.
+  LpSolution solve(const LpBasis* seed);
 
-  const SessionCounters& session_counters() const { return session_; }
+  // Lifetime counters; never reset.
+  const LpSession::Stats& stats() const { return stats_; }
 
   // The structural columns as the pricing dots read them.
   RunColumns run_columns() const {
@@ -254,10 +240,9 @@ class RevisedCore {
   // guarantees feasibility (matching the pre-session control flow exactly).
   Outcome finish_from_basis(bool repair_primal);
   Outcome cold_attempt();
-  Outcome solve_once(bool use_warm);
   LpSolution extract(LpStatus status);
 
-  // ---- persistent-session internals ----
+  // ---- resident-state internals ----
   // Applies queued column-replacement updates to the resident factorization;
   // refactorizes on a spike pivot or an exhausted update budget. False = numerical
   // failure (caller falls back to cold).
@@ -342,6 +327,7 @@ class RevisedCore {
   // overflow past kDevexResetThreshold; resident resumes keep them (§8's
   // session-survival contract).
   static constexpr double kDevexResetThreshold = 1e8;
+
   std::vector<double> devex_w_;
   std::vector<double> dual_devex_w_;
 
@@ -366,6 +352,15 @@ class RevisedCore {
   std::vector<VarStatus> status_;   // per variable
   std::vector<double> xb_;          // basic variable values, aligned to basis_
 
+  // Forrest–Tomlin update monitors: refactorize once update fill-in grows
+  // the stored factor entries beyond kFtFillFactor times the
+  // post-refactorization baseline, and reject an update (and refactorize)
+  // when its emerging diagonal is below kFtPivotTolerance *
+  // max(1, ||spike||_inf). The update-count budget is
+  // LpOptions::ft_max_updates (docs/SOLVER.md §6a).
+  static constexpr double kFtFillFactor = 4.0;
+  static constexpr double kFtPivotTolerance = 1e-7;
+
   // Basis inverse: ft_ holds the factors and absorbs basis changes as
   // in-place Forrest–Tomlin column replacements. spike_ holds the partially
   // solved entering column the last ftran(v, true) captured — the
@@ -383,18 +378,18 @@ class RevisedCore {
   // values; patch_bound keeps them current).
   std::vector<double> lo_;  // n_struct_
 
-  // Session state. rhs_shift_ holds the per-row sum of a_std * lo, so
+  // Resident state. rhs_shift_ holds the per-row sum of a_std * lo, so
   // patches can maintain the standardized b_ = rel_sign * rhs_raw -
   // rhs_shift incrementally. dirty_cols_ queues patched columns that were
   // basic at patch time for factor updates.
-  std::vector<double> rhs_shift_;  // m_, session mode only
+  std::vector<double> rhs_shift_;  // m_
   std::vector<std::size_t> dirty_cols_;
   std::vector<char> col_dirty_;  // n_struct_, dedupes dirty_cols_
-  bool session_mode_ = false;
   bool resident_ok_ = false;  // basis_/status_/factors describe a prior solve
   bool b_dirty_ = false;      // bnorm_ needs a refresh before the next solve
   bool extract_refactor_ok_ = true;  // canonical refactorize succeeded
-  SessionCounters session_;
+  std::uint64_t pending_patches_ = 0;  // patch_* calls since the last solve
+  LpSession::Stats stats_;
 
   // Scratch (one per solver instance; the in-place LU solves also use a
   // per-factorization scratch, so nothing here is shareable across threads).

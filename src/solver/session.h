@@ -1,12 +1,13 @@
 // Persistent warm LP solving: one resident problem, patched in place and
-// re-solved many times.
+// re-solved many times. This is the only way to warm-start an LP.
 //
 // solve_lp (lp.h) prices every solve at full fixed cost: build the
-// LpProblem, standardize it into CSC form, refactorize the warm basis, and
-// refactorize once more for canonical extraction. docs/SOLVER.md §6 measured
-// that those fixed costs — not simplex pivots — are why the dense tableau
-// kept winning wall-clock even at a ~0.9 warm-hit rate. An LpSession pays
-// them once: it standardizes the problem when it is built and keeps only the
+// LpProblem, standardize it into CSC form and solve it cold (a solve_lp call
+// is a fresh session's first solve). Even a warm re-solve from a seed pays
+// the standardization, a refactorization of the seed basis and one more for
+// canonical extraction; docs/SOLVER.md §6 measured that those fixed costs —
+// not simplex pivots — are why the dense tableau kept winning wall-clock
+// even at a ~0.9 warm-hit rate. An LpSession pays them once: it standardizes the problem when it is built and keeps only the
 // standardized arrays (no row-wise copy of the problem), the basis and the
 // LU factors across solves, and callers mutate the resident problem through
 // the structure-preserving patch API instead of rebuilding it. A session is
@@ -56,7 +57,7 @@ class LpSession {
   // Standardizes the built problem once (telemetry: lp.session.build) and
   // keeps nothing else of it. The engine choice in options is ignored — a
   // session is always the revised engine (the dense oracle has no
-  // persistent form); warm_start is ignored in favor of per-solve seeds.
+  // persistent form). Warm starts come from per-solve seeds.
   LpSession(const LpProblem& problem, const LpOptions& options);
   ~LpSession();
   // A copy carries the resident arrays, basis, factors and counters; it
@@ -75,11 +76,12 @@ class LpSession {
   void patch_bound(std::size_t v, double lo, double hi);
   void patch_cost(std::size_t v, double obj);
 
-  // Solves the resident problem. A non-null, non-empty seed re-imports that
+  // Solves the resident problem. A non-null, non-empty seed imports that
   // basis (chain-head / cross-round seeding); otherwise the previous
-  // solve's basis and factors are resumed in place. Results — including the
-  // exported basis and the infeasibility-certificate convention — match
-  // solve_lp with the revised engine on an identically patched problem.
+  // solve's basis and factors are resumed in place, and a session that has
+  // not solved yet starts cold — bit for bit what solve_lp with the revised
+  // engine returns. A seed that does not fit falls back to a cold start
+  // (counted as lp.warm_rejects); results are valid either way.
   LpSolution solve(const LpBasis* seed = nullptr);
 
   Stats stats() const;

@@ -104,7 +104,7 @@ TEST(Trace, CsvRoundTrip) {
   ASSERT_TRUE(loaded.ok()) << loaded.status().to_string();
   ASSERT_EQ(loaded->size(), trace.size());
   for (std::size_t e = 0; e < trace.size(); ++e) {
-    EXPECT_NEAR((*loaded)[e].time, trace[e].time, 1e-8);
+    EXPECT_EQ((*loaded)[e].time, trace[e].time);  // exact: %.17g round-trips
     EXPECT_EQ((*loaded)[e].task_type, trace[e].task_type);
   }
   std::remove(path.c_str());

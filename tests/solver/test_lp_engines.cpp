@@ -2,20 +2,23 @@
 //
 // The dense tableau solver is the oracle: the revised engine must agree with
 // it on status for every random instance and on the objective to 1e-7 when
-// both report Optimal. Warm starts must never change what is computed — a
-// warm re-solve is checked against the cold solve of the same problem, and a
-// re-solve that lands on the same basis must reproduce the cold result
-// bit-for-bit (canonical extraction, see docs/SOLVER.md).
+// both report Optimal. Warm starts (a fresh LpSession seeded with a basis —
+// the only warm path) must never change what is computed — a warm re-solve
+// is checked against the cold solve of the same problem, and a re-solve that
+// lands on the same basis must reproduce the cold result bit-for-bit
+// (canonical extraction, see docs/SOLVER.md).
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstddef>
+#include <cstring>
 #include <iterator>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "solver/lp.h"
+#include "solver/session.h"
 #include "util/rng.h"
 #include "util/telemetry.h"
 
@@ -74,12 +77,57 @@ LpProblem with_shifted_rhs(const RandomLp& lp, const std::vector<double>& delta)
   return shifted;
 }
 
-LpSolution solve_with(const LpProblem& problem, LpEngine engine,
-                      const LpBasis* warm = nullptr) {
+LpSolution solve_with(const LpProblem& problem, LpEngine engine) {
   LpOptions opt;
   opt.engine = engine;
-  opt.warm_start = warm;
   return solve_lp(problem, opt);
+}
+
+// A warm solve: a fresh session's first solve, seeded with `seed`.
+LpSolution solve_seeded(const LpProblem& problem, const LpBasis& seed,
+                        const LpOptions& opt = {}) {
+  return LpSession(problem, opt).solve(&seed);
+}
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+// solve_lp on the revised engine is a fresh session's first solve: over
+// random draws that reach every status, the two agree bit for bit in
+// status, iterations, objective, x, duals and exported basis.
+TEST(LpEngines, SolveLpIsAFreshSessionsFirstSolve) {
+  util::Rng rng(0x0ddba11cafef00d5ULL);
+  std::size_t by_status[4] = {0, 0, 0, 0};
+  for (int trial = 0; trial < 200; ++trial) {
+    const std::size_t n_vars = static_cast<std::size_t>(rng.uniform_int(2, 14));
+    const std::size_t n_rows = static_cast<std::size_t>(rng.uniform_int(1, 10));
+    const RandomLp lp = make_random_lp(rng, n_vars, n_rows);
+    LpOptions opt;
+    // Every fifth draw runs under a tight cap, so IterLimit shows up too.
+    if (trial % 5 == 4) opt.max_iterations = 2;
+    const LpSolution once = solve_lp(lp.problem, opt);
+    const LpSolution first = LpSession(lp.problem, opt).solve();
+    SCOPED_TRACE(testing::Message() << "trial " << trial);
+    ASSERT_EQ(once.status, first.status);
+    ++by_status[static_cast<int>(once.status)];
+    EXPECT_EQ(once.iterations, first.iterations);
+    EXPECT_TRUE(same_bits(once.objective, first.objective));
+    ASSERT_EQ(once.x.size(), first.x.size());
+    for (std::size_t v = 0; v < once.x.size(); ++v) {
+      EXPECT_TRUE(same_bits(once.x[v], first.x[v])) << "var " << v;
+    }
+    ASSERT_EQ(once.duals.size(), first.duals.size());
+    for (std::size_t r = 0; r < once.duals.size(); ++r) {
+      EXPECT_TRUE(same_bits(once.duals[r], first.duals[r])) << "row " << r;
+    }
+    EXPECT_EQ(once.basis.status, first.basis.status);
+    EXPECT_EQ(once.warm_used, first.warm_used);
+  }
+  EXPECT_GT(by_status[static_cast<int>(LpStatus::Optimal)], 0u);
+  EXPECT_GT(by_status[static_cast<int>(LpStatus::Infeasible)], 0u);
+  EXPECT_GT(by_status[static_cast<int>(LpStatus::Unbounded)], 0u);
+  EXPECT_GT(by_status[static_cast<int>(LpStatus::IterLimit)], 0u);
 }
 
 TEST(LpEngines, DifferentialRandomInstances) {
@@ -122,7 +170,7 @@ TEST(LpEngines, WarmEqualsColdAfterRhsPerturbation) {
     const LpProblem shifted = with_shifted_rhs(lp, delta);
 
     const LpSolution cold = solve_with(shifted, LpEngine::Revised);
-    const LpSolution warm = solve_with(shifted, LpEngine::Revised, &base.basis);
+    const LpSolution warm = solve_seeded(shifted, base.basis);
     ASSERT_EQ(cold.status, warm.status) << "trial " << trial;
     if (warm.warm_used) ++warm_accepted;
     if (cold.status != LpStatus::Optimal) continue;
@@ -143,7 +191,7 @@ TEST(LpEngines, WarmFromOwnOptimalBasisIsBitIdentical) {
     const RandomLp lp = make_random_lp(rng, 8, 5);
     const LpSolution cold = solve_with(lp.problem, LpEngine::Revised);
     if (!cold.optimal()) continue;
-    const LpSolution warm = solve_with(lp.problem, LpEngine::Revised, &cold.basis);
+    const LpSolution warm = solve_seeded(lp.problem, cold.basis);
     ASSERT_TRUE(warm.optimal());
     EXPECT_TRUE(warm.warm_used);
     // Same problem, same basis: canonical extraction makes the re-solve
@@ -171,7 +219,7 @@ TEST(LpEngines, CrossEngineWarmStartFromDenseBasis) {
     const RandomLp lp = make_random_lp(rng, 10, 6);
     const LpSolution dense = solve_with(lp.problem, LpEngine::Dense);
     if (!dense.optimal()) continue;
-    const LpSolution warm = solve_with(lp.problem, LpEngine::Revised, &dense.basis);
+    const LpSolution warm = solve_seeded(lp.problem, dense.basis);
     ASSERT_TRUE(warm.optimal());
     EXPECT_NEAR(dense.objective, warm.objective, 1e-8);
     if (warm.warm_used) ++accepted;
@@ -246,15 +294,6 @@ TEST(LpEngines, FtKnobValidation) {
   LpOptions opt;
   opt.ft_max_updates = 0;
   EXPECT_DEATH(solve_lp(lp, opt), "ft_max_updates");
-  opt = LpOptions{};
-  opt.ft_fill_factor = 0.5;
-  EXPECT_DEATH(solve_lp(lp, opt), "ft_fill_factor");
-  opt = LpOptions{};
-  opt.ft_pivot_tolerance = 0.0;
-  EXPECT_DEATH(solve_lp(lp, opt), "ft_pivot_tolerance");
-  opt = LpOptions{};
-  opt.ft_pivot_tolerance = 1.5;
-  EXPECT_DEATH(solve_lp(lp, opt), "ft_pivot_tolerance");
 }
 
 // Beale's classic cycling example: pure Dantzig pivoting with a
@@ -300,8 +339,7 @@ TEST(LpEngines, PricingRulesAgreeOnWarmStartedResolves) {
     for (double& d : delta) d = rng.uniform(-0.3, 0.3);
     const LpProblem shifted = with_shifted_rhs(lp, delta);
     const LpSolution oracle = solve_with(shifted, LpEngine::Dense);
-    const LpSolution warm =
-        solve_with(shifted, LpEngine::Revised, &base.basis);
+    const LpSolution warm = solve_seeded(shifted, base.basis);
     ASSERT_EQ(oracle.status, warm.status) << "trial " << trial;
     if (!oracle.optimal()) continue;
     EXPECT_NEAR(oracle.objective, warm.objective, 1e-7) << "trial " << trial;
@@ -334,10 +372,8 @@ TEST(LpEngines, MalformedWarmBasisFallsBackToCold) {
   wrong_size.status.assign(3, LpBasisStatus::Basic);
   util::telemetry::Registry reg;
   LpOptions opt;
-  opt.engine = LpEngine::Revised;
-  opt.warm_start = &wrong_size;
   opt.telemetry = &reg;
-  const LpSolution sol = solve_lp(lp.problem, opt);
+  const LpSolution sol = solve_seeded(lp.problem, wrong_size, opt);
   ASSERT_TRUE(sol.optimal());
   EXPECT_FALSE(sol.warm_used);
   EXPECT_EQ(sol.objective, cold.objective);
@@ -349,7 +385,7 @@ TEST(LpEngines, MalformedWarmBasisFallsBackToCold) {
   all_basic.status.assign(
       lp.problem.num_vars() + lp.problem.num_constraints(),
       LpBasisStatus::Basic);
-  const LpSolution sol2 = solve_with(lp.problem, LpEngine::Revised, &all_basic);
+  const LpSolution sol2 = solve_seeded(lp.problem, all_basic);
   ASSERT_TRUE(sol2.optimal());
   EXPECT_FALSE(sol2.warm_used);
   EXPECT_EQ(sol2.objective, cold.objective);

@@ -85,11 +85,9 @@ MutableLp make_random_lp(util::Rng& rng, std::size_t n_vars, std::size_t n_rows)
   return lp;
 }
 
-LpSolution solve_with(const LpProblem& problem, LpEngine engine,
-                      const LpBasis* warm = nullptr) {
+LpSolution solve_with(const LpProblem& problem, LpEngine engine) {
   LpOptions opt;
   opt.engine = engine;
-  opt.warm_start = warm;
   return solve_lp(problem, opt);
 }
 
@@ -336,9 +334,10 @@ TEST(LpSession, UnpatchedResolveIsBitIdentical) {
 }
 
 TEST(LpSession, SeedImportMatchesWarmSolveLp) {
-  // A seeded session solve is the session form of solve_lp's warm start:
-  // same import, same dual repair, same canonical extraction — so on the
-  // same problem and seed it must be bit-identical to the one-shot path.
+  // A seed import replaces whatever the session holds: seeding a session
+  // that already solved must be bit-identical to a fresh session's seeded
+  // first solve (the one-shot warm start) — same import, same dual repair,
+  // same canonical extraction.
   util::Rng rng(0xabcddcba12344321ULL);
   std::size_t checked = 0;
   for (int trial = 0; trial < 25; ++trial) {
@@ -346,10 +345,11 @@ TEST(LpSession, SeedImportMatchesWarmSolveLp) {
     const LpProblem fresh = lp.build();
     const LpSolution cold = solve_with(fresh, LpEngine::Revised);
     if (!cold.optimal()) continue;
-    const LpSolution warm = solve_with(fresh, LpEngine::Revised, &cold.basis);
+    const LpSolution warm = LpSession(fresh, LpOptions{}).solve(&cold.basis);
     ASSERT_TRUE(warm.optimal());
 
     LpSession session(lp.build(), LpOptions{});
+    ASSERT_TRUE(session.solve().optimal());
     const LpSolution seeded = session.solve(&cold.basis);
     ASSERT_TRUE(seeded.optimal());
     EXPECT_EQ(warm.objective, seeded.objective);
@@ -518,8 +518,7 @@ TEST(LpSession, PatchingASharedColumnLeavesItsClassmatesIntact) {
                          Relation::LessEq, 7.0);
   problem.add_constraint({{0, 0.5}, {1, 0.5}, {2, 0.5}, {3, 3.0}},
                          Relation::LessEq, 5.0);
-  internal::RevisedCore core(LpOptions{});
-  core.setup(problem);
+  internal::RevisedCore core(problem, LpOptions{});
   const std::vector<double> y = {0.3, -1.7, 2.9};
   const auto dot = [&](std::size_t j) {
     return internal::run_col_dot(core.run_columns(), y.data(), j);
@@ -530,7 +529,7 @@ TEST(LpSession, PatchingASharedColumnLeavesItsClassmatesIntact) {
   const double shared = dot(0);
   EXPECT_TRUE(same_bits(dot(1), shared));
   EXPECT_TRUE(same_bits(dot(2), shared));
-  ASSERT_TRUE(core.solve_persistent(nullptr).optimal());
+  ASSERT_TRUE(core.solve(nullptr).optimal());
 
   // A plain member, then the class representative.
   for (const std::size_t v : {std::size_t{1}, std::size_t{0}}) {
@@ -544,7 +543,7 @@ TEST(LpSession, PatchingASharedColumnLeavesItsClassmatesIntact) {
       EXPECT_FALSE(same_bits(dot(1), dot(0)));
     }
 
-    const LpSolution got = core.solve_persistent(nullptr);
+    const LpSolution got = core.solve(nullptr);
     const LpSolution want = solve_with(problem, LpEngine::Revised);
     ASSERT_EQ(want.status, got.status);
     ASSERT_TRUE(got.optimal());
