@@ -191,7 +191,8 @@ BENCHMARK(BM_Stage1UniformSweep)
 // session. Both select the bit-identical plan; only iterations and wall
 // clock differ. Counters report
 // LP effort per sweep (iterations per solve, warm-start hit rate, per-solve
-// iteration histogram); with TAPO_TELEMETRY_OUT set, the same lp.* counters
+// iteration histogram, and on the revised rows the points the dual bound
+// skipped); with TAPO_TELEMETRY_OUT set, the same lp.* counters
 // land in the telemetry JSON.
 void run_stage1_engine_sweep(benchmark::State& state, solver::LpEngine engine,
                              bool full_grid = true) {
@@ -255,6 +256,7 @@ void run_stage1_engine_sweep(benchmark::State& state, solver::LpEngine engine,
   for (int i = 0; i < 3; ++i) ft0[i] = reg->counter_value(kFt[i]);
   std::uint64_t pricing0[3];
   for (int i = 0; i < 3; ++i) pricing0[i] = reg->counter_value(kPricing[i]);
+  const std::uint64_t prunes0 = reg->counter_value("stage1.bound_prunes");
 
   core::Stage1Options options;
   options.full_grid = full_grid;
@@ -296,6 +298,10 @@ void run_stage1_engine_sweep(benchmark::State& state, solver::LpEngine engine,
       state.counters[kPricing[i] + 3] = static_cast<double>(
           reg->counter_value(kPricing[i]) - pricing0[i]) / iterations;
     }
+    // Grid points per sweep that the dual bound skipped without a solve
+    // (docs/SOLVER.md §4); the dense rows prune nothing.
+    state.counters["bound_prunes"] = static_cast<double>(
+        reg->counter_value("stage1.bound_prunes") - prunes0) / iterations;
   }
   if (solves > 0.0) {
     state.counters["lp_iters_per_solve"] = iters / solves;

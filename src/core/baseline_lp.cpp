@@ -101,6 +101,7 @@ BaselineAssigner::LpOutcome BaselineLpEvaluator::solve(
   if (!sol.optimal()) return out;
   out.feasible = true;
   out.basis = sol.basis;
+  out.duals = sol.duals;
   out.objective = sol.objective;
   const std::size_t t = dc_.num_task_types();
   const std::size_t nn = dc_.num_nodes();

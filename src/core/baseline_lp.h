@@ -67,6 +67,9 @@ class BaselineLpEvaluator {
 
   solver::LpSession::Stats session_stats() const { return session_->stats(); }
 
+  // As Stage1LpEvaluator::thermal_rows.
+  const ResidentThermalRows& thermal_rows() const { return thermal_rows_; }
+
  private:
   const dc::DataCenter& dc_;
   // frac_var_[i][j]; kNoVar where FRAC(i,j) is pinned to 0.

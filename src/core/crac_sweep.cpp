@@ -30,6 +30,7 @@ void CracSweepCore::count_failure(solver::LpStatus status) {
 
 solver::GridSearchResult CracSweepCore::search(
     const solver::GridChainObjective& objective,
+    const solver::GridBound& bound,
     const std::function<void(const solver::GridSearchResult&)>&
         between_rounds) {
   util::telemetry::Registry* const reg = options.telemetry;
@@ -49,14 +50,15 @@ solver::GridSearchResult CracSweepCore::search(
   };
   const solver::GridSearchResult search =
       options.full_grid
-          ? solver::grid_search_maximize(lo, hi, objective, grid)
-          : solver::uniform_then_coordinate_maximize(lo, hi, objective,
-                                                     grid);
+          ? solver::grid_search_maximize(lo, hi, objective, grid, bound)
+          : solver::uniform_then_coordinate_maximize(lo, hi, objective, grid,
+                                                     bound);
   // From here on lp_solves counts the accepted solves only.
   lp_solves.fetch_sub(search.speculative_discards, std::memory_order_relaxed);
   if (reg) {
     reg->count(prefix + ".lp_solves",
                lp_solves.load(std::memory_order_relaxed));
+    reg->count(prefix + ".bound_prunes", search.bound_prunes);
     reg->count(prefix + ".speculative_discards", search.speculative_discards);
     reg->count(prefix + ".infeasible_candidates",
                infeasible.load(std::memory_order_relaxed));

@@ -14,21 +14,27 @@
 //     every warm-chain head; the copy is moved to the head's point and then
 //     to every later point of the chain. On the dense oracle every point
 //     builds and solves its own LP cold;
-//   * seeding: chain heads start from the round seed — the caller's seed
-//     in the first round, afterwards the optimal basis that the incumbent's
-//     own sweep solve exported (kept by the search as best_state). No
-//     evaluator is kept for the incumbent and nothing is re-solved between
-//     rounds. The seed changes only between rounds, and every accepted
-//     solve is a function of (point, chain position, round seed), so results
-//     are bit-identical across thread counts;
+//   * seeding and pruning: each feasible session solve keeps its optimal
+//     basis and the dual bound source its duals fix (core/thermal_rows.h);
+//     the search keeps the incumbent's as best_state. Chain heads start from
+//     the round seed — the caller's seed in the first round, afterwards the
+//     incumbent's kept basis. No evaluator is kept for the incumbent and
+//     nothing is re-solved between rounds. A chain skips its remaining
+//     points once the incumbent's and its own earlier sources bound them
+//     all below the value to beat (solver::GridBound). The seed changes
+//     only between rounds, and every accepted solve is a function of
+//     (point, chain position, round seed), so results and prunes are
+//     bit-identical across thread counts. The dense oracle keeps no bound
+//     state and prunes nothing;
 //   * accounting: one `<prefix>.lp` interval per solve, and the
-//     `<prefix>.lp_solves`, `.speculative_discards`,
+//     `<prefix>.lp_solves`, `.bound_prunes`, `.speculative_discards`,
 //     `.infeasible_candidates`, `.grid_evaluations`, `.sweep_rounds`
 //     counters and `.best_objective_by_round` series
-//     (docs/OBSERVABILITY.md). `lp_solves` counts the accepted solves, the
-//     same for every thread count; the coordinate passes' discarded
-//     speculative solves count apart. A caller's grid.on_round hook is
-//     always forwarded;
+//     (docs/OBSERVABILITY.md). `lp_solves` counts the accepted solves and
+//     `bound_prunes` the accepted points skipped by the bound, so
+//     lp_solves + bound_prunes == grid_evaluations for every thread count;
+//     the coordinate passes' discarded speculative solves count apart. A
+//     caller's grid.on_round hook is always forwarded;
 //   * outcome: with no feasible point the status is ResourceExhausted when
 //     any candidate hit the LP iteration cap, else Infeasible. Otherwise the
 //     winner is re-solved cold on the Dense oracle, so the published plan is
@@ -42,6 +48,7 @@
 #include <string>
 #include <vector>
 
+#include "core/thermal_rows.h"
 #include "dc/datacenter.h"
 #include "solver/gridsearch.h"
 #include "solver/lp.h"
@@ -65,10 +72,11 @@ struct CracSweepOptions {
   const solver::LpBasis* seed = nullptr;
 };
 
-// A caller's LP family. Outcome carries `feasible`, `status` and `basis`;
-// Evaluator is copyable and offers move_to(crac_out) and
-// solve(const LpBasis* seed). A never-solved evaluator copied and moved to
-// P must solve exactly as one built at P.
+// A caller's LP family. Outcome carries `feasible`, `status`, `basis` and
+// `duals`; Evaluator is copyable and offers move_to(crac_out),
+// solve(const LpBasis* seed) and thermal_rows() (the dual bound over its
+// LP). A never-solved evaluator copied and moved to P must solve exactly as
+// one built at P.
 template <class Outcome, class Evaluator>
 struct CracSweepLp {
   // Builds and solves the LP at one setpoint vector.
@@ -81,6 +89,9 @@ struct CracSweepLp {
       evaluator;
   // The value the sweep maximizes, read from a feasible outcome.
   std::function<double(const Outcome&)> value;
+  // value(outcome) minus the LP objective (up to rounding): turns the dual
+  // bound on the objective into a bound on the value.
+  double value_offset = 0.0;
 };
 
 template <class Outcome>
@@ -99,11 +110,13 @@ struct CracSweepCore {
 
   // Counts an infeasible or iteration-capped candidate.
   void count_failure(solver::LpStatus status);
-  // Runs the search; `between_rounds` runs after every round, after the
-  // round's metrics and the caller's hook. Records the sweep counters and
-  // takes the discarded speculative solves out of lp_solves.
+  // Runs the search, pruning with `bound` when it is set; `between_rounds`
+  // runs after every round, after the round's metrics and the caller's
+  // hook. Records the sweep counters and takes the discarded speculative
+  // solves out of lp_solves.
   solver::GridSearchResult search(
       const solver::GridChainObjective& objective,
+      const solver::GridBound& bound,
       const std::function<void(const solver::GridSearchResult&)>&
           between_rounds);
   util::Status no_feasible_point() const;
@@ -118,6 +131,12 @@ struct CracSweepCore {
   std::atomic<std::size_t> lp_solves{0}, infeasible{0}, iter_limited{0};
 };
 
+// What the sweep keeps of a feasible session solve.
+struct KeptSolve {
+  solver::LpBasis basis;                   // a later round's seed
+  ResidentThermalRows::BoundSource bound;  // bounds other setpoints
+};
+
 }  // namespace detail
 
 template <class Outcome, class Evaluator>
@@ -127,11 +146,17 @@ CracSweepResult<Outcome> crac_sweep(
   detail::CracSweepCore core(dc, options);
   util::telemetry::Registry* const reg = options.telemetry;
   // The chain heads' seed; written only between rounds. `winner` owns it
-  // once the search has kept an incumbent's basis.
+  // once the search has kept an incumbent's solve.
   std::shared_ptr<const void> winner;
   const solver::LpBasis* round_seed =
       options.seed != nullptr && !options.seed->empty() ? options.seed
                                                         : nullptr;
+  // The sweep may evaluate chains from several threads at once; a chain
+  // runs serially on one thread, the prototype is only read (copied, and
+  // its dual bound evaluated), and the counters and the thread-safe
+  // registry are the only shared writes.
+  std::unique_ptr<const Evaluator> prototype;
+  if (core.sessions) prototype = family.evaluator(core.lo, core.lp);
   const auto value = [&](Outcome outcome, std::shared_ptr<const void>& kept)
       -> std::optional<double> {
     if (!outcome.feasible) {
@@ -140,16 +165,13 @@ CracSweepResult<Outcome> crac_sweep(
     }
     const double v = family.value(outcome);
     if (core.sessions && !outcome.basis.empty()) {
-      kept = std::make_shared<const solver::LpBasis>(std::move(outcome.basis));
+      kept = std::make_shared<const detail::KeptSolve>(detail::KeptSolve{
+          std::move(outcome.basis),
+          prototype->thermal_rows().bound_source(outcome.duals)});
     }
     return v;
   };
 
-  // The sweep may evaluate chains from several threads at once; a chain
-  // runs serially on one thread, the prototype is only read (copied), and
-  // the counters and the thread-safe registry are the only shared writes.
-  std::unique_ptr<const Evaluator> prototype;
-  if (core.sessions) prototype = family.evaluator(core.lo, core.lp);
   const solver::GridChainObjective objective =
       [&](const std::vector<double>& crac_out, std::shared_ptr<void>& chain,
           std::shared_ptr<const void>& kept) -> std::optional<double> {
@@ -168,12 +190,21 @@ CracSweepResult<Outcome> crac_sweep(
     eval->move_to(crac_out);
     return value(eval->solve(nullptr), kept);
   };
+  solver::GridBound bound;
+  if (core.sessions) {
+    bound = [&](const void* kept, const std::vector<double>& crac_out) {
+      return prototype->thermal_rows().bound(
+                 static_cast<const detail::KeptSolve*>(kept)->bound,
+                 crac_out) +
+             family.value_offset;
+    };
+  }
   const auto reseed = [&](const solver::GridSearchResult& running) {
     if (running.best_state == nullptr || running.best_state == winner) return;
     winner = running.best_state;
-    round_seed = static_cast<const solver::LpBasis*>(winner.get());
+    round_seed = &static_cast<const detail::KeptSolve*>(winner.get())->basis;
   };
-  const solver::GridSearchResult search = core.search(objective, reseed);
+  const solver::GridSearchResult search = core.search(objective, bound, reseed);
 
   CracSweepResult<Outcome> result;
   result.lp_solves = core.lp_solves.load(std::memory_order_relaxed);

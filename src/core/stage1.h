@@ -48,8 +48,10 @@ struct Stage1Options {
   // bit-identical Stage1Result, lp_solves included — batch results are
   // reduced in a fixed order with value ties broken toward the
   // lexicographically smallest setpoint vector, the warm-start chain
-  // partition depends only on the point sequence, and discarded
-  // speculative solves are counted apart (stage1.speculative_discards).
+  // partition depends only on the point sequence, discarded speculative
+  // solves are counted apart (stage1.speculative_discards), and the points
+  // the dual bound skips are the same for every value
+  // (stage1.bound_prunes).
   // Overrides grid.threads.
   std::size_t threads = 0;
   static constexpr std::size_t kMaxThreads = 256;
@@ -136,6 +138,9 @@ class Stage1Solver {
     // dual phase's infeasibility-certificate basis (still a valid warm
     // seed). Empty otherwise.
     solver::LpBasis basis;
+    // Row duals (LpSolution::duals) when feasible; the CRAC sweep bounds
+    // other setpoints with them (core/thermal_rows.h).
+    std::vector<double> duals;
   };
   LpOutcome solve_at(const std::vector<double>& crac_out, double psi) const;
   // As above with explicit LP options (engine, iteration cap, telemetry);

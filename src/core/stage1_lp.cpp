@@ -80,6 +80,7 @@ Stage1Solver::LpOutcome make_outcome(
   if (!sol.optimal()) return out;
   out.feasible = true;
   out.objective = sol.objective;
+  out.duals = sol.duals;
   out.node_core_power_kw.assign(dc.num_nodes(), 0.0);
   for (std::size_t j = 0; j < dc.num_nodes(); ++j) {
     for (std::size_t v : seg_vars[j]) out.node_core_power_kw[j] += sol.x[v];
@@ -230,6 +231,7 @@ CracSweepLp<Stage1Solver::LpOutcome, Stage1LpEvaluator> stage1_sweep_lp(
     family.value = [](const Stage1Solver::LpOutcome& o) {
       return -(o.compute_power_kw + o.crac_power_kw);
     };
+    family.value_offset = -dc.total_base_power_kw();
   }
   return family;
 }

@@ -75,6 +75,10 @@ class Stage1LpEvaluator {
   // Session statistics (patches, FT updates, refactorizations, fallbacks).
   solver::LpSession::Stats session_stats() const { return session_->stats(); }
 
+  // The setpoint-dependent rows, and with them the dual bound over this
+  // LP (shared by every copy).
+  const ResidentThermalRows& thermal_rows() const { return thermal_rows_; }
+
  private:
   const dc::DataCenter& dc_;
 

@@ -26,9 +26,31 @@
 // RHS when base load alone breaks the redline; it is kept rather than
 // short-circuited, so the row structure stays point-invariant and the LP
 // reports Infeasible through the normal path.
+//
+// Weak-duality bound. Because this block is the only part of the LP that
+// moves with the setpoints T', the duals of one solve bound the optimum at
+// any other T' without a pivot. For max c.x s.t. rows, lo <= x <= hi, any
+// multipliers y with y >= 0 on <= rows and y <= 0 on >= rows give
+//
+//   c.x <= y.b(T') + sum_v max(d_v lo_v, d_v hi_v),   d = c - A(T')^T y,
+//
+// which is +inf while a column with hi_v = +inf keeps d_v > 0. A solve's
+// duals, clamped to those signs, fix two pieces once (bound_source):
+//   * y.b(T') = K + g.T': HeatFlowModel::offsets is linear in T', and every
+//     other RHS is fixed;
+//   * d on every column but the CRAC power columns q_c, whose coefficient
+//     -1/k_c(T') in power row c moves: d_q(T') = d_q0 + y_pc / k_c(T'),
+//     with d_q0 = c_q - (the budget row's y_B, if any).
+// A candidate T' then costs O(#columns) (bound). q_c is unbounded above,
+// so a d_q(T') > 0 is repaired two ways and the smaller bound kept:
+//   (a) raise y_B by max_c d_q(T'), which lowers d on every budget column;
+//   (b) lower each offending y_pc onto -d_q0 * k_c(T'), which raises d on
+//       the node columns by y_pc's drop times the row's coefficients.
+// The power-minimization LP has no budget row, so only (b) applies there.
 #pragma once
 
 #include <cstddef>
+#include <memory>
 #include <vector>
 
 #include "dc/datacenter.h"
@@ -46,7 +68,10 @@ class ResidentThermalRows {
   // Appends the node redline, CRAC redline and CRAC power rows at crac_out0,
   // in that order, followed by the budget row when with_budget_row is set.
   // node_cols[j] lists the columns whose sum is node j's core power (kW);
-  // crac_power_vars[c] is CRAC c's power column.
+  // crac_power_vars[c] is CRAC c's power column. The LP must be complete
+  // but for these rows (no row or column added afterwards): append also
+  // records the whole problem for the dual bound. Copies of this block
+  // share what append records.
   void append(solver::LpProblem& lp,
               const std::vector<std::vector<std::size_t>>& node_cols,
               const std::vector<std::size_t>& crac_power_vars,
@@ -57,20 +82,28 @@ class ResidentThermalRows {
   void move_to(solver::LpSession& session,
                const std::vector<double>& crac_out) const;
 
+  // What one solve's duals fix of the bound (see the file comment).
+  struct BoundSource {
+    double k = 0.0;                // y.b(T') = k + g.T'
+    std::vector<double> g;         // per CRAC
+    std::vector<double> d;         // per column; 0 on the CRAC power columns
+    std::vector<double> dq0;       // per CRAC: d_q without power row c
+    std::vector<double> y_power;   // per CRAC: the power row's multiplier
+  };
+  // `duals` are one optimal solve's LpSolution::duals, one per row.
+  BoundSource bound_source(const std::vector<double>& duals) const;
+  // An upper bound on the LP optimum at crac_out (+inf when the source
+  // proves nothing there).
+  double bound(const BoundSource& source,
+               const std::vector<double>& crac_out) const;
+
  private:
+  struct Block;  // what append records; thermal_rows.cpp
   static double inv_k(const dc::CracSpec& crac, double tout);
 
   const dc::DataCenter& dc_;
   const thermal::HeatFlowModel& model_;
-
-  std::vector<std::size_t> crac_power_vars_;
-  std::size_t node_row0_ = 0;
-  std::size_t crac_row0_ = 0;
-  std::size_t power_row0_ = 0;
-
-  // Setpoint-independent RHS base terms (sum over nodes of w * base power,
-  // accumulated in the same order as the per-point builders).
-  std::vector<double> node_rhs_base_, crac_rhs_base_, power_rhs_base_;
+  std::shared_ptr<const Block> block_;
 };
 
 }  // namespace tapo::core

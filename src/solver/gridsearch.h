@@ -62,9 +62,14 @@ struct GridSearchResult {
   // What the chained objective kept for the evaluation that produced
   // best_value (see GridChainObjective); null for plain objectives.
   std::shared_ptr<const void> best_state;
-  // Speculative evaluations discarded by the coordinate passes (see
-  // GridSearchOptions::threads); not in `evaluations`. Zero without a pool.
+  // Speculative evaluations that the coordinate passes solved and then
+  // discarded (see GridSearchOptions::threads); not in `evaluations`. Zero
+  // without a pool.
   std::size_t speculative_discards = 0;
+  // Accepted evaluations that a GridBound proved could not win, so the
+  // objective never ran there (see GridBound); they count in `evaluations`
+  // as infeasible points would. The same for every thread count.
+  std::size_t bound_prunes = 0;
 };
 
 // Objective: returns the value at a point, or nullopt when infeasible.
@@ -84,6 +89,20 @@ using GridObjective =
 using GridChainObjective = std::function<std::optional<double>(
     const std::vector<double>&, std::shared_ptr<void>& chain_state,
     std::shared_ptr<const void>& kept)>;
+
+// Optional upper bound for a chained objective: bound(kept, point) is a value
+// that the objective at `point` cannot exceed, computed from the non-null
+// state `kept` that one earlier evaluation set (+inf proves nothing). A chain
+// bounds its points from the incumbent's kept state at submission and from
+// its own earlier evaluations, and beats them against the incumbent's value
+// at submission raised by the chain's own earlier values. It stops at point
+// i once every point i..end bounds below that value by a relative margin
+// of 1e-7 * max(1, |value|): only a chain suffix is skipped, so every point
+// still evaluated has the same chain predecessors, and exact ties are never
+// skipped. Each decision reads only the chain's own data and data fixed at
+// submission, so the skipped set is the same for every thread count.
+using GridBound = std::function<double(const void* kept,
+                                       const std::vector<double>& point)>;
 
 // Full Cartesian coarse-to-fine maximization over [lo_d, hi_d] per dimension.
 // Cost grows exponentially with dimension; intended for <= 4 dimensions.
@@ -106,13 +125,17 @@ GridSearchResult uniform_then_coordinate_maximize(
 // chains of 8 consecutive points (see GridChainObjective). A chain — not a
 // point — is the parallel work unit, and the points of one chain evaluate
 // serially sharing one chain_state. The partition is a pure function of the
-// point sequence, so results stay bit-identical across thread counts.
+// point sequence, so results stay bit-identical across thread counts. A
+// non-empty `bound` skips chain suffixes that cannot win (see GridBound);
+// the search then returns the same best point, value and trajectory.
 GridSearchResult grid_search_maximize(const std::vector<double>& lo,
                                       const std::vector<double>& hi,
                                       const GridChainObjective& objective,
-                                      const GridSearchOptions& options = {});
+                                      const GridSearchOptions& options = {},
+                                      const GridBound& bound = {});
 GridSearchResult uniform_then_coordinate_maximize(
     const std::vector<double>& lo, const std::vector<double>& hi,
-    const GridChainObjective& objective, const GridSearchOptions& options = {});
+    const GridChainObjective& objective, const GridSearchOptions& options = {},
+    const GridBound& bound = {});
 
 }  // namespace tapo::solver

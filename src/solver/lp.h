@@ -117,6 +117,10 @@ class LpProblem {
   double objective_coeff(std::size_t v) const { return obj_[v]; }
   Relation relation(std::size_t r) const { return rel_[r]; }
   double rhs(std::size_t r) const { return rhs_[r]; }
+  // Row r's terms as added (duplicates not coalesced).
+  const std::vector<std::pair<std::size_t, double>>& row(std::size_t r) const {
+    return rows_[r];
+  }
 
   // Compressed sparse column (CSC) view of the raw constraint matrix, built
   // in one O(nnz) pass with duplicate (row, variable) entries coalesced.

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstring>
+#include <optional>
 #include <vector>
 
 #include "core/baseline.h"
@@ -53,7 +56,8 @@ TEST(CracSweep, EveryCallerForwardsTheRoundHookAndHonoursFullGrid) {
     EXPECT_GT(hooks[1], 0u);
     EXPECT_EQ(hooks[1], powermin_reg.counter_value("powermin.sweep_rounds"));
     if (full_grid) {
-      EXPECT_EQ(powermin_reg.counter_value("powermin.lp_solves"),
+      EXPECT_EQ(powermin_reg.counter_value("powermin.lp_solves") +
+                    powermin_reg.counter_value("powermin.bound_prunes"),
                 stage1_reg.counter_value("stage1.grid_evaluations"));
     }
 
@@ -67,7 +71,8 @@ TEST(CracSweep, EveryCallerForwardsTheRoundHookAndHonoursFullGrid) {
     EXPECT_GT(hooks[2], 0u);
     EXPECT_EQ(hooks[2], baseline_reg.counter_value("baseline.sweep_rounds"));
     if (full_grid) {
-      EXPECT_EQ(baseline_reg.counter_value("baseline.lp_solves"),
+      EXPECT_EQ(baseline_reg.counter_value("baseline.lp_solves") +
+                    baseline_reg.counter_value("baseline.bound_prunes"),
                 stage1_reg.counter_value("stage1.grid_evaluations"));
     }
   }
@@ -159,6 +164,114 @@ TEST(CracSweep, CopiedEvaluatorSolvesAsAFreshOne) {
       [&](const std::vector<double>& at) {
         return BaselineLpEvaluator(dc, model, at, lp);
       });
+}
+
+// Setpoint vectors for the dual-bound property: uniform values across the
+// sweep range, a move down and up in every CRAC around the middle, and a
+// uniform target above the node redline, which no plan can meet.
+std::vector<std::vector<double>> bound_probe_points(const dc::DataCenter& dc) {
+  const std::size_t nc = dc.num_cracs();
+  std::vector<std::vector<double>> points;
+  for (const double u : {11.0, 14.0, 17.5, 21.0, 24.0}) {
+    points.emplace_back(nc, u);
+  }
+  for (std::size_t c = 0; c < nc; ++c) {
+    for (const double delta : {-3.0, 3.0}) {
+      std::vector<double> point(nc, 17.5);
+      point[c] += delta;
+      points.push_back(std::move(point));
+    }
+  }
+  points.emplace_back(nc, dc.redline_node_c + 5.0);
+  return points;
+}
+
+// Weak duality: the bound from any solved point's duals is at least the
+// dense oracle's cold optimum at every other point, and at the source
+// itself it is the source's own optimum (strong duality).
+template <class Evaluator, class DenseValue>
+void expect_bounds_hold(Evaluator eval, const DenseValue& dense_value,
+                        const std::vector<std::vector<double>>& points) {
+  std::vector<std::optional<double>> value(points.size());
+  std::size_t infeasible = 0;
+  for (std::size_t t = 0; t < points.size(); ++t) {
+    value[t] = dense_value(points[t]);
+    infeasible += !value[t];
+  }
+  EXPECT_GT(infeasible, 0u);
+  std::size_t checked = 0;
+  for (std::size_t s = 0; s < points.size(); ++s) {
+    eval.move_to(points[s]);
+    const auto solved = eval.solve();
+    ASSERT_EQ(solved.feasible, value[s].has_value()) << "source " << s;
+    if (!solved.feasible) continue;
+    const ResidentThermalRows& rows = eval.thermal_rows();
+    const ResidentThermalRows::BoundSource source =
+        rows.bound_source(solved.duals);
+    const double own = rows.bound(source, points[s]);
+    EXPECT_NEAR(own, solved.objective,
+                1e-6 * std::max(1.0, std::abs(solved.objective)))
+        << "source " << s;
+    for (std::size_t t = 0; t < points.size(); ++t) {
+      if (!value[t]) continue;
+      EXPECT_LE(*value[t], rows.bound(source, points[t]) +
+                               1e-9 * std::max(1.0, std::abs(*value[t])))
+          << "source " << s << " target " << t;
+      ++checked;
+    }
+  }
+  EXPECT_GT(checked, points.size());
+}
+
+TEST(CracSweep, DualBoundNeverUndercutsTheDenseOptimum) {
+  struct Park {
+    std::uint64_t seed;
+    std::size_t nodes, cracs;
+  };
+  for (const Park& park : {Park{311, 10, 2}, Park{312, 24, 3},
+                           Park{313, 60, 6}, Park{314, 150, 3}}) {
+    SCOPED_TRACE(testing::Message() << "seed=" << park.seed
+                                    << " nodes=" << park.nodes);
+    const auto scenario =
+        test::make_small_scenario(park.seed, park.nodes, park.cracs);
+    const dc::DataCenter& dc = scenario.dc;
+    const thermal::HeatFlowModel model(dc);
+    const std::vector<std::vector<double>> points = bound_probe_points(dc);
+    solver::LpOptions dense;
+    dense.engine = solver::LpEngine::Dense;
+    const double psi = 50.0;
+    const std::vector<double> mid(dc.num_cracs(), 17.5);
+    const double relaxed = Stage1Solver(dc, model).solve_at(mid, psi).objective;
+    ASSERT_GT(relaxed, 0.0);
+    for (const Stage1LpEvaluator::Mode mode :
+         {Stage1LpEvaluator::Mode::MaximizeReward,
+          Stage1LpEvaluator::Mode::MinimizePower}) {
+      SCOPED_TRACE(testing::Message()
+                   << "min_power="
+                   << (mode == Stage1LpEvaluator::Mode::MinimizePower));
+      const double floor =
+          mode == Stage1LpEvaluator::Mode::MinimizePower ? 0.5 * relaxed : 0.0;
+      expect_bounds_hold(
+          Stage1LpEvaluator(dc, model, mode, psi, floor, mid, {}),
+          [&](const std::vector<double>& at) -> std::optional<double> {
+            const auto out =
+                solve_stage1_lp(dc, model, mode, psi, floor, at, dense);
+            if (!out.feasible) return std::nullopt;
+            return out.objective;
+          },
+          points);
+    }
+    SCOPED_TRACE("baseline");
+    const BaselineAssigner baseline(dc, model);
+    expect_bounds_hold(
+        BaselineLpEvaluator(dc, model, mid, {}),
+        [&](const std::vector<double>& at) -> std::optional<double> {
+          const auto out = baseline.solve_at(at, dense);
+          if (!out.feasible) return std::nullopt;
+          return out.objective;
+        },
+        points);
+  }
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 
 #include <limits>
 #include <numeric>
+#include <optional>
 #include <vector>
 
 #include "testutil.h"
@@ -242,16 +243,22 @@ TEST(Stage1, SessionSweepIsBitIdenticalAcrossThreadCounts) {
   const Stage1Result reference = solver.solve(per_point);
   ASSERT_TRUE(reference.feasible);
 
+  // The session sweep also skips points that a dual bound rules out; the
+  // skipped set is the same for every worker count, and the dense oracle
+  // skips nothing.
   for (const solver::LpEngine engine :
        {solver::LpEngine::Revised, solver::LpEngine::Dense}) {
+    std::optional<std::uint64_t> prunes;
     for (const std::size_t threads :
          {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
+      const bool dense = engine == solver::LpEngine::Dense;
       SCOPED_TRACE(testing::Message()
-                   << "dense=" << (engine == solver::LpEngine::Dense)
-                   << " threads=" << threads);
+                   << "dense=" << dense << " threads=" << threads);
+      util::telemetry::Registry registry;
       Stage1Options options;
       options.lp.engine = engine;
       options.threads = threads;
+      options.telemetry = &registry;
       const Stage1Result got = solver.solve(options);
       ASSERT_TRUE(got.feasible);
       EXPECT_EQ(got.objective, reference.objective);
@@ -259,6 +266,14 @@ TEST(Stage1, SessionSweepIsBitIdenticalAcrossThreadCounts) {
       EXPECT_EQ(got.node_core_power_kw, reference.node_core_power_kw);
       EXPECT_EQ(got.compute_power_kw, reference.compute_power_kw);
       EXPECT_EQ(got.crac_power_kw, reference.crac_power_kw);
+      const std::uint64_t pruned =
+          registry.counter_value("stage1.bound_prunes");
+      EXPECT_EQ(got.lp_solves + pruned, reference.lp_solves);
+      EXPECT_EQ(registry.counter_value("stage1.lp_solves") + pruned,
+                registry.counter_value("stage1.grid_evaluations"));
+      if (dense) EXPECT_EQ(pruned, 0u);
+      if (!prunes) prunes = pruned;
+      EXPECT_EQ(pruned, *prunes);
     }
   }
 }

@@ -235,7 +235,9 @@ TEST(Stage1Properties, ObjectiveMonotoneInPowerBudget) {
 
 TEST(Stage1Properties, ThreadCountDoesNotChangeTheResult) {
   // The 6-CRAC scenario has more coordinates than the smaller pools have
-  // threads, so speculative coordinate passes are cut short and resubmitted.
+  // threads, so speculative coordinate passes are cut short and resubmitted;
+  // its sweep also skips points that a dual bound rules out, the same ones
+  // for every thread count.
   struct Case {
     std::uint64_t seed;
     std::size_t nodes, cracs;
@@ -249,8 +251,13 @@ TEST(Stage1Properties, ThreadCountDoesNotChangeTheResult) {
       core::Stage1Options options;
       options.full_grid = full_grid;
       options.threads = 1;
+      util::telemetry::Registry serial_registry;
+      options.telemetry = &serial_registry;
       const auto serial = solver.solve(options);
       ASSERT_TRUE(serial.feasible);
+      const std::uint64_t serial_prunes =
+          serial_registry.counter_value("stage1.bound_prunes");
+      if (c.cracs == 6) EXPECT_GT(serial_prunes, 0u);
       for (std::size_t threads : {std::size_t{2}, std::size_t{4}, std::size_t{8}}) {
         SCOPED_TRACE(testing::Message() << "seed=" << seed << " full_grid="
                                         << full_grid << " threads=" << threads);
@@ -269,6 +276,7 @@ TEST(Stage1Properties, ThreadCountDoesNotChangeTheResult) {
         EXPECT_EQ(parallel.compute_power_kw, serial.compute_power_kw);
         EXPECT_EQ(parallel.crac_power_kw, serial.crac_power_kw);
         EXPECT_EQ(parallel.lp_solves, serial.lp_solves);
+        EXPECT_EQ(registry.counter_value("stage1.bound_prunes"), serial_prunes);
       }
     }
   }

@@ -8,8 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <memory>
+#include <optional>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -191,7 +194,8 @@ struct CoordinateRun {
 };
 
 template <class Objective>
-CoordinateRun run_coordinate(const Objective& objective, std::size_t threads) {
+CoordinateRun run_coordinate(const Objective& objective, std::size_t threads,
+                             const GridBound& bound = {}) {
   CoordinateRun run;
   GridSearchOptions opt;
   opt.threads = threads;
@@ -201,7 +205,12 @@ CoordinateRun run_coordinate(const Objective& objective, std::size_t threads) {
     run.rounds.emplace_back(running.best_value, running.best_point);
   };
   const std::vector<double> lo(6, 0.0), hi(6, 10.0);
-  run.result = uniform_then_coordinate_maximize(lo, hi, objective, opt);
+  if constexpr (std::is_same_v<Objective, GridChainObjective>) {
+    run.result =
+        uniform_then_coordinate_maximize(lo, hi, objective, opt, bound);
+  } else {
+    run.result = uniform_then_coordinate_maximize(lo, hi, objective, opt);
+  }
   return run;
 }
 
@@ -247,6 +256,61 @@ TEST(GridSearchParallel, SpeculativeCoordinatePassesMatchTheSerialPass) {
     ASSERT_NE(run.result.best_state, nullptr);
     EXPECT_EQ(*static_cast<const std::vector<double>*>(run.result.best_state.get()),
               run.result.best_point);
+  }
+}
+
+TEST(GridSearchParallel, BoundPrunesAreTheSameForEveryThreadCount) {
+  // three_peaks is concave, so its tangent plane at an evaluated point
+  // bounds it everywhere: each evaluation keeps (point, value, gradient) as
+  // the bound source, as the CRAC sweep keeps an LP's duals. The value also
+  // reads the chain position, so a point evaluated after another
+  // predecessor than in the unpruned pass would change the values.
+  struct Tangent {
+    std::vector<double> x;
+    double value;
+    std::vector<double> gradient;
+  };
+  std::atomic<std::size_t> calls{0};
+  const GridChainObjective chained =
+      [&calls](const std::vector<double>& x, std::shared_ptr<void>& chain,
+               std::shared_ptr<const void>& kept) -> std::optional<double> {
+    calls.fetch_add(1, std::memory_order_relaxed);
+    if (chain == nullptr) chain = std::make_shared<std::size_t>(0);
+    std::size_t& position = *static_cast<std::size_t*>(chain.get());
+    const double value = *three_peaks(x);
+    std::vector<double> gradient(x.size(), 0.0);
+    gradient[0] = -2.0 * (x[0] - 2.0);
+    gradient[3] = -2.0 * (x[3] - 6.3);
+    gradient[5] = -2.0 * (x[5] - 8.0);
+    kept = std::make_shared<const Tangent>(Tangent{x, value, gradient});
+    return value - 1e-9 * static_cast<double>(position++);
+  };
+  const GridBound tangent = [](const void* kept, const std::vector<double>& y) {
+    const auto& t = *static_cast<const Tangent*>(kept);
+    double bound = t.value;
+    for (std::size_t d = 0; d < y.size(); ++d) {
+      bound += t.gradient[d] * (y[d] - t.x[d]);
+    }
+    return bound;
+  };
+  const CoordinateRun unpruned = run_coordinate(chained, 1);
+  ASSERT_TRUE(unpruned.result.found);
+  EXPECT_EQ(unpruned.result.bound_prunes, 0u);
+
+  std::optional<std::size_t> prunes;
+  for (const std::size_t threads : {1, 2, 4, 8}) {
+    SCOPED_TRACE(testing::Message() << "threads=" << threads);
+    calls = 0;
+    const CoordinateRun run = run_coordinate(chained, threads, tangent);
+    // The same search, trajectory and evaluation count as without a bound.
+    expect_identical(unpruned.result, run.result);
+    EXPECT_EQ(unpruned.rounds, run.rounds);
+    EXPECT_GT(run.result.bound_prunes, 0u);
+    if (!prunes) prunes = run.result.bound_prunes;
+    EXPECT_EQ(run.result.bound_prunes, *prunes);
+    // Every call is an accepted solve or a discarded speculative one.
+    EXPECT_EQ(calls.load(), run.result.evaluations - run.result.bound_prunes +
+                                run.result.speculative_discards);
   }
 }
 
