@@ -1,5 +1,5 @@
 // Substrate microbenchmarks (google-benchmark): LP simplex, LU, heat-flow
-// solve/linearize, cross-interference generation, the serial-vs-parallel
+// solve, cross-interference generation, the serial-vs-parallel
 // Stage-1 CRAC setpoint sweep, and the end-to-end assignment techniques at
 // several data-center sizes.
 #include <benchmark/benchmark.h>
@@ -103,16 +103,6 @@ void BM_HeatFlowSolve(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_HeatFlowSolve)->Arg(50)->Arg(150);
-
-void BM_HeatFlowLinearize(benchmark::State& state) {
-  const auto scenario = make_scenario(static_cast<std::size_t>(state.range(0)));
-  const thermal::HeatFlowModel model(scenario.dc);
-  std::vector<double> crac_out(scenario.dc.num_cracs(), 16.0);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(model.linearize(crac_out));
-  }
-}
-BENCHMARK(BM_HeatFlowLinearize)->Arg(50)->Arg(150);
 
 void BM_CrossInterference(benchmark::State& state) {
   const auto nodes = static_cast<std::size_t>(state.range(0));

@@ -69,10 +69,10 @@ class BaselineAssigner {
     double objective = 0.0;
     solver::Matrix frac;    // T x NCN
     solver::LpBasis basis;  // optimal basis, empty when !feasible
-    std::vector<double> duals;  // BaselineLpEvaluator: row duals when feasible
+    std::vector<double> duals;  // row duals when feasible
   };
   LpOutcome solve_at(const std::vector<double>& crac_out) const;
-  // As above with explicit LP options (engine, warm start).
+  // As above with explicit LP options (engine, iteration cap, telemetry).
   LpOutcome solve_at(const std::vector<double>& crac_out,
                      const solver::LpOptions& lp) const;
 

@@ -7,14 +7,111 @@
 namespace tapo::core {
 
 namespace {
+
 constexpr std::size_t kNoVar = static_cast<std::size_t>(-1);
+
+// The FRAC columns of the Eq.-21 LP, shared by the per-point builder and the
+// evaluator so both LPs start with the same columns and rows.
+struct FracColumns {
+  // var[i][j]; kNoVar where FRAC(i, j) is pinned to 0: node j has failed, or
+  // its P-state-0 cores miss task type i's deadline.
+  std::vector<std::vector<std::size_t>> var;
+  std::vector<std::vector<std::size_t>> by_node;  // node j's columns, by i
+  std::vector<double> ppf;  // pi_{j,0} |cores_j|, kW per unit sum_i FRAC(i,j)
+};
+
+// Adds FRAC(i, j) in [0, 1] for every allowed pair, i-major, priced at
+// r_i ECS(i,j,0) |cores_j|, then the arrival-rate rows
+//   sum_j |cores_j| ECS(i,j,0) FRAC(i,j) <= lambda_i
+// for every task type with a column.
+FracColumns add_frac_columns(solver::LpProblem& lp, const dc::DataCenter& dc) {
+  const std::size_t nn = dc.num_nodes();
+  const std::size_t t = dc.num_task_types();
+  FracColumns frac;
+  frac.var.assign(t, std::vector<std::size_t>(nn, kNoVar));
+  frac.by_node.assign(nn, {});
+  frac.ppf.resize(nn);
+  for (std::size_t j = 0; j < nn; ++j) {
+    const dc::NodeTypeSpec& spec = dc.node_type(j);
+    frac.ppf[j] =
+        spec.core_power_kw(0) * static_cast<double>(spec.cores_per_node());
+  }
+  for (std::size_t i = 0; i < t; ++i) {
+    for (std::size_t j = 0; j < nn; ++j) {
+      if (dc.node_failed(j) ||
+          !dc.ecs.can_meet_deadline(i, dc.nodes[j].type, 0,
+                                    dc.task_types[i].relative_deadline)) {
+        continue;
+      }
+      const double cores = static_cast<double>(dc.node_type(j).cores_per_node());
+      frac.var[i][j] = lp.add_variable(
+          0.0, 1.0,
+          dc.task_types[i].reward * dc.ecs.ecs(i, dc.nodes[j].type, 0) * cores);
+      frac.by_node[j].push_back(frac.var[i][j]);
+    }
+  }
+  for (std::size_t i = 0; i < t; ++i) {
+    std::vector<std::pair<std::size_t, double>> terms;
+    for (std::size_t j = 0; j < nn; ++j) {
+      if (frac.var[i][j] == kNoVar) continue;
+      const double cores = static_cast<double>(dc.node_type(j).cores_per_node());
+      terms.emplace_back(frac.var[i][j],
+                         cores * dc.ecs.ecs(i, dc.nodes[j].type, 0));
+    }
+    if (!terms.empty()) {
+      lp.add_constraint(std::move(terms), solver::Relation::LessEq,
+                        dc.task_types[i].arrival_rate);
+    }
+  }
+  return frac;
+}
+
+// The outcome of one solve: objective, duals and fractions on Optimal.
+BaselineAssigner::LpOutcome make_outcome(
+    const dc::DataCenter& dc, const std::vector<std::vector<std::size_t>>& var,
+    const solver::LpSolution& sol) {
+  BaselineAssigner::LpOutcome out;
+  out.status = sol.status;
+  if (!sol.optimal()) return out;
+  out.feasible = true;
+  out.basis = sol.basis;
+  out.duals = sol.duals;
+  out.objective = sol.objective;
+  out.frac = solver::Matrix(dc.num_task_types(), dc.num_nodes());
+  for (std::size_t i = 0; i < dc.num_task_types(); ++i) {
+    for (std::size_t j = 0; j < dc.num_nodes(); ++j) {
+      if (var[i][j] != kNoVar) out.frac(i, j) = sol.x[var[i][j]];
+    }
+  }
+  return out;
+}
+
 }  // namespace
 
-bool baseline_frac_allowed(const dc::DataCenter& dc, std::size_t i,
-                           std::size_t j) {
-  return !dc.node_failed(j) &&
-         dc.ecs.can_meet_deadline(i, dc.nodes[j].type, 0,
-                                  dc.task_types[i].relative_deadline);
+BaselineAssigner::LpOutcome solve_baseline_lp(
+    const dc::DataCenter& dc, const thermal::HeatFlowModel& model,
+    const std::vector<double>& crac_out, const solver::LpOptions& lp_options) {
+  solver::LpProblem lp;
+  const FracColumns frac = add_frac_columns(lp, dc);
+  std::vector<std::size_t> crac_power_vars(dc.num_cracs());
+  for (std::size_t& q : crac_power_vars) {
+    q = lp.add_variable(0.0, solver::kLpInfinity, 0.0);
+  }
+  // Node fraction budgets: sum_i FRAC(i,j) <= 1.
+  for (const std::vector<std::size_t>& cols : frac.by_node) {
+    if (cols.empty()) continue;
+    std::vector<std::pair<std::size_t, double>> terms;
+    for (std::size_t v : cols) terms.emplace_back(v, 1.0);
+    lp.add_constraint(std::move(terms), solver::Relation::LessEq, 1.0);
+  }
+  // Redlines, CRAC power rows and the budget over node power
+  // ppf_j sum_i FRAC(i,j), in the per-point form; see core/thermal_rows.h.
+  if (!append_point_thermal_rows(lp, dc, model, frac.by_node, frac.ppf,
+                                 crac_power_vars, crac_out,
+                                 /*with_budget_row=*/true)) {
+    return {};
+  }
+  return make_outcome(dc, frac.var, solve_lp(lp, lp_options));
 }
 
 BaselineLpEvaluator::BaselineLpEvaluator(const dc::DataCenter& dc,
@@ -23,68 +120,31 @@ BaselineLpEvaluator::BaselineLpEvaluator(const dc::DataCenter& dc,
                                          const solver::LpOptions& lp_options)
     : dc_(dc), thermal_rows_(dc, model) {
   const std::size_t nn = dc_.num_nodes();
-  const std::size_t nc = dc_.num_cracs();
-  const std::size_t t = dc_.num_task_types();
-  TAPO_CHECK(crac_out0.size() == nc);
+  TAPO_CHECK(crac_out0.size() == dc_.num_cracs());
 
   solver::LpProblem lp;
-  // FRAC columns in solve_at's order and with its coefficients.
-  frac_var_.assign(t, std::vector<std::size_t>(nn, kNoVar));
-  for (std::size_t i = 0; i < t; ++i) {
-    for (std::size_t j = 0; j < nn; ++j) {
-      if (!baseline_frac_allowed(dc_, i, j)) continue;
-      const double cores = static_cast<double>(dc_.node_type(j).cores_per_node());
-      frac_var_[i][j] = lp.add_variable(
-          0.0, 1.0,
-          dc_.task_types[i].reward * dc_.ecs.ecs(i, dc_.nodes[j].type, 0) *
-              cores);
-    }
-  }
+  FracColumns frac = add_frac_columns(lp, dc_);
   // Node power columns p_j in [0, ppf_j], for nodes with any fraction.
-  std::vector<double> power_per_frac(nn, 0.0);
   std::vector<std::vector<std::size_t>> power_cols(nn);
   for (std::size_t j = 0; j < nn; ++j) {
-    bool any = false;
-    for (std::size_t i = 0; i < t; ++i) any = any || frac_var_[i][j] != kNoVar;
-    if (!any) continue;
-    const dc::NodeTypeSpec& spec = dc_.node_type(j);
-    power_per_frac[j] =
-        spec.core_power_kw(0) * static_cast<double>(spec.cores_per_node());
-    power_cols[j].push_back(lp.add_variable(0.0, power_per_frac[j], 0.0));
+    if (frac.by_node[j].empty()) continue;
+    power_cols[j].push_back(lp.add_variable(0.0, frac.ppf[j], 0.0));
   }
-  std::vector<std::size_t> crac_power_vars(nc);
-  for (std::size_t c = 0; c < nc; ++c) {
-    crac_power_vars[c] = lp.add_variable(0.0, solver::kLpInfinity, 0.0);
-  }
-
-  // Arrival rates: sum_j |cores_j| ECS(i,j,0) FRAC(i,j) <= lambda_i.
-  for (std::size_t i = 0; i < t; ++i) {
-    std::vector<std::pair<std::size_t, double>> terms;
-    for (std::size_t j = 0; j < nn; ++j) {
-      if (frac_var_[i][j] == kNoVar) continue;
-      const double cores = static_cast<double>(dc_.node_type(j).cores_per_node());
-      terms.emplace_back(frac_var_[i][j],
-                         cores * dc_.ecs.ecs(i, dc_.nodes[j].type, 0));
-    }
-    if (!terms.empty()) {
-      lp.add_constraint(std::move(terms), solver::Relation::LessEq,
-                        dc_.task_types[i].arrival_rate);
-    }
+  std::vector<std::size_t> crac_power_vars(dc_.num_cracs());
+  for (std::size_t& q : crac_power_vars) {
+    q = lp.add_variable(0.0, solver::kLpInfinity, 0.0);
   }
   // Tie rows: sum_i ppf_j FRAC(i,j) - p_j <= 0.
   for (std::size_t j = 0; j < nn; ++j) {
     if (power_cols[j].empty()) continue;
     std::vector<std::pair<std::size_t, double>> terms;
-    for (std::size_t i = 0; i < t; ++i) {
-      if (frac_var_[i][j] != kNoVar) {
-        terms.emplace_back(frac_var_[i][j], power_per_frac[j]);
-      }
-    }
+    for (std::size_t v : frac.by_node[j]) terms.emplace_back(v, frac.ppf[j]);
     terms.emplace_back(power_cols[j].front(), -1.0);
     lp.add_constraint(std::move(terms), solver::Relation::LessEq, 0.0);
   }
   thermal_rows_.append(lp, power_cols, crac_power_vars, crac_out0,
                        /*with_budget_row=*/true);
+  frac_var_ = std::move(frac.var);
 
   session_.emplace(lp, lp_options);
 }
@@ -95,23 +155,7 @@ void BaselineLpEvaluator::move_to(const std::vector<double>& crac_out) {
 
 BaselineAssigner::LpOutcome BaselineLpEvaluator::solve(
     const solver::LpBasis* seed) {
-  const solver::LpSolution sol = session_->solve(seed);
-  BaselineAssigner::LpOutcome out;
-  out.status = sol.status;
-  if (!sol.optimal()) return out;
-  out.feasible = true;
-  out.basis = sol.basis;
-  out.duals = sol.duals;
-  out.objective = sol.objective;
-  const std::size_t t = dc_.num_task_types();
-  const std::size_t nn = dc_.num_nodes();
-  out.frac = solver::Matrix(t, nn);
-  for (std::size_t i = 0; i < t; ++i) {
-    for (std::size_t j = 0; j < nn; ++j) {
-      if (frac_var_[i][j] != kNoVar) out.frac(i, j) = sol.x[frac_var_[i][j]];
-    }
-  }
-  return out;
+  return make_outcome(dc_, frac_var_, session_->solve(seed));
 }
 
 }  // namespace tapo::core

@@ -1,29 +1,28 @@
-// Persistent baseline LP evaluator: the Eq.-21 LP over per-node power
-// columns, resident in one LpSession and re-pointed at successive CRAC
-// setpoints through the patch API (the baseline counterpart of
-// core/stage1_lp.h).
+// The Eq.-21 baseline LP at fixed CRAC setpoints, in the two forms the CRAC
+// sweep (core/crac_sweep.h) needs, as core/stage1_lp.h has them for Stage 1:
+// a builder that solves it once from scratch (BaselineAssigner::solve_at) and
+// a persistent evaluator that keeps it resident in one LpSession and patches
+// it from point to point. Both add the same FRAC columns and arrival rows
+// and read the fractions back alike.
 //
-// BaselineAssigner::solve_at writes node j's power as pi_{j,0} |cores_j|
-// sum_i FRAC(i,j), so every one of node j's T fraction columns carries its
-// own copy of the node's dense thermal column, and each grid point rebuilds,
-// standardizes and refactorizes that LP. This evaluator adds one column per
-// node, its core power p_j in [0, ppf_j] with ppf_j = pi_{j,0} |cores_j|,
-// and ties the fractions to it with one row per node,
+// The builder writes node j's power as ppf_j sum_i FRAC(i,j), with
+// ppf_j = pi_{j,0} |cores_j| (the per-point thermal rows of
+// core/thermal_rows.h at s_j = ppf_j), so every one of node j's T fraction
+// columns carries its own copy of the node's dense thermal column. The
+// evaluator adds one column per node, its core power p_j in [0, ppf_j], and
+// ties the fractions to it with one row per node,
 //
 //   sum_i ppf_j FRAC(i,j) - p_j <= 0,
 //
 // which replaces the node budget sum_i FRAC(i,j) <= 1 (the bound
-// p_j <= ppf_j does that job). The redline, CRAC power and budget rows sit
-// on p_j alone (core/thermal_rows.h), so the FRAC columns fall to two
-// entries each (arrival row + tie row). The thermal coefficients are
-// nonnegative, so lowering any p_j onto ppf_j sum_i FRAC(i,j) keeps every
-// row satisfied: the feasible set's projection onto the fractions, and
-// hence the optimum, are those of solve_at. Nodes with no deadline-feasible
-// fraction, and failed nodes, get no p_j.
-//
-// A move to new setpoints is the Stage-1 patch set: the RHS of every
-// redline and CRAC power row plus -1/k_c per CRAC. The sweep's published
-// plan is still solve_at's Dense cold re-solve at the winning point.
+// p_j <= ppf_j does that job). The resident thermal rows sit on p_j alone,
+// so the FRAC columns fall to two entries each (arrival row + tie row). The
+// thermal coefficients are nonnegative, so lowering any p_j onto
+// ppf_j sum_i FRAC(i,j) keeps every row satisfied: the feasible set's
+// projection onto the fractions, and hence the optimum, are the builder's.
+// Nodes with no deadline-feasible fraction, and failed nodes, get no p_j.
+// The sweep's published plan is the builder's Dense cold re-solve at the
+// winning point.
 #pragma once
 
 #include <cstddef>
@@ -38,11 +37,13 @@
 
 namespace tapo::core {
 
-// Whether FRAC(i, j) is a variable of the Eq.-21 LP (both solve_at's and the
-// evaluator's): node j is live and its P-state-0 cores meet task type i's
-// deadline. Otherwise FRAC(i, j) is pinned to 0.
-bool baseline_frac_allowed(const dc::DataCenter& dc, std::size_t i,
-                           std::size_t j);
+// Builds the Eq.-21 LP at crac_out from scratch and solves it with
+// lp_options: BaselineAssigner::solve_at. Row layout: arrival rates, one
+// fraction budget per node with any fraction, then the thermal rows
+// (redlines, CRAC power rows, budget).
+BaselineAssigner::LpOutcome solve_baseline_lp(
+    const dc::DataCenter& dc, const thermal::HeatFlowModel& model,
+    const std::vector<double>& crac_out, const solver::LpOptions& lp_options);
 
 class BaselineLpEvaluator {
  public:

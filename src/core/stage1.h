@@ -12,7 +12,9 @@
 //   s.t.      total compute power + total CRAC power <= Pconst   (Eq. 9 c1)
 //             Tin <= Tredline                                    (Eq. 9 c2)
 // where the thermal rows and the CRAC power (at fixed setpoints, with CoP
-// known) are affine in the node powers via HeatFlowModel::linearize. The
+// known) are affine in the node powers: HeatFlowModel::offsets gives the
+// setpoint terms and node_in_coeff()/crac_in_coeff() the power
+// sensitivities (rows written by core/thermal_rows.h). The
 // outlet temperatures themselves are found by the paper's discretized
 // coarse-to-fine search (Section V.B.2's multi-step method).
 #pragma once

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "core/reward.h"
-#include "dc/crac.h"
 #include "solver/piecewise.h"
 #include "util/check.h"
 #include "util/telemetry.h"
@@ -131,78 +130,24 @@ Stage1Solver::LpOutcome solve_stage1_lp(const dc::DataCenter& dc,
                                         double reward_floor,
                                         const std::vector<double>& crac_out,
                                         const solver::LpOptions& lp_options) {
-  const std::size_t nn = dc.num_nodes();
-  const std::size_t nc = dc.num_cracs();
-  TAPO_CHECK(crac_out.size() == nc);
-
   // Phase accounting for docs/SOLVER.md §6: everything up to solve_lp is
   // per-point fixed cost that the persistent evaluator amortizes away.
   std::optional<util::telemetry::ScopedTimer> build_timer;
   if (lp_options.telemetry) build_timer.emplace(lp_options.telemetry, "lp.phase.build");
 
-  const thermal::LinearResponse lr = model.linearize(crac_out);
   solver::LpProblem lp;
   Columns cols = add_columns(lp, dc, mode, psi);
   if (mode == Mode::MinimizePower) {
     lp.add_constraint(std::move(cols.reward_terms), solver::Relation::GreaterEq,
                       reward_floor);
   }
-
-  // Thermal redlines: the inlet offset already contains the CRAC-outlet
-  // contribution; the coefficient rows add the node-power influence,
-  // including base power. False when base load alone violates the redline
-  // at these setpoints.
-  const auto add_redline = [&](const solver::Matrix& coeff, std::size_t r,
-                               double rhs) {
-    Terms terms;
-    for (std::size_t j = 0; j < nn; ++j) {
-      const double w = coeff(r, j);
-      if (w == 0.0) continue;
-      rhs -= w * dc.node_base_power_kw(j);
-      for (std::size_t v : cols.seg_vars[j]) terms.emplace_back(v, w);
-    }
-    if (rhs < 0.0 && terms.empty()) return false;
-    lp.add_constraint(std::move(terms), solver::Relation::LessEq, rhs);
-    return true;
-  };
-  for (std::size_t r = 0; r < nn; ++r) {
-    if (!add_redline(lr.node_in_coeff, r, dc.redline_node_c - lr.node_in0[r])) {
-      return {};
-    }
-  }
-  for (std::size_t r = 0; r < nc; ++r) {
-    if (!add_redline(lr.crac_in_coeff, r, dc.redline_crac_c - lr.crac_in0[r])) {
-      return {};
-    }
-  }
-
-  // CRAC power definition rows: k_c * (crac_in_c - tout_c) - q_c <= 0 with
-  // k_c = rho*Cp*F_c / CoP(tout_c).
-  for (std::size_t c = 0; c < nc; ++c) {
-    const dc::CracSpec& crac = dc.cracs[c];
-    const double k = dc::kAirDensity * dc::kAirSpecificHeat * crac.flow_m3s /
-                     crac.cop(crac_out[c]);
-    Terms terms;
-    double rhs = -k * (lr.crac_in0[c] - crac_out[c]);
-    for (std::size_t j = 0; j < nn; ++j) {
-      const double w = k * lr.crac_in_coeff(c, j);
-      if (w == 0.0) continue;
-      rhs -= w * dc.node_base_power_kw(j);
-      for (std::size_t v : cols.seg_vars[j]) terms.emplace_back(v, w);
-    }
-    terms.emplace_back(cols.crac_power_vars[c], -1.0);
-    lp.add_constraint(std::move(terms), solver::Relation::LessEq, rhs);
-  }
-
-  // Power budget: sum of node core powers + CRAC powers <= Pconst - base.
-  if (mode == Mode::MaximizeReward) {
-    Terms terms;
-    for (std::size_t j = 0; j < nn; ++j) {
-      for (std::size_t v : cols.seg_vars[j]) terms.emplace_back(v, 1.0);
-    }
-    for (std::size_t v : cols.crac_power_vars) terms.emplace_back(v, 1.0);
-    lp.add_constraint(std::move(terms), solver::Relation::LessEq,
-                      dc.p_const_kw - dc.total_base_power_kw());
+  // Redlines, CRAC power rows and (MaximizeReward) the budget row over the
+  // segment variables, in the per-point form; see core/thermal_rows.h.
+  if (!append_point_thermal_rows(lp, dc, model, cols.seg_vars,
+                                 std::vector<double>(dc.num_nodes(), 1.0),
+                                 cols.crac_power_vars, crac_out,
+                                 mode == Mode::MaximizeReward)) {
+    return {};
   }
 
   build_timer.reset();

@@ -4,26 +4,17 @@
 // persistent evaluator that keeps it resident and re-points it at
 // successive setpoints through the solver session's patch API.
 //
-// Between neighboring points only the setpoint-dependent pieces move: every
-// row's RHS (through the affine offsets of HeatFlowModel::offsets) and, in
-// the CRAC power rows, the CoP factor k_c = rho*Cp*F_c / CoP(tout_c). The
-// evaluator builds the LP once per warm chain and afterwards patches exactly
-// those pieces in place, through the thermal block it shares with the
-// baseline evaluator (core/thermal_rows.h):
+// Between neighboring points only the setpoint-dependent pieces move: the
+// RHS of every thermal row and one coefficient per CRAC power row. The
+// evaluator builds the LP once and then patches exactly those pieces, through
+// the resident form of the thermal rows (core/thermal_rows.h); the builder
+// writes their per-point form. The reward-floor row (MinimizePower) never
+// moves.
 //
-//   * the CRAC power row is carried in the k-scaled form
-//       (crac_in_c - tout_c) - q_c / k_c <= 0
-//     (the per-point builder multiplies through by k_c), so the node-power
-//     coefficients — the dense thermal part — are setpoint-INDEPENDENT and
-//     a move touches one coefficient (-1/k_c) plus the RHS per CRAC;
-//   * redline rows keep their coefficients verbatim and move only the RHS;
-//   * the reward-floor row (MinimizePower) and the budget row never move.
-//
-// The feasible set at each point is the per-point builder's (row scaling
-// changes no solution), and both LPs have the same variables, rows and row
-// order, so an LpBasis from one warm-starts the other. The sweep's published
-// plan is the builder's Dense cold re-solve at the winning point. See
-// docs/SOLVER.md §7.
+// The feasible set at each point is the builder's (row scaling changes no
+// solution), and both LPs have the same variables, rows and row order, so an
+// LpBasis from one warm-starts the other. The sweep's published plan is the
+// builder's Dense cold re-solve at the winning point. See docs/SOLVER.md §7.
 #pragma once
 
 #include <cstddef>
@@ -94,9 +85,10 @@ class Stage1LpEvaluator {
 };
 
 // Builds the LP of `mode` at crac_out from scratch and solves it with
-// lp_options (engine, warm start, telemetry). Row layout: [reward floor
-// (MinimizePower)], node redlines, CRAC redlines, CRAC power rows, [budget
-// (MaximizeReward)]. Stage1Solver::solve_at is the MaximizeReward case.
+// lp_options (engine, iteration cap, telemetry). Row layout: [reward floor
+// (MinimizePower)], then the per-point thermal rows (core/thermal_rows.h):
+// node redlines, CRAC redlines, CRAC power rows, [budget (MaximizeReward)].
+// Stage1Solver::solve_at is the MaximizeReward case.
 Stage1Solver::LpOutcome solve_stage1_lp(const dc::DataCenter& dc,
                                         const thermal::HeatFlowModel& model,
                                         Stage1LpEvaluator::Mode mode,

@@ -28,7 +28,8 @@ PowerAwareStage3Result solve_stage3_power_aware(
                    "task power factor below the idle factor");
   }
 
-  const thermal::LinearResponse lr = model.linearize(crac_out);
+  const thermal::HeatFlowModel::AffineOffsets off = model.offsets(crac_out);
+  const solver::Matrix& crac_coeff = model.crac_in_coeff();
 
   // Per node: active-state core counts and the idle floor of its power.
   struct NodeStates {
@@ -127,15 +128,15 @@ PowerAwareStage3Result solve_stage3_power_aware(
   };
 
   for (std::size_t r = 0; r < nn; ++r) {
-    if (!add_affine_row(lr.node_in_coeff.row(r),
-                        dc.redline_node_c - lr.node_in0[r], {},
+    if (!add_affine_row(model.node_in_coeff().row(r),
+                        dc.redline_node_c - off.node_in0[r], {},
                         solver::Relation::LessEq)) {
       return infeasible_result();
     }
   }
   for (std::size_t r = 0; r < nc; ++r) {
-    if (!add_affine_row(lr.crac_in_coeff.row(r),
-                        dc.redline_crac_c - lr.crac_in0[r], {},
+    if (!add_affine_row(crac_coeff.row(r),
+                        dc.redline_crac_c - off.crac_in0[r], {},
                         solver::Relation::LessEq)) {
       return infeasible_result();
     }
@@ -147,8 +148,8 @@ PowerAwareStage3Result solve_stage3_power_aware(
     const double k = dc::kAirDensity * dc::kAirSpecificHeat * crac.flow_m3s /
                      crac.cop(crac_out[c]);
     std::vector<double> scaled(nn);
-    for (std::size_t j = 0; j < nn; ++j) scaled[j] = k * lr.crac_in_coeff(c, j);
-    if (!add_affine_row(scaled.data(), k * (crac_out[c] - lr.crac_in0[c]),
+    for (std::size_t j = 0; j < nn; ++j) scaled[j] = k * crac_coeff(c, j);
+    if (!add_affine_row(scaled.data(), k * (crac_out[c] - off.crac_in0[c]),
                         {{crac_power_vars[c], -1.0}}, solver::Relation::LessEq)) {
       return infeasible_result();
     }

@@ -16,20 +16,53 @@ using Terms = std::vector<std::pair<std::size_t, double>>;
 constexpr std::size_t kNoNode = static_cast<std::size_t>(-1);
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-// One thermal row's adjustable terms (every column of node j at weight
-// coeff(r, j)) and its setpoint-independent base term sum_j w_rj B_j.
-double thermal_terms(const dc::DataCenter& dc, const solver::Matrix& coeff,
-                     std::size_t r,
-                     const std::vector<std::vector<std::size_t>>& node_cols,
-                     Terms& terms) {
-  double rhs_base = 0.0;
+// Appends row r of `coeff` times k over the node columns: each column of
+// node j at w_j * node_scale[j], w_j = k * coeff(r, j), nodes with w_j == 0
+// skipped. base(w_j * B_j) receives each node's base-power term in node
+// order; the per-point form subtracts them from the RHS one by one, the
+// resident form sums them into a base first.
+template <class BaseTerm>
+void node_terms(const dc::DataCenter& dc, const solver::Matrix& coeff,
+                std::size_t r, double k,
+                const std::vector<std::vector<std::size_t>>& node_cols,
+                const std::vector<double>& node_scale, Terms& terms,
+                BaseTerm&& base) {
   for (std::size_t j = 0; j < dc.num_nodes(); ++j) {
-    const double w = coeff(r, j);
+    const double w = k * coeff(r, j);
     if (w == 0.0) continue;
-    rhs_base += w * dc.node_base_power_kw(j);
-    for (std::size_t v : node_cols[j]) terms.emplace_back(v, w);
+    base(w * dc.node_base_power_kw(j));
+    const double scaled = w * node_scale[j];
+    for (std::size_t v : node_cols[j]) terms.emplace_back(v, scaled);
   }
-  return rhs_base;
+}
+
+// The budget row of both forms; returns its RHS, Pconst - B.
+double add_budget_row(solver::LpProblem& lp, const dc::DataCenter& dc,
+                      const std::vector<std::vector<std::size_t>>& node_cols,
+                      const std::vector<double>& node_scale,
+                      const std::vector<std::size_t>& crac_power_vars) {
+  Terms terms;
+  for (std::size_t j = 0; j < dc.num_nodes(); ++j) {
+    for (std::size_t v : node_cols[j]) terms.emplace_back(v, node_scale[j]);
+  }
+  for (std::size_t v : crac_power_vars) terms.emplace_back(v, 1.0);
+  const double rhs = dc.p_const_kw - dc.total_base_power_kw();
+  lp.add_constraint(std::move(terms), solver::Relation::LessEq, rhs);
+  return rhs;
+}
+
+// k_c = rho*Cp*F_c / CoP(tout_c): the per-point form multiplies CRAC c's
+// power row through by it.
+double crac_k(const dc::CracSpec& crac, double tout) {
+  return dc::kAirDensity * dc::kAirSpecificHeat * crac.flow_m3s /
+         crac.cop(tout);
+}
+
+// 1/k_c: the resident form carries -1/k_c on the CRAC power variable so the
+// thermal coefficients stay fixed.
+double inv_k(const dc::CracSpec& crac, double tout) {
+  return crac.cop(tout) /
+         (dc::kAirDensity * dc::kAirSpecificHeat * crac.flow_m3s);
 }
 
 // A dual clamped to its row's sign: >= 0 on <= rows, <= 0 on >= rows.
@@ -94,13 +127,6 @@ ResidentThermalRows::ResidentThermalRows(const dc::DataCenter& dc,
                                          const thermal::HeatFlowModel& model)
     : dc_(dc), model_(model) {}
 
-double ResidentThermalRows::inv_k(const dc::CracSpec& crac, double tout) {
-  // k_c = rho*Cp*F_c / CoP(tout_c); the resident row carries -1/k_c on the
-  // CRAC power variable so the thermal coefficients stay fixed.
-  return crac.cop(tout) /
-         (dc::kAirDensity * dc::kAirSpecificHeat * crac.flow_m3s);
-}
-
 void ResidentThermalRows::append(
     solver::LpProblem& lp,
     const std::vector<std::vector<std::size_t>>& node_cols,
@@ -122,43 +148,41 @@ void ResidentThermalRows::append(
   for (std::size_t r = 0; r < b.node_row0; ++r) {
     b.rows.push_back({lp.row(r), lp.relation(r), lp.rhs(r)});
   }
-  b.node_rhs_base.assign(nn, 0.0);
-  for (std::size_t r = 0; r < nn; ++r) {
-    Terms terms;
-    b.node_rhs_base[r] = thermal_terms(dc_, node_coeff, r, node_cols, terms);
-    lp.add_constraint(std::move(terms), solver::Relation::LessEq,
-                      (dc_.redline_node_c - off.node_in0[r]) -
-                          b.node_rhs_base[r]);
-  }
+  // Row r's terms and their base sum sum_j w_rj B_j.
+  const std::vector<double> ones(nn, 1.0);
+  const auto resident_terms = [&](const solver::Matrix& coeff, std::size_t r,
+                                  Terms& terms) {
+    double rhs_base = 0.0;
+    node_terms(dc_, coeff, r, 1.0, node_cols, ones, terms,
+               [&rhs_base](double wb) { rhs_base += wb; });
+    return rhs_base;
+  };
+  const auto add_redlines = [&](const solver::Matrix& coeff,
+                                const std::vector<double>& in0, double redline,
+                                std::vector<double>& rhs_base) {
+    rhs_base.assign(in0.size(), 0.0);
+    for (std::size_t r = 0; r < in0.size(); ++r) {
+      Terms terms;
+      rhs_base[r] = resident_terms(coeff, r, terms);
+      lp.add_constraint(std::move(terms), solver::Relation::LessEq,
+                        (redline - in0[r]) - rhs_base[r]);
+    }
+  };
+  add_redlines(node_coeff, off.node_in0, dc_.redline_node_c, b.node_rhs_base);
   b.crac_row0 = lp.num_constraints();
-  b.crac_rhs_base.assign(nc, 0.0);
-  for (std::size_t c = 0; c < nc; ++c) {
-    Terms terms;
-    b.crac_rhs_base[c] = thermal_terms(dc_, crac_coeff, c, node_cols, terms);
-    lp.add_constraint(std::move(terms), solver::Relation::LessEq,
-                      (dc_.redline_crac_c - off.crac_in0[c]) -
-                          b.crac_rhs_base[c]);
-  }
+  add_redlines(crac_coeff, off.crac_in0, dc_.redline_crac_c, b.crac_rhs_base);
   b.power_row0 = lp.num_constraints();
   b.power_rhs_base.assign(nc, 0.0);
   for (std::size_t c = 0; c < nc; ++c) {
     Terms terms;
-    b.power_rhs_base[c] = thermal_terms(dc_, crac_coeff, c, node_cols, terms);
+    b.power_rhs_base[c] = resident_terms(crac_coeff, c, terms);
     terms.emplace_back(crac_power_vars[c], -inv_k(dc_.cracs[c], crac_out0[c]));
     lp.add_constraint(std::move(terms), solver::Relation::LessEq,
                       -(off.crac_in0[c] - crac_out0[c]) - b.power_rhs_base[c]);
   }
-
   if (with_budget_row) {
-    Terms terms;
-    for (std::size_t j = 0; j < nn; ++j) {
-      for (std::size_t v : node_cols[j]) terms.emplace_back(v, 1.0);
-    }
-    for (std::size_t v : crac_power_vars) terms.emplace_back(v, 1.0);
     b.budget = true;
-    b.budget_rhs = dc_.p_const_kw - dc_.total_base_power_kw();
-    lp.add_constraint(std::move(terms), solver::Relation::LessEq,
-                      b.budget_rhs);
+    b.budget_rhs = add_budget_row(lp, dc_, node_cols, ones, crac_power_vars);
   }
 
   const std::size_t n = lp.num_vars();
@@ -318,6 +342,55 @@ double ResidentThermalRows::bound(const BoundSource& s,
   return std::min(best, yb_b + box_sum([&shift](std::size_t j) {
                           return shift[j];
                         }));
+}
+
+bool append_point_thermal_rows(
+    solver::LpProblem& lp, const dc::DataCenter& dc,
+    const thermal::HeatFlowModel& model,
+    const std::vector<std::vector<std::size_t>>& node_cols,
+    const std::vector<double>& node_scale,
+    const std::vector<std::size_t>& crac_power_vars,
+    const std::vector<double>& crac_out, bool with_budget_row) {
+  const std::size_t nn = dc.num_nodes();
+  const std::size_t nc = dc.num_cracs();
+  TAPO_CHECK(node_cols.size() == nn);
+  TAPO_CHECK(node_scale.size() == nn);
+  TAPO_CHECK(crac_power_vars.size() == nc);
+  TAPO_CHECK(crac_out.size() == nc);
+  const thermal::HeatFlowModel::AffineOffsets off = model.offsets(crac_out);
+
+  // One row per inlet; false when base load alone breaks a redline at these
+  // setpoints.
+  const auto add_redlines = [&](const solver::Matrix& coeff,
+                                const std::vector<double>& in0,
+                                double redline) {
+    for (std::size_t r = 0; r < in0.size(); ++r) {
+      Terms terms;
+      double rhs = redline - in0[r];
+      node_terms(dc, coeff, r, 1.0, node_cols, node_scale, terms,
+                 [&rhs](double wb) { rhs -= wb; });
+      if (rhs < 0.0 && terms.empty()) return false;
+      lp.add_constraint(std::move(terms), solver::Relation::LessEq, rhs);
+    }
+    return true;
+  };
+  if (!add_redlines(model.node_in_coeff(), off.node_in0, dc.redline_node_c) ||
+      !add_redlines(model.crac_in_coeff(), off.crac_in0, dc.redline_crac_c)) {
+    return false;
+  }
+  for (std::size_t c = 0; c < nc; ++c) {
+    const double k = crac_k(dc.cracs[c], crac_out[c]);
+    Terms terms;
+    double rhs = -k * (off.crac_in0[c] - crac_out[c]);
+    node_terms(dc, model.crac_in_coeff(), c, k, node_cols, node_scale, terms,
+               [&rhs](double wb) { rhs -= wb; });
+    terms.emplace_back(crac_power_vars[c], -1.0);
+    lp.add_constraint(std::move(terms), solver::Relation::LessEq, rhs);
+  }
+  if (with_budget_row) {
+    add_budget_row(lp, dc, node_cols, node_scale, crac_power_vars);
+  }
+  return true;
 }
 
 }  // namespace tapo::core

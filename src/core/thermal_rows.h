@@ -1,35 +1,50 @@
-// The setpoint-dependent block of a resident CRAC-sweep LP, shared by the
-// persistent Stage-1 and baseline evaluators (core/stage1_lp.h,
-// core/baseline_lp.h).
+// The thermal rows of every CRAC-sweep LP (core/stage1_lp.h,
+// core/baseline_lp.h): node and CRAC inlet redlines, one CRAC power row per
+// unit, and the facility power budget, all affine in the per-node core
+// powers. The rows sit over caller-supplied columns: node j's core power is
+// s_j times the sum of its columns cols_j. With w_rj row r's inlet
+// coefficient for node j (HeatFlowModel::node_in_coeff/crac_in_coeff), B_j
+// node j's base power (0 when failed), in0 the inlet offsets at setpoints
+// tout (HeatFlowModel::offsets) and k_c = rho*Cp*F_c / CoP(tout_c), the rows
+// come in two forms that share the term loop and the budget row.
 //
-// Both LPs constrain the same physics: node and CRAC inlet redlines, one
-// CRAC power variable per unit, and the facility power budget, all affine
-// in the per-node core powers. The block writes those rows over caller-
-// supplied node power columns — Stage 1 passes node j's segment variables,
-// the baseline passes its single power column p_j — so each column of node
-// j carries node j's thermal coefficients verbatim:
+// Per-point (append_point_thermal_rows), for an LP built and solved once;
+// k_c is multiplied through and the RHS subtracts one base term at a time:
 //
-//   node redline r:  sum_j w_rj sum_{v in cols_j} x_v <= (T_red - node_in0_r)
-//                                                        - sum_j w_rj B_j
-//   CRAC redline c:  likewise with the CRAC inlet coefficients
+//   node redline r:  sum_j w_rj s_j sum_{v in cols_j} x_v
+//                        <= T_red - node_in0_r - w_r1 B_1 - w_r2 B_2 - ...
+//   CRAC power c:    sum_j k_c w_cj s_j sum_{v in cols_j} x_v - q_c
+//                        <= -k_c (crac_in0_c - tout_c) - k_c w_c1 B_1 - ...
+//
+// A redline that no column reaches and base load alone breaks ends the
+// build. Stage 1 passes node j's segment variables (s_j = 1), the baseline
+// its FRAC columns (s_j = ppf_j, the node's full P-state-0 core power).
+//
+// Resident (ResidentThermalRows), for an LP kept in a session across grid
+// points; s_j = 1, the RHS subtracts a base sum formed once, and the CRAC
+// power row is k-scaled:
+//
+//   node redline r:  sum_j w_rj sum_{v in cols_j} x_v
+//                        <= (T_red - node_in0_r) - sum_j w_rj B_j
 //   CRAC power c:    sum_j w_cj sum_{v in cols_j} x_v - q_c / k_c
 //                        <= -(crac_in0_c - tout_c) - sum_j w_cj B_j
-//   budget:          sum_j sum_{v in cols_j} x_v + sum_c q_c <= Pconst - B
 //
-// The CRAC power row is carried k-scaled (the per-point builders multiply
-// through by k_c = rho*Cp*F_c / CoP(tout_c)), so the thermal coefficients are
-// setpoint-INDEPENDENT: a move to new setpoints patches every redline and
-// CRAC power row's RHS plus the -1/k_c coefficient per CRAC, and the budget
-// row never moves. Failed nodes contribute no base power (node_base_power_kw).
+// so the thermal coefficients are setpoint-INDEPENDENT: a move patches
+// every redline and CRAC power row's RHS plus -1/k_c per CRAC. An empty
+// redline row with a negative RHS is kept, so the structure stays
+// point-invariant and the LP reports Infeasible through the normal path.
 //
-// A redline row may be empty (no adjustable node reaches it) with a negative
-// RHS when base load alone breaks the redline; it is kept rather than
-// short-circuited, so the row structure stays point-invariant and the LP
-// reports Infeasible through the normal path.
+// CRAC redline rows follow the node redline's form with the CRAC inlet
+// coefficients, and both forms write the same budget row, which never moves:
 //
-// Weak-duality bound. Because this block is the only part of the LP that
-// moves with the setpoints T', the duals of one solve bound the optimum at
-// any other T' without a pivot. For max c.x s.t. rows, lo <= x <= hi, any
+//   budget:          sum_j s_j sum_{v in cols_j} x_v + sum_c q_c <= Pconst - B
+//
+// The forms have the same feasible set but not the same bits; the published
+// plans are the per-point form's, so its arithmetic is the one to keep.
+//
+// Weak-duality bound. Because the resident block is the only part of the LP
+// that moves with the setpoints T', the duals of one solve bound the optimum
+// at any other T' without a pivot. For max c.x s.t. rows, lo <= x <= hi, any
 // multipliers y with y >= 0 on <= rows and y <= 0 on >= rows give
 //
 //   c.x <= y.b(T') + sum_v max(d_v lo_v, d_v hi_v),   d = c - A(T')^T y,
@@ -65,13 +80,13 @@ class ResidentThermalRows {
   ResidentThermalRows(const dc::DataCenter& dc,
                       const thermal::HeatFlowModel& model);
 
-  // Appends the node redline, CRAC redline and CRAC power rows at crac_out0,
-  // in that order, followed by the budget row when with_budget_row is set.
-  // node_cols[j] lists the columns whose sum is node j's core power (kW);
-  // crac_power_vars[c] is CRAC c's power column. The LP must be complete
-  // but for these rows (no row or column added afterwards): append also
-  // records the whole problem for the dual bound. Copies of this block
-  // share what append records.
+  // Appends the resident form at crac_out0: the node redline, CRAC redline
+  // and CRAC power rows, in that order, followed by the budget row when
+  // with_budget_row is set. node_cols[j] lists the columns whose sum is
+  // node j's core power (kW); crac_power_vars[c] is CRAC c's power column.
+  // The LP must be complete but for these rows (no row or column added
+  // afterwards): append also records the whole problem for the dual bound.
+  // Copies of this block share what append records.
   void append(solver::LpProblem& lp,
               const std::vector<std::vector<std::size_t>>& node_cols,
               const std::vector<std::size_t>& crac_power_vars,
@@ -99,11 +114,24 @@ class ResidentThermalRows {
 
  private:
   struct Block;  // what append records; thermal_rows.cpp
-  static double inv_k(const dc::CracSpec& crac, double tout);
 
   const dc::DataCenter& dc_;
   const thermal::HeatFlowModel& model_;
   std::shared_ptr<const Block> block_;
 };
+
+// Appends the per-point form at crac_out: the node redline, CRAC redline and
+// CRAC power rows, in that order, then the budget row when with_budget_row
+// is set. node_cols[j] lists node j's columns and node_scale[j] is s_j, the
+// kW of node j's core power per unit of their sum; crac_power_vars[c] is
+// CRAC c's power column. Returns false, leaving `lp` partly built, when
+// base load alone breaks a redline at crac_out.
+bool append_point_thermal_rows(
+    solver::LpProblem& lp, const dc::DataCenter& dc,
+    const thermal::HeatFlowModel& model,
+    const std::vector<std::vector<std::size_t>>& node_cols,
+    const std::vector<double>& node_scale,
+    const std::vector<std::size_t>& crac_power_vars,
+    const std::vector<double>& crac_out, bool with_budget_row);
 
 }  // namespace tapo::core

@@ -58,19 +58,6 @@ void LpProblem::patch_coefficient(std::size_t r, std::size_t v, double coeff) {
                  "(add a 0.0 placeholder at build time)");
 }
 
-void LpProblem::patch_bound(std::size_t v, double lo, double hi) {
-  TAPO_CHECK_MSG(v < num_vars(), "patch_bound: unknown variable");
-  TAPO_CHECK_MSG(std::isfinite(lo), "variable lower bound must be finite");
-  TAPO_CHECK_MSG(hi >= lo, "variable bounds crossed");
-  lo_[v] = lo;
-  hi_[v] = hi;
-}
-
-void LpProblem::patch_cost(std::size_t v, double obj) {
-  TAPO_CHECK_MSG(v < num_vars(), "patch_cost: unknown variable");
-  obj_[v] = obj;
-}
-
 LpProblem::SparseColumns LpProblem::columns() const {
   SparseColumns csc;
   const std::size_t n = num_vars();

@@ -104,10 +104,6 @@ class LpProblem {
   // already exist and be unique in the row; a coefficient that may change
   // later must be added at build time (0.0 is a valid placeholder).
   void patch_coefficient(std::size_t r, std::size_t v, double coeff);
-  // Replaces the bounds of variable v (lo finite, hi may be kLpInfinity).
-  void patch_bound(std::size_t v, double lo, double hi);
-  // Replaces the objective coefficient of variable v.
-  void patch_cost(std::size_t v, double obj);
 
   std::size_t num_vars() const { return lo_.size(); }
   std::size_t num_constraints() const { return rel_.size(); }

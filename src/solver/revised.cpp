@@ -1288,38 +1288,6 @@ void RevisedCore::patch_coefficient(std::size_t r, std::size_t v,
   }
 }
 
-void RevisedCore::patch_bound(std::size_t v, double lo, double hi) {
-  TAPO_CHECK_MSG(v < n_struct_, "patch_bound: bad var");
-  TAPO_CHECK_MSG(std::isfinite(lo), "variable lower bound must be finite");
-  TAPO_CHECK_MSG(hi >= lo, "variable bounds crossed");
-  ++pending_patches_;
-  if (lo != lo_[v]) {
-    const double dlo = lo - lo_[v];
-    for (std::size_t k = col_begin_[v]; k < col_end_[v]; ++k) {
-      const double shift_delta = col_val_[k] * dlo;
-      rhs_shift_[col_row_[k]] += shift_delta;
-      b_[col_row_[k]] -= shift_delta;
-    }
-    lo_[v] = lo;
-  }
-  ub_[v] = std::isfinite(hi) ? hi - lo : kLpInfinity;
-  b_dirty_ = true;
-  // Same revalidation as try_warm: an upper status needs a finite, positive
-  // range under the new bounds.
-  if (!status_.empty() && status_[v] == VarStatus::AtUpper &&
-      !(std::isfinite(ub_[v]) && ub_[v] > 0.0)) {
-    status_[v] = VarStatus::AtLower;
-  }
-}
-
-void RevisedCore::patch_cost(std::size_t v, double obj) {
-  TAPO_CHECK_MSG(v < n_struct_, "patch_cost: bad var");
-  ++pending_patches_;
-  // Dual feasibility is re-established by the resume path (dual repair or
-  // primal phase 2), so a cost change needs no factor work at all.
-  obj2_[v] = obj;
-}
-
 bool RevisedCore::apply_pending_updates() {
   if (dirty_cols_.empty()) return true;
   // When the patch set rivals the refactorization budget, one rebuild from

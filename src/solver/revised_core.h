@@ -93,8 +93,6 @@ class RevisedCore {
   // with other members of its class first gives it a private copy.
   void patch_rhs(std::size_t r, double rhs);
   void patch_coefficient(std::size_t r, std::size_t v, double coeff);
-  void patch_bound(std::size_t v, double lo, double hi);
-  void patch_cost(std::size_t v, double obj);
 
   // Solves the resident (patched) problem. A non-empty seed imports that
   // basis (one refactorization — the chain-head cost); otherwise the
@@ -375,7 +373,7 @@ class RevisedCore {
   bool warm_used_ = false;
 
   // Structural lower bounds (extraction adds them back to the shifted
-  // values; patch_bound keeps them current).
+  // values).
   std::vector<double> lo_;  // n_struct_
 
   // Resident state. rhs_shift_ holds the per-row sum of a_std * lo, so

@@ -38,14 +38,6 @@ void LpSession::patch_coefficient(std::size_t r, std::size_t v, double coeff) {
   impl_->core.patch_coefficient(r, v, coeff);
 }
 
-void LpSession::patch_bound(std::size_t v, double lo, double hi) {
-  impl_->core.patch_bound(v, lo, hi);
-}
-
-void LpSession::patch_cost(std::size_t v, double obj) {
-  impl_->core.patch_cost(v, obj);
-}
-
 LpSolution LpSession::solve(const LpBasis* seed) {
   Impl& im = *impl_;
   util::telemetry::ScopedTimer timer(im.reg, "lp.session.solve");

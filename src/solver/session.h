@@ -73,8 +73,6 @@ class LpSession {
   // LpProblem.
   void patch_rhs(std::size_t r, double rhs);
   void patch_coefficient(std::size_t r, std::size_t v, double coeff);
-  void patch_bound(std::size_t v, double lo, double hi);
-  void patch_cost(std::size_t v, double obj);
 
   // Solves the resident problem. A non-null, non-empty seed imports that
   // basis (chain-head / cross-round seeding); otherwise the previous

@@ -68,8 +68,8 @@ HeatFlowModel::HeatFlowModel(const dc::DataCenter& dc) : dc_(dc) {
   }
 
   // K_p = (I - G_nn)^-1 D maps node power to node outlet temperature; the
-  // inlet sensitivities below are what every linearize() call hands to the
-  // Stage-1/baseline LPs. None of this depends on the CRAC setpoints.
+  // inlet sensitivities below are the power coefficients of every thermal
+  // LP row. None of this depends on the CRAC setpoints.
   solver::Matrix d(nn, nn);
   for (std::size_t j = 0; j < nn; ++j) d(j, j) = heating_[j];
   const solver::Matrix k_p = fixed_point_->solve(d);
@@ -134,17 +134,6 @@ HeatFlowModel::AffineOffsets HeatFlowModel::offsets(
     for (std::size_t i = 0; i < nc; ++i) off.crac_in0[i] += extra[i];
   }
   return off;
-}
-
-LinearResponse HeatFlowModel::linearize(const std::vector<double>& crac_out) const {
-  LinearResponse lr;
-  lr.crac_out = crac_out;
-  AffineOffsets off = offsets(crac_out);
-  lr.node_in0 = std::move(off.node_in0);
-  lr.crac_in0 = std::move(off.crac_in0);
-  lr.node_in_coeff = node_in_coeff_;
-  lr.crac_in_coeff = crac_in_coeff_;
-  return lr;
 }
 
 double HeatFlowModel::total_crac_power_kw(const Temperatures& temps) const {

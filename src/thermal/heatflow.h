@@ -8,9 +8,12 @@
 // so for fixed CRAC outlet temperatures the steady state solves the linear
 // fixed point (I - G_nn) Tout_nodes = G_nc * Tcrac_out + D * P. This module
 // factors that system once per data center and exposes both a direct solve
-// and the affine sensitivity of every inlet temperature (and of the total
-// CRAC power at fixed outlet setpoints) to the node power vector - the rows
-// the Stage-1 and baseline LPs are built from.
+// and the affine response of every inlet temperature to the node power
+// vector p (kW) at fixed CRAC outlets:
+//   node_in = offsets(crac_out).node_in0 + node_in_coeff() * p
+//   crac_in = offsets(crac_out).crac_in0 + crac_in_coeff() * p
+// - the terms the Stage-1, baseline and power-aware Stage-3 LPs are built
+// from (core/thermal_rows.h).
 #pragma once
 
 #include <optional>
@@ -28,18 +31,6 @@ struct Temperatures {
   std::vector<double> crac_out;  // NCRAC (inputs, echoed)
   std::vector<double> node_in;   // NCN
   std::vector<double> node_out;  // NCN
-};
-
-// Affine response of the thermal state to node power at fixed CRAC outlets:
-//   node_in  = node_in0  + node_in_coeff  * p
-//   crac_in  = crac_in0  + crac_in_coeff  * p
-// where p is the NCN-vector of *total* node powers in kW.
-struct LinearResponse {
-  std::vector<double> crac_out;  // the fixed setpoints this response is for
-  std::vector<double> node_in0;
-  solver::Matrix node_in_coeff;  // NCN x NCN
-  std::vector<double> crac_in0;
-  solver::Matrix crac_in_coeff;  // NCRAC x NCN
 };
 
 // The inlet mixing matrix G(j, i) = alpha(i, j) * F_i / F_j: the weight of
@@ -69,14 +60,11 @@ class HeatFlowModel {
   Temperatures solve(const std::vector<double>& crac_out,
                      const std::vector<double>& node_power) const;
 
-  LinearResponse linearize(const std::vector<double>& crac_out) const;
-
-  // The setpoint-dependent part of LinearResponse alone. The coefficient
-  // blocks are CRAC-independent (see node_in_coeff()/crac_in_coeff()), so a
-  // caller that keeps a resident LP across grid points — the persistent
-  // Stage-1 evaluator — re-reads only these offsets per point instead of
-  // copying the full matrices. linearize() is implemented on top of this,
-  // so the two views are arithmetically identical.
+  // The setpoint-dependent part of the affine response: the inlet
+  // temperatures at zero node power (p is *total* node power, base
+  // included). Linear in crac_out. The coefficient blocks are
+  // CRAC-independent (node_in_coeff()/crac_in_coeff()), so an LP builder
+  // reads them in place and only these offsets per setpoint vector.
   struct AffineOffsets {
     std::vector<double> node_in0;  // NCN
     std::vector<double> crac_in0;  // NCRAC
@@ -107,11 +95,11 @@ class HeatFlowModel {
   solver::Matrix g_nc_, g_nn_, g_cc_, g_cn_;
   std::optional<solver::LuFactorization> fixed_point_;  // LU of (I - G_nn)
   std::vector<double> heating_;          // per node, degC per kW
-  // The power-sensitivity blocks of LinearResponse do not depend on the CRAC
-  // setpoints, so the O(n^3) solve/multiply chain behind them runs once here
-  // and linearize() only rebuilds the affine offsets (O(n^2) per call). The
-  // CRAC grid sweep calls linearize() per grid point, so this is the
-  // difference between the sweep being thermal-bound and LP-bound.
+  // The power-sensitivity blocks do not depend on the CRAC setpoints, so
+  // the O(n^3) solve/multiply chain behind them runs once here and
+  // offsets() costs O(n^2) per call. The CRAC grid sweep reads offsets per
+  // grid point, so this is the difference between the sweep being
+  // thermal-bound and LP-bound.
   solver::Matrix node_in_coeff_;  // G_nn (I-G_nn)^-1 D
   solver::Matrix crac_in_coeff_;  // G_cn (I-G_nn)^-1 D
 };

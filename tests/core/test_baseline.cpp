@@ -2,11 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "core/baseline_lp.h"
+#include "core/stage1_lp.h"
 #include "testutil.h"
 #include "util/telemetry.h"
 
@@ -203,33 +207,98 @@ TEST(Baseline, SessionSweepMatchesPerPointSweep) {
   }
 }
 
-TEST(Baseline, EvaluatorMatchesSolveAtAlongAPath) {
-  // One resident evaluator walked across setpoints — feasible and
-  // infeasible ones — must agree with a cold Dense solve_at at every stop.
-  auto scenario = test::make_small_scenario(211, 20, 2);
-  scenario.dc.p_const_kw *= 0.8;
-  const thermal::HeatFlowModel model(scenario.dc);
-  const BaselineAssigner assigner(scenario.dc, model);
-  solver::LpOptions dense;
-  dense.engine = solver::LpEngine::Dense;
-  const std::vector<std::vector<double>> path = {
-      {16.0, 16.0}, {18.0, 16.5}, {25.0, 25.0}, {10.0, 10.0},
-      {12.5, 21.0}, {22.0, 11.0}, {16.0, 16.0}, {19.5, 19.5}};
-  BaselineLpEvaluator eval(scenario.dc, model, path.front(), {});
+// Walks one resident evaluator along `path` and checks every stop against
+// `cold`, a cold Dense per-point solve: same feasibility, same optimum.
+// Returns the number of feasible stops.
+template <class Evaluator, class Cold>
+std::size_t expect_walk_matches(Evaluator eval, const Cold& cold,
+                                const std::vector<std::vector<double>>& path) {
   std::size_t feasible = 0;
   for (std::size_t k = 0; k < path.size(); ++k) {
     SCOPED_TRACE(testing::Message() << "stop " << k);
     if (k > 0) eval.move_to(path[k]);
-    const BaselineAssigner::LpOutcome got = eval.solve();
-    const BaselineAssigner::LpOutcome want = assigner.solve_at(path[k], dense);
-    ASSERT_EQ(got.feasible, want.feasible);
-    if (!want.feasible) continue;
+    const auto got = eval.solve();
+    const auto want = cold(path[k]);
+    EXPECT_EQ(got.feasible, want.feasible);
+    if (!want.feasible || !got.feasible) continue;
     ++feasible;
     EXPECT_NEAR(got.objective, want.objective,
                 1e-9 * std::max(1.0, std::abs(want.objective)));
   }
-  EXPECT_GE(feasible, 4u);
   EXPECT_GT(eval.session_stats().resident_resumes, 0u);
+  return feasible;
+}
+
+TEST(Baseline, EvaluatorMatchesSolveAtAlongAPath) {
+  // Resident evaluators walked across setpoints — feasible and infeasible
+  // ones — must agree with a cold Dense per-point solve at every stop: the
+  // baseline's against solve_at, Stage 1's in both modes against
+  // solve_stage1_lp. Each pair writes its thermal rows in the two forms of
+  // core/thermal_rows.h (resident and per-point), so this checks the forms
+  // against each other, on a healthy park and on a degraded one (a failed
+  // node and a derated CRAC).
+  struct Park {
+    std::uint64_t seed;
+    std::size_t nodes, cracs;
+    bool degraded;
+  };
+  for (const Park& park : {Park{211, 20, 2, false}, Park{212, 24, 3, true}}) {
+    SCOPED_TRACE(testing::Message() << "seed=" << park.seed);
+    auto scenario = test::make_small_scenario(park.seed, park.nodes, park.cracs);
+    dc::DataCenter& dc = scenario.dc;
+    dc.p_const_kw *= 0.8;
+    if (park.degraded) {
+      dc.set_node_failed(5, true);
+      dc.set_crac_min_outlet(1, 19.0);
+    }
+    const thermal::HeatFlowModel model(dc);
+    const BaselineAssigner assigner(dc, model);
+    solver::LpOptions dense;
+    dense.engine = solver::LpEngine::Dense;
+    // Stops (a, b) set the even CRACs to a and the odd ones to b.
+    std::vector<std::vector<double>> path;
+    for (const auto& [a, b] : std::vector<std::pair<double, double>>{
+             {16.0, 16.0}, {18.0, 16.5}, {25.0, 25.0}, {10.0, 10.0},
+             {12.5, 21.0}, {22.0, 11.0}, {16.0, 16.0}, {19.5, 19.5}}) {
+      std::vector<double> stop(dc.num_cracs());
+      for (std::size_t c = 0; c < stop.size(); ++c) stop[c] = c % 2 ? b : a;
+      path.push_back(std::move(stop));
+    }
+
+    SCOPED_TRACE("baseline");
+    EXPECT_GE(expect_walk_matches(
+                  BaselineLpEvaluator(dc, model, path.front(), {}),
+                  [&](const std::vector<double>& at) {
+                    return assigner.solve_at(at, dense);
+                  },
+                  path),
+              4u);
+
+    const double psi = 50.0;
+    const double relaxed =
+        Stage1Solver(dc, model)
+            .solve_at(std::vector<double>(dc.num_cracs(), 17.5), psi)
+            .objective;
+    ASSERT_GT(relaxed, 0.0);
+    for (const Stage1LpEvaluator::Mode mode :
+         {Stage1LpEvaluator::Mode::MaximizeReward,
+          Stage1LpEvaluator::Mode::MinimizePower}) {
+      SCOPED_TRACE(testing::Message()
+                   << "stage1 min_power="
+                   << (mode == Stage1LpEvaluator::Mode::MinimizePower));
+      const double floor =
+          mode == Stage1LpEvaluator::Mode::MinimizePower ? 0.5 * relaxed : 0.0;
+      EXPECT_GE(expect_walk_matches(
+                    Stage1LpEvaluator(dc, model, mode, psi, floor,
+                                      path.front(), {}),
+                    [&](const std::vector<double>& at) {
+                      return solve_stage1_lp(dc, model, mode, psi, floor, at,
+                                             dense);
+                    },
+                    path),
+                4u);
+    }
+  }
 }
 
 TEST(Baseline, BaseLoadRedlineBreachIsInfeasible) {

@@ -397,9 +397,11 @@ TEST(Io, CorruptionSweepOverASavedArchiveNeverDies) {
     }
     ++loaded_ok;
     const thermal::HeatFlowModel model(*loaded);  // must not abort
-    EXPECT_EQ(model.linearize(std::vector<double>(loaded->num_cracs(), 15.0))
+    EXPECT_EQ(model.offsets(std::vector<double>(loaded->num_cracs(), 15.0))
                   .node_in0.size(),
               loaded->num_nodes());
+    EXPECT_EQ(model.node_in_coeff().rows(), loaded->num_nodes());
+    EXPECT_EQ(model.crac_in_coeff().rows(), loaded->num_cracs());
   });
   EXPECT_GT(documents, 1000u);
   // Free-form fields (names, rack slots, COP terms, redlines, the hot-aisle

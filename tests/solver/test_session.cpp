@@ -97,7 +97,7 @@ LpSolution solve_with(const LpProblem& problem, LpEngine engine) {
 void random_patch(util::Rng& rng, std::vector<LpSession*> sessions,
                   MutableLp& lp) {
   const double pick = rng.next_double();
-  if (pick < 0.35 && !lp.rhs.empty()) {
+  if (pick < 0.5 && !lp.rhs.empty()) {
     const auto r = static_cast<std::size_t>(
         rng.uniform_int(0, static_cast<int>(lp.rhs.size()) - 1));
     const double rhs = lp.rels[r] == Relation::GreaterEq
@@ -105,7 +105,7 @@ void random_patch(util::Rng& rng, std::vector<LpSession*> sessions,
                            : rng.uniform(-1.0, 6.0);
     lp.rhs[r] = rhs;
     for (LpSession* session : sessions) session->patch_rhs(r, rhs);
-  } else if (pick < 0.70) {
+  } else {
     // Coefficient patch on an existing (possibly zero-placeholder) term.
     for (int attempt = 0; attempt < 8; ++attempt) {
       const auto r = static_cast<std::size_t>(
@@ -120,21 +120,6 @@ void random_patch(util::Rng& rng, std::vector<LpSession*> sessions,
       }
       return;
     }
-  } else if (pick < 0.85) {
-    const auto v = static_cast<std::size_t>(
-        rng.uniform_int(0, static_cast<int>(lp.lo.size()) - 1));
-    const double lo = rng.uniform(-2.0, 0.0);
-    const double hi =
-        rng.next_double() < 0.7 ? lo + rng.uniform(0.5, 4.0) : kLpInfinity;
-    lp.lo[v] = lo;
-    lp.hi[v] = hi;
-    for (LpSession* session : sessions) session->patch_bound(v, lo, hi);
-  } else {
-    const auto v = static_cast<std::size_t>(
-        rng.uniform_int(0, static_cast<int>(lp.obj.size()) - 1));
-    const double obj = rng.uniform(-2.0, 2.0);
-    lp.obj[v] = obj;
-    for (LpSession* session : sessions) session->patch_cost(v, obj);
   }
 }
 
@@ -476,12 +461,10 @@ TEST(LpSession, PatchApiMatchesRebuiltProblem) {
   patched.add_constraint({{1, -1.0}}, Relation::GreaterEq, -3.0);
   patched.patch_coefficient(0, 1, 0.75);
   patched.patch_rhs(0, 1.5);
-  patched.patch_bound(1, -0.5, 2.0);
-  patched.patch_cost(0, -1.0);
 
   LpProblem direct;
-  direct.add_variable(0.0, 1.0, -1.0);
-  direct.add_variable(-0.5, 2.0, 0.5);
+  direct.add_variable(0.0, 1.0, 1.0);
+  direct.add_variable(-1.0, kLpInfinity, 0.5);
   direct.add_constraint({{0, 1.0}, {1, 0.75}}, Relation::LessEq, 1.5);
   direct.add_constraint({{1, -1.0}}, Relation::GreaterEq, -3.0);
 

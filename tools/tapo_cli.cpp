@@ -125,7 +125,9 @@ core::Assignment run_technique(const dc::DataCenter& dc,
                                const thermal::HeatFlowModel& model,
                                const std::string& technique, double psi) {
   if (technique == "baseline") {
-    return core::BaselineAssigner(dc, model).assign();
+    core::BaselineOptions options;
+    options.lp.telemetry = g_telemetry;
+    return core::BaselineAssigner(dc, model).assign(options);
   }
   core::ThreeStageOptions options;
   options.stage1.psi = psi;
