@@ -1,18 +1,15 @@
 #include "core/baseline.h"
 
 #include <cmath>
-#include <memory>
 
 #include "core/baseline_lp.h"
 #include "core/crac_sweep.h"
-#include "core/stage1.h"
 #include "solver/lp.h"
 
 namespace tapo::core {
 
 util::Status BaselineOptions::validate() const {
-  return validate_sweep_grid("baseline", tcrac_min_c, tcrac_max_c, grid,
-                             grid.threads);
+  return check("baseline", grid.threads);
 }
 
 BaselineAssigner::BaselineAssigner(const dc::DataCenter& dc,
@@ -38,28 +35,11 @@ Assignment BaselineAssigner::assign(const BaselineOptions& options) const {
   const std::size_t nn = dc_.num_nodes();
   const std::size_t t = dc_.num_task_types();
 
-  // The session LP is BaselineLpEvaluator's, over per-node power columns;
-  // its bases do not fit solve_at's LP, so the sweep gets no initial seed.
-  CracSweepLp<LpOutcome, BaselineLpEvaluator> family;
-  family.solve_at = [this](const std::vector<double>& crac_out,
-                           const solver::LpOptions& lp) {
-    return solve_at(crac_out, lp);
-  };
-  family.evaluator = [this](const std::vector<double>& crac_out,
-                            const solver::LpOptions& lp) {
-    return std::make_unique<BaselineLpEvaluator>(dc_, model_, crac_out, lp);
-  };
-  family.value = [](const LpOutcome& outcome) { return outcome.objective; };
-  CracSweepOptions sweep_options;
-  sweep_options.prefix = "baseline";
-  sweep_options.tcrac_min_c = options.tcrac_min_c;
-  sweep_options.tcrac_max_c = options.tcrac_max_c;
-  sweep_options.grid = options.grid;
-  sweep_options.full_grid = options.full_grid;
-  sweep_options.lp = options.lp;
-  sweep_options.telemetry = options.lp.telemetry;
+  // The resident LP is over per-node power columns; its bases do not fit
+  // solve_at's LP, so the sweep gets no initial seed.
   const CracSweepResult<LpOutcome> sweep =
-      crac_sweep(dc_, sweep_options, family);
+      crac_sweep(dc_, model_, options, options.grid.threads,
+                 options.lp.telemetry, baseline_sweep_lp(dc_, model_));
 
   assignment.lp_solves = sweep.lp_solves;
   assignment.status = sweep.status;

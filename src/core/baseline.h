@@ -21,37 +21,30 @@
 //
 // The setpoint sweep is the shared CRAC sweep (core/crac_sweep.h): on the
 // revised engine (the default) each warm chain solves one resident
-// BaselineLpEvaluator (core/baseline_lp.h) — the same LP written over
-// per-node power columns, patched from point to point; on the dense oracle
-// every point solves solve_at's LP. Either way the published plan is
-// solve_at's Dense cold re-solve at the selected setpoints. See
-// docs/SOLVER.md §4 and §7.
+// SweepSession over the baseline's resident LP (core/baseline_lp.h) — the
+// same LP written over per-node power columns, patched from point to point;
+// on the dense oracle every point solves solve_at's LP. Either way the
+// published plan is solve_at's Dense cold re-solve at the selected
+// setpoints. See docs/SOLVER.md §4 and §7.
 #pragma once
 
 #include <vector>
 
 #include "core/assigner.h"
+#include "core/crac_sweep.h"
 #include "dc/datacenter.h"
-#include "solver/gridsearch.h"
 #include "solver/lp.h"
 #include "thermal/heatflow.h"
 #include "util/status.h"
 
 namespace tapo::core {
 
-struct BaselineOptions {
-  double tcrac_min_c = 10.0;
-  double tcrac_max_c = 25.0;
-  solver::GridSearchOptions grid;
-  bool full_grid = false;
-  // LP engine, iteration cap and telemetry sink for the sweep's solves (the
-  // baseline.* and lp.* metrics). The final re-solve
-  // at the selected setpoints always runs the Dense oracle
-  // (engine-independent published plans, mirroring Stage 1).
-  solver::LpOptions lp;
-
-  // InvalidArgument unless validate_sweep_grid (core/stage1.h) accepts the
-  // setpoint range, grid and grid.threads.
+// The sweep settings are the shared CracSweepOptions (core/crac_sweep.h).
+// The sweep runs on grid.threads workers and records the baseline.* and
+// lp.* metrics to lp.telemetry.
+struct BaselineOptions : CracSweepOptions {
+  // InvalidArgument unless CracSweepOptions::check accepts the sweep
+  // settings and grid.threads.
   util::Status validate() const;
 };
 

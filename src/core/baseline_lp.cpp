@@ -2,7 +2,7 @@
 
 #include <utility>
 
-#include "util/check.h"
+#include "core/thermal_rows.h"
 
 namespace tapo::core {
 
@@ -11,7 +11,7 @@ namespace {
 constexpr std::size_t kNoVar = static_cast<std::size_t>(-1);
 
 // The FRAC columns of the Eq.-21 LP, shared by the per-point builder and the
-// evaluator so both LPs start with the same columns and rows.
+// resident LP so both LPs start with the same columns and rows.
 struct FracColumns {
   // var[i][j]; kNoVar where FRAC(i, j) is pinned to 0: node j has failed, or
   // its P-state-0 cores miss task type i's deadline.
@@ -114,48 +114,46 @@ BaselineAssigner::LpOutcome solve_baseline_lp(
   return make_outcome(dc, frac.var, solve_lp(lp, lp_options));
 }
 
-BaselineLpEvaluator::BaselineLpEvaluator(const dc::DataCenter& dc,
-                                         const thermal::HeatFlowModel& model,
-                                         const std::vector<double>& crac_out0,
-                                         const solver::LpOptions& lp_options)
-    : dc_(dc), thermal_rows_(dc, model) {
-  const std::size_t nn = dc_.num_nodes();
-  TAPO_CHECK(crac_out0.size() == dc_.num_cracs());
-
-  solver::LpProblem lp;
-  FracColumns frac = add_frac_columns(lp, dc_);
+CracSweepLp<BaselineAssigner::LpOutcome> baseline_sweep_lp(
+    const dc::DataCenter& dc, const thermal::HeatFlowModel& model) {
+  const std::size_t nn = dc.num_nodes();
+  CracSweepLp<BaselineAssigner::LpOutcome> family;
+  family.prefix = "baseline";
+  family.solve_at = [&dc, &model](const std::vector<double>& crac_out,
+                                  const solver::LpOptions& lp) {
+    return solve_baseline_lp(dc, model, crac_out, lp);
+  };
+  SweepLp& resident = family.resident;
+  FracColumns frac = add_frac_columns(resident.lp, dc);
   // Node power columns p_j in [0, ppf_j], for nodes with any fraction.
-  std::vector<std::vector<std::size_t>> power_cols(nn);
+  resident.node_cols.assign(nn, {});
   for (std::size_t j = 0; j < nn; ++j) {
     if (frac.by_node[j].empty()) continue;
-    power_cols[j].push_back(lp.add_variable(0.0, frac.ppf[j], 0.0));
+    resident.node_cols[j].push_back(
+        resident.lp.add_variable(0.0, frac.ppf[j], 0.0));
   }
-  std::vector<std::size_t> crac_power_vars(dc_.num_cracs());
-  for (std::size_t& q : crac_power_vars) {
-    q = lp.add_variable(0.0, solver::kLpInfinity, 0.0);
+  resident.crac_power_vars.resize(dc.num_cracs());
+  for (std::size_t& q : resident.crac_power_vars) {
+    q = resident.lp.add_variable(0.0, solver::kLpInfinity, 0.0);
   }
   // Tie rows: sum_i ppf_j FRAC(i,j) - p_j <= 0.
   for (std::size_t j = 0; j < nn; ++j) {
-    if (power_cols[j].empty()) continue;
+    if (resident.node_cols[j].empty()) continue;
     std::vector<std::pair<std::size_t, double>> terms;
     for (std::size_t v : frac.by_node[j]) terms.emplace_back(v, frac.ppf[j]);
-    terms.emplace_back(power_cols[j].front(), -1.0);
-    lp.add_constraint(std::move(terms), solver::Relation::LessEq, 0.0);
+    terms.emplace_back(resident.node_cols[j].front(), -1.0);
+    resident.lp.add_constraint(std::move(terms), solver::Relation::LessEq,
+                               0.0);
   }
-  thermal_rows_.append(lp, power_cols, crac_power_vars, crac_out0,
-                       /*with_budget_row=*/true);
-  frac_var_ = std::move(frac.var);
-
-  session_.emplace(lp, lp_options);
-}
-
-void BaselineLpEvaluator::move_to(const std::vector<double>& crac_out) {
-  thermal_rows_.move_to(*session_, crac_out);
-}
-
-BaselineAssigner::LpOutcome BaselineLpEvaluator::solve(
-    const solver::LpBasis* seed) {
-  return make_outcome(dc_, frac_var_, session_->solve(seed));
+  resident.budget_row = true;
+  family.outcome = [&dc, var = std::move(frac.var)](
+                       const solver::LpSolution& sol) {
+    return make_outcome(dc, var, sol);
+  };
+  family.value = [](const BaselineAssigner::LpOutcome& outcome) {
+    return outcome.objective;
+  };
+  return family;
 }
 
 }  // namespace tapo::core

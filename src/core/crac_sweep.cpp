@@ -1,22 +1,54 @@
 #include "core/crac_sweep.h"
 
 #include <algorithm>
+#include <cmath>
 
-namespace tapo::core::detail {
+namespace tapo::core {
+
+util::Status CracSweepOptions::check(const char* prefix,
+                                     std::size_t threads) const {
+  const auto invalid = [prefix](const std::string& what) {
+    return util::Status::InvalidArgument(std::string(prefix) + ": " + what);
+  };
+  if (!std::isfinite(tcrac_min_c) || !std::isfinite(tcrac_max_c) ||
+      tcrac_min_c > tcrac_max_c) {
+    return invalid("CRAC setpoint range must be finite with min <= max (got [" +
+                   std::to_string(tcrac_min_c) + ", " +
+                   std::to_string(tcrac_max_c) + "])");
+  }
+  if (grid.coarse_samples < 1 || grid.refine_samples < 1) {
+    return invalid("grid sample counts must be >= 1");
+  }
+  if (!(grid.min_resolution > 0.0)) {
+    return invalid("grid min_resolution must be > 0");
+  }
+  if (threads > kMaxThreads) {
+    return invalid("threads must be at most " + std::to_string(kMaxThreads) +
+                   " (got " + std::to_string(threads) + ")");
+  }
+  return util::Status::Ok();
+}
+
+namespace detail {
 
 CracSweepCore::CracSweepCore(const dc::DataCenter& dc,
-                             const CracSweepOptions& options)
+                             const CracSweepOptions& options,
+                             const char* prefix, std::size_t threads,
+                             util::telemetry::Registry* telemetry)
     : options(options),
+      prefix(prefix),
+      threads(threads),
+      telemetry(telemetry),
       lo(dc.num_cracs()),
       hi(dc.num_cracs(), options.tcrac_max_c),
       sessions(options.lp.engine == solver::LpEngine::Revised),
       lp(options.lp),
-      lp_timer(std::string(options.prefix) + ".lp") {
+      lp_timer(std::string(prefix) + ".lp") {
   for (std::size_t c = 0; c < lo.size(); ++c) {
     lo[c] = std::min(dc.crac_min_outlet(c, options.tcrac_min_c),
                      options.tcrac_max_c);
   }
-  lp.telemetry = options.telemetry;
+  lp.telemetry = telemetry;
   dense_lp = lp;
   dense_lp.engine = solver::LpEngine::Dense;
 }
@@ -33,9 +65,9 @@ solver::GridSearchResult CracSweepCore::search(
     const solver::GridBound& bound,
     const std::function<void(const solver::GridSearchResult&)>&
         between_rounds) {
-  util::telemetry::Registry* const reg = options.telemetry;
-  const std::string prefix(options.prefix);
+  util::telemetry::Registry* const reg = telemetry;
   solver::GridSearchOptions grid = options.grid;
+  grid.threads = threads;
   grid.on_round = [&](std::size_t round,
                       const solver::GridSearchResult& running) {
     if (reg) {
@@ -68,7 +100,6 @@ solver::GridSearchResult CracSweepCore::search(
 }
 
 util::Status CracSweepCore::no_feasible_point() const {
-  const std::string prefix(options.prefix);
   return iter_limited.load(std::memory_order_relaxed) > 0
              ? util::Status::ResourceExhausted(
                    prefix +
@@ -81,7 +112,6 @@ util::Status CracSweepCore::no_feasible_point() const {
 }
 
 util::Status CracSweepCore::failed_resolve(solver::LpStatus status) const {
-  const std::string prefix(options.prefix);
   return status == solver::LpStatus::IterLimit
              ? util::Status::ResourceExhausted(
                    prefix +
@@ -90,4 +120,5 @@ util::Status CracSweepCore::failed_resolve(solver::LpStatus status) const {
                    prefix + ": best grid point infeasible on re-solve");
 }
 
-}  // namespace tapo::core::detail
+}  // namespace detail
+}  // namespace tapo::core

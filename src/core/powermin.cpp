@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <string>
+#include <utility>
 
 #include "core/crac_sweep.h"
 #include "core/stage1_lp.h"
@@ -62,10 +63,12 @@ PowerMinResult minimize_power_for_reward(const dc::DataCenter& dc,
     // optimum.
     const solver::LpBasis* seed =
         attempt_seed.empty() ? options.stage1.warm_seed : &attempt_seed;
-    const CracSweepResult<Stage1Solver::LpOutcome> sweep = crac_sweep(
-        dc, stage1_sweep_options(options.stage1, "powermin", seed),
-        stage1_sweep_lp(dc, model, Stage1LpEvaluator::Mode::MinimizePower,
-                        options.stage1.psi, floor));
+    CracSweepLp<Stage1Solver::LpOutcome> family = stage1_sweep_lp(
+        dc, model, Stage1Mode::MinimizePower, options.stage1.psi, floor);
+    family.seed = seed;
+    const CracSweepResult<Stage1Solver::LpOutcome> sweep =
+        crac_sweep(dc, model, options.stage1, options.stage1.threads, reg,
+                   std::move(family));
     if (!sweep.status.ok()) {
       result.status = sweep.status;
       return result;  // target unreachable even relaxed, or a solver failure

@@ -1,7 +1,7 @@
 #include "core/stage1.h"
 
-#include <cmath>
 #include <string>
+#include <utility>
 
 #include "core/crac_sweep.h"
 #include "core/stage1_lp.h"
@@ -9,46 +9,12 @@
 
 namespace tapo::core {
 
-util::Status validate_sweep_grid(const char* prefix, double tcrac_min_c,
-                                 double tcrac_max_c,
-                                 const solver::GridSearchOptions& grid,
-                                 std::size_t threads) {
-  const auto invalid = [prefix](const std::string& what) {
-    return util::Status::InvalidArgument(std::string(prefix) + ": " + what);
-  };
-  if (!std::isfinite(tcrac_min_c) || !std::isfinite(tcrac_max_c) ||
-      tcrac_min_c > tcrac_max_c) {
-    return invalid("CRAC setpoint range must be finite with min <= max (got [" +
-                   std::to_string(tcrac_min_c) + ", " +
-                   std::to_string(tcrac_max_c) + "])");
-  }
-  if (grid.coarse_samples < 1 || grid.refine_samples < 1) {
-    return invalid("grid sample counts must be >= 1");
-  }
-  if (!(grid.min_resolution > 0.0)) {
-    return invalid("grid min_resolution must be > 0");
-  }
-  if (threads > Stage1Options::kMaxThreads) {
-    return invalid("threads must be at most " +
-                   std::to_string(Stage1Options::kMaxThreads) + " (got " +
-                   std::to_string(threads) + ")");
-  }
-  return util::Status::Ok();
-}
-
 util::Status Stage1Options::validate() const {
   if (!(psi > 0.0 && psi <= 100.0)) {
     return util::Status::InvalidArgument(
         "stage1: psi must be in (0, 100] (got " + std::to_string(psi) + ")");
   }
-  return validate_sweep_grid("stage1", tcrac_min_c, tcrac_max_c, grid,
-                             threads);
-}
-
-solver::GridSearchOptions stage1_grid_options(const Stage1Options& options) {
-  solver::GridSearchOptions grid = options.grid;
-  grid.threads = options.threads;
-  return grid;
+  return check("stage1", threads);
 }
 
 Stage1Solver::Stage1Solver(const dc::DataCenter& dc,
@@ -63,8 +29,8 @@ Stage1Solver::LpOutcome Stage1Solver::solve_at(const std::vector<double>& crac_o
 Stage1Solver::LpOutcome Stage1Solver::solve_at(const std::vector<double>& crac_out,
                                                double psi,
                                                const solver::LpOptions& lp_options) const {
-  return solve_stage1_lp(dc_, model_, Stage1LpEvaluator::Mode::MaximizeReward,
-                         psi, 0.0, crac_out, lp_options);
+  return solve_stage1_lp(dc_, model_, Stage1Mode::MaximizeReward, psi, 0.0,
+                         crac_out, lp_options);
 }
 
 Stage1Result Stage1Solver::solve(const Stage1Options& options) const {
@@ -75,10 +41,12 @@ Stage1Result Stage1Solver::solve(const Stage1Options& options) const {
   const util::telemetry::ScopedTimer stage_timer(reg, "stage1.solve");
   if (reg) reg->count("stage1.solves");
 
-  const CracSweepResult<LpOutcome> sweep = crac_sweep(
-      dc_, stage1_sweep_options(options, "stage1", options.warm_seed),
-      stage1_sweep_lp(dc_, model_, Stage1LpEvaluator::Mode::MaximizeReward,
-                      options.psi, 0.0));
+  CracSweepLp<LpOutcome> family = stage1_sweep_lp(
+      dc_, model_, Stage1Mode::MaximizeReward, options.psi, 0.0);
+  family.seed = options.warm_seed;
+  const CracSweepResult<LpOutcome> sweep =
+      crac_sweep(dc_, model_, options, options.threads, options.telemetry,
+                 std::move(family));
   result.lp_solves = sweep.lp_solves;
   result.status = sweep.status;
   if (!sweep.status.ok()) return result;

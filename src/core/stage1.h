@@ -22,26 +22,20 @@
 #include <optional>
 #include <vector>
 
+#include "core/crac_sweep.h"
 #include "dc/datacenter.h"
-#include "solver/gridsearch.h"
 #include "solver/lp.h"
 #include "thermal/heatflow.h"
 #include "util/status.h"
 
-namespace tapo::util::telemetry {
-class Registry;
-}
-
 namespace tapo::core {
 
-struct Stage1Options {
+// The sweep settings (setpoint range, grid, full_grid, lp) are the shared
+// CracSweepOptions (core/crac_sweep.h). Stage 1 reads lp for its engine and
+// numerics only: its telemetry pointer is ignored, and `telemetry` below is
+// used for the lp.* metrics too.
+struct Stage1Options : CracSweepOptions {
   double psi = 50.0;  // "best psi%" of task types in ARR_j
-  double tcrac_min_c = 10.0;
-  double tcrac_max_c = 25.0;
-  solver::GridSearchOptions grid;
-  // Full Cartesian coarse-to-fine search (paper's generic multi-step method)
-  // instead of the cheaper uniform-value + coordinate-descent default.
-  bool full_grid = false;
   // Worker threads for the setpoint sweep (0 = all hardware threads, 1 =
   // serial; at most kMaxThreads). Each sweep round solves its LPs as one
   // batch, and with more than one thread the coordinate passes speculate:
@@ -56,17 +50,6 @@ struct Stage1Options {
   // (stage1.bound_prunes).
   // Overrides grid.threads.
   std::size_t threads = 0;
-  static constexpr std::size_t kMaxThreads = 256;
-  // LP engine and numerics for every solve in the sweep (the final re-solve
-  // at the selected setpoints always runs the Dense oracle, so the published
-  // plan is engine-independent). The telemetry pointer inside is ignored;
-  // `telemetry` below is used for the lp.* metrics too. On the revised
-  // engine each warm chain runs on one persistent LP session
-  // (core/crac_sweep.h, core/stage1_lp.h): the chain builds its LP once and
-  // re-points it at successive grid points through the structure-preserving
-  // patch API, keeping the basis and LU factors resident. On the dense
-  // oracle every point builds and solves its own LP.
-  solver::LpOptions lp;
   // Optional warm-start basis (non-owning; must outlive solve()): seeds the
   // revised engine's first-round chain heads (the dense oracle ignores it);
   // later rounds seed from the incumbent's own basis (core/crac_sweep.h).
@@ -81,24 +64,10 @@ struct Stage1Options {
   // pointer for their stage2.* / stage3.* / powermin.* metrics.
   util::telemetry::Registry* telemetry = nullptr;
 
-  // InvalidArgument unless psi is in (0, 100] and validate_sweep_grid
-  // accepts the setpoint range, grid and threads.
+  // InvalidArgument unless psi is in (0, 100] and
+  // CracSweepOptions::check accepts the sweep settings and threads.
   util::Status validate() const;
 };
-
-// The option checks every CRAC-setpoint sweep shares (Stage 1, power
-// minimization, the baseline): InvalidArgument, its message prefixed with
-// `prefix`, unless tcrac_min_c <= tcrac_max_c are finite,
-// grid.coarse_samples and grid.refine_samples are >= 1,
-// grid.min_resolution > 0 and threads <= Stage1Options::kMaxThreads.
-util::Status validate_sweep_grid(const char* prefix, double tcrac_min_c,
-                                 double tcrac_max_c,
-                                 const solver::GridSearchOptions& grid,
-                                 std::size_t threads);
-
-// `options.grid` with the Stage-1 `threads` knob applied; shared by every
-// caller that drives a grid search over the Stage-1-style LP objective.
-solver::GridSearchOptions stage1_grid_options(const Stage1Options& options);
 
 struct Stage1Result {
   bool feasible = false;
@@ -147,7 +116,7 @@ class Stage1Solver {
   LpOutcome solve_at(const std::vector<double>& crac_out, double psi) const;
   // As above with explicit LP options (engine, iteration cap, telemetry);
   // the two-argument form uses defaults. Always a cold solve: warm starts go
-  // through a session (Stage1LpEvaluator) and its seed.
+  // through a session (SweepSession) and its seed.
   LpOutcome solve_at(const std::vector<double>& crac_out, double psi,
                      const solver::LpOptions& lp) const;
 

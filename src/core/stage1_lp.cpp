@@ -1,23 +1,22 @@
 #include "core/stage1_lp.h"
 
-#include <memory>
 #include <optional>
 #include <utility>
 
 #include "core/reward.h"
+#include "core/thermal_rows.h"
 #include "solver/piecewise.h"
-#include "util/check.h"
 #include "util/telemetry.h"
 
 namespace tapo::core {
 
 namespace {
 
-using Mode = Stage1LpEvaluator::Mode;
+using Mode = Stage1Mode;
 using Terms = std::vector<std::pair<std::size_t, double>>;
 
 // The columns of the Stage-1 LP, shared by the per-point builder and the
-// evaluator so an LpBasis is exchangeable between the two.
+// resident LP so an LpBasis is exchangeable between the two.
 struct Columns {
   std::vector<std::vector<std::size_t>> seg_vars;  // per node
   std::vector<std::size_t> crac_power_vars;        // per CRAC
@@ -93,37 +92,6 @@ Stage1Solver::LpOutcome make_outcome(
 
 }  // namespace
 
-Stage1LpEvaluator::Stage1LpEvaluator(const dc::DataCenter& dc,
-                                     const thermal::HeatFlowModel& model,
-                                     Mode mode, double psi, double reward_floor,
-                                     const std::vector<double>& crac_out0,
-                                     const solver::LpOptions& lp_options)
-    : dc_(dc), thermal_rows_(dc, model) {
-  TAPO_CHECK(crac_out0.size() == dc_.num_cracs());
-  solver::LpProblem lp;
-  Columns cols = add_columns(lp, dc_, mode, psi);
-  if (mode == Mode::MinimizePower) {
-    lp.add_constraint(std::move(cols.reward_terms), solver::Relation::GreaterEq,
-                      reward_floor);
-  }
-  seg_vars_ = std::move(cols.seg_vars);
-  crac_power_vars_ = std::move(cols.crac_power_vars);
-  // Redlines, k-scaled CRAC power rows and (MaximizeReward) the budget row
-  // over the segment variables; see core/thermal_rows.h.
-  thermal_rows_.append(lp, seg_vars_, crac_power_vars_, crac_out0,
-                       mode == Mode::MaximizeReward);
-
-  session_.emplace(lp, lp_options);
-}
-
-void Stage1LpEvaluator::move_to(const std::vector<double>& crac_out) {
-  thermal_rows_.move_to(*session_, crac_out);
-}
-
-Stage1Solver::LpOutcome Stage1LpEvaluator::solve(const solver::LpBasis* seed) {
-  return make_outcome(dc_, seg_vars_, crac_power_vars_, session_->solve(seed));
-}
-
 Stage1Solver::LpOutcome solve_stage1_lp(const dc::DataCenter& dc,
                                         const thermal::HeatFlowModel& model,
                                         Mode mode, double psi,
@@ -131,7 +99,7 @@ Stage1Solver::LpOutcome solve_stage1_lp(const dc::DataCenter& dc,
                                         const std::vector<double>& crac_out,
                                         const solver::LpOptions& lp_options) {
   // Phase accounting for docs/SOLVER.md §6: everything up to solve_lp is
-  // per-point fixed cost that the persistent evaluator amortizes away.
+  // per-point fixed cost that the resident session amortizes away.
   std::optional<util::telemetry::ScopedTimer> build_timer;
   if (lp_options.telemetry) build_timer.emplace(lp_options.telemetry, "lp.phase.build");
 
@@ -155,21 +123,32 @@ Stage1Solver::LpOutcome solve_stage1_lp(const dc::DataCenter& dc,
                       solve_lp(lp, lp_options));
 }
 
-CracSweepLp<Stage1Solver::LpOutcome, Stage1LpEvaluator> stage1_sweep_lp(
+CracSweepLp<Stage1Solver::LpOutcome> stage1_sweep_lp(
     const dc::DataCenter& dc, const thermal::HeatFlowModel& model, Mode mode,
     double psi, double reward_floor) {
-  CracSweepLp<Stage1Solver::LpOutcome, Stage1LpEvaluator> family;
+  CracSweepLp<Stage1Solver::LpOutcome> family;
+  family.prefix = mode == Mode::MaximizeReward ? "stage1" : "powermin";
   family.solve_at = [&dc, &model, mode, psi, reward_floor](
                         const std::vector<double>& crac_out,
                         const solver::LpOptions& lp) {
     return solve_stage1_lp(dc, model, mode, psi, reward_floor, crac_out, lp);
   };
-  family.evaluator = [&dc, &model, mode, psi, reward_floor](
-                         const std::vector<double>& crac_out,
-                         const solver::LpOptions& lp) {
-    return std::make_unique<Stage1LpEvaluator>(dc, model, mode, psi,
-                                               reward_floor, crac_out, lp);
+  Columns cols = add_columns(family.resident.lp, dc, mode, psi);
+  if (mode == Mode::MinimizePower) {
+    family.resident.lp.add_constraint(std::move(cols.reward_terms),
+                                      solver::Relation::GreaterEq,
+                                      reward_floor);
+  }
+  family.outcome = [&dc, seg_vars = cols.seg_vars,
+                    crac_power_vars = cols.crac_power_vars](
+                       const solver::LpSolution& sol) {
+    return make_outcome(dc, seg_vars, crac_power_vars, sol);
   };
+  // Redlines, k-scaled CRAC power rows and (MaximizeReward) the budget row
+  // over the segment variables; see core/thermal_rows.h.
+  family.resident.node_cols = std::move(cols.seg_vars);
+  family.resident.crac_power_vars = std::move(cols.crac_power_vars);
+  family.resident.budget_row = mode == Mode::MaximizeReward;
   if (mode == Mode::MaximizeReward) {
     family.value = [](const Stage1Solver::LpOutcome& o) { return o.objective; };
   } else {
@@ -179,21 +158,6 @@ CracSweepLp<Stage1Solver::LpOutcome, Stage1LpEvaluator> stage1_sweep_lp(
     family.value_offset = -dc.total_base_power_kw();
   }
   return family;
-}
-
-CracSweepOptions stage1_sweep_options(const Stage1Options& options,
-                                      const char* prefix,
-                                      const solver::LpBasis* seed) {
-  CracSweepOptions sweep;
-  sweep.prefix = prefix;
-  sweep.tcrac_min_c = options.tcrac_min_c;
-  sweep.tcrac_max_c = options.tcrac_max_c;
-  sweep.grid = stage1_grid_options(options);
-  sweep.full_grid = options.full_grid;
-  sweep.lp = options.lp;
-  sweep.telemetry = options.telemetry;
-  sweep.seed = seed;
-  return sweep;
 }
 
 }  // namespace tapo::core

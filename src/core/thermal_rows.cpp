@@ -86,7 +86,7 @@ double box_max(double d, double lo, double hi) {
 
 }  // namespace
 
-struct ResidentThermalRows::Block {
+struct SweepSession::Block {
   std::vector<std::size_t> crac_power_vars;
   std::size_t node_row0 = 0;
   std::size_t crac_row0 = 0;
@@ -123,26 +123,32 @@ struct ResidentThermalRows::Block {
   }
 };
 
-ResidentThermalRows::ResidentThermalRows(const dc::DataCenter& dc,
-                                         const thermal::HeatFlowModel& model)
-    : dc_(dc), model_(model) {}
+SweepSession::SweepSession(const dc::DataCenter& dc,
+                           const thermal::HeatFlowModel& model, SweepLp base,
+                           const std::vector<double>& crac_out0,
+                           const solver::LpOptions& lp_options)
+    : dc_(dc),
+      model_(model),
+      block_(append(dc, model, base, crac_out0)),
+      session_(base.lp, lp_options) {}
 
-void ResidentThermalRows::append(
-    solver::LpProblem& lp,
-    const std::vector<std::vector<std::size_t>>& node_cols,
-    const std::vector<std::size_t>& crac_power_vars,
-    const std::vector<double>& crac_out0, bool with_budget_row) {
-  const std::size_t nn = dc_.num_nodes();
-  const std::size_t nc = dc_.num_cracs();
+std::shared_ptr<const SweepSession::Block> SweepSession::append(
+    const dc::DataCenter& dc, const thermal::HeatFlowModel& model,
+    SweepLp& base, const std::vector<double>& crac_out0) {
+  solver::LpProblem& lp = base.lp;
+  const std::vector<std::vector<std::size_t>>& node_cols = base.node_cols;
+  const std::vector<std::size_t>& crac_power_vars = base.crac_power_vars;
+  const std::size_t nn = dc.num_nodes();
+  const std::size_t nc = dc.num_cracs();
   TAPO_CHECK(node_cols.size() == nn);
   TAPO_CHECK(crac_power_vars.size() == nc);
   TAPO_CHECK(crac_out0.size() == nc);
   Block b;
   b.crac_power_vars = crac_power_vars;
 
-  const thermal::HeatFlowModel::AffineOffsets off = model_.offsets(crac_out0);
-  const solver::Matrix& node_coeff = model_.node_in_coeff();
-  const solver::Matrix& crac_coeff = model_.crac_in_coeff();
+  const thermal::HeatFlowModel::AffineOffsets off = model.offsets(crac_out0);
+  const solver::Matrix& node_coeff = model.node_in_coeff();
+  const solver::Matrix& crac_coeff = model.crac_in_coeff();
 
   b.node_row0 = lp.num_constraints();
   for (std::size_t r = 0; r < b.node_row0; ++r) {
@@ -153,7 +159,7 @@ void ResidentThermalRows::append(
   const auto resident_terms = [&](const solver::Matrix& coeff, std::size_t r,
                                   Terms& terms) {
     double rhs_base = 0.0;
-    node_terms(dc_, coeff, r, 1.0, node_cols, ones, terms,
+    node_terms(dc, coeff, r, 1.0, node_cols, ones, terms,
                [&rhs_base](double wb) { rhs_base += wb; });
     return rhs_base;
   };
@@ -168,21 +174,21 @@ void ResidentThermalRows::append(
                         (redline - in0[r]) - rhs_base[r]);
     }
   };
-  add_redlines(node_coeff, off.node_in0, dc_.redline_node_c, b.node_rhs_base);
+  add_redlines(node_coeff, off.node_in0, dc.redline_node_c, b.node_rhs_base);
   b.crac_row0 = lp.num_constraints();
-  add_redlines(crac_coeff, off.crac_in0, dc_.redline_crac_c, b.crac_rhs_base);
+  add_redlines(crac_coeff, off.crac_in0, dc.redline_crac_c, b.crac_rhs_base);
   b.power_row0 = lp.num_constraints();
   b.power_rhs_base.assign(nc, 0.0);
   for (std::size_t c = 0; c < nc; ++c) {
     Terms terms;
     b.power_rhs_base[c] = resident_terms(crac_coeff, c, terms);
-    terms.emplace_back(crac_power_vars[c], -inv_k(dc_.cracs[c], crac_out0[c]));
+    terms.emplace_back(crac_power_vars[c], -inv_k(dc.cracs[c], crac_out0[c]));
     lp.add_constraint(std::move(terms), solver::Relation::LessEq,
                       -(off.crac_in0[c] - crac_out0[c]) - b.power_rhs_base[c]);
   }
-  if (with_budget_row) {
+  if (base.budget_row) {
     b.budget = true;
-    b.budget_rhs = add_budget_row(lp, dc_, node_cols, ones, crac_power_vars);
+    b.budget_rhs = add_budget_row(lp, dc, node_cols, ones, crac_power_vars);
   }
 
   const std::size_t n = lp.num_vars();
@@ -202,36 +208,37 @@ void ResidentThermalRows::append(
   std::vector<double> e(nc, 0.0);
   for (std::size_t c = 0; c < nc; ++c) {
     e[c] = 1.0;
-    b.unit.push_back(model_.offsets(e));
+    b.unit.push_back(model.offsets(e));
     e[c] = 0.0;
   }
-  block_ = std::make_shared<const Block>(std::move(b));
+  return std::make_shared<const Block>(std::move(b));
 }
 
-void ResidentThermalRows::move_to(solver::LpSession& session,
-                                  const std::vector<double>& crac_out) const {
+void SweepSession::move_to(const std::vector<double>& crac_out) {
   const Block& b = *block_;
   const std::size_t nn = dc_.num_nodes();
   const std::size_t nc = dc_.num_cracs();
   TAPO_CHECK(crac_out.size() == nc);
   const thermal::HeatFlowModel::AffineOffsets off = model_.offsets(crac_out);
   for (std::size_t r = 0; r < nn; ++r) {
-    session.patch_rhs(b.node_row0 + r, (dc_.redline_node_c - off.node_in0[r]) -
-                                           b.node_rhs_base[r]);
+    session_.patch_rhs(b.node_row0 + r,
+                       (dc_.redline_node_c - off.node_in0[r]) -
+                           b.node_rhs_base[r]);
   }
   for (std::size_t c = 0; c < nc; ++c) {
-    session.patch_rhs(b.crac_row0 + c, (dc_.redline_crac_c - off.crac_in0[c]) -
-                                           b.crac_rhs_base[c]);
+    session_.patch_rhs(b.crac_row0 + c,
+                       (dc_.redline_crac_c - off.crac_in0[c]) -
+                           b.crac_rhs_base[c]);
   }
   for (std::size_t c = 0; c < nc; ++c) {
-    session.patch_coefficient(b.power_row0 + c, b.crac_power_vars[c],
-                              -inv_k(dc_.cracs[c], crac_out[c]));
-    session.patch_rhs(b.power_row0 + c,
-                      -(off.crac_in0[c] - crac_out[c]) - b.power_rhs_base[c]);
+    session_.patch_coefficient(b.power_row0 + c, b.crac_power_vars[c],
+                               -inv_k(dc_.cracs[c], crac_out[c]));
+    session_.patch_rhs(b.power_row0 + c,
+                       -(off.crac_in0[c] - crac_out[c]) - b.power_rhs_base[c]);
   }
 }
 
-ResidentThermalRows::BoundSource ResidentThermalRows::bound_source(
+SweepSession::BoundSource SweepSession::bound_source(
     const std::vector<double>& duals) const {
   const Block& b = *block_;
   const std::size_t nn = dc_.num_nodes();
@@ -291,8 +298,8 @@ ResidentThermalRows::BoundSource ResidentThermalRows::bound_source(
   return s;
 }
 
-double ResidentThermalRows::bound(const BoundSource& s,
-                                  const std::vector<double>& crac_out) const {
+double SweepSession::bound(const BoundSource& s,
+                           const std::vector<double>& crac_out) const {
   const Block& b = *block_;
   const std::size_t nn = dc_.num_nodes();
   const std::size_t nc = dc_.num_cracs();

@@ -1,12 +1,14 @@
 // The thermal rows of every CRAC-sweep LP (core/stage1_lp.h,
-// core/baseline_lp.h): node and CRAC inlet redlines, one CRAC power row per
-// unit, and the facility power budget, all affine in the per-node core
-// powers. The rows sit over caller-supplied columns: node j's core power is
-// s_j times the sum of its columns cols_j. With w_rj row r's inlet
-// coefficient for node j (HeatFlowModel::node_in_coeff/crac_in_coeff), B_j
-// node j's base power (0 when failed), in0 the inlet offsets at setpoints
-// tout (HeatFlowModel::offsets) and k_c = rho*Cp*F_c / CoP(tout_c), the rows
-// come in two forms that share the term loop and the budget row.
+// core/baseline_lp.h), and SweepSession, the one resident LP that every
+// sweep keeps across grid points. The rows are the node and CRAC inlet
+// redlines, one CRAC power row per unit, and the facility power budget, all
+// affine in the per-node core powers. They sit over caller-supplied
+// columns: node j's core power is s_j times the sum of its columns cols_j.
+// With w_rj row r's inlet coefficient for node j
+// (HeatFlowModel::node_in_coeff/crac_in_coeff), B_j node j's base power (0
+// when failed), in0 the inlet offsets at setpoints tout
+// (HeatFlowModel::offsets) and k_c = rho*Cp*F_c / CoP(tout_c), the rows come
+// in two forms that share the term loop and the budget row.
 //
 // Per-point (append_point_thermal_rows), for an LP built and solved once;
 // k_c is multiplied through and the RHS subtracts one base term at a time:
@@ -20,8 +22,8 @@
 // build. Stage 1 passes node j's segment variables (s_j = 1), the baseline
 // its FRAC columns (s_j = ppf_j, the node's full P-state-0 core power).
 //
-// Resident (ResidentThermalRows), for an LP kept in a session across grid
-// points; s_j = 1, the RHS subtracts a base sum formed once, and the CRAC
+// Resident (SweepSession), for the LP a sweep keeps in one session across
+// grid points; s_j = 1, the RHS subtracts a base sum formed once, and the CRAC
 // power row is k-scaled:
 //
 //   node redline r:  sum_j w_rj sum_{v in cols_j} x_v
@@ -75,27 +77,46 @@
 
 namespace tapo::core {
 
-class ResidentThermalRows {
+// A sweep family's LP but for its thermal block: every column, every row
+// that does not move with the setpoints, and the columns the block reads.
+struct SweepLp {
+  solver::LpProblem lp;
+  // node_cols[j] lists the columns whose sum is node j's core power (kW).
+  std::vector<std::vector<std::size_t>> node_cols;
+  std::vector<std::size_t> crac_power_vars;  // CRAC c's power column
+  bool budget_row = false;                   // append the Pconst row
+};
+
+// The resident sweep LP: a family's SweepLp with the resident thermal block
+// appended, standardized once into an LpSession and re-pointed from grid
+// point to grid point. A copy is an independent session; copies share what
+// the block records. A never-solved session built at any setpoints, copied
+// and moved to P, solves bit for bit as one built at P, so the sweep builds
+// one per sweep and copies it at every warm-chain head.
+class SweepSession {
  public:
-  ResidentThermalRows(const dc::DataCenter& dc,
-                      const thermal::HeatFlowModel& model);
+  // Appends the resident form at crac_out0 to base.lp: the node redline,
+  // CRAC redline and CRAC power rows, in that order, then the budget row
+  // when base.budget_row is set. lp_options supplies the iteration cap, the
+  // FT update budget and the telemetry sink; its engine field is ignored (a
+  // session is always the revised engine, warm-started by per-solve seeds).
+  SweepSession(const dc::DataCenter& dc, const thermal::HeatFlowModel& model,
+               SweepLp base, const std::vector<double>& crac_out0,
+               const solver::LpOptions& lp_options);
 
-  // Appends the resident form at crac_out0: the node redline, CRAC redline
-  // and CRAC power rows, in that order, followed by the budget row when
-  // with_budget_row is set. node_cols[j] lists the columns whose sum is
-  // node j's core power (kW); crac_power_vars[c] is CRAC c's power column.
-  // The LP must be complete but for these rows (no row or column added
-  // afterwards): append also records the whole problem for the dual bound.
-  // Copies of this block share what append records.
-  void append(solver::LpProblem& lp,
-              const std::vector<std::vector<std::size_t>>& node_cols,
-              const std::vector<std::size_t>& crac_power_vars,
-              const std::vector<double>& crac_out0, bool with_budget_row);
+  // Re-points the LP at new setpoints (patch_rhs on every redline and CRAC
+  // power row, patch_coefficient of -1/k_c per CRAC).
+  void move_to(const std::vector<double>& crac_out);
 
-  // Re-points the appended rows at new setpoints (patch_rhs on every
-  // redline and CRAC power row, patch_coefficient of -1/k_c per CRAC).
-  void move_to(solver::LpSession& session,
-               const std::vector<double>& crac_out) const;
+  // Solves the LP. A non-null seed warm-starts from that basis (chain heads,
+  // cross-round seeding); otherwise the previous solve's state is resumed in
+  // place.
+  solver::LpSolution solve(const solver::LpBasis* seed = nullptr) {
+    return session_.solve(seed);
+  }
+
+  // Session statistics (patches, FT updates, refactorizations, fallbacks).
+  solver::LpSession::Stats stats() const { return session_.stats(); }
 
   // What one solve's duals fix of the bound (see the file comment).
   struct BoundSource {
@@ -113,11 +134,17 @@ class ResidentThermalRows {
                const std::vector<double>& crac_out) const;
 
  private:
-  struct Block;  // what append records; thermal_rows.cpp
+  struct Block;  // what the constructor records; thermal_rows.cpp
+
+  // Appends the block to base.lp and records it with the whole problem.
+  static std::shared_ptr<const Block> append(
+      const dc::DataCenter& dc, const thermal::HeatFlowModel& model,
+      SweepLp& base, const std::vector<double>& crac_out0);
 
   const dc::DataCenter& dc_;
   const thermal::HeatFlowModel& model_;
   std::shared_ptr<const Block> block_;
+  solver::LpSession session_;
 };
 
 // Appends the per-point form at crac_out: the node redline, CRAC redline and

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <limits>
 #include <memory>
@@ -198,9 +197,10 @@ constexpr std::uint64_t kUntimed = std::numeric_limits<std::uint64_t>::max();
 // and the completion cursor over them. Freed slots are reused first, so the
 // pool never outgrows the peak number of tasks in flight, and admissions
 // keep touching the same few cache lines however many cores the park has.
-// The pool is a deque so that growing it never copies: a run that starts
-// with no calendar event admits all its arrivals in one batch, so the peak
-// can be every task of the run.
+// That peak is the live backlog: an arrival batch ends at the first
+// completion due, its own admissions' included (RunCore::run), so finished
+// tasks free their slots between batches and the pool stays small however
+// long the run.
 //
 // A core's finish times never decrease (start = max(now, free time)), so
 // its next completion is its FIFO head. The cursor is a min-heap over cores
@@ -323,7 +323,7 @@ class InFlightQueues {
     cursor_[i] = h;
   }
 
-  std::deque<Slot> slots_;
+  std::vector<Slot> slots_;
   std::uint32_t free_ = kNone;
   std::vector<std::uint32_t> head_, tail_;  // per core; kNone when empty
   std::vector<Head> cursor_;                // min-heap under earlier()
@@ -436,8 +436,9 @@ class RunCore {
   // Drives the run to the horizon: admission batches interleaved with
   // calendar events and completions in global time order. An arrival batch
   // runs up to the earlier of the next calendar event and the next
-  // completion; events come first on exact ties, and a calendar event and a
-  // completion at the same time run in engine sequence order.
+  // completion, and an admission that finishes before that bound lowers it;
+  // events come first on exact ties, and a calendar event and a completion
+  // at the same time run in engine sequence order.
   template <typename Source>
   void run(Source& arrivals) {
     util::telemetry::Registry* const reg = options_.telemetry;
@@ -468,13 +469,14 @@ class RunCore {
       double t_done = kInf;
       std::uint64_t seq = 0;
       const bool have_completion = in_flight_.next(t_done, seq);
-      const double te = std::min(t_event, t_done);
+      double te = std::min(t_event, t_done);
       if (have_arrival && ta < te) {
         std::size_t batch = 0;
         do {
           arrive(type, ta);
           arrivals.advance(type, ta);
           ++batch;
+          if (in_flight_.next(t_done, seq)) te = std::min(te, t_done);
         } while (arrivals.peek(ta, type) && ta < te);
         ++totals_.batches;
         totals_.max_batch = std::max(totals_.max_batch, batch);

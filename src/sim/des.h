@@ -18,9 +18,10 @@
 // from one of two sources: live Poisson streams (simulate,
 // simulate_with_faults) or a recorded Trace (simulate_trace, sim/trace.h).
 // Either way they are admitted in batches: every arrival strictly before
-// the next calendar event or completion routes in one tight loop, so the
-// per-task cost is a routing decision plus an O(task types) min-scan, with
-// no priority-queue traffic. The entry points differ only in what they add
+// the next calendar event or completion, the batch's own admissions'
+// completions included, routes in one tight loop, so the per-task cost is a
+// routing decision plus an O(task types) min-scan, with no priority-queue
+// traffic, and the tasks in flight never outnumber the live backlog. The entry points differ only in what they add
 // to that loop:
 //   * simulate adds nothing;
 //   * simulate_with_faults schedules fault events, generation-guarded plan

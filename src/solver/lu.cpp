@@ -32,7 +32,6 @@ LuFactorization::LuFactorization(const Matrix& a) : lu_(a) {
     }
     if (pivot != col) {
       std::swap(perm_[pivot], perm_[col]);
-      perm_sign_ = -perm_sign_;
       for (std::size_t c = 0; c < n; ++c) std::swap(lu_(pivot, c), lu_(col, c));
     }
     const double inv_piv = 1.0 / lu_(col, col);
@@ -207,17 +206,6 @@ Matrix LuFactorization::solve(const Matrix& b) const {
     for (std::size_t r = 0; r < b.rows(); ++r) x(r, c) = sol[r];
   }
   return x;
-}
-
-Matrix LuFactorization::inverse() const {
-  return solve(Matrix::identity(lu_.rows()));
-}
-
-double LuFactorization::determinant() const {
-  if (!ok_) return 0.0;
-  double det = perm_sign_;
-  for (std::size_t i = 0; i < lu_.rows(); ++i) det *= lu_(i, i);
-  return det;
 }
 
 FtFactorization::FtFactorization(const Matrix& basis)

@@ -54,10 +54,6 @@ class LuFactorization {
   // Solves A X = B column-by-column. Requires ok().
   Matrix solve(const Matrix& b) const;
 
-  Matrix inverse() const;
-
-  double determinant() const;
-
  private:
   // Sparse view of one triangle of the factors, row- or column-oriented,
   // entries in ascending index order. The simplex basis is mostly slack
@@ -80,7 +76,6 @@ class LuFactorization {
   // Scratch for the in-place solves; makes those two methods unsafe to call
   // concurrently on one factorization (each simplex instance owns its own).
   mutable std::vector<double> scratch_;
-  int perm_sign_ = 1;
   bool ok_ = false;
 
   friend class FtFactorization;

@@ -6,11 +6,13 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "core/baseline_lp.h"
 #include "core/stage1_lp.h"
+#include "core/thermal_rows.h"
 #include "testutil.h"
 #include "util/telemetry.h"
 
@@ -163,7 +165,7 @@ TEST(Baseline, ThreeStageBeatsOrMatchesBaselineOnAverage) {
 
 TEST(Baseline, SessionSweepMatchesPerPointSweep) {
   // The default sweep (revised engine, warm chains) solves the aggregated
-  // LP of BaselineLpEvaluator on one session per chain; the dense engine
+  // resident LP of baseline_sweep_lp on one session per chain; the dense engine
   // solves solve_at's LP at every point. Both select the setpoints the
   // Dense re-solve publishes, so the plans must be bit-identical, for any
   // worker count.
@@ -207,17 +209,21 @@ TEST(Baseline, SessionSweepMatchesPerPointSweep) {
   }
 }
 
-// Walks one resident evaluator along `path` and checks every stop against
-// `cold`, a cold Dense per-point solve: same feasibility, same optimum.
-// Returns the number of feasible stops.
-template <class Evaluator, class Cold>
-std::size_t expect_walk_matches(Evaluator eval, const Cold& cold,
+// Walks one resident session of `family` along `path` and checks every stop
+// against `cold`, a cold Dense per-point solve: same feasibility, same
+// optimum. Returns the number of feasible stops.
+template <class Outcome, class Cold>
+std::size_t expect_walk_matches(const dc::DataCenter& dc,
+                                const thermal::HeatFlowModel& model,
+                                const CracSweepLp<Outcome>& family,
+                                const Cold& cold,
                                 const std::vector<std::vector<double>>& path) {
+  SweepSession session(dc, model, family.resident, path.front(), {});
   std::size_t feasible = 0;
   for (std::size_t k = 0; k < path.size(); ++k) {
     SCOPED_TRACE(testing::Message() << "stop " << k);
-    if (k > 0) eval.move_to(path[k]);
-    const auto got = eval.solve();
+    if (k > 0) session.move_to(path[k]);
+    const Outcome got = family.outcome(session.solve());
     const auto want = cold(path[k]);
     EXPECT_EQ(got.feasible, want.feasible);
     if (!want.feasible || !got.feasible) continue;
@@ -225,12 +231,12 @@ std::size_t expect_walk_matches(Evaluator eval, const Cold& cold,
     EXPECT_NEAR(got.objective, want.objective,
                 1e-9 * std::max(1.0, std::abs(want.objective)));
   }
-  EXPECT_GT(eval.session_stats().resident_resumes, 0u);
+  EXPECT_GT(session.stats().resident_resumes, 0u);
   return feasible;
 }
 
 TEST(Baseline, EvaluatorMatchesSolveAtAlongAPath) {
-  // Resident evaluators walked across setpoints — feasible and infeasible
+  // Resident sessions walked across setpoints — feasible and infeasible
   // ones — must agree with a cold Dense per-point solve at every stop: the
   // baseline's against solve_at, Stage 1's in both modes against
   // solve_stage1_lp. Each pair writes its thermal rows in the two forms of
@@ -267,7 +273,7 @@ TEST(Baseline, EvaluatorMatchesSolveAtAlongAPath) {
 
     SCOPED_TRACE("baseline");
     EXPECT_GE(expect_walk_matches(
-                  BaselineLpEvaluator(dc, model, path.front(), {}),
+                  dc, model, baseline_sweep_lp(dc, model),
                   [&](const std::vector<double>& at) {
                     return assigner.solve_at(at, dense);
                   },
@@ -280,17 +286,15 @@ TEST(Baseline, EvaluatorMatchesSolveAtAlongAPath) {
             .solve_at(std::vector<double>(dc.num_cracs(), 17.5), psi)
             .objective;
     ASSERT_GT(relaxed, 0.0);
-    for (const Stage1LpEvaluator::Mode mode :
-         {Stage1LpEvaluator::Mode::MaximizeReward,
-          Stage1LpEvaluator::Mode::MinimizePower}) {
+    for (const Stage1Mode mode :
+         {Stage1Mode::MaximizeReward, Stage1Mode::MinimizePower}) {
       SCOPED_TRACE(testing::Message()
                    << "stage1 min_power="
-                   << (mode == Stage1LpEvaluator::Mode::MinimizePower));
+                   << (mode == Stage1Mode::MinimizePower));
       const double floor =
-          mode == Stage1LpEvaluator::Mode::MinimizePower ? 0.5 * relaxed : 0.0;
+          mode == Stage1Mode::MinimizePower ? 0.5 * relaxed : 0.0;
       EXPECT_GE(expect_walk_matches(
-                    Stage1LpEvaluator(dc, model, mode, psi, floor,
-                                      path.front(), {}),
+                    dc, model, stage1_sweep_lp(dc, model, mode, psi, floor),
                     [&](const std::vector<double>& at) {
                       return solve_stage1_lp(dc, model, mode, psi, floor, at,
                                              dense);
@@ -304,7 +308,7 @@ TEST(Baseline, EvaluatorMatchesSolveAtAlongAPath) {
 TEST(Baseline, BaseLoadRedlineBreachIsInfeasible) {
   // Inlet redlines below the coldest supply air: base load alone breaks
   // them at every setpoint. Both sweeps must say Infeasible (not a
-  // resource failure), and so must an evaluator whose redline rows carry
+  // resource failure), and so must a session whose redline rows carry
   // no adjustable column (every fraction pinned by an impossible deadline).
   auto scenario = test::make_small_scenario(221, 10, 2);
   scenario.dc.redline_node_c = 5.0;
@@ -323,8 +327,9 @@ TEST(Baseline, BaseLoadRedlineBreachIsInfeasible) {
   for (auto& type : scenario.dc.task_types) type.relative_deadline = 1e-12;
   const std::vector<double> setpoints(scenario.dc.num_cracs(), 15.0);
   EXPECT_FALSE(assigner.solve_at(setpoints).feasible);
-  BaselineLpEvaluator eval(scenario.dc, model, setpoints, {});
-  const BaselineAssigner::LpOutcome outcome = eval.solve();
+  const auto family = baseline_sweep_lp(scenario.dc, model);
+  SweepSession session(scenario.dc, model, family.resident, setpoints, {});
+  const BaselineAssigner::LpOutcome outcome = family.outcome(session.solve());
   EXPECT_FALSE(outcome.feasible);
   EXPECT_EQ(outcome.status, solver::LpStatus::Infeasible);
 }
@@ -411,6 +416,8 @@ TEST(Baseline, OptionsOutOfRangeAreInvalidArguments) {
   const auto scenario = test::make_small_scenario(252, 8, 2);
   const thermal::HeatFlowModel model(scenario.dc);
   const BaselineAssigner assigner(scenario.dc, model);
+  // The setpoint range, grid and its threads are the shared sweep settings.
+  static_assert(std::is_base_of_v<CracSweepOptions, BaselineOptions>);
   EXPECT_TRUE(BaselineOptions{}.validate().ok());
 
   std::vector<BaselineOptions> bad(6);
@@ -436,7 +443,7 @@ TEST(Baseline, OptionsOutOfRangeAreInvalidArguments) {
     EXPECT_EQ(registry.counter_value("lp.solves"), 0u);  // no work began
   }
   BaselineOptions at_cap;
-  at_cap.grid.threads = Stage1Options::kMaxThreads;
+  at_cap.grid.threads = CracSweepOptions::kMaxThreads;
   EXPECT_TRUE(at_cap.validate().ok());
 }
 

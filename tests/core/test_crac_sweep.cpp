@@ -11,6 +11,7 @@
 #include "core/powermin.h"
 #include "core/stage1.h"
 #include "core/stage1_lp.h"
+#include "core/thermal_rows.h"
 #include "testutil.h"
 #include "util/telemetry.h"
 
@@ -110,30 +111,37 @@ void expect_same_outcome(const BaselineAssigner::LpOutcome& a,
   EXPECT_EQ(a.basis.status, b.basis.status);
 }
 
-// The sweep builds one evaluator per sweep and copies it at every chain
-// head. A never-solved evaluator built at P0, copied and moved to P must
-// solve exactly as one built at P — cold and from a seed — and keep doing
-// so along the chain.
-template <class Evaluator, class Make>
-void expect_copies_solve_as_fresh(const Make& make) {
+// The sweep builds one session per sweep and copies it at every chain head.
+// A never-solved session built at P0, copied and moved to P must solve
+// exactly as one built at P — cold and from a seed — and keep doing so
+// along the chain.
+template <class Outcome>
+void expect_copies_solve_as_fresh(const dc::DataCenter& dc,
+                                  const thermal::HeatFlowModel& model,
+                                  const CracSweepLp<Outcome>& family) {
+  const solver::LpOptions lp;
+  const auto make = [&](const std::vector<double>& at) {
+    return SweepSession(dc, model, family.resident, at, lp);
+  };
+  const auto& read = family.outcome;
   const std::vector<double> p0{12.0, 13.5, 12.5};
   const std::vector<double> p{17.5, 19.0, 18.0};
   const std::vector<double> q{18.5, 19.0, 17.0};  // seed source, chain next
-  Evaluator seeder = make(q);
-  const solver::LpBasis seed = seeder.solve().basis;
+  SweepSession seeder = make(q);
+  const solver::LpBasis seed = read(seeder.solve()).basis;
   ASSERT_FALSE(seed.empty());
-  const Evaluator prototype = make(p0);
+  const SweepSession prototype = make(p0);
   for (const solver::LpBasis* start : {static_cast<const solver::LpBasis*>(nullptr), &seed}) {
     SCOPED_TRACE(testing::Message() << "seeded=" << (start != nullptr));
-    Evaluator copy(prototype);
+    SweepSession copy(prototype);
     copy.move_to(p);
-    Evaluator fresh = make(p);
-    const auto got = copy.solve(start);
+    SweepSession fresh = make(p);
+    const Outcome got = read(copy.solve(start));
     ASSERT_TRUE(got.feasible);
-    expect_same_outcome(got, fresh.solve(start));
+    expect_same_outcome(got, read(fresh.solve(start)));
     copy.move_to(q);
     fresh.move_to(q);
-    expect_same_outcome(copy.solve(), fresh.solve());
+    expect_same_outcome(read(copy.solve()), read(fresh.solve()));
   }
 }
 
@@ -141,29 +149,21 @@ TEST(CracSweep, CopiedEvaluatorSolvesAsAFreshOne) {
   const auto scenario = test::make_small_scenario(302, 12, 3);
   const dc::DataCenter& dc = scenario.dc;
   const thermal::HeatFlowModel model(dc);
-  const solver::LpOptions lp;
   const double psi = 50.0;
   const double relaxed =
       Stage1Solver(dc, model).solve_at({17.5, 19.0, 18.0}, psi).objective;
   ASSERT_GT(relaxed, 0.0);
-  for (const Stage1LpEvaluator::Mode mode :
-       {Stage1LpEvaluator::Mode::MaximizeReward,
-        Stage1LpEvaluator::Mode::MinimizePower}) {
+  for (const Stage1Mode mode :
+       {Stage1Mode::MaximizeReward, Stage1Mode::MinimizePower}) {
     SCOPED_TRACE(testing::Message()
-                 << "min_power="
-                 << (mode == Stage1LpEvaluator::Mode::MinimizePower));
+                 << "min_power=" << (mode == Stage1Mode::MinimizePower));
     const double floor =
-        mode == Stage1LpEvaluator::Mode::MinimizePower ? 0.5 * relaxed : 0.0;
-    expect_copies_solve_as_fresh<Stage1LpEvaluator>(
-        [&](const std::vector<double>& at) {
-          return Stage1LpEvaluator(dc, model, mode, psi, floor, at, lp);
-        });
+        mode == Stage1Mode::MinimizePower ? 0.5 * relaxed : 0.0;
+    expect_copies_solve_as_fresh(
+        dc, model, stage1_sweep_lp(dc, model, mode, psi, floor));
   }
   SCOPED_TRACE("baseline");
-  expect_copies_solve_as_fresh<BaselineLpEvaluator>(
-      [&](const std::vector<double>& at) {
-        return BaselineLpEvaluator(dc, model, at, lp);
-      });
+  expect_copies_solve_as_fresh(dc, model, baseline_sweep_lp(dc, model));
 }
 
 // Setpoint vectors for the dual-bound property: uniform values across the
@@ -189,8 +189,9 @@ std::vector<std::vector<double>> bound_probe_points(const dc::DataCenter& dc) {
 // Weak duality: the bound from any solved point's duals is at least the
 // dense oracle's cold optimum at every other point, and at the source
 // itself it is the source's own optimum (strong duality).
-template <class Evaluator, class DenseValue>
-void expect_bounds_hold(Evaluator eval, const DenseValue& dense_value,
+template <class Outcome, class DenseValue>
+void expect_bounds_hold(SweepSession session, const CracSweepLp<Outcome>& family,
+                        const DenseValue& dense_value,
                         const std::vector<std::vector<double>>& points) {
   std::vector<std::optional<double>> value(points.size());
   std::size_t infeasible = 0;
@@ -201,20 +202,19 @@ void expect_bounds_hold(Evaluator eval, const DenseValue& dense_value,
   EXPECT_GT(infeasible, 0u);
   std::size_t checked = 0;
   for (std::size_t s = 0; s < points.size(); ++s) {
-    eval.move_to(points[s]);
-    const auto solved = eval.solve();
+    session.move_to(points[s]);
+    const Outcome solved = family.outcome(session.solve());
     ASSERT_EQ(solved.feasible, value[s].has_value()) << "source " << s;
     if (!solved.feasible) continue;
-    const ResidentThermalRows& rows = eval.thermal_rows();
-    const ResidentThermalRows::BoundSource source =
-        rows.bound_source(solved.duals);
-    const double own = rows.bound(source, points[s]);
+    const SweepSession::BoundSource source =
+        session.bound_source(solved.duals);
+    const double own = session.bound(source, points[s]);
     EXPECT_NEAR(own, solved.objective,
                 1e-6 * std::max(1.0, std::abs(solved.objective)))
         << "source " << s;
     for (std::size_t t = 0; t < points.size(); ++t) {
       if (!value[t]) continue;
-      EXPECT_LE(*value[t], rows.bound(source, points[t]) +
+      EXPECT_LE(*value[t], session.bound(source, points[t]) +
                                1e-9 * std::max(1.0, std::abs(*value[t])))
           << "source " << s << " target " << t;
       ++checked;
@@ -243,16 +243,15 @@ TEST(CracSweep, DualBoundNeverUndercutsTheDenseOptimum) {
     const std::vector<double> mid(dc.num_cracs(), 17.5);
     const double relaxed = Stage1Solver(dc, model).solve_at(mid, psi).objective;
     ASSERT_GT(relaxed, 0.0);
-    for (const Stage1LpEvaluator::Mode mode :
-         {Stage1LpEvaluator::Mode::MaximizeReward,
-          Stage1LpEvaluator::Mode::MinimizePower}) {
+    for (const Stage1Mode mode :
+         {Stage1Mode::MaximizeReward, Stage1Mode::MinimizePower}) {
       SCOPED_TRACE(testing::Message()
-                   << "min_power="
-                   << (mode == Stage1LpEvaluator::Mode::MinimizePower));
+                   << "min_power=" << (mode == Stage1Mode::MinimizePower));
       const double floor =
-          mode == Stage1LpEvaluator::Mode::MinimizePower ? 0.5 * relaxed : 0.0;
+          mode == Stage1Mode::MinimizePower ? 0.5 * relaxed : 0.0;
+      const auto family = stage1_sweep_lp(dc, model, mode, psi, floor);
       expect_bounds_hold(
-          Stage1LpEvaluator(dc, model, mode, psi, floor, mid, {}),
+          SweepSession(dc, model, family.resident, mid, {}), family,
           [&](const std::vector<double>& at) -> std::optional<double> {
             const auto out =
                 solve_stage1_lp(dc, model, mode, psi, floor, at, dense);
@@ -263,8 +262,9 @@ TEST(CracSweep, DualBoundNeverUndercutsTheDenseOptimum) {
     }
     SCOPED_TRACE("baseline");
     const BaselineAssigner baseline(dc, model);
+    const auto family = baseline_sweep_lp(dc, model);
     expect_bounds_hold(
-        BaselineLpEvaluator(dc, model, mid, {}),
+        SweepSession(dc, model, family.resident, mid, {}), family,
         [&](const std::vector<double>& at) -> std::optional<double> {
           const auto out = baseline.solve_at(at, dense);
           if (!out.feasible) return std::nullopt;

@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <type_traits>
 #include <vector>
 
 #include "core/assigner.h"
@@ -141,6 +142,8 @@ TEST(PowerMin, NegativeOrNonFiniteTargetIsInvalidArgument) {
 TEST(PowerMin, OptionsOutOfRangeAreInvalidArguments) {
   const auto scenario = test::make_small_scenario(126, 6, 1);
   const thermal::HeatFlowModel model(scenario.dc);
+  // stage1 carries the shared sweep settings.
+  static_assert(std::is_base_of_v<CracSweepOptions, Stage1Options>);
   EXPECT_TRUE(PowerMinOptions{}.validate().ok());
 
   constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();

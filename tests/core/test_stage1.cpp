@@ -5,6 +5,7 @@
 #include <limits>
 #include <numeric>
 #include <optional>
+#include <type_traits>
 #include <vector>
 
 #include "testutil.h"
@@ -172,6 +173,8 @@ TEST(Stage1, OptionsOutOfRangeAreInvalidArguments) {
   const auto scenario = test::make_small_scenario(44, 8, 2);
   const thermal::HeatFlowModel model(scenario.dc);
   const Stage1Solver solver(scenario.dc, model);
+  // The setpoint range and grid are the shared sweep settings.
+  static_assert(std::is_base_of_v<CracSweepOptions, Stage1Options>);
   EXPECT_TRUE(Stage1Options{}.validate().ok());
 
   std::vector<Stage1Options> bad(8);
@@ -199,7 +202,7 @@ TEST(Stage1, OptionsOutOfRangeAreInvalidArguments) {
     EXPECT_EQ(registry.counter_value("stage1.solves"), 0u);  // no work began
   }
   Stage1Options at_cap;
-  at_cap.threads = Stage1Options::kMaxThreads;
+  at_cap.threads = CracSweepOptions::kMaxThreads;
   EXPECT_TRUE(at_cap.validate().ok());
 }
 

@@ -136,6 +136,30 @@ TEST_F(RoutingFixture, IndexedSimulationMatchesScanUnderOverload) {
   }
 }
 
+TEST_F(RoutingFixture, InFlightPoolStaysAtTheLiveBacklog) {
+  // Telemetry on with no samplers leaves the calendar empty, as in an
+  // untraced storm run, so nothing but completions can end an arrival
+  // batch. A batch ends at the first completion due, its own admissions'
+  // included, so the pending high-water mark (calendar events plus live
+  // timed completions) stays at the live backlog instead of growing to
+  // every admission of the run. Batching never changes the result.
+  for (dc::TaskType& t : scenario->dc.task_types) t.arrival_rate *= 2.0;
+  SimOptions o = options(core::RouteMode::kIndexed, 3);
+  o.duration_seconds = 600.0;
+  util::telemetry::Registry registry;
+  o.telemetry = &registry;
+  o.telemetry_samples = 0;
+  const SimResult storm = simulate(scenario->dc, assignment, o);
+  ASSERT_TRUE(storm.status.ok()) << storm.status.to_string();
+  const double assigned =
+      static_cast<double>(registry.counter_value("scheduler.assigned"));
+  ASSERT_GT(assigned, 10000.0);
+  EXPECT_LT(registry.gauge_value("sim.queue_depth_high_water"),
+            0.1 * assigned);
+  o.telemetry = nullptr;
+  expect_identical(storm, simulate(scenario->dc, assignment, o));
+}
+
 // ---- Fault path -----------------------------------------------------------
 
 TEST_F(RoutingFixture, FaultSimulationIdenticalAcrossRouteModes) {

@@ -36,23 +36,6 @@ TEST(Lu, DetectsSingular) {
   a(1, 0) = 2; a(1, 1) = 4;
   LuFactorization lu(a);
   EXPECT_FALSE(lu.ok());
-  EXPECT_EQ(lu.determinant(), 0.0);
-}
-
-TEST(Lu, Determinant) {
-  Matrix a(2, 2);
-  a(0, 0) = 3; a(0, 1) = 1;
-  a(1, 0) = 2; a(1, 1) = 4;
-  LuFactorization lu(a);
-  EXPECT_NEAR(lu.determinant(), 10.0, 1e-12);
-}
-
-TEST(Lu, DeterminantTracksPermutationSign) {
-  Matrix a(2, 2);
-  a(0, 0) = 0; a(0, 1) = 1;
-  a(1, 0) = 1; a(1, 1) = 0;
-  LuFactorization lu(a);
-  EXPECT_NEAR(lu.determinant(), -1.0, 1e-12);
 }
 
 TEST(Lu, InverseTimesOriginalIsIdentity) {
@@ -64,7 +47,7 @@ TEST(Lu, InverseTimesOriginalIsIdentity) {
   }
   LuFactorization lu(a);
   ASSERT_TRUE(lu.ok());
-  const Matrix prod = a.multiply(lu.inverse());
+  const Matrix prod = a.multiply(lu.solve(Matrix::identity(5)));
   Matrix err = prod;
   err.add_scaled(Matrix::identity(5), -1.0);
   EXPECT_LT(err.max_abs(), 1e-10);
