@@ -49,7 +49,7 @@ int main() {
     options.warmup_seconds = warmup;
 
     const auto poisson = sim::generate_poisson_trace(
-        scenario->dc.task_types, horizon, util::Rng(run + 1));
+        scenario->dc.task_types, horizon, util::Rng(run + 1)).value();
     const auto base =
         sim::simulate_trace(scenario->dc, assignment, poisson, options);
     poisson_reward.add(100.0 * base.reward_rate / assignment.reward_rate);
@@ -58,7 +58,7 @@ int main() {
       sim::MmppConfig mmpp;
       mmpp.burst_multiplier = multipliers[m];
       const auto trace = sim::generate_mmpp_trace(
-          scenario->dc.task_types, horizon, mmpp, util::Rng(run + 1));
+          scenario->dc.task_types, horizon, mmpp, util::Rng(run + 1)).value();
       const auto result =
           sim::simulate_trace(scenario->dc, assignment, trace, options);
       reward[m].add(100.0 * result.reward_rate / assignment.reward_rate);

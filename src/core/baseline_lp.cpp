@@ -106,8 +106,12 @@ BaselineAssigner::LpOutcome solve_baseline_lp(
   }
   // Redlines, CRAC power rows and the budget over node power
   // ppf_j sum_i FRAC(i,j), in the per-point form; see core/thermal_rows.h.
-  if (!append_point_thermal_rows(lp, dc, model, frac.by_node, frac.ppf,
-                                 crac_power_vars, crac_out,
+  std::vector<double> col_kw(lp.num_vars(), 0.0);
+  for (std::size_t j = 0; j < dc.num_nodes(); ++j) {
+    for (std::size_t v : frac.by_node[j]) col_kw[v] = frac.ppf[j];
+  }
+  if (!append_point_thermal_rows(lp, dc, model, frac.by_node, col_kw,
+                                 base_loads_kw(dc), crac_power_vars, crac_out,
                                  /*with_budget_row=*/true)) {
     return {};
   }

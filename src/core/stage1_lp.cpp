@@ -112,9 +112,9 @@ Stage1Solver::LpOutcome solve_stage1_lp(const dc::DataCenter& dc,
   // Redlines, CRAC power rows and (MaximizeReward) the budget row over the
   // segment variables, in the per-point form; see core/thermal_rows.h.
   if (!append_point_thermal_rows(lp, dc, model, cols.seg_vars,
-                                 std::vector<double>(dc.num_nodes(), 1.0),
-                                 cols.crac_power_vars, crac_out,
-                                 mode == Mode::MaximizeReward)) {
+                                 std::vector<double>(lp.num_vars(), 1.0),
+                                 base_loads_kw(dc), cols.crac_power_vars,
+                                 crac_out, mode == Mode::MaximizeReward)) {
     return {};
   }
 

@@ -21,51 +21,63 @@ Stage3Result finalize(Stage3Result result) {
   return result;
 }
 
-}  // namespace
-
-Stage3RateLp::Stage3RateLp(const dc::DataCenter& dc,
-                           const std::vector<std::size_t>& core_pstate)
-    : num_cores_(dc.total_cores()), arrival_row_(dc.num_task_types(), -1) {
+// (node type, P-state) classes in ascending order; off cores and failed
+// nodes are skipped.
+std::vector<CoreClass> type_state_classes(
+    const dc::DataCenter& dc, const std::vector<std::size_t>& core_pstate) {
   TAPO_CHECK(core_pstate.size() == dc.total_cores());
-  const std::size_t t = dc.num_task_types();
-
-  // Group cores into (node type, P-state) classes; off cores are skipped.
-  std::map<std::pair<std::size_t, std::size_t>, std::vector<std::size_t>> classes;
+  std::map<std::pair<std::size_t, std::size_t>, std::vector<std::size_t>> members;
   for (std::size_t k = 0; k < dc.total_cores(); ++k) {
     if (!dc.core_available(k)) continue;  // failed node: no rates, ever
     const std::size_t type = dc.core_type(k);
     const std::size_t ps = core_pstate[k];
     if (ps == dc.node_types[type].off_state()) continue;
-    classes[{type, ps}].push_back(k);
+    members[{type, ps}].push_back(k);
   }
+  std::vector<CoreClass> classes;
+  for (auto& [key, cores] : members) {
+    classes.push_back({key.first, key.second, std::move(cores)});
+  }
+  return classes;
+}
 
-  std::vector<std::vector<std::size_t>> by_type(t);  // var indices per task type
-  for (auto& [key, cores] : classes) {
-    const auto [type, ps] = key;
-    const std::size_t cls = classes_.size();
+}  // namespace
+
+Stage3RateLp::Stage3RateLp(const dc::DataCenter& dc,
+                           const std::vector<std::size_t>& core_pstate)
+    : Stage3RateLp(dc, type_state_classes(dc, core_pstate)) {}
+
+Stage3RateLp::Stage3RateLp(const dc::DataCenter& dc,
+                           std::vector<CoreClass> classes)
+    : num_cores_(dc.total_cores()),
+      classes_(std::move(classes)),
+      arrival_row_(dc.num_task_types(), -1) {
+  const std::size_t t = dc.num_task_types();
+  std::vector<std::vector<std::size_t>> by_type(t);  // columns per task type
+  for (std::size_t cls = 0; cls < classes_.size(); ++cls) {
+    const CoreClass& c = classes_[cls];
     std::vector<std::pair<std::size_t, double>> capacity_terms;
     for (std::size_t i = 0; i < t; ++i) {
-      if (!dc.ecs.can_meet_deadline(i, type, ps,
+      if (!dc.ecs.can_meet_deadline(i, c.node_type, c.pstate,
                                     dc.task_types[i].relative_deadline)) {
         continue;  // deadline constraint (Eq. 7 constraint 2) pins TC to 0
       }
-      const double ecs = dc.ecs.ecs(i, type, ps);
+      const double ecs = dc.ecs.ecs(i, c.node_type, c.pstate);
       const std::size_t v =
           lp_.add_variable(0.0, solver::kLpInfinity, dc.task_types[i].reward);
-      vars_.push_back({v, i, cls});
-      by_type[i].push_back(vars_.size() - 1);
+      columns_.push_back({v, i, cls});
+      by_type[i].push_back(v);
       capacity_terms.emplace_back(v, 1.0 / ecs);
     }
     if (!capacity_terms.empty()) {
       lp_.add_constraint(std::move(capacity_terms), solver::Relation::LessEq,
-                         static_cast<double>(cores.size()));
+                         static_cast<double>(c.cores.size()));
     }
-    classes_.push_back(std::move(cores));
   }
   for (std::size_t i = 0; i < t; ++i) {
     if (by_type[i].empty()) continue;
     std::vector<std::pair<std::size_t, double>> terms;
-    for (std::size_t idx : by_type[i]) terms.emplace_back(vars_[idx].var, 1.0);
+    for (std::size_t v : by_type[i]) terms.emplace_back(v, 1.0);
     arrival_row_[i] = static_cast<std::ptrdiff_t>(lp_.num_constraints());
     lp_.add_constraint(std::move(terms), solver::Relation::LessEq,
                        dc.task_types[i].arrival_rate);
@@ -82,11 +94,11 @@ void Stage3RateLp::set_arrival_rates(const std::vector<double>& lambda) {
 
 solver::Matrix Stage3RateLp::split(const std::vector<double>& x) const {
   solver::Matrix tc(arrival_row_.size(), num_cores_);
-  for (const Var& v : vars_) {
-    const std::vector<std::size_t>& cores = classes_[v.cls];
-    const double per_core = x[v.var] / static_cast<double>(cores.size());
+  for (const Column& c : columns_) {
+    const std::vector<std::size_t>& cores = classes_[c.cls].cores;
+    const double per_core = x[c.var] / static_cast<double>(cores.size());
     if (per_core <= 0.0) continue;
-    for (std::size_t core : cores) tc(v.task_type, core) = per_core;
+    for (std::size_t core : cores) tc(c.task_type, core) = per_core;
   }
   return tc;
 }

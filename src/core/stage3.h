@@ -9,8 +9,11 @@
 // ECS depends on the core only through (node type, P-state), so cores fall
 // into equivalence classes and the per-core LP collapses losslessly to one
 // variable per (task type, class) with class capacity = class size; rates
-// are distributed uniformly within a class afterwards. solve_stage3_percore
-// keeps the literal per-core formulation for cross-validation.
+// are distributed uniformly within a class afterwards. One writer,
+// Stage3RateLp, builds these rows from the partition its caller passes:
+// (node type, P-state) classes here, (node, P-state) classes in the
+// power-aware Stage 3 (core/stage3_power.h). solve_stage3_percore keeps the
+// literal per-core formulation, with its own rows, for cross-validation.
 //
 // Stages 1 and 2 never read the arrival rates, so the arrival rows here are
 // the only place lambda enters the three-stage plan: a re-plan at drifted
@@ -42,25 +45,45 @@ struct Stage3Result {
   std::vector<double> per_type_rate;  // sum over cores, per task type
 };
 
-// The class-aggregated Eq.-7 rate LP for fixed per-core P-states: one
-// variable per (task type, (node type, P-state) class) in class order, one
-// capacity row per class with a schedulable type, then one arrival row per
-// task type with a variable. Off cores and failed nodes (dc's degraded-mode
-// state at construction) get no variables. solve_stage3 cold-solves it;
-// RollingPlanner keeps it resident in an LpSession and patches the arrival
-// rows.
+// A class of interchangeable cores: one node type, one P-state.
+struct CoreClass {
+  std::size_t node_type = 0;
+  std::size_t pstate = 0;
+  std::vector<std::size_t> cores;  // member core indices
+};
+
+// The Eq.-7 rate LP for fixed per-core P-states, written class by class over
+// an ordered partition of the schedulable cores: one column per task type
+// whose deadline the class meets, priced at r_i, and the class's capacity
+// row sum_i x_i / ECS(i, class) <= |class| when it has a column; then one
+// arrival row per task type with a column. By default the partition is the
+// (node type, P-state) classes in ascending order; off cores and failed
+// nodes (dc's degraded-mode state at construction) belong to no class.
+// solve_stage3 cold-solves it; RollingPlanner keeps it resident in an
+// LpSession and patches the arrival rows.
 class Stage3RateLp {
  public:
+  struct Column {
+    std::size_t var;
+    std::size_t task_type;
+    std::size_t cls;  // index into the partition
+  };
+
   // Arrival rows start at dc.task_types' rates.
   Stage3RateLp(const dc::DataCenter& dc,
                const std::vector<std::size_t>& core_pstate);
+  // The rows over the caller's partition.
+  Stage3RateLp(const dc::DataCenter& dc, std::vector<CoreClass> classes);
 
   const solver::LpProblem& problem() const { return lp_; }
   // True when no (task type, class) pair is schedulable: the LP has no
   // variables and zero rates are optimal.
-  bool empty() const { return vars_.empty(); }
+  bool empty() const { return columns_.empty(); }
   std::size_t num_classes() const { return classes_.size(); }
-  std::size_t num_variables() const { return vars_.size(); }
+  std::size_t num_variables() const { return columns_.size(); }
+  const CoreClass& core_class(std::size_t cls) const { return classes_[cls]; }
+  // Class by class, task types ascending.
+  const std::vector<Column>& columns() const { return columns_; }
 
   // Row of task type i's arrival constraint sum_k TC(i,k) <= lambda_i, or -1
   // when no class can meet its deadline and the type has no row.
@@ -74,14 +97,9 @@ class Stage3RateLp {
   solver::Matrix split(const std::vector<double>& x) const;
 
  private:
-  struct Var {
-    std::size_t var;
-    std::size_t task_type;
-    std::size_t cls;
-  };
   std::size_t num_cores_;
-  std::vector<std::vector<std::size_t>> classes_;  // member cores per class
-  std::vector<Var> vars_;
+  std::vector<CoreClass> classes_;
+  std::vector<Column> columns_;
   std::vector<std::ptrdiff_t> arrival_row_;
   solver::LpProblem lp_;
 };

@@ -21,6 +21,13 @@
 // power - unlike ECS - is tied to the node's thermal position, so the
 // class aggregation of plain Stage 3 does not apply; problem sizes stay
 // moderate (T x NCN x states).
+//
+// The LP has no rows of its own: Stage3RateLp (core/stage3.h) writes the
+// rate rows over per-node (node, P-state) classes, nodes and states
+// ascending, and append_point_thermal_rows (core/thermal_rows.h) the
+// redline, CRAC power and budget rows with a kW coefficient per rate column
+// and B_j plus the idle draw as node j's constant load. A failed node gets
+// no classes and draws 0.
 #pragma once
 
 #include <vector>

@@ -16,37 +16,44 @@ using Terms = std::vector<std::pair<std::size_t, double>>;
 constexpr std::size_t kNoNode = static_cast<std::size_t>(-1);
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-// Appends row r of `coeff` times k over the node columns: each column of
-// node j at w_j * node_scale[j], w_j = k * coeff(r, j), nodes with w_j == 0
-// skipped. base(w_j * B_j) receives each node's base-power term in node
-// order; the per-point form subtracts them from the RHS one by one, the
-// resident form sums them into a base first.
+// Appends row r of `coeff` times k over the node columns: each column v of
+// node j at w_j * col_kw[v], w_j = k * coeff(r, j), nodes with w_j == 0 and
+// columns with col_kw[v] == 0 skipped. base(w_j * load[j]) receives each
+// node's constant-load term in node order; the per-point form subtracts them
+// from the RHS one by one, the resident form sums them into a base first.
 template <class BaseTerm>
-void node_terms(const dc::DataCenter& dc, const solver::Matrix& coeff,
-                std::size_t r, double k,
+void node_terms(const solver::Matrix& coeff, std::size_t r, double k,
                 const std::vector<std::vector<std::size_t>>& node_cols,
-                const std::vector<double>& node_scale, Terms& terms,
+                const std::vector<double>& col_kw,
+                const std::vector<double>& load, Terms& terms,
                 BaseTerm&& base) {
-  for (std::size_t j = 0; j < dc.num_nodes(); ++j) {
+  for (std::size_t j = 0; j < node_cols.size(); ++j) {
     const double w = k * coeff(r, j);
     if (w == 0.0) continue;
-    base(w * dc.node_base_power_kw(j));
-    const double scaled = w * node_scale[j];
-    for (std::size_t v : node_cols[j]) terms.emplace_back(v, scaled);
+    base(w * load[j]);
+    for (std::size_t v : node_cols[j]) {
+      if (col_kw[v] != 0.0) terms.emplace_back(v, w * col_kw[v]);
+    }
   }
 }
 
-// The budget row of both forms; returns its RHS, Pconst - B.
-double add_budget_row(solver::LpProblem& lp, const dc::DataCenter& dc,
+// The budget row of both forms; returns its RHS, Pconst - sum_j load_j with
+// the loads summed in node order.
+double add_budget_row(solver::LpProblem& lp, double p_const_kw,
                       const std::vector<std::vector<std::size_t>>& node_cols,
-                      const std::vector<double>& node_scale,
+                      const std::vector<double>& col_kw,
+                      const std::vector<double>& load,
                       const std::vector<std::size_t>& crac_power_vars) {
   Terms terms;
-  for (std::size_t j = 0; j < dc.num_nodes(); ++j) {
-    for (std::size_t v : node_cols[j]) terms.emplace_back(v, node_scale[j]);
+  for (const std::vector<std::size_t>& cols : node_cols) {
+    for (std::size_t v : cols) {
+      if (col_kw[v] != 0.0) terms.emplace_back(v, col_kw[v]);
+    }
   }
   for (std::size_t v : crac_power_vars) terms.emplace_back(v, 1.0);
-  const double rhs = dc.p_const_kw - dc.total_base_power_kw();
+  double total_load = 0.0;
+  for (double p : load) total_load += p;
+  const double rhs = p_const_kw - total_load;
   lp.add_constraint(std::move(terms), solver::Relation::LessEq, rhs);
   return rhs;
 }
@@ -155,11 +162,12 @@ std::shared_ptr<const SweepSession::Block> SweepSession::append(
     b.rows.push_back({lp.row(r), lp.relation(r), lp.rhs(r)});
   }
   // Row r's terms and their base sum sum_j w_rj B_j.
-  const std::vector<double> ones(nn, 1.0);
+  const std::vector<double> ones(lp.num_vars(), 1.0);
+  const std::vector<double> base_load = base_loads_kw(dc);
   const auto resident_terms = [&](const solver::Matrix& coeff, std::size_t r,
                                   Terms& terms) {
     double rhs_base = 0.0;
-    node_terms(dc, coeff, r, 1.0, node_cols, ones, terms,
+    node_terms(coeff, r, 1.0, node_cols, ones, base_load, terms,
                [&rhs_base](double wb) { rhs_base += wb; });
     return rhs_base;
   };
@@ -188,7 +196,8 @@ std::shared_ptr<const SweepSession::Block> SweepSession::append(
   }
   if (base.budget_row) {
     b.budget = true;
-    b.budget_rhs = add_budget_row(lp, dc, node_cols, ones, crac_power_vars);
+    b.budget_rhs = add_budget_row(lp, dc.p_const_kw, node_cols, ones,
+                                  base_load, crac_power_vars);
   }
 
   const std::size_t n = lp.num_vars();
@@ -351,30 +360,38 @@ double SweepSession::bound(const BoundSource& s,
                         }));
 }
 
+std::vector<double> base_loads_kw(const dc::DataCenter& dc) {
+  std::vector<double> load(dc.num_nodes());
+  for (std::size_t j = 0; j < load.size(); ++j) {
+    load[j] = dc.node_base_power_kw(j);
+  }
+  return load;
+}
+
 bool append_point_thermal_rows(
     solver::LpProblem& lp, const dc::DataCenter& dc,
     const thermal::HeatFlowModel& model,
     const std::vector<std::vector<std::size_t>>& node_cols,
-    const std::vector<double>& node_scale,
+    const std::vector<double>& col_kw, const std::vector<double>& node_load_kw,
     const std::vector<std::size_t>& crac_power_vars,
     const std::vector<double>& crac_out, bool with_budget_row) {
-  const std::size_t nn = dc.num_nodes();
   const std::size_t nc = dc.num_cracs();
-  TAPO_CHECK(node_cols.size() == nn);
-  TAPO_CHECK(node_scale.size() == nn);
+  TAPO_CHECK(node_cols.size() == dc.num_nodes());
+  TAPO_CHECK(node_load_kw.size() == dc.num_nodes());
+  TAPO_CHECK(col_kw.size() == lp.num_vars());
   TAPO_CHECK(crac_power_vars.size() == nc);
   TAPO_CHECK(crac_out.size() == nc);
   const thermal::HeatFlowModel::AffineOffsets off = model.offsets(crac_out);
 
-  // One row per inlet; false when base load alone breaks a redline at these
-  // setpoints.
+  // One row per inlet; false when constant load alone breaks a redline at
+  // these setpoints.
   const auto add_redlines = [&](const solver::Matrix& coeff,
                                 const std::vector<double>& in0,
                                 double redline) {
     for (std::size_t r = 0; r < in0.size(); ++r) {
       Terms terms;
       double rhs = redline - in0[r];
-      node_terms(dc, coeff, r, 1.0, node_cols, node_scale, terms,
+      node_terms(coeff, r, 1.0, node_cols, col_kw, node_load_kw, terms,
                  [&rhs](double wb) { rhs -= wb; });
       if (rhs < 0.0 && terms.empty()) return false;
       lp.add_constraint(std::move(terms), solver::Relation::LessEq, rhs);
@@ -389,13 +406,14 @@ bool append_point_thermal_rows(
     const double k = crac_k(dc.cracs[c], crac_out[c]);
     Terms terms;
     double rhs = -k * (off.crac_in0[c] - crac_out[c]);
-    node_terms(dc, model.crac_in_coeff(), c, k, node_cols, node_scale, terms,
-               [&rhs](double wb) { rhs -= wb; });
+    node_terms(model.crac_in_coeff(), c, k, node_cols, col_kw, node_load_kw,
+               terms, [&rhs](double wb) { rhs -= wb; });
     terms.emplace_back(crac_power_vars[c], -1.0);
     lp.add_constraint(std::move(terms), solver::Relation::LessEq, rhs);
   }
   if (with_budget_row) {
-    add_budget_row(lp, dc, node_cols, node_scale, crac_power_vars);
+    add_budget_row(lp, dc.p_const_kw, node_cols, col_kw, node_load_kw,
+                   crac_power_vars);
   }
   return true;
 }

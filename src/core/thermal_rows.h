@@ -1,30 +1,39 @@
-// The thermal rows of every CRAC-sweep LP (core/stage1_lp.h,
-// core/baseline_lp.h), and SweepSession, the one resident LP that every
+// The thermal rows of every planner LP that has them: the CRAC-sweep LPs
+// (core/stage1_lp.h, core/baseline_lp.h) and the power-aware Stage 3
+// (core/stage3_power.h); and SweepSession, the one resident LP that every
 // sweep keeps across grid points. The rows are the node and CRAC inlet
 // redlines, one CRAC power row per unit, and the facility power budget, all
-// affine in the per-node core powers. They sit over caller-supplied
-// columns: node j's core power is s_j times the sum of its columns cols_j.
-// With w_rj row r's inlet coefficient for node j
-// (HeatFlowModel::node_in_coeff/crac_in_coeff), B_j node j's base power (0
-// when failed), in0 the inlet offsets at setpoints tout
-// (HeatFlowModel::offsets) and k_c = rho*Cp*F_c / CoP(tout_c), the rows come
-// in two forms that share the term loop and the budget row.
+// affine in the node powers. They sit over caller-supplied columns: node j
+// draws L_j + sum_{v in cols_j} a_v x_v kW, a constant load L_j plus a kW
+// coefficient a_v per column. With w_rj row r's inlet coefficient for node j
+// (HeatFlowModel::node_in_coeff/crac_in_coeff), in0 the inlet offsets at
+// setpoints tout (HeatFlowModel::offsets) and k_c = rho*Cp*F_c / CoP(tout_c),
+// the rows come in two forms that share the term loop and the budget row. A
+// column with a_v = 0 adds no term.
 //
 // Per-point (append_point_thermal_rows), for an LP built and solved once;
-// k_c is multiplied through and the RHS subtracts one base term at a time:
+// k_c is multiplied through and the RHS subtracts one load term at a time:
 //
-//   node redline r:  sum_j w_rj s_j sum_{v in cols_j} x_v
-//                        <= T_red - node_in0_r - w_r1 B_1 - w_r2 B_2 - ...
-//   CRAC power c:    sum_j k_c w_cj s_j sum_{v in cols_j} x_v - q_c
-//                        <= -k_c (crac_in0_c - tout_c) - k_c w_c1 B_1 - ...
+//   node redline r:  sum_j sum_{v in cols_j} w_rj a_v x_v
+//                        <= T_red - node_in0_r - w_r1 L_1 - w_r2 L_2 - ...
+//   CRAC power c:    sum_j sum_{v in cols_j} k_c w_cj a_v x_v - q_c
+//                        <= -k_c (crac_in0_c - tout_c) - k_c w_c1 L_1 - ...
 //
-// A redline that no column reaches and base load alone breaks ends the
-// build. Stage 1 passes node j's segment variables (s_j = 1), the baseline
-// its FRAC columns (s_j = ppf_j, the node's full P-state-0 core power).
+// A redline that no column term reaches and constant load alone breaks ends
+// the build; one that it does not break constrains nothing and is kept. The
+// callers:
+//   * Stage 1: node j's segment variables, a_v = 1, L_j = B_j, node j's base
+//     power (0 when failed);
+//   * the baseline: its FRAC columns, a_v = ppf_j (the node's full
+//     P-state-0 core power), L_j = B_j;
+//   * the power-aware Stage 3: its rate columns, a_v = etc * pi * (mu_i -
+//     mu_idle), the extra draw of running task i over idling (0 for a task
+//     that draws the idle power), L_j = B_j plus the idle draw of node j's
+//     on cores (0 when failed).
 //
 // Resident (SweepSession), for the LP a sweep keeps in one session across
-// grid points; s_j = 1, the RHS subtracts a base sum formed once, and the CRAC
-// power row is k-scaled:
+// grid points; a_v = 1, L_j = B_j, the RHS subtracts a base sum formed once,
+// and the CRAC power row is k-scaled:
 //
 //   node redline r:  sum_j w_rj sum_{v in cols_j} x_v
 //                        <= (T_red - node_in0_r) - sum_j w_rj B_j
@@ -39,7 +48,8 @@
 // CRAC redline rows follow the node redline's form with the CRAC inlet
 // coefficients, and both forms write the same budget row, which never moves:
 //
-//   budget:          sum_j s_j sum_{v in cols_j} x_v + sum_c q_c <= Pconst - B
+//   budget:          sum_j sum_{v in cols_j} a_v x_v + sum_c q_c
+//                        <= Pconst - (L_1 + L_2 + ...)
 //
 // The forms have the same feasible set but not the same bits; the published
 // plans are the per-point form's, so its arithmetic is the one to keep.
@@ -147,17 +157,22 @@ class SweepSession {
   solver::LpSession session_;
 };
 
+// node_base_power_kw(j) per node: the constant load L_j of Stage 1's, the
+// baseline's and every resident LP's thermal rows.
+std::vector<double> base_loads_kw(const dc::DataCenter& dc);
+
 // Appends the per-point form at crac_out: the node redline, CRAC redline and
 // CRAC power rows, in that order, then the budget row when with_budget_row
-// is set. node_cols[j] lists node j's columns and node_scale[j] is s_j, the
-// kW of node j's core power per unit of their sum; crac_power_vars[c] is
-// CRAC c's power column. Returns false, leaving `lp` partly built, when
-// base load alone breaks a redline at crac_out.
+// is set. node_cols[j] lists node j's columns, col_kw[v] is column v's a_v
+// (one entry per LP column, read only for the columns in node_cols),
+// node_load_kw[j] is L_j and crac_power_vars[c] is CRAC c's power column.
+// Returns false, leaving `lp` partly built, when constant load alone breaks
+// a redline at crac_out.
 bool append_point_thermal_rows(
     solver::LpProblem& lp, const dc::DataCenter& dc,
     const thermal::HeatFlowModel& model,
     const std::vector<std::vector<std::size_t>>& node_cols,
-    const std::vector<double>& node_scale,
+    const std::vector<double>& col_kw, const std::vector<double>& node_load_kw,
     const std::vector<std::size_t>& crac_power_vars,
     const std::vector<double>& crac_out, bool with_budget_row);
 

@@ -11,9 +11,22 @@
 
 namespace tapo::sim {
 
-Trace generate_poisson_trace(const std::vector<dc::TaskType>& task_types,
-                             double horizon_seconds, util::Rng rng) {
-  TAPO_CHECK(horizon_seconds > 0.0);
+namespace {
+
+util::Status check_horizon(double horizon_seconds) {
+  if (!std::isfinite(horizon_seconds) || horizon_seconds <= 0.0) {
+    return util::Status::InvalidArgument(
+        "trace horizon must be positive and finite");
+  }
+  return util::Status::Ok();
+}
+
+}  // namespace
+
+util::StatusOr<Trace> generate_poisson_trace(
+    const std::vector<dc::TaskType>& task_types, double horizon_seconds,
+    util::Rng rng) {
+  if (util::Status s = check_horizon(horizon_seconds); !s.ok()) return s;
   // The live simulator's arrival streams: replaying this trace reproduces a
   // live run with the same seed.
   ArrivalProcess arrivals(task_types, std::move(rng));
@@ -29,13 +42,23 @@ Trace generate_poisson_trace(const std::vector<dc::TaskType>& task_types,
   return trace;
 }
 
-Trace generate_mmpp_trace(const std::vector<dc::TaskType>& task_types,
-                          double horizon_seconds, const MmppConfig& config,
-                          util::Rng rng) {
-  TAPO_CHECK(horizon_seconds > 0.0);
-  TAPO_CHECK(config.burst_multiplier >= 1.0);
-  TAPO_CHECK(config.burst_duty > 0.0 && config.burst_duty < 1.0);
-  TAPO_CHECK(config.mean_phase_seconds > 0.0);
+util::StatusOr<Trace> generate_mmpp_trace(
+    const std::vector<dc::TaskType>& task_types, double horizon_seconds,
+    const MmppConfig& config, util::Rng rng) {
+  if (util::Status s = check_horizon(horizon_seconds); !s.ok()) return s;
+  if (!std::isfinite(config.burst_multiplier) ||
+      config.burst_multiplier < 1.0) {
+    return util::Status::InvalidArgument(
+        "MMPP burst multiplier must be finite and >= 1");
+  }
+  if (!(config.burst_duty > 0.0 && config.burst_duty < 1.0)) {
+    return util::Status::InvalidArgument("MMPP burst duty must be in (0, 1)");
+  }
+  if (!std::isfinite(config.mean_phase_seconds) ||
+      config.mean_phase_seconds <= 0.0) {
+    return util::Status::InvalidArgument(
+        "MMPP mean phase must be positive and finite");
+  }
 
   // Phase sojourn rates chosen so the stationary burst fraction equals
   // burst_duty with the requested mean phase length scale.

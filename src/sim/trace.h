@@ -30,8 +30,10 @@ struct TraceEvent {
 using Trace = std::vector<TraceEvent>;
 
 // A Poisson trace with the task types' configured rates over [0, horizon).
-Trace generate_poisson_trace(const std::vector<dc::TaskType>& task_types,
-                             double horizon_seconds, util::Rng rng);
+// InvalidArgument when the horizon is not positive and finite.
+util::StatusOr<Trace> generate_poisson_trace(
+    const std::vector<dc::TaskType>& task_types, double horizon_seconds,
+    util::Rng rng);
 
 // Two-state MMPP per task type: exponential quiet/burst phases; the burst
 // phase multiplies the rate, and the quiet rate is scaled so the long-run
@@ -43,9 +45,12 @@ struct MmppConfig {
   double burst_duty = 0.25;          // long-run fraction of time in burst
 };
 
-Trace generate_mmpp_trace(const std::vector<dc::TaskType>& task_types,
-                          double horizon_seconds, const MmppConfig& config,
-                          util::Rng rng);
+// InvalidArgument when the horizon is not positive and finite, or the
+// config is out of range: burst_multiplier finite and >= 1, burst_duty in
+// (0, 1), mean_phase_seconds positive and finite.
+util::StatusOr<Trace> generate_mmpp_trace(
+    const std::vector<dc::TaskType>& task_types, double horizon_seconds,
+    const MmppConfig& config, util::Rng rng);
 
 // Empirical mean arrival rate per task type over the trace span.
 std::vector<double> trace_rates(const Trace& trace, std::size_t num_task_types,

@@ -271,10 +271,15 @@ RunRecord execute(const scenario::ScenarioProfile& profile,
     mmpp.burst_multiplier = profile.arrival.burst_multiplier;
     mmpp.mean_phase_seconds = profile.arrival.mean_phase_s;
     mmpp.burst_duty = profile.arrival.burst_duty;
-    const sim::Trace trace =
+    const util::StatusOr<sim::Trace> trace =
         sim::generate_mmpp_trace(dc.task_types, profile.sim.duration_s, mmpp,
                                  util::Rng(profile.sim.seed + 1));
-    sim_result = sim::simulate_trace(dc, assignment, trace, sim_options);
+    if (!trace.ok()) {
+      record.reason = trace.status().to_string();
+      record.pass = false;
+      return record;
+    }
+    sim_result = sim::simulate_trace(dc, assignment, *trace, sim_options);
   } else {
     sim_result = sim::simulate(dc, assignment, sim_options);
   }

@@ -274,7 +274,9 @@ TEST(Stage1, SessionSweepIsBitIdenticalAcrossThreadCounts) {
       EXPECT_EQ(got.lp_solves + pruned, reference.lp_solves);
       EXPECT_EQ(registry.counter_value("stage1.lp_solves") + pruned,
                 registry.counter_value("stage1.grid_evaluations"));
-      if (dense) EXPECT_EQ(pruned, 0u);
+      if (dense) {
+        EXPECT_EQ(pruned, 0u);
+      }
       if (!prunes) prunes = pruned;
       EXPECT_EQ(pruned, *prunes);
     }

@@ -106,6 +106,53 @@ TEST_F(TaskPowerFixture, PipelineReclaimsStrandedPower) {
   EXPECT_LE(result.expected_power_kw, scenario->dc.p_const_kw + 1e-6);
 }
 
+TEST_F(TaskPowerFixture, PublishedPowersMatchAFreshSolve) {
+  dc::TaskPowerFactors cheap;
+  cheap.task_factor.assign(scenario->dc.num_task_types(), 0.7);
+  cheap.idle_factor = 0.6;
+  TaskPowerAssigner assigner(scenario->dc, *model, cheap);
+  const TaskPowerResult result = assigner.assign();
+  ASSERT_TRUE(result.feasible);
+  const Assignment& a = result.assignment;
+  const auto fresh = solve_stage3_power_aware(scenario->dc, *model,
+                                              a.crac_out_c, a.core_pstate,
+                                              cheap);
+  ASSERT_TRUE(fresh.optimal);
+  EXPECT_EQ(a.reward_rate, fresh.reward_rate);
+  EXPECT_EQ(a.compute_power_kw, fresh.compute_power_kw);
+  EXPECT_EQ(a.crac_power_kw, fresh.crac_power_kw);
+  EXPECT_EQ(result.expected_power_kw,
+            fresh.compute_power_kw + fresh.crac_power_kw);
+  const thermal::Temperatures temps =
+      model->solve(a.crac_out_c, fresh.node_power_kw);
+  EXPECT_EQ(a.temps.node_in, temps.node_in);
+  EXPECT_EQ(a.temps.node_out, temps.node_out);
+  EXPECT_EQ(a.temps.crac_in, temps.crac_in);
+  EXPECT_EQ(a.temps.crac_out, temps.crac_out);
+}
+
+TEST_F(TaskPowerFixture, FailedNodeCarriesNoRateAndNoPower) {
+  dc::DataCenter& dc = scenario->dc;
+  const std::size_t failed = 0;
+  const std::size_t offset = dc.core_offset(failed);
+  const std::size_t cores = dc.node_type(failed).cores_per_node();
+  std::vector<std::size_t> pstate = plain.core_pstate;
+  for (std::size_t c = 0; c < cores; ++c) pstate[offset + c] = 0;
+  dc.set_node_failed(failed, true);
+  dc::TaskPowerFactors cheap;
+  cheap.task_factor.assign(dc.num_task_types(), 0.8);
+  cheap.idle_factor = 0.7;
+  const auto aware =
+      solve_stage3_power_aware(dc, *model, plain.crac_out_c, pstate, cheap);
+  ASSERT_TRUE(aware.optimal);
+  EXPECT_EQ(aware.node_power_kw[failed], 0.0);
+  for (std::size_t c = 0; c < cores; ++c) {
+    for (std::size_t i = 0; i < dc.num_task_types(); ++i) {
+      EXPECT_EQ(aware.tc(i, offset + c), 0.0) << "type " << i << " core " << c;
+    }
+  }
+}
+
 TEST_F(TaskPowerFixture, PipelineRestoresBudget) {
   dc::TaskPowerFactors cheap;
   cheap.task_factor.assign(scenario->dc.num_task_types(), 0.8);

@@ -257,7 +257,9 @@ TEST(Stage1Properties, ThreadCountDoesNotChangeTheResult) {
       ASSERT_TRUE(serial.feasible);
       const std::uint64_t serial_prunes =
           serial_registry.counter_value("stage1.bound_prunes");
-      if (c.cracs == 6) EXPECT_GT(serial_prunes, 0u);
+      if (c.cracs == 6) {
+        EXPECT_GT(serial_prunes, 0u);
+      }
       for (std::size_t threads : {std::size_t{2}, std::size_t{4}, std::size_t{8}}) {
         SCOPED_TRACE(testing::Message() << "seed=" << seed << " full_grid="
                                         << full_grid << " threads=" << threads);

@@ -324,7 +324,7 @@ TEST_F(EntryPointDifferential, FaultAndReplayRunsMatchSimulate) {
     const SimResult plain = simulate(scenario->dc, assignment, o);
     expect_identical(plain, with_faults(o));
     const Trace trace = generate_poisson_trace(
-        scenario->dc.task_types, o.duration_seconds, util::Rng(c.seed));
+        scenario->dc.task_types, o.duration_seconds, util::Rng(c.seed)).value();
     expect_identical(plain, simulate_trace(scenario->dc, assignment, trace, o));
   }
 }

@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <limits>
 
 #include "core/assigner.h"
 #include "testutil.h"
@@ -12,6 +13,8 @@
 
 namespace tapo::sim {
 namespace {
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
 
 std::vector<dc::TaskType> two_types(double r1, double r2) {
   dc::TaskType a, b;
@@ -22,7 +25,7 @@ std::vector<dc::TaskType> two_types(double r1, double r2) {
 
 TEST(Trace, PoissonMeanRateMatches) {
   const auto trace = generate_poisson_trace(two_types(5.0, 0.5), 2000.0,
-                                            util::Rng(1));
+                                            util::Rng(1)).value();
   const auto rates = trace_rates(trace, 2, 2000.0);
   EXPECT_NEAR(rates[0], 5.0, 0.2);
   EXPECT_NEAR(rates[1], 0.5, 0.07);
@@ -30,7 +33,7 @@ TEST(Trace, PoissonMeanRateMatches) {
 
 TEST(Trace, PoissonIsSortedAndInRange) {
   const auto trace = generate_poisson_trace(two_types(3.0, 3.0), 100.0,
-                                            util::Rng(2));
+                                            util::Rng(2)).value();
   for (std::size_t e = 1; e < trace.size(); ++e) {
     EXPECT_GE(trace[e].time, trace[e - 1].time);
   }
@@ -43,15 +46,52 @@ TEST(Trace, PoissonIsSortedAndInRange) {
 
 TEST(Trace, ZeroRateTypeNeverAppears) {
   const auto trace = generate_poisson_trace(two_types(0.0, 2.0), 200.0,
-                                            util::Rng(3));
+                                            util::Rng(3)).value();
   for (const auto& e : trace) EXPECT_EQ(e.task_type, 1u);
+}
+
+// Operator input never aborts a generator: a bad horizon or MMPP setting
+// comes back as InvalidArgument.
+TEST(Trace, DegenerateHorizonIsRejected) {
+  for (double horizon : {0.0, -5.0, std::nan(""), kInf}) {
+    SCOPED_TRACE(horizon);
+    EXPECT_EQ(generate_poisson_trace(two_types(1.0, 1.0), horizon,
+                                     util::Rng(1))
+                  .status()
+                  .code(),
+              util::StatusCode::kInvalidArgument);
+    EXPECT_EQ(generate_mmpp_trace(two_types(1.0, 1.0), horizon, MmppConfig{},
+                                  util::Rng(1))
+                  .status()
+                  .code(),
+              util::StatusCode::kInvalidArgument);
+  }
+}
+
+TEST(Trace, OutOfRangeMmppConfigIsRejected) {
+  std::vector<MmppConfig> bad(7);
+  bad[0].burst_multiplier = 0.5;
+  bad[1].burst_multiplier = kInf;
+  bad[2].burst_duty = 0.0;
+  bad[3].burst_duty = 1.0;
+  bad[4].burst_duty = std::nan("");
+  bad[5].mean_phase_seconds = 0.0;
+  bad[6].mean_phase_seconds = kInf;
+  for (std::size_t k = 0; k < bad.size(); ++k) {
+    SCOPED_TRACE(k);
+    EXPECT_EQ(
+        generate_mmpp_trace(two_types(1.0, 1.0), 10.0, bad[k], util::Rng(1))
+            .status()
+            .code(),
+        util::StatusCode::kInvalidArgument);
+  }
 }
 
 TEST(Trace, MmppPreservesMeanRate) {
   MmppConfig config;
   config.burst_multiplier = 6.0;
   const auto trace = generate_mmpp_trace(two_types(5.0, 1.0), 5000.0, config,
-                                         util::Rng(4));
+                                         util::Rng(4)).value();
   const auto rates = trace_rates(trace, 2, 5000.0);
   EXPECT_NEAR(rates[0], 5.0, 0.4);
   EXPECT_NEAR(rates[1], 1.0, 0.15);
@@ -78,10 +118,12 @@ TEST(Trace, MmppIsBurstierThanPoisson) {
     return var / mean;
   };
   const auto types = two_types(8.0, 0.0);
-  const auto poisson = generate_poisson_trace(types, 3000.0, util::Rng(5));
+  const auto poisson =
+      generate_poisson_trace(types, 3000.0, util::Rng(5)).value();
   MmppConfig config;
   config.burst_multiplier = 8.0;
-  const auto mmpp = generate_mmpp_trace(types, 3000.0, config, util::Rng(5));
+  const auto mmpp =
+      generate_mmpp_trace(types, 3000.0, config, util::Rng(5)).value();
   EXPECT_NEAR(count_dispersion(poisson, 3000.0), 1.0, 0.3);
   EXPECT_GT(count_dispersion(mmpp, 3000.0), 2.0);
 }
@@ -90,14 +132,14 @@ TEST(Trace, MmppWithUnitMultiplierIsPoissonLike) {
   MmppConfig config;
   config.burst_multiplier = 1.0;
   const auto trace = generate_mmpp_trace(two_types(4.0, 0.0), 2000.0, config,
-                                         util::Rng(6));
+                                         util::Rng(6)).value();
   const auto rates = trace_rates(trace, 2, 2000.0);
   EXPECT_NEAR(rates[0], 4.0, 0.25);
 }
 
 TEST(Trace, CsvRoundTrip) {
   const auto trace = generate_poisson_trace(two_types(2.0, 1.0), 50.0,
-                                            util::Rng(7));
+                                            util::Rng(7)).value();
   const std::string path = "/tmp/tapo_trace_test.csv";
   ASSERT_TRUE(save_trace_csv(trace, path));
   const auto loaded = load_trace_csv(path, 2);
@@ -176,7 +218,7 @@ TEST_F(TraceSimFixture, PoissonTraceReplayMatchesLiveSimulator) {
   options.seed = 33;
   const auto live = simulate(scenario->dc, assignment, options);
   const auto trace = generate_poisson_trace(scenario->dc.task_types, 100.0,
-                                            util::Rng(33));
+                                            util::Rng(33)).value();
   const auto replay = simulate_trace(scenario->dc, assignment, trace, options);
   test::expect_identical(replay, live);
 }
@@ -188,11 +230,11 @@ TEST_F(TraceSimFixture, BurstinessDoesNotRaiseReward) {
   options.duration_seconds = 400.0;
   options.warmup_seconds = 50.0;
   const auto poisson = generate_poisson_trace(scenario->dc.task_types, 400.0,
-                                              util::Rng(8));
+                                              util::Rng(8)).value();
   MmppConfig config;
   config.burst_multiplier = 8.0;
   const auto bursty = generate_mmpp_trace(scenario->dc.task_types, 400.0,
-                                          config, util::Rng(8));
+                                          config, util::Rng(8)).value();
   const auto smooth = simulate_trace(scenario->dc, assignment, poisson, options);
   const auto rough = simulate_trace(scenario->dc, assignment, bursty, options);
   EXPECT_LE(rough.reward_rate, smooth.reward_rate * 1.05);
@@ -211,7 +253,7 @@ TEST_F(TraceSimFixture, TelemetryDoesNotChangeTheReplay) {
   options.duration_seconds = 60.0;
   options.warmup_seconds = 5.0;
   const auto trace = generate_poisson_trace(scenario->dc.task_types, 60.0,
-                                            util::Rng(21));
+                                            util::Rng(21)).value();
   const SimResult without =
       simulate_trace(scenario->dc, assignment, trace, options);
   util::telemetry::Registry registry;
@@ -238,7 +280,7 @@ TEST_F(TraceSimFixture, InfeasiblePlanIsRejected) {
   core::Assignment infeasible = assignment;
   infeasible.feasible = false;
   const auto trace = generate_poisson_trace(scenario->dc.task_types, 10.0,
-                                            util::Rng(1));
+                                            util::Rng(1)).value();
   SimOptions options;
   options.duration_seconds = 10.0;
   const SimResult r = simulate_trace(scenario->dc, infeasible, trace, options);

@@ -355,23 +355,23 @@ int cmd_trace(const util::ArgParser& args) {
   if (!scenario) return 2;
   const auto seed = static_cast<std::uint64_t>(args.option_int("seed"));
 
-  sim::Trace trace;
+  util::StatusOr<sim::Trace> made = sim::Trace{};
   if (const std::string& path = args.option("trace-in"); !path.empty()) {
-    auto loaded = sim::load_trace_csv(path, scenario->dc.num_task_types());
-    if (!loaded.ok()) {
-      std::fprintf(stderr, "error: %s\n", loaded.status().to_string().c_str());
-      return 2;
-    }
-    trace = std::move(*loaded);
+    made = sim::load_trace_csv(path, scenario->dc.num_task_types());
   } else if (args.option_double("burst-multiplier") > 1.0) {
     sim::MmppConfig config;
     config.burst_multiplier = args.option_double("burst-multiplier");
-    trace = sim::generate_mmpp_trace(scenario->dc.task_types, horizon, config,
-                                     util::Rng(seed + 2));
+    made = sim::generate_mmpp_trace(scenario->dc.task_types, horizon, config,
+                                    util::Rng(seed + 2));
   } else {
-    trace = sim::generate_poisson_trace(scenario->dc.task_types, horizon,
-                                        util::Rng(seed + 2));
+    made = sim::generate_poisson_trace(scenario->dc.task_types, horizon,
+                                       util::Rng(seed + 2));
   }
+  if (!made.ok()) {
+    std::fprintf(stderr, "error: %s\n", made.status().to_string().c_str());
+    return 2;
+  }
+  const sim::Trace& trace = *made;
   if (const std::string& path = args.option("trace-out"); !path.empty()) {
     if (!sim::save_trace_csv(trace, path)) {
       std::fprintf(stderr, "error: cannot write trace '%s'\n", path.c_str());
