@@ -50,8 +50,7 @@ int main() {
       factors.idle_factor = cheap;
 
       const core::TaskPowerAssigner assigner(scenario->dc, model, factors);
-      core::TaskPowerOptions options;
-      const core::TaskPowerResult result = assigner.assign(options);
+      const core::TaskPowerResult result = assigner.assign();
       if (!result.feasible || result.first_iteration_reward <= 0) continue;
       gain.add(100.0 *
                (result.assignment.reward_rate - result.first_iteration_reward) /

@@ -16,8 +16,8 @@ util::Status CracSweepOptions::check(const char* prefix,
                    std::to_string(tcrac_min_c) + ", " +
                    std::to_string(tcrac_max_c) + "])");
   }
-  if (grid.coarse_samples < 1 || grid.refine_samples < 1) {
-    return invalid("grid sample counts must be >= 1");
+  if (grid.coarse_samples < 1) {
+    return invalid("grid coarse_samples must be >= 1");
   }
   if (!(grid.min_resolution > 0.0)) {
     return invalid("grid min_resolution must be > 0");

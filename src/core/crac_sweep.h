@@ -82,9 +82,9 @@ struct CracSweepOptions {
   static constexpr std::size_t kMaxThreads = 256;
 
   // InvalidArgument, its message prefixed with `prefix`, unless
-  // tcrac_min_c <= tcrac_max_c are finite, grid.coarse_samples and
-  // grid.refine_samples are >= 1, grid.min_resolution > 0 and `threads`
-  // (the sweep's worker count) is at most kMaxThreads.
+  // tcrac_min_c <= tcrac_max_c are finite, grid.coarse_samples >= 1,
+  // grid.min_resolution > 0 and `threads` (the sweep's worker count) is at
+  // most kMaxThreads.
   util::Status check(const char* prefix, std::size_t threads) const;
 };
 

@@ -12,22 +12,16 @@
 
 namespace tapo::core {
 
-util::Status PowerMinOptions::validate() const {
-  const util::Status s = stage1.validate();
-  if (!s.ok()) return s;
-  if (!std::isfinite(retry_inflation) || retry_inflation < 1.0) {
-    return util::Status::InvalidArgument(
-        "powermin: retry_inflation must be finite and >= 1 (got " +
-        std::to_string(retry_inflation) + ")");
-  }
-  if (!std::isfinite(relative_tolerance) || relative_tolerance < 0.0 ||
-      relative_tolerance >= 1.0) {
-    return util::Status::InvalidArgument(
-        "powermin: relative_tolerance must be in [0, 1) (got " +
-        std::to_string(relative_tolerance) + ")");
-  }
-  return util::Status::Ok();
-}
+namespace {
+
+// Multiplicative inflation applied to the Stage-1 floor per retry when the
+// post-rounding reward rate misses the target.
+constexpr double kRetryInflation = 1.05;
+constexpr std::size_t kMaxRetries = 4;
+// Accept reward rates within this relative shortfall of the target.
+constexpr double kRelativeTolerance = 1e-3;
+
+}  // namespace
 
 PowerMinResult minimize_power_for_reward(const dc::DataCenter& dc,
                                          const thermal::HeatFlowModel& model,
@@ -37,7 +31,7 @@ PowerMinResult minimize_power_for_reward(const dc::DataCenter& dc,
   const util::telemetry::ScopedTimer total_timer(reg, "powermin.solve");
 
   PowerMinResult result;
-  result.status = options.validate();
+  result.status = options.stage1.validate();
   if (!result.status.ok()) return result;
   if (!std::isfinite(target_reward_rate) || target_reward_rate < 0.0) {
     result.status = util::Status::InvalidArgument(
@@ -49,7 +43,7 @@ PowerMinResult minimize_power_for_reward(const dc::DataCenter& dc,
 
   solver::LpBasis attempt_seed;  // the previous attempt's winning basis
 
-  for (std::size_t attempt = 0; attempt <= options.max_retries; ++attempt) {
+  for (std::size_t attempt = 0; attempt <= kMaxRetries; ++attempt) {
     ++result.attempts;
     if (reg) {
       reg->count("powermin.attempts");
@@ -105,7 +99,7 @@ PowerMinResult minimize_power_for_reward(const dc::DataCenter& dc,
     result.reward_rate = s3.reward_rate;
     result.assignment = std::move(assignment);
     result.met_target = s3.reward_rate >=
-                        target_reward_rate * (1.0 - options.relative_tolerance);
+                        target_reward_rate * (1.0 - kRelativeTolerance);
     if (reg) {
       reg->sample("powermin.reward_by_attempt", static_cast<double>(attempt),
                   s3.reward_rate);
@@ -114,7 +108,7 @@ PowerMinResult minimize_power_for_reward(const dc::DataCenter& dc,
       reg->gauge_set("powermin.met_target", result.met_target ? 1.0 : 0.0);
     }
     if (result.met_target) return result;
-    floor *= options.retry_inflation;  // rounding shortfall: ask Stage 1 for more
+    floor *= kRetryInflation;  // rounding shortfall: ask Stage 1 for more
   }
   return result;
 }

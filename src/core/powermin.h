@@ -22,16 +22,6 @@ namespace tapo::core {
 
 struct PowerMinOptions {
   Stage1Options stage1;
-  // Multiplicative inflation applied to the Stage-1 floor per retry when the
-  // post-rounding reward rate misses the target.
-  double retry_inflation = 1.05;
-  std::size_t max_retries = 4;
-  // Accept reward rates within this relative shortfall of the target.
-  double relative_tolerance = 1e-3;
-
-  // InvalidArgument unless stage1.validate() passes, retry_inflation is
-  // finite and >= 1, and relative_tolerance is finite and in [0, 1).
-  util::Status validate() const;
 };
 
 struct PowerMinResult {
@@ -48,7 +38,7 @@ struct PowerMinResult {
 
 // Minimizes total power subject to reward_rate >= target (plus redlines).
 // The data center's p_const_kw is ignored here - the power budget is what is
-// being minimized. Invalid `options` (PowerMinOptions::validate) or a
+// being minimized. Invalid `options.stage1` (Stage1Options::validate) or a
 // negative or non-finite target return InvalidArgument (no attempt is made).
 PowerMinResult minimize_power_for_reward(const dc::DataCenter& dc,
                                          const thermal::HeatFlowModel& model,

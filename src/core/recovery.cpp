@@ -177,15 +177,13 @@ RecoveryOutcome RecoveryController::recover(const Assignment& previous) const {
   }
   const std::vector<double> throttle_power =
       dc_.node_power_from_pstates(out.throttle.core_pstate);
-  if (options_.verify_transient) {
-    out.throttle_transient = thermal::simulate_transition(
-        dc_, model_, post_fault_out, post_fault_power, out.throttle.crac_out_c,
-        throttle_power, options_.transient);
-    if (out.safe && !out.throttle_transient.redlines_held) {
-      out.safe = false;
-      out.status = util::Status::FailedPrecondition(
-          "safety throttle: transition transiently overshoots a redline");
-    }
+  out.throttle_transient = thermal::simulate_transition(
+      dc_, model_, post_fault_out, post_fault_power, out.throttle.crac_out_c,
+      throttle_power);
+  if (out.safe && !out.throttle_transient.redlines_held) {
+    out.safe = false;
+    out.status = util::Status::FailedPrecondition(
+        "safety throttle: transition transiently overshoots a redline");
   }
   out.plan = out.throttle;
 
@@ -221,17 +219,13 @@ RecoveryOutcome RecoveryController::recover(const Assignment& previous) const {
           "recovery re-plan earns less than the safety throttle; keeping "
           "the throttle");
     } else {
-      if (options_.verify_transient) {
-        out.replan_transient = thermal::simulate_transition(
-            dc_, model_, out.throttle.crac_out_c, throttle_power,
-            replan.crac_out_c,
-            dc_.node_power_from_pstates(replan.core_pstate),
-            options_.transient);
-        if (!out.replan_transient.redlines_held) {
-          reject = util::Status::FailedPrecondition(
-              "recovery re-plan transition transiently overshoots a "
-              "redline; keeping the throttle");
-        }
+      out.replan_transient = thermal::simulate_transition(
+          dc_, model_, out.throttle.crac_out_c, throttle_power,
+          replan.crac_out_c, dc_.node_power_from_pstates(replan.core_pstate));
+      if (!out.replan_transient.redlines_held) {
+        reject = util::Status::FailedPrecondition(
+            "recovery re-plan transition transiently overshoots a redline; "
+            "keeping the throttle");
       }
       if (reject.ok()) {
         out.replan_adopted = true;

@@ -19,7 +19,8 @@
 //   CRACs bound the setpoint sweep from below, the new Pconst bounds the
 //   budget row. The re-plan is adopted only if it is feasible, passes the
 //   independent verifier, earns at least the throttle's reward rate, and
-//   (optionally) its transient from the throttle state holds the redlines.
+//   its transient from the throttle state holds the redlines (the default
+//   lumped-capacitance model of sim/transient.h, as for the throttle).
 //   On any failure the controller keeps the throttle plan and reports why
 //   through RecoveryOutcome::status — a fault never aborts the process.
 #pragma once
@@ -35,10 +36,6 @@ namespace tapo::core {
 struct RecoveryOptions {
   // Options for the phase-2 re-solve (telemetry pointer rides along).
   ThreeStageOptions assign;
-  // Lumped-capacitance transient verification of both transitions
-  // (pre-fault plan -> throttle, throttle -> re-plan).
-  thermal::TransientOptions transient;
-  bool verify_transient = true;
   // Simulated seconds between the fault (throttle takes effect immediately)
   // and adoption of the re-plan; models solver + actuation latency.
   double replan_delay_s = 10.0;
@@ -62,7 +59,8 @@ struct RecoveryOutcome {
   Assignment plan;              // the plan to run: re-plan if adopted, else throttle
   double throttle_reward_rate = 0.0;
   double replan_reward_rate = 0.0;  // 0 unless replan_adopted
-  // Transient checks (empty when verify_transient is off).
+  // Transient checks (replan_transient is empty when the re-plan was
+  // rejected before its transition was simulated).
   thermal::TransientResult throttle_transient;  // post-fault state -> throttle
   thermal::TransientResult replan_transient;    // throttle -> re-plan
 };

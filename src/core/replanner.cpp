@@ -10,6 +10,15 @@
 
 namespace tapo::core {
 
+namespace {
+
+// Bounded-backoff retry after a degraded step: the next attempt waits
+// kMinGapS * 2^(consecutive failures - 1), capped at kMaxBackoffS.
+constexpr double kMinGapS = 5.0;
+constexpr double kMaxBackoffS = 60.0;
+
+}  // namespace
+
 util::Status ReplannerOptions::validate() const {
   if (!std::isfinite(cadence_s) || cadence_s <= 0.0) {
     return util::Status::InvalidArgument(
@@ -18,18 +27,6 @@ util::Status ReplannerOptions::validate() const {
   if (!std::isfinite(tracking_error_threshold)) {
     return util::Status::InvalidArgument(
         "replan tracking-error threshold must be finite");
-  }
-  if (!std::isfinite(sensor_period_s) || sensor_period_s <= 0.0) {
-    return util::Status::InvalidArgument(
-        "replan sensor period must be positive and finite");
-  }
-  if (!std::isfinite(min_gap_s) || min_gap_s <= 0.0) {
-    return util::Status::InvalidArgument(
-        "replan retry gap must be positive and finite");
-  }
-  if (!std::isfinite(max_backoff_s) || max_backoff_s < min_gap_s) {
-    return util::Status::InvalidArgument(
-        "replan backoff cap must be finite and >= the retry gap");
   }
   return util::Status::Ok();
 }
@@ -51,8 +48,9 @@ RollingPlanner::RollingPlanner(const dc::DataCenter& dc,
 void RollingPlanner::build_session() {
   session_.reset();
   if (!rate_lp_.empty()) {
-    solver::LpOptions lp_options = options_.lp;
-    if (!lp_options.telemetry) lp_options.telemetry = options_.telemetry;
+    solver::LpOptions lp_options;
+    lp_options.max_iterations = options_.max_lp_iterations;
+    lp_options.telemetry = options_.telemetry;
     session_ =
         std::make_unique<solver::LpSession>(rate_lp_.problem(), lp_options);
   }
@@ -79,9 +77,9 @@ HorizonStep RollingPlanner::degrade(util::Status reason) {
   HorizonStep out;
   out.status = std::move(reason);
   const double backoff =
-      options_.min_gap_s *
+      kMinGapS *
       std::exp2(static_cast<double>(std::min<std::size_t>(failures_, 32) - 1));
-  out.retry_after_s = std::min(backoff, options_.max_backoff_s);
+  out.retry_after_s = std::min(backoff, kMaxBackoffS);
 
   // Ladder rung 2 vs 3: hold the active plan if it still verifies on the
   // current (possibly degraded) data center; otherwise fall back to the

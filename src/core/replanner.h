@@ -24,8 +24,8 @@
 //      degraded under it): fall back to the LP-free uniform-demotion
 //      throttle from core/recovery.
 //   4. bounded-backoff retry — after any degraded step the next attempt
-//      waits min_gap_s * 2^consecutive_failures, capped at max_backoff_s,
-//      so a persistently failing solver cannot cause a re-plan storm.
+//      waits 5 s * 2^(consecutive_failures - 1), capped at 60 s, so a
+//      persistently failing solver cannot cause a re-plan storm.
 // A horizon step never crashes the run and never publishes an unverified
 // plan.
 //
@@ -59,16 +59,11 @@ struct ReplannerOptions {
   // scheduler.tracking_error telemetry statistic) exceeds this; <= 0
   // disables the sensor trigger.
   double tracking_error_threshold = 0.5;
-  // How often the tracking-error sensor is read between cadence points.
-  double sensor_period_s = 5.0;
-  // Bounded-backoff retry after a degraded step: the next attempt waits
-  // min_gap_s * 2^(consecutive failures - 1), capped at max_backoff_s.
-  double min_gap_s = 5.0;
-  double max_backoff_s = 60.0;
-  // Options for the resident rate LP. max_iterations is the solve deadline:
-  // a horizon step that exceeds it surfaces as ResourceExhausted and takes
-  // the degraded path (soak scenarios plant exactly this).
-  solver::LpOptions lp;
+  // Iteration cap of the resident rate LP (0 = the LP engine's automatic
+  // cap). It is the solve deadline: a horizon step that exceeds it surfaces
+  // as ResourceExhausted and takes the degraded path (soak scenarios plant
+  // exactly this).
+  std::size_t max_lp_iterations = 0;
   // Optional replan.* metrics sink (docs/OBSERVABILITY.md).
   util::telemetry::Registry* telemetry = nullptr;
 

@@ -11,6 +11,17 @@
 
 namespace tapo::core {
 
+namespace {
+
+// Virtual-budget inflation per reclaim iteration, as a fraction of the
+// measured power slack (1 = claim all of it at once).
+constexpr double kReclaimFraction = 0.9;
+constexpr std::size_t kMaxReclaimIterations = 4;
+// Stop iterating once the slack falls below this fraction of Pconst.
+constexpr double kSlackTolerance = 0.005;
+
+}  // namespace
+
 PowerAwareStage3Result solve_stage3_power_aware(
     const dc::DataCenter& dc, const thermal::HeatFlowModel& model,
     const std::vector<double>& crac_out,
@@ -147,7 +158,7 @@ TaskPowerResult TaskPowerAssigner::assign(const TaskPowerOptions& options) const
   std::vector<double> best_node_power_kw;  // the published iterate's
 
   const Stage1Solver stage1(dc_, model_);
-  for (std::size_t iter = 0; iter < options.max_iterations; ++iter) {
+  for (std::size_t iter = 0; iter < kMaxReclaimIterations; ++iter) {
     ++result.iterations;
     mutable_dc.p_const_kw = virtual_budget;
     const Stage1Result s1 = stage1.solve(options.stage1);
@@ -182,8 +193,8 @@ TaskPowerResult TaskPowerAssigner::assign(const TaskPowerOptions& options) const
     }
 
     const double slack = true_budget - result.expected_power_kw;
-    if (slack <= options.slack_tolerance * true_budget) break;
-    virtual_budget += options.reclaim_fraction * slack;
+    if (slack <= kSlackTolerance * true_budget) break;
+    virtual_budget += kReclaimFraction * slack;
   }
   mutable_dc.p_const_kw = true_budget;
 

@@ -62,12 +62,6 @@ PowerAwareStage3Result solve_stage3_power_aware(
 
 struct TaskPowerOptions {
   Stage1Options stage1;
-  // Virtual-budget inflation per iteration, as a fraction of the measured
-  // power slack (1 = claim all of it at once).
-  double reclaim_fraction = 0.9;
-  std::size_t max_iterations = 4;
-  // Stop iterating once the slack falls below this fraction of Pconst.
-  double slack_tolerance = 0.005;
 };
 
 struct TaskPowerResult {

@@ -17,6 +17,10 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
+// How often a re-planning fault run reads the tracking-error sensor between
+// the re-planner's cadence points (simulated seconds).
+constexpr double kReplanSensorPeriodS = 5.0;
+
 // Deepest per-core backlog (seconds of admitted-but-unfinished work) at time
 // `now`, normalized by the longest relative deadline in the workload. With
 // the admission check on this can never exceed 1.0 — a task is only admitted
@@ -841,7 +845,7 @@ FaultSimResult simulate_with_faults(dc::DataCenter& dc,
   }
 
   // Receding-horizon check chain: a self-rescheduling calendar event every
-  // sensor_period_s reads the tracking-error sensor and fires a horizon
+  // kReplanSensorPeriodS reads the tracking-error sensor and fires a horizon
   // step on the cadence or on a sensor breach — unless gated by the bounded
   // backoff after a degraded step or by a fault re-plan adoption in flight
   // (the full three-stage recovery plan outranks a rates-only patch).
@@ -901,12 +905,11 @@ FaultSimResult simulate_with_faults(dc::DataCenter& dc,
           }
         }
       }
-      const double next = now + replan_options.sensor_period_s;
+      const double next = now + kReplanSensorPeriodS;
       if (next <= horizon) engine.schedule_at(next, [&] { replan_check(); });
     };
-    if (replan_options.sensor_period_s <= horizon) {
-      engine.schedule_at(replan_options.sensor_period_s,
-                         [&] { replan_check(); });
+    if (kReplanSensorPeriodS <= horizon) {
+      engine.schedule_at(kReplanSensorPeriodS, [&] { replan_check(); });
     }
   }
 

@@ -10,6 +10,46 @@ namespace {
 
 using util::telemetry::Sample;
 
+// Monotone ramp (queue depth): fire when at least kRampMinMonotone of
+// consecutive steps are non-decreasing AND the final value exceeds the
+// early-window mean by the caller's min_rise absolutely AND by a factor of
+// kRampRiseFactor relatively (the factor is waived while the early mean is
+// below the absolute floor — a queue that starts empty has no baseline).
+constexpr std::size_t kRampMinPoints = 8;
+constexpr double kRampMinMonotone = 0.85;
+constexpr double kRampRiseFactor = 3.0;
+
+// Rolling-band drift (tracking error): the first half of the series sets the
+// band (mean + max(kDriftMinBand, kDriftBandSigmas * stddev)); fire when the
+// mean of the last quarter leaves it.
+constexpr std::size_t kDriftMinPoints = 8;
+constexpr double kDriftBandSigmas = 4.0;
+constexpr double kDriftMinBand = 0.05;
+
+// Session-fallback spike: fire when lp.session.fallbacks / lp.session.solves
+// exceeds kFallbackMaxFraction with at least kFallbackMinSolves solves
+// observed (below that the ratio is noise).
+constexpr double kFallbackMaxFraction = 0.25;
+constexpr std::uint64_t kFallbackMinSolves = 8;
+
+// FT-budget pressure: fire when lp.session.ft_budget_exhausted /
+// lp.session.resident_resumes exceeds kFtBudgetMaxFraction (with the same
+// min-solves floor). Resumes that exhaust the patch-repair update budget fall
+// back to a full refactorization — correct but paying the cost sessions exist
+// to amortize; a sustained spike means the patch bursts outgrew
+// `ft_max_updates` for this workload.
+constexpr double kFtBudgetMaxFraction = 0.5;
+
+// Re-plan storm: fire when more than kReplanStormMaxSteps horizon steps land
+// inside any sliding kReplanStormWindowS window of the replan.step_times
+// series (one sample per step, recorded at its simulated time). A healthy
+// rolling planner fires on its cadence plus the occasional tracking trigger;
+// a storm means the trigger logic is flapping — each adopted plan immediately
+// re-trips the sensor — and the fleet is paying LP time for churn, not
+// reward.
+constexpr double kReplanStormWindowS = 30.0;
+constexpr std::size_t kReplanStormMaxSteps = 8;
+
 double mean_of(const std::vector<Sample>& samples, std::size_t begin,
                std::size_t end) {
   double sum = 0.0;
@@ -27,9 +67,9 @@ std::string fmt(double v) {
 
 std::optional<Anomaly> detect_monotone_ramp(const std::string& series,
                                             const std::vector<Sample>& samples,
-                                            const AnomalyOptions& options) {
+                                            double min_rise) {
   const std::size_t n = samples.size();
-  if (n < std::max<std::size_t>(options.ramp_min_points, 3)) return std::nullopt;
+  if (n < std::max<std::size_t>(kRampMinPoints, 3)) return std::nullopt;
 
   std::size_t non_decreasing = 0;
   for (std::size_t i = 1; i < n; ++i) {
@@ -37,18 +77,17 @@ std::optional<Anomaly> detect_monotone_ramp(const std::string& series,
   }
   const double monotone_fraction =
       static_cast<double>(non_decreasing) / static_cast<double>(n - 1);
-  if (monotone_fraction < options.ramp_min_monotone) return std::nullopt;
+  if (monotone_fraction < kRampMinMonotone) return std::nullopt;
 
   // Baseline: the first quarter of the window (>= 1 sample).
   const std::size_t head = std::max<std::size_t>(1, n / 4);
   const double baseline = mean_of(samples, 0, head);
   const double last = samples[n - 1].value;
   const double rise = last - baseline;
-  if (rise < options.ramp_min_rise) return std::nullopt;
+  if (rise < min_rise) return std::nullopt;
   // Relative growth check only once the baseline itself is meaningful; a
   // queue that starts near empty is judged on the absolute rise alone.
-  if (baseline > options.ramp_min_rise &&
-      last < options.ramp_rise_factor * baseline) {
+  if (baseline > min_rise && last < kRampRiseFactor * baseline) {
     return std::nullopt;
   }
 
@@ -56,7 +95,7 @@ std::optional<Anomaly> detect_monotone_ramp(const std::string& series,
   a.detector = "ramp";
   a.series = series;
   a.value = rise;
-  a.threshold = options.ramp_min_rise;
+  a.threshold = min_rise;
   a.detail = series + " rose monotonically (" + fmt(monotone_fraction * 100.0) +
              "% non-decreasing steps) from " + fmt(baseline) + " to " +
              fmt(last);
@@ -64,10 +103,9 @@ std::optional<Anomaly> detect_monotone_ramp(const std::string& series,
 }
 
 std::optional<Anomaly> detect_drift(const std::string& series,
-                                    const std::vector<Sample>& samples,
-                                    const AnomalyOptions& options) {
+                                    const std::vector<Sample>& samples) {
   const std::size_t n = samples.size();
-  if (n < std::max<std::size_t>(options.drift_min_points, 4)) return std::nullopt;
+  if (n < std::max<std::size_t>(kDriftMinPoints, 4)) return std::nullopt;
 
   // Band from the first half: mean + max(min_band, sigmas * stddev).
   const std::size_t half = n / 2;
@@ -78,8 +116,8 @@ std::optional<Anomaly> detect_drift(const std::string& series,
     var += d * d;
   }
   var /= static_cast<double>(half);
-  const double band = std::max(options.drift_min_band,
-                               options.drift_band_sigmas * std::sqrt(var));
+  const double band =
+      std::max(kDriftMinBand, kDriftBandSigmas * std::sqrt(var));
   const double limit = base_mean + band;
 
   // Statistic: the mean of the last quarter, so one noisy sample cannot
@@ -100,36 +138,34 @@ std::optional<Anomaly> detect_drift(const std::string& series,
 }
 
 std::optional<Anomaly> detect_fallback_spike(std::uint64_t fallbacks,
-                                             std::uint64_t solves,
-                                             const AnomalyOptions& options) {
-  if (solves < options.fallback_min_solves) return std::nullopt;
+                                             std::uint64_t solves) {
+  if (solves < kFallbackMinSolves) return std::nullopt;
   const double fraction =
       static_cast<double>(fallbacks) / static_cast<double>(solves);
-  if (fraction <= options.fallback_max_fraction) return std::nullopt;
+  if (fraction <= kFallbackMaxFraction) return std::nullopt;
 
   Anomaly a;
   a.detector = "fallback_spike";
   a.series = "lp.session.fallbacks";
   a.value = fraction;
-  a.threshold = options.fallback_max_fraction;
+  a.threshold = kFallbackMaxFraction;
   a.detail = "lp.session fallbacks hit " + fmt(fraction * 100.0) + "% of " +
              std::to_string(solves) + " session solves";
   return a;
 }
 
-std::optional<Anomaly> detect_ft_budget_pressure(
-    std::uint64_t exhausted, std::uint64_t resumes,
-    const AnomalyOptions& options) {
-  if (resumes < options.fallback_min_solves) return std::nullopt;
+std::optional<Anomaly> detect_ft_budget_pressure(std::uint64_t exhausted,
+                                                 std::uint64_t resumes) {
+  if (resumes < kFallbackMinSolves) return std::nullopt;
   const double fraction =
       static_cast<double>(exhausted) / static_cast<double>(resumes);
-  if (fraction <= options.ft_budget_max_fraction) return std::nullopt;
+  if (fraction <= kFtBudgetMaxFraction) return std::nullopt;
 
   Anomaly a;
   a.detector = "ft_budget_pressure";
   a.series = "lp.session.ft_budget_exhausted";
   a.value = fraction;
-  a.threshold = options.ft_budget_max_fraction;
+  a.threshold = kFtBudgetMaxFraction;
   a.detail = "FT update budget exhausted on " + fmt(fraction * 100.0) +
              "% of " + std::to_string(resumes) +
              " resident resumes (patch bursts outgrow ft_max_updates)";
@@ -137,10 +173,9 @@ std::optional<Anomaly> detect_ft_budget_pressure(
 }
 
 std::optional<Anomaly> detect_replan_storm(const std::string& series,
-                                           const std::vector<Sample>& samples,
-                                           const AnomalyOptions& options) {
+                                           const std::vector<Sample>& samples) {
   const std::size_t n = samples.size();
-  if (n <= options.replan_storm_max_steps) return std::nullopt;
+  if (n <= kReplanStormMaxSteps) return std::nullopt;
 
   // One sample per horizon step, stamped with its simulated time; slide a
   // window over the (sorted) step times and find the densest burst. Two
@@ -149,26 +184,24 @@ std::optional<Anomaly> detect_replan_storm(const std::string& series,
   double worst_start = 0.0;
   std::size_t lo = 0;
   for (std::size_t hi = 0; hi < n; ++hi) {
-    while (samples[hi].x - samples[lo].x > options.replan_storm_window_s) {
-      ++lo;
-    }
+    while (samples[hi].x - samples[lo].x > kReplanStormWindowS) ++lo;
     const std::size_t count = hi - lo + 1;
     if (count > worst_count) {
       worst_count = count;
       worst_start = samples[lo].x;
     }
   }
-  if (worst_count <= options.replan_storm_max_steps) return std::nullopt;
+  if (worst_count <= kReplanStormMaxSteps) return std::nullopt;
 
   Anomaly a;
   a.detector = "replan_storm";
   a.series = series;
   a.value = static_cast<double>(worst_count);
-  a.threshold = static_cast<double>(options.replan_storm_max_steps);
+  a.threshold = static_cast<double>(kReplanStormMaxSteps);
   a.detail = std::to_string(worst_count) + " horizon steps inside " +
-             fmt(options.replan_storm_window_s) + "s starting at t=" +
+             fmt(kReplanStormWindowS) + "s starting at t=" +
              fmt(worst_start) + " (limit " +
-             std::to_string(options.replan_storm_max_steps) + ")";
+             std::to_string(kReplanStormMaxSteps) + ")";
   return a;
 }
 
@@ -178,39 +211,36 @@ namespace {
 // Snapshot entry points byte-identical in behavior.
 template <typename SeriesFn, typename CounterFn>
 std::vector<Anomaly> run_standard_pass(const SeriesFn& series,
-                                       const CounterFn& counter,
-                                       const AnomalyOptions& options) {
+                                       const CounterFn& counter) {
   std::vector<Anomaly> anomalies;
   // scheduler.backlog is the true work queue (deepest core backlog in
   // longest-deadline units); sim.queue_depth is the engine's pending-event
   // count, which structurally drains near the horizon. Both are ramp-checked
   // so a runaway event queue is caught too.
-  AnomalyOptions backlog_options = options;
-  backlog_options.ramp_min_rise = options.backlog_min_rise;
   if (auto a = detect_monotone_ramp("scheduler.backlog",
                                     series("scheduler.backlog"),
-                                    backlog_options)) {
+                                    kBacklogMinRise)) {
     anomalies.push_back(std::move(*a));
   }
   if (auto a = detect_monotone_ramp("sim.queue_depth",
-                                    series("sim.queue_depth"), options)) {
+                                    series("sim.queue_depth"), kRampMinRise)) {
     anomalies.push_back(std::move(*a));
   }
   if (auto a = detect_drift("scheduler.tracking_error",
-                            series("scheduler.tracking_error"), options)) {
+                            series("scheduler.tracking_error"))) {
     anomalies.push_back(std::move(*a));
   }
   if (auto a = detect_fallback_spike(counter("lp.session.fallbacks"),
-                                     counter("lp.session.solves"), options)) {
+                                     counter("lp.session.solves"))) {
     anomalies.push_back(std::move(*a));
   }
   if (auto a = detect_ft_budget_pressure(
           counter("lp.session.ft_budget_exhausted"),
-          counter("lp.session.resident_resumes"), options)) {
+          counter("lp.session.resident_resumes"))) {
     anomalies.push_back(std::move(*a));
   }
   if (auto a = detect_replan_storm("replan.step_times",
-                                   series("replan.step_times"), options)) {
+                                   series("replan.step_times"))) {
     anomalies.push_back(std::move(*a));
   }
   return anomalies;
@@ -218,21 +248,21 @@ std::vector<Anomaly> run_standard_pass(const SeriesFn& series,
 
 }  // namespace
 
-std::vector<Anomaly> detect_anomalies(const util::telemetry::Registry& registry,
-                                      const AnomalyOptions& options) {
+std::vector<Anomaly> detect_anomalies(
+    const util::telemetry::Registry& registry) {
   return run_standard_pass(
       [&](const char* name) { return registry.series_values(name); },
-      [&](const char* name) { return registry.counter_value(name); }, options);
+      [&](const char* name) { return registry.counter_value(name); });
 }
 
-std::vector<Anomaly> detect_anomalies(const util::telemetry::Snapshot& snapshot,
-                                      const AnomalyOptions& options) {
+std::vector<Anomaly> detect_anomalies(
+    const util::telemetry::Snapshot& snapshot) {
   return run_standard_pass(
       [&](const char* name) {
         const auto* s = snapshot.find_series(name);
         return s ? *s : std::vector<Sample>{};
       },
-      [&](const char* name) { return snapshot.counter(name); }, options);
+      [&](const char* name) { return snapshot.counter(name); });
 }
 
 }  // namespace tapo::soak

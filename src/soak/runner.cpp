@@ -248,7 +248,7 @@ RunRecord execute(const scenario::ScenarioProfile& profile,
       core::ReplannerOptions replan;
       replan.cadence_s = profile.replan->cadence_s;
       replan.tracking_error_threshold = profile.replan->tracking_threshold;
-      replan.lp.max_iterations =
+      replan.max_lp_iterations =
           static_cast<std::size_t>(profile.replan->max_lp_iterations);
       replan.telemetry = &registry;
       fault_options.replan = replan;
@@ -293,7 +293,7 @@ RunRecord execute(const scenario::ScenarioProfile& profile,
   record.drop_fraction = sim_result.drop_fraction();
   record.tracking_error = sim_result.mean_tracking_error;
   record.energy_kwh = sim_result.energy_kwh;
-  record.anomalies = detect_anomalies(registry, options.anomaly);
+  record.anomalies = detect_anomalies(registry);
   record.pass = record.anomalies.empty();
   return record;
 }

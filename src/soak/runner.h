@@ -43,7 +43,6 @@ struct SoakOptions {
   // Skip the DES phase (plan-only): used by the library differential test
   // and by --plan-only sweeps where only feasibility is under test.
   bool run_sim = true;
-  AnomalyOptions anomaly;
 };
 
 struct ScenarioOutcome {

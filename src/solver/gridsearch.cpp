@@ -19,6 +19,9 @@ constexpr std::size_t kWarmChain = 8;
 // and solver tolerances, and exact ties must reach the lex tie-break.
 constexpr double kBoundMargin = 1e-7;
 constexpr double kInf = std::numeric_limits<double>::infinity();
+// Samples per dimension in each refinement round of grid_search (centered on
+// the best point).
+constexpr std::size_t kRefineSamples = 3;
 
 bool lex_less(const std::vector<double>& a, const std::vector<double>& b) {
   return std::lexicographical_compare(a.begin(), a.end(), b.begin(), b.end());
@@ -240,12 +243,12 @@ GridSearchResult grid_search_impl(const std::vector<double>& lo,
   for (std::size_t round = 0; round < options.refine_rounds; ++round) {
     bool any = false;
     for (std::size_t d = 0; d < dims; ++d) {
-      step[d] *= 2.0 / static_cast<double>(std::max<std::size_t>(options.refine_samples, 2));
+      step[d] *= 2.0 / static_cast<double>(kRefineSamples);
       if (step[d] >= options.min_resolution) any = true;
       const double center = result.best_point[d];
       samples[d] = linspace(std::max(lo[d], center - step[d] * 1.5),
                             std::min(hi[d], center + step[d] * 1.5),
-                            options.refine_samples);
+                            kRefineSamples);
     }
     if (!any) break;
     evaluator.sweep(cartesian_points(samples), result);

@@ -25,8 +25,6 @@ struct GridSearchOptions {
   std::size_t coarse_samples = 4;
   // Number of refinement rounds after the coarse sweep.
   std::size_t refine_rounds = 2;
-  // Samples per dimension in each refinement round (centered on the best).
-  std::size_t refine_samples = 3;
   // Stop refining once the step size drops below this resolution.
   double min_resolution = 0.5;
   // Worker threads used to evaluate each sweep round as one batch

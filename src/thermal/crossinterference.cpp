@@ -21,6 +21,17 @@ EcRcRange table2_range(dc::RackLabel label) {
 
 namespace {
 
+// Half-width of the tightened interval around each drawn EC/RC target, as a
+// fraction (0.03 = +/-3 percentage points).
+constexpr double kTargetSlack = 0.03;
+// Retries with progressively wider slack before falling back to the full
+// Table-II ranges.
+constexpr std::size_t kMaxRetries = 4;
+// Step and step count of the upper-bound widening applied when even the full
+// Table-II ranges are infeasible (see the header).
+constexpr double kRelaxationStep = 0.05;
+constexpr std::size_t kMaxRelaxationSteps = 16;
+
 struct Interval {
   double lo, hi;
 };
@@ -114,7 +125,7 @@ std::optional<solver::Matrix> attempt(const dc::Layout& layout,
 
 std::optional<solver::Matrix> generate_cross_interference(
     const dc::Layout& layout, const std::vector<double>& flows, util::Rng& rng,
-    const CrossInterferenceOptions& options, GenerationInfo* info) {
+    GenerationInfo* info) {
   const std::size_t nc = layout.num_cracs;
   const std::size_t nn = layout.nodes.size();
   TAPO_CHECK(flows.size() == nc + nn);
@@ -136,9 +147,9 @@ std::optional<solver::Matrix> generate_cross_interference(
   for (double& c : nn_cap) c = rng.uniform(0.2, 1.0);
 
   // Phase 1: tightened intervals around the drawn targets, widened per retry.
-  double slack = options.target_slack;
-  for (std::size_t attempt_idx = 0; attempt_idx <= options.max_retries; ++attempt_idx) {
-    const bool last = attempt_idx == options.max_retries;
+  double slack = kTargetSlack;
+  for (std::size_t attempt_idx = 0; attempt_idx <= kMaxRetries; ++attempt_idx) {
+    const bool last = attempt_idx == kMaxRetries;
     std::vector<Interval> ec(nn), rc(nn);
     for (std::size_t j = 0; j < nn; ++j) {
       const EcRcRange range = table2_range(layout.nodes[j].label);
@@ -156,15 +167,13 @@ std::optional<solver::Matrix> generate_cross_interference(
     if (auto alpha = attempt(layout, flows, ec, rc, caps)) return alpha;
     slack *= 2.5;
   }
-  if (!options.allow_range_relaxation) return std::nullopt;
-
   // Phase 2: the strict Table-II polytope is empty for this layout (typical
   // for label mixes from partial racks). Widen the EC and RC upper bounds in
   // small steps until feasibility is restored; the relaxation amount is the
-  // minimum multiple of relaxation_step that works.
+  // minimum multiple of kRelaxationStep that works.
   const std::vector<double> caps(nn * nn, 1.0);
-  for (std::size_t step = 1; step <= options.max_relaxation_steps; ++step) {
-    const double widen = options.relaxation_step * static_cast<double>(step);
+  for (std::size_t step = 1; step <= kMaxRelaxationSteps; ++step) {
+    const double widen = kRelaxationStep * static_cast<double>(step);
     std::vector<Interval> ec(nn), rc(nn);
     for (std::size_t j = 0; j < nn; ++j) {
       const EcRcRange range = table2_range(layout.nodes[j].label);

@@ -10,7 +10,13 @@
 // solve as a feasible circulation (max-flow with lower bounds). Randomness
 // enters by drawing per-node EC/RC targets inside the Table-II ranges and
 // tightening the arc bounds around them; if a draw is jointly infeasible the
-// generator widens the bounds back toward the full ranges and retries.
+// generator widens the bounds back toward the full ranges and retries. The
+// strict Table-II polytope itself can be empty: each rack's bottom labels
+// emit more node-to-node air (1-EC up to 70% of their flow) than the RC
+// ranges let the other nodes absorb, and with a partial last rack the label
+// mix makes this unavoidable. The generator then widens the EC and RC upper
+// bounds in small steps until a feasible pattern exists (the applied widening
+// is reported via GenerationInfo).
 #pragma once
 
 #include <optional>
@@ -29,25 +35,6 @@ struct EcRcRange {
 // Table II of the paper: ranges per rack-position label (A bottom .. E top).
 EcRcRange table2_range(dc::RackLabel label);
 
-struct CrossInterferenceOptions {
-  // Half-width of the tightened interval around each drawn EC/RC target,
-  // as a fraction (e.g. 0.03 = +/-3 percentage points).
-  double target_slack = 0.03;
-  // Retries with progressively wider slack before falling back to the full
-  // Table-II ranges.
-  std::size_t max_retries = 4;
-  // The strict Table-II polytope can be empty: each rack's bottom labels
-  // emit more node-to-node air (1-EC up to 70% of their flow) than the RC
-  // ranges let the other nodes absorb, and with a partial last rack the
-  // label mix makes this unavoidable. When the strict ranges are infeasible
-  // and this flag is set, the EC upper bounds and RC upper bounds are widened
-  // in small steps until a feasible pattern exists (the applied widening is
-  // reported via GenerationInfo).
-  bool allow_range_relaxation = true;
-  double relaxation_step = 0.05;
-  std::size_t max_relaxation_steps = 16;
-};
-
 struct GenerationInfo {
   std::size_t attempts = 0;
   // Widening applied on top of the Table-II EC/RC upper bounds (0 = strict).
@@ -59,7 +46,7 @@ struct GenerationInfo {
 // ranges admit no feasible flow pattern (e.g. inconsistent flow totals).
 std::optional<solver::Matrix> generate_cross_interference(
     const dc::Layout& layout, const std::vector<double>& flows, util::Rng& rng,
-    const CrossInterferenceOptions& options = {}, GenerationInfo* info = nullptr);
+    GenerationInfo* info = nullptr);
 
 struct AlphaCheckResult {
   bool ok = false;

@@ -420,16 +420,15 @@ TEST(Baseline, OptionsOutOfRangeAreInvalidArguments) {
   static_assert(std::is_base_of_v<CracSweepOptions, BaselineOptions>);
   EXPECT_TRUE(BaselineOptions{}.validate().ok());
 
-  std::vector<BaselineOptions> bad(6);
+  std::vector<BaselineOptions> bad(5);
   bad[0].full_grid = true;  // used to abort in linspace
   bad[0].grid.coarse_samples = 0;
   bad[1].tcrac_min_c = 26.0;  // above tcrac_max_c
   bad[2].tcrac_min_c = std::numeric_limits<double>::quiet_NaN();
-  bad[3].grid.refine_samples = 0;
-  bad[4].grid.min_resolution = -1.0;
+  bad[3].grid.min_resolution = -1.0;
   // Far beyond the cap: rejected before any pool exists, so no thread is
   // ever started for it.
-  bad[5].grid.threads = std::size_t{1} << 40;
+  bad[4].grid.threads = std::size_t{1} << 40;
   for (std::size_t i = 0; i < bad.size(); ++i) {
     SCOPED_TRACE(testing::Message() << "case " << i);
     util::telemetry::Registry registry;

@@ -50,10 +50,10 @@ TEST(CracSweep, EveryCallerForwardsTheRoundHookAndHonoursFullGrid) {
     powermin.stage1 = stage1;
     powermin.stage1.telemetry = &powermin_reg;
     powermin.stage1.grid.on_round = counting(1);
-    powermin.max_retries = 0;  // one attempt, one sweep
     const PowerMinResult min_power = minimize_power_for_reward(
         scenario.dc, model, 0.5 * relaxed.objective, powermin);
     ASSERT_TRUE(min_power.feasible) << min_power.status.to_string();
+    EXPECT_EQ(min_power.attempts, 1u);  // one attempt, one sweep
     EXPECT_GT(hooks[1], 0u);
     EXPECT_EQ(hooks[1], powermin_reg.counter_value("powermin.sweep_rounds"));
     if (full_grid) {

@@ -116,9 +116,7 @@ TEST_F(RecoveryFixture, EndToEndCompoundFault) {
                    kTcracMin, kTcracMax);
   const double degraded_budget = dc().p_const_kw;
 
-  RecoveryOptions options;
-  options.verify_transient = true;
-  const RecoveryController controller(dc(), *model, options);
+  const RecoveryController controller(dc(), *model);
   const RecoveryOutcome outcome = controller.recover(assignment);
 
   ASSERT_TRUE(outcome.safe) << outcome.status.to_string();

@@ -73,21 +73,6 @@ TEST(ReplannerOptions, ValidateRejectsDegenerateFields) {
     o.tracking_error_threshold = nan;
     EXPECT_FALSE(o.validate().ok());
   }
-  {
-    ReplannerOptions o;
-    o.sensor_period_s = -1.0;
-    EXPECT_FALSE(o.validate().ok());
-  }
-  {
-    ReplannerOptions o;
-    o.min_gap_s = 0.0;
-    EXPECT_FALSE(o.validate().ok());
-  }
-  {
-    ReplannerOptions o;
-    o.max_backoff_s = o.min_gap_s / 2.0;  // cap below the gap
-    EXPECT_FALSE(o.validate().ok());
-  }
 }
 
 TEST_F(ReplannerFixture, AdoptedStepMatchesFreshStage3OnDriftedRates) {
@@ -146,9 +131,7 @@ TEST_F(ReplannerFixture, StepsRideTheResidentSessionWithoutRebuilds) {
 
 TEST_F(ReplannerFixture, IterationCapDegradesToHeldPlanWithBackoff) {
   ReplannerOptions options;
-  options.lp.max_iterations = 1;  // planted solve deadline
-  options.min_gap_s = 5.0;
-  options.max_backoff_s = 60.0;
+  options.max_lp_iterations = 1;  // planted solve deadline
   RollingPlanner planner(dc(), *model, assignment, options);
 
   const HorizonStep first = planner.step(rates(1.5));
@@ -188,7 +171,7 @@ TEST_F(ReplannerFixture, DegradedRatesNeverCrashAndBackoffResetsOnSuccess) {
 
 TEST_F(ReplannerFixture, ThrottleRungWhenTheHeldPlanNoLongerVerifies) {
   ReplannerOptions options;
-  options.lp.max_iterations = 1;  // force every step onto the degraded path
+  options.max_lp_iterations = 1;  // force every step onto the degraded path
   util::telemetry::Registry registry;
   options.telemetry = &registry;
   RollingPlanner planner(dc(), *model, assignment, options);

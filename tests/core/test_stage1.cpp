@@ -177,18 +177,17 @@ TEST(Stage1, OptionsOutOfRangeAreInvalidArguments) {
   static_assert(std::is_base_of_v<CracSweepOptions, Stage1Options>);
   EXPECT_TRUE(Stage1Options{}.validate().ok());
 
-  std::vector<Stage1Options> bad(8);
+  std::vector<Stage1Options> bad(7);
   bad[0].psi = 0.0;
   bad[1].psi = 100.5;
   bad[2].tcrac_min_c = 26.0;  // above tcrac_max_c
   bad[3].tcrac_max_c = std::numeric_limits<double>::infinity();
   bad[4].full_grid = true;  // used to abort in linspace
   bad[4].grid.coarse_samples = 0;
-  bad[5].grid.refine_samples = 0;
-  bad[6].grid.min_resolution = 0.0;
+  bad[5].grid.min_resolution = 0.0;
   // Far beyond the cap: rejected before any pool exists, so no thread is
   // ever started for it.
-  bad[7].threads = std::size_t{1} << 40;
+  bad[6].threads = std::size_t{1} << 40;
   for (std::size_t i = 0; i < bad.size(); ++i) {
     SCOPED_TRACE(testing::Message() << "case " << i);
     util::telemetry::Registry registry;

@@ -115,7 +115,6 @@ TEST_F(ReplanSimFixture, RollingBeatsOneShotOnAFlashCrowd) {
   core::ReplannerOptions replan;
   replan.cadence_s = 10.0;
   replan.tracking_error_threshold = 0.5;
-  replan.sensor_period_s = 5.0;
   options.replan = replan;
   const FaultSimResult rolling =
       simulate_with_faults(dc(), *model, assignment, FaultSchedule{}, options);
@@ -139,8 +138,7 @@ TEST_F(ReplanSimFixture, PlantedSolveDeadlineDegradesWithoutAborting) {
   core::ReplannerOptions replan;
   replan.cadence_s = 10.0;
   replan.tracking_error_threshold = 0.0;  // cadence-only: deterministic count
-  replan.lp.max_iterations = 1;           // every step hits the solve deadline
-  replan.min_gap_s = 5.0;
+  replan.max_lp_iterations = 1;  // every step hits the solve deadline
   options.replan = replan;
 
   const FaultSimResult out =
@@ -155,7 +153,7 @@ TEST_F(ReplanSimFixture, PlantedSolveDeadlineDegradesWithoutAborting) {
   EXPECT_EQ(out.horizon_throttles, 0u);
   EXPECT_GT(out.horizon_degraded_time_s, 0.0);
   EXPECT_EQ(registry.counter_value("replan.adoptions_activated"), 0u);
-  // Bounded backoff: with min_gap 5 doubling per failure, the 60 s horizon
+  // Bounded backoff: with a 5 s gap doubling per failure, the 60 s horizon
   // admits only a handful of attempts — no re-plan storm.
   EXPECT_LE(out.horizon_steps, 6u);
 }
@@ -181,8 +179,7 @@ struct GenerationGuardFixture : ReplanSimFixture {
     core::ReplannerOptions replan;
     replan.cadence_s = 20.0;
     replan.tracking_error_threshold = 0.0;  // cadence-only: one step at t=20
-    replan.sensor_period_s = 5.0;
-    options.replan = replan;
+      options.replan = replan;
     return simulate_with_faults(dc(), *model, assignment, schedule, options);
   }
 };

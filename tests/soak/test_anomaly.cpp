@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -27,10 +28,14 @@ std::vector<Sample> series_of(const std::vector<double>& values) {
   return samples;
 }
 
+std::optional<Anomaly> ramp(const std::vector<double>& values) {
+  return detect_monotone_ramp("q", series_of(values), kRampMinRise);
+}
+
 TEST(Ramp, FiresOnPlantedMonotoneRamp) {
   std::vector<double> values;
   for (int i = 0; i < 64; ++i) values.push_back(static_cast<double>(i));
-  const auto a = detect_monotone_ramp("q", series_of(values));
+  const auto a = ramp(values);
   ASSERT_TRUE(a.has_value());
   EXPECT_EQ(a->detector, "ramp");
   EXPECT_EQ(a->series, "q");
@@ -43,12 +48,12 @@ TEST(Ramp, FiresThroughSmallNoise) {
   for (int i = 0; i < 64; ++i) {
     values.push_back(static_cast<double>(i) + rng.uniform(-0.4, 0.4));
   }
-  EXPECT_TRUE(detect_monotone_ramp("q", series_of(values)).has_value());
+  EXPECT_TRUE(ramp(values).has_value());
 }
 
 TEST(Ramp, QuietOnStationarySeries) {
   std::vector<double> values(64, 5.0);
-  EXPECT_FALSE(detect_monotone_ramp("q", series_of(values)).has_value());
+  EXPECT_FALSE(ramp(values).has_value());
 }
 
 TEST(Ramp, QuietOnRampThatDrainsBack) {
@@ -56,26 +61,26 @@ TEST(Ramp, QuietOnRampThatDrainsBack) {
   std::vector<double> values;
   for (int i = 0; i < 32; ++i) values.push_back(static_cast<double>(i));
   for (int i = 32; i > 0; --i) values.push_back(static_cast<double>(i));
-  EXPECT_FALSE(detect_monotone_ramp("q", series_of(values)).has_value());
+  EXPECT_FALSE(ramp(values).has_value());
 }
 
 TEST(Ramp, QuietBelowAbsoluteRise) {
   // Perfectly monotone but tiny: a queue settling from 0 to 3 is healthy.
   std::vector<double> values;
   for (int i = 0; i < 64; ++i) values.push_back(i * 3.0 / 63.0);
-  EXPECT_FALSE(detect_monotone_ramp("q", series_of(values)).has_value());
+  EXPECT_FALSE(ramp(values).has_value());
 }
 
 TEST(Ramp, QuietOnShortSeries) {
   std::vector<double> values = {0, 10, 20, 30};
-  EXPECT_FALSE(detect_monotone_ramp("q", series_of(values)).has_value());
+  EXPECT_FALSE(ramp(values).has_value());
 }
 
 TEST(Ramp, RelativeFactorSuppressesHighBaselineCreep) {
   // From 100 to 120: rise 20 > 8 absolute, but only 1.2x the baseline.
   std::vector<double> values;
   for (int i = 0; i < 64; ++i) values.push_back(100.0 + i * 20.0 / 63.0);
-  EXPECT_FALSE(detect_monotone_ramp("q", series_of(values)).has_value());
+  EXPECT_FALSE(ramp(values).has_value());
 }
 
 TEST(Drift, FiresOnPlantedStepDrift) {
@@ -137,7 +142,7 @@ TEST(ReplanStorm, FiresOnABurstOfSteps) {
   for (int i = 0; i < 12; ++i) {
     samples.push_back({static_cast<double>(i), static_cast<double>(i + 1)});
   }
-  const auto a = detect_replan_storm("replan.step_times", samples, {});
+  const auto a = detect_replan_storm("replan.step_times", samples);
   ASSERT_TRUE(a.has_value());
   EXPECT_EQ(a->detector, "replan_storm");
   EXPECT_EQ(a->series, "replan.step_times");
@@ -152,28 +157,25 @@ TEST(ReplanStorm, QuietOnHealthyCadence) {
     samples.push_back({20.0 * i, static_cast<double>(i + 1)});
   }
   EXPECT_FALSE(
-      detect_replan_storm("replan.step_times", samples, {}).has_value());
+      detect_replan_storm("replan.step_times", samples).has_value());
 }
 
 TEST(ReplanStorm, QuietAtExactlyTheBudget) {
   // Exactly max_steps in one window is allowed; the detector fires only
   // strictly above the budget.
-  AnomalyOptions options;
-  options.replan_storm_window_s = 30.0;
-  options.replan_storm_max_steps = 8;
   std::vector<Sample> samples;
   for (int i = 0; i < 8; ++i) {
     samples.push_back({static_cast<double>(i), static_cast<double>(i + 1)});
   }
   samples.push_back({200.0, 9.0});  // 9th step far outside the window
   EXPECT_FALSE(
-      detect_replan_storm("replan.step_times", samples, options).has_value());
+      detect_replan_storm("replan.step_times", samples).has_value());
 }
 
 TEST(ReplanStorm, QuietOnShortOrEmptySeries) {
-  EXPECT_FALSE(detect_replan_storm("replan.step_times", {}, {}).has_value());
+  EXPECT_FALSE(detect_replan_storm("replan.step_times", {}).has_value());
   std::vector<Sample> few = {{0.0, 1.0}, {1.0, 2.0}};
-  EXPECT_FALSE(detect_replan_storm("replan.step_times", few, {}).has_value());
+  EXPECT_FALSE(detect_replan_storm("replan.step_times", few).has_value());
 }
 
 // Bounded false positives: seeded stationary-but-noisy series across many
@@ -189,7 +191,7 @@ TEST(Detectors, NoFalsePositivesOnStationaryNoise) {
     std::vector<double> values;
     for (int i = 0; i < 64; ++i) values.push_back(level + rng.normal(0.0, sigma));
     const auto samples = series_of(values);
-    if (detect_monotone_ramp("q", samples).has_value()) ++fired;
+    if (detect_monotone_ramp("q", samples, kRampMinRise).has_value()) ++fired;
     if (detect_drift("e", samples).has_value()) ++fired;
   }
   EXPECT_EQ(fired, 0u);

@@ -164,8 +164,7 @@ TEST(CrossInterference, PartialRackRequiresRelaxation) {
   const auto flows = uniform_flows(layout, 0.07);
   util::Rng rng(4);
   GenerationInfo info;
-  const auto alpha =
-      generate_cross_interference(layout, flows, rng, {}, &info);
+  const auto alpha = generate_cross_interference(layout, flows, rng, &info);
   ASSERT_TRUE(alpha.has_value());
   EXPECT_GT(info.range_relaxation, 0.0);
   EXPECT_LT(info.range_relaxation, 0.5);
@@ -183,19 +182,9 @@ TEST(CrossInterference, StrictGenerationReportsZeroRelaxation) {
   const auto flows = uniform_flows(layout, 0.07);
   util::Rng rng(6);
   GenerationInfo info;
-  const auto alpha =
-      generate_cross_interference(layout, flows, rng, {}, &info);
+  const auto alpha = generate_cross_interference(layout, flows, rng, &info);
   ASSERT_TRUE(alpha.has_value());
   EXPECT_DOUBLE_EQ(info.range_relaxation, 0.0);
-}
-
-TEST(CrossInterference, RelaxationCanBeDisabled) {
-  const auto layout = dc::make_hot_cold_aisle_layout(12, 2);
-  const auto flows = uniform_flows(layout, 0.07);
-  util::Rng rng(4);
-  CrossInterferenceOptions options;
-  options.allow_range_relaxation = false;
-  EXPECT_FALSE(generate_cross_interference(layout, flows, rng, options).has_value());
 }
 
 TEST(CrossInterference, VerifyRejectsWrongDimensions) {
