@@ -38,7 +38,13 @@ int main() {
   util::Table table({"budget factor", "Pconst kW", "three-stage", "baseline",
                      "improvement %"});
   for (double factor : {0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9}) {
-    dc.p_const_kw = thermal::pconst_from_bounds(scenario->bounds, factor);
+    const util::StatusOr<double> pconst =
+        thermal::pconst_from_bounds(scenario->bounds, factor);
+    if (!pconst.ok()) {
+      std::fprintf(stderr, "%s\n", pconst.status().to_string().c_str());
+      return 1;
+    }
+    dc.p_const_kw = *pconst;
 
     core::ThreeStageOptions o25, o50;
     o25.stage1.psi = 25.0;

@@ -130,7 +130,11 @@ PowerAwareStage3Result solve_stage3_power_aware(
     }
   }
   for (double p : result.node_power_kw) result.compute_power_kw += p;
-  for (std::size_t q : crac_power_vars) result.crac_power_kw += sol.x[q];
+  // The CRAC power columns cost nothing in the objective, so wherever the
+  // budget row has slack the LP may leave them anywhere above the true CRAC
+  // power; report the model's value at the published node powers instead.
+  result.crac_power_kw = model.total_crac_power_kw(
+      model.solve(crac_out, result.node_power_kw));
   return result;
 }
 

@@ -50,7 +50,7 @@ struct PowerAwareStage3Result {
   solver::Matrix tc;                    // T x NCORES
   std::vector<double> node_power_kw;    // expected, incl. base
   double compute_power_kw = 0.0;
-  double crac_power_kw = 0.0;           // from the LP's CRAC rows
+  double crac_power_kw = 0.0;           // the model's, at node_power_kw
 };
 
 // Solves the power-aware Stage-3 LP for fixed P-states and CRAC setpoints.

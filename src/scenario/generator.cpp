@@ -183,7 +183,10 @@ std::optional<Scenario> generate_scenario(const ScenarioConfig& config) {
     opts.tcrac_max_c = std::min(opts.tcrac_max_c, config.redline_node_c);
     scenario.bounds = thermal::compute_power_bounds(dc, model, opts);
     if (!scenario.bounds.feasible) return std::nullopt;
-    dc.p_const_kw = thermal::pconst_from_bounds(scenario.bounds, config.pconst_factor);
+    const util::StatusOr<double> pconst =
+        thermal::pconst_from_bounds(scenario.bounds, config.pconst_factor);
+    if (!pconst.ok()) return std::nullopt;
+    dc.p_const_kw = *pconst;
   }
   return scenario;
 }

@@ -69,7 +69,7 @@ std::optional<Anomaly> detect_monotone_ramp(const std::string& series,
                                             const std::vector<Sample>& samples,
                                             double min_rise) {
   const std::size_t n = samples.size();
-  if (n < std::max<std::size_t>(kRampMinPoints, 3)) return std::nullopt;
+  if (n < kRampMinPoints) return std::nullopt;
 
   std::size_t non_decreasing = 0;
   for (std::size_t i = 1; i < n; ++i) {
@@ -105,7 +105,7 @@ std::optional<Anomaly> detect_monotone_ramp(const std::string& series,
 std::optional<Anomaly> detect_drift(const std::string& series,
                                     const std::vector<Sample>& samples) {
   const std::size_t n = samples.size();
-  if (n < std::max<std::size_t>(kDriftMinPoints, 4)) return std::nullopt;
+  if (n < kDriftMinPoints) return std::nullopt;
 
   // Band from the first half: mean + max(min_band, sigmas * stddev).
   const std::size_t half = n / 2;

@@ -1,6 +1,7 @@
 #include "thermal/bounds.h"
 
 #include <numeric>
+#include <string>
 
 #include "util/check.h"
 
@@ -59,9 +60,17 @@ PowerBounds compute_power_bounds(const dc::DataCenter& dc,
   return bounds;
 }
 
-double pconst_from_bounds(const PowerBounds& bounds, double factor) {
-  TAPO_CHECK(bounds.feasible);
-  TAPO_CHECK(factor >= 0.0 && factor <= 1.0);
+util::StatusOr<double> pconst_from_bounds(const PowerBounds& bounds,
+                                          double factor) {
+  if (!bounds.feasible) {
+    return util::Status::InvalidArgument(
+        "power budget: the power bounds are infeasible");
+  }
+  if (!(factor >= 0.0 && factor <= 1.0)) {
+    return util::Status::InvalidArgument(
+        "power budget: factor must be in [0, 1] (got " +
+        std::to_string(factor) + ")");
+  }
   return bounds.pmin_kw + factor * (bounds.pmax_kw - bounds.pmin_kw);
 }
 

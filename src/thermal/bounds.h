@@ -13,6 +13,7 @@
 #include "dc/datacenter.h"
 #include "solver/gridsearch.h"
 #include "thermal/heatflow.h"
+#include "util/status.h"
 
 namespace tapo::thermal {
 
@@ -47,6 +48,9 @@ PowerBounds compute_power_bounds(const dc::DataCenter& dc,
                                  const PowerBoundsOptions& options = {});
 
 // Pconst = Pmin + factor * (Pmax - Pmin); Eq. 18 uses factor = 0.5.
-double pconst_from_bounds(const PowerBounds& bounds, double factor = 0.5);
+// InvalidArgument for infeasible bounds or a factor outside [0, 1] (NaN
+// included).
+util::StatusOr<double> pconst_from_bounds(const PowerBounds& bounds,
+                                          double factor = 0.5);
 
 }  // namespace tapo::thermal

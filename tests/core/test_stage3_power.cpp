@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+
 #include "core/stage2.h"
 #include "core/stage3.h"
+#include "scenario/generator.h"
 #include "testutil.h"
 
 namespace tapo::core {
@@ -195,6 +199,60 @@ TEST_F(TaskPowerFixture, PerTypeFactorsShiftWorkTowardCheapTasks) {
       scenario->dc, *model, plain.crac_out_c, plain.core_pstate, expensive);
   ASSERT_TRUE(with_mixed.optimal && with_expensive.optimal);
   EXPECT_GE(with_mixed.reward_rate, with_expensive.reward_rate - 1e-9);
+}
+
+// The reported CRAC power is the model's at the published node powers. The
+// LP's CRAC power columns cost nothing, so at a point where the budget row
+// has slack any value between the true CRAC power and that slack is
+// optimal for them; the result must not be read from them. Operating
+// points as in bench_taskpower: its scenarios and power factors, with
+// Stages 1-2 run at 1.0-1.35x Pconst and the power-aware Stage 3 at Pconst.
+TEST(TaskPowerProperties, ReportedCracPowerIsTheModels) {
+  std::size_t checked = 0;
+  for (const std::size_t nodes : {std::size_t{20}, std::size_t{40}}) {
+    for (std::uint64_t seed = 90000; seed < 90005; ++seed) {
+      scenario::ScenarioConfig config;
+      config.num_nodes = nodes;
+      config.num_cracs = 2;
+      config.seed = seed;
+      auto scenario = scenario::generate_scenario(config);
+      ASSERT_TRUE(scenario.has_value());
+      dc::DataCenter& dc = scenario->dc;
+      const thermal::HeatFlowModel model(dc);
+      const Stage1Solver stage1(dc, model);
+      const double pconst = dc.p_const_kw;
+      for (int step = 0; step < 8; ++step) {
+        dc.p_const_kw = pconst * (1.0 + 0.05 * step);
+        Stage1Options options;
+        options.threads = 1;
+        const Stage1Result s1 = stage1.solve(options);
+        dc.p_const_kw = pconst;
+        if (!s1.feasible) continue;
+        const Stage2Result s2 =
+            convert_power_to_pstates(dc, s1.node_core_power_kw);
+        if (!s2.status.ok()) continue;
+        for (const double cheap : {1.0, 0.85, 0.7, 0.55}) {
+          dc::TaskPowerFactors factors;
+          factors.task_factor.assign(dc.num_task_types(), 1.0);
+          for (std::size_t i = 0; i < dc.num_task_types(); i += 2) {
+            factors.task_factor[i] = cheap;
+          }
+          factors.idle_factor = cheap;
+          const PowerAwareStage3Result s3 = solve_stage3_power_aware(
+              dc, model, s1.crac_out_c, s2.core_pstate, factors);
+          if (!s3.optimal) continue;
+          ++checked;
+          const double expected = model.total_crac_power_kw(
+              model.solve(s1.crac_out_c, s3.node_power_kw));
+          EXPECT_NEAR(s3.crac_power_kw, expected,
+                      1e-12 * std::max(1.0, expected))
+              << nodes << " nodes, seed " << seed << ", "
+              << 1.0 + 0.05 * step << "x Pconst, factor " << cheap;
+        }
+      }
+    }
+  }
+  EXPECT_GE(checked, 100u);
 }
 
 }  // namespace

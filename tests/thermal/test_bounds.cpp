@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "testutil.h"
 
 namespace tapo::thermal {
@@ -63,9 +65,26 @@ TEST(PowerBounds, PconstMidpoint) {
   bounds.feasible = true;
   bounds.pmin_kw = 10.0;
   bounds.pmax_kw = 30.0;
-  EXPECT_DOUBLE_EQ(pconst_from_bounds(bounds), 20.0);
-  EXPECT_DOUBLE_EQ(pconst_from_bounds(bounds, 0.25), 15.0);
-  EXPECT_DOUBLE_EQ(pconst_from_bounds(bounds, 1.0), 30.0);
+  EXPECT_DOUBLE_EQ(*pconst_from_bounds(bounds), 20.0);
+  EXPECT_DOUBLE_EQ(*pconst_from_bounds(bounds, 0.25), 15.0);
+  EXPECT_DOUBLE_EQ(*pconst_from_bounds(bounds, 1.0), 30.0);
+  EXPECT_DOUBLE_EQ(*pconst_from_bounds(bounds, 0.0), 10.0);
+}
+
+TEST(PowerBounds, PconstRejectsInfeasibleBoundsAndBadFactors) {
+  PowerBounds bounds;
+  bounds.pmin_kw = 10.0;
+  bounds.pmax_kw = 30.0;
+  EXPECT_EQ(pconst_from_bounds(bounds).status().code(),
+            util::StatusCode::kInvalidArgument);  // bounds.feasible is false
+  bounds.feasible = true;
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const double factor : {-0.1, 1.5, kNaN, kInf}) {
+    SCOPED_TRACE(testing::Message() << "factor " << factor);
+    EXPECT_EQ(pconst_from_bounds(bounds, factor).status().code(),
+              util::StatusCode::kInvalidArgument);
+  }
 }
 
 TEST(FixedLoadPower, MonotoneInLoad) {

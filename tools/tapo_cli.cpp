@@ -24,7 +24,7 @@
 // Exit codes: 0 success, 1 infeasible/unsolvable instance, 2 bad input
 // (malformed scenario, trace or fault file, a malformed or out-of-range
 // option, unknown flags).
-#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
@@ -49,6 +49,16 @@ using namespace tapo;
 
 // Set by main when --telemetry-out is given; null disables recording.
 util::telemetry::Registry* g_telemetry = nullptr;
+
+// Work-size ceilings, checked before any scenario work. The DES runs in time
+// linear in --duration, and trace materializes every arrival up front; each
+// sweep point runs two three-stage plans and the baseline.
+constexpr double kMaxDurationS = 1e5;
+constexpr std::int64_t kMaxSweepPoints = 1000;
+const std::string kDurationRange =
+    "in (0, " + util::fmt(kMaxDurationS, 0) + "]";
+const std::string kPointsRange =
+    "in [2, " + std::to_string(kMaxSweepPoints) + "]";
 
 void print_table(const util::Table& table, bool csv) {
   if (csv) {
@@ -104,9 +114,10 @@ std::optional<scenario::Scenario> make_scenario(const util::ArgParser& args) {
   return scenario;
 }
 
-// Range checks for options the library would abort on (--psi, --points) or
-// accept without a word (--target-fraction). Subcommands run them before any
-// scenario work, so a bad value exits 2 with an error line.
+// Range checks for options the library would abort on (--psi, --points),
+// accept without a word (--target-fraction) or run for hours on
+// (--duration). Subcommands run them before any scenario work, so a bad
+// value exits 2 with an error line.
 bool option_rejected(const util::ArgParser& args, const char* name, bool ok,
                      const char* range) {
   if (!ok) {
@@ -119,6 +130,13 @@ bool option_rejected(const util::ArgParser& args, const char* name, bool ok,
 bool psi_rejected(const util::ArgParser& args) {
   const double psi = args.option_double("psi");
   return option_rejected(args, "psi", psi > 0.0 && psi <= 100.0, "in (0, 100]");
+}
+
+bool duration_rejected(const util::ArgParser& args) {
+  const double duration = args.option_double("duration");
+  return option_rejected(args, "duration",
+                         duration > 0.0 && duration <= kMaxDurationS,
+                         kDurationRange.c_str());
 }
 
 core::Assignment run_technique(const dc::DataCenter& dc,
@@ -204,7 +222,7 @@ int cmd_assign(const util::ArgParser& args) {
 }
 
 int cmd_simulate(const util::ArgParser& args) {
-  if (psi_rejected(args)) return 2;
+  if (psi_rejected(args) || duration_rejected(args)) return 2;
   auto scenario = make_scenario(args);  // non-const: fault runs mutate the dc
   if (!scenario) return 2;
   const thermal::HeatFlowModel model(scenario->dc);
@@ -345,12 +363,8 @@ int cmd_powermin(const util::ArgParser& args) {
 }
 
 int cmd_trace(const util::ArgParser& args) {
-  if (psi_rejected(args)) return 2;
+  if (psi_rejected(args) || duration_rejected(args)) return 2;
   const double horizon = args.option_double("duration");
-  if (option_rejected(args, "duration", std::isfinite(horizon) && horizon > 0.0,
-                      "positive and finite")) {
-    return 2;
-  }
   const auto scenario = make_scenario(args);
   if (!scenario) return 2;
   const auto seed = static_cast<std::uint64_t>(args.option_int("seed"));
@@ -411,11 +425,13 @@ int cmd_trace(const util::ArgParser& args) {
 int cmd_sweep(const util::ArgParser& args) {
   // The sweep spaces its points from 0.15 to 0.9 of the budget range, so it
   // needs both ends.
-  if (option_rejected(args, "points", args.option_int("points") >= 2,
-                      "at least 2")) {
+  const std::int64_t requested = args.option_int("points");
+  if (option_rejected(args, "points",
+                      requested >= 2 && requested <= kMaxSweepPoints,
+                      kPointsRange.c_str())) {
     return 2;
   }
-  const auto points = static_cast<std::size_t>(args.option_int("points"));
+  const auto points = static_cast<std::size_t>(requested);
   auto scenario = make_scenario(args);
   if (!scenario) return 2;
   const thermal::HeatFlowModel model(scenario->dc);
@@ -424,8 +440,13 @@ int cmd_sweep(const util::ArgParser& args) {
   for (std::size_t p = 0; p < points; ++p) {
     const double factor =
         0.15 + 0.75 * static_cast<double>(p) / static_cast<double>(points - 1);
-    scenario->dc.p_const_kw =
+    const util::StatusOr<double> pconst =
         thermal::pconst_from_bounds(scenario->bounds, factor);
+    if (!pconst.ok()) {
+      std::fprintf(stderr, "error: %s\n", pconst.status().to_string().c_str());
+      return 1;
+    }
+    scenario->dc.p_const_kw = *pconst;
     const core::Assignment a =
         run_technique(scenario->dc, model, "best", 50.0);
     const core::Assignment b =
@@ -456,7 +477,9 @@ int main(int argc, char** argv) {
   args.add_option("pconst-factor", "budget position between Pmin and Pmax", "0.5");
   args.add_option("technique", "three-stage | baseline | best", "three-stage");
   args.add_option("psi", "best-psi-percent of task types for ARR", "50");
-  args.add_option("duration", "simulated seconds (simulate)", "120");
+  args.add_option("duration",
+                  "simulated seconds " + kDurationRange + " (simulate, trace)",
+                  "120");
   args.add_option("faults", "inject this tapo-faults v1 schedule (simulate)", "");
   args.add_option("replan-delay",
                   "seconds between a fault and re-plan adoption (simulate)", "10");
@@ -469,7 +492,7 @@ int main(int argc, char** argv) {
                   "tracking-error trigger for early re-plans; 0 disables "
                   "(simulate)", "0.5");
   args.add_option("target-fraction", "reward floor vs reference (powermin)", "0.8");
-  args.add_option("points", "sweep points (sweep)", "6");
+  args.add_option("points", "sweep points " + kPointsRange + " (sweep)", "6");
   args.add_option("save", "archive the generated data center to this file", "");
   args.add_option("load", "load an archived data center instead of generating", "");
   args.add_option("trace-in", "replay this arrival trace CSV (trace)", "");
