@@ -179,7 +179,7 @@ struct GenerationGuardFixture : ReplanSimFixture {
     core::ReplannerOptions replan;
     replan.cadence_s = 20.0;
     replan.tracking_error_threshold = 0.0;  // cadence-only: one step at t=20
-      options.replan = replan;
+    options.replan = replan;
     return simulate_with_faults(dc(), *model, assignment, schedule, options);
   }
 };
